@@ -17,8 +17,9 @@ off by default.
 
 Flags can be supplied through ``IPTREE_``-prefixed environment variables
 (``IPTREE_MODEL``, ``IPTREE_SEED``, ``IPTREE_TOL``, ``IPTREE_MAX_HORIZON``,
-``IPTREE_FORMAT``, ``IPTREE_PARALLEL``); explicit flags win.  Per-query
-``policy`` objects in a query file override the flags.
+``IPTREE_FORMAT``); explicit flags win, and an environment value is checked
+like the flag it stands for.  Per-query ``policy`` objects in a query file
+override the flags.
 
 Exit codes: 0 success (and all checks passed), 1 a check ran and found
 violations, 2 any input or query error.
@@ -31,7 +32,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .engine import Policy, finitary_lower, finitary_upper, limit_lower, limit_upper
 from .errors import IptreeError
@@ -64,12 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # String defaults go through ``type`` like command-line values, so a bad
+    # environment value exits 2 with argparse's message for its flag.
     def common(p):
         p.add_argument("--model", default=_env("model"), help="model JSON file")
-        p.add_argument("--seed", type=int, default=int(_env("seed", 0)), help="seed for randomized suites")
-        p.add_argument("--tol", type=float, default=float(_env("tol", 1e-9)), help="convergence tolerance")
+        p.add_argument("--seed", type=int, default=_env("seed", 0), help="seed for randomized suites")
+        p.add_argument("--tol", type=float, default=_env("tol", 1e-9), help="convergence tolerance")
         p.add_argument(
-            "--max-horizon", type=int, default=int(_env("max_horizon", 100)),
+            "--max-horizon", type=int, default=_env("max_horizon", 100),
             help="iteration cap for limit queries",
         )
         fmt_group = p.add_mutually_exclusive_group()
@@ -91,10 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--at", default="", help="conditioning situation, comma-joined labels")
     p_eval.add_argument("--hit-time", metavar="STATES", help="inline hitting-time query, comma-joined target labels")
     p_eval.add_argument("--hit-prob", metavar="STATES", help="inline hitting-probability query")
-    p_eval.add_argument(
-        "--parallel", action="store_true", default=bool(_env("parallel")),
-        help="run independent queries concurrently",
-    )
 
     p_check = sub.add_parser("check", help="run verification batteries")
     common(p_check)
@@ -286,11 +284,7 @@ def _cmd_eval(args) -> int:
             rec["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         return rec
 
-    if args.parallel and len(queries) > 1:
-        with ThreadPoolExecutor() as pool:
-            report["results"] = list(pool.map(run_one, queries))
-    else:
-        report["results"] = [run_one(q) for q in queries]
+    report["results"] = [run_one(q) for q in queries]
     if any(not rec["ok"] for rec in report["results"]):
         status = 2
     if args.timing:
@@ -339,7 +333,10 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.format not in ("json", "pretty"):
+        parser.error(f"IPTREE_FORMAT: invalid choice: {args.format!r} (choose from 'json', 'pretty')")
     try:
         if args.command == "eval":
             return _cmd_eval(args)

@@ -10,10 +10,14 @@ number is the infimum of supermartingale certificates (see
 :mod:`.supermartingale`) and the upper envelope over compatible precise trees
 (see :mod:`.oracle`), which the test suite cross-checks.
 
-Dense gambles are recursed over their payoff tables situation by situation.
-Machine gambles are recursed over the product of the tree's finite-state view
-and the gamble's automaton, which keeps hitting-time computations polynomial
-in the horizon.
+One kernel runs the recursion for every gamble.  It walks the product of
+the tree's finite-state view and the gamble's automaton (a dense gamble
+enters through :func:`~iptree.gambles.as_machine`, whose states are the
+prefixes) forward to collect the reachable nodes level by level, then sweeps
+those product layers backwards, one batched matrix product per level.
+Upper expectations, the value at every situation and the attaining
+compatible precise tree are all read off that one sweep, and hitting-time
+computations stay polynomial in the horizon.
 
 Payoffs that depend on the whole infinite path enter through
 :class:`~iptree.gambles.LimitVariable`: the engine evaluates the monotone
@@ -41,13 +45,14 @@ from .gambles import (
     LimitVariable,
     MachineGamble,
     UnionAtDepth,
+    as_machine,
     hitting_event_variable,
     indicator_of_cylinder,
     indicator_of_strings,
     pointwise_leq,
 )
 from .local import CredalSet, MassFunction
-from .tree import PreciseTree, SelectionOverlay, Situation, Tree, as_situation
+from .tree import PreciseTree, Situation, Tree, as_situation
 
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
@@ -73,8 +78,9 @@ class Policy:
     start_index: int = 1
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_horizon < 1 or self.divergence_threshold <= 0:
-            raise InvalidInputError("policy fields must be positive")
+        finite = 0 < self.tol < INF and 0 < self.divergence_threshold < INF
+        if not finite or self.max_horizon < 1:
+            raise InvalidInputError("policy fields must be positive and finite")
 
 
 class StopReason(Enum):
@@ -118,27 +124,6 @@ def _points_of(leaf) -> np.ndarray:
     raise InvalidInputError(f"not a local model: {leaf!r}")
 
 
-def _max_dot(points: np.ndarray, values: np.ndarray) -> float:
-    return float((points @ values).max())
-
-
-def _dense_upper(tree: Tree, f: FinitaryGamble, s: Situation) -> float:
-    k = tree.k
-    n = f.depth
-    if len(s) >= n:
-        return float(f.table[s[:n]])
-    assignment = tree.assignment
-    g = np.asarray(f.table[s], dtype=float)
-    for level in range(n - 1, len(s) - 1, -1):
-        rel = level - len(s)
-        out = np.empty((k,) * rel)
-        for prefix in np.ndindex(*(k,) * rel):
-            points = _points_of(assignment.local(s + prefix))
-            out[prefix] = _max_dot(points, g[prefix])
-        g = out
-    return float(g)
-
-
 def _machine_layers(tree: Tree, f: MachineGamble, s: Situation):
     """Forward reachability of (tree state, gamble state) pairs from ``s``.
 
@@ -146,47 +131,72 @@ def _machine_layers(tree: Tree, f: MachineGamble, s: Situation):
     index tables for levels len(s)..depth.
     """
     assignment = tree.assignment
-    k = tree.k
-    start = (assignment.machine_init(s), f.state_after(s))
-    layers: list[list[tuple]] = [[start]]
+    symbols = range(tree.k)
+    layers: list[list[tuple]] = [[(assignment.machine_init(s), f.state_after(s))]]
     transitions: list[np.ndarray] = []
+    successors: dict = {}  # tree state -> its successor after each symbol
     for level in range(len(s) + 1, f.depth + 1):
-        cur = layers[-1]
-        nxt_index: dict[tuple, int] = {}
-        nxt: list[tuple] = []
-        table = np.empty((len(cur), k), dtype=np.int64)
-        for i, (t, q) in enumerate(cur):
-            for y in range(k):
-                pair = (assignment.machine_step(t, y), f.step(level, q, y))
-                j = nxt_index.get(pair)
+        index: dict[tuple, int] = {}  # node -> its position in the level
+        targets: list[int] = []
+        for t, q in layers[-1]:
+            succ = successors.get(t)
+            if succ is None:
+                succ = successors[t] = [assignment.machine_step(t, y) for y in symbols]
+            for y in symbols:
+                pair = (succ[y], f.step(level, q, y))
+                j = index.get(pair)
                 if j is None:
-                    j = len(nxt)
-                    nxt_index[pair] = j
-                    nxt.append(pair)
-                table[i, y] = j
-        layers.append(nxt)
-        transitions.append(table)
+                    j = index[pair] = len(index)
+                targets.append(j)
+        layers.append(list(index))
+        transitions.append(np.array(targets, dtype=np.intp).reshape(-1, tree.k))
     return layers, transitions
 
 
-def _machine_upper(tree: Tree, f: MachineGamble, s: Situation) -> float:
-    if len(s) >= f.depth:
-        return f.payoff(s)
-    assignment = tree.assignment
+def _sweep(tree: Tree, f: Gamble, s: Situation):
+    """The backward recursion over the product layers below ``s``.
+
+    Returns the layers, every node's value and, for every node above the
+    deepest level, the index of the extreme point attaining that value (the
+    lowest on ties).  Each level costs a few array operations over all its
+    nodes, whatever the number of tree states.
+    """
+    if f.k != tree.k:
+        raise InvalidInputError("gamble and tree live on different state spaces")
+    f = as_machine(f)
     layers, transitions = _machine_layers(tree, f, s)
-    payoffs = f.payoffs()
-    vals = np.array([payoffs[q] for _, q in layers[-1]])
+    states: dict = {}  # tree state -> its row in `points`
+    rows = [
+        np.array([states.setdefault(t, len(states)) for t, _ in nodes], dtype=np.intp)
+        for nodes in layers[:-1]
+    ]
+    leaves = [_points_of(tree.assignment.machine_leaf(t)) for t in states]
+    counts = np.array([len(p) for p in leaves], dtype=np.intp)
+    points = np.zeros((len(leaves), counts.max(initial=0), tree.k))
+    for i, p in enumerate(leaves):
+        points[i, : len(p)] = p
+    values = [f.payoffs()[[q for _, q in layers[-1]]]]
+    argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):
-        nxt_vals = vals[transitions[li]]  # (nodes, k)
-        out = np.empty(len(layers[li]))
-        groups: dict = {}
-        for i, (t, _) in enumerate(layers[li]):
-            groups.setdefault(t, []).append(i)
-        for t, rows in groups.items():
-            points = _points_of(assignment.machine_leaf(t))
-            out[rows] = (points @ nxt_vals[rows].T).max(axis=0)
-        vals = out
-    return float(vals[0])
+        nxt = values[0][transitions[li]][:, :, None]  # (nodes, k, 1)
+        vals = np.empty(len(rows[li]))
+        best = np.empty(len(rows[li]), dtype=np.intp)
+        # One batched product per extreme-point count: every node then gets
+        # the BLAS call `points @ values` makes, so its value is bit-identical
+        # to the local upper expectation and independent of its neighbours.
+        count = counts[rows[li]]
+        if count.min() == count.max():
+            batches = [(count[0], slice(None))]
+        else:
+            batches = [(c, np.flatnonzero(count == c)) for c in np.unique(count)]
+        for c, sel in batches:
+            scores = (points[rows[li][sel], :c] @ nxt[sel])[:, :, 0]
+            pick = scores.argmax(axis=1)
+            best[sel] = pick
+            vals[sel] = scores[np.arange(len(pick)), pick]
+        values.insert(0, vals)
+        argmax.insert(0, best)
+    return layers, values, argmax
 
 
 def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -196,12 +206,8 @@ def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
     the gamble's depth just reads the payoff off.  Accepts an imprecise or a
     precise tree (the latter behaves as its one-point credal sets).
     """
-    s = as_situation(s, tree.k)
-    if f.k != tree.k:
-        raise InvalidInputError("gamble and tree live on different state spaces")
-    if isinstance(f, FinitaryGamble):
-        return _dense_upper(tree, f, s)
-    return _machine_upper(tree, f, s)
+    _, values, _ = _sweep(tree, f, as_situation(s, tree.k))
+    return float(values[0][0])
 
 
 def finitary_lower(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -220,7 +226,7 @@ class _MachineSelection:
     back to the first extreme point.
     """
 
-    base: object  # credal assignment
+    base: object  # assignment of the tree the recursion ran on
     gamble: MachineGamble
     choices: dict  # (level, tree state, gamble state) -> extreme-point index
 
@@ -228,14 +234,8 @@ class _MachineSelection:
         if leaf_type is not MassFunction:
             raise InvalidInputError("machine selections provide mass-function leaves")
 
-    def _choice(self, level: int, t, q) -> int:
-        return self.choices.get((level, t, q), 0)
-
     def local(self, s: Situation) -> MassFunction:
-        t = self.base.machine_init(s)
-        q = self.gamble.state_after(s)
-        points = self.base.machine_leaf(t).points
-        return MassFunction(points[self._choice(len(s), t, q)])
+        return self.machine_leaf(self.machine_init(s))
 
     def machine_init(self, s: Situation):
         return (len(s), self.base.machine_init(s), self.gamble.state_after(s))
@@ -249,9 +249,9 @@ class _MachineSelection:
         )
 
     def machine_leaf(self, state) -> MassFunction:
-        level, t, q = state
-        points = self.base.machine_leaf(t).points
-        return MassFunction(points[self._choice(level, t, q)])
+        _, t, _ = state
+        points = _points_of(self.base.machine_leaf(t))
+        return MassFunction(points[self.choices.get(state, 0)])
 
 
 def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTree:
@@ -264,44 +264,14 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     ``s`` equals ``finitary_upper(tree, f, s)``.
     """
     s = as_situation(s, tree.k)
-    if f.k != tree.k:
-        raise InvalidInputError("gamble and tree live on different state spaces")
-    assignment = tree.assignment
-    if isinstance(f, FinitaryGamble):
-        n = f.depth
-        choices: dict[Situation, MassFunction] = {}
-        if len(s) < n:
-            g = np.asarray(f.table[s], dtype=float)
-            for level in range(n - 1, len(s) - 1, -1):
-                rel = level - len(s)
-                out = np.empty((tree.k,) * rel)
-                for prefix in np.ndindex(*(tree.k,) * rel):
-                    points = _points_of(assignment.local(s + prefix))
-                    values = points @ g[prefix]
-                    best = int(np.argmax(values))
-                    choices[s + prefix] = MassFunction(points[best])
-                    out[prefix] = float(values[best])
-                g = out
-        return PreciseTree(tree.state_space, SelectionOverlay(assignment, choices))
-
-    machine = f
-    picked: dict = {}
-    if len(s) < machine.depth:
-        layers, transitions = _machine_layers(tree, machine, s)
-        payoffs = machine.payoffs()
-        vals = np.array([payoffs[q] for _, q in layers[-1]])
-        for li in range(len(transitions) - 1, -1, -1):
-            level = len(s) + li
-            nxt_vals = vals[transitions[li]]
-            out = np.empty(len(layers[li]))
-            for i, (t, q) in enumerate(layers[li]):
-                points = _points_of(assignment.machine_leaf(t))
-                values = points @ nxt_vals[i]
-                best = int(np.argmax(values))
-                picked[(level, t, q)] = best
-                out[i] = float(values[best])
-            vals = out
-    return PreciseTree(tree.state_space, _MachineSelection(assignment, machine, picked))
+    machine = as_machine(f)
+    layers, _, argmax = _sweep(tree, machine, s)
+    picked = {
+        (len(s) + li, t, q): int(best)
+        for li, picks in enumerate(argmax)
+        for (t, q), best in zip(layers[li], picks)
+    }
+    return PreciseTree(tree.state_space, _MachineSelection(tree.assignment, machine, picked))
 
 
 def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
@@ -312,19 +282,10 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
     """
     if not isinstance(f, FinitaryGamble):
         raise InvalidInputError("value_table expects a dense finitary gamble")
-    if f.k != tree.k:
-        raise InvalidInputError("gamble and tree live on different state spaces")
-    k = tree.k
-    levels = [None] * (f.depth + 1)
-    levels[f.depth] = np.asarray(f.table, dtype=float)
-    for level in range(f.depth - 1, -1, -1):
-        g = levels[level + 1]
-        out = np.empty((k,) * level)
-        for prefix in np.ndindex(*(k,) * level):
-            points = _points_of(tree.assignment.local(prefix))
-            out[prefix] = _max_dot(points, g[prefix])
-        levels[level] = out
-    return levels
+    # Swept from the root, a dense gamble's product nodes at level m are the
+    # length-m prefixes, one each, in lexicographic order.
+    _, values, _ = _sweep(tree, f, ())
+    return [vals.reshape((tree.k,) * m) for m, vals in enumerate(values)]
 
 
 def _audit_bound(v: LimitVariable, f: Gamble, m: int):

@@ -98,11 +98,6 @@ def xdot(weights: np.ndarray, values: np.ndarray) -> float:
     return float(weights[finite] @ values[finite])
 
 
-def xclip(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Two-sided cut ``min(max(f, lo), hi)``; maps infinities to the bounds."""
-    return np.clip(np.asarray(values, dtype=float), lo, hi)
-
-
 def fmt(value: float) -> str | float:
     """JSON-safe rendering: infinities become the strings '+inf'/'-inf'."""
     if value == INF:

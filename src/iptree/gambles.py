@@ -132,7 +132,7 @@ class MachineGamble:
     ``step(level, state, symbol)`` consumes the symbol at position ``level``
     (1-based), ``final_payoff[state]`` is the payoff after ``depth`` symbols.
     States are integers in ``range(num_states)``.  The step function must be
-    pure: gambles are evaluated concurrently and repeatedly.
+    pure: gambles are evaluated repeatedly.
     """
 
     k: int

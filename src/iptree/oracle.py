@@ -23,7 +23,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .engine import ApproxResult, Policy, StopReason, finitary_upper, _machine_layers
+from .engine import ApproxResult, Policy, StopReason, finitary_upper
 from .errors import InvalidInputError, ResourceLimitError
 from .gambles import FinitaryGamble, Gamble, LimitVariable, MachineGamble
 from .local import MassFunction
@@ -86,20 +86,20 @@ def _dense_precise(p: PreciseTree, f: FinitaryGamble, s: Situation) -> float:
 def _machine_precise(p: PreciseTree, f: MachineGamble, s: Situation) -> float:
     if len(s) >= f.depth:
         return f.payoff(s)
-    layers, transitions = _machine_layers(p, f, s)
-    dist = np.array([1.0])
     assignment = p.assignment
-    for li, table in enumerate(transitions):
-        nxt = np.zeros(len(layers[li + 1]))
-        for i, (t, _) in enumerate(layers[li]):
-            if dist[i] == 0.0:
-                continue
+    # Probability of each reachable (tree state, gamble state) pair, pushed
+    # forward one level at a time by the product rule.
+    dist = {(assignment.machine_init(s), f.state_after(s)): 1.0}
+    for level in range(len(s) + 1, f.depth + 1):
+        nxt: dict[tuple, float] = {}
+        for (t, q), prob in dist.items():
             weights = assignment.machine_leaf(t).weights
             for y in range(p.k):
-                nxt[table[i, y]] += dist[i] * weights[y]
+                pair = (assignment.machine_step(t, y), f.step(level, q, y))
+                nxt[pair] = nxt.get(pair, 0.0) + prob * weights[y]
         dist = nxt
     payoffs = f.payoffs()
-    return float(sum(w * payoffs[q] for w, (_, q) in zip(dist, layers[-1])))
+    return float(sum(prob * payoffs[q] for (_, q), prob in dist.items()))
 
 
 def precise_expectation(p: PreciseTree, f: Gamble, s: Situation = ()) -> float:

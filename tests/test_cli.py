@@ -82,10 +82,36 @@ class TestEval:
         _, second = run(capsys, "eval", "--model", model_file, "--query", query_file, "--seed", "9")
         assert first == second
 
-    def test_parallel_matches_serial(self, capsys, model_file, query_file):
-        _, serial = run(capsys, "eval", "--model", model_file, "--query", query_file)
-        _, parallel = run(capsys, "eval", "--model", model_file, "--query", query_file, "--parallel")
-        assert serial == parallel
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_flag_exits_2(self, capsys, model_file, tol):
+        code, out = run(capsys, "eval", "--model", model_file, "--hit-time", "T", "--tol", tol)
+        assert code == 2
+        rec = json.loads(out)["results"][0]
+        assert not rec["ok"]
+        assert "finite" in rec["error"]
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("IPTREE_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
+            ("IPTREE_TOL", "tight", "argument --tol: invalid float value: 'tight'"),
+            ("IPTREE_MAX_HORIZON", "1.5", "argument --max-horizon: invalid int value: '1.5'"),
+            ("IPTREE_FORMAT", "yaml", "IPTREE_FORMAT: invalid choice: 'yaml'"),
+        ],
+    )
+    def test_bad_env_value_exits_2(self, capsys, model_file, monkeypatch, name, value, message):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", model_file, "--expr", "1"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_env_value_is_a_default(self, capsys, model_file, monkeypatch):
+        monkeypatch.setenv("IPTREE_SEED", "5")
+        _, out = run(capsys, "eval", "--model", model_file, "--expr", "1")
+        assert json.loads(out)["seed"] == 5
+        _, out = run(capsys, "eval", "--model", model_file, "--expr", "1", "--seed", "6")
+        assert json.loads(out)["seed"] == 6
 
     def test_inline_hit_prob(self, capsys, model_file):
         code, out = run(capsys, "eval", "--model", model_file, "--hit-prob", "T", "--max-horizon", "60")

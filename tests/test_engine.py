@@ -24,6 +24,7 @@ from iptree.gambles import (
     Hitting,
     LimitVariable,
     UnionAtDepth,
+    as_machine,
     hitting_event_variable,
     hitting_indicator,
     hitting_time_variable,
@@ -32,7 +33,7 @@ from iptree.gambles import (
 from iptree.local import CredalSet, upper_expectation
 from iptree.oracle import precise_expectation
 from iptree.suites import degenerate_tree, random_gamble, random_situation, random_tree
-from iptree.tree import ImpreciseTree, Markov, Table, local_model
+from iptree.tree import ImpreciseTree, Markov, Table, all_situations, local_model
 
 
 def expr_gamble(source, space, **kw):
@@ -116,6 +117,15 @@ class TestMachineDenseAgreement:
             assert finitary_upper(tree, machine, s) == pytest.approx(
                 finitary_upper(tree, dense, s), abs=1e-12
             )
+
+    def test_automaton_view_gives_identical_values(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            k = int(rng.integers(2, 4))
+            tree = random_tree(rng, k)
+            f = random_gamble(rng, k, int(rng.integers(1, 5)))
+            s = random_situation(rng, k, f.depth - 1)
+            assert finitary_upper(tree, f, s) == finitary_upper(tree, as_machine(f), s)
 
     def test_table_tree_machine_path(self, coin_space):
         entries = {
@@ -255,6 +265,16 @@ class TestValueTable:
         assert levels[1][1] == 0.0
         assert np.array_equal(levels[2], f.table)
 
+    def test_levels_equal_conditional_values_exactly(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            k = int(rng.integers(2, 4))
+            tree = random_tree(rng, k)
+            f = random_gamble(rng, k, int(rng.integers(1, 4)))
+            levels = value_table(tree, f)
+            for s in all_situations(k, f.depth):
+                assert levels[len(s)][s] == finitary_upper(tree, f, s)
+
 
 class TestAdversarialSelection:
     def test_dense_selection_attains_value(self):
@@ -268,6 +288,11 @@ class TestAdversarialSelection:
             assert precise_expectation(adv, f, s) == pytest.approx(
                 finitary_upper(tree, f, s), abs=1e-10
             )
+
+    def test_precise_tree_selects_its_own_masses(self, coin_space, biased_coin):
+        f = expr_gamble("ind(X[1]==H && X[2]==T)", coin_space)
+        adv = adversarial_selection(biased_coin, f)
+        assert precise_expectation(adv, f) == pytest.approx(0.24, abs=1e-12)
 
     def test_machine_selection_attains_value(self, coin_space, imprecise_coin):
         tau = truncated_hitting_time(coin_space, ["T"], 30)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.expr import compile_gamble, parse_gamble
 from iptree.gambles import hitting_time_variable, truncated_hitting_time
 from iptree.local import MassFunction
+from iptree import oracle
 from iptree.oracle import (
     conditional_prob,
     domination_check,
@@ -230,3 +234,12 @@ class TestDomination:
         v = hitting_time_variable(coin_space, ["T"])
         with pytest.raises(InvalidInputError):
             domination_check(imprecise_coin, v, (), [outside])
+
+
+def test_oracle_uses_no_private_engine_name():
+    # The oracle cross-checks the engine, so it must not share its internals.
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("engine", "iptree.engine"):
+            assert not [a.name for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "engine":
+            assert not node.attr.startswith("_")
