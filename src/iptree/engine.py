@@ -16,13 +16,16 @@ enters through :func:`~iptree.gambles.as_machine`, whose states are the
 prefixes) forward to collect the reachable nodes level by level, then sweeps
 those product layers backwards, one batched matrix product per level.
 Upper expectations, the value at every situation and the attaining
-compatible precise tree are all read off that one sweep, and hitting-time
-computations stay polynomial in the horizon.
+compatible precise tree are all read off that one sweep.
 
 Payoffs that depend on the whole infinite path enter through
 :class:`~iptree.gambles.LimitVariable`: the engine evaluates the monotone
 approximations until the values stabilize, certify divergence, or hit the
-horizon cap, and reports the full iterate history either way.
+horizon cap, and reports the full iterate history either way.  Hitting
+times and hitting events also carry a level-free reward automaton; their
+iterates are then finite-horizon value iteration over the fixed set of
+(tree state, automaton state) nodes reachable from the situation, one
+Bellman step per iterate, so a limit costs time linear in the horizon.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .gambles import (
     Hitting,
     LimitVariable,
     MachineGamble,
+    RewardAutomaton,
     UnionAtDepth,
     as_machine,
     hitting_event_variable,
@@ -79,7 +83,7 @@ class Policy:
 
     def __post_init__(self):
         finite = 0 < self.tol < INF and 0 < self.divergence_threshold < INF
-        if not finite or self.max_horizon < 1:
+        if not finite or self.max_horizon < 1 or self.start_index < 0:
             raise InvalidInputError("policy fields must be positive and finite")
 
 
@@ -153,6 +157,49 @@ def _machine_layers(tree: Tree, f: MachineGamble, s: Situation):
     return layers, transitions
 
 
+def _local_points(tree: Tree, states) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme points of each tree state's local model, zero-padded to
+    ``(states, most points, k)``, and the number of points of each."""
+    leaves = [_points_of(tree.assignment.machine_leaf(t)) for t in states]
+    counts = np.array([len(p) for p in leaves], dtype=np.intp)
+    points = np.zeros((len(leaves), counts.max(initial=0), tree.k))
+    for i, p in enumerate(leaves):
+        points[i, : len(p)] = p
+    return points, counts
+
+
+def _batches(points: np.ndarray, counts: np.ndarray, rows: np.ndarray) -> list:
+    """The nodes of one level grouped by extreme-point count, each group with
+    its nodes' points.
+
+    One batched product per count gives every node the BLAS call
+    ``points @ values`` makes, so its value is bit-identical to the local
+    upper expectation and independent of its neighbours.
+    """
+    count = counts[rows]
+    if count.min() == count.max():
+        return [(slice(None), points[rows, : count[0]])]
+    batches = []
+    for c in np.unique(count):
+        sel = np.flatnonzero(count == c)
+        batches.append((sel, points[rows[sel], :c]))
+    return batches
+
+
+def _bellman(batches: list, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One backward step: each node's local upper expectation of the values
+    ``nxt`` (nodes, k) after each symbol, and the attaining extreme point."""
+    vals = np.empty(len(nxt))
+    best = np.empty(len(nxt), dtype=np.intp)
+    nxt = nxt[:, :, None]
+    for sel, pts in batches:
+        scores = (pts @ nxt[sel])[:, :, 0]
+        pick = scores.argmax(axis=1)
+        best[sel] = pick
+        vals[sel] = scores[np.arange(len(pick)), pick]
+    return vals, best
+
+
 def _sweep(tree: Tree, f: Gamble, s: Situation):
     """The backward recursion over the product layers below ``s``.
 
@@ -170,30 +217,11 @@ def _sweep(tree: Tree, f: Gamble, s: Situation):
         np.array([states.setdefault(t, len(states)) for t, _ in nodes], dtype=np.intp)
         for nodes in layers[:-1]
     ]
-    leaves = [_points_of(tree.assignment.machine_leaf(t)) for t in states]
-    counts = np.array([len(p) for p in leaves], dtype=np.intp)
-    points = np.zeros((len(leaves), counts.max(initial=0), tree.k))
-    for i, p in enumerate(leaves):
-        points[i, : len(p)] = p
+    points, counts = _local_points(tree, states)
     values = [f.payoffs()[[q for _, q in layers[-1]]]]
     argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):
-        nxt = values[0][transitions[li]][:, :, None]  # (nodes, k, 1)
-        vals = np.empty(len(rows[li]))
-        best = np.empty(len(rows[li]), dtype=np.intp)
-        # One batched product per extreme-point count: every node then gets
-        # the BLAS call `points @ values` makes, so its value is bit-identical
-        # to the local upper expectation and independent of its neighbours.
-        count = counts[rows[li]]
-        if count.min() == count.max():
-            batches = [(count[0], slice(None))]
-        else:
-            batches = [(c, np.flatnonzero(count == c)) for c in np.unique(count)]
-        for c, sel in batches:
-            scores = (points[rows[li][sel], :c] @ nxt[sel])[:, :, 0]
-            pick = scores.argmax(axis=1)
-            best[sel] = pick
-            vals[sel] = scores[np.arange(len(pick)), pick]
+        vals, best = _bellman(_batches(points, counts, rows[li]), values[0][transitions[li]])
         values.insert(0, vals)
         argmax.insert(0, best)
     return layers, values, argmax
@@ -223,7 +251,9 @@ class _MachineSelection:
     product node as an ordinary tree over situations: both coordinates are
     deterministic functions of the situation, so the selection is
     well-defined everywhere.  Situations outside the recorded layers fall
-    back to the first extreme point.
+    back to the first extreme point.  Past the gamble's depth nothing was
+    recorded, so the level stays frozen there: the view then has finitely
+    many states, as the stationary limit path needs.
     """
 
     base: object  # assignment of the tree the recursion ran on
@@ -238,15 +268,14 @@ class _MachineSelection:
         return self.machine_leaf(self.machine_init(s))
 
     def machine_init(self, s: Situation):
-        return (len(s), self.base.machine_init(s), self.gamble.state_after(s))
+        level = min(len(s), self.gamble.depth)
+        return (level, self.base.machine_init(s), self.gamble.state_after(s))
 
     def machine_step(self, state, symbol: int):
         level, t, q = state
-        return (
-            level + 1,
-            self.base.machine_step(t, symbol),
-            self.gamble.step(level + 1, q, symbol) if level + 1 <= self.gamble.depth else q,
-        )
+        if level == self.gamble.depth:
+            return (level, self.base.machine_step(t, symbol), q)
+        return (level + 1, self.base.machine_step(t, symbol), self.gamble.step(level + 1, q, symbol))
 
     def machine_leaf(self, state) -> MassFunction:
         _, t, _ = state
@@ -300,6 +329,59 @@ def _audit_bound(v: LimitVariable, f: Gamble, m: int):
         )
 
 
+def _stationary_values(tree: Tree, auto: RewardAutomaton, s: Situation, first: int):
+    """Conditional upper expectations given ``s`` of the automaton's horizon-m
+    gambles, for m = first, first + 1, ...
+
+    Along ``s`` the payoff is settled: iterate m <= len(s) is the reward of
+    the first m steps of ``s`` plus the terminal payoff.  Beyond, iterate m
+    is the reward of all of ``s`` plus ``V_{m - len(s)}`` at the node
+    (tree state, automaton state) that ``s`` leads to, where ``V_0`` is the
+    terminal payoff and ``V_{r+1}`` is the local upper expectation of the
+    step reward plus ``V_r`` at the successor.  Both coordinates are
+    level-free, so ``V`` lives on the finite closure of nodes reachable from
+    there, and each further iterate costs one Bellman step over it.
+    """
+    accs, qs = [0.0], [0]
+    for y in s:
+        accs.append(accs[-1] + auto.reward[qs[-1], y])
+        qs.append(int(auto.step[qs[-1], y]))
+    m = first
+    while m <= len(s):
+        yield float(accs[m] + auto.terminal[qs[m]])
+        m += 1
+    assignment = tree.assignment
+    symbols = range(tree.k)
+    step = auto.step.tolist()
+    nodes = [(assignment.machine_init(s), qs[-1])]
+    index = {nodes[0]: 0}  # node -> its position in `nodes`
+    targets: list[int] = []
+    successors: dict = {}  # tree state -> its successor after each symbol
+    for t, q in nodes:  # grows while it is walked: a breadth-first closure
+        succ = successors.get(t)
+        if succ is None:
+            succ = successors[t] = [assignment.machine_step(t, y) for y in symbols]
+        for y in symbols:
+            pair = (succ[y], step[q][y])
+            j = index.get(pair)
+            if j is None:
+                j = index[pair] = len(nodes)
+                nodes.append(pair)
+            targets.append(j)
+    trans = np.array(targets, dtype=np.intp).reshape(-1, tree.k)
+    states: dict = {}  # tree state -> its row in `points`
+    rows = np.array([states.setdefault(t, len(states)) for t, _ in nodes], dtype=np.intp)
+    batches = _batches(*_local_points(tree, states), rows)
+    q_of = np.array([q for _, q in nodes], dtype=np.intp)
+    reward = auto.reward[q_of]
+    values = auto.terminal[q_of]
+    for _ in range(len(s) + 1, m):  # iterates before `first` are not reported
+        values, _ = _bellman(batches, reward + values[trans])
+    while True:
+        values, _ = _bellman(batches, reward + values[trans])
+        yield float(accs[-1] + values[0])
+
+
 def limit_upper(
     tree: Tree, v: LimitVariable, s: Situation = (), policy: Policy = Policy()
 ) -> ApproxResult:
@@ -312,8 +394,22 @@ def limit_upper(
     grow monotonically past the divergence threshold (certified-diverging,
     value +/-inf), or at the horizon cap, in which case the last iterate is
     reported without extrapolation.
+
+    When ``v`` carries a stationary reward automaton (the hitting variables
+    do), the iterates come from it: the value vector over the reachable
+    (tree state, automaton state) nodes is kept between iterates, so each
+    costs one Bellman step and a limit of H iterates costs O(H) sweeps of a
+    fixed node set.  Otherwise every iterate is a full backward recursion
+    on ``v.generator(m)``.  Either way every approximation is audited
+    against the declared bound, the first ``policy.monotone_audit`` pairs
+    pointwise, and the values for monotonicity.
     """
     s = as_situation(s, tree.k)
+    stationary = (
+        None
+        if v.stationary is None
+        else _stationary_values(tree, v.stationary, s, policy.start_index)
+    )
     iterates: list[tuple[int, float]] = []
     prev_gamble: Gamble | None = None
     prev_val: float | None = None
@@ -329,7 +425,7 @@ def limit_upper(
                     f"approximations {m - 1} and {m} violate the declared direction",
                     witness,
                 )
-        val = finitary_upper(tree, f, s)
+        val = finitary_upper(tree, f, s) if stationary is None else next(stationary)
         iterates.append((m, val))
         if prev_val is not None:
             drift = val - prev_val if non_decreasing else prev_val - val

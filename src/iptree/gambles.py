@@ -18,7 +18,10 @@ sequences are audited.
 A :class:`LimitVariable` is a monotone sequence of finitary gambles given by
 a generator, together with the direction of approximation and a uniform bound
 on the appropriate side.  It is the computational handle for payoffs that
-depend on the whole infinite path, such as unbounded hitting times.
+depend on the whole infinite path, such as unbounded hitting times.  When
+every approximation is the horizon-m gamble of one level-free
+:class:`RewardAutomaton`, the variable carries that automaton too, and the
+engine then gets iterate m + 1 from iterate m with a single Bellman step.
 """
 
 from __future__ import annotations
@@ -341,6 +344,37 @@ def hitting_indicator(space: StateSpace, targets, horizon: int) -> MachineGamble
     return MachineGamble(space.size, horizon, horizon + 1, 0, _hitting_step(idx), payoff)
 
 
+@dataclass(frozen=True, eq=False)
+class RewardAutomaton:
+    """Level-free automaton that pays a reward on every step it takes.
+
+    States are ``range(len(terminal))`` and the start state is 0.  Reading
+    symbol ``y`` in state ``q`` moves to ``step[q, y]`` and pays
+    ``reward[q, y]``.  The horizon-m gamble it describes pays the rewards of
+    the first m steps plus ``terminal`` of the state reached, so one
+    automaton describes a whole sequence of gambles, one per horizon.
+    """
+
+    step: np.ndarray  # (states, k) integers
+    reward: np.ndarray  # (states, k)
+    terminal: np.ndarray  # (states,)
+
+    def __neg__(self) -> "RewardAutomaton":
+        return RewardAutomaton(self.step, -self.reward, -self.terminal)
+
+
+def _hitting_automaton(k: int, targets: frozenset[int], time: bool) -> RewardAutomaton:
+    # State 0 = not hit yet, 1 = hit.  min(tau, m) counts the steps i <= m
+    # taken while not yet hit, and the hitting indicator pays once, on the
+    # step that enters a target.
+    hit = np.array([y in targets for y in range(k)])
+    step = np.ones((2, k), dtype=np.intp)
+    step[0] = hit
+    reward = np.zeros((2, k))
+    reward[0] = 1.0 if time else hit
+    return RewardAutomaton(step, reward, np.zeros(2))
+
+
 class Direction(Enum):
     NON_DECREASING = "non_decreasing"
     NON_INCREASING = "non_increasing"
@@ -355,11 +389,17 @@ class LimitVariable:
     ones uniformly bounded above by it.  Monotonicity is the caller's
     promise; consumers audit it up to a horizon and fail loudly on
     violations.
+
+    ``stationary``, when given, is a :class:`RewardAutomaton` whose horizon-m
+    gamble pays what ``generator(m)`` pays on every path.  The engine then
+    computes the iterates from the automaton in one Bellman step each; the
+    generator is still the one audited for bounds and monotonicity.
     """
 
     generator: Callable[[int], Gamble]
     direction: Direction
     bound: float
+    stationary: RewardAutomaton | None = None
 
     def __neg__(self) -> "LimitVariable":
         gen = self.generator
@@ -368,7 +408,8 @@ class LimitVariable:
             if self.direction is Direction.NON_DECREASING
             else Direction.NON_DECREASING
         )
-        return LimitVariable(lambda m: -gen(m), flipped, -self.bound)
+        stationary = None if self.stationary is None else -self.stationary
+        return LimitVariable(lambda m: -gen(m), flipped, -self.bound, stationary)
 
 
 def hitting_time_variable(space: StateSpace, targets) -> LimitVariable:
@@ -378,6 +419,7 @@ def hitting_time_variable(space: StateSpace, targets) -> LimitVariable:
         lambda m: truncated_hitting_time(space, idx, m),
         Direction.NON_DECREASING,
         bound=1.0,
+        stationary=_hitting_automaton(space.size, idx, time=True),
     )
 
 
@@ -388,6 +430,7 @@ def hitting_event_variable(space: StateSpace, targets) -> LimitVariable:
         lambda m: hitting_indicator(space, idx, m),
         Direction.NON_DECREASING,
         bound=0.0,
+        stationary=_hitting_automaton(space.size, idx, time=False),
     )
 
 

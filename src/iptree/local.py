@@ -117,15 +117,29 @@ class CredalSet:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInputError("credal set needs a non-empty (m, k) matrix of extreme points")
-        rows = []
-        seen = set()
-        for row in arr:
-            p = MassFunction(row).weights
-            key = p.tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(p)
-        mat = np.vstack(rows)
+        # Every row passes the checks of MassFunction, all at once: the first
+        # failing row raises what MassFunction(row) would.  Row sums of a
+        # C-ordered matrix are bit-identical to the sums of its rows.
+        arr = np.ascontiguousarray(arr)
+        negative = (arr < 0).any(axis=1)
+        totals = arr.sum(axis=1)
+        off = np.abs(totals - 1.0)
+        bad = negative | (off > MASS_SUM_TOL)
+        if bad.any():
+            i = bad.argmax()
+            if negative[i]:
+                raise InvalidInputError("mass function weights must be non-negative")
+            raise InvalidInputError(
+                f"mass function weights sum to {float(totals[i])!r}, not 1 "
+                f"(tolerance {MASS_SUM_TOL})"
+            )
+        renorm = off > 1e-12
+        if renorm.any():
+            arr = np.where(renorm[:, None], arr / totals[:, None], arr)
+        first: dict[bytes, int] = {}  # exact row bytes -> first row with them
+        for i, row in enumerate(arr):
+            first.setdefault(row.tobytes(), i)
+        mat = arr[list(first.values())]
         mat.flags.writeable = False
         object.__setattr__(self, "points", mat)
 

@@ -32,8 +32,15 @@ from iptree.gambles import (
 )
 from iptree.local import CredalSet, upper_expectation
 from iptree.oracle import precise_expectation
-from iptree.suites import degenerate_tree, random_gamble, random_situation, random_tree
-from iptree.tree import ImpreciseTree, Markov, Table, all_situations, local_model
+from iptree.suites import (
+    degenerate_tree,
+    random_credal,
+    random_gamble,
+    random_situation,
+    random_space,
+    random_tree,
+)
+from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situations, local_model
 
 
 def expr_gamble(source, space, **kw):
@@ -214,6 +221,111 @@ class TestLimitUpper:
         )
         with pytest.raises(InvalidInputError):
             limit_upper(imprecise_coin, bad, (), Policy(max_horizon=10))
+
+
+def _tree_of_kind(rng, k, kind):
+    space = random_space(k)
+    if kind == "homogeneous":
+        return ImpreciseTree(space, Homogeneous(random_credal(rng, k)))
+    if kind == "markov":
+        return ImpreciseTree(
+            space, Markov(random_credal(rng, k), tuple(random_credal(rng, k) for _ in range(k)))
+        )
+    entries = {s: random_credal(rng, k) for s in all_situations(k, 2)}
+    return ImpreciseTree(space, Table(2, entries, random_credal(rng, k)))
+
+
+class TestStationaryLimits:
+    """Hitting variables carry a reward automaton, and limit_upper then
+    advances one value vector by a Bellman step per iterate."""
+
+    def test_iterates_equal_the_recursion_from_scratch(self):
+        rng = np.random.default_rng(31)
+        policy = Policy(tol=1e-300, max_horizon=12)
+        seen = set()
+        for trial in range(36):
+            kind = ("homogeneous", "markov", "table")[trial % 3]
+            k = int(rng.integers(2, 4))
+            tree = _tree_of_kind(rng, k, kind)
+            targets = [int(rng.integers(0, k))]
+            other = [y for y in range(k) if y not in targets]
+            # Not hit yet, already hit, and longer than most horizons.
+            situation = (
+                tuple(int(x) for x in rng.choice(other, size=int(rng.integers(0, 4)))),
+                tuple(int(x) for x in rng.integers(0, k, size=int(rng.integers(0, 3))))
+                + tuple(targets),
+                tuple(int(x) for x in rng.choice(other, size=int(rng.integers(6, 15)))),
+            )[trial // 3 % 3]
+            for make in (hitting_time_variable, hitting_event_variable):
+                v = make(tree.state_space, targets)
+                for upper in (True, False):
+                    res = (limit_upper if upper else limit_lower)(tree, v, situation, policy)
+                    for m, val in res.iterates:
+                        f = v.generator(m)
+                        want = (finitary_upper if upper else finitary_lower)(tree, f, situation)
+                        assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
+                        seen.add((kind, trial // 3 % 3, len(situation) > m))
+        # Every tree kind met every situation shape, with m below and beyond len(s).
+        assert len(seen) == 3 * 3 * 2
+
+    @pytest.mark.parametrize("s", [(), (0, 0), (0, 0, 0, 0, 0, 0, 0)])
+    def test_start_index_matches_generic_loop(self, s):
+        rng = np.random.default_rng(32)
+        trees = [_tree_of_kind(rng, 3, kind) for kind in ("homogeneous", "markov", "table")]
+        policy = Policy(tol=1e-10, max_horizon=40, start_index=5)
+        for tree in trees:
+            for make in (hitting_time_variable, hitting_event_variable):
+                v = make(tree.state_space, [2])
+                generic = LimitVariable(v.generator, v.direction, v.bound)
+                for run in (limit_upper, limit_lower):
+                    fast, slow = run(tree, v, s, policy), run(tree, generic, s, policy)
+                    assert [m for m, _ in fast.iterates] == [m for m, _ in slow.iterates]
+                    assert fast.iterates[0][0] == 5
+                    assert fast.stop_reason is slow.stop_reason
+                    for (_, a), (_, b) in zip(fast.iterates, slow.iterates):
+                        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+    def test_negative_start_index_rejected(self):
+        # Horizons are non-negative; a negative one would index the
+        # conditioning situation from its end.
+        with pytest.raises(InvalidInputError):
+            Policy(start_index=-1)
+
+    def test_slow_chain_reaches_the_exact_value(self, coin_space, monkeypatch):
+        # Target mass in [0.01, 0.03]: the upper expected hitting time is 100,
+        # and the iterates approach it like 100 * 0.99**m.  Thousands of
+        # iterates are affordable only without a sweep per horizon.
+        import iptree.engine as engine
+
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("the stationary path must not sweep per horizon")
+
+        monkeypatch.setattr(engine, "finitary_upper", no_sweeps)
+        slow = ImpreciseTree(
+            coin_space, Homogeneous(CredalSet(np.array([[0.99, 0.01], [0.97, 0.03]])))
+        )
+        v = hitting_time_variable(coin_space, ["T"])
+        res = limit_upper(slow, v, (), Policy(tol=1e-13, max_horizon=5000))
+        assert res.stop_reason is StopReason.STABILIZED
+        assert res.value == pytest.approx(100.0, abs=1e-9)
+
+    def test_adversarial_selection_has_a_finite_view(self, coin_space, imprecise_coin):
+        f = expr_gamble("sum(i=1..3, ind(X[i]==H))", coin_space)
+        sel = adversarial_selection(imprecise_coin, f)
+        a = sel.assignment
+        reached = {a.machine_init(())}
+        for _ in range(f.depth + 3):
+            grown = reached | {a.machine_step(t, y) for t in reached for y in range(2)}
+            if grown == reached:
+                break
+            reached = grown
+        else:
+            pytest.fail("the selection's finite-state view keeps growing")
+        v = hitting_time_variable(coin_space, ["T"])
+        res = limit_upper(sel, v, (), Policy(tol=1e-12, max_horizon=80))
+        assert res.converged
+        for m, val in res.iterates:
+            assert val == pytest.approx(precise_expectation(sel, v.generator(m)), rel=1e-12)
 
 
 class TestProbabilities:

@@ -5,6 +5,7 @@ from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.gambles import (
     FinitaryGamble,
     as_machine,
+    hitting_event_variable,
     hitting_indicator,
     hitting_time_variable,
     indicator_of_cylinder,
@@ -109,6 +110,20 @@ class TestHittingConstructs:
             ok, _ = pointwise_leq(v.generator(m), v.generator(m + 1))
             assert ok
             assert v.generator(m).bounds()[0] >= 1.0
+
+    def test_reward_automaton_pays_what_the_generator_pays(self):
+        space = StateSpace(("a", "b", "c"))
+        for make in (hitting_time_variable, hitting_event_variable):
+            for v in (make(space, ["b"]), -make(space, ["a", "c"])):
+                auto = v.stationary
+                for m in range(1, 6):
+                    f = v.generator(m)
+                    for string in np.ndindex(*(3,) * m):
+                        q, paid = 0, 0.0
+                        for y in string:
+                            paid += auto.reward[q, y]
+                            q = auto.step[q, y]
+                        assert paid + auto.terminal[q] == f.payoff(string)
 
     def test_dense_cap(self, space):
         tau = truncated_hitting_time(space, ["T"], 30)

@@ -62,6 +62,52 @@ class TestCredalSet:
         c = credal([0.4, 0.6], [0.4 + 1e-12, 0.6 - 1e-12])
         assert c.n_points == 2
 
+    def test_matches_row_by_row_construction(self):
+        # Reference: each row through MassFunction, exact duplicates dropped
+        # in first-seen order, the first invalid row raising.
+        def row_by_row(arr):
+            rows, seen = [], set()
+            for row in arr:
+                p = MassFunction(row).weights
+                if p.tobytes() not in seen:
+                    seen.add(p.tobytes())
+                    rows.append(p)
+            return np.vstack(rows)
+
+        def outcome(build, arr):
+            try:
+                return build(arr)
+            except InvalidInputError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(21)
+        kinds = ("in_band", "out_of_band", "rejected", "negative", "infinite")
+        for trial in range(400):
+            k, m = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            arr = rng.dirichlet(np.ones(k), size=m)
+            for i in range(m):
+                kind = kinds[int(rng.integers(0, len(kinds)))] if trial % 2 else "in_band"
+                if kind == "in_band":
+                    arr[i] *= 1.0 + rng.uniform(-9e-13, 9e-13)
+                elif kind == "out_of_band":
+                    arr[i] *= 1.0 + rng.uniform(-5e-10, 5e-10)
+                elif kind == "rejected":
+                    arr[i] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(2e-9, 0.5)
+                elif kind == "negative":
+                    arr[i, rng.integers(0, k)] = -rng.uniform(0.0, 1e-3)
+                elif kind == "infinite":
+                    arr[i, rng.integers(0, k)] = rng.choice([INF, -INF])
+            if m > 1 and rng.random() < 0.5:
+                arr[rng.integers(0, m)] = arr[rng.integers(0, m)]  # exact duplicate
+            if rng.random() < 0.3:
+                arr = np.asfortranarray(arr)
+            got = outcome(lambda a: CredalSet(a).points, arr)
+            want = outcome(row_by_row, arr)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_vacuous(self):
         v = CredalSet.vacuous(3)
         assert v.n_points == 3
