@@ -57,6 +57,21 @@ def _env(name: str, fallback=None):
     return os.environ.get(_ENV_PREFIX + name.upper(), fallback)
 
 
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iptree",
@@ -68,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # environment value exits 2 with argparse's message for its flag.
     def common(p):
         p.add_argument("--model", default=_env("model"), help="model JSON file")
-        p.add_argument("--seed", type=int, default=_env("seed", 0), help="seed for randomized suites")
+        p.add_argument("--seed", type=_int_at_least(0), default=_env("seed", 0), help="seed for randomized suites")
         p.add_argument("--tol", type=float, default=_env("tol", 1e-9), help="convergence tolerance")
         p.add_argument(
             "--max-horizon", type=int, default=_env("max_horizon", 100),
@@ -100,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("target", nargs="?", help="certificate file (cert mode)")
     p_check.add_argument("--expr", help="gamble expression the certificate covers (cert mode)")
     p_check.add_argument("--at", default="", help="conditioning situation (cert mode)")
-    p_check.add_argument("--trials", type=int, default=50, help="trials per randomized suite")
-    p_check.add_argument("--depth", type=int, default=3, help="gamble depth for the oracle battery")
+    p_check.add_argument("--trials", type=_int_at_least(1), default=50, help="trials per randomized suite")
+    p_check.add_argument("--depth", type=_int_at_least(1), default=3, help="gamble depth for the oracle battery")
     return parser
 
 
@@ -342,9 +357,6 @@ def main(argv=None) -> int:
             return _cmd_eval(args)
         return _cmd_check(args)
     except IptreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

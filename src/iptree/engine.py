@@ -11,25 +11,27 @@ number is the infimum of supermartingale certificates (see
 (see :mod:`.oracle`), which the test suite cross-checks.
 
 One kernel runs the recursion for every gamble.  It walks the product of
-the tree's finite-state view and the gamble's automaton (a dense gamble
-enters through :func:`~iptree.gambles.as_machine`, whose states are the
-prefixes) forward to collect the reachable nodes level by level, then sweeps
-those product layers backwards, one batched matrix product per level.
-Upper expectations, the value at every situation and the attaining
-compatible precise tree are all read off that one sweep.
+the tree's finite-state view and the gamble's reward automaton (a dense
+gamble enters through :func:`~iptree.gambles.as_machine`, whose states are
+the prefixes) forward to collect the reachable nodes level by level, then
+sweeps those product layers backwards, one batched matrix product per level:
+a node's value is the local upper expectation of the step reward plus the
+successor's value.  Upper expectations, the value at every situation and the
+attaining compatible precise tree are all read off that one sweep.
 
 Payoffs that depend on the whole infinite path enter through
-:class:`~iptree.gambles.LimitVariable`: the engine evaluates the monotone
-approximations until the values stabilize, certify divergence, or hit the
-horizon cap, and reports the full iterate history either way.  Hitting
-times and hitting events also carry a level-free reward automaton; their
-iterates are then finite-horizon value iteration over the fixed set of
-(tree state, automaton state) nodes reachable from the situation, one
-Bellman step per iterate, so a limit costs time linear in the horizon.
+:class:`~iptree.gambles.LimitVariable`, one automaton read to every depth:
+the engine evaluates the monotone approximations until the values
+stabilize, certify divergence, or hit the horizon cap, and reports the full
+iterate history either way.  The iterates are finite-horizon value
+iteration over the fixed set of (tree state, automaton state) nodes
+reachable from the situation, one Bellman step per iterate, so a limit costs
+time linear in the horizon.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -47,7 +49,6 @@ from .gambles import (
     Hitting,
     LimitVariable,
     MachineGamble,
-    RewardAutomaton,
     UnionAtDepth,
     as_machine,
     hitting_event_variable,
@@ -67,7 +68,7 @@ _VALUE_MONOTONE_SLACK = 1e-9
 class Policy:
     """Convergence policy for limit evaluations.
 
-    ``monotone_audit`` consecutive generator pairs are compared pointwise
+    ``monotone_audit`` consecutive approximation pairs are compared pointwise
     (exactly, via the automaton product); iterate values are audited for
     monotonicity throughout.  Divergence is declared only when the iterates
     are monotone and exceed ``divergence_threshold`` in the direction of
@@ -83,7 +84,8 @@ class Policy:
 
     def __post_init__(self):
         finite = 0 < self.tol < INF and 0 < self.divergence_threshold < INF
-        if not finite or self.max_horizon < 1 or self.start_index < 0:
+        counts = self.max_horizon >= 1 and self.monotone_audit >= 0 and self.start_index >= 0
+        if not finite or not counts:
             raise InvalidInputError("policy fields must be positive and finite")
 
 
@@ -129,32 +131,38 @@ def _points_of(leaf) -> np.ndarray:
 
 
 def _machine_layers(tree: Tree, f: MachineGamble, s: Situation):
-    """Forward reachability of (tree state, gamble state) pairs from ``s``.
+    """Forward reachability of (tree state, gamble state) nodes from ``s``.
 
-    Returns the per-level node lists and the (node, symbol) -> next-node
-    index tables for levels len(s)..depth.
+    Returns the tree states met above the deepest level, then per level the
+    nodes (their tree states' positions in that list and their gamble
+    states, in order of discovery) and the (node, symbol) -> next-node index
+    tables for levels len(s)..depth.  Only the tree's finite-state view is
+    called per tree state; the nodes move as arrays.
     """
-    assignment = tree.assignment
-    symbols = range(tree.k)
-    layers: list[list[tuple]] = [[(assignment.machine_init(s), f.state_after(s))]]
+    assignment, k, n_q = tree.assignment, tree.k, len(f.terminal)
+    states = [assignment.machine_init(s)]
+    ids = {states[0]: 0}  # tree state -> its position in `states`
+    succ = np.zeros((0, k), dtype=np.intp)  # successors of the expanded tree states
+    layers = [(np.zeros(1, dtype=np.intp), np.array([f.read(s)[1]], dtype=np.intp))]
     transitions: list[np.ndarray] = []
-    successors: dict = {}  # tree state -> its successor after each symbol
-    for level in range(len(s) + 1, f.depth + 1):
-        index: dict[tuple, int] = {}  # node -> its position in the level
-        targets: list[int] = []
-        for t, q in layers[-1]:
-            succ = successors.get(t)
-            if succ is None:
-                succ = successors[t] = [assignment.machine_step(t, y) for y in symbols]
-            for y in symbols:
-                pair = (succ[y], f.step(level, q, y))
-                j = index.get(pair)
-                if j is None:
-                    j = index[pair] = len(index)
-                targets.append(j)
-        layers.append(list(index))
-        transitions.append(np.array(targets, dtype=np.intp).reshape(-1, tree.k))
-    return layers, transitions
+    for _ in range(len(s), f.depth):
+        if len(succ) < len(states):  # tree states met on the last level
+            grown = []
+            for t in states[len(succ) :]:
+                for y in range(k):
+                    nxt = assignment.machine_step(t, y)
+                    if nxt not in ids:
+                        ids[nxt] = len(states)
+                        states.append(nxt)
+                    grown.append(ids[nxt])
+            succ = np.concatenate([succ, np.array(grown, dtype=np.intp).reshape(-1, k)])
+        t, q = layers[-1]
+        index: dict[int, int] = {}  # node code -> its position in the level
+        codes = (succ[t] * n_q + f.step[q]).ravel().tolist()
+        targets = [index.setdefault(c, len(index)) for c in codes]
+        transitions.append(np.array(targets, dtype=np.intp).reshape(-1, k))
+        layers.append(np.divmod(np.array(list(index), dtype=np.intp), n_q))
+    return states[: len(succ)], layers, transitions
 
 
 def _local_points(tree: Tree, states) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +195,9 @@ def _batches(points: np.ndarray, counts: np.ndarray, rows: np.ndarray) -> list:
 
 
 def _bellman(batches: list, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One backward step: each node's local upper expectation of the values
-    ``nxt`` (nodes, k) after each symbol, and the attaining extreme point."""
+    """One backward step: each node's local upper expectation of ``nxt``
+    (nodes, k), the step reward plus the value after each symbol, and the
+    attaining extreme point."""
     vals = np.empty(len(nxt))
     best = np.empty(len(nxt), dtype=np.intp)
     nxt = nxt[:, :, None]
@@ -203,28 +212,26 @@ def _bellman(batches: list, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sweep(tree: Tree, f: Gamble, s: Situation):
     """The backward recursion over the product layers below ``s``.
 
-    Returns the layers, every node's value and, for every node above the
-    deepest level, the index of the extreme point attaining that value (the
-    lowest on ties).  Each level costs a few array operations over all its
-    nodes, whatever the number of tree states.
+    Returns the tree states and layers of :func:`_machine_layers`, every
+    node's value (the upper expectation of the rewards still to come plus the
+    terminal payoff) and, for every node above the deepest level, the index
+    of the extreme point attaining that value (the lowest on ties).  Each
+    level costs a few array operations over all its nodes, whatever the
+    number of tree states.
     """
     if f.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
     f = as_machine(f)
-    layers, transitions = _machine_layers(tree, f, s)
-    states: dict = {}  # tree state -> its row in `points`
-    rows = [
-        np.array([states.setdefault(t, len(states)) for t, _ in nodes], dtype=np.intp)
-        for nodes in layers[:-1]
-    ]
+    states, layers, transitions = _machine_layers(tree, f, s)
     points, counts = _local_points(tree, states)
-    values = [f.payoffs()[[q for _, q in layers[-1]]]]
+    values = [f.terminal[layers[-1][1]]]
     argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):
-        vals, best = _bellman(_batches(points, counts, rows[li]), values[0][transitions[li]])
+        t, q = layers[li]
+        vals, best = _bellman(_batches(points, counts, t), f.reward[q] + values[0][transitions[li]])
         values.insert(0, vals)
         argmax.insert(0, best)
-    return layers, values, argmax
+    return states, layers, values, argmax
 
 
 def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -234,8 +241,9 @@ def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
     the gamble's depth just reads the payoff off.  Accepts an imprecise or a
     precise tree (the latter behaves as its one-point credal sets).
     """
-    _, values, _ = _sweep(tree, f, as_situation(s, tree.k))
-    return float(values[0][0])
+    s, f = as_situation(s, tree.k), as_machine(f)
+    values = _sweep(tree, f, s)[2]
+    return float(f.read(s)[0] + values[0][0])
 
 
 def finitary_lower(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -269,13 +277,13 @@ class _MachineSelection:
 
     def machine_init(self, s: Situation):
         level = min(len(s), self.gamble.depth)
-        return (level, self.base.machine_init(s), self.gamble.state_after(s))
+        return (level, self.base.machine_init(s), self.gamble.read(s)[1])
 
     def machine_step(self, state, symbol: int):
         level, t, q = state
         if level == self.gamble.depth:
             return (level, self.base.machine_step(t, symbol), q)
-        return (level + 1, self.base.machine_step(t, symbol), self.gamble.step(level + 1, q, symbol))
+        return (level + 1, self.base.machine_step(t, symbol), int(self.gamble.step[q, symbol]))
 
     def machine_leaf(self, state) -> MassFunction:
         _, t, _ = state
@@ -294,11 +302,11 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     """
     s = as_situation(s, tree.k)
     machine = as_machine(f)
-    layers, _, argmax = _sweep(tree, machine, s)
+    states, layers, _, argmax = _sweep(tree, machine, s)
     picked = {
-        (len(s) + li, t, q): int(best)
+        (len(s) + li, states[t], q): best
         for li, picks in enumerate(argmax)
-        for (t, q), best in zip(layers[li], picks)
+        for t, q, best in zip(*(a.tolist() for a in layers[li]), picks.tolist())
     }
     return PreciseTree(tree.state_space, _MachineSelection(tree.assignment, machine, picked))
 
@@ -313,12 +321,11 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
         raise InvalidInputError("value_table expects a dense finitary gamble")
     # Swept from the root, a dense gamble's product nodes at level m are the
     # length-m prefixes, one each, in lexicographic order.
-    _, values, _ = _sweep(tree, f, ())
+    values = _sweep(tree, f, ())[2]
     return [vals.reshape((tree.k,) * m) for m, vals in enumerate(values)]
 
 
-def _audit_bound(v: LimitVariable, f: Gamble, m: int):
-    lo, hi = f.bounds()
+def _audit_bound(v: LimitVariable, lo: float, hi: float, m: int):
     if v.direction is Direction.NON_DECREASING and lo < v.bound - 1e-12:
         raise InvalidInputError(
             f"approximation {m} attains {lo}, below the declared lower bound {v.bound}"
@@ -329,9 +336,9 @@ def _audit_bound(v: LimitVariable, f: Gamble, m: int):
         )
 
 
-def _stationary_values(tree: Tree, auto: RewardAutomaton, s: Situation, first: int):
-    """Conditional upper expectations given ``s`` of the automaton's horizon-m
-    gambles, for m = first, first + 1, ...
+def _limit_values(tree: Tree, auto: MachineGamble, s: Situation, first: int):
+    """Conditional upper expectations given ``s`` of the automaton read to
+    depth m, for m = first, first + 1, ...
 
     Along ``s`` the payoff is settled: iterate m <= len(s) is the reward of
     the first m steps of ``s`` plus the terminal payoff.  Beyond, iterate m
@@ -395,37 +402,31 @@ def limit_upper(
     value +/-inf), or at the horizon cap, in which case the last iterate is
     reported without extrapolation.
 
-    When ``v`` carries a stationary reward automaton (the hitting variables
-    do), the iterates come from it: the value vector over the reachable
-    (tree state, automaton state) nodes is kept between iterates, so each
-    costs one Bellman step and a limit of H iterates costs O(H) sweeps of a
-    fixed node set.  Otherwise every iterate is a full backward recursion
-    on ``v.generator(m)``.  Either way every approximation is audited
-    against the declared bound, the first ``policy.monotone_audit`` pairs
-    pointwise, and the values for monotonicity.
+    The value vector over the reachable (tree state, automaton state) nodes
+    is kept between iterates, so each costs one Bellman step and a limit of
+    H iterates costs O(H) sweeps of a fixed node set.  Every approximation
+    is audited against the declared bound (its exact payoff range, advanced
+    by one min/max step per iterate), the first ``policy.monotone_audit``
+    pairs pointwise, and the values for monotonicity.
     """
     s = as_situation(s, tree.k)
-    stationary = (
-        None
-        if v.stationary is None
-        else _stationary_values(tree, v.stationary, s, policy.start_index)
-    )
+    first = policy.start_index
+    values = _limit_values(tree, v.automaton, s, first)
+    extremes = itertools.islice(v.automaton.extremes(), first, None)
     iterates: list[tuple[int, float]] = []
-    prev_gamble: Gamble | None = None
     prev_val: float | None = None
     non_decreasing = v.direction is Direction.NON_DECREASING
-    for m in range(policy.start_index, policy.start_index + policy.max_horizon):
-        f = v.generator(m)
-        _audit_bound(v, f, m)
-        if prev_gamble is not None and len(iterates) <= policy.monotone_audit:
-            lo_g, hi_g = (prev_gamble, f) if non_decreasing else (f, prev_gamble)
-            ok, witness = pointwise_leq(lo_g, hi_g)
+    for m, (lo, hi) in zip(range(first, first + policy.max_horizon), extremes):
+        _audit_bound(v, float(lo[0]), float(hi[0]), m)
+        if m > first and len(iterates) <= policy.monotone_audit:
+            lo_g, hi_g = (m - 1, m) if non_decreasing else (m, m - 1)
+            ok, witness = pointwise_leq(v.generator(lo_g), v.generator(hi_g))
             if not ok:
                 raise MonotonicityError(
                     f"approximations {m - 1} and {m} violate the declared direction",
                     witness,
                 )
-        val = finitary_upper(tree, f, s) if stationary is None else next(stationary)
+        val = next(values)
         iterates.append((m, val))
         if prev_val is not None:
             drift = val - prev_val if non_decreasing else prev_val - val
@@ -440,7 +441,7 @@ def limit_upper(
             return ApproxResult(INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
         if not non_decreasing and val < -policy.divergence_threshold:
             return ApproxResult(-INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
-        prev_gamble, prev_val = f, val
+        prev_val = val
     return ApproxResult(prev_val, tuple(iterates), False, StopReason.HORIZON_CAP, policy.tol)
 
 

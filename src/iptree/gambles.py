@@ -5,31 +5,34 @@ length-``n`` state string.  Two interchangeable representations exist:
 
 * :class:`FinitaryGamble` stores the payoffs as a dense ``(k,)*n`` table.
   This is the default, exact at desk scale, and capped in size.
-* :class:`MachineGamble` computes the payoff with a small deterministic
-  automaton that consumes the string one state at a time.  It represents
-  deep-horizon payoffs (truncated hitting times, hitting indicators) whose
-  dense tables would be astronomically large.
+* :class:`MachineGamble` is a deterministic reward automaton held in integer
+  and float arrays: each symbol read moves it to a new state and pays a
+  reward, and the payoff is the rewards of the first ``n`` symbols plus a
+  terminal payoff of the state reached.  It represents deep-horizon payoffs
+  whose dense tables would be astronomically large: truncated hitting times
+  and hitting indicators are 2-state automata (not hit yet / hit).
 
 Both expose ``depth``, ``payoff(string)``, negation and constant shifts; the
-recursion engine accepts either.  :func:`pointwise_leq` compares two gambles
-exactly without materializing tables, which is how monotone approximating
-sequences are audited.
+recursion engine accepts either, a dense table entering as the automaton of
+its prefix trie (:func:`as_machine`).  :func:`pointwise_leq` compares two
+gambles exactly without materializing tables, which is how monotone
+approximating sequences are audited.
 
-A :class:`LimitVariable` is a monotone sequence of finitary gambles given by
-a generator, together with the direction of approximation and a uniform bound
-on the appropriate side.  It is the computational handle for payoffs that
-depend on the whole infinite path, such as unbounded hitting times.  When
-every approximation is the horizon-m gamble of one level-free
-:class:`RewardAutomaton`, the variable carries that automaton too, and the
-engine then gets iterate m + 1 from iterate m with a single Bellman step.
+A :class:`LimitVariable` is one automaton read to every depth, a monotone
+sequence of finitary gambles, together with the direction of approximation
+and a uniform bound on the appropriate side.  It is the computational handle
+for payoffs that depend on the whole infinite path, such as unbounded
+hitting times; because the arrays do not depend on the depth, the engine
+gets the value of approximation m + 1 from that of approximation m with a
+single Bellman step.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -128,46 +131,54 @@ class FinitaryGamble:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MachineGamble:
-    """Payoff computed by a deterministic automaton over state strings.
+    """Payoff computed by a deterministic reward automaton over state strings.
 
-    ``step(level, state, symbol)`` consumes the symbol at position ``level``
-    (1-based), ``final_payoff[state]`` is the payoff after ``depth`` symbols.
-    States are integers in ``range(num_states)``.  The step function must be
-    pure: gambles are evaluated repeatedly.
+    States are ``range(len(terminal))`` and the start state is 0.  Reading
+    symbol ``y`` in state ``q`` moves to ``step[q, y]`` and pays
+    ``reward[q, y]``.  The payoff of a string is the reward of its first
+    ``depth`` steps plus ``terminal`` of the state they reach; later symbols
+    do not count.
     """
 
     k: int
     depth: int
-    num_states: int
-    initial_state: int
-    step: Callable[[int, int, int], int]
-    final_payoff: np.ndarray
-    scale: float = 1.0
-    shift: float = 0.0
+    step: np.ndarray  # (states, k) integers
+    reward: np.ndarray  # (states, k)
+    terminal: np.ndarray  # (states,)
 
     def __post_init__(self):
-        arr = check_no_nan(self.final_payoff, "payoff")
-        if arr.shape != (self.num_states,):
-            raise InvalidInputError("final_payoff must have one entry per state")
-        if not np.isfinite(arr).all():
-            raise InvalidInputError("finitary gamble payoffs must be finite")
+        step = np.array(self.step, dtype=np.intp)
+        # Adding 0.0 turns -0.0 into 0.0: payoffs carry no negative zeros, and
+        # neither do the values swept from them.
+        reward = np.asarray(self.reward, dtype=float) + 0.0
+        terminal = np.asarray(self.terminal, dtype=float) + 0.0
         if self.depth < 0:
             raise InvalidInputError("depth must be non-negative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "final_payoff", arr)
+        n = len(terminal)
+        if terminal.shape != (n,) or step.shape != (n, self.k) or reward.shape != (n, self.k):
+            raise InvalidInputError(
+                "an automaton needs (states, k) step and reward arrays and one terminal payoff per state"
+            )
+        if n == 0 or step.min() < 0 or step.max() >= n:
+            raise InvalidInputError("automaton steps must lead to its states")
+        if not (np.isfinite(reward).all() and np.isfinite(terminal).all()):
+            check_no_nan(reward, "payoff")
+            check_no_nan(terminal, "payoff")
+            raise InvalidInputError("finitary gamble payoffs must be finite")
+        for name, arr in (("step", step), ("reward", reward), ("terminal", terminal)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-    def state_after(self, string: Situation) -> int:
-        state = self.initial_state
-        for level, symbol in enumerate(string[: self.depth], start=1):
-            state = self.step(level, state, symbol)
-        return state
-
-    def payoffs(self) -> np.ndarray:
-        """Per-state payoffs at the final level, transform applied."""
-        return self.scale * self.final_payoff + self.shift
+    def read(self, string: Situation) -> tuple[float, int]:
+        """The reward paid over the first ``depth`` symbols of ``string``
+        and the state they lead to."""
+        paid, q = 0.0, 0
+        for y in string[: self.depth]:
+            paid += self.reward[q, y]
+            q = self.step[q, y]
+        return paid, int(q)
 
     def payoff(self, string: Situation) -> float:
         string = as_situation(string, self.k)
@@ -175,36 +186,34 @@ class MachineGamble:
             raise InvalidInputError(
                 f"payoff needs at least {self.depth} states, got {len(string)}"
             )
-        return float(self.payoffs()[self.state_after(string)])
+        paid, q = self.read(string)
+        return float(paid + self.terminal[q])
 
-    def lift(self, depth: int) -> "MachineGamble":
-        """Deeper view: extra symbols leave the state untouched."""
-        if depth < self.depth:
-            raise InvalidInputError("cannot lift a gamble to a smaller depth")
-        if depth == self.depth:
-            return self
-        inner_depth = self.depth
-        inner_step = self.step
+    def extremes(self):
+        """Per start state, the least and the largest payoff of the strings
+        of length r, for r = 0, 1, 2, ...
 
-        def step(level: int, state: int, symbol: int) -> int:
-            return inner_step(level, state, symbol) if level <= inner_depth else state
+        One min/max step over the arrays per length.  Every string is
+        possible, so each bound is attained, up to rounding: the sums are
+        formed from the last step backwards.
+        """
+        lo = hi = self.terminal
+        while True:
+            yield lo, hi
+            lo = (self.reward + lo[self.step]).min(axis=1)
+            hi = (self.reward + hi[self.step]).max(axis=1)
 
-        return MachineGamble(
-            self.k, depth, self.num_states, self.initial_state, step,
-            self.final_payoff, self.scale, self.shift,
-        )
+    def bounds(self) -> tuple[float, float]:
+        lo, hi = next(itertools.islice(self.extremes(), self.depth, None))
+        return float(lo[0]), float(hi[0])
 
     def __neg__(self) -> "MachineGamble":
-        return MachineGamble(
-            self.k, self.depth, self.num_states, self.initial_state, self.step,
-            self.final_payoff, -self.scale, -self.shift,
-        )
+        return MachineGamble(self.k, self.depth, self.step, -self.reward, -self.terminal)
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
             return MachineGamble(
-                self.k, self.depth, self.num_states, self.initial_state, self.step,
-                self.final_payoff, self.scale, self.shift + float(other),
+                self.k, self.depth, self.step, self.reward, self.terminal + float(other)
             )
         return NotImplemented
 
@@ -213,16 +222,10 @@ class MachineGamble:
     def __mul__(self, scalar: float) -> "MachineGamble":
         scalar = float(scalar)
         return MachineGamble(
-            self.k, self.depth, self.num_states, self.initial_state, self.step,
-            self.final_payoff, self.scale * scalar, self.shift * scalar,
+            self.k, self.depth, self.step, self.reward * scalar, self.terminal * scalar
         )
 
     __rmul__ = __mul__
-
-    def bounds(self) -> tuple[float, float]:
-        # Conservative: over all automaton states, not only reachable ones.
-        vals = self.payoffs()
-        return float(vals.min()), float(vals.max())
 
     def to_dense(self, cap: int = DEFAULT_TABLE_CAP) -> FinitaryGamble:
         """Materialize the dense table (subject to the size cap)."""
@@ -231,10 +234,12 @@ class MachineGamble:
             raise ResourceLimitError(
                 f"dense table would need {cells} cells, cap is {cap}"
             )
-        payoffs = self.payoffs()
-        table = np.empty((self.k,) * self.depth)
-        for string in itertools.product(range(self.k), repeat=self.depth):
-            table[string] = payoffs[self.state_after(string)]
+        # All strings at once, in lexicographic order, summed as read() does.
+        paid, states = np.zeros(1), np.zeros(1, dtype=np.intp)
+        for _ in range(self.depth):
+            paid = (paid[:, None] + self.reward[states]).reshape(-1)
+            states = self.step[states].reshape(-1)
+        table = (paid + self.terminal[states]).reshape((self.k,) * self.depth)
         return FinitaryGamble(self.k, table)
 
 
@@ -244,21 +249,24 @@ Gamble = Union[FinitaryGamble, MachineGamble]
 def as_machine(f: Gamble) -> MachineGamble:
     """Automaton view of any gamble.
 
-    For a dense gamble the states at level ``m`` are the flattened length-m
-    prefixes, so this is only sensible at small depths; deep gambles should
-    be born as :class:`MachineGamble`.
+    A dense gamble becomes the trie of its prefixes, numbered breadth-first
+    (the children of state ``q`` are ``k * q + 1 + y``, so the length-m
+    prefixes are consecutive and in lexicographic order).  Its leaves loop
+    to themselves and pay the table as terminal payoff; no step pays.  The
+    trie has as many states as the table has cells and prefixes, so deep
+    gambles should be born as :class:`MachineGamble`.
     """
     if isinstance(f, MachineGamble):
         return f
     k, depth = f.k, f.depth
-
-    def step(level: int, state: int, symbol: int) -> int:
-        return state * k + symbol
-
-    return MachineGamble(
-        k, depth, max(k**depth, 1), 0, step, f.table.reshape(-1).astype(float)
-    )
-
+    leaves = sum(k**m for m in range(depth))  # the first leaf state
+    states = leaves + k**depth
+    step = np.empty((states, k), dtype=np.intp)
+    step[:leaves] = np.arange(1, states).reshape(-1, k)
+    step[leaves:] = np.arange(leaves, states)[:, None]
+    terminal = np.zeros(states)
+    terminal[leaves:] = f.table.reshape(-1)
+    return MachineGamble(k, depth, step, np.zeros((states, k)), terminal)
 
 def restrict(f: FinitaryGamble, s: Situation) -> FinitaryGamble:
     """Zero the gamble outside the paths that pass through ``s``.
@@ -309,15 +317,17 @@ def _target_indices(space: StateSpace, targets) -> frozenset[int]:
     return idx
 
 
-# Automaton states shared by the hitting constructs: 0 = not hit yet,
-# i >= 1 = first hit happened at time i.
-def _hitting_step(targets: frozenset[int]) -> Callable[[int, int, int], int]:
-    def step(level: int, state: int, symbol: int) -> int:
-        if state == 0 and symbol in targets:
-            return level
-        return state
-
-    return step
+def _hitting_automaton(space: StateSpace, targets, depth: int, time: bool) -> MachineGamble:
+    # State 0 = not hit yet, 1 = hit.  min(tau, m) counts the steps i <= m
+    # taken while not yet hit, and the hitting indicator pays once, on the
+    # step that enters a target.
+    idx = _target_indices(space, targets)
+    hit = np.array([y in idx for y in range(space.size)])
+    step = np.ones((2, space.size), dtype=np.intp)
+    step[0] = hit
+    reward = np.zeros((2, space.size))
+    reward[0] = 1.0 if time else hit
+    return MachineGamble(space.size, depth, step, reward, np.zeros(2))
 
 
 def truncated_hitting_time(space: StateSpace, targets, horizon: int) -> MachineGamble:
@@ -328,51 +338,14 @@ def truncated_hitting_time(space: StateSpace, targets, horizon: int) -> MachineG
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    idx = _target_indices(space, targets)
-    payoff = np.arange(horizon + 1, dtype=float)
-    payoff[0] = float(horizon)  # never hit within the horizon
-    return MachineGamble(space.size, horizon, horizon + 1, 0, _hitting_step(idx), payoff)
+    return _hitting_automaton(space, targets, horizon, time=True)
 
 
 def hitting_indicator(space: StateSpace, targets, horizon: int) -> MachineGamble:
     """Indicator of visiting ``targets`` within the first ``horizon`` states."""
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
-    idx = _target_indices(space, targets)
-    payoff = np.ones(horizon + 1)
-    payoff[0] = 0.0
-    return MachineGamble(space.size, horizon, horizon + 1, 0, _hitting_step(idx), payoff)
-
-
-@dataclass(frozen=True, eq=False)
-class RewardAutomaton:
-    """Level-free automaton that pays a reward on every step it takes.
-
-    States are ``range(len(terminal))`` and the start state is 0.  Reading
-    symbol ``y`` in state ``q`` moves to ``step[q, y]`` and pays
-    ``reward[q, y]``.  The horizon-m gamble it describes pays the rewards of
-    the first m steps plus ``terminal`` of the state reached, so one
-    automaton describes a whole sequence of gambles, one per horizon.
-    """
-
-    step: np.ndarray  # (states, k) integers
-    reward: np.ndarray  # (states, k)
-    terminal: np.ndarray  # (states,)
-
-    def __neg__(self) -> "RewardAutomaton":
-        return RewardAutomaton(self.step, -self.reward, -self.terminal)
-
-
-def _hitting_automaton(k: int, targets: frozenset[int], time: bool) -> RewardAutomaton:
-    # State 0 = not hit yet, 1 = hit.  min(tau, m) counts the steps i <= m
-    # taken while not yet hit, and the hitting indicator pays once, on the
-    # step that enters a target.
-    hit = np.array([y in targets for y in range(k)])
-    step = np.ones((2, k), dtype=np.intp)
-    step[0] = hit
-    reward = np.zeros((2, k))
-    reward[0] = 1.0 if time else hit
-    return RewardAutomaton(step, reward, np.zeros(2))
+    return _hitting_automaton(space, targets, horizon, time=False)
 
 
 class Direction(Enum):
@@ -384,53 +357,40 @@ class Direction(Enum):
 class LimitVariable:
     """Monotone sequence of finitary gambles standing in for its limit.
 
-    ``generator(m)`` (m >= 1) yields the m-th approximation.  Non-decreasing
-    sequences must be uniformly bounded below by ``bound``; non-increasing
-    ones uniformly bounded above by it.  Monotonicity is the caller's
-    promise; consumers audit it up to a horizon and fail loudly on
-    violations.
-
-    ``stationary``, when given, is a :class:`RewardAutomaton` whose horizon-m
-    gamble pays what ``generator(m)`` pays on every path.  The engine then
-    computes the iterates from the automaton in one Bellman step each; the
-    generator is still the one audited for bounds and monotonicity.
+    The m-th approximation, ``generator(m)``, is ``automaton`` read to depth
+    m (its own ``depth`` is ignored).  Non-decreasing sequences must be
+    uniformly bounded below by ``bound``; non-increasing ones uniformly
+    bounded above by it.  Monotonicity is the caller's promise; consumers
+    audit it up to a horizon and fail loudly on violations.
     """
 
-    generator: Callable[[int], Gamble]
+    automaton: MachineGamble
     direction: Direction
     bound: float
-    stationary: RewardAutomaton | None = None
+
+    def generator(self, m: int) -> MachineGamble:
+        return replace(self.automaton, depth=m)
 
     def __neg__(self) -> "LimitVariable":
-        gen = self.generator
         flipped = (
             Direction.NON_INCREASING
             if self.direction is Direction.NON_DECREASING
             else Direction.NON_DECREASING
         )
-        stationary = None if self.stationary is None else -self.stationary
-        return LimitVariable(lambda m: -gen(m), flipped, -self.bound, stationary)
+        return LimitVariable(-self.automaton, flipped, -self.bound)
 
 
 def hitting_time_variable(space: StateSpace, targets) -> LimitVariable:
     """Unbounded hitting time approximated by its truncations."""
-    idx = _target_indices(space, targets)
     return LimitVariable(
-        lambda m: truncated_hitting_time(space, idx, m),
-        Direction.NON_DECREASING,
-        bound=1.0,
-        stationary=_hitting_automaton(space.size, idx, time=True),
+        _hitting_automaton(space, targets, 0, time=True), Direction.NON_DECREASING, bound=1.0
     )
 
 
 def hitting_event_variable(space: StateSpace, targets) -> LimitVariable:
     """Indicator of ever visiting ``targets``, via horizon indicators."""
-    idx = _target_indices(space, targets)
     return LimitVariable(
-        lambda m: hitting_indicator(space, idx, m),
-        Direction.NON_DECREASING,
-        bound=0.0,
-        stationary=_hitting_automaton(space.size, idx, time=False),
+        _hitting_automaton(space, targets, 0, time=False), Direction.NON_DECREASING, bound=0.0
     )
 
 
@@ -462,26 +422,39 @@ EventSpec = Union[Cylinder, UnionAtDepth, Hitting]
 def pointwise_leq(f: Gamble, g: Gamble) -> tuple[bool, str | None]:
     """Exact check that ``f <= g`` on every path, with a witness on failure.
 
-    Both gambles are lifted to the larger depth and compared over the
-    reachable pairs of automaton states, so the cost is polynomial in the
-    automaton sizes rather than exponential in the depth.
+    Both automata read the strings up to the larger depth (a gamble past its
+    own depth stays put) and the reachable pairs of (state, reward paid so
+    far) are compared at the end, the sums formed as :meth:`payoff` forms
+    them.  The cost grows with the automaton sizes and the number of
+    distinct partial sums: polynomially in the depth for hitting gambles
+    (integer sums) and dense tables (no rewards), but as fast as the dense
+    table for automata whose partial sums all differ.
     """
     if f.k != g.k:
         raise InvalidInputError("gambles live on different state spaces")
-    depth = max(f.depth, g.depth)
-    mf, mg = as_machine(f).lift(depth), as_machine(g).lift(depth)
-    pf, pg = mf.payoffs(), mg.payoffs()
-    # Track a shortest witness prefix per reachable state pair.
-    layer: dict[tuple[int, int], Situation] = {(mf.initial_state, mg.initial_state): ()}
-    for level in range(1, depth + 1):
-        nxt: dict[tuple[int, int], Situation] = {}
-        for (qf, qg), prefix in layer.items():
+    mf, mg = as_machine(f), as_machine(g)
+    sf, rf, sg, rg = mf.step.tolist(), mf.reward.tolist(), mg.step.tolist(), mg.reward.tolist()
+    # Track a shortest witness prefix per reachable (qf, paid by f, qg, paid by g).
+    layer: dict[tuple, Situation] = {(0, 0.0, 0, 0.0): ()}
+    for level in range(1, max(f.depth, g.depth) + 1):
+        nxt: dict[tuple, Situation] = {}
+        for (qf, af, qg, ag), prefix in layer.items():
             for y in range(f.k):
-                pair = (mf.step(level, qf, y), mg.step(level, qg, y))
-                if pair not in nxt:
-                    nxt[pair] = prefix + (y,)
+                if level <= mf.depth:
+                    qf2, af2 = sf[qf][y], af + rf[qf][y]
+                else:
+                    qf2, af2 = qf, af
+                if level <= mg.depth:
+                    qg2, ag2 = sg[qg][y], ag + rg[qg][y]
+                else:
+                    qg2, ag2 = qg, ag
+                node = (qf2, af2, qg2, ag2)
+                if node not in nxt:
+                    nxt[node] = prefix + (y,)
         layer = nxt
-    for (qf, qg), prefix in layer.items():
-        if pf[qf] > pg[qg]:
-            return False, f"string {prefix}: {pf[qf]!r} > {pg[qg]!r}"
+    tf, tg = mf.terminal.tolist(), mg.terminal.tolist()
+    for (qf, af, qg, ag), prefix in layer.items():
+        pf, pg = af + tf[qf], ag + tg[qg]
+        if pf > pg:
+            return False, f"string {prefix}: {pf!r} > {pg!r}"
     return True, None

@@ -179,13 +179,24 @@ def dump_model(tree: ImpreciseTree) -> dict:
     return {"schema": SCHEMA_VERSION, "states": list(space.labels), "model": model}
 
 
-def load_model_file(file_path: str | Path) -> ImpreciseTree:
-    text = Path(file_path).read_text()
+def _read_json(file_path: str | Path):
+    """The JSON document in a file.
+
+    A file that cannot be read, is not UTF-8 text or is not JSON raises a
+    :class:`SchemaError` naming the file.
+    """
     try:
-        doc = json.loads(text)
+        return json.loads(Path(file_path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise SchemaError(str(file_path), f"cannot read the file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(file_path), f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(str(file_path), f"not valid JSON: {exc}") from None
-    return load_model(doc)
+
+
+def load_model_file(file_path: str | Path) -> ImpreciseTree:
+    return load_model(_read_json(file_path))
 
 
 def _value(raw, path: str) -> float:
@@ -254,12 +265,7 @@ def dump_certificate(process: TailConstantProcess, space: StateSpace) -> dict:
 
 
 def load_certificate_file(file_path: str | Path, space: StateSpace) -> tuple[TailConstantProcess, float]:
-    text = Path(file_path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(str(file_path), f"not valid JSON: {exc}") from None
-    return load_certificate(doc, space)
+    return load_certificate(_read_json(file_path), space)
 
 
 _QUERY_KINDS = ("eval", "lower", "hit_prob", "hit_time", "verify_cert", "oracle_check", "axiom_suite")
@@ -272,6 +278,8 @@ _POLICY_FIELDS = {
     "enum_cap": int,
     "table_cap": int,
 }
+#: Policy fields that count work a query must do at least once.
+_COUNT_FIELDS = ("depth", "trials")
 
 
 def load_queries(doc: dict, path: str = "") -> tuple[str | None, list[dict]]:
@@ -328,19 +336,17 @@ def load_queries(doc: dict, path: str = "") -> tuple[str | None, list[dict]]:
                 raise SchemaError(f"{p}.policy.{key}", "expected a finite number")
             if _POLICY_FIELDS[key] is int and int(value) != value:
                 raise SchemaError(f"{p}.policy.{key}", "expected an integer")
+            if key in _COUNT_FIELDS and value < 1:
+                raise SchemaError(f"{p}.policy.{key}", "expected an integer >= 1")
         norm["policy"] = dict(policy)
         if "seed" in q:
-            if not isinstance(q["seed"], int):
-                raise SchemaError(f"{p}.seed", "expected an integer")
-            norm["seed"] = q["seed"]
+            seed = q["seed"]
+            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+                raise SchemaError(f"{p}.seed", "expected a non-negative integer")
+            norm["seed"] = seed
         out.append(norm)
     return model_ref, out
 
 
 def load_queries_file(file_path: str | Path) -> tuple[str | None, list[dict]]:
-    text = Path(file_path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(str(file_path), f"not valid JSON: {exc}") from None
-    return load_queries(doc)
+    return load_queries(_read_json(file_path))

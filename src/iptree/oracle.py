@@ -87,19 +87,24 @@ def _machine_precise(p: PreciseTree, f: MachineGamble, s: Situation) -> float:
     if len(s) >= f.depth:
         return f.payoff(s)
     assignment = p.assignment
+    step, reward = f.step.tolist(), f.reward.tolist()
+    paid, q0 = f.read(s)
     # Probability of each reachable (tree state, gamble state) pair, pushed
-    # forward one level at a time by the product rule.
-    dist = {(assignment.machine_init(s), f.state_after(s)): 1.0}
-    for level in range(len(s) + 1, f.depth + 1):
+    # forward one level at a time by the product rule, and the expected
+    # reward of the steps taken so far.
+    dist = {(assignment.machine_init(s), q0): 1.0}
+    expected = 0.0
+    for _ in range(len(s), f.depth):
         nxt: dict[tuple, float] = {}
         for (t, q), prob in dist.items():
             weights = assignment.machine_leaf(t).weights
             for y in range(p.k):
-                pair = (assignment.machine_step(t, y), f.step(level, q, y))
-                nxt[pair] = nxt.get(pair, 0.0) + prob * weights[y]
+                mass = prob * weights[y]
+                expected += mass * reward[q][y]
+                pair = (assignment.machine_step(t, y), step[q][y])
+                nxt[pair] = nxt.get(pair, 0.0) + mass
         dist = nxt
-    payoffs = f.payoffs()
-    return float(sum(prob * payoffs[q] for (_, q), prob in dist.items()))
+    return float(paid + expected + sum(prob * f.terminal[q] for (_, q), prob in dist.items()))
 
 
 def precise_expectation(p: PreciseTree, f: Gamble, s: Situation = ()) -> float:

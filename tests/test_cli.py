@@ -336,3 +336,95 @@ class TestQueryFileExtras:
         code = main(["eval", "--model", model_file, "--query", str(q)])
         assert code == 2
         assert "queries[0].policy.tol" in capsys.readouterr().err
+
+
+def _write_bytes(tmp_path, name, data: bytes):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+class TestUnreadableFiles:
+    """Every input file goes through one reader: a file that cannot be read
+    or decoded is an input error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("role", ["model", "query", "certificate"])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda tmp_path: str(tmp_path), "cannot read the file: Is a directory"),
+            (lambda tmp_path: _write_bytes(tmp_path, "utf16.json", b"\xff\xfe"), "not UTF-8 text"),
+        ],
+        ids=["directory", "utf16-bytes"],
+    )
+    def test_exits_2_naming_the_file(self, capsys, model_file, tmp_path, role, make, message):
+        bad = make(tmp_path)
+        argv = {
+            "model": ["eval", "--model", bad, "--expr", "X[1]"],
+            "query": ["eval", "--model", model_file, "--query", bad],
+            "certificate": ["check", "--model", model_file, "cert", bad, "--expr", "ind(X[1]==H)"],
+        }[role]
+        assert main(argv) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_certificate_file_named_in_a_query(self, capsys, model_file, tmp_path):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"schema": 1, "queries": [
+            {"kind": "verify_cert", "expression": "ind(X[1]==H)", "certificate": str(tmp_path)},
+        ]}))
+        code, out = run(capsys, "eval", "--model", model_file, "--query", str(q))
+        assert code == 2
+        assert json.loads(out)["results"][0]["error"] == f"{tmp_path}: cannot read the file: Is a directory"
+
+
+class TestCountsAndSeeds:
+    """Seeds must be non-negative, trial counts and oracle depths positive:
+    rejected where they enter, with the flag name or the JSON path."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["axioms", "--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+            (["oracle", "--depth", "-1"], "argument --depth: expected an integer >= 1, got -1"),
+            (["oracle", "--depth", "0"], "argument --depth: expected an integer >= 1, got 0"),
+            (["axioms", "--trials", "-3"], "argument --trials: expected an integer >= 1, got -3"),
+            (["oracle", "--trials", "0"], "argument --trials: expected an integer >= 1, got 0"),
+            (["oracle", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        ],
+        ids=["seed-negative", "depth-negative", "depth-zero", "trials-negative", "trials-zero", "trials-text"],
+    )
+    def test_bad_flag_exits_2(self, capsys, model_file, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--model", model_file] + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_negative_env_seed_exits_2(self, capsys, model_file, monkeypatch):
+        monkeypatch.setenv("IPTREE_SEED", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--model", model_file, "axioms", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "argument --seed: expected an integer >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "query, path",
+        [
+            ({"kind": "axiom_suite", "seed": -1}, "queries[0].seed: expected a non-negative integer"),
+            ({"kind": "axiom_suite", "seed": True}, "queries[0].seed: expected a non-negative integer"),
+            ({"kind": "oracle_check", "policy": {"depth": -2}}, "queries[0].policy.depth: expected an integer >= 1"),
+            ({"kind": "oracle_check", "policy": {"depth": 0}}, "queries[0].policy.depth: expected an integer >= 1"),
+            ({"kind": "oracle_check", "policy": {"trials": -4}}, "queries[0].policy.trials: expected an integer >= 1"),
+            ({"kind": "axiom_suite", "policy": {"trials": 0}}, "queries[0].policy.trials: expected an integer >= 1"),
+        ],
+        ids=["seed-negative", "seed-bool", "depth-negative", "depth-zero", "trials-negative", "trials-zero"],
+    )
+    def test_bad_query_field_exits_2(self, capsys, model_file, tmp_path, query, path):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"schema": 1, "queries": [query]}))
+        assert main(["eval", "--model", model_file, "--query", str(q)]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_smallest_counts_run(self, capsys, model_file):
+        code, out = run(capsys, "check", "--model", model_file, "oracle", "--depth", "1", "--trials", "1", "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["suites"][0]["checks"] == 1

@@ -23,11 +23,13 @@ from iptree.gambles import (
     FinitaryGamble,
     Hitting,
     LimitVariable,
+    MachineGamble,
     UnionAtDepth,
     as_machine,
     hitting_event_variable,
     hitting_indicator,
     hitting_time_variable,
+    pointwise_leq,
     truncated_hitting_time,
 )
 from iptree.local import CredalSet, upper_expectation
@@ -45,6 +47,11 @@ from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situation
 
 def expr_gamble(source, space, **kw):
     return compile_gamble(parse_gamble(source, space), **kw)
+
+
+def steady(reward: float) -> MachineGamble:
+    """One-state coin automaton paying ``reward`` per step: m * reward at depth m."""
+    return MachineGamble(2, 0, np.zeros((1, 2), dtype=int), np.full((1, 2), reward), np.zeros(1))
 
 
 class TestFinitaryUpper:
@@ -188,12 +195,9 @@ class TestLimitUpper:
         assert values == sorted(values)
 
     def test_divergence_certified(self, imprecise_coin):
-        v = LimitVariable(
-            lambda m: FinitaryGamble.constant(2, float(2**m)),
-            Direction.NON_DECREASING,
-            bound=0.0,
-        )
+        v = LimitVariable(steady(1e5), Direction.NON_DECREASING, bound=0.0)
         res = limit_upper(imprecise_coin, v, (), Policy(tol=1e-15, max_horizon=99, divergence_threshold=1e6))
+        assert res.iterates[-1] == (11, pytest.approx(1.1e6))
         assert res.value == INF
         assert res.stop_reason is StopReason.DIVERGING
         assert not res.converged
@@ -205,22 +209,52 @@ class TestLimitUpper:
         assert res.value == res.iterates[-1][1]
 
     def test_monotonicity_violation_raises_with_witness(self, imprecise_coin):
-        bad = LimitVariable(
-            lambda m: FinitaryGamble.constant(2, float(-m)),
-            Direction.NON_DECREASING,
-            bound=-100.0,
-        )
+        bad = LimitVariable(steady(-1.0), Direction.NON_DECREASING, bound=-100.0)
         with pytest.raises(MonotonicityError):
             limit_upper(imprecise_coin, bad, (), Policy(max_horizon=10))
 
     def test_bound_violation_raises(self, imprecise_coin):
-        bad = LimitVariable(
-            lambda m: FinitaryGamble.constant(2, float(m)),
-            Direction.NON_DECREASING,
-            bound=5.0,
-        )
+        bad = LimitVariable(steady(1.0), Direction.NON_DECREASING, bound=5.0)
         with pytest.raises(InvalidInputError):
             limit_upper(imprecise_coin, bad, (), Policy(max_horizon=10))
+
+    def test_bound_violation_beyond_the_audit_window_raises(self, imprecise_coin):
+        # States 0..5 count the first six steps and pay 1 each; state 6 pays
+        # +1 on H and -1 on T.  The payoffs at depth m <= 6 are all m, so the
+        # audited pairs (1, 2) .. (4, 5) hold, and the values keep rising
+        # (the coin may favour H), but the all-T path pays 12 - m: below the
+        # bound 0 first at m = 13.
+        step = np.array([[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [6, 6]])
+        reward = np.array([[1.0, 1.0]] * 6 + [[1.0, -1.0]])
+        late = LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(7)), Direction.NON_DECREASING, 0.0)
+        assert late.generator(12).bounds()[0] == 0.0
+        assert late.generator(13).bounds()[0] == -1.0
+        with pytest.raises(InvalidInputError, match="approximation 13 attains -1.0"):
+            limit_upper(imprecise_coin, late, (), Policy(tol=1e-12, max_horizon=30))
+
+    @pytest.mark.parametrize("audit", [0, 2, 4])
+    def test_pointwise_audit_covers_the_first_pairs(self, coin_space, imprecise_coin, monkeypatch, audit):
+        import iptree.engine as engine
+
+        compared = []
+
+        def counting(f, g):
+            compared.append((f.depth, g.depth))
+            return pointwise_leq(f, g)
+
+        monkeypatch.setattr(engine, "pointwise_leq", counting)
+        v = hitting_time_variable(coin_space, ["T"])
+        res = limit_upper(imprecise_coin, v, (), Policy(tol=1e-12, max_horizon=80, monotone_audit=audit))
+        assert len(res.iterates) > audit + 1
+        assert compared == [(m, m + 1) for m in range(1, audit + 1)]
+        compared.clear()
+        limit_lower(imprecise_coin, v, (), Policy(tol=1e-12, max_horizon=80, monotone_audit=audit))
+        assert compared == [(m + 1, m) for m in range(1, audit + 1)]
+
+    def test_negative_monotone_audit_rejected(self):
+        # -1 would silently switch the pointwise audit off.
+        with pytest.raises(InvalidInputError):
+            Policy(monotone_audit=-1)
 
 
 def _tree_of_kind(rng, k, kind):
@@ -270,20 +304,28 @@ class TestStationaryLimits:
 
     @pytest.mark.parametrize("s", [(), (0, 0), (0, 0, 0, 0, 0, 0, 0)])
     def test_start_index_matches_generic_loop(self, s):
+        # The generic loop: a full backward recursion on every horizon's gamble.
         rng = np.random.default_rng(32)
         trees = [_tree_of_kind(rng, 3, kind) for kind in ("homogeneous", "markov", "table")]
         policy = Policy(tol=1e-10, max_horizon=40, start_index=5)
         for tree in trees:
             for make in (hitting_time_variable, hitting_event_variable):
                 v = make(tree.state_space, [2])
-                generic = LimitVariable(v.generator, v.direction, v.bound)
-                for run in (limit_upper, limit_lower):
-                    fast, slow = run(tree, v, s, policy), run(tree, generic, s, policy)
-                    assert [m for m, _ in fast.iterates] == [m for m, _ in slow.iterates]
-                    assert fast.iterates[0][0] == 5
-                    assert fast.stop_reason is slow.stop_reason
-                    for (_, a), (_, b) in zip(fast.iterates, slow.iterates):
-                        assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+                for run, sweep in ((limit_upper, finitary_upper), (limit_lower, finitary_lower)):
+                    res = run(tree, v, s, policy)
+                    horizons = [m for m, _ in res.iterates]
+                    assert horizons == list(range(5, 5 + len(horizons)))
+                    for m, val in res.iterates:
+                        want = sweep(tree, v.generator(m), s)
+                        assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    # The stop reason follows from the reported values.
+                    values = [val for _, val in res.iterates]
+                    steps = [abs(b - a) for a, b in zip(values, values[1:])]
+                    if res.stop_reason is StopReason.STABILIZED:
+                        assert steps[-1] < policy.tol and min(steps[:-1], default=1) >= policy.tol
+                    else:
+                        assert res.stop_reason is StopReason.HORIZON_CAP
+                        assert len(values) == 40 and min(steps) >= policy.tol
 
     def test_negative_start_index_rejected(self):
         # Horizons are non-negative; a negative one would index the
@@ -451,7 +493,7 @@ class TestNonIncreasingLimits:
         # all H; non-increasing, bounded above by 1, pointwise limit 0 on
         # every path that ever sees T.
         v = LimitVariable(
-            lambda m: -1.0 * hitting_indicator(coin_space, ["T"], m) + 1.0,
+            -1.0 * hitting_indicator(coin_space, ["T"], 1) + 1.0,
             Direction.NON_INCREASING,
             bound=1.0,
         )

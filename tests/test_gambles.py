@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.gambles import (
     FinitaryGamble,
+    MachineGamble,
     as_machine,
     hitting_event_variable,
     hitting_indicator,
@@ -14,6 +17,14 @@ from iptree.gambles import (
     truncated_hitting_time,
 )
 from iptree.local import StateSpace
+
+
+def random_machine(rng, k, states, depth, integer=False):
+    step = rng.integers(0, states, size=(states, k))
+    reward, terminal = rng.uniform(-2, 2, size=(states, k)), rng.uniform(-2, 2, size=states)
+    if integer:  # payoffs that tie often
+        reward, terminal = np.round(reward), np.round(terminal)
+    return MachineGamble(k, depth, step, reward, terminal)
 
 
 @pytest.fixture
@@ -112,18 +123,24 @@ class TestHittingConstructs:
             assert v.generator(m).bounds()[0] >= 1.0
 
     def test_reward_automaton_pays_what_the_generator_pays(self):
+        # Every hitting automaton, read to depth m, pays the first hit.
         space = StateSpace(("a", "b", "c"))
-        for make in (hitting_time_variable, hitting_event_variable):
-            for v in (make(space, ["b"]), -make(space, ["a", "c"])):
-                auto = v.stationary
-                for m in range(1, 6):
-                    f = v.generator(m)
-                    for string in np.ndindex(*(3,) * m):
-                        q, paid = 0, 0.0
-                        for y in string:
-                            paid += auto.reward[q, y]
-                            q = auto.step[q, y]
-                        assert paid + auto.terminal[q] == f.payoff(string)
+        for targets in (["b"], ["a", "c"]):
+            hit = {space.index(t) for t in targets}
+            for m in range(1, 6):
+                gambles = {
+                    "time": truncated_hitting_time(space, targets, m),
+                    "event": hitting_indicator(space, targets, m),
+                    "time variable": hitting_time_variable(space, targets).generator(m),
+                    "event variable": hitting_event_variable(space, targets).generator(m),
+                }
+                for string in np.ndindex(*(3,) * (m + 1)):  # one symbol past the horizon
+                    first = next((i + 1 for i, y in enumerate(string[:m]) if y in hit), None)
+                    want = {"time": m if first is None else first, "event": float(first is not None)}
+                    for name, f in gambles.items():
+                        expected = want[name.split()[0]]
+                        assert f.payoff(string) == expected
+                        assert (-f).payoff(string) == -expected
 
     def test_dense_cap(self, space):
         tau = truncated_hitting_time(space, ["T"], 30)
@@ -141,15 +158,59 @@ class TestMachineGamble:
         scaled = 2.0 * tau
         assert scaled.payoff((0, 0, 0)) == 6.0
 
-    def test_lift_freezes_state(self, space):
-        tau = truncated_hitting_time(space, ["T"], 2).lift(4)
-        assert tau.payoff((0, 0, 1, 1)) == 2.0  # hits after the horizon do not count
-
     def test_as_machine_round_trip(self):
         f = FinitaryGamble(2, np.arange(8.0).reshape(2, 2, 2))
         m = as_machine(f)
         for string in np.ndindex(2, 2, 2):
             assert m.payoff(string) == f.payoff(string)
+        assert np.array_equal(m.to_dense().table, f.table)
+
+    def test_as_machine_numbers_the_trie_breadth_first(self):
+        f = FinitaryGamble(3, np.arange(27.0).reshape(3, 3, 3))
+        m = as_machine(f)
+        assert len(m.terminal) == 1 + 3 + 9 + 27
+        # Level-m prefixes are consecutive states in lexicographic order.
+        for depth in range(4):
+            first = sum(3**i for i in range(depth))
+            for rank, prefix in enumerate(np.ndindex(*(3,) * depth)):
+                _, q = replace(m, depth=depth).read(prefix)
+                assert q == first + rank
+        assert np.array_equal(m.terminal[13:], np.arange(27.0))
+        assert not m.reward.any()
+        # Leaves loop to themselves: read deeper, the trie still pays the table.
+        deeper = replace(m, depth=5)
+        for string in np.ndindex(3, 3, 3, 3, 3):
+            assert deeper.payoff(string) == f.payoff(string)
+
+    def test_rejects_malformed_arrays(self):
+        ok = dict(k=2, depth=1, step=np.zeros((1, 2), dtype=int), reward=np.zeros((1, 2)), terminal=np.zeros(1))
+        MachineGamble(**ok)
+        for bad in (
+            {"step": np.ones((1, 2), dtype=int)},  # leads to a state that does not exist
+            {"step": np.zeros((1, 3), dtype=int)},
+            {"reward": np.zeros((2, 2))},
+            {"terminal": np.array([np.inf])},
+            {"reward": np.array([[np.nan, 0.0]])},
+            {"depth": -1},
+        ):
+            with pytest.raises(InvalidInputError):
+                MachineGamble(**{**ok, **bad})
+
+    def test_bounds_are_exact_over_strings(self):
+        # Exact for integer payoffs; float sums may round differently, since
+        # the bounds add the rewards from the last step backwards.
+        rng = np.random.default_rng(41)
+        for trial in range(80):
+            k, states = int(rng.integers(2, 4)), int(rng.integers(1, 5))
+            m = random_machine(rng, k, states, int(rng.integers(0, 5)), integer=trial % 2 == 0)
+            table = m.to_dense().table
+            want = (float(table.min()), float(table.max()))
+            if trial % 2 == 0:
+                assert m.bounds() == want
+            else:
+                assert m.bounds() == pytest.approx(want, rel=1e-12, abs=1e-12)
+            for string in np.ndindex(*(k,) * m.depth):
+                assert table[string] == m.payoff(string)
 
 
 class TestPointwiseLeq:
@@ -169,6 +230,25 @@ class TestPointwiseLeq:
         bigger = truncated_hitting_time(space, ["T"], 4)
         assert pointwise_leq(tau3, bigger)[0]
         assert not pointwise_leq(bigger, tau3)[0]
+
+    def test_agrees_with_enumeration_on_random_automata(self):
+        rng = np.random.default_rng(42)
+        verdicts = set()
+        for _ in range(60):
+            k = int(rng.integers(2, 4))
+            f, g = (
+                random_machine(rng, k, int(rng.integers(1, 4)), int(rng.integers(0, 4)), integer=True)
+                for _ in range(2)
+            )
+            depth = max(f.depth, g.depth)
+            strings = list(np.ndindex(*(k,) * depth))
+            broken = [s for s in strings if f.payoff(s) > g.payoff(s)]
+            ok, witness = pointwise_leq(f, g)
+            assert ok == (not broken)
+            if not ok:
+                assert witness.startswith(f"string {broken[0]}")
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_witness_names_a_string(self, space):
         one = hitting_indicator(space, ["T"], 1)
