@@ -101,6 +101,49 @@ class MassFunction:
         return hash(self.weights.tobytes())
 
 
+def _mass_blocks(arr: np.ndarray, sizes) -> list[np.ndarray]:
+    """The rows of a NaN-free ``(n, k)`` matrix as :class:`MassFunction`
+    stores them, split into consecutive blocks of ``sizes`` rows, each block
+    without its bitwise-duplicate rows (the first is kept): frozen views of
+    one new matrix.
+
+    Every row passes the checks of MassFunction, all at once: the first
+    failing row raises what ``MassFunction(row)`` would.  Row sums of a
+    C-ordered matrix are bit-identical to the sums of its rows.
+    """
+    arr = np.array(arr, dtype=float, order="C")
+    negative = (arr < 0).any(axis=1)
+    totals = arr.sum(axis=1)
+    off = np.abs(totals - 1.0)
+    bad = negative | (off > MASS_SUM_TOL)
+    if bad.any():
+        i = bad.argmax()
+        if negative[i]:
+            raise InvalidInputError("mass function weights must be non-negative")
+        raise InvalidInputError(
+            f"mass function weights sum to {float(totals[i])!r}, not 1 "
+            f"(tolerance {MASS_SUM_TOL})"
+        )
+    renorm = off > 1e-12
+    if renorm.any():
+        arr = np.where(renorm[:, None], arr / totals[:, None], arr)
+    if len(arr) > len(sizes):  # some block has two rows or more
+        # A row's key is its block number and its bits.
+        keys = np.empty((len(arr), arr.shape[1] + 1), dtype=np.uint64)
+        keys[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+        keys[:, 1:] = arr.view(np.uint64)
+        raw, width = keys.tobytes(), keys.itemsize * keys.shape[1]
+        rows = [raw[i : i + width] for i in range(0, len(raw), width)]
+        first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))  # key -> first row
+        if len(first) < len(rows):
+            keep = np.sort(np.fromiter(first.values(), dtype=np.intp))
+            arr = arr[keep]
+            sizes = np.bincount(keys[keep, 0].astype(np.intp), minlength=len(sizes))
+    arr.flags.writeable = False
+    ends = np.cumsum(sizes).tolist()
+    return [arr[start:end] for start, end in zip([0, *ends], ends)]
+
+
 @dataclass(frozen=True)
 class CredalSet:
     """Non-empty finite set of mass functions, stored as a (m, k) matrix.
@@ -117,31 +160,27 @@ class CredalSet:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInputError("credal set needs a non-empty (m, k) matrix of extreme points")
-        # Every row passes the checks of MassFunction, all at once: the first
-        # failing row raises what MassFunction(row) would.  Row sums of a
-        # C-ordered matrix are bit-identical to the sums of its rows.
-        arr = np.ascontiguousarray(arr)
-        negative = (arr < 0).any(axis=1)
-        totals = arr.sum(axis=1)
-        off = np.abs(totals - 1.0)
-        bad = negative | (off > MASS_SUM_TOL)
-        if bad.any():
-            i = bad.argmax()
-            if negative[i]:
-                raise InvalidInputError("mass function weights must be non-negative")
-            raise InvalidInputError(
-                f"mass function weights sum to {float(totals[i])!r}, not 1 "
-                f"(tolerance {MASS_SUM_TOL})"
-            )
-        renorm = off > 1e-12
-        if renorm.any():
-            arr = np.where(renorm[:, None], arr / totals[:, None], arr)
-        first: dict[bytes, int] = {}  # exact row bytes -> first row with them
-        for i, row in enumerate(arr):
-            first.setdefault(row.tobytes(), i)
-        mat = arr[list(first.values())]
-        mat.flags.writeable = False
-        object.__setattr__(self, "points", mat)
+        object.__setattr__(self, "points", _mass_blocks(arr, [len(arr)])[0])
+
+    @classmethod
+    def stacked(cls, rows: np.ndarray, sizes) -> list["CredalSet"]:
+        """The credal sets of consecutive blocks of ``rows``, ``sizes[i]``
+        rows each: what ``cls(block)`` gives for each block, errors included
+        (the first failing block raises), with the checks run once over all
+        the rows.  ``rows`` is an ``(n, k)`` matrix and every size is >= 1.
+        """
+        try:
+            blocks = _mass_blocks(check_no_nan(rows, "extreme point weight"), sizes)
+        except InvalidInputError:
+            for block in np.split(rows, np.cumsum(sizes)[:-1]):
+                cls(block)
+            raise
+        out = []
+        for points in blocks:
+            credal = object.__new__(cls)
+            object.__setattr__(credal, "points", points)
+            out.append(credal)
+        return out
 
     @classmethod
     def from_mass_functions(cls, mass_functions) -> "CredalSet":

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvalidInputError, SchemaError
 from .extreal import INF
 from .local import CredalSet, StateSpace
 from .supermartingale import TailConstantProcess
@@ -49,7 +49,6 @@ from .tree import (
     ImpreciseTree,
     Markov,
     Table,
-    all_situations,
     format_situation,
     parse_situation,
 )
@@ -87,6 +86,57 @@ def _points(raw, path: str) -> CredalSet:
         return CredalSet(np.asarray(rows, dtype=float))
     except Exception as exc:
         raise SchemaError(path, str(exc)) from None
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _stacked_rows(space: StateSpace, depth: int, entries_raw: dict):
+    """The situations, all extreme points and points per entry of a table
+    whose keys are situations of length <= ``depth`` and whose entries are
+    non-empty lists of rows of ``k`` numbers; None for any other table."""
+    index = {label: i for i, label in enumerate(space.labels)}
+    try:
+        sits = [tuple(map(index.__getitem__, key.split(","))) if key else () for key in entries_raw]
+    except (AttributeError, KeyError):
+        return None
+    raws = list(entries_raw.values())
+    if max(map(len, sits), default=0) > depth or set(map(type, raws)) - {list} or not all(raws):
+        return None
+    rows = [row for raw in raws for row in raw]
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {space.size}:
+        return None
+    if {type(x) for row in rows for x in row} - {int, float}:
+        return None
+    return sits, rows, list(map(len, raws))
+
+
+def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) -> dict:
+    """A table model's entries, situation -> credal set, in document order.
+
+    A well-typed table has its extreme points checked in one stack (see
+    :meth:`CredalSet.stacked`).  Any other table, or one that fails the
+    checks, is read entry by entry, which raises for the first bad entry.
+    """
+    stacked = _stacked_rows(space, depth, entries_raw)
+    if stacked is not None:
+        sits, rows, sizes = stacked
+        try:
+            return dict(zip(sits, CredalSet.stacked(np.array(rows, dtype=float), sizes)))
+        except (InvalidInputError, OverflowError):
+            pass  # reported below with the entry's path
+    entries = {}
+    for key, raw in entries_raw.items():
+        p_entry = f"{path}.{key or '<root>'}"
+        try:
+            sit = parse_situation(space, key)
+        except Exception as exc:
+            raise SchemaError(p_entry, str(exc)) from None
+        if len(sit) > depth:
+            raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
+        entries[sit] = _points(raw, p_entry)
+    return entries
 
 
 def load_model(doc: dict, path: str = "") -> ImpreciseTree:
@@ -127,21 +177,12 @@ def load_model(doc: dict, path: str = "") -> ImpreciseTree:
         assignment = Markov(root, tuple(by_state))
     elif kind == "table":
         depth = _need(model, "depth", p_model)
-        if not isinstance(depth, int) or depth < 0:
+        if not _is_count(depth):
             raise SchemaError(f"{p_model}.depth", "expected a non-negative integer")
         entries_raw = _need(model, "entries", p_model)
         if not isinstance(entries_raw, dict):
             raise SchemaError(f"{p_model}.entries", "expected an object keyed by situation string")
-        entries = {}
-        for key, raw in entries_raw.items():
-            p_entry = f"{p_model}.entries.{key or '<root>'}"
-            try:
-                sit = parse_situation(space, key)
-            except Exception as exc:
-                raise SchemaError(p_entry, str(exc)) from None
-            if len(sit) > depth:
-                raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
-            entries[sit] = _points(raw, p_entry)
+        entries = _table_entries(space, depth, entries_raw, f"{p_model}.entries")
         default = _points(_need(model, "default", p_model), f"{p_model}.default")
         assignment = Table(depth, entries, default)
     else:
@@ -209,12 +250,42 @@ def _value(raw, path: str) -> float:
     raise SchemaError(path, f"expected a number or '+inf', got {raw!r}")
 
 
+def _table_levels(space: StateSpace, sizes: list[int], table_raw: dict):
+    """The levels of a certificate table whose keys are exactly the
+    situation strings and whose values are numbers or ``"+inf"``; None for
+    any other table."""
+    labels = space.labels
+    if any(label == "" or "," in label for label in labels):
+        return None  # situation strings would not name situations one to one
+    keys, level = [""], [""]
+    for _ in sizes[1:]:
+        level = [f"{p},{label}" if p else label for p in level for label in labels]
+        keys += level
+    if table_raw.keys() != set(keys):
+        return None
+    values = list(map(table_raw.__getitem__, keys))
+    kinds = set(map(type, values))
+    if str in kinds:
+        if any(v != "+inf" for v in values if type(v) is str):
+            return None
+        values = [INF if type(v) is str else v for v in values]
+        kinds.discard(str)
+    if not kinds <= {int, float}:
+        return None
+    try:
+        flat = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return [part.reshape((space.size,) * m) for m, part in enumerate(parts)]
+
+
 def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[TailConstantProcess, float]:
     """Build a tail-constant process and its declared lower bound."""
     _check_schema(doc, path)
     depth = _need(doc, "depth", path)
     p_depth = f"{path}.depth" if path else "depth"
-    if not isinstance(depth, int) or depth < 0:
+    if not _is_count(depth):
         raise SchemaError(p_depth, "expected a non-negative integer")
     declared = _value(_need(doc, "lower_bound", path), f"{path}.lower_bound" if path else "lower_bound")
     table_raw = _need(doc, "table", path)
@@ -222,21 +293,29 @@ def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[Tail
     if not isinstance(table_raw, dict):
         raise SchemaError(p_table, "expected an object keyed by situation string")
     k = space.size
-    levels = [np.empty((k,) * m) for m in range(depth + 1)]
-    seen = set()
-    for key, raw in table_raw.items():
-        p_entry = f"{p_table}.{key or '<root>'}"
-        try:
-            sit = parse_situation(space, key)
-        except Exception as exc:
-            raise SchemaError(p_entry, str(exc)) from None
-        if len(sit) > depth:
-            raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
-        levels[len(sit)][sit] = _value(raw, p_entry)
-        seen.add(sit)
-    for s in all_situations(k, depth):
-        if s not in seen:
-            raise SchemaError(p_table, f"missing entry for situation {format_situation(space, s)!r}")
+    sizes, count = [], 0  # situations per length and in all, before any allocation
+    for m in range(depth + 1):
+        sizes.append(k**m)
+        count += sizes[-1]
+        if count > len(table_raw):
+            raise SchemaError(
+                p_depth,
+                f"the table has {len(table_raw)} entries, fewer than the situations of length <= {depth}",
+            )
+    levels = _table_levels(space, sizes, table_raw)
+    if levels is None:
+        # Every entry is a distinct situation, so once all are read the
+        # count above guarantees that every situation has its value.
+        levels = [np.empty((k,) * m) for m in range(depth + 1)]
+        for key, raw in table_raw.items():
+            p_entry = f"{p_table}.{key or '<root>'}"
+            try:
+                sit = parse_situation(space, key)
+            except Exception as exc:
+                raise SchemaError(p_entry, str(exc)) from None
+            if len(sit) > depth:
+                raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
+            levels[len(sit)][sit] = _value(raw, p_entry)
     try:
         process = TailConstantProcess(k, tuple(levels))
     except Exception as exc:

@@ -14,6 +14,14 @@ a depth, frozen beyond.  That class is finitely checkable and suffices for
 finitary gambles, where the canonical process is tail-constant and tight.
 Entries may be +inf (harmless above a bound); -inf is rejected because it
 breaks the bounded-below reading.
+
+Checking is level by level, with the recursion engine's machinery: the
+tree's finite-state view, walked along the prefix trie of the process, gives
+every situation of a level its local model, and one batched product per
+extreme-point count gives each situation the same local upper expectation
+:func:`~iptree.local.upper_expectation` computes.  Only situations whose
+next values include +inf are evaluated one by one, in extended arithmetic.
+Domination of the payoff is one array comparison over the deepest level.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import finitary_upper, value_table
+from .engine import _batches, _local_points, _machine_layers, finitary_upper, value_table
 from .errors import InvalidInputError
 from .extreal import INF, check_no_nan
-from .gambles import FinitaryGamble
+from .gambles import FinitaryGamble, as_machine
 from .local import CredalSet, extended_upper_expectation
 from .tree import Situation, Tree, as_situation
 
@@ -134,6 +142,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _situation(i: int, k: int, m: int) -> Situation:
+    """The ``i``-th length-``m`` situation in lexicographic order."""
+    return tuple(int(y) for y in np.unravel_index(i, (k,) * m))
+
+
 def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) -> VerificationReport:
     """Check the supermartingale inequality at every situation above the tail.
 
@@ -142,26 +155,47 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     must not exceed the value at the situation, up to ``tol``.  Levels at and
     beyond the tail are constant, and a constant's upper expectation is
     itself, so they verify automatically.
+
+    The check runs level by level.  The situations of a level find their
+    local models through the tree's finite-state view, walked along the
+    prefix trie of the process; each gets the local upper expectation from
+    one batched product per extreme-point count, the same BLAS call
+    :func:`~iptree.local.upper_expectation` makes, and only situations
+    with a +inf next value go through
+    :func:`~iptree.local.extended_upper_expectation` one by one.
     """
     if tree.k != process.k:
         raise InvalidInputError("process and tree live on different state spaces")
+    k, depth = process.k, process.depth
     violations = []
     checked = 0
     lo, hi = 0.0, 0.0
-    for m in range(process.depth):
-        nxt = process.levels[m + 1]
-        for prefix in np.ndindex(*(process.k,) * m):
-            leaf = tree.assignment.local(prefix)
+    if depth:
+        trie = as_machine(FinitaryGamble(k, np.zeros((k,) * depth)))
+        states, layers, _ = _machine_layers(tree, trie, ())
+        points, counts = _local_points(tree, states)
+    for m in range(depth):
+        value = process.levels[m].reshape(-1)
+        nxt = process.levels[m + 1].reshape(-1, k)
+        infinite = np.flatnonzero(np.isinf(nxt).any(axis=1))
+        finite = nxt.copy()
+        finite[infinite] = 0.0
+        required = np.empty(len(value))
+        for sel, pts in _batches(points, counts, layers[m][0]):
+            required[sel] = (pts @ finite[sel][:, :, None])[:, :, 0].max(axis=1)
+        for i in infinite.tolist():
+            leaf = tree.assignment.local(_situation(i, k, m))
             credal = leaf if isinstance(leaf, CredalSet) else CredalSet.singleton(leaf)
-            required = extended_upper_expectation(credal, nxt[prefix])
-            value = float(process.levels[m][prefix])
-            checked += 1
+            required[i] = extended_upper_expectation(credal, nxt[i])
+        checked += len(value)
+        with np.errstate(invalid="ignore"):  # inf - inf: no margin
             margin = value - required
-            if np.isfinite(margin):
-                lo = min(lo, margin)
-                hi = max(hi, margin)
-            if margin < -tol:
-                violations.append(Violation(prefix, value, required))
+        known = margin[np.isfinite(margin)]
+        if known.size:
+            lo = min(lo, float(known.min()))
+            hi = max(hi, float(known.max()))
+        for i in np.flatnonzero(margin < -tol).tolist():
+            violations.append(Violation(_situation(i, k, m), float(value[i]), float(required[i])))
     return VerificationReport(not violations, checked, lo, hi, tuple(violations))
 
 
@@ -221,12 +255,8 @@ def certified_upper_bound(
         raise InvalidInputError("conditioning situation lies beyond the certificate depth")
     report = verify(process, tree, tol)
     lifted = f.lift(process.depth).table
-    deepest = process.levels[process.depth]
-    witnesses = []
-    for rel in np.ndindex(*(tree.k,) * (process.depth - len(s))):
-        string = s + rel
-        if deepest[string] < lifted[string] - tol:
-            witnesses.append(string)
+    below = process.levels[process.depth][s + (...,)] < lifted[s + (...,)] - tol
+    witnesses = [s + tuple(rel) for rel in np.argwhere(below).tolist()]
     valid = report.passed and not witnesses
     return Certificate(
         valid=valid,

@@ -53,6 +53,36 @@ class TestMassFunction:
             MassFunction(np.array([np.nan, 1.0]))
 
 
+def outcome(build, arr):
+    try:
+        return build(arr)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def noisy_rows(rng, k, m, defects):
+    """Random extreme points, each within the renormalization band, or with
+    ``defects`` also outside it, rejected, negative or infinite; sometimes
+    with an exact duplicate."""
+    kinds = ("in_band", "out_of_band", "rejected", "negative", "infinite")
+    arr = rng.dirichlet(np.ones(k), size=m)
+    for i in range(m):
+        kind = kinds[int(rng.integers(0, len(kinds)))] if defects else "in_band"
+        if kind == "in_band":
+            arr[i] *= 1.0 + rng.uniform(-9e-13, 9e-13)
+        elif kind == "out_of_band":
+            arr[i] *= 1.0 + rng.uniform(-5e-10, 5e-10)
+        elif kind == "rejected":
+            arr[i] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(2e-9, 0.5)
+        elif kind == "negative":
+            arr[i, rng.integers(0, k)] = -rng.uniform(0.0, 1e-3)
+        elif kind == "infinite":
+            arr[i, rng.integers(0, k)] = rng.choice([INF, -INF])
+    if m > 1 and rng.random() < 0.5:
+        arr[rng.integers(0, m)] = arr[rng.integers(0, m)]  # exact duplicate
+    return arr
+
+
 class TestCredalSet:
     def test_exact_duplicates_dropped(self):
         c = credal([0.4, 0.6], [0.4, 0.6], [0.6, 0.4])
@@ -74,31 +104,10 @@ class TestCredalSet:
                     rows.append(p)
             return np.vstack(rows)
 
-        def outcome(build, arr):
-            try:
-                return build(arr)
-            except InvalidInputError as exc:
-                return str(exc)
-
         rng = np.random.default_rng(21)
-        kinds = ("in_band", "out_of_band", "rejected", "negative", "infinite")
         for trial in range(400):
             k, m = int(rng.integers(1, 12)), int(rng.integers(1, 6))
-            arr = rng.dirichlet(np.ones(k), size=m)
-            for i in range(m):
-                kind = kinds[int(rng.integers(0, len(kinds)))] if trial % 2 else "in_band"
-                if kind == "in_band":
-                    arr[i] *= 1.0 + rng.uniform(-9e-13, 9e-13)
-                elif kind == "out_of_band":
-                    arr[i] *= 1.0 + rng.uniform(-5e-10, 5e-10)
-                elif kind == "rejected":
-                    arr[i] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(2e-9, 0.5)
-                elif kind == "negative":
-                    arr[i, rng.integers(0, k)] = -rng.uniform(0.0, 1e-3)
-                elif kind == "infinite":
-                    arr[i, rng.integers(0, k)] = rng.choice([INF, -INF])
-            if m > 1 and rng.random() < 0.5:
-                arr[rng.integers(0, m)] = arr[rng.integers(0, m)]  # exact duplicate
+            arr = noisy_rows(rng, k, m, defects=trial % 2 == 1)
             if rng.random() < 0.3:
                 arr = np.asfortranarray(arr)
             got = outcome(lambda a: CredalSet(a).points, arr)
@@ -107,6 +116,24 @@ class TestCredalSet:
                 assert got == want
             else:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable and arr.flags.writeable
+
+    def test_stacked_matches_one_by_one(self):
+        rng = np.random.default_rng(22)
+        for trial in range(300):
+            k = int(rng.integers(1, 6))
+            sizes = [int(x) for x in rng.integers(1, 5, size=int(rng.integers(1, 8)))]
+            blocks = [noisy_rows(rng, k, m, defects=rng.random() < 0.1) for m in sizes]
+            if rng.random() < 0.1:
+                blocks[int(rng.integers(0, len(blocks)))][0, 0] = np.nan
+            got = outcome(lambda b: [c.points for c in CredalSet.stacked(np.vstack(b), sizes)], blocks)
+            want = outcome(lambda b: [CredalSet(x).points for x in b], blocks)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert [(p.shape, p.tobytes()) for p in got] == [(p.shape, p.tobytes()) for p in want]
+                assert not any(p.flags.writeable for p in got)
+
 
     def test_vacuous(self):
         v = CredalSet.vacuous(3)
