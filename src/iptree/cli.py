@@ -33,11 +33,11 @@ import os
 import sys
 import time
 
-from .engine import Policy, finitary_lower, finitary_upper, limit_lower, limit_upper
+from .engine import Policy, finitary_lower, finitary_uppers, limit_upper
 from .errors import IptreeError
 from .expr import compile_gamble, parse_gamble
 from .extreal import fmt
-from .gambles import hitting_event_variable, hitting_time_variable
+from .gambles import DEFAULT_TABLE_CAP, hitting_event_variable, hitting_time_variable
 from .modelio import (
     SCHEMA_VERSION,
     load_certificate,
@@ -128,25 +128,34 @@ def _policy_from(args, overrides: dict) -> Policy:
     )
 
 
-def _run_query(tree, query: dict, args) -> dict:
+def _compiled(compiled: dict, source: str, space, cap: int):
+    """The gamble of an expression, compiled once per (source, cap) in a run."""
+    key = (source, cap)
+    if key not in compiled:
+        compiled[key] = compile_gamble(parse_gamble(source, space), cap=cap)
+    return compiled[key]
+
+
+def _run_query(tree, query: dict, args, compiled: dict) -> dict:
     space = tree.state_space
     kind = query["kind"]
     policy = _policy_from(args, query.get("policy", {}))
     s = parse_situation(space, query.get("condition", ""))
     record: dict = {"query": query, "ok": True}
     if kind in ("eval", "lower"):
-        expr = parse_gamble(query["expression"], space)
-        cap = int(query.get("policy", {}).get("table_cap", 4096))
-        f = compile_gamble(expr, cap=cap)
+        cap = int(query.get("policy", {}).get("table_cap", DEFAULT_TABLE_CAP))
+        f = _compiled(compiled, query["expression"], space, cap)
         if kind == "eval":
-            record["upper"] = fmt(finitary_upper(tree, f, s))
-        record["lower"] = fmt(finitary_lower(tree, f, s))
+            upper, negated = finitary_uppers(tree, [f, -f], s)
+            record["upper"], record["lower"] = fmt(upper), fmt(-negated)
+        else:
+            record["lower"] = fmt(finitary_lower(tree, f, s))
         record["depth"] = f.depth
     elif kind in ("hit_time", "hit_prob"):
         make = hitting_time_variable if kind == "hit_time" else hitting_event_variable
         variable = make(space, query["targets"])
-        upper = limit_upper(tree, variable, s, policy)
-        lower = limit_lower(tree, variable, s, policy)
+        upper = limit_upper(tree, variable, s, policy, with_lower=True)
+        lower = upper.lower
         record["upper"] = upper.to_json()
         record["lower"] = lower.to_json()
         record["converged"] = upper.converged and lower.converged
@@ -156,8 +165,7 @@ def _run_query(tree, query: dict, args) -> dict:
             process, declared = load_certificate_file(cert_src, space)
         else:
             process, declared = load_certificate(cert_src, space, path="certificate")
-        expr = parse_gamble(query["expression"], space)
-        f = compile_gamble(expr)
+        f = _compiled(compiled, query["expression"], space, DEFAULT_TABLE_CAP)
         cert = certified_upper_bound(process, f, tree, s)
         record.update(_certificate_json(cert, space, declared))
         record["ok"] = True
@@ -288,11 +296,12 @@ def _cmd_eval(args) -> int:
     }
     start = time.perf_counter()
     status = 0
+    compiled: dict = {}
 
     def run_one(q: dict) -> dict:
         t0 = time.perf_counter()
         try:
-            rec = _run_query(tree, q, args)
+            rec = _run_query(tree, q, args, compiled)
         except IptreeError as exc:
             return {"query": q, "ok": False, "error": str(exc)}
         if args.timing:

@@ -12,34 +12,37 @@ number is the infimum of supermartingale certificates (see
 
 One kernel runs the recursion for every gamble.  It walks the product of
 the tree's finite-state view and the gamble's reward automaton (a dense
-gamble enters through :func:`~iptree.gambles.as_machine`, whose states are
-the prefixes) forward to collect the reachable nodes level by level, then
-sweeps those product layers backwards, one batched matrix product per level:
-a node's value is the local upper expectation of the step reward plus the
-successor's value.  Upper expectations, the value at every situation and the
-attaining compatible precise tree are all read off that one sweep.
+gamble enters as the trie of its prefixes) forward to collect the reachable
+nodes level by level, then sweeps those product layers backwards: a node's
+value is the local upper expectation of the step reward plus the
+successor's value.  Values carry a trailing gamble axis, so gambles that
+share an automaton (dense gambles of one depth, a gamble and its negation)
+go through one sweep, and every local expectation is the one ordered sum
+:func:`~iptree.extreal.weighted_sum`, whose bits do not depend on the batch.
+Upper expectations, the value at every situation and the attaining
+compatible precise tree are all read off that one sweep.
 
 Payoffs that depend on the whole infinite path enter through
 :class:`~iptree.gambles.LimitVariable`, one automaton read to every depth:
 the engine evaluates the monotone approximations until the values
 stabilize, certify divergence, or hit the horizon cap, and reports the full
-iterate history either way.  The iterates are finite-horizon value
-iteration over the fixed set of (tree state, automaton state) nodes
-reachable from the situation, one Bellman step per iterate, so a limit costs
-time linear in the horizon.
+iterate history either way.  The iterates are value iteration over the
+fixed set of (tree state, automaton state) nodes reachable from the
+situation, one Bellman step per iterate, so a limit costs time linear in
+the horizon; the upper and the lower limit share the pass.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import InvalidInputError, MonotonicityError
-from .extreal import INF
+from .extreal import INF, fmt, weighted_sum
 from .gambles import (
     Cylinder,
     Direction,
@@ -48,9 +51,8 @@ from .gambles import (
     Gamble,
     Hitting,
     LimitVariable,
-    MachineGamble,
+    MachineStack,
     UnionAtDepth,
-    as_machine,
     hitting_event_variable,
     indicator_of_cylinder,
     indicator_of_strings,
@@ -109,10 +111,11 @@ class ApproxResult:
     converged: bool
     stop_reason: StopReason
     tol: float
+    #: With ``limit_upper(..., with_lower=True)``, the lower limit from the
+    #: same pass; an attachment, not part of this result's value or report.
+    lower: Optional["ApproxResult"] = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
-        from .extreal import fmt
-
         return {
             "value": fmt(self.value),
             "converged": self.converged,
@@ -130,22 +133,26 @@ def _points_of(leaf) -> np.ndarray:
     raise InvalidInputError(f"not a local model: {leaf!r}")
 
 
-def _machine_layers(tree: Tree, f: MachineGamble, s: Situation):
-    """Forward reachability of (tree state, gamble state) nodes from ``s``.
+def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth=None):
+    """Forward reachability of (tree state, automaton state) nodes from
+    ``s``, whose automaton state is ``q0``: level by level up to ``depth``
+    (a node once per level), or without one the finite closure (a node
+    once; its levels are the frontiers of new nodes).
 
-    Returns the tree states met above the deepest level, then per level the
-    nodes (their tree states' positions in that list and their gamble
-    states, in order of discovery) and the (node, symbol) -> next-node index
-    tables for levels len(s)..depth.  Only the tree's finite-state view is
+    Returns the tree states met above the last level, the nodes per level
+    (their tree states' positions in that list and their automaton states,
+    in order of discovery) and the (node, symbol) -> node tables, into the
+    next level or the whole closure.  Only the tree's finite-state view is
     called per tree state; the nodes move as arrays.
     """
-    assignment, k, n_q = tree.assignment, tree.k, len(f.terminal)
+    assignment, k, n_q = tree.assignment, tree.k, len(step)
     states = [assignment.machine_init(s)]
     ids = {states[0]: 0}  # tree state -> its position in `states`
     succ = np.zeros((0, k), dtype=np.intp)  # successors of the expanded tree states
-    layers = [(np.zeros(1, dtype=np.intp), np.array([f.read(s)[1]], dtype=np.intp))]
+    layers = [(np.zeros(1, dtype=np.intp), np.array([q0], dtype=np.intp))]
     transitions: list[np.ndarray] = []
-    for _ in range(len(s), f.depth):
+    index = {q0: 0}  # node code -> its position in the level, or in the closure
+    for _ in itertools.count() if depth is None else range(len(s), depth):
         if len(succ) < len(states):  # tree states met on the last level
             grown = []
             for t in states[len(succ) :]:
@@ -157,81 +164,73 @@ def _machine_layers(tree: Tree, f: MachineGamble, s: Situation):
                     grown.append(ids[nxt])
             succ = np.concatenate([succ, np.array(grown, dtype=np.intp).reshape(-1, k)])
         t, q = layers[-1]
-        index: dict[int, int] = {}  # node code -> its position in the level
-        codes = (succ[t] * n_q + f.step[q]).ravel().tolist()
+        if depth is not None:
+            index = {}  # a node once per level
+        known = len(index)
+        codes = (succ[t] * n_q + step[q]).ravel().tolist()
         targets = [index.setdefault(c, len(index)) for c in codes]
         transitions.append(np.array(targets, dtype=np.intp).reshape(-1, k))
-        layers.append(np.divmod(np.array(list(index), dtype=np.intp), n_q))
+        if len(index) == known:  # the closure is complete
+            break
+        layers.append(np.divmod(np.array(list(index)[known:], dtype=np.intp), n_q))
     return states[: len(succ)], layers, transitions
 
 
-def _local_points(tree: Tree, states) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme points of each tree state's local model, zero-padded to
-    ``(states, most points, k)``, and the number of points of each."""
+def _local_points(tree: Tree, states) -> np.ndarray:
+    """Extreme points of each tree state's local model, ``(states, most
+    points, k)``.  A model with fewer points repeats its first point in the
+    spare rows: a copy scores what the first point scores, so it never
+    raises the maximum, and the argmax (the lowest index among ties) never
+    picks it."""
     leaves = [_points_of(tree.assignment.machine_leaf(t)) for t in states]
-    counts = np.array([len(p) for p in leaves], dtype=np.intp)
-    points = np.zeros((len(leaves), counts.max(initial=0), tree.k))
+    points = np.empty((len(leaves), max((len(p) for p in leaves), default=0), tree.k))
     for i, p in enumerate(leaves):
+        points[i] = p[0]
         points[i, : len(p)] = p
-    return points, counts
+    return points
 
 
-def _batches(points: np.ndarray, counts: np.ndarray, rows: np.ndarray) -> list:
-    """The nodes of one level grouped by extreme-point count, each group with
-    its nodes' points.
-
-    One batched product per count gives every node the BLAS call
-    ``points @ values`` makes, so its value is bit-identical to the local
-    upper expectation and independent of its neighbours.
-    """
-    count = counts[rows]
-    if count.min() == count.max():
-        return [(slice(None), points[rows, : count[0]])]
-    batches = []
-    for c in np.unique(count):
-        sel = np.flatnonzero(count == c)
-        batches.append((sel, points[rows[sel], :c]))
-    return batches
+def _scores(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Every extreme point's expectation of every gamble's next values:
+    ``points`` (nodes, P, k), ``nxt`` (nodes, k, G) the step reward plus the
+    value after each symbol; returns (nodes, P, G)."""
+    return weighted_sum(points[:, :, None, :], nxt.swapaxes(1, 2)[:, None])
 
 
-def _bellman(batches: list, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One backward step: each node's local upper expectation of ``nxt``
-    (nodes, k), the step reward plus the value after each symbol, and the
-    attaining extreme point."""
-    vals = np.empty(len(nxt))
-    best = np.empty(len(nxt), dtype=np.intp)
-    nxt = nxt[:, :, None]
-    for sel, pts in batches:
-        scores = (pts @ nxt[sel])[:, :, 0]
-        pick = scores.argmax(axis=1)
-        best[sel] = pick
-        vals[sel] = scores[np.arange(len(pick)), pick]
-    return vals, best
-
-
-def _sweep(tree: Tree, f: Gamble, s: Situation):
+def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
     """The backward recursion over the product layers below ``s``.
 
     Returns the tree states and layers of :func:`_machine_layers`, every
-    node's value (the upper expectation of the rewards still to come plus the
-    terminal payoff) and, for every node above the deepest level, the index
-    of the extreme point attaining that value (the lowest on ties).  Each
-    level costs a few array operations over all its nodes, whatever the
-    number of tree states.
+    node's values (nodes, G): per gamble, the upper expectation of the
+    rewards still to come plus the terminal payoff, and with ``picks`` the
+    extreme point attaining each value above the deepest level (the lowest
+    on ties).  A level costs a few array operations over all its nodes.
     """
-    if f.k != tree.k:
+    if cols.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
-    f = as_machine(f)
-    states, layers, transitions = _machine_layers(tree, f, s)
-    points, counts = _local_points(tree, states)
-    values = [f.terminal[layers[-1][1]]]
+    states, layers, transitions = _machine_layers(tree, cols.step, s, cols.read(s)[1], cols.depth)
+    points = _local_points(tree, states)
+    values = [cols.terminal[layers[-1][1]]]
     argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):
         t, q = layers[li]
-        vals, best = _bellman(_batches(points, counts, t), f.reward[q] + values[0][transitions[li]])
-        values.insert(0, vals)
-        argmax.insert(0, best)
+        scores = _scores(points[t], cols.reward[q] + values[0][transitions[li]])
+        values.insert(0, scores.max(axis=1))
+        if picks:
+            argmax.insert(0, scores.argmax(axis=1))
     return states, layers, values, argmax
+
+
+def finitary_uppers(tree: Tree, gambles, s: Situation = ()) -> list[float]:
+    """Conditional upper expectations given ``s`` of gambles that share one
+    automaton, from one sweep: dense gambles of one depth, or an automaton
+    and its negation.  Each value is bit-identical to ``finitary_upper`` of
+    that gamble alone.
+    """
+    s = as_situation(s, tree.k)
+    cols = MachineStack.of(gambles)
+    values = _sweep(tree, cols, s)[2]
+    return (cols.read(s)[0] + values[0][0]).tolist()
 
 
 def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -241,9 +240,7 @@ def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
     the gamble's depth just reads the payoff off.  Accepts an imprecise or a
     precise tree (the latter behaves as its one-point credal sets).
     """
-    s, f = as_situation(s, tree.k), as_machine(f)
-    values = _sweep(tree, f, s)[2]
-    return float(f.read(s)[0] + values[0][0])
+    return finitary_uppers(tree, [f], s)[0]
 
 
 def finitary_lower(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -265,7 +262,7 @@ class _MachineSelection:
     """
 
     base: object  # assignment of the tree the recursion ran on
-    gamble: MachineGamble
+    gamble: MachineStack
     choices: dict  # (level, tree state, gamble state) -> extreme-point index
 
     def validate(self, k: int, leaf_type: type):
@@ -301,14 +298,14 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     ``s`` equals ``finitary_upper(tree, f, s)``.
     """
     s = as_situation(s, tree.k)
-    machine = as_machine(f)
-    states, layers, _, argmax = _sweep(tree, machine, s)
+    cols = MachineStack.of([f])
+    states, layers, _, argmax = _sweep(tree, cols, s, picks=True)
     picked = {
         (len(s) + li, states[t], q): best
         for li, picks in enumerate(argmax)
-        for t, q, best in zip(*(a.tolist() for a in layers[li]), picks.tolist())
+        for t, q, best in zip(*(a.tolist() for a in layers[li]), picks[:, 0].tolist())
     }
-    return PreciseTree(tree.state_space, _MachineSelection(tree.assignment, machine, picked))
+    return PreciseTree(tree.state_space, _MachineSelection(tree.assignment, cols, picked))
 
 
 def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
@@ -321,24 +318,13 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
         raise InvalidInputError("value_table expects a dense finitary gamble")
     # Swept from the root, a dense gamble's product nodes at level m are the
     # length-m prefixes, one each, in lexicographic order.
-    values = _sweep(tree, f, ())[2]
-    return [vals.reshape((tree.k,) * m) for m, vals in enumerate(values)]
+    values = _sweep(tree, MachineStack.of([f]), ())[2]
+    return [vals[:, 0].reshape((tree.k,) * m) for m, vals in enumerate(values)]
 
 
-def _audit_bound(v: LimitVariable, lo: float, hi: float, m: int):
-    if v.direction is Direction.NON_DECREASING and lo < v.bound - 1e-12:
-        raise InvalidInputError(
-            f"approximation {m} attains {lo}, below the declared lower bound {v.bound}"
-        )
-    if v.direction is Direction.NON_INCREASING and hi > v.bound + 1e-12:
-        raise InvalidInputError(
-            f"approximation {m} attains {hi}, above the declared upper bound {v.bound}"
-        )
-
-
-def _limit_values(tree: Tree, auto: MachineGamble, s: Situation, first: int):
-    """Conditional upper expectations given ``s`` of the automaton read to
-    depth m, for m = first, first + 1, ...
+def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
+    """Conditional upper expectations given ``s`` of the automata read to
+    depth m, for m = first, first + 1, ..., one array of G values each.
 
     Along ``s`` the payoff is settled: iterate m <= len(s) is the reward of
     the first m steps of ``s`` plus the terminal payoff.  Beyond, iterate m
@@ -346,51 +332,107 @@ def _limit_values(tree: Tree, auto: MachineGamble, s: Situation, first: int):
     (tree state, automaton state) that ``s`` leads to, where ``V_0`` is the
     terminal payoff and ``V_{r+1}`` is the local upper expectation of the
     step reward plus ``V_r`` at the successor.  Both coordinates are
-    level-free, so ``V`` lives on the finite closure of nodes reachable from
-    there, and each further iterate costs one Bellman step over it.
+    level-free, so ``V`` lives on the closure of the nodes reachable from
+    there: each further iterate is one Bellman step over it.
     """
-    accs, qs = [0.0], [0]
+    accs, qs = [np.zeros(cols.terminal.shape[1])], [0]
     for y in s:
-        accs.append(accs[-1] + auto.reward[qs[-1], y])
-        qs.append(int(auto.step[qs[-1], y]))
-    m = first
-    while m <= len(s):
-        yield float(accs[m] + auto.terminal[qs[m]])
-        m += 1
-    assignment = tree.assignment
-    symbols = range(tree.k)
-    step = auto.step.tolist()
-    nodes = [(assignment.machine_init(s), qs[-1])]
-    index = {nodes[0]: 0}  # node -> its position in `nodes`
-    targets: list[int] = []
-    successors: dict = {}  # tree state -> its successor after each symbol
-    for t, q in nodes:  # grows while it is walked: a breadth-first closure
-        succ = successors.get(t)
-        if succ is None:
-            succ = successors[t] = [assignment.machine_step(t, y) for y in symbols]
-        for y in symbols:
-            pair = (succ[y], step[q][y])
-            j = index.get(pair)
-            if j is None:
-                j = index[pair] = len(nodes)
-                nodes.append(pair)
-            targets.append(j)
-    trans = np.array(targets, dtype=np.intp).reshape(-1, tree.k)
-    states: dict = {}  # tree state -> its row in `points`
-    rows = np.array([states.setdefault(t, len(states)) for t, _ in nodes], dtype=np.intp)
-    batches = _batches(*_local_points(tree, states), rows)
-    q_of = np.array([q for _, q in nodes], dtype=np.intp)
-    reward = auto.reward[q_of]
-    values = auto.terminal[q_of]
-    for _ in range(len(s) + 1, m):  # iterates before `first` are not reported
-        values, _ = _bellman(batches, reward + values[trans])
-    while True:
-        values, _ = _bellman(batches, reward + values[trans])
-        yield float(accs[-1] + values[0])
+        accs.append(accs[-1] + cols.reward[qs[-1], y])
+        qs.append(int(cols.step[qs[-1], y]))
+    for m in range(first, len(s) + 1):
+        yield accs[m] + cols.terminal[qs[m]]
+    states, layers, transitions = _machine_layers(tree, cols.step, s, qs[-1])
+    trans, (t_of, q_of) = np.concatenate(transitions), np.concatenate(layers, axis=1)
+    points = _local_points(tree, states)[t_of]
+    reward, values = cols.reward[q_of], cols.terminal[q_of]
+    for r in itertools.count(len(s) + 1):
+        values = _scores(points, reward + values[trans]).max(axis=1)
+        if r >= first:  # iterates before `first` are not reported
+            yield accs[-1] + values[0]
+
+
+def _stop(v: LimitVariable, iterates: list, m: int, policy: Policy) -> Optional[ApproxResult]:
+    """Audit a side's newest iterate for monotonicity; its result if it
+    stops there, stabilized or certified diverging."""
+    val = iterates[-1][1]
+    sign = 1.0 if v.direction is Direction.NON_DECREASING else -1.0  # the direction of approach
+    if len(iterates) > 1:
+        prev_val = iterates[-2][1]
+        if sign * (val - prev_val) < -_VALUE_MONOTONE_SLACK:
+            raise MonotonicityError(
+                f"iterate values move against the declared direction at index {m}",
+                f"{prev_val!r} -> {val!r}",
+            )
+        if abs(val - prev_val) < policy.tol:
+            return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
+    if sign * val > policy.divergence_threshold:
+        return ApproxResult(sign * INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
+    return None
+
+
+def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -> list:
+    """The limits of ``v`` (sign 1) and ``-v`` (sign -1), for each sign in
+    ``signs``, from one pass of :func:`_limit_values`; each side keeps its
+    own iterates and stop reason.  The sides' payoff ranges and
+    approximations are each other's negations, so one ``extremes()``
+    advance and one ``pointwise_leq`` per pair audit them all, phrased for
+    the first side still iterating.  As if the sides ran one after the
+    other, a later side's error waits until every earlier side has stopped.
+    """
+    s = as_situation(s, tree.k)
+    first = policy.start_index
+    sides = [v if sign > 0 else -v for sign in signs]
+    values = _limit_values(tree, MachineStack.of([w.automaton for w in sides]), s, first)
+    extremes = itertools.islice(v.automaton.extremes(), first, None)
+    iterates: list[list] = [[] for _ in sides]
+    results: list = [None] * len(sides)  # per side: its result, or the error it waits to raise
+    for m, (lo, hi) in zip(range(first, first + policy.max_horizon), extremes):
+        lead = results.index(None)
+        w, up = sides[lead], sides[lead].direction is Direction.NON_DECREASING
+        lo, hi = float(lo[0]), float(hi[0])
+        if signs[lead] < 0:
+            lo, hi = 0.0 - hi, 0.0 - lo
+        if (lo < w.bound - 1e-12) if up else (hi > w.bound + 1e-12):
+            beyond = f"{lo}, below the declared lower" if up else f"{hi}, above the declared upper"
+            raise InvalidInputError(f"approximation {m} attains {beyond} bound {w.bound}")
+        if first < m <= first + policy.monotone_audit:
+            lo_g, hi_g = (m - 1, m) if up else (m, m - 1)
+            ok, witness = pointwise_leq(w.generator(lo_g), w.generator(hi_g))
+            if not ok:
+                raise MonotonicityError(
+                    f"approximations {m - 1} and {m} violate the declared direction", witness
+                )
+        for i, val in enumerate(next(values).tolist()):
+            if results[i] is None:
+                iterates[i].append((m, val))
+                try:
+                    results[i] = _stop(sides[i], iterates[i], m, policy)
+                except MonotonicityError as exc:
+                    if i == lead:
+                        raise
+                    results[i] = exc
+        if None not in results:
+            break
+    for i, res in enumerate(results):
+        if isinstance(res, MonotonicityError):
+            raise res
+        if res is None:
+            last, stop = iterates[i][-1][1], StopReason.HORIZON_CAP
+            results[i] = ApproxResult(last, tuple(iterates[i]), False, stop, policy.tol)
+    return results
+
+
+def _negated(res: ApproxResult) -> ApproxResult:
+    return replace(res, value=-res.value, iterates=tuple((m, -x) for m, x in res.iterates))
 
 
 def limit_upper(
-    tree: Tree, v: LimitVariable, s: Situation = (), policy: Policy = Policy()
+    tree: Tree,
+    v: LimitVariable,
+    s: Situation = (),
+    policy: Policy = Policy(),
+    *,
+    with_lower: bool = False,
 ) -> ApproxResult:
     """Upper expectation of a monotone limit of finitary gambles.
 
@@ -407,56 +449,31 @@ def limit_upper(
     H iterates costs O(H) sweeps of a fixed node set.  Every approximation
     is audited against the declared bound (its exact payoff range, advanced
     by one min/max step per iterate), the first ``policy.monotone_audit``
-    pairs pointwise, and the values for monotonicity.
+    pairs pointwise, and the values for monotonicity.  With ``with_lower``
+    the result's ``lower`` is :func:`limit_lower`'s, from the same pass.
     """
-    s = as_situation(s, tree.k)
-    first = policy.start_index
-    values = _limit_values(tree, v.automaton, s, first)
-    extremes = itertools.islice(v.automaton.extremes(), first, None)
-    iterates: list[tuple[int, float]] = []
-    prev_val: float | None = None
-    non_decreasing = v.direction is Direction.NON_DECREASING
-    for m, (lo, hi) in zip(range(first, first + policy.max_horizon), extremes):
-        _audit_bound(v, float(lo[0]), float(hi[0]), m)
-        if m > first and len(iterates) <= policy.monotone_audit:
-            lo_g, hi_g = (m - 1, m) if non_decreasing else (m, m - 1)
-            ok, witness = pointwise_leq(v.generator(lo_g), v.generator(hi_g))
-            if not ok:
-                raise MonotonicityError(
-                    f"approximations {m - 1} and {m} violate the declared direction",
-                    witness,
-                )
-        val = next(values)
-        iterates.append((m, val))
-        if prev_val is not None:
-            drift = val - prev_val if non_decreasing else prev_val - val
-            if drift < -_VALUE_MONOTONE_SLACK:
-                raise MonotonicityError(
-                    f"iterate values move against the declared direction at index {m}",
-                    f"{prev_val!r} -> {val!r}",
-                )
-            if abs(val - prev_val) < policy.tol:
-                return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
-        if non_decreasing and val > policy.divergence_threshold:
-            return ApproxResult(INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
-        if not non_decreasing and val < -policy.divergence_threshold:
-            return ApproxResult(-INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
-        prev_val = val
-    return ApproxResult(prev_val, tuple(iterates), False, StopReason.HORIZON_CAP, policy.tol)
+    if not with_lower:
+        return _limits(tree, v, s, policy, (1,))[0]
+    upper, lower = _limits(tree, v, s, policy, (1, -1))
+    return replace(upper, lower=_negated(lower))
 
 
 def limit_lower(
     tree: Tree, v: LimitVariable, s: Situation = (), policy: Policy = Policy()
 ) -> ApproxResult:
     """Conjugate lower expectation of a limit variable: ``-upper(-v)``."""
-    res = limit_upper(tree, -v, s, policy)
-    return ApproxResult(
-        -res.value,
-        tuple((m, -x) for m, x in res.iterates),
-        res.converged,
-        res.stop_reason,
-        res.tol,
-    )
+    return _negated(_limits(tree, v, s, policy, (-1,))[0])
+
+
+def _event_value(tree: Tree, event: EventSpec, s: Situation, policy: Policy, finitary, limit):
+    space = tree.state_space
+    if isinstance(event, Cylinder):
+        return finitary(tree, indicator_of_cylinder(space, event.situation), s)
+    if isinstance(event, UnionAtDepth):
+        return finitary(tree, indicator_of_strings(space, event.depth, event.strings), s)
+    if isinstance(event, Hitting):
+        return limit(tree, hitting_event_variable(space, event.targets), s, policy)
+    raise InvalidInputError(f"unknown event specification {event!r}")
 
 
 def upper_probability(
@@ -468,29 +485,11 @@ def upper_probability(
     finitary recursion; hitting events go through the monotone limit of
     horizon indicators and return the full :class:`ApproxResult`.
     """
-    space = tree.state_space
-    if isinstance(event, Cylinder):
-        return finitary_upper(tree, indicator_of_cylinder(space, event.situation), s)
-    if isinstance(event, UnionAtDepth):
-        return finitary_upper(
-            tree, indicator_of_strings(space, event.depth, event.strings), s
-        )
-    if isinstance(event, Hitting):
-        return limit_upper(tree, hitting_event_variable(space, event.targets), s, policy)
-    raise InvalidInputError(f"unknown event specification {event!r}")
+    return _event_value(tree, event, s, policy, finitary_upper, limit_upper)
 
 
 def lower_probability(
     tree: Tree, event: EventSpec, s: Situation = (), policy: Policy = Policy()
 ) -> Union[float, ApproxResult]:
     """Lower probability of an event, by conjugacy."""
-    space = tree.state_space
-    if isinstance(event, Cylinder):
-        return finitary_lower(tree, indicator_of_cylinder(space, event.situation), s)
-    if isinstance(event, UnionAtDepth):
-        return finitary_lower(
-            tree, indicator_of_strings(space, event.depth, event.strings), s
-        )
-    if isinstance(event, Hitting):
-        return limit_lower(tree, hitting_event_variable(space, event.targets), s, policy)
-    raise InvalidInputError(f"unknown event specification {event!r}")
+    return _event_value(tree, event, s, policy, finitary_lower, limit_lower)

@@ -445,38 +445,3 @@ def unparse(expr: GambleExpr) -> str:
         raise TypeError(f"unknown node {node!r}")
 
     return num(expr.root)
-
-
-def alpha_canonical(expr: GambleExpr) -> Expr:
-    """The AST with sum variables renamed to positional names.
-
-    Two expressions are alpha-equivalent exactly when their canonical forms
-    are equal.
-    """
-
-    def walk(node, env: dict[str, str], counter: list[int]):
-        if isinstance(node, Num):
-            return node
-        if isinstance(node, (Add, Sub, Mul, MinOf, MaxOf)):
-            return type(node)(
-                walk(node.left, env, counter), walk(node.right, env, counter)
-            )
-        if isinstance(node, Ind):
-            return Ind(walk(node.condition, env, counter))
-        if isinstance(node, SumOver):
-            fresh = f"_{counter[0]}"
-            counter[0] += 1
-            body = walk(node.body, {**env, node.var: fresh}, counter)
-            return SumOver(fresh, node.lo, node.hi, body)
-        if isinstance(node, StateIs):
-            idx = env[node.index] if isinstance(node.index, str) else node.index
-            return StateIs(idx, node.state)
-        if isinstance(node, (BoolAnd, BoolOr)):
-            return type(node)(
-                walk(node.left, env, counter), walk(node.right, env, counter)
-            )
-        if isinstance(node, BoolNot):
-            return BoolNot(walk(node.inner, env, counter))
-        raise TypeError(f"unknown node {node!r}")
-
-    return walk(expr.root, {}, [0])

@@ -7,14 +7,14 @@ places:
 * ``+inf + (-inf)`` evaluates to ``+inf`` (IEEE would give NaN), and
 * ``0 * (+/-inf)`` evaluates to ``0`` (IEEE would give NaN).
 
-Every helper here rejects NaN inputs: NaN is never a legal value anywhere in
-this package.
+NaN is never a legal value anywhere in this package.  The module also holds
+:func:`weighted_sum`, the one ordered sum that every local expectation in
+the package is computed with.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -54,28 +54,21 @@ def xmul(scale: float, value: float) -> float:
     return scale * value
 
 
-def xsum(terms: Iterable[float]) -> float:
-    """Sum extended reals: finite terms first, then +inf terms, then -inf.
+def weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_j weights[..., j] * values[..., j]``, added left to right.
 
-    With that fixed order the ``+inf - inf == +inf`` convention makes the
-    result +inf as soon as a single +inf term is present, and -inf when only
-    -inf terms accompany the finite ones.
+    Every local expectation in the package is this one sum: the engine's
+    sweeps and limits, :mod:`.local`, certificate checks and :func:`xdot`.
+    Each entry is the same chain of elementwise products and additions
+    whatever the leading axes hold, so a value does not depend on how many
+    nodes or gambles were evaluated with it (a BLAS product's rounding
+    changes with its batch shape).  The leading axes broadcast; the last
+    axes must have one, equal, positive length.
     """
-    finite = 0.0
-    has_pos = False
-    has_neg = False
-    for t in terms:
-        if t == INF:
-            has_pos = True
-        elif t == -INF:
-            has_neg = True
-        else:
-            finite += t
-    if has_pos:
-        return INF
-    if has_neg:
-        return -INF
-    return finite
+    total = weights[..., 0] * values[..., 0]
+    for j in range(1, weights.shape[-1]):
+        total = total + weights[..., j] * values[..., j]
+    return total
 
 
 def xdot(weights: np.ndarray, values: np.ndarray) -> float:
@@ -95,7 +88,9 @@ def xdot(weights: np.ndarray, values: np.ndarray) -> float:
     if weights[neg].sum() > 0.0:
         return -INF
     finite = ~(pos | neg)
-    return float(weights[finite] @ values[finite])
+    if not finite.any():
+        return 0.0
+    return float(weighted_sum(weights[finite], values[finite]))
 
 
 def fmt(value: float) -> str | float:

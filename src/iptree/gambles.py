@@ -174,11 +174,7 @@ class MachineGamble:
     def read(self, string: Situation) -> tuple[float, int]:
         """The reward paid over the first ``depth`` symbols of ``string``
         and the state they lead to."""
-        paid, q = 0.0, 0
-        for y in string[: self.depth]:
-            paid += self.reward[q, y]
-            q = self.step[q, y]
-        return paid, int(q)
+        return _read(self, string)
 
     def payoff(self, string: Situation) -> float:
         string = as_situation(string, self.k)
@@ -246,27 +242,98 @@ class MachineGamble:
 Gamble = Union[FinitaryGamble, MachineGamble]
 
 
-def as_machine(f: Gamble) -> MachineGamble:
-    """Automaton view of any gamble.
+def trie_step(k: int, depth: int) -> tuple[np.ndarray, int]:
+    """The step array of the prefix trie of depth-``depth`` strings and its
+    first leaf state.
 
-    A dense gamble becomes the trie of its prefixes, numbered breadth-first
-    (the children of state ``q`` are ``k * q + 1 + y``, so the length-m
-    prefixes are consecutive and in lexicographic order).  Its leaves loop
-    to themselves and pay the table as terminal payoff; no step pays.  The
-    trie has as many states as the table has cells and prefixes, so deep
-    gambles should be born as :class:`MachineGamble`.
+    States are numbered breadth-first: the children of state ``q`` are
+    ``k * q + 1 + y``, so the length-m prefixes are consecutive and in
+    lexicographic order.  The leaves loop to themselves.
     """
-    if isinstance(f, MachineGamble):
-        return f
-    k, depth = f.k, f.depth
     leaves = sum(k**m for m in range(depth))  # the first leaf state
     states = leaves + k**depth
     step = np.empty((states, k), dtype=np.intp)
     step[:leaves] = np.arange(1, states).reshape(-1, k)
     step[leaves:] = np.arange(leaves, states)[:, None]
-    terminal = np.zeros(states)
-    terminal[leaves:] = f.table.reshape(-1)
-    return MachineGamble(k, depth, step, np.zeros((states, k)), terminal)
+    return step, leaves
+
+
+def _trie(k: int, depth: int, payoffs: np.ndarray):
+    """Step, reward and terminal arrays of the prefix trie of
+    depth-``depth`` strings (:func:`trie_step`) whose leaves pay
+    ``payoffs`` (one row per string, in lexicographic order, and any
+    trailing gamble axis) as terminal payoff; no step pays."""
+    step, leaves = trie_step(k, depth)
+    terminal = np.zeros((len(step),) + payoffs.shape[1:])
+    terminal[leaves:] = payoffs + 0.0  # adding 0.0 drops negative zeros
+    return step, np.zeros((len(step), k) + payoffs.shape[1:]), terminal
+
+
+def as_machine(f: Gamble) -> MachineGamble:
+    """Automaton view of any gamble.
+
+    A dense gamble becomes the trie of its prefixes (:func:`_trie`).  The
+    trie has as many states as the table has cells and prefixes, so deep
+    gambles should be born as :class:`MachineGamble`.
+    """
+    if isinstance(f, MachineGamble):
+        return f
+    return MachineGamble(f.k, f.depth, *_trie(f.k, f.depth, f.table.reshape(-1)))
+
+
+@dataclass(frozen=True)
+class MachineStack:
+    """Gambles that share one automaton, as the columns of a gamble axis.
+
+    ``step`` is the shared ``(states, k)`` transition array, ``reward`` has
+    shape ``(states, k, G)`` and ``terminal`` ``(states, G)``: column ``g``
+    holds gamble ``g``'s rewards and terminal payoffs.
+    """
+
+    k: int
+    depth: int
+    step: np.ndarray
+    reward: np.ndarray
+    terminal: np.ndarray
+
+    @classmethod
+    def of(cls, gambles) -> "MachineStack":
+        """Stack gambles of one state space: dense gambles of one depth share
+        their prefix trie; automata must have equal step arrays and depths,
+        like an automaton and its negation."""
+        if not gambles:
+            raise InvalidInputError("need at least one gamble")
+        k, depth = gambles[0].k, gambles[0].depth
+        if any(f.k != k for f in gambles):
+            raise InvalidInputError("gambles live on different state spaces")
+        if all(isinstance(f, FinitaryGamble) and f.depth == depth for f in gambles):
+            # One trie for all: as_machine's arrays with a gamble axis.
+            tables = np.stack([f.table.reshape(-1) for f in gambles], axis=1)
+            return cls(k, depth, *_trie(k, depth, tables))
+        machines = [as_machine(f) for f in gambles]
+        step = machines[0].step
+        if any(m.depth != depth or not np.array_equal(m.step, step) for m in machines):
+            raise InvalidInputError("gambles evaluated together must share one automaton")
+        reward = np.stack([m.reward for m in machines], axis=-1)
+        return cls(k, depth, step, reward, np.stack([m.terminal for m in machines], axis=-1))
+
+    def read(self, string: Situation) -> tuple[np.ndarray, int]:
+        """Each gamble's reward over the first ``depth`` symbols of
+        ``string`` (0.0 for none), as :meth:`MachineGamble.read` pays it,
+        and the state they lead to."""
+        return _read(self, string)
+
+
+def _read(machine, string: Situation):
+    """The reward of ``machine`` (a gamble, or a stack with a trailing
+    gamble axis) over the first ``depth`` symbols of ``string``, summed in
+    order, and the state reached."""
+    paid, q = 0.0, 0
+    for y in string[: machine.depth]:
+        paid = paid + machine.reward[q, y]
+        q = machine.step[q, y]
+    return paid, int(q)
+
 
 def restrict(f: FinitaryGamble, s: Situation) -> FinitaryGamble:
     """Zero the gamble outside the paths that pass through ``s``.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .extreal import INF, check_no_nan, xdot
+from .extreal import INF, check_no_nan, weighted_sum, xdot
 
 #: |sum(weights) - 1| beyond this is rejected instead of renormalized.
 MASS_SUM_TOL = 1e-9
@@ -232,7 +232,7 @@ def _check_gamble(credal: CredalSet, f, require_finite: bool) -> np.ndarray:
 def upper_expectation(credal: CredalSet, f) -> float:
     """Maximum of ``p . f`` over the extreme points, for finite ``f``."""
     arr = _check_gamble(credal, f, require_finite=True)
-    return float((credal.points @ arr).max())
+    return float(weighted_sum(credal.points, arr).max())
 
 
 def lower_expectation(credal: CredalSet, f) -> float:
@@ -321,7 +321,7 @@ def cut_limit_trace(credal: CredalSet, f, schedule=None) -> CutLimitResult:
     survivors = credal.points[:, neg].sum(axis=1) == 0.0
     if not survivors.any():
         return CutLimitResult(-INF, iterates)
-    vals = credal.points[np.ix_(survivors, finite)] @ arr[finite]
+    vals = weighted_sum(credal.points[np.ix_(survivors, finite)], arr[finite])
     return CutLimitResult(float(vals.max()), iterates)
 
 
@@ -361,10 +361,34 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
     * Lipschitz bound:    |U(f) - U(g)| <= sup|f - g|
 
     Returns a report listing every violated check with a witness description.
+
+    Every gamble the checks need (each sample, its negation, scalings and
+    shift, its dominating partner, and each consecutive sum) is evaluated
+    in one product over the extreme points; each value is the one
+    :func:`upper_expectation` gives for that gamble alone.
     """
     gambles = [_check_gamble(credal, g, require_finite=True) for g in sample_gambles]
     if not gambles:
         raise InvalidInputError("need at least one sample gamble")
+    n = len(gambles)
+    scales = (0.0, 0.5, 1.0, 2.0)
+    derived = [-f for f in gambles]
+    derived += [lam * f for f in gambles for lam in scales]
+    derived += [f + (1.0 + 0.25 * i) for i, f in enumerate(gambles)]
+    derived += [f + np.abs(gambles[(i + 1) % n]) for i, f in enumerate(gambles)]
+    derived += [f + g for f, g in zip(gambles, gambles[1:])]
+    rows = np.array(gambles + derived)
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("this operation requires a finite-valued gamble")
+    values = weighted_sum(credal.points[:, None, :], rows[None, :, :]).max(axis=0).tolist()
+    upper, negated, scaled, shifted, partner, summed = (
+        values[:n],
+        values[n : 2 * n],
+        values[2 * n : 6 * n],
+        values[6 * n : 7 * n],
+        values[7 * n : 8 * n],
+        values[8 * n :],
+    )
     violations: list[AxiomViolation] = []
     checks = 0
 
@@ -375,12 +399,12 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
             violations.append(AxiomViolation(axiom, detail, slack))
 
     for i, f in enumerate(gambles):
-        uf = upper_expectation(credal, f)
-        lf = lower_expectation(credal, f)
+        uf = upper[i]
+        lf = -negated[i]
         note(uf <= f.max() + tol, "upper-bound", f"gamble #{i}", uf - f.max())
         note(f.min() - tol <= lf <= uf + tol, "bounds", f"gamble #{i}", max(f.min() - lf, lf - uf))
-        for lam in (0.0, 0.5, 1.0, 2.0):
-            ulam = upper_expectation(credal, lam * f)
+        for j, lam in enumerate(scales):
+            ulam = scaled[4 * i + j]
             note(
                 abs(ulam - lam * uf) <= tol,
                 "homogeneity",
@@ -389,25 +413,24 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
             )
         shift = 1.0 + 0.25 * i
         note(
-            abs(upper_expectation(credal, f + shift) - (uf + shift)) <= tol,
+            abs(shifted[i] - (uf + shift)) <= tol,
             "constant-shift",
             f"gamble #{i}, shift {shift}",
-            abs(upper_expectation(credal, f + shift) - (uf + shift)),
+            abs(shifted[i] - (uf + shift)),
         )
-        g = f + np.abs(gambles[(i + 1) % len(gambles)])
         note(
-            uf <= upper_expectation(credal, g) + tol,
+            uf <= partner[i] + tol,
             "monotonicity",
             f"gamble #{i} vs dominating partner",
-            uf - upper_expectation(credal, g),
+            uf - partner[i],
         )
 
-    for i in range(len(gambles) - 1):
+    for i in range(n - 1):
         f, g = gambles[i], gambles[i + 1]
-        usum = upper_expectation(credal, f + g)
-        bound = upper_expectation(credal, f) + upper_expectation(credal, g)
+        usum = summed[i]
+        bound = upper[i] + upper[i + 1]
         note(usum <= bound + tol, "sub-additivity", f"gambles #{i}, #{i + 1}", usum - bound)
-        gap = abs(upper_expectation(credal, f) - upper_expectation(credal, g))
+        gap = abs(upper[i] - upper[i + 1])
         lip = float(np.abs(f - g).max())
         note(gap <= lip + tol, "lipschitz", f"gambles #{i}, #{i + 1}", gap - lip)
 

@@ -246,7 +246,10 @@ def _value(raw, path: str) -> float:
     if raw == "-inf":
         raise SchemaError(path, "certificate values must be bounded below; -inf rejected")
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            raise SchemaError(path, "number too large for a float") from None
     raise SchemaError(path, f"expected a number or '+inf', got {raw!r}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import finitary_lower, finitary_upper, value_table
+from .engine import finitary_lower, finitary_upper, finitary_uppers, value_table
 from .errors import InvalidInputError
 from .extreal import INF, xadd, xmul
 from .gambles import FinitaryGamble, restrict
@@ -301,63 +301,69 @@ def process_suite(seed: int, trials: int = 60, max_depth: int = 3, tree_factory=
             k = tree.k
         space = tree.state_space
 
-        # one-step reduction, exact
+        # Every draw of the trial, in the order of the checks.
         n = int(rng.integers(0, 3))
         x = tuple(int(v) for v in rng.integers(0, k, size=n))
         h = rng.uniform(-5, 5, size=k)
+        depth = int(rng.integers(1, max_depth + 1))
+        f = random_gamble(rng, k, depth)
+        s = random_situation(rng, k, depth)
+        m = int(rng.integers(0, depth))
+        g = f + FinitaryGamble(k, rng.uniform(0, 3, size=(k,) * depth))
+        g2 = random_gamble(rng, k, depth)
+        lam = float(rng.uniform(0, 3))
+        mu = float(rng.uniform(-4, 4))
+
+        # one-step reduction, exact
         leaf = local_model(tree, x)
         rec.check(
             finitary_upper(tree, _one_step_gamble(k, n, h), x) == upper_expectation(leaf, h),
             f"trial {t}: one-step value differs from the local model at {x}",
         )
 
-        depth = int(rng.integers(1, max_depth + 1))
-        f = random_gamble(rng, k, depth)
-        s = random_situation(rng, k, depth)
-        uf = finitary_upper(tree, f, s)
-
+        # The gambles of depth `depth` conditioned on s share one sweep.
+        uf, u_restricted, ug, u_neg, u_sum, ug2, u_scaled, u_shifted = finitary_uppers(
+            tree, [f, restrict(f, s), g, -f, f + g2, g2, lam * f, f + mu], s
+        )
         rec.check(
-            uf == finitary_upper(tree, restrict(f, s), s),
+            uf == u_restricted,
             f"trial {t}: value changed by zeroing payoffs off the situation {s}",
         )
 
-        m = int(rng.integers(0, depth))
-        iterated = FinitaryGamble(k, value_table(tree, f)[m + 1])
+        # The root sweep of f against sweeps of the iterated gamble
+        # conditioned on each length-m situation: the law ties the two paths.
+        table = value_table(tree, f)
+        iterated = FinitaryGamble(k, table[m + 1])
         for x_m in all_situations(k, m):
             if len(x_m) != m:
                 continue
-            lhs = finitary_upper(tree, f, x_m)
+            lhs = float(table[m][x_m])
             rhs = finitary_upper(tree, iterated, x_m)
             rec.check(
                 abs(lhs - rhs) <= 1e-9,
                 f"trial {t}: iterated law broken at {x_m}: {lhs} vs {rhs}",
             )
 
-        g = f + FinitaryGamble(k, rng.uniform(0, 3, size=(k,) * depth))
         rec.check(
-            uf <= finitary_upper(tree, g, s) + 1e-12,
+            uf <= ug + 1e-12,
             f"trial {t}: domination not respected at {s}",
         )
 
         sub = f.table[s] if len(s) <= depth else f.table[s[:depth]]
         rec.check(
-            float(np.min(sub)) - 1e-12 <= finitary_lower(tree, f, s) <= uf <= float(np.max(sub)) + 1e-12,
+            float(np.min(sub)) - 1e-12 <= -u_neg <= uf <= float(np.max(sub)) + 1e-12,
             f"trial {t}: conditional bounds broken at {s}",
         )
-        g2 = random_gamble(rng, k, depth)
         rec.check(
-            finitary_upper(tree, f + g2, s)
-            <= uf + finitary_upper(tree, g2, s) + 1e-9,
+            u_sum <= uf + ug2 + 1e-9,
             f"trial {t}: conditional sub-additivity broken at {s}",
         )
-        lam = float(rng.uniform(0, 3))
         rec.check(
-            abs(finitary_upper(tree, lam * f, s) - lam * uf) <= 1e-9,
+            abs(u_scaled - lam * uf) <= 1e-9,
             f"trial {t}: conditional homogeneity broken at {s}",
         )
-        mu = float(rng.uniform(-4, 4))
         rec.check(
-            abs(finitary_upper(tree, f + mu, s) - (uf + mu)) <= 1e-9,
+            abs(u_shifted - (uf + mu)) <= 1e-9,
             f"trial {t}: constant additivity broken at {s}",
         )
     return rec.report()

@@ -17,10 +17,11 @@ breaks the bounded-below reading.
 
 Checking is level by level, with the recursion engine's machinery: the
 tree's finite-state view, walked along the prefix trie of the process, gives
-every situation of a level its local model, and one batched product per
-extreme-point count gives each situation the same local upper expectation
-:func:`~iptree.local.upper_expectation` computes.  Only situations whose
-next values include +inf are evaluated one by one, in extended arithmetic.
+every situation of a level its local model, and one elementwise sum over the
+level (:func:`~iptree.extreal.weighted_sum`) gives each situation the same
+local upper expectation :func:`~iptree.local.upper_expectation` computes.
+Only situations whose next values include +inf are evaluated one by one, in
+extended arithmetic.
 Domination of the payoff is one array comparison over the deepest level.
 """
 
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _batches, _local_points, _machine_layers, finitary_upper, value_table
+from .engine import _local_points, _machine_layers, finitary_upper, value_table
 from .errors import InvalidInputError
-from .extreal import INF, check_no_nan
-from .gambles import FinitaryGamble, as_machine
+from .extreal import INF, check_no_nan, weighted_sum
+from .gambles import FinitaryGamble, trie_step
 from .local import CredalSet, extended_upper_expectation
 from .tree import Situation, Tree, as_situation
 
@@ -159,9 +160,10 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     The check runs level by level.  The situations of a level find their
     local models through the tree's finite-state view, walked along the
     prefix trie of the process; each gets the local upper expectation from
-    one batched product per extreme-point count, the same BLAS call
-    :func:`~iptree.local.upper_expectation` makes, and only situations
-    with a +inf next value go through
+    one elementwise sum over the level, the
+    :func:`~iptree.extreal.weighted_sum` that
+    :func:`~iptree.local.upper_expectation` uses, and only situations with a
+    +inf next value go through
     :func:`~iptree.local.extended_upper_expectation` one by one.
     """
     if tree.k != process.k:
@@ -171,18 +173,15 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     checked = 0
     lo, hi = 0.0, 0.0
     if depth:
-        trie = as_machine(FinitaryGamble(k, np.zeros((k,) * depth)))
-        states, layers, _ = _machine_layers(tree, trie, ())
-        points, counts = _local_points(tree, states)
+        states, layers, _ = _machine_layers(tree, trie_step(k, depth)[0], (), 0, depth)
+        points = _local_points(tree, states)
     for m in range(depth):
         value = process.levels[m].reshape(-1)
         nxt = process.levels[m + 1].reshape(-1, k)
         infinite = np.flatnonzero(np.isinf(nxt).any(axis=1))
         finite = nxt.copy()
         finite[infinite] = 0.0
-        required = np.empty(len(value))
-        for sel, pts in _batches(points, counts, layers[m][0]):
-            required[sel] = (pts @ finite[sel][:, :, None])[:, :, 0].max(axis=1)
+        required = weighted_sum(points[layers[m][0]], finite[:, None, :]).max(axis=1)
         for i in infinite.tolist():
             leaf = tree.assignment.local(_situation(i, k, m))
             credal = leaf if isinstance(leaf, CredalSet) else CredalSet.singleton(leaf)

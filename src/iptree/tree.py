@@ -239,9 +239,15 @@ def _check_assignment(assignment, k: int, leaf_type: type, kind: str):
             check(leaf)
     elif isinstance(assignment, Table):
         check(assignment.default)
-        for s, leaf in assignment.entries.items():
-            as_situation(s, k)
-            check(leaf)
+        entries = assignment.entries
+        # One pass over every key's states and every leaf; only a table that
+        # fails it is checked entry by entry, so the first bad entry raises.
+        symbols = set(itertools.chain.from_iterable(entries))
+        leaves_ok = all(isinstance(leaf, leaf_type) and leaf.k == k for leaf in entries.values())
+        if not (leaves_ok and symbols <= set(range(k))):
+            for s, leaf in entries.items():
+                as_situation(s, k)
+                check(leaf)
     elif isinstance(assignment, SelectionOverlay):
         _check_assignment(assignment.base, k, CredalSet, "imprecise")
         for s, leaf in assignment.choices.items():

@@ -1,0 +1,363 @@
+"""Batching invariance: a value does not depend on what it was evaluated with.
+
+Every local expectation is the one ordered sum ``extreal.weighted_sum``, so
+a sweep over G gambles, a limit pass over both sides and a coherence check
+over all its derived gambles give, bit for bit, what G one-by-one calls
+give.
+"""
+
+import ast
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import iptree
+import iptree.cli
+from iptree.engine import (
+    Policy,
+    adversarial_selection,
+    finitary_lower,
+    finitary_upper,
+    finitary_uppers,
+    limit_lower,
+    limit_upper,
+    value_table,
+)
+from iptree.errors import InvalidInputError, MonotonicityError
+from iptree.extreal import weighted_sum
+from iptree.gambles import (
+    Direction,
+    FinitaryGamble,
+    LimitVariable,
+    MachineGamble,
+    hitting_event_variable,
+    hitting_time_variable,
+    truncated_hitting_time,
+)
+from iptree.local import (
+    AxiomViolation,
+    CredalSet,
+    StateSpace,
+    check_coherence_axioms,
+    lower_expectation,
+    upper_expectation,
+)
+from iptree.oracle import precise_expectation
+from iptree.suites import process_suite, random_credal, random_gamble, random_situation, random_space
+from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situations
+
+
+def mixed_tree(rng, k, kind):
+    """A tree whose local models have 1 to 4 extreme points."""
+
+    def credal():
+        return CredalSet(rng.dirichlet(np.ones(k), size=int(rng.integers(1, 5))))
+
+    space = random_space(k)
+    if kind == 0:
+        return ImpreciseTree(space, Homogeneous(credal()))
+    if kind == 1:
+        return ImpreciseTree(space, Markov(credal(), tuple(credal() for _ in range(k))))
+    entries = {s: credal() for s in all_situations(k, 2)}
+    return ImpreciseTree(space, Table(2, entries, credal()))
+
+
+def test_weighted_sum_is_left_to_right_and_batch_free():
+    rng = np.random.default_rng(1)
+    points = rng.dirichlet(np.ones(4), size=3)
+    values = rng.uniform(-5, 5, size=(500, 4))
+    batched = weighted_sum(points[None], values[:, None])
+    for row, v in zip(batched, values):
+        assert np.array_equal(row, weighted_sum(points, v))
+        for p, got in zip(points, row):
+            want = p[0] * v[0]
+            for j in range(1, 4):
+                want = want + p[j] * v[j]
+            assert got == want
+
+
+class TestSweepColumns:
+    def test_columns_equal_one_by_one(self):
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            k = int(rng.integers(2, 5))
+            tree = mixed_tree(rng, k, trial % 3)
+            depth = int(rng.integers(1, 4))
+            # All-negative payoffs: a padded zero point would win the max.
+            gambles = [random_gamble(rng, k, depth, lo=-5.0, hi=-0.5) for _ in range(3)]
+            gambles += [random_gamble(rng, k, depth), -gambles[0], 0.0 * gambles[1]]
+            s = random_situation(rng, k, depth + 1)
+            values = finitary_uppers(tree, gambles, s)
+            assert [repr(x) for x in values] == [repr(finitary_upper(tree, g, s)) for g in gambles]
+            tables = [value_table(tree, g) for g in gambles]
+            assert all(np.all(level < 0) for t in tables[:3] for level in t)
+            # Payoffs carry no negative zeros, as in MachineGamble.
+            assert np.signbit(gambles[-1].table).any() and not np.signbit(tables[-1][-1]).any()
+
+    def test_padded_points_never_win(self):
+        # One situation has a single extreme point, the others three; every
+        # payoff is negative.
+        space = StateSpace(("a", "b"))
+        three = CredalSet(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]))
+        one = CredalSet(np.array([[0.3, 0.7]]))
+        tree = ImpreciseTree(space, Table(1, {(): three, (0,): one}, three))
+        f = FinitaryGamble(2, np.array([[-4.0, -1.0], [-2.0, -3.0]]))
+        assert finitary_upper(tree, f, (0,)) == upper_expectation(one, [-4.0, -1.0]) == 0.3 * -4.0 + 0.7 * -1.0
+        want = upper_expectation(three, [finitary_upper(tree, f, (y,)) for y in range(2)])
+        assert finitary_upper(tree, f) == want < 0
+        # The attaining tree picks a real point, the lowest on ties.
+        adv = adversarial_selection(tree, f)
+        assert precise_expectation(adv, f) == pytest.approx(want, abs=1e-12)
+
+    def test_automaton_and_negation_share_a_sweep(self):
+        rng = np.random.default_rng(62)
+        for trial in range(30):
+            k = int(rng.integers(2, 4))
+            tree = mixed_tree(rng, k, trial % 3)
+            tau = truncated_hitting_time(tree.state_space, [0], int(rng.integers(1, 12)))
+            s = random_situation(rng, k, 3)
+            upper, negated = finitary_uppers(tree, [tau, -tau], s)
+            assert upper == finitary_upper(tree, tau, s)
+            assert -negated == finitary_lower(tree, tau, s)
+
+    def test_gambles_must_share_an_automaton(self):
+        tree = ImpreciseTree(StateSpace(("a", "b")), Homogeneous(CredalSet(np.eye(2))))
+        f, g = FinitaryGamble(2, np.zeros((2,))), FinitaryGamble(2, np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="share one automaton"):
+            finitary_uppers(tree, [f, g])
+        with pytest.raises(InvalidInputError, match="different state spaces"):
+            finitary_uppers(tree, [FinitaryGamble(3, np.zeros((3,)))])
+        with pytest.raises(InvalidInputError, match="at least one gamble"):
+            finitary_uppers(tree, [])
+
+    def test_eval_reports_upper_and_lower_of_the_one_sweep(self, tmp_path, capsys):
+        rng = np.random.default_rng(63)
+        model = {"schema": 1, "states": ["H", "T", "X"], "model": {"kind": "table", "depth": 1, "entries": {
+            "": rng.dirichlet(np.ones(3), size=3).tolist(), "T": rng.dirichlet(np.ones(3), size=1).tolist(),
+        }, "default": rng.dirichlet(np.ones(3), size=2).tolist()}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        tree = iptree.load_model(model)
+        source = "sum(i=1..4, 2 * ind(X[i]==H) - 3 * ind(X[i]==X)) - 7"
+        f = iptree.compile_gamble(iptree.parse_gamble(source, tree.state_space))
+        for at in ("", "T", "T,H"):
+            assert iptree.cli.main(["eval", "--model", str(path), "--expr", source, "--at", at]) == 0
+            (record,) = json.loads(capsys.readouterr().out)["results"]
+            s = tuple(tree.state_space.index(x) for x in at.split(",") if x)
+            assert record["upper"] == finitary_upper(tree, f, s)
+            assert repr(record["lower"]) == repr(finitary_lower(tree, f, s))
+
+
+class TestLimitPair:
+    def test_pair_equals_the_sides_alone(self):
+        rng = np.random.default_rng(64)
+        stops = set()
+        for trial in range(36):
+            k = int(rng.integers(2, 4))
+            tree = mixed_tree(rng, k, trial % 3)
+            make = (hitting_time_variable, hitting_event_variable)[trial // 3 % 2]
+            v = make(tree.state_space, [0])
+            s = tuple(int(x) for x in rng.integers(1, k, size=int(rng.integers(0, 3))))
+            policy = Policy(tol=float(rng.choice([1e-4, 1e-8, 1e-12])), max_horizon=40,
+                            start_index=int(rng.integers(0, 3)) if make is hitting_event_variable else 1)
+            both = limit_upper(tree, v, s, policy, with_lower=True)
+            upper, lower = limit_upper(tree, v, s, policy), limit_lower(tree, v, s, policy)
+            assert repr(both.lower) == repr(lower) and both.lower.lower is None
+            assert repr(both) == repr(upper) and both == upper
+            stops.add((len(upper.iterates) == len(lower.iterates), upper.stop_reason.value))
+        # The sides stopped at the same and at different horizons.
+        assert {same for same, _ in stops} == {True, False}
+
+    @staticmethod
+    def steps(reward_h, reward_t, direction=Direction.NON_DECREASING):
+        auto = MachineGamble(2, 0, np.zeros((1, 2), dtype=int), np.array([[reward_h, reward_t]]), np.zeros(1))
+        return LimitVariable(auto, direction, bound=-1e9)
+
+    def test_a_later_side_error_waits_for_the_earlier_side(self, imprecise_coin):
+        # Upper values rise by 0.2 a step, lower ones fall by 0.2: only the
+        # lower side breaks the declared direction, and the pass raises its
+        # error, as limit_lower alone does.
+        v = self.steps(1.0, -1.0)
+        policy = Policy(max_horizon=10, monotone_audit=0)
+        assert limit_upper(imprecise_coin, v, (), policy).stop_reason.value == "horizon_cap"
+        with pytest.raises(MonotonicityError) as alone:
+            limit_lower(imprecise_coin, v, (), policy)
+        with pytest.raises(MonotonicityError) as paired:
+            limit_upper(imprecise_coin, v, (), policy, with_lower=True)
+        assert str(paired.value) == str(alone.value)
+        assert paired.value.args == alone.value.args
+
+    def test_the_upper_side_error_wins(self, imprecise_coin):
+        v = self.steps(-1.0, -1.0)  # both sides fall
+        policy = Policy(max_horizon=10, monotone_audit=0)
+        with pytest.raises(MonotonicityError) as alone:
+            limit_upper(imprecise_coin, v, (), policy)
+        with pytest.raises(MonotonicityError) as paired:
+            limit_upper(imprecise_coin, v, (), policy, with_lower=True)
+        assert paired.value.args == alone.value.args
+        bad = LimitVariable(v.automaton, Direction.NON_DECREASING, bound=1.0)
+        with pytest.raises(InvalidInputError) as alone:
+            limit_upper(imprecise_coin, bad, (), policy)
+        with pytest.raises(InvalidInputError) as paired:
+            limit_upper(imprecise_coin, bad, (), policy, with_lower=True)
+        assert str(paired.value) == str(alone.value) == (
+            "approximation 1 attains -1.0, below the declared lower bound 1.0"
+        )
+
+    def test_an_earlier_lower_error_loses_to_a_later_upper_one(self, imprecise_coin):
+        # Two steps pay +1 on H and -1 on T, later steps -1: upper values go
+        # 0.2, 0.4, -0.6 and fail at index 3; lower values go -0.2, -0.4 and
+        # fail at index 2.  Run one after the other, the upper side raises.
+        step = np.array([[1, 1], [2, 2], [2, 2]])
+        reward = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]])
+        v = LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(3)), Direction.NON_DECREASING, -1e9)
+        policy = Policy(max_horizon=10, monotone_audit=0)
+        with pytest.raises(MonotonicityError, match="at index 2"):
+            limit_lower(imprecise_coin, v, (), policy)
+        with pytest.raises(MonotonicityError) as alone:
+            limit_upper(imprecise_coin, v, (), policy)
+        with pytest.raises(MonotonicityError) as paired:
+            limit_upper(imprecise_coin, v, (), policy, with_lower=True)
+        assert "at index 3" in str(alone.value)
+        assert paired.value.args == alone.value.args
+
+    def test_lower_side_bound_audit(self, imprecise_coin):
+        # Payoffs of -1 to 1 against a declared bound of 0: each side's
+        # audit phrases the violation for its own variable.
+        v = LimitVariable(self.steps(1.0, -1.0).automaton, Direction.NON_DECREASING, bound=0.0)
+        messages = {
+            "approximation 1 attains 1.0, above the declared upper bound -0.0",
+            "approximation 1 attains -1.0, below the declared lower bound 0.0",
+        }
+        for variable in (v, -v):
+            with pytest.raises(InvalidInputError) as alone:
+                limit_upper(imprecise_coin, -variable)
+            with pytest.raises(InvalidInputError) as lower:
+                limit_lower(imprecise_coin, variable)
+            assert str(lower.value) == str(alone.value)
+            messages.remove(str(lower.value))
+
+    def test_pointwise_audit_runs_once_per_pair(self, imprecise_coin, monkeypatch):
+        import iptree.engine as engine
+
+        calls = []
+        real = engine.pointwise_leq
+        monkeypatch.setattr(engine, "pointwise_leq", lambda f, g: calls.append(1) or real(f, g))
+        v = hitting_time_variable(imprecise_coin.state_space, ["T"])
+        limit_upper(imprecise_coin, v, (), Policy(max_horizon=30, monotone_audit=4), with_lower=True)
+        assert len(calls) == 4
+
+
+class TestCoherenceColumns:
+    @staticmethod
+    def reference(credal, gambles, tol):
+        """The checks with one upper_expectation call per value."""
+        gambles = [np.asarray(g, dtype=float) for g in gambles]
+        out = []
+
+        def note(cond, axiom, detail, slack):
+            out.append(None if cond else AxiomViolation(axiom, detail, slack))
+
+        for i, f in enumerate(gambles):
+            uf, lf = upper_expectation(credal, f), lower_expectation(credal, f)
+            note(uf <= f.max() + tol, "upper-bound", f"gamble #{i}", uf - f.max())
+            note(f.min() - tol <= lf <= uf + tol, "bounds", f"gamble #{i}", max(f.min() - lf, lf - uf))
+            for lam in (0.0, 0.5, 1.0, 2.0):
+                ulam = upper_expectation(credal, lam * f)
+                note(abs(ulam - lam * uf) <= tol, "homogeneity", f"gamble #{i}, scale {lam}", abs(ulam - lam * uf))
+            shift = 1.0 + 0.25 * i
+            gap = abs(upper_expectation(credal, f + shift) - (uf + shift))
+            note(gap <= tol, "constant-shift", f"gamble #{i}, shift {shift}", gap)
+            ug = upper_expectation(credal, f + np.abs(gambles[(i + 1) % len(gambles)]))
+            note(uf <= ug + tol, "monotonicity", f"gamble #{i} vs dominating partner", uf - ug)
+        for i in range(len(gambles) - 1):
+            f, g = gambles[i], gambles[i + 1]
+            usum = upper_expectation(credal, f + g)
+            bound = upper_expectation(credal, f) + upper_expectation(credal, g)
+            note(usum <= bound + tol, "sub-additivity", f"gambles #{i}, #{i + 1}", usum - bound)
+            gap = abs(upper_expectation(credal, f) - upper_expectation(credal, g))
+            lip = float(np.abs(f - g).max())
+            note(gap <= lip + tol, "lipschitz", f"gambles #{i}, #{i + 1}", gap - lip)
+        return len(out), [v for v in out if v is not None]
+
+    def test_one_product_equals_one_call_per_value(self):
+        rng = np.random.default_rng(65)
+        for trial in range(200):
+            k = int(rng.integers(2, 5))
+            credal = random_credal(rng, k, max_points=4)
+            gambles = [rng.uniform(-5, 5, size=k) * 10.0 ** rng.integers(-3, 3) for _ in range(int(rng.integers(1, 9)))]
+            # A negative tolerance fails checks, so the slacks are compared too.
+            tol = float(rng.choice([1e-9, -1e-12, -1.0]))
+            report = check_coherence_axioms(credal, gambles, tol)
+            checks, violations = self.reference(credal, gambles, tol)
+            assert report.checks_run == checks
+            assert repr(report.violations) == repr(tuple(violations))
+
+    def test_overflowing_derived_gamble_raises(self):
+        credal = CredalSet(np.array([[0.5, 0.5]]))
+        for gambles in ([[1e308, 0.0]], [[1.0, 0.0], [1.7e308, 1.0], [1.7e308, 0.0]]):
+            with pytest.raises(InvalidInputError, match="requires a finite-valued gamble"):
+                check_coherence_axioms(credal, gambles)
+        assert check_coherence_axioms(credal, [[1e307, 0.0]]).passed
+
+
+@dataclass(frozen=True)
+class _RootStartMarkov(Markov):
+    """A Markov assignment whose sweeps conditioned on a situation start
+    from the root's state instead of the situation's last state."""
+
+    def machine_init(self, s):
+        return -1
+
+
+def test_process_suite_checks_the_conditioned_path():
+    rng = np.random.default_rng(66)
+    space = random_space(2)
+    root, by_state = random_credal(rng, 2), (random_credal(rng, 2), random_credal(rng, 2))
+    sound = process_suite(7, trials=20, tree_factory=lambda _rng: ImpreciseTree(space, Markov(root, by_state)))
+    assert sound.passed
+    broken = ImpreciseTree(space, _RootStartMarkov(root, by_state))
+    report = process_suite(7, trials=20, tree_factory=lambda _rng: broken)
+    assert report.checks == sound.checks
+    # The root sweep of f is right; the iterated gamble's sweep conditioned
+    # on each length-m situation is not.
+    assert any("iterated law broken" in msg for msg in report.failures)
+
+
+def test_compile_once_per_expression_and_cap(tmp_path, monkeypatch, capsys):
+    model = tmp_path / "coin.json"
+    model.write_text(json.dumps({"schema": 1, "states": ["H", "T"], "model": {
+        "kind": "homogeneous", "extreme_points": [[0.4, 0.6], [0.6, 0.4]]}}))
+    a, b = "sum(i=1..5, ind(X[i]==H))", "ind(X[2]==T)"
+    queries = [{"kind": kind, "expression": e, "policy": policy}
+               for e in (a, b, a) for kind in ("eval", "lower") for policy in ({}, {"table_cap": 64})]
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps({"schema": 1, "queries": queries}))
+    calls = []
+    real = iptree.cli.compile_gamble
+    monkeypatch.setattr(iptree.cli, "compile_gamble", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert iptree.cli.main(["eval", "--model", str(model), "--query", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == 12 and all(r["ok"] for r in results)
+    assert len(calls) == 4  # two expressions, two caps
+
+
+BANNED = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+
+
+def test_no_blas_products_outside_the_oracle():
+    src = Path(iptree.__file__).parent
+    for name in ("engine.py", "local.py", "supermartingale.py", "extreal.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            assert not isinstance(node, (ast.MatMult,)), name
+            assert not (isinstance(node, ast.Attribute) and node.attr in BANNED), (name, node.attr)
+            assert not (isinstance(node, ast.Name) and node.id in BANNED), (name, node.id)
+    # The oracle stays an independent implementation: its own arithmetic.
+    for node in ast.walk(ast.parse((src / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert "weighted_sum" not in [a.name for a in node.names]
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "weighted_sum"

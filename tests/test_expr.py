@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 
 from iptree.errors import ExprError, ResourceLimitError
-from iptree.expr import alpha_canonical, compile_gamble, parse_gamble, unparse
+from iptree.expr import (
+    Add,
+    BoolAnd,
+    BoolNot,
+    BoolOr,
+    Ind,
+    MaxOf,
+    MinOf,
+    Mul,
+    Num,
+    StateIs,
+    Sub,
+    SumOver,
+    compile_gamble,
+    parse_gamble,
+    unparse,
+)
 from iptree.local import StateSpace
 
 
@@ -13,6 +29,30 @@ def space():
 
 def compiled(source, space, **kw):
     return compile_gamble(parse_gamble(source, space), **kw)
+
+
+def alpha_canonical(expr):
+    """The AST with sum variables renamed to positional names: two
+    expressions are alpha-equivalent exactly when these are equal."""
+
+    def walk(node, env: dict[str, str], counter: list[int]):
+        if isinstance(node, Num):
+            return node
+        if isinstance(node, (Add, Sub, Mul, MinOf, MaxOf, BoolAnd, BoolOr)):
+            return type(node)(walk(node.left, env, counter), walk(node.right, env, counter))
+        if isinstance(node, Ind):
+            return Ind(walk(node.condition, env, counter))
+        if isinstance(node, SumOver):
+            fresh = f"_{counter[0]}"
+            counter[0] += 1
+            return SumOver(fresh, node.lo, node.hi, walk(node.body, {**env, node.var: fresh}, counter))
+        if isinstance(node, StateIs):
+            return StateIs(env[node.index] if isinstance(node.index, str) else node.index, node.state)
+        if isinstance(node, BoolNot):
+            return BoolNot(walk(node.inner, env, counter))
+        raise TypeError(f"unknown node {node!r}")
+
+    return walk(expr.root, {}, [0])
 
 
 class TestParsing:

@@ -1,15 +1,8 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from iptree.errors import InvalidInputError
-from iptree.extreal import INF, check_no_nan, fmt, xadd, xdot, xmul, xsum
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-extended = st.one_of(finite, st.just(INF), st.just(-INF))
+from iptree.extreal import INF, check_no_nan, fmt, xadd, xdot, xmul
 
 
 def test_plus_inf_dominates_minus_inf():
@@ -29,27 +22,6 @@ def test_zero_times_infinity_is_zero():
 def test_negative_scale_rejected():
     with pytest.raises(InvalidInputError):
         xmul(-1.0, 3.0)
-
-
-def test_xsum_ordering_convention():
-    # finite first, then +inf, then -inf: one +inf wins over any -inf
-    assert xsum([1.0, -INF, INF]) == INF
-    assert xsum([1.0, -INF]) == -INF
-    assert xsum([1.0, 2.0]) == 3.0
-    assert xsum([]) == 0.0
-
-
-@given(st.lists(extended, max_size=6))
-def test_xsum_matches_sequential_xadd_in_canonical_order(terms):
-    ordered = (
-        [t for t in terms if not math.isinf(t)]
-        + [t for t in terms if t == INF]
-        + [t for t in terms if t == -INF]
-    )
-    acc = 0.0
-    for t in ordered:
-        acc = xadd(acc, t)
-    assert xsum(terms) == acc
 
 
 def test_xdot_conventions():

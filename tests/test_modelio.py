@@ -180,6 +180,19 @@ class TestCertificateErrors:
         err = capsys.readouterr().err
         assert err == "error: depth: the table has 1 entries, fewer than the situations of length <= 40\n"
 
+    def test_huge_integer_is_a_schema_error(self, tmp_path, capsys):
+        huge = 10**400
+        assert schema_error(load_certificate, certificate({"": 0.5, "H": huge, "T": 1.0}), COIN) == (
+            "table.H: number too large for a float"
+        )
+        path, model = tmp_path / "huge.json", tmp_path / "coin.json"
+        path.write_text(json.dumps(certificate({"": 0.5}, depth=0, lower_bound=huge)))
+        model.write_text(json.dumps({"schema": 1, "states": ["H", "T"], "model": {
+            "kind": "homogeneous", "extreme_points": [[0.4, 0.6], [0.6, 0.4]]}}))
+        code = main(["check", "--model", str(model), "cert", str(path), "--expr", "ind(X[1]==H)"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: lower_bound: number too large for a float\n"
+
     def test_a_label_with_a_comma_cannot_be_keyed(self):
         space = StateSpace(("a,b", "c"))
         doc = certificate({"": 0.0, "a,b": 1.0, "c": 2.0})

@@ -74,6 +74,34 @@ class TestLocalModel:
         with pytest.raises(InvalidInputError):
             Table(1, {(0, 1): credal([0.5, 0.5])}, credal([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0,): "leaf", (5,): None}, "imprecise tree expects CredalSet leaves"),
+            ({(0,): None, (1, 2): None}, "state index 2 out of range for 2 states"),
+            ({(-1,): None, (0,): "leaf"}, "state index -1 out of range for 2 states"),
+            ({(0,): "wide"}, "local model over 3 states attached to a tree with 2 states"),
+            ({(0,): "precise"}, "imprecise tree expects CredalSet leaves"),
+        ],
+    )
+    def test_table_entries_are_checked_in_order(self, space, entries, message):
+        # Keys and leaves are checked in one pass; a table that fails it
+        # raises the first bad entry's message, key before leaf.
+        leaves = {
+            None: credal([0.5, 0.5]),
+            "leaf": "not a model",
+            "wide": credal([0.2, 0.3, 0.5]),
+            "precise": MassFunction(np.array([0.5, 0.5])),
+        }
+        table = Table(2, {key: leaves[leaf] for key, leaf in entries.items()}, credal([0.5, 0.5]))
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            ImpreciseTree(space, table)
+
+    def test_table_keys_need_only_equal_state_indices(self, space):
+        c = credal([0.5, 0.5])
+        tree = ImpreciseTree(space, Table(2, {(np.int64(1), 0): c, (1.0,): c}, c))
+        assert local_model(tree, (1, 0)) is c
+
     def test_markov_needs_model_per_state(self, space):
         with pytest.raises(InvalidInputError):
             ImpreciseTree(space, Markov(credal([0.5, 0.5]), (credal([0.5, 0.5]),)))
