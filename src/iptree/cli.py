@@ -10,16 +10,18 @@ Two subcommands:
   supermartingale certificate file against an expression).
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
-same JSON).  All numerics are finite numbers or the strings ``"+inf"`` /
-``"-inf"``; NaN is never emitted.  Identical inputs and ``--seed`` produce
-byte-identical reports; ``--timing`` adds wall-clock fields and is therefore
-off by default.
+same JSON).  A JSON report is byte-identical to ``json.dumps(report,
+indent=2, sort_keys=True)``; it is written in one pass by ``_json_text``.
+All numerics are finite numbers or the strings ``"+inf"`` / ``"-inf"``; NaN
+is never emitted.  Identical inputs and ``--seed`` produce byte-identical
+reports; ``--timing`` adds wall-clock fields and is therefore off by default.
 
 Flags can be supplied through ``IPTREE_``-prefixed environment variables
 (``IPTREE_MODEL``, ``IPTREE_SEED``, ``IPTREE_TOL``, ``IPTREE_MAX_HORIZON``,
 ``IPTREE_FORMAT``); explicit flags win, and an environment value is checked
-like the flag it stands for.  Per-query ``policy`` objects in a query file
-override the flags.
+like the flag it stands for.  ``main`` reads these variables on every call,
+and builds a new parser only when they have changed since the last call.
+Per-query ``policy`` objects in a query file override the flags.
 
 Exit codes: 0 success (and all checks passed), 1 a check ran and found
 violations, 2 any input or query error.
@@ -28,10 +30,13 @@ violations, 2 any input or query error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .engine import Policy, finitary_lower, finitary_uppers, limit_upper
 from .errors import IptreeError
@@ -52,9 +57,13 @@ from .tree import format_situation, parse_situation
 
 _ENV_PREFIX = "IPTREE_"
 
+#: The flags an ``IPTREE_*`` variable can supply, with their defaults.
+_ENV_DEFAULTS = (("model", None), ("seed", 0), ("tol", 1e-9), ("max_horizon", 100), ("format", "json"))
 
-def _env(name: str, fallback=None):
-    return os.environ.get(_ENV_PREFIX + name.upper(), fallback)
+
+def _env_defaults() -> tuple:
+    """The flag defaults as the environment sets them now, in ``_ENV_DEFAULTS`` order."""
+    return tuple(os.environ.get(_ENV_PREFIX + name.upper(), fallback) for name, fallback in _ENV_DEFAULTS)
 
 
 def _int_at_least(low: int):
@@ -72,7 +81,13 @@ def _int_at_least(low: int):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.ArgumentParser:
+    """The parser whose defaults are the given ``_env_defaults()`` values.
+
+    Parsing leaves a parser unchanged, so one is kept for as long as the
+    environment stays the same.
+    """
     parser = argparse.ArgumentParser(
         prog="iptree",
         description="Upper/lower expectations for imprecise probability trees.",
@@ -82,11 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # String defaults go through ``type`` like command-line values, so a bad
     # environment value exits 2 with argparse's message for its flag.
     def common(p):
-        p.add_argument("--model", default=_env("model"), help="model JSON file")
-        p.add_argument("--seed", type=_int_at_least(0), default=_env("seed", 0), help="seed for randomized suites")
-        p.add_argument("--tol", type=float, default=_env("tol", 1e-9), help="convergence tolerance")
+        p.add_argument("--model", default=model, help="model JSON file")
+        p.add_argument("--seed", type=_int_at_least(0), default=seed, help="seed for randomized suites")
+        p.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
         p.add_argument(
-            "--max-horizon", type=int, default=_env("max_horizon", 100),
+            "--max-horizon", type=int, default=max_horizon,
             help="iteration cap for limit queries",
         )
         fmt_group = p.add_mutually_exclusive_group()
@@ -98,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--pretty", dest="format", action="store_const", const="pretty",
             help="human-readable table derived from the JSON report",
         )
-        p.set_defaults(format=_env("format", "json"))
+        p.set_defaults(format=report_format)
         p.add_argument("--timing", action="store_true", help="include wall-clock fields (breaks byte-identical reports)")
 
     p_eval = sub.add_parser("eval", help="evaluate queries against a model")
@@ -260,11 +275,61 @@ def _render_pretty(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_dumps(value, indent: str = "") -> str:
+    """``json.dumps`` of a report value, its lines indented by ``indent``."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + indent)
+
+
+def _json_float(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else _json_dumps(value)
+
+
+#: JSON text of a scalar, by exact type; subclasses (NumPy scalars among them)
+#: are left to ``json.dumps``.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``,
+    byte for byte and raising what it raises, for a value nested at ``indent``.
+
+    Built-in containers and scalars are written in one recursive pass; any
+    other value, or a dict with a key that is not a ``str``, is handed to
+    ``json.dumps`` and its lines are indented to fit.
+    """
+    kind = type(value)
+    scalar = _SCALAR_JSON.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = (encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        try:
+            items = [_SCALAR_JSON[type(item)](item) for item in value]
+        except KeyError:
+            items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return _json_dumps(value, indent)
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "pretty":
         sys.stdout.write(_render_pretty(report))
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        sys.stdout.write(_json_text(report) + "\n")
 
 
 def _cmd_eval(args) -> int:
@@ -357,7 +422,7 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(*_env_defaults())
     args = parser.parse_args(argv)
     if args.format not in ("json", "pretty"):
         parser.error(f"IPTREE_FORMAT: invalid choice: {args.format!r} (choose from 'json', 'pretty')")

@@ -372,11 +372,13 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
         raise InvalidInputError("need at least one sample gamble")
     n = len(gambles)
     scales = (0.0, 0.5, 1.0, 2.0)
-    derived = [-f for f in gambles]
-    derived += [lam * f for f in gambles for lam in scales]
-    derived += [f + (1.0 + 0.25 * i) for i, f in enumerate(gambles)]
-    derived += [f + np.abs(gambles[(i + 1) % n]) for i, f in enumerate(gambles)]
-    derived += [f + g for f, g in zip(gambles, gambles[1:])]
+    # A sample near the float range overflows here; the check below rejects it.
+    with np.errstate(over="ignore"):
+        derived = [-f for f in gambles]
+        derived += [lam * f for f in gambles for lam in scales]
+        derived += [f + (1.0 + 0.25 * i) for i, f in enumerate(gambles)]
+        derived += [f + np.abs(gambles[(i + 1) % n]) for i, f in enumerate(gambles)]
+        derived += [f + g for f, g in zip(gambles, gambles[1:])]
     rows = np.array(gambles + derived)
     if not np.isfinite(rows).all():
         raise InvalidInputError("this operation requires a finite-valued gamble")

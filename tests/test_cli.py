@@ -1,7 +1,16 @@
+import io
 import json
+import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iptree import cli
 from iptree.cli import main
 
 MODEL = {
@@ -428,3 +437,161 @@ class TestCountsAndSeeds:
         code, out = run(capsys, "check", "--model", model_file, "oracle", "--depth", "1", "--trials", "1", "--seed", "0")
         assert code == 0
         assert json.loads(out)["suites"][0]["checks"] == 1
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _parsed(parse, text, default):
+    """What a flag's value ``text`` parses to: ``default`` when it is unset,
+    None when its type rejects it."""
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+_PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4)
+_SEEDS = st.one_of(st.integers(-2, 10**6).map(str), st.sampled_from(["abc", "1.5", ""]), _PRINTABLE)
+_TOLS = st.one_of(
+    st.sampled_from(["1e-9", "0.5", "1e-3", "0", "-1", "nan", "inf", "-inf", "tight", ""]),
+    st.floats(1e-12, 1.0).map(repr),
+)
+_HORIZONS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["1.5", "x", ""]))
+_FLAG_OR_ENV = {"seed": _SEEDS, "tol": _TOLS, "max_horizon": _HORIZONS}
+
+
+class TestEnvironmentFuzz:
+    """``main`` reads ``IPTREE_*`` on every call: many calls in one process,
+    each with its own environment and flags, each held to the documented
+    contract and to the defaults that environment sets."""
+
+    @pytest.fixture(scope="class")
+    def coin_model(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        path.write_text(json.dumps(MODEL))
+        return str(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["eval", "check"]),
+        flags=st.fixed_dictionaries({name: st.none() | values for name, values in _FLAG_OR_ENV.items()}),
+        env=st.fixed_dictionaries({name: st.none() | values for name, values in _FLAG_OR_ENV.items()}),
+        format_flag=st.sampled_from([None, "--json", "--pretty"]),
+        format_env=st.sampled_from([None, "json", "pretty", "yaml", "", "JSON"]),
+    )
+    def test_contract_under_changing_environment(self, coin_model, command, flags, env, format_flag, format_env):
+        argv = [command, "--model", coin_model]
+        argv += ["--expr", "ind(X[1]==H)", "--hit-time", "T"] if command == "eval" else ["axioms", "--trials", "1"]
+        argv += [f"--{name.replace('_', '-')}={value}" for name, value in flags.items() if value is not None]
+        if format_flag:
+            argv.append(format_flag)
+        variables = {f"IPTREE_{name.upper()}": value for name, value in env.items()}
+        variables["IPTREE_FORMAT"] = format_env
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ):
+            for name, value in variables.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+
+        # What the flag gives, else the environment, else the default.
+        text = {name: flags[name] if flags[name] is not None else env[name] for name in _FLAG_OR_ENV}
+        parsed = {
+            "seed": _parsed(_seed, text["seed"], 0),
+            "tol": _parsed(float, text["tol"], 1e-9),
+            "max_horizon": _parsed(int, text["max_horizon"], 100),
+        }
+        report_format = format_flag[2:] if format_flag else format_env if format_env is not None else "json"
+
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert "NaN" not in out
+        bad_flags = [name for name, value in parsed.items() if value is None]
+        if bad_flags:
+            assert code == 2 and out == ""
+            assert any(f"argument --{name.replace('_', '-')}: " in err for name in bad_flags), err
+            return
+        if report_format not in ("json", "pretty"):
+            assert code == 2 and out == ""
+            assert f"IPTREE_FORMAT: invalid choice: {report_format!r}" in err
+            return
+        policy_ok = 0 < parsed["tol"] < math.inf and parsed["max_horizon"] >= 1
+        assert code == (0 if command == "check" or policy_ok else 2)
+        if report_format == "pretty":
+            assert out.startswith(f"iptree {command} report")
+            return
+        assert out == _dumps(json.loads(out)) + "\n"
+        report = json.loads(out)
+        assert report["seed"] == parsed["seed"]
+        if code == 2:
+            assert all("policy fields" in rec["error"] for rec in report["results"])
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]))
+_SCALARS = st.one_of(
+    st.text(),
+    st.integers(),
+    st.sampled_from([2**64, -(10**300)]),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=30,
+)
+_PLACEMENTS = [
+    lambda value, bad: bad,
+    lambda value, bad: [value, bad],
+    lambda value, bad: (1.5, bad, value),
+    lambda value, bad: {"a": value, "b": {"c": [bad]}},
+    lambda value, bad: {"x": [0, 1.0, bad]},
+]
+
+
+class TestReportWriter:
+    """The JSON report writer is ``json.dumps(indent=2, sort_keys=True,
+    allow_nan=False)``, byte for byte, and fails where and how it fails."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert cli._json_text(value) == _dumps(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _VALUES,
+        st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan"), np.int64(3), {1}, 10**5000, {1: 0, "a": 1}]),
+        st.sampled_from(_PLACEMENTS),
+    )
+    def test_same_exception_as_json_dumps(self, value, bad, place):
+        document = place(value, bad)
+        with pytest.raises((TypeError, ValueError)) as expected:
+            _dumps(document)
+        with pytest.raises(type(expected.value)) as got:
+            cli._json_text(document)
+        assert str(got.value) == str(expected.value)
