@@ -4,8 +4,9 @@ described by imprecise probability trees.
 The library models a discrete-time process whose one-step dynamics are known
 only up to a credal set per history, and computes conditional upper/lower
 expectations of payoffs: exactly, by backward recursion, for payoffs on
-finitely many states; by monotone approximation for hitting times and other
-limit payoffs; with supermartingale certificates and a brute-force
+finitely many states; hitting times and hitting probabilities exactly, on
+the finite closure of the product; other limit payoffs by monotone
+approximation; with supermartingale certificates and a brute-force
 compatible-tree oracle to cross-validate every number.
 """
 
@@ -16,6 +17,7 @@ from .engine import (
     adversarial_selection,
     finitary_lower,
     finitary_upper,
+    limit_bounds,
     limit_lower,
     limit_upper,
     lower_probability,

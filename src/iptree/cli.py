@@ -3,7 +3,9 @@
 Two subcommands:
 
 * ``iptree eval`` loads a model and runs queries (from a query file or
-  inline flags), printing one report with every value and iterate history.
+  inline flags), printing one report with every value and iterate history;
+  hitting queries are solved exactly (:func:`~iptree.engine.limit_bounds`),
+  their iterates an audit trail.
 * ``iptree check`` runs verification batteries against a model: ``axioms``
   (coherence and global-model identity suites), ``oracle`` (brute-force
   envelope against the recursion engine), or ``cert`` (validate a
@@ -21,7 +23,9 @@ Flags can be supplied through ``IPTREE_``-prefixed environment variables
 ``IPTREE_FORMAT``); explicit flags win, and an environment value is checked
 like the flag it stands for.  ``main`` reads these variables on every call,
 and builds a new parser only when they have changed since the last call.
-Per-query ``policy`` objects in a query file override the flags.
+Per-query ``policy`` objects in a query file override the flags; a policy
+value the engine rejects is reported with its source, the query's field or
+the flag.
 
 Exit codes: 0 success (and all checks passed), 1 a check ran and found
 violations, 2 any input or query error.
@@ -38,8 +42,8 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from .engine import Policy, finitary_lower, finitary_uppers, limit_upper
-from .errors import IptreeError
+from .engine import Policy, finitary_lower, finitary_uppers, limit_bounds
+from .errors import InvalidInputError, IptreeError
 from .expr import compile_gamble, parse_gamble
 from .extreal import fmt
 from .gambles import DEFAULT_TABLE_CAP, hitting_event_variable, hitting_time_variable
@@ -135,12 +139,29 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     return parser
 
 
-def _policy_from(args, overrides: dict) -> Policy:
-    return Policy(
-        tol=float(overrides.get("tol", args.tol)),
-        max_horizon=int(overrides.get("max_horizon", args.max_horizon)),
-        divergence_threshold=float(overrides.get("divergence_threshold", 1e12)),
-    )
+#: Where a policy field comes from when a query does not set it.
+_POLICY_FLAGS = {"tol": "--tol/IPTREE_TOL", "max_horizon": "--max-horizon/IPTREE_MAX_HORIZON"}
+
+
+def _policy_from(args, overrides: dict, path: str) -> Policy:
+    """The policy of the query at JSON path ``path``: its ``policy``
+    ``overrides``, else the flags.  A rejected value is named with its
+    source, the query's field or the flag."""
+    fields = {
+        "tol": float(overrides.get("tol", args.tol)),
+        "max_horizon": int(overrides.get("max_horizon", args.max_horizon)),
+        "divergence_threshold": float(overrides.get("divergence_threshold", 1e12)),
+    }
+    try:
+        return Policy(**fields)
+    except InvalidInputError:
+        for name, value in fields.items():
+            try:
+                Policy(**{name: value})
+            except InvalidInputError as exc:
+                source = f"{path}.policy.{name}" if name in overrides else _POLICY_FLAGS[name]
+                raise InvalidInputError(f"{source}: {exc}, got {value!r}") from None
+        raise
 
 
 def _compiled(compiled: dict, source: str, space, cap: int):
@@ -151,10 +172,10 @@ def _compiled(compiled: dict, source: str, space, cap: int):
     return compiled[key]
 
 
-def _run_query(tree, query: dict, args, compiled: dict) -> dict:
+def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
     space = tree.state_space
     kind = query["kind"]
-    policy = _policy_from(args, query.get("policy", {}))
+    policy = _policy_from(args, query.get("policy", {}), path)
     s = parse_situation(space, query.get("condition", ""))
     record: dict = {"query": query, "ok": True}
     if kind in ("eval", "lower"):
@@ -168,9 +189,7 @@ def _run_query(tree, query: dict, args, compiled: dict) -> dict:
         record["depth"] = f.depth
     elif kind in ("hit_time", "hit_prob"):
         make = hitting_time_variable if kind == "hit_time" else hitting_event_variable
-        variable = make(space, query["targets"])
-        upper = limit_upper(tree, variable, s, policy, with_lower=True)
-        lower = upper.lower
+        upper, lower = limit_bounds(tree, make(space, query["targets"]), s, policy)
         record["upper"] = upper.to_json()
         record["lower"] = lower.to_json()
         record["converged"] = upper.converged and lower.converged
@@ -363,17 +382,17 @@ def _cmd_eval(args) -> int:
     status = 0
     compiled: dict = {}
 
-    def run_one(q: dict) -> dict:
+    def run_one(i: int, q: dict) -> dict:
         t0 = time.perf_counter()
         try:
-            rec = _run_query(tree, q, args, compiled)
+            rec = _run_query(tree, q, args, compiled, f"queries[{i}]")
         except IptreeError as exc:
             return {"query": q, "ok": False, "error": str(exc)}
         if args.timing:
             rec["wall_time_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         return rec
 
-    report["results"] = [run_one(q) for q in queries]
+    report["results"] = [run_one(i, q) for i, q in enumerate(queries)]
     if any(not rec["ok"] for rec in report["results"]):
         status = 2
     if args.timing:

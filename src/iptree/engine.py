@@ -30,6 +30,12 @@ iterate history either way.  The iterates are value iteration over the
 fixed set of (tree state, automaton state) nodes reachable from the
 situation, one Bellman step per iterate, so a limit costs time linear in
 the horizon; the upper and the lower limit share the pass.
+
+On that finite closure a hitting time or a hitting probability needs no
+truncation: its limit is the least non-negative solution of the Bellman
+equation, which :func:`limit_bounds` computes exactly, by a graph pass for
+the infinite and zero values and policy iteration for the rest, keeping a
+short run of audited iterates as the trail it checks the solution against.
 """
 
 from __future__ import annotations
@@ -41,7 +47,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, MonotonicityError
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
+
+from .errors import InvalidInputError, IptreeError, MonotonicityError
 from .extreal import INF, fmt, weighted_sum
 from .gambles import (
     Cylinder,
@@ -64,6 +73,19 @@ from .tree import PreciseTree, Situation, Tree, as_situation
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
 _VALUE_MONOTONE_SLACK = 1e-9
+
+#: Policy iteration switches a node's extreme point only when that gains
+#: more than this, relative to the node's value (at least 1): ties and
+#: rounding never switch.
+_SWITCH_GAIN = 1e-12
+
+#: Policy iteration rounds before giving up; each strictly improves the
+#: values, so a finite closure needs finitely many.
+_MAX_ROUNDS = 1000
+
+#: Closures of up to this many unknown nodes are solved densely, larger
+#: ones as sparse systems.
+_DENSE_SOLVE = 256
 
 
 @dataclass(frozen=True)
@@ -95,6 +117,7 @@ class StopReason(Enum):
     STABILIZED = "stabilized"
     HORIZON_CAP = "horizon_cap"
     DIVERGING = "diverging"
+    SOLVED = "solved"
 
 
 @dataclass(frozen=True)
@@ -133,17 +156,35 @@ def _points_of(leaf) -> np.ndarray:
     raise InvalidInputError(f"not a local model: {leaf!r}")
 
 
-def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth=None):
+def _tree_moves(assignment, k: int, states: list, ids: dict, start: int) -> list:
+    """The successors' positions in ``states`` of ``states[start:]``, one
+    row of ``k`` per tree state; new tree states are appended to ``states``
+    and ``ids`` (tree state -> position)."""
+    rows = []
+    for t in states[start:]:
+        row = []
+        for y in range(k):
+            nxt = assignment.machine_step(t, y)
+            if nxt not in ids:
+                ids[nxt] = len(states)
+                states.append(nxt)
+            row.append(ids[nxt])
+        rows.append(row)
+    return rows
+
+
+def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth: int, trie=False):
     """Forward reachability of (tree state, automaton state) nodes from
-    ``s``, whose automaton state is ``q0``: level by level up to ``depth``
-    (a node once per level), or without one the finite closure (a node
-    once; its levels are the frontiers of new nodes).
+    ``s``, whose automaton state is ``q0``, level by level up to ``depth``
+    (a node once per level).  With ``trie``, the automaton is a prefix trie
+    (:func:`~iptree.gambles.trie_step`): its states name their prefixes, so
+    every node of a level is new and none needs looking up.
 
     Returns the tree states met above the last level, the nodes per level
     (their tree states' positions in that list and their automaton states,
-    in order of discovery) and the (node, symbol) -> node tables, into the
-    next level or the whole closure.  Only the tree's finite-state view is
-    called per tree state; the nodes move as arrays.
+    in order of discovery) and the (node, symbol) -> node tables into the
+    next level.  Only the tree's finite-state view is called per tree
+    state; the nodes move as arrays.
     """
     assignment, k, n_q = tree.assignment, tree.k, len(step)
     states = [assignment.machine_init(s)]
@@ -151,28 +192,20 @@ def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth=N
     succ = np.zeros((0, k), dtype=np.intp)  # successors of the expanded tree states
     layers = [(np.zeros(1, dtype=np.intp), np.array([q0], dtype=np.intp))]
     transitions: list[np.ndarray] = []
-    index = {q0: 0}  # node code -> its position in the level, or in the closure
-    for _ in itertools.count() if depth is None else range(len(s), depth):
+    for _ in range(len(s), depth):
         if len(succ) < len(states):  # tree states met on the last level
-            grown = []
-            for t in states[len(succ) :]:
-                for y in range(k):
-                    nxt = assignment.machine_step(t, y)
-                    if nxt not in ids:
-                        ids[nxt] = len(states)
-                        states.append(nxt)
-                    grown.append(ids[nxt])
+            grown = _tree_moves(assignment, k, states, ids, len(succ))
             succ = np.concatenate([succ, np.array(grown, dtype=np.intp).reshape(-1, k)])
         t, q = layers[-1]
-        if depth is not None:
-            index = {}  # a node once per level
-        known = len(index)
-        codes = (succ[t] * n_q + step[q]).ravel().tolist()
-        targets = [index.setdefault(c, len(index)) for c in codes]
+        codes = (succ[t] * n_q + step[q]).ravel()
+        if trie:  # distinct codes, kept in order of discovery
+            transitions.append(np.arange(len(codes)).reshape(-1, k))
+            layers.append(np.divmod(codes, n_q))
+            continue
+        index: dict = {}  # node code -> its position in the next level
+        targets = [index.setdefault(c, len(index)) for c in codes.tolist()]
         transitions.append(np.array(targets, dtype=np.intp).reshape(-1, k))
-        if len(index) == known:  # the closure is complete
-            break
-        layers.append(np.divmod(np.array(list(index)[known:], dtype=np.intp), n_q))
+        layers.append(np.divmod(np.array(list(index), dtype=np.intp), n_q))
     return states[: len(succ)], layers, transitions
 
 
@@ -208,7 +241,9 @@ def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
     """
     if cols.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
-    states, layers, transitions = _machine_layers(tree, cols.step, s, cols.read(s)[1], cols.depth)
+    states, layers, transitions = _machine_layers(
+        tree, cols.step, s, cols.read(s)[1], cols.depth, cols.trie
+    )
     points = _local_points(tree, states)
     values = [cols.terminal[layers[-1][1]]]
     argmax: list[np.ndarray] = []
@@ -322,6 +357,42 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
     return [vals[:, 0].reshape((tree.k,) * m) for m, vals in enumerate(values)]
 
 
+def _closure(tree: Tree, machine, s: Situation):
+    """The finite closure of (tree state, automaton state) nodes reachable
+    from the node ``s`` leads to, for an automaton read to every depth (a
+    gamble or a stack of them).
+
+    Both coordinates are level-free, so the nodes are finitely many; they
+    are numbered breadth first, the node ``s`` leads to first.  Returns the
+    reward paid along all of ``s`` (summed in order), the (nodes, k)
+    successor table, each node's automaton state and the extreme points of
+    each node's local model, (nodes, points, k).
+    """
+    step = machine.step.tolist()
+    paid, q = 0.0, 0
+    for y in s:
+        paid, q = paid + machine.reward[q, y], step[q][y]
+    assignment, k = tree.assignment, tree.k
+    states = [assignment.machine_init(s)]
+    ids = {states[0]: 0}  # tree state -> its position in `states`
+    moves: list = []  # successors of the expanded tree states
+    nodes = [(0, q)]
+    index = {nodes[0]: 0}  # node -> its position in `nodes`
+    trans = []
+    for t, q in nodes:  # walked while it grows
+        if t >= len(moves):
+            moves += _tree_moves(assignment, k, states, ids, len(moves))
+        row = []
+        for node in zip(moves[t], step[q]):
+            if node not in index:
+                index[node] = len(nodes)
+                nodes.append(node)
+            row.append(index[node])
+        trans.append(row)
+    t_of, q_of = np.array(nodes, dtype=np.intp).T
+    return paid, np.array(trans, dtype=np.intp), q_of, _local_points(tree, states)[t_of]
+
+
 def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
     """Conditional upper expectations given ``s`` of the automata read to
     depth m, for m = first, first + 1, ..., one array of G values each.
@@ -331,9 +402,8 @@ def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
     is the reward of all of ``s`` plus ``V_{m - len(s)}`` at the node
     (tree state, automaton state) that ``s`` leads to, where ``V_0`` is the
     terminal payoff and ``V_{r+1}`` is the local upper expectation of the
-    step reward plus ``V_r`` at the successor.  Both coordinates are
-    level-free, so ``V`` lives on the closure of the nodes reachable from
-    there: each further iterate is one Bellman step over it.
+    step reward plus ``V_r`` at the successor: each further iterate is one
+    Bellman step over the :func:`_closure`.
     """
     accs, qs = [np.zeros(cols.terminal.shape[1])], [0]
     for y in s:
@@ -341,14 +411,12 @@ def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
         qs.append(int(cols.step[qs[-1], y]))
     for m in range(first, len(s) + 1):
         yield accs[m] + cols.terminal[qs[m]]
-    states, layers, transitions = _machine_layers(tree, cols.step, s, qs[-1])
-    trans, (t_of, q_of) = np.concatenate(transitions), np.concatenate(layers, axis=1)
-    points = _local_points(tree, states)[t_of]
+    paid, trans, q_of, points = _closure(tree, cols, s)
     reward, values = cols.reward[q_of], cols.terminal[q_of]
     for r in itertools.count(len(s) + 1):
         values = _scores(points, reward + values[trans]).max(axis=1)
         if r >= first:  # iterates before `first` are not reported
-            yield accs[-1] + values[0]
+            yield paid + values[0]
 
 
 def _stop(v: LimitVariable, iterates: list, m: int, policy: Policy) -> Optional[ApproxResult]:
@@ -384,6 +452,7 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
     sides = [v if sign > 0 else -v for sign in signs]
     values = _limit_values(tree, MachineStack.of([w.automaton for w in sides]), s, first)
     extremes = itertools.islice(v.automaton.extremes(), first, None)
+    approximations: dict = {}  # (side, horizon) -> that side's approximation, built once
     iterates: list[list] = [[] for _ in sides]
     results: list = [None] * len(sides)  # per side: its result, or the error it waits to raise
     for m, (lo, hi) in zip(range(first, first + policy.max_horizon), extremes):
@@ -396,8 +465,11 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
             beyond = f"{lo}, below the declared lower" if up else f"{hi}, above the declared upper"
             raise InvalidInputError(f"approximation {m} attains {beyond} bound {w.bound}")
         if first < m <= first + policy.monotone_audit:
+            for h in (m - 1, m):
+                if (lead, h) not in approximations:
+                    approximations[lead, h] = w.generator(h)
             lo_g, hi_g = (m - 1, m) if up else (m, m - 1)
-            ok, witness = pointwise_leq(w.generator(lo_g), w.generator(hi_g))
+            ok, witness = pointwise_leq(approximations[lead, lo_g], approximations[lead, hi_g])
             if not ok:
                 raise MonotonicityError(
                     f"approximations {m - 1} and {m} violate the declared direction", witness
@@ -463,6 +535,229 @@ def limit_lower(
 ) -> ApproxResult:
     """Conjugate lower expectation of a limit variable: ``-upper(-v)``."""
     return _negated(_limits(tree, v, s, policy, (-1,))[0])
+
+
+def _hitting_kind(v: LimitVariable) -> Optional[bool]:
+    """Whether ``v`` is a hitting time (True) or the indicator of a hit
+    (False), as :func:`~iptree.gambles.hitting_time_variable` and
+    :func:`~iptree.gambles.hitting_event_variable` build them, or neither
+    (None): a non-decreasing two-state automaton whose state 1 (hit) is
+    absorbing and pays nothing, and whose state 0 pays 1 on every step or
+    on the step into state 1."""
+    a = v.automaton
+    if v.direction is not Direction.NON_DECREASING or len(a.terminal) != 2 or a.terminal.any():
+        return None
+    if not ((a.step[1] == 1).all() and (a.step[0] <= 1).all() and not a.reward[1].any()):
+        return None
+    if (a.reward[0] == 1.0).all():
+        return True
+    return False if np.array_equal(a.reward[0], a.step[0]) else None
+
+
+def _attractor(pos: np.ndarray, trans: np.ndarray, goal: np.ndarray, allowed: np.ndarray):
+    """Nodes from which some choice among the ``allowed`` (nodes, points)
+    extreme points reaches ``goal`` with positive probability, and for each
+    such node outside ``goal`` the first point that moves one rank closer
+    to it with positive probability.  ``pos`` marks the (nodes, points, k)
+    positive masses."""
+    inside, choice = goal.copy(), np.zeros(len(goal), dtype=np.intp)
+    while True:
+        toward = allowed & (pos & inside[trans][:, None, :]).any(axis=2)
+        new = toward.any(axis=1) & ~inside
+        if not new.any():
+            return inside, choice
+        choice[new] = toward[new].argmax(axis=1)
+        inside |= new
+
+
+def _staying(pos: np.ndarray, trans: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """(nodes, points): whether the point surely keeps the path in ``inside``."""
+    return (~pos | inside[trans][:, None, :]).all(axis=2)
+
+
+def _trap(pos: np.ndarray, trans: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The largest set of ``live`` nodes in each of which some extreme point
+    surely keeps the path inside the set."""
+    trap = live
+    while True:
+        kept = trap & _staying(pos, trans, trap).any(axis=1)
+        if (kept == trap).all():
+            return trap
+        trap = kept
+
+
+def _exits(p: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Which unknown nodes leave the unknown set with positive probability
+    under the chosen points ``p`` (unknown nodes, k); ``col`` is each
+    successor's position among the unknown nodes, -1 outside."""
+    step, out = p > 0, col < 0
+    exits = (step & out).any(axis=1)
+    while True:
+        more = exits | (step & ~out & exits[col]).any(axis=1)
+        if (more == exits).all():
+            return exits
+        exits = more
+
+
+def _policy_values(points, trans, reward, unknown, fixed, allowed, choice, sign):
+    """Values at every node: ``fixed`` outside ``unknown``, and on it the
+    expected reward to come under the best (per node ``sign`` 1: largest,
+    -1: least) stationary choice of ``allowed`` extreme points, by policy
+    iteration.
+
+    The first choice is greedy for the guess 1 at every unknown node.  A
+    node then switches its point only when that gains more than
+    :data:`_SWITCH_GAIN` relative to its value.  A choice that would keep a
+    node among the unknown ones for good falls back to its entry in
+    ``choice``, under which every unknown node leaves them with positive
+    probability; allowed points put no mass on infinite ``fixed`` values.
+    So each policy's linear system is nonsingular, and the iteration stops
+    at a policy whose values solve the Bellman equation.  For a largest
+    value that solution is the least one, the limit, because no policy does
+    better than the limit, even where an end component admits larger
+    solutions (de Alfaro 1997; Baier & Katoen 2008, section 10.6).  For a
+    least value the solution is unique: on the unknown nodes every allowed
+    choice leaves them almost surely, or pays a step each time it stays.
+    """
+    idx = np.flatnonzero(unknown)
+    values = fixed.copy()
+    n = len(idx)
+    if not n:
+        return values
+    at = np.full(len(trans), -1)
+    at[idx] = np.arange(n)
+    pts, nxt, rew, allowed, choice = points[idx], trans[idx], reward[idx], allowed[idx], choice[idx]
+    sign = sign[idx, None]
+    col, rows = at[nxt], np.arange(n)
+    stay = col == rows[:, None]  # steps back to the same node
+    moves = (col >= 0) & ~stay  # steps to other unknown nodes
+    entry = (np.repeat(rows, trans.shape[1])[moves.ravel()], col[moves])
+    known = np.where(np.isinf(fixed), 0.0, fixed)  # no allowed point reaches an infinite value
+    known[idx] = 0.0
+    base = weighted_sum(pts, (rew + known[nxt])[:, None, :])  # reward and known values, per point
+    known[idx] = 1.0
+    for rounds in range(_MAX_ROUNDS):
+        gained = sign * weighted_sum(pts, (rew + known[nxt])[:, None, :])
+        gained[~allowed] = -INF
+        best = gained.argmax(axis=1)
+        if rounds:
+            now = gained[rows, choice]
+            switch = gained[rows, best] > now + _SWITCH_GAIN * np.maximum(1.0, np.abs(now))
+            if not switch.any():
+                return values
+            best = np.where(switch, best, choice)
+        stuck = ~_exits(pts[rows, best], col)
+        best[stuck] = choice[stuck]
+        if rounds and (best == choice).all():
+            return values
+        choice = best
+        # I - P, its diagonal the mass that leaves the node: 1 - P[i, i]
+        # would round a mass below eps away and make the system singular.
+        p = pts[rows, choice]
+        outflow = weighted_sum(p, ~stay)
+        if n <= _DENSE_SOLVE:
+            matrix = np.diag(outflow)
+            np.subtract.at(matrix, entry, p[moves])
+            values[idx] = known[idx] = np.linalg.solve(matrix, base[rows, choice])
+        else:
+            matrix = csc_matrix(
+                (
+                    np.concatenate([outflow, -p[moves]]),
+                    (np.concatenate([rows, entry[0]]), np.concatenate([rows, entry[1]])),
+                ),
+                (n, n),
+            )
+            values[idx] = known[idx] = spsolve(matrix, base[rows, choice])
+    raise IptreeError(f"policy iteration did not settle in {_MAX_ROUNDS} rounds")
+
+
+def _hitting_values(trans, q_of, points, reward, time: bool):
+    """Upper and lower limits of a hitting variable (:func:`_hitting_kind`)
+    at every node of its closure: the least non-negative solutions of
+    ``h = T(reward + h∘step)`` with ``T`` the local upper, resp. lower,
+    expectation (Krak, T'Joens & De Bock 2019).
+
+    A graph pass settles what needs no numbers, exactly.  A *trap* is a set
+    of not-hit nodes in each of which some extreme point surely stays.
+    From a node that cannot reach a trap every choice of points hits almost
+    surely: the hitting probability is 1 there.  Where a trap can be
+    reached the largest hitting time is +inf; the least hitting probability
+    is 0 in a trap, and the largest is 0 where nothing hits at all.  The
+    least hitting time is finite only where some choice hits almost surely,
+    keeping to points that stay where it is.  Policy iteration solves the
+    rest, for both sides at once; where a first choice would never leave
+    the unknown nodes, it falls back to points that move toward a hit.
+    """
+    done, live = q_of == 1, q_of == 0
+    pos = points > 0
+    every = np.ones(points.shape[:2], dtype=bool)
+    first = np.zeros(len(trans), dtype=np.intp)
+    trap = _trap(pos, trans, live)
+    doomed = _attractor(pos, trans, trap, every)[0]  # some choice may never hit
+    if not time:
+        surely = np.where(live & ~doomed, 1.0, 0.0)
+        reach, choice = _attractor(pos, trans, ~doomed, every)
+        upper = (doomed & reach, surely, every, choice)
+        lower = (doomed & ~trap, surely, every, first)
+    else:
+        upper = (live & ~doomed, np.where(doomed, INF, 0.0), every, first)
+        hits, allowed, choice = np.ones(len(trans), dtype=bool), every, first
+        while doomed.any():  # shrink to where some choice hits almost surely
+            allowed = _staying(pos, trans, hits)
+            reached, choice = _attractor(pos, trans, ~doomed, allowed)
+            if (reached == hits).all():
+                break
+            hits = reached
+        lower = (live & hits, np.where(hits, 0.0, INF), allowed, choice)
+    # One policy iteration for both sides: the lower side's nodes follow the
+    # upper side's, and maximize the negated values.
+    n = len(trans)
+    both = [np.concatenate(parts) for parts in zip(upper, lower)]
+    sign = np.repeat([1.0, -1.0], n)
+    values = _policy_values(
+        np.concatenate([points, points]), np.concatenate([trans, trans + n]),
+        np.concatenate([reward, reward]), *both, sign,
+    )
+    return values[:n], values[n:]
+
+
+def limit_bounds(
+    tree: Tree, v: LimitVariable, s: Situation = (), policy: Policy = Policy()
+) -> tuple[ApproxResult, ApproxResult]:
+    """Upper and lower expectation of a limit variable, solved exactly for
+    hitting times and hitting probabilities.
+
+    For a hitting variable (:func:`~iptree.gambles.hitting_time_variable`,
+    :func:`~iptree.gambles.hitting_event_variable`) the limit is the least
+    non-negative fixed point of the Bellman operator on the closure of
+    (tree state, automaton state) nodes, which :func:`_hitting_values`
+    computes with a graph pass and policy iteration: +inf and 0 come out
+    exactly, and the rest up to the rounding of a few linear solves.  Both
+    results then have ``stop_reason`` solved and ``converged`` true, and
+    their iterates are an audit trail: :func:`limit_upper` over horizons
+    ``start_index`` to ``start_index + monotone_audit`` (at most
+    ``max_horizon`` of them), with every audit it makes.  The solved value
+    must not lie below any trail iterate.  Any other variable gets the
+    value iteration of :func:`limit_upper` and :func:`limit_lower` under
+    ``policy``.
+    """
+    s = as_situation(s, tree.k)
+    time = _hitting_kind(v)
+    if time is None:
+        upper = limit_upper(tree, v, s, policy, with_lower=True)
+        return replace(upper, lower=None), upper.lower
+    window = replace(policy, max_horizon=min(policy.max_horizon, policy.monotone_audit + 1))
+    trail = limit_upper(tree, v, s, window, with_lower=True)
+    paid, trans, q_of, points = _closure(tree, v.automaton, s)
+    solved = _hitting_values(trans, q_of, points, v.automaton.reward[q_of], time)
+    results = []
+    for res, values in zip((replace(trail, lower=None), trail.lower), solved):
+        value = float(paid + values[0])
+        for m, x in res.iterates:  # the iterates rise to the limit
+            if value < x - _VALUE_MONOTONE_SLACK * max(1.0, abs(x)):
+                raise MonotonicityError(f"solved value {value!r} lies below iterate {m}", repr(x))
+        results.append(replace(res, value=value, converged=True, stop_reason=StopReason.SOLVED))
+    return results[0], results[1]
 
 
 def _event_value(tree: Tree, event: EventSpec, s: Situation, policy: Policy, finitary, limit):

@@ -287,7 +287,8 @@ class MachineStack:
 
     ``step`` is the shared ``(states, k)`` transition array, ``reward`` has
     shape ``(states, k, G)`` and ``terminal`` ``(states, G)``: column ``g``
-    holds gamble ``g``'s rewards and terminal payoffs.
+    holds gamble ``g``'s rewards and terminal payoffs.  ``trie`` says that
+    ``step`` is the prefix trie of :func:`trie_step`.
     """
 
     k: int
@@ -295,6 +296,7 @@ class MachineStack:
     step: np.ndarray
     reward: np.ndarray
     terminal: np.ndarray
+    trie: bool = False
 
     @classmethod
     def of(cls, gambles) -> "MachineStack":
@@ -309,7 +311,7 @@ class MachineStack:
         if all(isinstance(f, FinitaryGamble) and f.depth == depth for f in gambles):
             # One trie for all: as_machine's arrays with a gamble axis.
             tables = np.stack([f.table.reshape(-1) for f in gambles], axis=1)
-            return cls(k, depth, *_trie(k, depth, tables))
+            return cls(k, depth, *_trie(k, depth, tables), trie=True)
         machines = [as_machine(f) for f in gambles]
         step = machines[0].step
         if any(m.depth != depth or not np.array_equal(m.step, step) for m in machines):

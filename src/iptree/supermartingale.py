@@ -173,7 +173,7 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     checked = 0
     lo, hi = 0.0, 0.0
     if depth:
-        states, layers, _ = _machine_layers(tree, trie_step(k, depth)[0], (), 0, depth)
+        states, layers, _ = _machine_layers(tree, trie_step(k, depth)[0], (), 0, depth, trie=True)
         points = _local_points(tree, states)
     for m in range(depth):
         value = process.levels[m].reshape(-1)

@@ -250,6 +250,14 @@ class TestLimitPair:
         limit_upper(imprecise_coin, v, (), Policy(max_horizon=30, monotone_audit=4), with_lower=True)
         assert len(calls) == 4
 
+    def test_each_audited_approximation_is_built_once(self, imprecise_coin, monkeypatch):
+        built = []
+        real = LimitVariable.generator
+        monkeypatch.setattr(LimitVariable, "generator", lambda self, m: built.append(m) or real(self, m))
+        v = hitting_time_variable(imprecise_coin.state_space, ["T"])
+        limit_upper(imprecise_coin, v, (), Policy(max_horizon=30, monotone_audit=4), with_lower=True)
+        assert built == [1, 2, 3, 4, 5]
+
 
 class TestCoherenceColumns:
     @staticmethod

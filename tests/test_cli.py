@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from iptree import cli
 from iptree.cli import main
+from iptree.engine import Policy
 
 MODEL = {
     "schema": 1,
@@ -345,6 +346,91 @@ class TestQueryFileExtras:
         code = main(["eval", "--model", model_file, "--query", str(q)])
         assert code == 2
         assert "queries[0].policy.tol" in capsys.readouterr().err
+
+
+def _eval_queries(capsys, tmp_path, model: dict, queries: list) -> tuple[int, str, list]:
+    """Run ``iptree eval`` on a model and a query list; exit code, stdout and records."""
+    (tmp_path / "m.json").write_text(json.dumps(model))
+    (tmp_path / "q.json").write_text(json.dumps({"schema": 1, "queries": queries}))
+    code, out = run(capsys, "eval", "--model", str(tmp_path / "m.json"), "--query", str(tmp_path / "q.json"))
+    return code, out, json.loads(out)["results"]
+
+
+def _homogeneous(states, *points) -> dict:
+    return {"schema": 1, "states": list(states), "model": {"kind": "homogeneous", "extreme_points": list(points)}}
+
+
+class TestSolvedHitQueries:
+    """Hit queries report the limit solved on the product closure."""
+
+    @staticmethod
+    def hits(targets, condition=""):
+        return [{"kind": kind, "targets": targets, "condition": condition} for kind in ("hit_time", "hit_prob")]
+
+    def test_exact_values(self, capsys, tmp_path):
+        slow = _homogeneous("HT", [0.99, 0.01], [0.97, 0.03])
+        for model, want in ((MODEL, (2.5, 5.0 / 3.0, 1.0, 1.0)), (slow, (100.0, 100.0 / 3.0, 1.0, 1.0))):
+            code, out, (time, prob) = _eval_queries(capsys, tmp_path, model, self.hits(["T"]))
+            assert code == 0
+            got = (time["upper"]["value"], time["lower"]["value"], prob["upper"]["value"], prob["lower"]["value"])
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_unreachable_target(self, capsys, tmp_path):
+        model = _homogeneous("ABC", [0.5, 0.5, 0.0], [0.2, 0.8, 0.0])
+        code, out, (time, prob) = _eval_queries(capsys, tmp_path, model, self.hits(["C"]))
+        assert code == 0 and "NaN" not in out
+        assert [time[side]["value"] for side in ("upper", "lower")] == ["+inf", "+inf"]
+        assert [prob[side]["value"] for side in ("upper", "lower")] == [0.0, 0.0]
+        for rec in (time, prob):
+            assert rec["converged"] is True
+            assert {rec[side]["stop_reason"] for side in ("upper", "lower")} == {"solved"}
+
+    def test_a_surely_avoidable_target(self, capsys, tmp_path):
+        model = _homogeneous("HT", [1.0, 0.0], [0.5, 0.5])
+        code, out, (time, prob) = _eval_queries(capsys, tmp_path, model, self.hits(["T"], "H"))
+        assert code == 0 and "NaN" not in out
+        assert prob["lower"]["value"] == 0.0 and prob["upper"]["value"] == pytest.approx(1.0)
+        assert time["upper"]["value"] == "+inf" and time["lower"]["value"] == pytest.approx(3.0)
+        assert {rec[side]["stop_reason"] for rec in (time, prob) for side in ("upper", "lower")} == {"solved"}
+
+    def test_iterates_are_the_audited_window(self, capsys, tmp_path):
+        audit = Policy().monotone_audit
+        code, _, records = _eval_queries(capsys, tmp_path, MODEL, self.hits(["T"]))
+        assert code == 0
+        for rec in records:
+            for side in ("upper", "lower"):
+                assert [m for m, _ in rec[side]["iterates"]] == list(range(1, 2 + audit))
+
+
+class TestPolicyErrors:
+    """A policy value that the flags or the query schema let through, but
+    the engine rejects, is reported with its source."""
+
+    @pytest.mark.parametrize(
+        "argv, env, source",
+        [
+            (["--tol=0"], {}, "--tol/IPTREE_TOL"),
+            (["--max-horizon=0"], {}, "--max-horizon/IPTREE_MAX_HORIZON"),
+            ([], {"IPTREE_TOL": "-1"}, "--tol/IPTREE_TOL"),
+            ([], {"IPTREE_MAX_HORIZON": "-2"}, "--max-horizon/IPTREE_MAX_HORIZON"),
+        ],
+    )
+    def test_flag_or_environment(self, capsys, model_file, monkeypatch, argv, env, source):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out = run(capsys, "eval", "--model", model_file, "--hit-time", "T", *argv)
+        assert code == 2
+        (rec,) = json.loads(out)["results"]
+        assert rec["error"].startswith(f"{source}: policy fields must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "field, value, shown", [("tol", 0, "0.0"), ("max_horizon", 0, "0"), ("divergence_threshold", -1, "-1.0")]
+    )
+    def test_query_file_field(self, capsys, tmp_path, field, value, shown):
+        queries = [{"kind": "eval", "expression": "1"}, {"kind": "hit_prob", "targets": ["T"], "policy": {field: value}}]
+        code, _, records = _eval_queries(capsys, tmp_path, MODEL, queries)
+        assert code == 2 and records[0]["ok"]
+        assert records[1]["error"] == f"queries[1].policy.{field}: policy fields must be positive and finite, got {shown}"
 
 
 def _write_bytes(tmp_path, name, data: bytes):

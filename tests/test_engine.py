@@ -513,3 +513,25 @@ class TestConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: finitary_upper(imprecise_coin, f), range(64)))
         assert all(r == expected for r in results)
+
+
+class TestTrieLayers:
+    def test_a_trie_needs_no_lookups(self):
+        # A dense gamble's prefix trie: the layers taken as they come equal
+        # the layers found by looking every node up.
+        import iptree.engine as engine
+        from iptree.gambles import MachineStack
+
+        rng = np.random.default_rng(41)
+        for trial in range(12):
+            k = int(rng.integers(2, 5))
+            tree = _tree_of_kind(rng, k, ("homogeneous", "markov", "table")[trial % 3])
+            f = random_gamble(rng, k, int(rng.integers(1, 5)))
+            cols = MachineStack.of([f, -f])
+            assert cols.trie
+            s = random_situation(rng, k, int(rng.integers(0, f.depth + 1)))
+            args = (tree, cols.step, s, cols.read(s)[1], cols.depth)
+            fast, slow = engine._machine_layers(*args, trie=True), engine._machine_layers(*args)
+            assert fast[0] == slow[0]
+            for a, b in zip(fast[1:], slow[1:]):
+                assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
