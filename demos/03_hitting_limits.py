@@ -53,10 +53,11 @@ capped = limit_upper(slow, tau, (), policy)
 print("\nslow chain, value iteration:", capped.value, f"({capped.stop_reason.value})")
 print("slow chain, solved:", [r.value for r in limit_bounds(slow, tau, (), policy)])
 
-# The chance of ever seeing tails tends to 1 from both sides.
+# The chance of ever seeing tails is 1: a hitting event is solved too, and
+# its iterates are the audit trail that rises towards it.
 hit = upper_probability(coin, Hitting(("T",)), (), policy)
-print("\nupper probability of ever hitting T:", hit.value)
-print("first iterates:", [round(v, 4) for _, v in hit.iterates[:5]])
+print("\nupper probability of ever hitting T:", hit.value, f"({hit.stop_reason.value})")
+print("audit trail:", [round(v, 4) for _, v in hit.iterates])
 
 # A process that surely stays in H: every finite horizon gives 0 for the
 # chance of leaving, and the limit honors those zeros instead of jumping.

@@ -61,7 +61,6 @@ from .local import (
     cut_limit_trace,
     cut_limit_upper,
     extended_upper_expectation,
-    lower_cut,
     lower_expectation,
     upper_cut,
     upper_expectation,

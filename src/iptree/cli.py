@@ -11,6 +11,10 @@ Two subcommands:
   envelope against the recursion engine), or ``cert`` (validate a
   supermartingale certificate file against an expression).
 
+Only ``eval`` takes ``--tol``, ``--max-horizon`` (the limit policy of its
+queries) and ``--timing``; no ``check`` battery reads them, and ``check``
+rejects them as unrecognized arguments.
+
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON).  A JSON report is byte-identical to ``json.dumps(report,
 indent=2, sort_keys=True)``; it is written in one pass by ``_json_text``.
@@ -19,10 +23,11 @@ is never emitted.  Identical inputs and ``--seed`` produce byte-identical
 reports; ``--timing`` adds wall-clock fields and is therefore off by default.
 
 Flags can be supplied through ``IPTREE_``-prefixed environment variables
-(``IPTREE_MODEL``, ``IPTREE_SEED``, ``IPTREE_TOL``, ``IPTREE_MAX_HORIZON``,
-``IPTREE_FORMAT``); explicit flags win, and an environment value is checked
-like the flag it stands for.  ``main`` reads these variables on every call,
-and builds a new parser only when they have changed since the last call.
+(``IPTREE_MODEL``, ``IPTREE_SEED``, ``IPTREE_FORMAT``, and for ``eval``
+``IPTREE_TOL`` and ``IPTREE_MAX_HORIZON``); explicit flags win, and an
+environment value is checked like the flag it stands for.  ``main`` reads
+these variables on every call, and builds a new parser only when they have
+changed since the last call.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
 the flag.
@@ -103,11 +108,6 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     def common(p):
         p.add_argument("--model", default=model, help="model JSON file")
         p.add_argument("--seed", type=_int_at_least(0), default=seed, help="seed for randomized suites")
-        p.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
-        p.add_argument(
-            "--max-horizon", type=int, default=max_horizon,
-            help="iteration cap for limit queries",
-        )
         fmt_group = p.add_mutually_exclusive_group()
         fmt_group.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -118,10 +118,12 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
             help="human-readable table derived from the JSON report",
         )
         p.set_defaults(format=report_format)
-        p.add_argument("--timing", action="store_true", help="include wall-clock fields (breaks byte-identical reports)")
 
     p_eval = sub.add_parser("eval", help="evaluate queries against a model")
     common(p_eval)
+    p_eval.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
+    p_eval.add_argument("--max-horizon", type=int, default=max_horizon, help="iteration cap for limit queries")
+    p_eval.add_argument("--timing", action="store_true", help="include wall-clock fields (breaks byte-identical reports)")
     p_eval.add_argument("--query", help="query JSON file")
     p_eval.add_argument("--expr", help="inline gamble expression")
     p_eval.add_argument("--at", default="", help="conditioning situation, comma-joined labels")

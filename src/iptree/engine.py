@@ -419,9 +419,9 @@ def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
             yield paid + values[0]
 
 
-def _stop(v: LimitVariable, iterates: list, m: int, policy: Policy) -> Optional[ApproxResult]:
+def _stop(v: LimitVariable, iterates: list, m: int, settled: int, policy: Policy) -> Optional[ApproxResult]:
     """Audit a side's newest iterate for monotonicity; its result if it
-    stops there, stabilized or certified diverging."""
+    stops there, stabilized (past horizon ``settled``) or certified diverging."""
     val = iterates[-1][1]
     sign = 1.0 if v.direction is Direction.NON_DECREASING else -1.0  # the direction of approach
     if len(iterates) > 1:
@@ -431,7 +431,7 @@ def _stop(v: LimitVariable, iterates: list, m: int, policy: Policy) -> Optional[
                 f"iterate values move against the declared direction at index {m}",
                 f"{prev_val!r} -> {val!r}",
             )
-        if abs(val - prev_val) < policy.tol:
+        if abs(val - prev_val) < policy.tol and m - 1 >= settled:
             return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
     if sign * val > policy.divergence_threshold:
         return ApproxResult(sign * INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
@@ -446,6 +446,8 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
     advance and one ``pointwise_leq`` per pair audit them all, phrased for
     the first side still iterating.  As if the sides ran one after the
     other, a later side's error waits until every earlier side has stopped.
+    Iterates up to horizon ``len(s)`` are read off the conditioning
+    situation, so two equal ones stop a side only from there on.
     """
     s = as_situation(s, tree.k)
     first = policy.start_index
@@ -478,7 +480,7 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
             if results[i] is None:
                 iterates[i].append((m, val))
                 try:
-                    results[i] = _stop(sides[i], iterates[i], m, policy)
+                    results[i] = _stop(sides[i], iterates[i], m, len(s), policy)
                 except MonotonicityError as exc:
                     if i == lead:
                         raise
@@ -511,10 +513,11 @@ def limit_upper(
     Monotone limits of the approximations' values converge to the value of
     the limit variable, in both directions, so the iterates are the
     successive finitary upper expectations.  Stops when two successive
-    iterates agree within ``policy.tol`` (stabilized), when the iterates
-    grow monotonically past the divergence threshold (certified-diverging,
-    value +/-inf), or at the horizon cap, in which case the last iterate is
-    reported without extrapolation.
+    iterates past the conditioning situation ``s`` agree within
+    ``policy.tol`` (stabilized), when the iterates grow monotonically past
+    the divergence threshold (certified-diverging, value +/-inf), or at the
+    horizon cap, in which case the last iterate is reported without
+    extrapolation.
 
     The value vector over the reachable (tree state, automaton state) nodes
     is kept between iterates, so each costs one Bellman step and a limit of
@@ -760,14 +763,14 @@ def limit_bounds(
     return results[0], results[1]
 
 
-def _event_value(tree: Tree, event: EventSpec, s: Situation, policy: Policy, finitary, limit):
+def _event_value(tree: Tree, event: EventSpec, s: Situation, policy: Policy, finitary, side: int):
     space = tree.state_space
     if isinstance(event, Cylinder):
         return finitary(tree, indicator_of_cylinder(space, event.situation), s)
     if isinstance(event, UnionAtDepth):
         return finitary(tree, indicator_of_strings(space, event.depth, event.strings), s)
     if isinstance(event, Hitting):
-        return limit(tree, hitting_event_variable(space, event.targets), s, policy)
+        return limit_bounds(tree, hitting_event_variable(space, event.targets), s, policy)[side]
     raise InvalidInputError(f"unknown event specification {event!r}")
 
 
@@ -777,14 +780,16 @@ def upper_probability(
     """Upper probability of an event: upper expectation of its indicator.
 
     Cylinder and fixed-depth union events resolve exactly through the
-    finitary recursion; hitting events go through the monotone limit of
-    horizon indicators and return the full :class:`ApproxResult`.
+    finitary recursion; hitting events are solved on the closure by
+    :func:`limit_bounds` and return its upper :class:`ApproxResult`
+    (``stop_reason`` solved, the iterates an audit trail).
     """
-    return _event_value(tree, event, s, policy, finitary_upper, limit_upper)
+    return _event_value(tree, event, s, policy, finitary_upper, 0)
 
 
 def lower_probability(
     tree: Tree, event: EventSpec, s: Situation = (), policy: Policy = Policy()
 ) -> Union[float, ApproxResult]:
-    """Lower probability of an event, by conjugacy."""
-    return _event_value(tree, event, s, policy, finitary_lower, limit_lower)
+    """Lower probability of an event, by conjugacy; a hitting event's is
+    the lower result of :func:`limit_bounds`."""
+    return _event_value(tree, event, s, policy, finitary_lower, 1)

@@ -183,10 +183,6 @@ class CredalSet:
         return out
 
     @classmethod
-    def from_mass_functions(cls, mass_functions) -> "CredalSet":
-        return cls(np.vstack([m.weights for m in mass_functions]))
-
-    @classmethod
     def singleton(cls, mass: MassFunction) -> "CredalSet":
         return cls(mass.weights[None, :])
 
@@ -202,13 +198,6 @@ class CredalSet:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def is_precise(self) -> bool:
-        return self.n_points == 1
-
-    def mass_functions(self) -> list[MassFunction]:
-        return [MassFunction(row) for row in self.points]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CredalSet) and np.array_equal(self.points, other.points)
@@ -257,11 +246,6 @@ def extended_upper_expectation(credal: CredalSet, f) -> float:
 def upper_cut(f, c: float) -> np.ndarray:
     """Pointwise ``min(f, c)``."""
     return np.minimum(np.asarray(f, dtype=float), c)
-
-
-def lower_cut(f, c: float) -> np.ndarray:
-    """Pointwise ``max(f, c)``."""
-    return np.maximum(np.asarray(f, dtype=float), c)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,17 @@ Certificate document::
 
 The table must be total over situations of length <= depth; values are
 numbers or the string ``"+inf"``.
+
+Situation strings are read only by :func:`~iptree.tree.parse_situation`
+and written only by :mod:`iptree.tree`.  A certificate table is read in one
+pass: a key among :func:`~iptree.tree.situation_strings` (when the labels
+round-trip: none empty, none with a comma) goes straight to its position,
+any other key through the parser, which names a bad one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -51,6 +58,7 @@ from .tree import (
     Table,
     format_situation,
     parse_situation,
+    situation_strings,
 )
 
 SCHEMA_VERSION = 1
@@ -96,10 +104,9 @@ def _stacked_rows(space: StateSpace, depth: int, entries_raw: dict):
     """The situations, all extreme points and points per entry of a table
     whose keys are situations of length <= ``depth`` and whose entries are
     non-empty lists of rows of ``k`` numbers; None for any other table."""
-    index = {label: i for i, label in enumerate(space.labels)}
     try:
-        sits = [tuple(map(index.__getitem__, key.split(","))) if key else () for key in entries_raw]
-    except (AttributeError, KeyError):
+        sits = [parse_situation(space, key) for key in entries_raw]
+    except (AttributeError, InvalidInputError):
         return None
     raws = list(entries_raw.values())
     if max(map(len, sits), default=0) > depth or set(map(type, raws)) - {list} or not all(raws):
@@ -253,36 +260,6 @@ def _value(raw, path: str) -> float:
     raise SchemaError(path, f"expected a number or '+inf', got {raw!r}")
 
 
-def _table_levels(space: StateSpace, sizes: list[int], table_raw: dict):
-    """The levels of a certificate table whose keys are exactly the
-    situation strings and whose values are numbers or ``"+inf"``; None for
-    any other table."""
-    labels = space.labels
-    if any(label == "" or "," in label for label in labels):
-        return None  # situation strings would not name situations one to one
-    keys, level = [""], [""]
-    for _ in sizes[1:]:
-        level = [f"{p},{label}" if p else label for p in level for label in labels]
-        keys += level
-    if table_raw.keys() != set(keys):
-        return None
-    values = list(map(table_raw.__getitem__, keys))
-    kinds = set(map(type, values))
-    if str in kinds:
-        if any(v != "+inf" for v in values if type(v) is str):
-            return None
-        values = [INF if type(v) is str else v for v in values]
-        kinds.discard(str)
-    if not kinds <= {int, float}:
-        return None
-    try:
-        flat = np.array(values, dtype=float)
-    except OverflowError:
-        return None
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return [part.reshape((space.size,) * m) for m, part in enumerate(parts)]
-
-
 def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[TailConstantProcess, float]:
     """Build a tail-constant process and its declared lower bound."""
     _check_schema(doc, path)
@@ -305,22 +282,29 @@ def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[Tail
                 p_depth,
                 f"the table has {len(table_raw)} entries, fewer than the situations of length <= {depth}",
             )
-    levels = _table_levels(space, sizes, table_raw)
-    if levels is None:
-        # Every entry is a distinct situation, so once all are read the
-        # count above guarantees that every situation has its value.
-        levels = [np.empty((k,) * m) for m in range(depth + 1)]
-        for key, raw in table_raw.items():
+    # Each value goes to its situation's position in the levels laid end to
+    # end.  Every entry is a distinct situation, so once all are read the
+    # count above guarantees that every situation has its value.
+    values = [0.0] * count
+    labels_round_trip = not any(label == "" or "," in label for label in space.labels)
+    positions = dict(zip(situation_strings(space, depth), range(count))) if labels_round_trip else {}
+    for key, raw in table_raw.items():
+        i = positions.get(key)
+        if i is None or type(raw) is not float:
             p_entry = f"{p_table}.{key or '<root>'}"
-            try:
-                sit = parse_situation(space, key)
-            except Exception as exc:
-                raise SchemaError(p_entry, str(exc)) from None
-            if len(sit) > depth:
-                raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
-            levels[len(sit)][sit] = _value(raw, p_entry)
+            if i is None:  # a bad key, or labels that only the parser reads
+                try:
+                    sit = parse_situation(space, key)
+                except Exception as exc:
+                    raise SchemaError(p_entry, str(exc)) from None
+                if len(sit) > depth:
+                    raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
+                i = functools.reduce(lambda i, y: i * k + y + 1, sit, 0)  # breadth-first position
+            raw = _value(raw, p_entry)
+        values[i] = raw
+    parts = np.split(np.array(values), np.cumsum(sizes)[:-1])
     try:
-        process = TailConstantProcess(k, tuple(levels))
+        process = TailConstantProcess(k, tuple(part.reshape((k,) * m) for m, part in enumerate(parts)))
     except Exception as exc:
         raise SchemaError(p_table, str(exc)) from None
     finite_floor = process.lower_bound()
@@ -334,10 +318,8 @@ def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[Tail
 def dump_certificate(process: TailConstantProcess, space: StateSpace) -> dict:
     from .extreal import fmt
 
-    table = {}
-    for m, arr in enumerate(process.levels):
-        for sit in np.ndindex(*(space.size,) * m):
-            table[format_situation(space, tuple(sit))] = fmt(float(arr[sit]))
+    values = np.concatenate([level.ravel() for level in process.levels]).tolist()
+    table = dict(zip(situation_strings(space, process.depth), map(fmt, values)))
     return {
         "schema": SCHEMA_VERSION,
         "depth": process.depth,

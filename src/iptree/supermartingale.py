@@ -198,18 +198,15 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     return VerificationReport(not violations, checked, lo, hi, tuple(violations))
 
 
-def canonical_supermartingale(
-    tree: Tree, f: FinitaryGamble, base: Situation = ()
-) -> TailConstantProcess:
+def canonical_supermartingale(tree: Tree, f: FinitaryGamble) -> TailConstantProcess:
     """The tight certificate for a finitary gamble.
 
     Values are the conditional upper expectations of ``f`` at every
     situation up to the gamble's depth; the deepest level is the payoff
     itself, so the tail-constant extension dominates ``f`` on every path, and
     the supermartingale inequality holds with equality everywhere.  Its value
-    at ``base`` (indeed anywhere) matches the recursion engine.
+    at every situation matches the recursion engine.
     """
-    as_situation(base, tree.k)
     levels = value_table(tree, f)
     return TailConstantProcess(tree.k, tuple(levels))
 

@@ -68,9 +68,27 @@ def format_situation(space: StateSpace, s: Situation) -> str:
 
 
 def parse_situation(space: StateSpace, text: str) -> Situation:
+    """The situation named by comma-joined labels; ``""`` is the root."""
     if text == "":
         return ()
-    return situation_from_labels(space, text.split(","))
+    labels = text.split(",")
+    try:
+        return tuple(map(space._index.__getitem__, labels))  # one lookup per label
+    except KeyError:
+        return situation_from_labels(space, labels)  # raises for the first unknown label
+
+
+def situation_strings(space: StateSpace, depth: int) -> list[str]:
+    """The strings of the situations of length <= ``depth``, shortest first
+    and lexicographic, as :func:`format_situation` writes them: entry ``i`` names
+    position ``i`` of a process's levels laid end to end.  They name
+    situations one to one only when no label is empty or has a comma."""
+    strings, level = [""], [""]
+    tails = ["," + label for label in space.labels]
+    for m in range(depth):
+        level = [prefix + tail for prefix in level for tail in tails] if m else list(space.labels)
+        strings += level
+    return strings
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,19 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["certificate"]["valid"] is False
 
+    @pytest.mark.parametrize("flag", ["--tol=0", "--max-horizon=5", "--timing"])
+    def test_eval_only_flags_are_unrecognized(self, capsys, model_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--model", model_file, "axioms", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_policy_variables_do_not_reach_check(self, capsys, model_file, monkeypatch):
+        monkeypatch.setenv("IPTREE_TOL", "tight")
+        monkeypatch.setenv("IPTREE_MAX_HORIZON", "0")
+        code, out = run(capsys, "check", "--model", model_file, "axioms", "--trials", "1")
+        assert code == 0 and json.loads(out)["passed"] is True
+
     def test_malformed_cert_exits_2(self, capsys, model_file, tmp_path):
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps({"schema": 1, "depth": 1, "lower_bound": 0.0, "table": {"": 0.0}}))
@@ -609,17 +622,25 @@ class TestEnvironmentFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert "NaN" not in out
-        bad_flags = [name for name, value in parsed.items() if value is None]
+        # ``check`` reads neither the policy flags nor their variables.
+        read = _FLAG_OR_ENV if command == "eval" else ("seed",)
+        bad_flags = [name for name in read if parsed[name] is None]
         if bad_flags:
             assert code == 2 and out == ""
             assert any(f"argument --{name.replace('_', '-')}: " in err for name in bad_flags), err
+            return
+        unread = [name for name in _FLAG_OR_ENV if name not in read and flags[name] is not None]
+        if unread:
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: " in err
+            assert all(f"--{name.replace('_', '-')}=" in err for name in unread), err
             return
         if report_format not in ("json", "pretty"):
             assert code == 2 and out == ""
             assert f"IPTREE_FORMAT: invalid choice: {report_format!r}" in err
             return
-        policy_ok = 0 < parsed["tol"] < math.inf and parsed["max_horizon"] >= 1
-        assert code == (0 if command == "check" or policy_ok else 2)
+        policy_ok = command == "check" or 0 < parsed["tol"] < math.inf and parsed["max_horizon"] >= 1
+        assert code == (0 if policy_ok else 2)
         if report_format == "pretty":
             assert out.startswith(f"iptree {command} report")
             return

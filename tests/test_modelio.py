@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from iptree.cli import main
 from iptree.errors import InvalidInputError, SchemaError
 from iptree.local import MassFunction, StateSpace
-from iptree.modelio import load_certificate, load_model
+from iptree.modelio import dump_certificate, load_certificate, load_model
+from iptree.supermartingale import TailConstantProcess
 from iptree.tree import parse_situation
 
 COIN = StateSpace(("H", "T"))
@@ -496,3 +497,65 @@ def test_certificates_match_the_reference(tmp_path, seed):
     code, err = run_cli(tmp_path, "cert.json", doc, ["check", "--model", str(model_path), "cert", "{}", "--expr", "1"])
     if got[0] == "error":
         assert (code, err) == (2, f"error: {got[1]}\n")
+
+
+# --- dump_certificate, JSON, load_certificate ------------------------------------
+
+ROUND_TRIP_LABELS = ("H", "T", "U", "V")
+#: Label sets that situation strings do not name one to one, for some k.
+ODD_LABELS = (("", "a", "b", "c"), ("a", "", "b", "c"), ("a,b", "c", "d", "e"), ("a", "b", "a,b", "c"))
+
+
+def random_process(rng, k, depth):
+    """Values in [-2, 2], with +inf and -0.0 entries."""
+    levels = []
+    for m in range(depth + 1):
+        level = rng.uniform(-2, 2, size=(k,) * m)
+        u = rng.uniform(size=level.shape)
+        level[u < 0.1] = math.inf
+        level[(u >= 0.1) & (u < 0.2)] = -0.0
+        levels.append(level)
+    return TailConstantProcess(k, tuple(levels))
+
+
+def dumped(process, space, rng, shuffle):
+    doc = json.loads(json.dumps(dump_certificate(process, space)))
+    if shuffle:
+        keys = list(doc["table"])
+        rng.shuffle(keys)
+        doc["table"] = {key: doc["table"][key] for key in keys}
+    return doc
+
+
+def same_process(a, b) -> bool:
+    return len(a.levels) == len(b.levels) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a.levels, b.levels)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_certificates_round_trip(k, depth, seed, shuffle):
+    rng = np.random.default_rng(seed)
+    process, space = random_process(rng, k, depth), StateSpace(ROUND_TRIP_LABELS[:k])
+    loaded, declared = load_certificate(dumped(process, space, rng, shuffle), space)
+    assert same_process(loaded, process)
+    assert repr(declared) == repr(process.lower_bound())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ODD_LABELS), st.integers(1, 4), st.integers(0, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_certificates_round_trip_through_the_parser(labels, k, depth, seed, shuffle):
+    # An empty label names the root's string again, and a label with a
+    # comma splits: the strings of such labels go through parse_situation,
+    # and past depth 0 the dumped table cannot be read back.
+    rng = np.random.default_rng(seed)
+    process, space = random_process(rng, k, depth), StateSpace(labels[:k])
+    doc = dumped(process, space, rng, shuffle)
+    got, want = outcome(load_certificate, doc, space), outcome(ref_certificate, doc, space)
+    assert got[0] == want[0], (got, want)
+    odd = any(label == "" or "," in label for label in space.labels)
+    if got[0] == "error":
+        assert got[1] == want[1] and odd and depth > 0
+    else:
+        assert same_process(got[1][0], process)

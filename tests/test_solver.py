@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 import iptree.engine as engine
-from iptree.engine import Policy, StopReason, limit_bounds, limit_lower, limit_upper
+from iptree.engine import (
+    Policy,
+    StopReason,
+    limit_bounds,
+    limit_lower,
+    limit_upper,
+    lower_probability,
+    upper_probability,
+)
 from iptree.errors import MonotonicityError
 from iptree.extreal import INF
 from iptree.gambles import (
     Direction,
+    Hitting,
     LimitVariable,
     MachineGamble,
     hitting_event_variable,
@@ -235,3 +244,28 @@ class TestAuditTrail:
             assert upper.lower is None and not solved(upper)
 
 
+
+
+class TestPlateaus:
+    """Equal iterates along the conditioning situation, or while a target
+    is out of reach, are not a limit."""
+
+    def test_hitting_event_given_a_situation_is_solved(self, coin_space, imprecise_coin):
+        res = upper_probability(imprecise_coin, Hitting(("T",)), (0, 0))
+        assert res.value == 1.0 and solved(res)
+
+    def test_value_iteration_does_not_stop_along_the_situation(self, coin_space, imprecise_coin):
+        res = limit_upper(imprecise_coin, hitting_event_variable(coin_space, ["T"]), (0, 0))
+        assert res.iterates[:2] == ((1, 0.0), (2, 0.0))
+        assert len(res.iterates) > 2 and res.stop_reason is StopReason.STABILIZED
+        assert res.value == pytest.approx(1.0, abs=1e-8)
+
+    def test_target_out_of_reach_for_one_step(self, coin_space):
+        # After a first H the lower side can keep T out of reach for a step,
+        # so value iteration stops at 0.5; the limit is 1.
+        half, sure_h = credal([0.5, 0.5]), credal([1.0, 0.0], [0.5, 0.5])
+        tree = ImpreciseTree(coin_space, Table(1, {(): half, (0,): sure_h}, half))
+        assert limit_lower(tree, hitting_event_variable(coin_space, ["T"])).value == 0.5
+        lower = lower_probability(tree, Hitting(("T",)))
+        assert repr(lower) == repr(limit_bounds(tree, hitting_event_variable(coin_space, ["T"]))[1])
+        assert lower.value == pytest.approx(1.0, abs=1e-12) and solved(lower)

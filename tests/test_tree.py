@@ -9,6 +9,7 @@ from iptree.tree import (
     Markov,
     PreciseTree,
     Table,
+    all_situations,
     as_situation,
     count_compatible,
     enumerate_compatible,
@@ -17,6 +18,7 @@ from iptree.tree import (
     is_compatible,
     local_model,
     parse_situation,
+    situation_strings,
 )
 
 
@@ -38,6 +40,19 @@ class TestSituations:
     def test_parse_format_round_trip(self, space):
         for text in ("", "a", "a,b,b"):
             assert format_situation(space, parse_situation(space, text)) == text
+
+    @pytest.mark.parametrize("text, label", [("c", "c"), ("a,c,d", "c"), ("a,,b", ""), (",", ""), ("a b", "a b")])
+    def test_parse_names_the_first_unknown_label(self, space, text, label):
+        with pytest.raises(InvalidInputError) as exc:
+            parse_situation(space, text)
+        assert str(exc.value) == f"unknown state label {label!r}; states are ['a', 'b']"
+
+    @pytest.mark.parametrize("labels", [("a", "b"), ("x", "yy", "z"), ("", "a"), ("a,b", "c"), ("q",)])
+    def test_situation_strings_in_level_order(self, labels):
+        space = StateSpace(labels)
+        for depth in range(4):
+            want = [format_situation(space, s) for s in all_situations(space.size, depth)]
+            assert situation_strings(space, depth) == want
 
 
 class TestLocalModel:
