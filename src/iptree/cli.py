@@ -30,7 +30,7 @@ these variables on every call, and builds a new parser only when they have
 changed since the last call.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
-the flag.
+the flag, and so is an unknown label in a ``condition`` or ``targets``.
 
 Exit codes: 0 success (and all checks passed), 1 a check ran and found
 violations, 2 any input or query error.
@@ -174,11 +174,24 @@ def _compiled(compiled: dict, source: str, space, cap: int):
     return compiled[key]
 
 
+def _named(source: str, call, *call_args):
+    """``call(*call_args)``, an input error it raises prefixed with
+    ``source``, the JSON path or flag of the input it read."""
+    try:
+        return call(*call_args)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{source}: {exc}") from None
+
+
 def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
     space = tree.state_space
     kind = query["kind"]
     policy = _policy_from(args, query.get("policy", {}), path)
-    s = parse_situation(space, query.get("condition", ""))
+    if args.query:  # a query file's fields are named by their JSON paths
+        sources = {"condition": f"{path}.condition", "targets": f"{path}.targets"}
+    else:  # inline queries' by their flags
+        sources = {"condition": "--at", "targets": "--" + kind.replace("_", "-")}
+    s = _named(sources["condition"], parse_situation, space, query.get("condition", ""))
     record: dict = {"query": query, "ok": True}
     if kind in ("eval", "lower"):
         cap = int(query.get("policy", {}).get("table_cap", DEFAULT_TABLE_CAP))
@@ -191,7 +204,8 @@ def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
         record["depth"] = f.depth
     elif kind in ("hit_time", "hit_prob"):
         make = hitting_time_variable if kind == "hit_time" else hitting_event_variable
-        upper, lower = limit_bounds(tree, make(space, query["targets"]), s, policy)
+        v = _named(sources["targets"], make, space, query["targets"])
+        upper, lower = limit_bounds(tree, v, s, policy)
         record["upper"] = upper.to_json()
         record["lower"] = lower.to_json()
         record["converged"] = upper.converged and lower.converged
@@ -433,7 +447,7 @@ def _cmd_check(args) -> int:
             return 2
         process, declared = load_certificate_file(args.target, tree.state_space)
         f = compile_gamble(parse_gamble(args.expr, tree.state_space))
-        s = parse_situation(tree.state_space, args.at)
+        s = _named("--at", parse_situation, tree.state_space, args.at)
         cert = certified_upper_bound(process, f, tree, s)
         report["certificate"] = _certificate_json(cert, tree.state_space, declared)
         passed = cert.valid

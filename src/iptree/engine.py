@@ -497,7 +497,8 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
 
 
 def _negated(res: ApproxResult) -> ApproxResult:
-    return replace(res, value=-res.value, iterates=tuple((m, -x) for m, x in res.iterates))
+    iterates = tuple((m, -x) for m, x in res.iterates)
+    return ApproxResult(-res.value, iterates, res.converged, res.stop_reason, res.tol)
 
 
 def limit_upper(
@@ -526,17 +527,27 @@ def limit_upper(
     by one min/max step per iterate), the first ``policy.monotone_audit``
     pairs pointwise, and the values for monotonicity.  With ``with_lower``
     the result's ``lower`` is :func:`limit_lower`'s, from the same pass.
+
+    For hitting times and hitting probabilities :func:`limit_bounds` is the
+    exact path; value iteration is its audit trail, and can stop on a
+    plateau where a target stays out of reach for a step.
     """
     if not with_lower:
         return _limits(tree, v, s, policy, (1,))[0]
     upper, lower = _limits(tree, v, s, policy, (1, -1))
-    return replace(upper, lower=_negated(lower))
+    return ApproxResult(
+        upper.value, upper.iterates, upper.converged, upper.stop_reason, upper.tol, lower=_negated(lower)
+    )
 
 
 def limit_lower(
     tree: Tree, v: LimitVariable, s: Situation = (), policy: Policy = Policy()
 ) -> ApproxResult:
-    """Conjugate lower expectation of a limit variable: ``-upper(-v)``."""
+    """Conjugate lower expectation of a limit variable: ``-upper(-v)``.
+
+    As for :func:`limit_upper`, hitting variables get their exact limits
+    from :func:`limit_bounds`; value iteration can stop on a plateau.
+    """
     return _negated(_limits(tree, v, s, policy, (-1,))[0])
 
 
@@ -754,12 +765,12 @@ def limit_bounds(
     paid, trans, q_of, points = _closure(tree, v.automaton, s)
     solved = _hitting_values(trans, q_of, points, v.automaton.reward[q_of], time)
     results = []
-    for res, values in zip((replace(trail, lower=None), trail.lower), solved):
+    for res, values in zip((trail, trail.lower), solved):
         value = float(paid + values[0])
         for m, x in res.iterates:  # the iterates rise to the limit
             if value < x - _VALUE_MONOTONE_SLACK * max(1.0, abs(x)):
                 raise MonotonicityError(f"solved value {value!r} lies below iterate {m}", repr(x))
-        results.append(replace(res, value=value, converged=True, stop_reason=StopReason.SOLVED))
+        results.append(ApproxResult(value, res.iterates, True, StopReason.SOLVED, res.tol))
     return results[0], results[1]
 
 

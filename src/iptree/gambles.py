@@ -30,7 +30,7 @@ single Bellman step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -43,6 +43,21 @@ from .tree import Situation, as_situation
 
 #: Default cap on dense-table size (cells); 2**12 keeps depth <= 12 for k=2.
 DEFAULT_TABLE_CAP = 4096
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _derived(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without running ``__post_init__``: for values derived from a
+    checked instance and already in the form its constructor stores."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,10 @@ class FinitaryGamble:
         return FinitaryGamble(self.k, np.ascontiguousarray(table))
 
     def __neg__(self) -> "FinitaryGamble":
-        return FinitaryGamble(self.k, -self.table)
+        # The table FinitaryGamble(k, -table) would store, unchecked: the
+        # negation of a valid table is valid (``out`` keeps a 0-d table an array).
+        table = np.negative(self.table, out=np.empty_like(self.table))
+        return _derived(FinitaryGamble, k=self.k, table=_read_only(table))
 
     def __add__(self, other) -> "FinitaryGamble":
         if isinstance(other, (int, float)):
@@ -140,6 +158,12 @@ class MachineGamble:
     ``reward[q, y]``.  The payoff of a string is the reward of its first
     ``depth`` steps plus ``terminal`` of the state they reach; later symbols
     do not count.
+
+    The constructor checks the arrays and stores read-only copies without
+    negative zeros.  Automata derived from a checked one (its negation, and
+    the truncations of :meth:`LimitVariable.generator`) share its frozen
+    arrays, or hold frozen arrays computed from them, and are not checked
+    again.
     """
 
     k: int
@@ -204,7 +228,11 @@ class MachineGamble:
         return float(lo[0]), float(hi[0])
 
     def __neg__(self) -> "MachineGamble":
-        return MachineGamble(self.k, self.depth, self.step, -self.reward, -self.terminal)
+        # 0.0 - x is what the constructor stores for -x: no negative zeros.
+        return _derived(
+            MachineGamble, k=self.k, depth=self.depth, step=self.step,
+            reward=_read_only(0.0 - self.reward), terminal=_read_only(0.0 - self.terminal),
+        )
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
@@ -314,7 +342,7 @@ class MachineStack:
             return cls(k, depth, *_trie(k, depth, tables), trie=True)
         machines = [as_machine(f) for f in gambles]
         step = machines[0].step
-        if any(m.depth != depth or not np.array_equal(m.step, step) for m in machines):
+        if any(m.depth != depth or not (m.step is step or np.array_equal(m.step, step)) for m in machines):
             raise InvalidInputError("gambles evaluated together must share one automaton")
         reward = np.stack([m.reward for m in machines], axis=-1)
         return cls(k, depth, step, reward, np.stack([m.terminal for m in machines], axis=-1))
@@ -431,6 +459,10 @@ class LimitVariable:
     uniformly bounded below by ``bound``; non-increasing ones uniformly
     bounded above by it.  Monotonicity is the caller's promise; consumers
     audit it up to a horizon and fail loudly on violations.
+
+    The approximations and the negation share the automaton's validated,
+    frozen arrays (a negation holds their negated copies) instead of
+    checking them again; only a negative depth is rejected.
     """
 
     automaton: MachineGamble
@@ -438,7 +470,10 @@ class LimitVariable:
     bound: float
 
     def generator(self, m: int) -> MachineGamble:
-        return replace(self.automaton, depth=m)
+        if m < 0:
+            raise InvalidInputError("depth must be non-negative")
+        a = self.automaton
+        return _derived(MachineGamble, k=a.k, depth=m, step=a.step, reward=a.reward, terminal=a.terminal)
 
     def __neg__(self) -> "LimitVariable":
         flipped = (

@@ -100,39 +100,39 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _stacked_rows(space: StateSpace, depth: int, entries_raw: dict):
-    """The situations, all extreme points and points per entry of a table
-    whose keys are situations of length <= ``depth`` and whose entries are
-    non-empty lists of rows of ``k`` numbers; None for any other table."""
-    try:
-        sits = [parse_situation(space, key) for key in entries_raw]
-    except (AttributeError, InvalidInputError):
-        return None
-    raws = list(entries_raw.values())
-    if max(map(len, sits), default=0) > depth or set(map(type, raws)) - {list} or not all(raws):
+def _stacked(raws: list, k: int):
+    """The credal sets of extreme-point lists ``raws`` checked in one stack
+    (see :meth:`CredalSet.stacked`) when each is a non-empty list of rows of
+    ``k`` numbers and all pass the checks; None otherwise, and the caller
+    reads them one by one, which raises for the first bad one."""
+    if set(map(type, raws)) - {list} or not all(raws):
         return None
     rows = [row for raw in raws for row in raw]
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {space.size}:
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {k}:
         return None
     if {type(x) for row in rows for x in row} - {int, float}:
         return None
-    return sits, rows, list(map(len, raws))
+    try:
+        return CredalSet.stacked(np.array(rows, dtype=float), list(map(len, raws)))
+    except (InvalidInputError, OverflowError):
+        return None
 
 
 def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) -> dict:
     """A table model's entries, situation -> credal set, in document order.
 
-    A well-typed table has its extreme points checked in one stack (see
-    :meth:`CredalSet.stacked`).  Any other table, or one that fails the
-    checks, is read entry by entry, which raises for the first bad entry.
+    A table whose keys are situations of length <= ``depth`` has its
+    entries read by :func:`_stacked`.  Any other table, or one it does not
+    take, is read entry by entry, which raises for the first bad entry.
     """
-    stacked = _stacked_rows(space, depth, entries_raw)
-    if stacked is not None:
-        sits, rows, sizes = stacked
-        try:
-            return dict(zip(sits, CredalSet.stacked(np.array(rows, dtype=float), sizes)))
-        except (InvalidInputError, OverflowError):
-            pass  # reported below with the entry's path
+    try:
+        sits = [parse_situation(space, key) for key in entries_raw]
+    except (AttributeError, InvalidInputError):
+        sits = None
+    if sits is not None and max(map(len, sits), default=0) <= depth:
+        credal_sets = _stacked(list(entries_raw.values()), space.size)
+        if credal_sets is not None:
+            return dict(zip(sits, credal_sets))
     entries = {}
     for key, raw in entries_raw.items():
         p_entry = f"{path}.{key or '<root>'}"
@@ -144,6 +144,36 @@ def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) 
             raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
         entries[sit] = _points(raw, p_entry)
     return entries
+
+
+def _markov_sets(space: StateSpace, model: dict, p_model: str) -> list:
+    """A Markov model's root credal set and its credal sets per state, in
+    label order.
+
+    A model whose ``by_state`` has exactly the state labels as keys has
+    ``root`` and its entries read in one :func:`_stacked` call.  Any other
+    model, or one it does not take, is read part by part, which raises for
+    the first bad part: ``root``, then ``by_state`` in label order, then an
+    unknown label.
+    """
+    by_state_raw = model.get("by_state")
+    if isinstance(by_state_raw, dict) and by_state_raw.keys() == set(space.labels):
+        credal_sets = _stacked([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
+        if credal_sets is not None:
+            return credal_sets
+    root = _points(_need(model, "root", p_model), f"{p_model}.root")
+    by_state_raw = _need(model, "by_state", p_model)
+    if not isinstance(by_state_raw, dict):
+        raise SchemaError(f"{p_model}.by_state", "expected an object keyed by state label")
+    by_state = []
+    for label in space.labels:
+        if label not in by_state_raw:
+            raise SchemaError(f"{p_model}.by_state.{label}", "missing model for this state")
+        by_state.append(_points(by_state_raw[label], f"{p_model}.by_state.{label}"))
+    extra = set(by_state_raw) - set(space.labels)
+    if extra:
+        raise SchemaError(f"{p_model}.by_state.{sorted(extra)[0]}", "unknown state label")
+    return [root, *by_state]
 
 
 def load_model(doc: dict, path: str = "") -> ImpreciseTree:
@@ -169,18 +199,7 @@ def load_model(doc: dict, path: str = "") -> ImpreciseTree:
         credal = _points(_need(model, "extreme_points", p_model), f"{p_model}.extreme_points")
         assignment = Homogeneous(credal)
     elif kind == "markov":
-        root = _points(_need(model, "root", p_model), f"{p_model}.root")
-        by_state_raw = _need(model, "by_state", p_model)
-        if not isinstance(by_state_raw, dict):
-            raise SchemaError(f"{p_model}.by_state", "expected an object keyed by state label")
-        by_state = []
-        for label in space.labels:
-            if label not in by_state_raw:
-                raise SchemaError(f"{p_model}.by_state.{label}", "missing model for this state")
-            by_state.append(_points(by_state_raw[label], f"{p_model}.by_state.{label}"))
-        extra = set(by_state_raw) - set(space.labels)
-        if extra:
-            raise SchemaError(f"{p_model}.by_state.{sorted(extra)[0]}", "unknown state label")
+        root, *by_state = _markov_sets(space, model, p_model)
         assignment = Markov(root, tuple(by_state))
     elif kind == "table":
         depth = _need(model, "depth", p_model)

@@ -446,6 +446,50 @@ class TestPolicyErrors:
         assert records[1]["error"] == f"queries[1].policy.{field}: policy fields must be positive and finite, got {shown}"
 
 
+class TestLabelErrors:
+    """An unknown label in a condition or in targets is reported at its
+    JSON path, or for an inline query at its flag."""
+
+    UNKNOWN = "unknown state label 'Z'; states are ['H', 'T']"
+
+    def test_query_file_fields(self, capsys, tmp_path):
+        queries = [
+            {"kind": "hit_prob", "targets": ["Z"]},
+            {"kind": "eval", "expression": "1", "condition": "H,Z"},
+            {"kind": "hit_time", "targets": ["T", "Z"], "condition": "Z"},
+            {"kind": "hit_time", "targets": ["T"]},
+        ]
+        code, _, records = _eval_queries(capsys, tmp_path, MODEL, queries)
+        assert code == 2
+        assert [rec.get("error") for rec in records] == [
+            f"queries[0].targets: {self.UNKNOWN}",
+            f"queries[1].condition: {self.UNKNOWN}",
+            f"queries[2].condition: {self.UNKNOWN}",  # the condition is read first
+            None,
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["--expr", "1", "--at", "H,Z"], "--at"),
+            (["--hit-time", "Z"], "--hit-time"),
+            (["--hit-prob", "T,Z"], "--hit-prob"),
+        ],
+    )
+    def test_inline_flags(self, capsys, model_file, argv, source):
+        code, out = run(capsys, "eval", "--model", model_file, *argv)
+        assert code == 2
+        (rec,) = json.loads(out)["results"]
+        assert rec["error"] == f"{source}: {self.UNKNOWN}"
+
+    def test_check_cert_condition(self, capsys, model_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"schema": 1, "depth": 0, "lower_bound": 1.0, "table": {"": 1.0}}))
+        code = main(["check", "--model", model_file, "cert", str(cert), "--expr", "1", "--at", "Z"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --at: {self.UNKNOWN}\n"
+
+
 def _write_bytes(tmp_path, name, data: bytes):
     path = tmp_path / name
     path.write_bytes(data)

@@ -5,8 +5,11 @@ import pytest
 
 from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.gambles import (
+    Direction,
     FinitaryGamble,
+    LimitVariable,
     MachineGamble,
+    MachineStack,
     as_machine,
     hitting_event_variable,
     hitting_indicator,
@@ -211,6 +214,84 @@ class TestMachineGamble:
                 assert m.bounds() == pytest.approx(want, rel=1e-12, abs=1e-12)
             for string in np.ndindex(*(k,) * m.depth):
                 assert table[string] == m.payoff(string)
+
+
+def assert_stored_alike(got, want, names):
+    """``got`` holds what ``want`` (from the checking constructor) holds:
+    the same bits, dtypes and shapes, every array read-only."""
+    assert type(got) is type(want)
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        if not isinstance(b, np.ndarray):
+            assert type(a) is type(b) and a == b, name
+            continue
+        assert isinstance(a, np.ndarray), name
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert not a.flags.writeable, name
+
+
+MACHINE_FIELDS = ("k", "depth", "step", "reward", "terminal")
+
+
+def has_negative_zero(arr) -> bool:
+    return bool(np.signbit(arr[arr == 0]).any())
+
+
+class TestDerivedAutomata:
+    """Truncations and negations skip the constructor's checks; they must
+    store what the constructor would."""
+
+    def variables(self, space):
+        rng = np.random.default_rng(11)
+        yield hitting_time_variable(space, ["T"])
+        yield hitting_event_variable(space, ["H"])
+        for seed in range(12):
+            # Rounded payoffs hold zeros and negative zeros.
+            a = random_machine(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)), seed % 4, integer=seed % 2)
+            yield LimitVariable(a, Direction.NON_DECREASING, -100.0)
+
+    def test_generator_matches_the_constructor(self, space):
+        for v in self.variables(space):
+            a = v.automaton
+            for m in (0, 1, 2, 7):
+                got = v.generator(m)
+                assert_stored_alike(got, MachineGamble(a.k, m, a.step, a.reward, a.terminal), MACHINE_FIELDS)
+                assert got.step is a.step and got.reward is a.reward and got.terminal is a.terminal
+
+    def test_negation_matches_the_constructor(self, space):
+        for v in self.variables(space):
+            a = v.automaton
+            want = MachineGamble(a.k, a.depth, a.step, -a.reward, -a.terminal)
+            for got in (-a, (-v).automaton):
+                assert_stored_alike(got, want, MACHINE_FIELDS)
+                assert got.step is a.step
+                assert not has_negative_zero(got.reward) and not has_negative_zero(got.terminal)
+            assert_stored_alike((-v).generator(3), replace(want, depth=3), MACHINE_FIELDS)
+            assert ((-v).direction, (-v).bound) == (Direction.NON_INCREASING, -v.bound)
+
+    def test_stacking_an_automaton_and_its_negation_is_unchanged(self, space):
+        for v in self.variables(space):
+            a = v.automaton
+            got = MachineStack.of([a, (-v).automaton])
+            want = MachineStack.of([a, MachineGamble(a.k, a.depth, a.step, -a.reward, -a.terminal)])
+            assert (got.k, got.depth, got.trie) == (want.k, want.depth, want.trie)
+            for name in ("step", "reward", "terminal"):
+                x, y = getattr(got, name), getattr(want, name)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+    def test_dense_negation_matches_the_constructor(self):
+        # A dense table keeps its signed zeros, as the constructor does.
+        rng = np.random.default_rng(4)
+        for depth in range(4):
+            table = np.round(rng.uniform(-2, 2, size=(3,) * depth))
+            f = FinitaryGamble(3, table)
+            assert_stored_alike(-f, FinitaryGamble(3, -f.table), ("k", "table"))
+            assert (-(-f)).table.tobytes() == f.table.tobytes()
+        assert_stored_alike(-FinitaryGamble.constant(2, 0.0), FinitaryGamble(2, np.asarray(-0.0)), ("k", "table"))
+
+    def test_negative_depth_still_raises(self, space):
+        with pytest.raises(InvalidInputError, match="depth must be non-negative"):
+            hitting_time_variable(space, ["T"]).generator(-1)
 
 
 class TestPointwiseLeq:

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from iptree.cli import main
 from iptree.errors import InvalidInputError, SchemaError
-from iptree.local import MassFunction, StateSpace
+from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.modelio import dump_certificate, load_certificate, load_model
 from iptree.supermartingale import TailConstantProcess
 from iptree.tree import parse_situation
@@ -559,3 +560,163 @@ def test_certificates_round_trip_through_the_parser(labels, k, depth, seed, shuf
         assert got[1] == want[1] and odd and depth > 0
     else:
         assert same_process(got[1][0], process)
+
+
+# --- Markov models: one stacked check, errors part by part ------------------------
+
+def markov_model(model, states=("A", "B")):
+    return {"schema": 1, "states": list(states), "model": {"kind": "markov", **model}}
+
+
+UNIFORM = [[0.5, 0.5]]
+
+
+class TestMarkovModelErrors:
+    @pytest.mark.parametrize(
+        "model, expected",
+        [
+            # The root is read first, then the states in label order, then
+            # unknown labels; the widths are checked last, root first.
+            ({"root": [[0.5, 0.6]], "by_state": {"A": UNIFORM}},
+             "model.root: mass function weights sum to 1.1, not 1 (tolerance 1e-09)"),
+            ({"root": UNIFORM, "by_state": {"A": [[-0.5, 1.5]]}},
+             "model.by_state.A: mass function weights must be non-negative"),
+            ({"by_state": {"A": UNIFORM, "B": UNIFORM}}, "model.root: missing required field"),
+            ({"root": [], "by_state": []}, "model.root: expected a non-empty list of extreme points"),
+            ({"root": UNIFORM, "by_state": [UNIFORM, UNIFORM]},
+             "model.by_state: expected an object keyed by state label"),
+            ({"root": UNIFORM}, "model.by_state: missing required field"),
+            ({"root": UNIFORM, "by_state": {"A": [[0.5, "x"]], "B": [[0.7, 0.7]]}},
+             "model.by_state.A[0]: expected a list of numbers"),
+            ({"root": UNIFORM, "by_state": {"B": UNIFORM, "Z": UNIFORM}},
+             "model.by_state.A: missing model for this state"),
+            ({"root": UNIFORM, "by_state": {"A": UNIFORM, "B": [[0.5, 0.5], [0.2]], "Z": UNIFORM}},
+             "model.by_state.B: " + numpy_message([[0.5, 0.5], [0.2]])),
+            ({"root": UNIFORM, "by_state": {"A": UNIFORM, "B": UNIFORM, "Z": UNIFORM}},
+             "model.by_state.Z: unknown state label"),
+            ({"root": UNIFORM, "by_state": {"A": UNIFORM, "B": [[0.2, 0.3, 0.5]]}},
+             "model: local model over 3 states attached to a tree with 2 states"),
+            ({"root": [[1.0]], "by_state": {"A": UNIFORM, "B": [[0.9, 0.2]]}},
+             "model.by_state.B: mass function weights sum to 1.1, not 1 (tolerance 1e-09)"),
+            ({"root": UNIFORM, "by_state": {"A": UNIFORM, "B": [[10**400, 0]]}},
+             "model.by_state.B: int too large to convert to float"),
+            ({"root": UNIFORM, "by_state": {"A": [[math.nan, 1.0]], "B": UNIFORM}},
+             "model.by_state.A: NaN is not a valid extreme point weight"),
+        ],
+    )
+    def test_first_bad_part_wins(self, model, expected):
+        assert schema_error(load_model, markov_model(model)) == expected
+
+
+def ref_markov_model(doc):
+    """The root, then every state in label order, then unknown labels, each
+    checked row by row; widths last."""
+    space = StateSpace(tuple(doc["states"]))
+    model = doc["model"]
+    if "root" not in model:
+        raise SchemaError("model.root", "missing required field")
+    root = ref_points(model["root"], "model.root")
+    if "by_state" not in model:
+        raise SchemaError("model.by_state", "missing required field")
+    by_state_raw = model["by_state"]
+    if not isinstance(by_state_raw, dict):
+        raise SchemaError("model.by_state", "expected an object keyed by state label")
+    by_state = []
+    for label in space.labels:
+        if label not in by_state_raw:
+            raise SchemaError(f"model.by_state.{label}", "missing model for this state")
+        by_state.append(ref_points(by_state_raw[label], f"model.by_state.{label}"))
+    extra = sorted(set(by_state_raw) - set(space.labels))
+    if extra:
+        raise SchemaError(f"model.by_state.{extra[0]}", "unknown state label")
+    for points in [root, *by_state]:
+        if points.shape[1] != space.size:
+            raise SchemaError(
+                "model", f"local model over {points.shape[1]} states attached to a tree with {space.size} states"
+            )
+    return [root, *by_state]
+
+
+MARKOV_DEFECTS = ("missing", "extra", "no_root", "empty", "type", "nan", "negative", "sum", "ragged", "width")
+
+
+def random_markov_doc(rng):
+    k = int(rng.integers(2, 4))
+    labels = LABELS[:k]
+    parts = {}
+    for name in ("root", *labels):
+        rows = [random_row(rng, k) for _ in range(int(rng.integers(1, 4)))]
+        if rng.uniform() < 0.3:
+            rows.insert(int(rng.integers(0, len(rows) + 1)), list(rows[0]))  # a duplicate, dropped
+        parts[name] = rows
+    by_state = {label: parts[label] for label in rng.permutation(labels)}
+    doc = markov_model({"root": parts["root"], "by_state": by_state}, states=labels)
+    for defect in rng.choice(MARKOV_DEFECTS, size=int(rng.integers(0, 3))):
+        names = ["root", *by_state]
+        if defect == "missing" and by_state:
+            del by_state[names[int(rng.integers(1, len(names)))]]
+            continue
+        if defect == "extra":
+            by_state["Z"] = [random_row(rng, k)]
+            continue
+        if defect == "no_root":
+            doc["model"].pop("root", None)
+            continue
+        name = names[int(rng.integers(0, len(names)))]
+        owner = doc["model"] if name == "root" else by_state
+        if name not in owner or not owner[name]:
+            continue
+        rows = owner[name]
+        i = int(rng.integers(0, len(rows)))
+        if defect == "empty":
+            owner[name] = []
+        elif defect == "type" and rows[i]:
+            rows[i][int(rng.integers(0, len(rows[i])))] = [True, None, "0.5", [0.5]][int(rng.integers(0, 4))]
+        elif defect == "nan" and rows[i]:
+            rows[i][int(rng.integers(0, len(rows[i])))] = math.nan
+        elif defect == "negative":
+            rows[i] = [-0.25, 1.25] + [0.0] * (k - 2)
+        elif defect == "sum":
+            row = random_row(rng, k)
+            rows[i] = [x * 1.01 for x in row] if rng.uniform() < 0.5 else [x + 1e-9 for x in row]
+        elif defect == "ragged":
+            rows.append(rows[i][:-1])
+        elif defect == "width":
+            owner[name] = [random_row(rng, k + 1) for _ in rows]
+    return doc
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1))
+def test_markov_models_match_the_reference(tmp_path, seed):
+    doc = random_markov_doc(np.random.default_rng(seed))
+    got, want = outcome(load_model, doc), outcome(ref_markov_model, doc)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        a = got[1].assignment
+        for credal, points in zip([a.root, *a.by_state], want[1]):
+            assert (credal.points.shape, credal.points.tobytes()) == (points.shape, points.tobytes())
+    code, err = run_cli(tmp_path, "model.json", doc, ["eval", "--model", "{}", "--expr", "ind(X[1]==A)"])
+    if got[0] == "error":
+        assert (code, err) == (2, f"error: {got[1]}\n")
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_markov_points_are_those_of_per_state_credal_sets(seed):
+    # Duplicates, renormalized rows and exact masses, all in one stack.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    space = StateSpace(LABELS[:k])
+    raws = [[random_row(rng, k) for _ in range(int(rng.integers(1, 4)))] for _ in range(k + 1)]
+    raws[0].append(list(raws[0][0]))
+    raws[-1].append([1.0 / k * (1 + 4e-10)] * k)
+    doc = markov_model({"root": raws[0], "by_state": dict(zip(space.labels, raws[1:]))}, states=space.labels)
+    with mock.patch.object(CredalSet, "stacked", side_effect=CredalSet.stacked) as stacked:
+        a = load_model(doc).assignment
+    assert stacked.call_count == 1
+    for credal, raw in zip([a.root, *a.by_state], raws):
+        want = CredalSet(np.asarray(raw, dtype=float)).points
+        assert (credal.points.shape, credal.points.tobytes()) == (want.shape, want.tobytes())
+        assert not credal.points.flags.writeable

@@ -106,6 +106,16 @@ def documents(draw, model_path: str, cert_path: str):
     return doc
 
 
+def names_unknown_label(query: dict) -> bool:
+    """Whether a query's condition, or a hit query's targets, name a label
+    that is not a state of ``MODEL``."""
+    states = set(MODEL["states"])
+    labels = query["condition"].split(",") if query["condition"] else []
+    if query["kind"] in ("hit_prob", "hit_time"):
+        labels += query["targets"]
+    return not states.issuperset(labels)
+
+
 #: What an exit 2 without a report names: a JSON path, a file or a flag.
 NAMED = re.compile(r"error: ([A-Za-z_]\w*(\[\d+\]|\.\w+)*: |.*\.json|.*--\w)")
 
@@ -156,6 +166,9 @@ def test_query_documents_hold_the_contract(files, data):
     assert code == (2 if failed else 0)
     for rec in failed:
         assert isinstance(rec["error"], str) and rec["error"]
+    for i, rec in enumerate(records):
+        if names_unknown_label(rec["query"]):  # fails at its JSON path (or at a policy field's before)
+            assert not rec["ok"] and rec["error"].startswith(f"queries[{i}]."), rec
     for rec in records:
         for key in ("upper", "lower"):
             value = rec.get(key)
