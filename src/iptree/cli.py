@@ -3,17 +3,20 @@
 Two subcommands:
 
 * ``iptree eval`` loads a model and runs queries (from a query file or
-  inline flags), printing one report with every value and iterate history;
-  hitting queries are solved exactly (:func:`~iptree.engine.limit_bounds`),
-  their iterates an audit trail.
+  inline flags), printing one report with every value and iterate history.
+  A query is ``eval`` or ``lower`` of an expression, or ``hit_time`` or
+  ``hit_prob`` of target states; hitting queries are solved exactly
+  (:func:`~iptree.engine.limit_bounds`), their iterates an audit trail.
 * ``iptree check`` runs verification batteries against a model: ``axioms``
   (coherence and global-model identity suites), ``oracle`` (brute-force
   envelope against the recursion engine), or ``cert`` (validate a
-  supermartingale certificate file against an expression).
+  supermartingale certificate file against an expression).  The batteries
+  run only here, not as ``eval`` queries.
 
 Only ``eval`` takes ``--tol``, ``--max-horizon`` (the limit policy of its
 queries) and ``--timing``; no ``check`` battery reads them, and ``check``
-rejects them as unrecognized arguments.
+rejects them as unrecognized arguments.  ``eval`` runs nothing randomized:
+its ``--seed`` is only echoed in the report.
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON).  A JSON report is byte-identical to ``json.dumps(report,
@@ -30,7 +33,8 @@ these variables on every call, and builds a new parser only when they have
 changed since the last call.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
-the flag, and so is an unknown label in a ``condition`` or ``targets``.
+the flag, and so is an unknown label in a ``condition`` or ``targets`` and
+an expression whose table would exceed its cap.
 
 Exit codes: 0 success (and all checks passed), 1 a check ran and found
 violations, 2 any input or query error.
@@ -48,17 +52,11 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from .engine import Policy, finitary_lower, finitary_uppers, limit_bounds
-from .errors import InvalidInputError, IptreeError
+from .errors import InvalidInputError, IptreeError, ResourceLimitError
 from .expr import compile_gamble, parse_gamble
 from .extreal import fmt
 from .gambles import DEFAULT_TABLE_CAP, hitting_event_variable, hitting_time_variable
-from .modelio import (
-    SCHEMA_VERSION,
-    load_certificate,
-    load_certificate_file,
-    load_model_file,
-    load_queries_file,
-)
+from .modelio import SCHEMA_VERSION, load_certificate_file, load_model_file, load_queries_file
 from .oracle import ORACLE_TOL
 from .supermartingale import certified_upper_bound
 from .suites import model_axiom_suites, model_oracle_suite
@@ -67,7 +65,9 @@ from .tree import format_situation, parse_situation
 _ENV_PREFIX = "IPTREE_"
 
 #: The flags an ``IPTREE_*`` variable can supply, with their defaults.
-_ENV_DEFAULTS = (("model", None), ("seed", 0), ("tol", 1e-9), ("max_horizon", 100), ("format", "json"))
+_ENV_DEFAULTS = (
+    ("model", None), ("seed", 0), ("tol", Policy.tol), ("max_horizon", Policy.max_horizon), ("format", "json"),
+)
 
 
 def _env_defaults() -> tuple:
@@ -152,7 +152,7 @@ def _policy_from(args, overrides: dict, path: str) -> Policy:
     fields = {
         "tol": float(overrides.get("tol", args.tol)),
         "max_horizon": int(overrides.get("max_horizon", args.max_horizon)),
-        "divergence_threshold": float(overrides.get("divergence_threshold", 1e12)),
+        "divergence_threshold": float(overrides.get("divergence_threshold", Policy.divergence_threshold)),
     }
     try:
         return Policy(**fields)
@@ -175,12 +175,14 @@ def _compiled(compiled: dict, source: str, space, cap: int):
 
 
 def _named(source: str, call, *call_args):
-    """``call(*call_args)``, an input error it raises prefixed with
-    ``source``, the JSON path or flag of the input it read."""
+    """``call(*call_args)``, an input or size-cap error it raises prefixed
+    with ``source``, the JSON path or flag of the input it read."""
     try:
         return call(*call_args)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{source}: {exc}") from None
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{source}: {exc}") from None
 
 
 def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
@@ -188,62 +190,34 @@ def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
     kind = query["kind"]
     policy = _policy_from(args, query.get("policy", {}), path)
     if args.query:  # a query file's fields are named by their JSON paths
-        sources = {"condition": f"{path}.condition", "targets": f"{path}.targets"}
+        sources = {name: f"{path}.{name}" for name in ("condition", "targets", "expression")}
     else:  # inline queries' by their flags
-        sources = {"condition": "--at", "targets": "--" + kind.replace("_", "-")}
+        sources = {"condition": "--at", "targets": "--" + kind.replace("_", "-"), "expression": "--expr"}
     s = _named(sources["condition"], parse_situation, space, query.get("condition", ""))
     record: dict = {"query": query, "ok": True}
     if kind in ("eval", "lower"):
         cap = int(query.get("policy", {}).get("table_cap", DEFAULT_TABLE_CAP))
-        f = _compiled(compiled, query["expression"], space, cap)
+        f = _named(sources["expression"], _compiled, compiled, query["expression"], space, cap)
         if kind == "eval":
             upper, negated = finitary_uppers(tree, [f, -f], s)
-            record["upper"], record["lower"] = fmt(upper), fmt(-negated)
+            record["upper"], record["lower"] = fmt(upper), fmt(0.0 - negated)
         else:
             record["lower"] = fmt(finitary_lower(tree, f, s))
         record["depth"] = f.depth
-    elif kind in ("hit_time", "hit_prob"):
+    else:
         make = hitting_time_variable if kind == "hit_time" else hitting_event_variable
         v = _named(sources["targets"], make, space, query["targets"])
         upper, lower = limit_bounds(tree, v, s, policy)
         record["upper"] = upper.to_json()
         record["lower"] = lower.to_json()
         record["converged"] = upper.converged and lower.converged
-    elif kind == "verify_cert":
-        cert_src = query["certificate"]
-        if isinstance(cert_src, str):
-            process, declared = load_certificate_file(cert_src, space)
-        else:
-            process, declared = load_certificate(cert_src, space, path="certificate")
-        f = _compiled(compiled, query["expression"], space, DEFAULT_TABLE_CAP)
-        cert = certified_upper_bound(process, f, tree, s)
-        record.update(_certificate_json(cert, space, declared))
-        record["ok"] = True
-        record["passed"] = cert.valid
-    elif kind == "oracle_check":
-        pol = query.get("policy", {})
-        report = model_oracle_suite(
-            tree,
-            seed=query.get("seed", args.seed),
-            trials=int(pol.get("trials", 50)),
-            depth=int(pol.get("depth", 3)),
-            cap=int(pol.get("enum_cap", 200_000)),
-        )
-        record["suite"] = report.to_json()
-        record["passed"] = report.passed
-    elif kind == "axiom_suite":
-        pol = query.get("policy", {})
-        reports = model_axiom_suites(tree, seed=query.get("seed", args.seed), trials=int(pol.get("trials", 50)))
-        record["suites"] = [r.to_json() for r in reports]
-        record["passed"] = all(r.passed for r in reports)
-    else:
-        raise IptreeError(f"unhandled query kind {kind!r}")
     return record
 
 
-def _certificate_json(cert, space, declared_bound=None) -> dict:
-    out = {
+def _certificate_json(cert, space, declared_bound: float) -> dict:
+    return {
         "valid": cert.valid,
+        "declared_lower_bound": fmt(declared_bound),
         "bound": fmt(cert.bound),
         "engine_value": fmt(cert.engine_value),
         "gap": fmt(cert.gap),
@@ -266,9 +240,6 @@ def _certificate_json(cert, space, declared_bound=None) -> dict:
             format_situation(space, w) for w in cert.domination_witnesses
         ],
     }
-    if declared_bound is not None:
-        out["declared_lower_bound"] = fmt(declared_bound)
-    return out
 
 
 def _render_pretty(report: dict) -> str:
@@ -295,10 +266,6 @@ def _render_pretty(report: dict) -> str:
                     )
                 else:
                     lines.append(f"    {key} = {value}")
-        if "passed" in rec:
-            lines.append(f"    passed = {rec['passed']}")
-        if "valid" in rec:
-            lines.append(f"    valid = {rec['valid']}, bound = {rec['bound']}, gap = {rec['gap']}")
     for suite in report.get("suites", []):
         status = "pass" if suite["passed"] else "FAIL"
         lines.append(f"suite {suite['name']}: {status} ({suite['checks']} checks)")
@@ -446,7 +413,7 @@ def _cmd_check(args) -> int:
             print("error: check cert needs --expr for the covered gamble", file=sys.stderr)
             return 2
         process, declared = load_certificate_file(args.target, tree.state_space)
-        f = compile_gamble(parse_gamble(args.expr, tree.state_space))
+        f = _named("--expr", lambda: compile_gamble(parse_gamble(args.expr, tree.state_space)))
         s = _named("--at", parse_situation, tree.state_space, args.at)
         cert = certified_upper_bound(process, f, tree, s)
         report["certificate"] = _certificate_json(cert, tree.state_space, declared)

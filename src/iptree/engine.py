@@ -279,8 +279,9 @@ def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
 
 
 def finitary_lower(tree: Tree, f: Gamble, s: Situation = ()) -> float:
-    """Conjugate lower expectation: ``-upper(-f)``."""
-    return -finitary_upper(tree, -f, s)
+    """Conjugate lower expectation: ``-upper(-f)``, written ``0.0 - x`` so
+    that a zero comes out as ``0.0``, not ``-0.0``."""
+    return 0.0 - finitary_upper(tree, -f, s)
 
 
 @dataclass(frozen=True)
@@ -497,8 +498,8 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
 
 
 def _negated(res: ApproxResult) -> ApproxResult:
-    iterates = tuple((m, -x) for m, x in res.iterates)
-    return ApproxResult(-res.value, iterates, res.converged, res.stop_reason, res.tol)
+    iterates = tuple((m, 0.0 - x) for m, x in res.iterates)
+    return ApproxResult(0.0 - res.value, iterates, res.converged, res.stop_reason, res.tol)
 
 
 def limit_upper(

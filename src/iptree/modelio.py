@@ -31,6 +31,18 @@ Certificate document::
 The table must be total over situations of length <= depth; values are
 numbers or the string ``"+inf"``.
 
+Query document::
+
+    {"schema": 1, "model": "coin.json",
+     "queries": [{"kind": "eval", "expression": "ind(X[1]==H)", "condition": "H"},
+                 {"kind": "hit_time", "targets": ["T"], "policy": {"max_horizon": 60}}]}
+
+A query's ``kind`` is one of ``eval``, ``lower`` (these take an
+``expression``), ``hit_prob`` and ``hit_time`` (these take ``targets``);
+``condition`` and ``policy`` are optional.  ``policy`` takes ``tol``,
+``max_horizon``, ``divergence_threshold`` and ``table_cap``.  An unknown
+kind or policy field fails at its path (``queries[0].policy.trials``).
+
 Situation strings are read only by :func:`~iptree.tree.parse_situation`
 and written only by :mod:`iptree.tree`.  A certificate table is read in one
 pass: a key among :func:`~iptree.tree.situation_strings` (when the labels
@@ -72,11 +84,10 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _check_schema(doc: dict, path: str):
-    version = _need(doc, "schema", path)
+def _check_schema(doc: dict):
+    version = _need(doc, "schema", "")
     if version != SCHEMA_VERSION:
-        raise SchemaError(f"{path}.schema" if path else "schema",
-                          f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}")
+        raise SchemaError("schema", f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}")
 
 
 def _points(raw, path: str) -> CredalSet:
@@ -146,7 +157,7 @@ def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) 
     return entries
 
 
-def _markov_sets(space: StateSpace, model: dict, p_model: str) -> list:
+def _markov_sets(space: StateSpace, model: dict) -> list:
     """A Markov model's root credal set and its credal sets per state, in
     label order.
 
@@ -161,62 +172,60 @@ def _markov_sets(space: StateSpace, model: dict, p_model: str) -> list:
         credal_sets = _stacked([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
         if credal_sets is not None:
             return credal_sets
-    root = _points(_need(model, "root", p_model), f"{p_model}.root")
-    by_state_raw = _need(model, "by_state", p_model)
+    root = _points(_need(model, "root", "model"), "model.root")
+    by_state_raw = _need(model, "by_state", "model")
     if not isinstance(by_state_raw, dict):
-        raise SchemaError(f"{p_model}.by_state", "expected an object keyed by state label")
+        raise SchemaError("model.by_state", "expected an object keyed by state label")
     by_state = []
     for label in space.labels:
         if label not in by_state_raw:
-            raise SchemaError(f"{p_model}.by_state.{label}", "missing model for this state")
-        by_state.append(_points(by_state_raw[label], f"{p_model}.by_state.{label}"))
+            raise SchemaError(f"model.by_state.{label}", "missing model for this state")
+        by_state.append(_points(by_state_raw[label], f"model.by_state.{label}"))
     extra = set(by_state_raw) - set(space.labels)
     if extra:
-        raise SchemaError(f"{p_model}.by_state.{sorted(extra)[0]}", "unknown state label")
+        raise SchemaError(f"model.by_state.{sorted(extra)[0]}", "unknown state label")
     return [root, *by_state]
 
 
-def load_model(doc: dict, path: str = "") -> ImpreciseTree:
+def load_model(doc: dict) -> ImpreciseTree:
     """Build an imprecise tree from a parsed model document."""
-    _check_schema(doc, path)
-    states = _need(doc, "states", path)
-    p_states = f"{path}.states" if path else "states"
+    _check_schema(doc)
+    states = _need(doc, "states", "")
     if (
         not isinstance(states, list)
         or not states
         or not all(isinstance(s, str) for s in states)
     ):
-        raise SchemaError(p_states, "expected a non-empty list of state labels")
+        raise SchemaError("states", "expected a non-empty list of state labels")
     try:
         space = StateSpace(tuple(states))
     except Exception as exc:
-        raise SchemaError(p_states, str(exc)) from None
+        raise SchemaError("states", str(exc)) from None
 
-    model = _need(doc, "model", path)
-    p_model = f"{path}.model" if path else "model"
-    kind = _need(model, "kind", p_model)
+    model = _need(doc, "model", "")
+    kind = _need(model, "kind", "model")
     if kind == "homogeneous":
-        credal = _points(_need(model, "extreme_points", p_model), f"{p_model}.extreme_points")
+        credal = _points(_need(model, "extreme_points", "model"), "model.extreme_points")
         assignment = Homogeneous(credal)
     elif kind == "markov":
-        root, *by_state = _markov_sets(space, model, p_model)
+        root, *by_state = _markov_sets(space, model)
         assignment = Markov(root, tuple(by_state))
     elif kind == "table":
-        depth = _need(model, "depth", p_model)
+        depth = _need(model, "depth", "model")
         if not _is_count(depth):
-            raise SchemaError(f"{p_model}.depth", "expected a non-negative integer")
-        entries_raw = _need(model, "entries", p_model)
+            raise SchemaError("model.depth", "expected a non-negative integer")
+        entries_raw = _need(model, "entries", "model")
         if not isinstance(entries_raw, dict):
-            raise SchemaError(f"{p_model}.entries", "expected an object keyed by situation string")
-        entries = _table_entries(space, depth, entries_raw, f"{p_model}.entries")
-        default = _points(_need(model, "default", p_model), f"{p_model}.default")
+            raise SchemaError("model.entries", "expected an object keyed by situation string")
+        entries = _table_entries(space, depth, entries_raw, "model.entries")
+        default = _points(_need(model, "default", "model"), "model.default")
         assignment = Table(depth, entries, default)
     else:
-        raise SchemaError(f"{p_model}.kind", f"unknown model kind {kind!r}")
+        raise SchemaError("model.kind", f"unknown model kind {kind!r}")
     try:
         return ImpreciseTree(space, assignment)
     except Exception as exc:
-        raise SchemaError(p_model, str(exc)) from None
+        raise SchemaError("model", str(exc)) from None
 
 
 def dump_model(tree: ImpreciseTree) -> dict:
@@ -279,18 +288,16 @@ def _value(raw, path: str) -> float:
     raise SchemaError(path, f"expected a number or '+inf', got {raw!r}")
 
 
-def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[TailConstantProcess, float]:
+def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess, float]:
     """Build a tail-constant process and its declared lower bound."""
-    _check_schema(doc, path)
-    depth = _need(doc, "depth", path)
-    p_depth = f"{path}.depth" if path else "depth"
+    _check_schema(doc)
+    depth = _need(doc, "depth", "")
     if not _is_count(depth):
-        raise SchemaError(p_depth, "expected a non-negative integer")
-    declared = _value(_need(doc, "lower_bound", path), f"{path}.lower_bound" if path else "lower_bound")
-    table_raw = _need(doc, "table", path)
-    p_table = f"{path}.table" if path else "table"
+        raise SchemaError("depth", "expected a non-negative integer")
+    declared = _value(_need(doc, "lower_bound", ""), "lower_bound")
+    table_raw = _need(doc, "table", "")
     if not isinstance(table_raw, dict):
-        raise SchemaError(p_table, "expected an object keyed by situation string")
+        raise SchemaError("table", "expected an object keyed by situation string")
     k = space.size
     sizes, count = [], 0  # situations per length and in all, before any allocation
     for m in range(depth + 1):
@@ -298,7 +305,7 @@ def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[Tail
         count += sizes[-1]
         if count > len(table_raw):
             raise SchemaError(
-                p_depth,
+                "depth",
                 f"the table has {len(table_raw)} entries, fewer than the situations of length <= {depth}",
             )
     # Each value goes to its situation's position in the levels laid end to
@@ -310,7 +317,7 @@ def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[Tail
     for key, raw in table_raw.items():
         i = positions.get(key)
         if i is None or type(raw) is not float:
-            p_entry = f"{p_table}.{key or '<root>'}"
+            p_entry = f"table.{key or '<root>'}"
             if i is None:  # a bad key, or labels that only the parser reads
                 try:
                     sit = parse_situation(space, key)
@@ -325,11 +332,11 @@ def load_certificate(doc: dict, space: StateSpace, path: str = "") -> tuple[Tail
     try:
         process = TailConstantProcess(k, tuple(part.reshape((k,) * m) for m, part in enumerate(parts)))
     except Exception as exc:
-        raise SchemaError(p_table, str(exc)) from None
+        raise SchemaError("table", str(exc)) from None
     finite_floor = process.lower_bound()
     if finite_floor < declared - 1e-12:
         raise SchemaError(
-            p_table, f"table attains {finite_floor}, below the declared lower bound {declared}"
+            "table", f"table attains {finite_floor}, below the declared lower bound {declared}"
         )
     return process, declared
 
@@ -351,56 +358,40 @@ def load_certificate_file(file_path: str | Path, space: StateSpace) -> tuple[Tai
     return load_certificate(_read_json(file_path), space)
 
 
-_QUERY_KINDS = ("eval", "lower", "hit_prob", "hit_time", "verify_cert", "oracle_check", "axiom_suite")
-_POLICY_FIELDS = {
-    "tol": float,
-    "max_horizon": int,
-    "divergence_threshold": float,
-    "depth": int,
-    "trials": int,
-    "enum_cap": int,
-    "table_cap": int,
-}
-#: Policy fields that count work a query must do at least once.
-_COUNT_FIELDS = ("depth", "trials")
+_QUERY_KINDS = ("eval", "lower", "hit_prob", "hit_time")
+_POLICY_FIELDS = {"tol": float, "max_horizon": int, "divergence_threshold": float, "table_cap": int}
 
 
-def load_queries(doc: dict, path: str = "") -> tuple[str | None, list[dict]]:
+def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
     """Validate a query document.
 
     Returns the optional model reference (a path the CLI uses when no
     ``--model`` is given) and the list of normalized query dicts.
     """
-    _check_schema(doc, path)
+    _check_schema(doc)
     model_ref = doc.get("model")
     if model_ref is not None and not isinstance(model_ref, str):
-        raise SchemaError(f"{path}.model" if path else "model", "expected a model file path")
-    queries = _need(doc, "queries", path)
-    p_queries = f"{path}.queries" if path else "queries"
+        raise SchemaError("model", "expected a model file path")
+    queries = _need(doc, "queries", "")
     if not isinstance(queries, list):
-        raise SchemaError(p_queries, "expected a list of queries")
+        raise SchemaError("queries", "expected a list of queries")
     out = []
     for i, q in enumerate(queries):
-        p = f"{p_queries}[{i}]"
+        p = f"queries[{i}]"
         kind = _need(q, "kind", p)
         if kind not in _QUERY_KINDS:
             raise SchemaError(f"{p}.kind", f"unknown kind {kind!r}; expected one of {_QUERY_KINDS}")
         norm: dict = {"kind": kind}
-        if kind in ("eval", "lower", "verify_cert"):
+        if kind in ("eval", "lower"):
             expression = _need(q, "expression", p)
             if not isinstance(expression, str):
                 raise SchemaError(f"{p}.expression", "expected a gamble expression string")
             norm["expression"] = expression
-        if kind in ("hit_prob", "hit_time"):
+        else:
             targets = _need(q, "targets", p)
             if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets) or not targets:
                 raise SchemaError(f"{p}.targets", "expected a non-empty list of state labels")
             norm["targets"] = targets
-        if kind == "verify_cert":
-            cert = _need(q, "certificate", p)
-            if not isinstance(cert, (str, dict)):
-                raise SchemaError(f"{p}.certificate", "expected a file path or an inline certificate object")
-            norm["certificate"] = cert
         condition = q.get("condition", "")
         if not isinstance(condition, str):
             raise SchemaError(f"{p}.condition", "expected a situation string")
@@ -419,14 +410,7 @@ def load_queries(doc: dict, path: str = "") -> tuple[str | None, list[dict]]:
                 raise SchemaError(f"{p}.policy.{key}", "expected a finite number")
             if _POLICY_FIELDS[key] is int and int(value) != value:
                 raise SchemaError(f"{p}.policy.{key}", "expected an integer")
-            if key in _COUNT_FIELDS and value < 1:
-                raise SchemaError(f"{p}.policy.{key}", "expected an integer >= 1")
         norm["policy"] = dict(policy)
-        if "seed" in q:
-            seed = q["seed"]
-            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-                raise SchemaError(f"{p}.seed", "expected a non-negative integer")
-            norm["seed"] = seed
         out.append(norm)
     return model_ref, out
 

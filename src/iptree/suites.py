@@ -32,6 +32,7 @@ from .local import (
 from .oracle import envelope_sup, precise_expectation
 from .supermartingale import canonical_supermartingale, certified_upper_bound, verify
 from .tree import (
+    DEFAULT_ENUM_CAP,
     Homogeneous,
     ImpreciseTree,
     Markov,
@@ -501,7 +502,7 @@ def envelope_axiom_suite(seed: int, trials: int = 40, tol: float = 1e-9) -> Suit
         tree = random_tree(rng, k, max_points=2, table_depth=depth, selection_budget=4096)
 
         def env(g: FinitaryGamble, sit: Situation) -> float:
-            return envelope_sup(tree, g, sit, method="enumerate", cap=200_000).value
+            return envelope_sup(tree, g, sit, method="enumerate", cap=DEFAULT_ENUM_CAP).value
 
         n = int(rng.integers(0, 2))
         x = tuple(int(v) for v in rng.integers(0, k, size=n))
@@ -564,7 +565,7 @@ def model_oracle_suite(
     seed: int,
     trials: int = 50,
     depth: int = 3,
-    cap: int = 200_000,
+    cap: int = DEFAULT_ENUM_CAP,
     tol: float = 1e-9,
 ) -> SuiteReport:
     """Envelope-vs-recursion agreement on one concrete model."""

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from iptree import cli
 from iptree.cli import main
 from iptree.engine import Policy
+from iptree.errors import ResourceLimitError
+from iptree.local import StateSpace
 
 MODEL = {
     "schema": 1,
@@ -302,54 +304,6 @@ class TestQueryFileExtras:
         assert code == 0
         assert json.loads(out)["results"][0]["upper"] == pytest.approx(0.6)
 
-    def test_suite_queries_in_file(self, capsys, model_file, tmp_path):
-        q = tmp_path / "q.json"
-        q.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "queries": [
-                        {"kind": "oracle_check", "seed": 11, "policy": {"trials": 10, "depth": 2}},
-                        {"kind": "axiom_suite", "seed": 12, "policy": {"trials": 10}},
-                    ],
-                }
-            )
-        )
-        code, out = run(capsys, "eval", "--model", model_file, "--query", str(q))
-        assert code == 0
-        report = json.loads(out)
-        assert report["results"][0]["passed"] is True
-        assert report["results"][1]["passed"] is True
-
-    def test_verify_cert_query_inline(self, capsys, model_file, tmp_path):
-        cert = {
-            "schema": 1,
-            "depth": 1,
-            "lower_bound": 0.0,
-            "table": {"": 0.61, "H": 1.0, "T": 0.0},
-        }
-        q = tmp_path / "q.json"
-        q.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "queries": [
-                        {
-                            "kind": "verify_cert",
-                            "expression": "ind(X[1]==H)",
-                            "certificate": cert,
-                        }
-                    ],
-                }
-            )
-        )
-        code, out = run(capsys, "eval", "--model", model_file, "--query", str(q))
-        assert code == 0
-        rec = json.loads(out)["results"][0]
-        assert rec["valid"] is True
-        assert rec["bound"] == pytest.approx(0.61)
-        assert rec["engine_value"] == pytest.approx(0.6)
-
     def test_non_finite_policy_rejected(self, capsys, model_file, tmp_path):
         q = tmp_path / "q.json"
         q.write_text(
@@ -490,6 +444,69 @@ class TestLabelErrors:
         assert capsys.readouterr().err == f"error: --at: {self.UNKNOWN}\n"
 
 
+class TestNoNegativeZero:
+    """Lower values and their iterates are negated as ``0.0 - x``, so a zero
+    is reported as ``0.0``, never ``-0.0``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--expr", "0"], ["--expr", "ind(X[1]==H) - ind(X[1]==H)"], ["--hit-prob", "T", "--at", "H"]],
+        ids=["zero", "difference", "hit-prob-at-H"],
+    )
+    def test_inline_queries(self, capsys, model_file, argv):
+        code, out = run(capsys, "eval", "--model", model_file, *argv)
+        assert code == 0
+        assert "-0.0" not in out
+
+    def test_zero_lower_is_positive_zero(self, capsys, tmp_path):
+        code, out, records = _eval_queries(
+            capsys, tmp_path, MODEL, [{"kind": "eval", "expression": "0"}, {"kind": "lower", "expression": "0"}]
+        )
+        assert code == 0
+        assert "-0.0" not in out
+        assert [math.copysign(1.0, rec["lower"]) for rec in records] == [1.0, 1.0]
+
+
+class TestSizeCapErrors:
+    """An expression whose table would exceed its cap fails at the
+    expression's JSON path or flag, still as a ``ResourceLimitError``."""
+
+    DEEP = "sum(i=1..13, ind(X[i]==H))"
+    MESSAGE = "table would need 8192 cells, cap is 4096"
+
+    def test_query_file(self, capsys, tmp_path):
+        queries = [
+            {"kind": "eval", "expression": "1"},
+            {"kind": "eval", "expression": self.DEEP},
+            {"kind": "lower", "expression": "ind(X[2]==H)", "policy": {"table_cap": 2}},
+        ]
+        code, _, records = _eval_queries(capsys, tmp_path, MODEL, queries)
+        assert code == 2
+        assert [rec.get("error") for rec in records] == [
+            None,
+            f"queries[1].expression: {self.MESSAGE}",
+            "queries[2].expression: table would need 4 cells, cap is 2",
+        ]
+
+    def test_inline_expr(self, capsys, model_file):
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", self.DEEP)
+        assert code == 2
+        (rec,) = json.loads(out)["results"]
+        assert rec["error"] == f"--expr: {self.MESSAGE}"
+
+    def test_check_cert_expr(self, capsys, model_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"schema": 1, "depth": 0, "lower_bound": 1.0, "table": {"": 1.0}}))
+        code = main(["check", "--model", model_file, "cert", str(cert), "--expr", self.DEEP])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --expr: {self.MESSAGE}\n"
+
+    def test_error_class_is_kept(self):
+        space = StateSpace(("H", "T"))
+        with pytest.raises(ResourceLimitError, match=r"^--expr: table would need 8192 cells"):
+            cli._named("--expr", cli._compiled, {}, self.DEEP, space, 4096)
+
+
 def _write_bytes(tmp_path, name, data: bytes):
     path = tmp_path / name
     path.write_bytes(data)
@@ -519,19 +536,11 @@ class TestUnreadableFiles:
         assert main(argv) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
-    def test_certificate_file_named_in_a_query(self, capsys, model_file, tmp_path):
-        q = tmp_path / "q.json"
-        q.write_text(json.dumps({"schema": 1, "queries": [
-            {"kind": "verify_cert", "expression": "ind(X[1]==H)", "certificate": str(tmp_path)},
-        ]}))
-        code, out = run(capsys, "eval", "--model", model_file, "--query", str(q))
-        assert code == 2
-        assert json.loads(out)["results"][0]["error"] == f"{tmp_path}: cannot read the file: Is a directory"
-
-
 class TestCountsAndSeeds:
     """Seeds must be non-negative, trial counts and oracle depths positive:
-    rejected where they enter, with the flag name or the JSON path."""
+    rejected where they enter, with the flag name.  The batteries run only
+    through ``check``: a query file naming one, or one of their counts, fails
+    at its JSON path."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -561,14 +570,17 @@ class TestCountsAndSeeds:
     @pytest.mark.parametrize(
         "query, path",
         [
-            ({"kind": "axiom_suite", "seed": -1}, "queries[0].seed: expected a non-negative integer"),
-            ({"kind": "axiom_suite", "seed": True}, "queries[0].seed: expected a non-negative integer"),
-            ({"kind": "oracle_check", "policy": {"depth": -2}}, "queries[0].policy.depth: expected an integer >= 1"),
-            ({"kind": "oracle_check", "policy": {"depth": 0}}, "queries[0].policy.depth: expected an integer >= 1"),
-            ({"kind": "oracle_check", "policy": {"trials": -4}}, "queries[0].policy.trials: expected an integer >= 1"),
-            ({"kind": "axiom_suite", "policy": {"trials": 0}}, "queries[0].policy.trials: expected an integer >= 1"),
+            ({"kind": "oracle_check"}, "queries[0].kind: unknown kind 'oracle_check'"),
+            ({"kind": "axiom_suite", "seed": 1}, "queries[0].kind: unknown kind 'axiom_suite'"),
+            (
+                {"kind": "verify_cert", "expression": "1", "certificate": "cert.json"},
+                "queries[0].kind: unknown kind 'verify_cert'",
+            ),
+            ({"kind": "eval", "expression": "1", "policy": {"trials": 10}}, "queries[0].policy.trials: unknown policy field"),
+            ({"kind": "hit_time", "targets": ["T"], "policy": {"depth": 2}}, "queries[0].policy.depth: unknown policy field"),
+            ({"kind": "lower", "expression": "1", "policy": {"enum_cap": 9}}, "queries[0].policy.enum_cap: unknown policy field"),
         ],
-        ids=["seed-negative", "seed-bool", "depth-negative", "depth-zero", "trials-negative", "trials-zero"],
+        ids=["oracle_check", "axiom_suite", "verify_cert", "policy-trials", "policy-depth", "policy-enum_cap"],
     )
     def test_bad_query_field_exits_2(self, capsys, model_file, tmp_path, query, path):
         q = tmp_path / "q.json"
