@@ -19,8 +19,9 @@ rejects them as unrecognized arguments.  ``eval`` runs nothing randomized:
 its ``--seed`` is only echoed in the report.
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
-same JSON).  A JSON report is byte-identical to ``json.dumps(report,
-indent=2, sort_keys=True)``; it is written in one pass by ``_json_text``.
+same JSON, a failed query's error included).  A JSON report is
+byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``; it is
+written in one pass by ``_json_text``.
 All numerics are finite numbers or the strings ``"+inf"`` / ``"-inf"``; NaN
 is never emitted.  Identical inputs and ``--seed`` produce byte-identical
 reports; ``--timing`` adds wall-clock fields and is therefore off by default.
@@ -33,8 +34,10 @@ these variables on every call, and builds a new parser only when they have
 changed since the last call.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
-the flag, and so is an unknown label in a ``condition`` or ``targets`` and
-an expression whose table would exceed its cap.
+the flag, and so is an unknown label in a ``condition`` or ``targets``, an
+expression whose table would exceed its cap, and a ``check oracle``
+``--depth`` whose gambles would exceed the table cap (checked before any
+gamble is drawn) or whose enumeration would exceed its cap.
 
 Exit codes: 0 success (and all checks passed), 1 a check ran and found
 violations, 2 any input or query error.
@@ -266,6 +269,8 @@ def _render_pretty(report: dict) -> str:
                     )
                 else:
                     lines.append(f"    {key} = {value}")
+        if "error" in rec:
+            lines.append(f"    error: {rec['error']}")
     for suite in report.get("suites", []):
         status = "pass" if suite["passed"] else "FAIL"
         lines.append(f"suite {suite['name']}: {status} ({suite['checks']} checks)")
@@ -402,7 +407,10 @@ def _cmd_check(args) -> int:
         report["suites"] = [r.to_json() for r in suites]
         passed = all(r.passed for r in suites)
     elif args.what == "oracle":
-        suite = model_oracle_suite(tree, seed=args.seed, trials=args.trials, depth=args.depth, tol=ORACLE_TOL)
+        suite = _named(
+            "--depth",
+            lambda: model_oracle_suite(tree, seed=args.seed, trials=args.trials, depth=args.depth, tol=ORACLE_TOL),
+        )
         report["suites"] = [suite.to_json()]
         passed = suite.passed
     else:  # cert

@@ -36,6 +36,8 @@ truncation: its limit is the least non-negative solution of the Bellman
 equation, which :func:`limit_bounds` computes exactly, by a graph pass for
 the infinite and zero values and policy iteration for the rest, keeping a
 short run of audited iterates as the trail it checks the solution against.
+Its linear systems are solved with NumPy; only a closure of more than
+``_DENSE_SOLVE`` unknown nodes imports SciPy, for a sparse solve.
 """
 
 from __future__ import annotations
@@ -46,9 +48,6 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
 
 from .errors import InvalidInputError, IptreeError, MonotonicityError
 from .extreal import INF, fmt, weighted_sum
@@ -83,8 +82,8 @@ _SWITCH_GAIN = 1e-12
 #: values, so a finite closure needs finitely many.
 _MAX_ROUNDS = 1000
 
-#: Closures of up to this many unknown nodes are solved densely, larger
-#: ones as sparse systems.
+#: Closures of up to this many unknown nodes are solved densely with NumPy,
+#: larger ones as sparse systems with SciPy, imported on first use.
 _DENSE_SOLVE = 256
 
 
@@ -675,6 +674,9 @@ def _policy_values(points, trans, reward, unknown, fixed, allowed, choice, sign)
             np.subtract.at(matrix, entry, p[moves])
             values[idx] = known[idx] = np.linalg.solve(matrix, base[rows, choice])
         else:
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import spsolve
+
             matrix = csc_matrix(
                 (
                     np.concatenate([outflow, -p[moves]]),

@@ -406,7 +406,10 @@ def compile_gamble(
             return ~eval_bool(node.inner, env)
         raise TypeError(f"unknown node {node!r}")
 
-    table = np.array(eval_num(expr.root, {}), dtype=float).reshape(shape)
+    # A payoff past the float range overflows here, and inf - inf or
+    # inf * 0 gives NaN; FinitaryGamble rejects both, so no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.array(eval_num(expr.root, {}), dtype=float).reshape(shape)
     return FinitaryGamble(k, table)
 
 

@@ -39,9 +39,11 @@ Query document::
 
 A query's ``kind`` is one of ``eval``, ``lower`` (these take an
 ``expression``), ``hit_prob`` and ``hit_time`` (these take ``targets``);
-``condition`` and ``policy`` are optional.  ``policy`` takes ``tol``,
-``max_horizon``, ``divergence_threshold`` and ``table_cap``.  An unknown
-kind or policy field fails at its path (``queries[0].policy.trials``).
+``condition`` and ``policy`` are optional; a query holds no other field.
+``policy`` takes ``tol``, ``max_horizon``, ``divergence_threshold`` and
+``table_cap``.  The document holds ``schema``, ``queries`` and optionally
+``model``.  An unknown kind, or a field unknown at its place, fails at its
+path (``queries[0].seed``, ``queries[0].policy.trials``, ``bogus``).
 
 Situation strings are read only by :func:`~iptree.tree.parse_situation`
 and written only by :mod:`iptree.tree`.  A certificate table is read in one
@@ -359,7 +361,16 @@ def load_certificate_file(file_path: str | Path, space: StateSpace) -> tuple[Tai
 
 
 _QUERY_KINDS = ("eval", "lower", "hit_prob", "hit_time")
+_DOCUMENT_FIELDS = ("schema", "model", "queries")
 _POLICY_FIELDS = {"tol": float, "max_horizon": int, "divergence_threshold": float, "table_cap": int}
+
+
+def _known_fields(doc: dict, known, path: str, what: str):
+    """Fail at the first field of ``doc`` that is not in ``known``."""
+    for key in doc:
+        if key not in known:
+            where = f"{path}.{key}" if path else key
+            raise SchemaError(where, f"unknown {what} field; known: {sorted(known)}")
 
 
 def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
@@ -369,6 +380,7 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
     ``--model`` is given) and the list of normalized query dicts.
     """
     _check_schema(doc)
+    _known_fields(doc, _DOCUMENT_FIELDS, "", "document")
     model_ref = doc.get("model")
     if model_ref is not None and not isinstance(model_ref, str):
         raise SchemaError("model", "expected a model file path")
@@ -381,8 +393,10 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
         kind = _need(q, "kind", p)
         if kind not in _QUERY_KINDS:
             raise SchemaError(f"{p}.kind", f"unknown kind {kind!r}; expected one of {_QUERY_KINDS}")
+        own = "expression" if kind in ("eval", "lower") else "targets"
+        _known_fields(q, ("kind", own, "condition", "policy"), p, "query")
         norm: dict = {"kind": kind}
-        if kind in ("eval", "lower"):
+        if own == "expression":
             expression = _need(q, "expression", p)
             if not isinstance(expression, str):
                 raise SchemaError(f"{p}.expression", "expected a gamble expression string")
@@ -399,9 +413,8 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
         policy = q.get("policy", {})
         if not isinstance(policy, dict):
             raise SchemaError(f"{p}.policy", "expected an object")
+        _known_fields(policy, _POLICY_FIELDS, f"{p}.policy", "policy")
         for key, value in policy.items():
-            if key not in _POLICY_FIELDS:
-                raise SchemaError(f"{p}.policy.{key}", f"unknown policy field; known: {sorted(_POLICY_FIELDS)}")
             if (
                 not isinstance(value, (int, float))
                 or isinstance(value, bool)

@@ -207,10 +207,8 @@ def envelope_sup(
     for t in all_situations(q.k, max(dense.depth - 1, 0)):
         if len(s) <= len(t) < dense.depth and t[: len(s)] == s:
             count *= local_model(q, t).n_points
-    if count > cap:
-        raise ResourceLimitError(
-            f"enumerating {count} compatible selections exceeds the cap of {cap}"
-        )
+            if count > cap:  # stop here: the full count can have thousands of digits
+                raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
     if len(s) >= dense.depth:
         value = float(dense.table[s[: dense.depth]])
         return EnvelopeResult(value, "enumerate", 1, {}, (value,))

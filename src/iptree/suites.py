@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import finitary_lower, finitary_upper, finitary_uppers, value_table
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .extreal import INF, xadd, xmul
-from .gambles import FinitaryGamble, restrict
+from .gambles import DEFAULT_TABLE_CAP, FinitaryGamble, restrict
 from .local import (
     CredalSet,
     MassFunction,
@@ -568,7 +568,18 @@ def model_oracle_suite(
     cap: int = DEFAULT_ENUM_CAP,
     tol: float = 1e-9,
 ) -> SuiteReport:
-    """Envelope-vs-recursion agreement on one concrete model."""
+    """Envelope-vs-recursion agreement on one concrete model.
+
+    Raises :class:`~iptree.errors.ResourceLimitError` before drawing anything
+    when a gamble of ``depth`` would need more than ``DEFAULT_TABLE_CAP``
+    cells.
+    """
+    # Any k >= 2 passes the cap by the power of its bit length, so a huge
+    # depth is rejected without computing k**depth.
+    if tree.k ** min(depth, DEFAULT_TABLE_CAP.bit_length()) > DEFAULT_TABLE_CAP:
+        raise ResourceLimitError(
+            f"gambles of depth {depth} would need {tree.k}**{depth} cells, cap is {DEFAULT_TABLE_CAP}"
+        )
     rng = np.random.default_rng(seed)
     rec = _Recorder("model-oracle", trials)
     for t in range(trials):

@@ -19,9 +19,10 @@ uses it to collapse long horizons without enumerating situations.
 
 A precise tree is *compatible* with an imprecise one when each of its mass
 functions lies in the convex hull of the corresponding credal set's extreme
-points.  :func:`enumerate_compatible` brute-forces the extreme-point
-selections; it is the combinatorial backbone of the measure-theoretic
-envelope oracle.
+points; :func:`in_convex_hull` decides that by a small linear program, and
+is the only function here that imports SciPy, on its first call.
+:func:`enumerate_compatible` brute-forces the extreme-point selections; it is
+the combinatorial backbone of the measure-theoretic envelope oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InvalidInputError, ResourceLimitError
 from .local import CredalSet, MassFunction, StateSpace
@@ -333,8 +333,11 @@ def in_convex_hull(point, vertices, tol: float = HULL_TOL) -> bool:
     """Whether ``point`` lies within ``tol`` (sup-norm) of ``hull(vertices)``.
 
     Solved as a small LP: minimize t subject to ``|vertices^T w - point| <= t``,
-    ``sum w = 1``, ``w >= 0``; membership is ``optimum <= tol``.
+    ``sum w = 1``, ``w >= 0``; membership is ``optimum <= tol``.  SciPy's
+    HiGHS solver is imported on the first call.
     """
+    from scipy.optimize import linprog
+
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     point = np.asarray(point, dtype=float)
     m, k = vertices.shape
@@ -401,16 +404,16 @@ def enumerate_compatible(
     the local model applies (payoffs that depend only on the first ``depth``
     states never see those choices).  The number of selections is the product
     of the per-situation extreme-point counts; exceeding ``cap`` raises
-    :class:`~iptree.errors.ResourceLimitError`.
+    :class:`~iptree.errors.ResourceLimitError` before any tree is built.
     """
     if depth < 0:
         raise InvalidInputError("depth must be non-negative")
-    total = count_compatible(tree, depth)
-    if total > cap:
-        raise ResourceLimitError(
-            f"enumerating {total} compatible trees exceeds the cap of {cap}"
-        )
-    sits = list(all_situations(tree.k, depth - 1)) if depth > 0 else []
+    total = 1  # stops past the cap: the exact count can have thousands of digits
+    for s in all_situations(tree.k, depth - 1):
+        total *= local_model(tree, s).n_points
+        if total > cap:
+            raise ResourceLimitError(f"enumerating compatible trees exceeds the cap of {cap}")
+    sits = list(all_situations(tree.k, depth - 1))
     choice_lists = [
         [MassFunction(p) for p in local_model(tree, s).points] for s in sits
     ]

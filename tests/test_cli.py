@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -15,6 +16,7 @@ from iptree.cli import main
 from iptree.engine import Policy
 from iptree.errors import ResourceLimitError
 from iptree.local import StateSpace
+from iptree.modelio import load_model
 
 MODEL = {
     "schema": 1,
@@ -160,6 +162,32 @@ class TestEval:
         assert code == 0
         assert "upper = 0.6" in out
 
+    def test_pretty_output_shows_a_query_error(self, capsys, model_file):
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", "ind(X[1]==Z)", "--pretty")
+        assert code == 2
+        assert out.splitlines()[-2:] == [
+            "[0] eval  'ind(X[1]==Z)'",
+            "    error: line 1, column 11: unknown state label 'Z'; states are ['H', 'T']",
+        ]
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("1e308*10", "finitary gamble payoffs must be finite"),
+            ("1e308+1e308", "finitary gamble payoffs must be finite"),
+            ("1e308*10*0", "NaN is not a valid payoff"),
+            ("1e308*10 - 1e308*10", "NaN is not a valid payoff"),
+        ],
+    )
+    def test_overflowing_expression_warns_nothing(self, capsys, model_file, expr, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--model", model_file, "--expr", expr])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == ""
+        assert json.loads(out)["results"][0]["error"] == f"--expr: {message}"
+
     def test_expression_error_exits_2(self, capsys, model_file):
         code, out = run(capsys, "eval", "--model", model_file, "--expr", "ind(X[1]==Q)")
         assert code == 2
@@ -199,6 +227,32 @@ class TestCheck:
         report = json.loads(out)
         assert report["passed"] is True
         assert report["suites"][0]["checks"] == 50
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            ("16", "--depth: gambles of depth 16 would need 2**16 cells, cap is 4096"),
+            ("40", "--depth: gambles of depth 40 would need 2**40 cells, cap is 4096"),
+            ("5", "--depth: enumerating compatible selections exceeds the cap of 200000"),
+        ],
+    )
+    def test_oracle_caps_exit_2_with_one_line(self, capsys, model_file, depth, message):
+        code = main(["check", "--model", model_file, "oracle", "--depth", depth, "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_oracle_depth_cap_trips_before_drawing(self, monkeypatch):
+        from iptree import suites
+
+        def draw(*args):
+            raise AssertionError("a gamble was drawn")
+
+        monkeypatch.setattr(suites, "random_gamble", draw)
+        tree = load_model(MODEL)
+        with pytest.raises(ResourceLimitError, match=r"^gambles of depth 1000000000 would need 2\*\*1000000000 cells"):
+            suites.model_oracle_suite(tree, seed=0, trials=1, depth=10**9)
 
     def test_check_deterministic(self, capsys, model_file):
         _, a = run(capsys, "check", "--model", model_file, "oracle", "--seed", "3", "--trials", "10")
@@ -270,6 +324,35 @@ class TestQuerySchemaErrors:
         code = main(["eval", "--model", model_file, "--query", str(q)])
         assert code == 2
         assert "queries[0].kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "query, path",
+        [
+            ({"kind": "eval", "expression": "1", "seed": 3, "bogus": 1}, "queries[1].seed"),
+            ({"kind": "lower", "expression": "1", "certificate": "cert.json"}, "queries[1].certificate"),
+            ({"kind": "eval", "expression": "1", "targets": ["T"]}, "queries[1].targets"),
+            ({"kind": "hit_time", "targets": ["T"], "expression": "1"}, "queries[1].expression"),
+            ({"kind": "hit_prob", "targets": ["T"], "policy": {}, "Condition": "H"}, "queries[1].Condition"),
+        ],
+        ids=["seed", "certificate", "targets-on-eval", "expression-on-hit", "case"],
+    )
+    def test_unknown_query_field_path(self, capsys, model_file, tmp_path, query, path):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"schema": 1, "queries": [{"kind": "eval", "expression": "1"}, query]}))
+        code = main(["eval", "--model", model_file, "--query", str(q)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        own = "expression" if query["kind"] in ("eval", "lower") else "targets"
+        known = sorted(["kind", own, "condition", "policy"])
+        assert err == f"error: {path}: unknown query field; known: {known}\n"
+
+    def test_unknown_document_key_path(self, capsys, model_file, tmp_path):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"schema": 1, "queries": [], "bogus": 1}))
+        code = main(["eval", "--model", model_file, "--query", str(q)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: bogus: unknown document field; known: ['model', 'queries', 'schema']\n"
 
     def test_bad_policy_field_path(self, capsys, model_file, tmp_path):
         q = tmp_path / "q.json"

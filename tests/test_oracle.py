@@ -175,6 +175,13 @@ class TestEnvelope:
         with pytest.raises(ResourceLimitError):
             envelope_sup(imprecise_coin, f, cap=10)
 
+    def test_cap_message_names_the_cap(self, imprecise_coin):
+        # 2**32767 selections: a count of 9864 digits, past the 4300 that
+        # Python converts to a string.
+        f = random_gamble(np.random.default_rng(0), 2, 15)
+        with pytest.raises(ResourceLimitError, match=r"^enumerating compatible selections exceeds the cap of 200000$"):
+            envelope_sup(imprecise_coin, f)
+
     def test_to_json_audit_trail(self, coin_space, imprecise_coin):
         f = expr_gamble("ind(X[1]==H && X[2]==H)", coin_space)
         doc = envelope_sup(imprecise_coin, f).to_json(coin_space)

@@ -1,6 +1,7 @@
 """Random query documents through ``cli.main``: every kind and policy field,
-valid and invalid values, conditions, targets and malformed expressions,
-each run held to the documented contract of ``iptree eval``."""
+valid and invalid values, conditions, targets, malformed expressions and
+fields no query or document may hold, each run held to the documented
+contract of ``iptree eval``."""
 
 import io
 import json
@@ -15,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from iptree.cli import main
+from iptree.errors import SchemaError
+from iptree.modelio import load_queries
 
 MODEL = {
     "schema": 1,
@@ -45,6 +48,11 @@ CONDITIONS = ["", "H", "T", "H,H", "T,H", "H,T,T", "Z", "H,,T", ",", "H,Z", " H"
 #: Values of the wrong JSON type for any field.
 JUNK = [None, True, 3, -1.5, "x", [], {}, ["H"]]
 KINDS = ["eval", "lower", "hit_prob", "hit_time"]
+#: The field each kind takes besides ``kind``, ``condition`` and ``policy``.
+OWN_FIELD = {"eval": "expression", "lower": "expression", "hit_prob": "targets", "hit_time": "targets"}
+#: Fields no query or document may hold (``seed`` and ``certificate`` were
+#: query fields once).
+UNKNOWN_FIELDS = ["seed", "certificate", "bogus", "Kind"]
 
 #: Per policy field: values within the run-time bounds, then invalid ones.
 POLICY_VALUES = {
@@ -66,10 +74,12 @@ def pick(draw, valid, invalid):
 def queries(draw):
     kind = pick(draw, KINDS, ["bogus", 7])
     query = {"kind": kind}
-    if kind in ("eval", "lower") or draw(st.booleans()):
+    # A kind's own field always, the other kind's one time in 25.
+    if OWN_FIELD.get(kind) == "expression" or pick(draw, [False], [True]):
         query["expression"] = pick(draw, EXPRESSIONS, JUNK)
-    if kind in ("hit_prob", "hit_time") or draw(st.booleans()):
+    if OWN_FIELD.get(kind) == "targets" or pick(draw, [False], [True]):
         query["targets"] = pick(draw, [[label] for label in LABELS] + [["H", "T"], ["T", "Z"]], [[], *JUNK])
+    query.update(pick(draw, [{}], [{name: 1} for name in UNKNOWN_FIELDS]))
     if draw(st.booleans()):
         query["condition"] = pick(draw, CONDITIONS, JUNK)
     fields = draw(st.lists(st.sampled_from(sorted(POLICY_VALUES)), unique=True, max_size=3))
@@ -85,7 +95,34 @@ def documents(draw, model_path: str):
     doc["queries"] = pick(draw, [doc["queries"]], JUNK)
     if draw(st.integers(0, 3)) == 0:
         doc["model"] = draw(st.sampled_from([model_path, model_path + ".missing", 3]))
+    doc.update(pick(draw, [{}], [{name: 1} for name in UNKNOWN_FIELDS]))
     return doc
+
+
+def split_unknown(doc: dict) -> tuple[list[str], dict]:
+    """The JSON paths of the fields ``doc`` may not hold, in the order the
+    loader meets them (the document's, then each query's), and ``doc``
+    without those fields."""
+    paths = [key for key in doc if key not in ("schema", "model", "queries")]
+    clean = {key: doc[key] for key in doc if key not in paths}
+    if isinstance(doc["queries"], list):
+        clean["queries"] = []
+        for i, query in enumerate(doc["queries"]):
+            if isinstance(query, dict) and query.get("kind") in OWN_FIELD:
+                known = ("kind", OWN_FIELD[query["kind"]], "condition", "policy")
+                paths += [f"queries[{i}].{name}" for name in query if name not in known]
+                query = {name: query[name] for name in query if name in known}
+            clean["queries"].append(query)
+    return paths, clean
+
+
+def load_error(doc: dict) -> str | None:
+    """The message ``load_queries`` rejects ``doc`` with, or None."""
+    try:
+        load_queries(doc)
+    except SchemaError as exc:
+        return str(exc)
+    return None
 
 
 def names_unknown_label(query: dict) -> bool:
@@ -144,6 +181,12 @@ def test_query_documents_hold_the_contract(files, data):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert "NaN" not in out
+    unknown, clean = split_unknown(doc)
+    if unknown:  # the load fails at the first unknown field, or at an error the loader meets before it
+        assert code == 2 and out == "", (doc, out)
+        before = load_error(clean)
+        assert err.startswith(f"error: {unknown[0]}: unknown ") or (before and err == f"error: {before}\n"), (doc, err)
+        return
     if code == 2 and out == "":
         assert NAMED.match(err), err
         return

@@ -196,14 +196,25 @@ class TestCrossCheck:
                         assert res.value > 0.0 or horizon == 0.0
 
     def test_sparse_solve_equals_dense(self, monkeypatch):
-        # k = 3 and a depth-5 table: hundreds of unknown nodes per side.
+        # k = 4 and a depth-5 table: 364 situations avoid the target, so
+        # each side solves for more than _DENSE_SOLVE unknown nodes.
+        import scipy.sparse.linalg
+
         rng = np.random.default_rng(11)
-        space = random_space(3)
-        entries = {s: random_credal(rng, 3) for s in all_situations(3, 5)}
-        tree = ImpreciseTree(space, Table(5, entries, random_credal(rng, 3)))
+        space = random_space(4)
+        entries = {s: random_credal(rng, 4) for s in all_situations(4, 5)}
+        tree = ImpreciseTree(space, Table(5, entries, random_credal(rng, 4)))
         v = hitting_time_variable(space, [0])
-        assert len(engine._closure(tree, v.automaton, ())[1]) > engine._DENSE_SOLVE
+        sizes = []
+        real = scipy.sparse.linalg.spsolve
+
+        def spsolve(matrix, rhs):
+            sizes.append(matrix.shape[0])
+            return real(matrix, rhs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", spsolve)
         sparse = limit_bounds(tree, v)
+        assert sizes and min(sizes) > engine._DENSE_SOLVE
         monkeypatch.setattr(engine, "_DENSE_SOLVE", 10**6)
         dense = limit_bounds(tree, v)
         for a, b in zip(sparse, dense):

@@ -171,9 +171,15 @@ class TestCompatibility:
         assert count_compatible(tree, 3) == 1
         assert len(list(enumerate_compatible(tree, 3))) == 1
 
-    def test_cap_exceeded_names_count(self, imprecise_coin):
-        with pytest.raises(ResourceLimitError, match="8"):
+    def test_cap_exceeded_names_cap(self, imprecise_coin):
+        with pytest.raises(ResourceLimitError, match=r"^enumerating compatible trees exceeds the cap of 7$"):
             list(enumerate_compatible(imprecise_coin, 2, cap=7))
+
+    def test_cap_trips_before_the_count_grows(self, imprecise_coin):
+        # 2**(2**13 - 1) selections: the exact count has 2466 digits.
+        assert len(str(count_compatible(imprecise_coin, 13))) == 2466
+        with pytest.raises(ResourceLimitError, match=r"the cap of 200000$"):
+            next(enumerate_compatible(imprecise_coin, 13))
 
     def test_selections_distinct(self, imprecise_coin):
         seen = set()
