@@ -96,7 +96,7 @@ from .tree import (
     ImpreciseTree,
     Markov,
     PreciseTree,
-    SelectionOverlay,
+    Selection,
     Situation,
     Table,
     enumerate_compatible,

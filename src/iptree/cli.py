@@ -15,23 +15,25 @@ Two subcommands:
 
 Only ``eval`` takes ``--tol``, ``--max-horizon`` (the limit policy of its
 queries) and ``--timing``; no ``check`` battery reads them, and ``check``
-rejects them as unrecognized arguments.  ``eval`` runs nothing randomized:
-its ``--seed`` is only echoed in the report.
+rejects them as unrecognized arguments.  Only ``check`` takes ``--seed``,
+the seed of its randomized batteries, and echoes it in its report; ``eval``
+runs nothing randomized and rejects it.
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON, a failed query's error included).  A JSON report is
 byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``; it is
 written in one pass by ``_json_text``.
 All numerics are finite numbers or the strings ``"+inf"`` / ``"-inf"``; NaN
-is never emitted.  Identical inputs and ``--seed`` produce byte-identical
-reports; ``--timing`` adds wall-clock fields and is therefore off by default.
+is never emitted.  Identical inputs (and ``check``'s ``--seed``) produce
+byte-identical reports; ``--timing`` adds wall-clock fields and is
+therefore off by default.
 
 Flags can be supplied through ``IPTREE_``-prefixed environment variables
-(``IPTREE_MODEL``, ``IPTREE_SEED``, ``IPTREE_FORMAT``, and for ``eval``
-``IPTREE_TOL`` and ``IPTREE_MAX_HORIZON``); explicit flags win, and an
-environment value is checked like the flag it stands for.  ``main`` reads
-these variables on every call, and builds a new parser only when they have
-changed since the last call.
+(``IPTREE_MODEL`` and ``IPTREE_FORMAT``, for ``check`` ``IPTREE_SEED``,
+and for ``eval`` ``IPTREE_TOL`` and ``IPTREE_MAX_HORIZON``); explicit flags
+win, and an environment value is checked like the flag it stands for.
+``main`` reads these variables on every call, and builds a new parser only
+when they have changed since the last call.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
 the flag, and so is an unknown label in a ``condition`` or ``targets``, an
@@ -110,7 +112,6 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     # environment value exits 2 with argparse's message for its flag.
     def common(p):
         p.add_argument("--model", default=model, help="model JSON file")
-        p.add_argument("--seed", type=_int_at_least(0), default=seed, help="seed for randomized suites")
         fmt_group = p.add_mutually_exclusive_group()
         fmt_group.add_argument(
             "--json", dest="format", action="store_const", const="json",
@@ -136,6 +137,7 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     p_check = sub.add_parser("check", help="run verification batteries")
     common(p_check)
     p_check.add_argument("what", choices=("axioms", "oracle", "cert"))
+    p_check.add_argument("--seed", type=_int_at_least(0), default=seed, help="seed for randomized suites")
     p_check.add_argument("target", nargs="?", help="certificate file (cert mode)")
     p_check.add_argument("--expr", help="gamble expression the certificate covers (cert mode)")
     p_check.add_argument("--at", default="", help="conditioning situation (cert mode)")
@@ -363,7 +365,6 @@ def _cmd_eval(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": "eval",
         "model": args.model,
-        "seed": args.seed,
         "results": [],
     }
     start = time.perf_counter()

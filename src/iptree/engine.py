@@ -11,16 +11,17 @@ number is the infimum of supermartingale certificates (see
 (see :mod:`.oracle`), which the test suite cross-checks.
 
 One kernel runs the recursion for every gamble.  It walks the product of
-the tree's finite-state view and the gamble's reward automaton (a dense
-gamble enters as the trie of its prefixes) forward to collect the reachable
-nodes level by level, then sweeps those product layers backwards: a node's
-value is the local upper expectation of the step reward plus the
-successor's value.  Values carry a trailing gamble axis, so gambles that
+the tree's finite-state view, the one way a tree is read, and the gamble's
+reward automaton (a dense gamble enters as the trie of its prefixes) forward
+to collect the reachable nodes level by level, then sweeps those product
+layers backwards: a node's value is the local upper expectation of the step
+reward plus the successor's value.  Values carry a trailing gamble axis, so gambles that
 share an automaton (dense gambles of one depth, a gamble and its negation)
 go through one sweep, and every local expectation is the one ordered sum
 :func:`~iptree.extreal.weighted_sum`, whose bits do not depend on the batch.
 Upper expectations, the value at every situation and the attaining
-compatible precise tree are all read off that one sweep.
+compatible precise tree, a :class:`~iptree.tree.Selection` that reads the
+gamble's automaton, are all read off that one sweep.
 
 Payoffs that depend on the whole infinite path enter through
 :class:`~iptree.gambles.LimitVariable`, one automaton read to every depth:
@@ -67,7 +68,7 @@ from .gambles import (
     pointwise_leq,
 )
 from .local import CredalSet, MassFunction
-from .tree import PreciseTree, Situation, Tree, as_situation
+from .tree import PreciseTree, Selection, Situation, Tree, as_situation
 
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
@@ -176,7 +177,7 @@ def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth: 
     """Forward reachability of (tree state, automaton state) nodes from
     ``s``, whose automaton state is ``q0``, level by level up to ``depth``
     (a node once per level).  With ``trie``, the automaton is a prefix trie
-    (:func:`~iptree.gambles.trie_step`): its states name their prefixes, so
+    (:func:`~iptree.tree.trie_step`): its states name their prefixes, so
     every node of a level is new and none needs looking up.
 
     Returns the tree states met above the last level, the nodes per level
@@ -283,64 +284,26 @@ def finitary_lower(tree: Tree, f: Gamble, s: Situation = ()) -> float:
     return 0.0 - finitary_upper(tree, -f, s)
 
 
-@dataclass(frozen=True)
-class _MachineSelection:
-    """Precise assignment keyed by the (tree state, gamble state) product.
-
-    Realizes the extreme-point choices an adversarial recursion made at each
-    product node as an ordinary tree over situations: both coordinates are
-    deterministic functions of the situation, so the selection is
-    well-defined everywhere.  Situations outside the recorded layers fall
-    back to the first extreme point.  Past the gamble's depth nothing was
-    recorded, so the level stays frozen there: the view then has finitely
-    many states, as the stationary limit path needs.
-    """
-
-    base: object  # assignment of the tree the recursion ran on
-    gamble: MachineStack
-    choices: dict  # (level, tree state, gamble state) -> extreme-point index
-
-    def validate(self, k: int, leaf_type: type):
-        if leaf_type is not MassFunction:
-            raise InvalidInputError("machine selections provide mass-function leaves")
-
-    def local(self, s: Situation) -> MassFunction:
-        return self.machine_leaf(self.machine_init(s))
-
-    def machine_init(self, s: Situation):
-        level = min(len(s), self.gamble.depth)
-        return (level, self.base.machine_init(s), self.gamble.read(s)[1])
-
-    def machine_step(self, state, symbol: int):
-        level, t, q = state
-        if level == self.gamble.depth:
-            return (level, self.base.machine_step(t, symbol), q)
-        return (level + 1, self.base.machine_step(t, symbol), int(self.gamble.step[q, symbol]))
-
-    def machine_leaf(self, state) -> MassFunction:
-        _, t, _ = state
-        points = _points_of(self.base.machine_leaf(t))
-        return MassFunction(points[self.choices.get(state, 0)])
-
-
 def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTree:
     """The compatible precise tree whose choices attain the recursion value.
 
     Replays the backward recursion and records, at every reachable node, the
     extreme point that achieves the maximum (ties broken by lowest index).
-    The returned tree plays those choices and the first extreme point
-    anywhere the recursion never looked; its expectation of ``f`` given
-    ``s`` equals ``finitary_upper(tree, f, s)``.
+    The returned tree, a :class:`~iptree.tree.Selection` over the gamble's
+    automaton, plays those choices and the first extreme point anywhere the
+    recursion never looked; its expectation of ``f`` given ``s`` equals
+    ``finitary_upper(tree, f, s)``.
     """
     s = as_situation(s, tree.k)
     cols = MachineStack.of([f])
     states, layers, _, argmax = _sweep(tree, cols, s, picks=True)
+    points = _local_points(tree, states)
     picked = {
-        (len(s) + li, states[t], q): best
+        (len(s) + li, states[t], q): MassFunction(points[t, best])
         for li, picks in enumerate(argmax)
         for t, q, best in zip(*(a.tolist() for a in layers[li]), picks[:, 0].tolist())
     }
-    return PreciseTree(tree.state_space, _MachineSelection(tree.assignment, cols, picked))
+    return PreciseTree(tree.state_space, Selection(tree.assignment, cols.step, cols.depth, picked))
 
 
 def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:

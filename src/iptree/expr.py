@@ -36,6 +36,10 @@ from .errors import ExprError, ResourceLimitError
 from .gambles import DEFAULT_TABLE_CAP, FinitaryGamble
 from .local import StateSpace
 
+#: NumPy arrays have at most this many axes (32 before NumPy 2), so no
+#: dense table is deeper.
+MAX_TABLE_DEPTH = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
@@ -355,7 +359,8 @@ def compile_gamble(
     """Tabulate an expression into a dense finitary gamble.
 
     ``depth`` may lift the gamble beyond its inferred depth (never below).
-    The dense table of ``k**depth`` payoffs is subject to ``cap``.
+    The dense table of ``k**depth`` payoffs is subject to ``cap``, and its
+    depth to :data:`MAX_TABLE_DEPTH`.
     """
     n = expr.depth if depth is None else depth
     if n < expr.depth:
@@ -366,6 +371,8 @@ def compile_gamble(
     cells = k**n
     if cells > cap:
         raise ResourceLimitError(f"table would need {cells} cells, cap is {cap}")
+    if n > MAX_TABLE_DEPTH:  # a one-state table passes every cell cap
+        raise ResourceLimitError(f"table of depth {n} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows")
 
     shape = (k,) * n
 

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .extreal import check_no_nan
 from .local import StateSpace
-from .tree import Situation, as_situation
+from .tree import Situation, as_situation, trie_step
 
 #: Default cap on dense-table size (cells); 2**12 keeps depth <= 12 for k=2.
 DEFAULT_TABLE_CAP = 4096
@@ -270,25 +270,9 @@ class MachineGamble:
 Gamble = Union[FinitaryGamble, MachineGamble]
 
 
-def trie_step(k: int, depth: int) -> tuple[np.ndarray, int]:
-    """The step array of the prefix trie of depth-``depth`` strings and its
-    first leaf state.
-
-    States are numbered breadth-first: the children of state ``q`` are
-    ``k * q + 1 + y``, so the length-m prefixes are consecutive and in
-    lexicographic order.  The leaves loop to themselves.
-    """
-    leaves = sum(k**m for m in range(depth))  # the first leaf state
-    states = leaves + k**depth
-    step = np.empty((states, k), dtype=np.intp)
-    step[:leaves] = np.arange(1, states).reshape(-1, k)
-    step[leaves:] = np.arange(leaves, states)[:, None]
-    return step, leaves
-
-
 def _trie(k: int, depth: int, payoffs: np.ndarray):
     """Step, reward and terminal arrays of the prefix trie of
-    depth-``depth`` strings (:func:`trie_step`) whose leaves pay
+    depth-``depth`` strings (:func:`~iptree.tree.trie_step`) whose leaves pay
     ``payoffs`` (one row per string, in lexicographic order, and any
     trailing gamble axis) as terminal payoff; no step pays."""
     step, leaves = trie_step(k, depth)
@@ -316,7 +300,7 @@ class MachineStack:
     ``step`` is the shared ``(states, k)`` transition array, ``reward`` has
     shape ``(states, k, G)`` and ``terminal`` ``(states, G)``: column ``g``
     holds gamble ``g``'s rewards and terminal payoffs.  ``trie`` says that
-    ``step`` is the prefix trie of :func:`trie_step`.
+    ``step`` is the prefix trie of :func:`~iptree.tree.trie_step`.
     """
 
     k: int

@@ -13,17 +13,24 @@ measure-theoretic upper envelope.  On finitary gambles that envelope equals
 the backward-recursion value, which is exactly what makes exhaustive
 enumeration a meaningful independent oracle for the engine.  For limit
 variables only one-sided domination is finitely checkable, and
-:func:`domination_check` verifies it against sampled compatible trees.
+:func:`domination_check` verifies it for sampled compatible trees against
+the engine's limit, which is solved exactly for hitting variables.
+
+A tree is read through its finite-state view alone, and every compatible
+tree built here (:func:`selection_tree`, :func:`sample_compatible`) is a
+:class:`~iptree.tree.Selection`.  The forward passes below are the
+oracle's own: they share no code with the engine's sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
 
-from .engine import ApproxResult, Policy, StopReason, finitary_upper
+from .engine import ApproxResult, Policy, StopReason, finitary_upper, limit_bounds
 from .errors import InvalidInputError, ResourceLimitError
 from .gambles import FinitaryGamble, Gamble, LimitVariable, MachineGamble
 from .local import MassFunction
@@ -31,12 +38,12 @@ from .tree import (
     DEFAULT_ENUM_CAP,
     ImpreciseTree,
     PreciseTree,
-    SelectionOverlay,
     Situation,
     all_situations,
     as_situation,
     is_compatible,
     local_model,
+    situation_selection,
 )
 
 #: Agreement tolerance between the enumerated envelope and the recursion.
@@ -83,9 +90,10 @@ def _dense_precise(p: PreciseTree, f: FinitaryGamble, s: Situation) -> float:
     return float((dist * np.asarray(f.table[s], dtype=float)).sum())
 
 
-def _machine_precise(p: PreciseTree, f: MachineGamble, s: Situation) -> float:
-    if len(s) >= f.depth:
-        return f.payoff(s)
+def _machine_levels(p: PreciseTree, f: MachineGamble, s: Situation):
+    """Expectations given ``s`` of ``f`` read to each depth past ``len(s)``
+    in turn, one level of the forward pass per value; ``f``'s own depth must
+    exceed ``len(s)`` and is otherwise ignored."""
     assignment = p.assignment
     step, reward = f.step.tolist(), f.reward.tolist()
     paid, q0 = f.read(s)
@@ -94,7 +102,7 @@ def _machine_precise(p: PreciseTree, f: MachineGamble, s: Situation) -> float:
     # reward of the steps taken so far.
     dist = {(assignment.machine_init(s), q0): 1.0}
     expected = 0.0
-    for _ in range(len(s), f.depth):
+    while True:
         nxt: dict[tuple, float] = {}
         for (t, q), prob in dist.items():
             weights = assignment.machine_leaf(t).weights
@@ -104,7 +112,13 @@ def _machine_precise(p: PreciseTree, f: MachineGamble, s: Situation) -> float:
                 pair = (assignment.machine_step(t, y), step[q][y])
                 nxt[pair] = nxt.get(pair, 0.0) + mass
         dist = nxt
-    return float(paid + expected + sum(prob * f.terminal[q] for (_, q), prob in dist.items()))
+        yield float(paid + expected + sum(prob * f.terminal[q] for (_, q), prob in dist.items()))
+
+
+def _machine_precise(p: PreciseTree, f: MachineGamble, s: Situation) -> float:
+    if len(s) >= f.depth:
+        return f.payoff(s)
+    return next(itertools.islice(_machine_levels(p, f, s), f.depth - len(s) - 1, None))
 
 
 def precise_expectation(p: PreciseTree, f: Gamble, s: Situation = ()) -> float:
@@ -228,7 +242,7 @@ def selection_tree(q: ImpreciseTree, choices: dict[Situation, int]) -> PreciseTr
     chosen = {
         sit: MassFunction(local_model(q, sit).points[e]) for sit, e in choices.items()
     }
-    return PreciseTree(q.state_space, SelectionOverlay(q.assignment, chosen))
+    return situation_selection(q, chosen)
 
 
 def sample_compatible(
@@ -248,7 +262,7 @@ def sample_compatible(
             points = local_model(q, t).points
             weights = rng.dirichlet(np.ones(points.shape[0]))
             choices[t] = MassFunction(weights @ points)
-        trees.append(PreciseTree(q.state_space, SelectionOverlay(q.assignment, choices)))
+        trees.append(situation_selection(q, choices))
     return trees
 
 
@@ -272,10 +286,18 @@ class DominationReport:
 def _precise_limit(
     p: PreciseTree, v: LimitVariable, s: Situation, policy: Policy
 ) -> ApproxResult:
+    """The expectations of ``v``'s approximations from ``start_index`` on,
+    until two agree within ``tol``: read off ``s`` up to its length, then
+    one level of a single forward pass per iterate.  Each is bitwise
+    :func:`precise_expectation` of its approximation."""
+    values = itertools.chain(
+        (v.generator(m).payoff(s) for m in range(len(s) + 1)),
+        _machine_levels(p, v.generator(len(s) + 1), s),
+    )
     iterates = []
     prev = None
-    for m in range(policy.start_index, policy.start_index + policy.max_horizon):
-        val = precise_expectation(p, v.generator(m), s)
+    first = policy.start_index
+    for m, val in itertools.islice(enumerate(values), first, first + policy.max_horizon):
         iterates.append((m, val))
         if prev is not None and abs(val - prev) < policy.tol:
             return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
@@ -297,16 +319,17 @@ def domination_check(
     Every sample must pass :func:`~iptree.tree.is_compatible` (to
     ``compat_depth``); its expectation limit along the approximating sequence
     (monotone for precise trees, so the limit exists) must stay below the
-    engine's upper value plus ``tol``.
+    engine's upper limit plus ``tol``.  That limit is the upper result of
+    :func:`~iptree.engine.limit_bounds`: solved exactly for hitting times
+    and hitting probabilities, where value iteration can stop on a plateau.
     """
-    from .engine import limit_upper
-
+    s = as_situation(s, q.k)
     if samples is None or not samples:
         raise InvalidInputError("domination_check needs at least one sampled tree")
     for i, p in enumerate(samples):
         if not is_compatible(p, q, compat_depth):
             raise InvalidInputError(f"sample #{i} is not compatible with the imprecise tree")
-    upper = limit_upper(q, v, s, policy)
+    upper = limit_bounds(q, v, s, policy)[0]
     verdicts = []
     for p in samples:
         res = _precise_limit(p, v, s, policy)

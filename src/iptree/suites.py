@@ -16,6 +16,7 @@ import numpy as np
 
 from .engine import finitary_lower, finitary_upper, finitary_uppers, value_table
 from .errors import InvalidInputError, ResourceLimitError
+from .expr import MAX_TABLE_DEPTH
 from .extreal import INF, xadd, xmul
 from .gambles import DEFAULT_TABLE_CAP, FinitaryGamble, restrict
 from .local import (
@@ -572,7 +573,7 @@ def model_oracle_suite(
 
     Raises :class:`~iptree.errors.ResourceLimitError` before drawing anything
     when a gamble of ``depth`` would need more than ``DEFAULT_TABLE_CAP``
-    cells.
+    cells, or more than :data:`~iptree.expr.MAX_TABLE_DEPTH` axes.
     """
     # Any k >= 2 passes the cap by the power of its bit length, so a huge
     # depth is rejected without computing k**depth.
@@ -580,6 +581,8 @@ def model_oracle_suite(
         raise ResourceLimitError(
             f"gambles of depth {depth} would need {tree.k}**{depth} cells, cap is {DEFAULT_TABLE_CAP}"
         )
+    if depth > MAX_TABLE_DEPTH:  # a one-state model passes every cell cap
+        raise ResourceLimitError(f"gambles of depth {depth} exceed the {MAX_TABLE_DEPTH} axes NumPy allows")
     rng = np.random.default_rng(seed)
     rec = _Recorder("model-oracle", trials)
     for t in range(trials):

@@ -34,9 +34,9 @@ import numpy as np
 from .engine import _local_points, _machine_layers, finitary_upper, value_table
 from .errors import InvalidInputError
 from .extreal import INF, check_no_nan, weighted_sum
-from .gambles import FinitaryGamble, trie_step
+from .gambles import FinitaryGamble
 from .local import CredalSet, extended_upper_expectation
-from .tree import Situation, Tree, as_situation
+from .tree import Situation, Tree, as_situation, local_model, trie_step
 
 #: Verification slack: a situation counts as violating only beyond this.
 VERIFY_TOL = 1e-9
@@ -183,7 +183,7 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
         finite[infinite] = 0.0
         required = weighted_sum(points[layers[m][0]], finite[:, None, :]).max(axis=1)
         for i in infinite.tolist():
-            leaf = tree.assignment.local(_situation(i, k, m))
+            leaf = local_model(tree, _situation(i, k, m))
             credal = leaf if isinstance(leaf, CredalSet) else CredalSet.singleton(leaf)
             required[i] = extended_upper_expectation(credal, nxt[i])
         checked += len(value)

@@ -12,15 +12,17 @@ forms cover the practical cases:
 * ``Table``: explicit per-situation models up to a declared depth, with a
   default model beyond.
 
-Every assignment also exposes a *finite-state view* (``machine_init`` /
-``machine_step`` / ``machine_leaf``): a deterministic automaton over
-situations whose state determines the local model.  The recursion engine
-uses it to collapse long horizons without enumerating situations.
+An assignment is read only through its *finite-state view* (``machine_init``
+/ ``machine_step`` / ``machine_leaf``): a deterministic automaton over
+situations whose state determines the local model.  :func:`local_model`
+reads one situation's model through it, and the recursion engine uses it to
+collapse long horizons without enumerating situations.
 
 A precise tree is *compatible* with an imprecise one when each of its mass
 functions lies in the convex hull of the corresponding credal set's extreme
 points; :func:`in_convex_hull` decides that by a small linear program, and
-is the only function here that imports SciPy, on its first call.
+is the only function here that imports SciPy, on its first call.  Every
+compatible tree built here is a :class:`Selection`.
 :func:`enumerate_compatible` brute-forces the extreme-point selections; it is
 the combinatorial backbone of the measure-theoretic envelope oracle.
 """
@@ -28,7 +30,7 @@ the combinatorial backbone of the measure-theoretic envelope oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
@@ -91,14 +93,27 @@ def situation_strings(space: StateSpace, depth: int) -> list[str]:
     return strings
 
 
+def trie_step(k: int, depth: int) -> tuple[np.ndarray, int]:
+    """The step array of the prefix trie of depth-``depth`` strings and its
+    first leaf state.
+
+    States are numbered breadth-first: the children of state ``q`` are
+    ``k * q + 1 + y``, so the length-m prefixes are consecutive and in
+    lexicographic order.  The leaves loop to themselves.
+    """
+    leaves = sum(k**m for m in range(depth))  # the first leaf state
+    states = leaves + k**depth
+    step = np.empty((states, k), dtype=np.intp)
+    step[:leaves] = np.arange(1, states).reshape(-1, k)
+    step[leaves:] = np.arange(leaves, states)[:, None]
+    return step, leaves
+
+
 @dataclass(frozen=True)
 class Homogeneous:
     """Same local model in every situation."""
 
     model: Leaf
-
-    def local(self, s: Situation) -> Leaf:
-        return self.model
 
     def machine_init(self, s: Situation) -> Hashable:
         return None
@@ -119,9 +134,6 @@ class Markov:
 
     root: Leaf
     by_state: tuple[Leaf, ...]
-
-    def local(self, s: Situation) -> Leaf:
-        return self.root if not s else self.by_state[s[-1]]
 
     def machine_init(self, s: Situation) -> Hashable:
         return s[-1] if s else -1
@@ -151,11 +163,6 @@ class Table:
                 )
         object.__setattr__(self, "entries", dict(self.entries))
 
-    def local(self, s: Situation) -> Leaf:
-        if len(s) <= self.depth:
-            return self.entries.get(s, self.default)
-        return self.default
-
     def machine_init(self, s: Situation) -> Hashable:
         return s if len(s) <= self.depth else _DEFAULT_STATE
 
@@ -170,48 +177,42 @@ class Table:
         return self.entries.get(state, self.default)
 
 
-@dataclass(frozen=True)
-class SelectionOverlay:
-    """Precise assignment carved out of a credal one.
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """Precise assignment carved out of another one, node by node.
 
-    Explicit mass-function choices at finitely many situations; everywhere
-    else the first extreme point of the underlying credal model.  This is the
-    shape of the trees produced by :func:`enumerate_compatible`.
+    A deterministic automaton (states ``range(len(step))``, start state 0)
+    reads the first ``depth`` states alongside ``base``: a situation's node
+    is (level, base state, automaton state), and past ``depth`` the level
+    and the automaton state stay put, so the view has finitely many states.
+    ``choices`` maps nodes to mass functions; any other node plays the first
+    extreme point of its base leaf.  :func:`~iptree.engine.adversarial_selection`
+    reads the gamble's automaton, :func:`situation_selection` a prefix trie.
     """
 
     base: "Assignment"
-    choices: Mapping[Situation, MassFunction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "choices", dict(self.choices))
-        depth = max((len(s) for s in self.choices), default=-1)
-        object.__setattr__(self, "_track_depth", depth)
-
-    def local(self, s: Situation) -> MassFunction:
-        got = self.choices.get(s)
-        if got is not None:
-            return got
-        return MassFunction(self.base.local(s).points[0])
+    step: np.ndarray  # (states, k) integers
+    depth: int
+    choices: Mapping[Hashable, MassFunction]
 
     def machine_init(self, s: Situation) -> Hashable:
-        prefix = s if len(s) <= self._track_depth else None
-        return (prefix, self.base.machine_init(s))
+        q = 0
+        for y in s[: self.depth]:
+            q = self.step[q, y]
+        return (min(len(s), self.depth), self.base.machine_init(s), int(q))
 
     def machine_step(self, state: Hashable, symbol: int) -> Hashable:
-        prefix, base_state = state
-        if prefix is not None and len(prefix) < self._track_depth:
-            new_prefix = prefix + (symbol,)
-        else:
-            new_prefix = None
-        return (new_prefix, self.base.machine_step(base_state, symbol))
+        level, t, q = state
+        if level == self.depth:
+            return (level, self.base.machine_step(t, symbol), q)
+        return (level + 1, self.base.machine_step(t, symbol), int(self.step[q, symbol]))
 
     def machine_leaf(self, state: Hashable) -> MassFunction:
-        prefix, base_state = state
-        if prefix is not None:
-            got = self.choices.get(prefix)
-            if got is not None:
-                return got
-        return MassFunction(self.base.machine_leaf(base_state).points[0])
+        got = self.choices.get(state)
+        if got is not None:
+            return got
+        leaf = self.base.machine_leaf(state[1])
+        return leaf if isinstance(leaf, MassFunction) else MassFunction(leaf.points[0])
 
 
 @dataclass(frozen=True)
@@ -219,9 +220,6 @@ class _SingletonView:
     """Credal view of a precise assignment: every leaf a one-point set."""
 
     base: "Assignment"
-
-    def local(self, s: Situation) -> CredalSet:
-        return CredalSet.singleton(self.base.local(s))
 
     def machine_init(self, s: Situation) -> Hashable:
         return self.base.machine_init(s)
@@ -233,7 +231,7 @@ class _SingletonView:
         return CredalSet.singleton(self.base.machine_leaf(state))
 
 
-Assignment = Union[Homogeneous, Markov, Table, SelectionOverlay, _SingletonView]
+Assignment = Union[Homogeneous, Markov, Table, Selection, _SingletonView]
 
 
 def _check_assignment(assignment, k: int, leaf_type: type, kind: str):
@@ -266,16 +264,20 @@ def _check_assignment(assignment, k: int, leaf_type: type, kind: str):
             for s, leaf in entries.items():
                 as_situation(s, k)
                 check(leaf)
-    elif isinstance(assignment, SelectionOverlay):
-        _check_assignment(assignment.base, k, CredalSet, "imprecise")
-        for s, leaf in assignment.choices.items():
-            as_situation(s, k)
+    elif isinstance(assignment, Selection):
+        if leaf_type is not MassFunction:
+            raise InvalidInputError(f"{kind} tree expects {leaf_type.__name__} leaves")
+        # A selection carved out of a precise tree has a precise base.
+        base, step = assignment.base, np.asarray(assignment.step)
+        precise = isinstance(base, Assignment) and isinstance(base.machine_leaf(base.machine_init(())), MassFunction)
+        _check_assignment(base, k, MassFunction if precise else CredalSet, "precise" if precise else "imprecise")
+        if (step.dtype.kind not in "iu" or step.shape[1:] != (k,) or assignment.depth < 0
+                or not (step.size and 0 <= step.min() and step.max() < len(step))):
+            raise InvalidInputError(f"a selection needs a depth >= 0 and (states, {k}) integer steps that lead to its states")
+        for leaf in assignment.choices.values():
             check(leaf)
     elif isinstance(assignment, _SingletonView):
         _check_assignment(assignment.base, k, MassFunction, "precise")
-    elif hasattr(assignment, "validate"):
-        # Extension point for assignment strategies defined elsewhere.
-        assignment.validate(k, leaf_type)
     else:
         raise InvalidInputError(f"unknown assignment type {type(assignment).__name__}")
 
@@ -318,9 +320,25 @@ Tree = Union[ImpreciseTree, PreciseTree]
 
 
 def local_model(tree: Tree, s: Situation) -> Leaf:
-    """Resolve the local model attached to situation ``s``."""
-    s = as_situation(s, tree.k)
-    return tree.assignment.local(s)
+    """Resolve the local model attached to situation ``s``: the leaf of the
+    state the tree's finite-state view gives it."""
+    assignment = tree.assignment
+    return assignment.machine_leaf(assignment.machine_init(as_situation(s, tree.k)))
+
+
+def situation_selection(tree: ImpreciseTree, choices: Mapping[Situation, MassFunction]) -> PreciseTree:
+    """The compatible precise tree that plays ``choices[s]`` at each
+    situation ``s`` named and the first extreme point elsewhere.
+
+    Its automaton is the prefix trie one level past the longest key, with
+    that last level merged into one state: each named situation is a node
+    of its own, and the deeper ones are told apart by their base state only.
+    """
+    depth = max(map(len, choices), default=-1) + 1
+    step, sink = trie_step(tree.k, depth)
+    sel = Selection(tree.assignment, np.minimum(step[: sink + 1], sink), depth, {})
+    nodes = [sel.machine_init(as_situation(s, tree.k)) for s in choices]
+    return PreciseTree(tree.state_space, replace(sel, choices=dict(zip(nodes, choices.values()))))
 
 
 def all_situations(k: int, max_len: int) -> Iterator[Situation]:
@@ -374,8 +392,6 @@ def is_compatible(precise: PreciseTree, imprecise: ImpreciseTree, depth: int, to
         raise InvalidInputError("trees must share a state space")
     if depth < 0:
         raise InvalidInputError("depth must be non-negative")
-    if depth == 0:
-        return True
     for s in all_situations(precise.k, depth - 1):
         mass = local_model(precise, s)
         credal = local_model(imprecise, s)
@@ -386,8 +402,6 @@ def is_compatible(precise: PreciseTree, imprecise: ImpreciseTree, depth: int, to
 
 def count_compatible(tree: ImpreciseTree, depth: int) -> int:
     """Number of extreme-point selections over situations of length < depth."""
-    if depth <= 0:
-        return 1
     count = 1
     for s in all_situations(tree.k, depth - 1):
         count *= local_model(tree, s).n_points
@@ -418,5 +432,4 @@ def enumerate_compatible(
         [MassFunction(p) for p in local_model(tree, s).points] for s in sits
     ]
     for combo in itertools.product(*choice_lists):
-        overlay = SelectionOverlay(tree.assignment, dict(zip(sits, combo)))
-        yield PreciseTree(tree.state_space, overlay)
+        yield situation_selection(tree, dict(zip(sits, combo)))

@@ -23,7 +23,7 @@ from iptree.suites import (
     precise_collapse_suite,
     process_suite,
 )
-from iptree.tree import Homogeneous, ImpreciseTree
+from iptree.tree import Homogeneous, ImpreciseTree, local_model
 
 
 def _report(number: int, name: str, passed: bool, detail: str = ""):
@@ -163,10 +163,8 @@ def test_criterion_8_domination(coin_space, imprecise_coin):
     gap = abs(closing.min_gap())
     # cross-check against the exhaustive argmax at an enumerable horizon
     env = envelope_sup(imprecise_coin, tau.generator(3).to_dense(), ())
-    root_choice = adv.assignment.local(()).weights
-    argmax_agrees = np.allclose(
-        root_choice, imprecise_coin.assignment.local(()).points[env.argmax[()]]
-    )
+    root_choice = local_model(adv, ()).weights
+    argmax_agrees = np.allclose(root_choice, local_model(imprecise_coin, ()).points[env.argmax[()]])
     _report(
         8,
         "sampled compatible trees dominated; adversarial selection closes the gap",

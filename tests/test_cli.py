@@ -15,6 +15,7 @@ from iptree import cli
 from iptree.cli import main
 from iptree.engine import Policy
 from iptree.errors import ResourceLimitError
+from iptree.expr import MAX_TABLE_DEPTH
 from iptree.local import StateSpace
 from iptree.modelio import load_model
 
@@ -92,8 +93,8 @@ class TestEval:
         assert json.loads(out)["results"][0]["upper"] == pytest.approx(0.6)
 
     def test_byte_identical_reports(self, capsys, model_file, query_file):
-        _, first = run(capsys, "eval", "--model", model_file, "--query", query_file, "--seed", "9")
-        _, second = run(capsys, "eval", "--model", model_file, "--query", query_file, "--seed", "9")
+        _, first = run(capsys, "eval", "--model", model_file, "--query", query_file)
+        _, second = run(capsys, "eval", "--model", model_file, "--query", query_file)
         assert first == second
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -115,17 +116,30 @@ class TestEval:
     )
     def test_bad_env_value_exits_2(self, capsys, model_file, monkeypatch, name, value, message):
         monkeypatch.setenv(name, value)
+        if name == "IPTREE_SEED":  # a default of check's alone
+            argv = ["check", "--model", model_file, "axioms"]
+        else:
+            argv = ["eval", "--model", model_file, "--expr", "1"]
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--model", model_file, "--expr", "1"])
+            main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
     def test_env_value_is_a_default(self, capsys, model_file, monkeypatch):
         monkeypatch.setenv("IPTREE_SEED", "5")
-        _, out = run(capsys, "eval", "--model", model_file, "--expr", "1")
+        _, out = run(capsys, "check", "--model", model_file, "axioms", "--trials", "1")
         assert json.loads(out)["seed"] == 5
-        _, out = run(capsys, "eval", "--model", model_file, "--expr", "1", "--seed", "6")
+        _, out = run(capsys, "check", "--model", model_file, "axioms", "--trials", "1", "--seed", "6")
         assert json.loads(out)["seed"] == 6
+        _, out = run(capsys, "eval", "--model", model_file, "--expr", "1")
+        assert "seed" not in json.loads(out)
+
+    def test_eval_takes_no_seed(self, capsys, model_file):
+        # eval runs nothing randomized.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", model_file, "--expr", "1", "--seed", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 6" in capsys.readouterr().err
 
     def test_inline_hit_prob(self, capsys, model_file):
         code, out = run(capsys, "eval", "--model", model_file, "--hit-prob", "T", "--max-horizon", "60")
@@ -590,6 +604,55 @@ class TestSizeCapErrors:
             cli._named("--expr", cli._compiled, {}, self.DEEP, space, 4096)
 
 
+class TestDeepTables:
+    """A one-state model passes every cell cap (1**n is 1), so a table
+    deeper than NumPy's axes (64 since NumPy 2) fails as a size-cap error at
+    its flag or JSON path, before anything is allocated, and not as a
+    traceback."""
+
+    ONE = _homogeneous(["A"], [1.0])
+    DEEP = f"ind(X[{MAX_TABLE_DEPTH + 6}]==A)"
+    MESSAGE = f"table of depth {MAX_TABLE_DEPTH + 6} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows"
+
+    @pytest.fixture
+    def one_file(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(self.ONE))
+        return str(path)
+
+    def test_inline_expr(self, capsys, one_file):
+        code = main(["eval", "--model", one_file, "--expr", self.DEEP])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""  # eval reports a query's error in its record
+        (rec,) = json.loads(out)["results"]
+        assert rec["error"] == f"--expr: {self.MESSAGE}"
+
+    def test_query_file(self, capsys, tmp_path):
+        code, _, records = _eval_queries(capsys, tmp_path, self.ONE, [{"kind": "lower", "expression": self.DEEP}])
+        assert code == 2
+        assert [rec["error"] for rec in records] == [f"queries[0].expression: {self.MESSAGE}"]
+
+    def test_check_oracle_depth(self, capsys, one_file):
+        depth = MAX_TABLE_DEPTH + 6
+        code = main(["check", "--model", one_file, "oracle", "--depth", str(depth), "--trials", "30"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --depth: gambles of depth {depth} exceed the {MAX_TABLE_DEPTH} axes NumPy allows\n"
+
+    def test_check_cert_expr(self, capsys, one_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"schema": 1, "depth": 0, "lower_bound": 1.0, "table": {"": 1.0}}))
+        code = main(["check", "--model", one_file, "cert", str(cert), "--expr", self.DEEP])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --expr: {self.MESSAGE}\n"
+
+    def test_deepest_table_runs(self, capsys, one_file):
+        code, out = run(capsys, "eval", "--model", one_file, "--expr", f"ind(X[{MAX_TABLE_DEPTH}]==A)")
+        assert code == 0
+        assert json.loads(out)["results"][0]["upper"] == 1.0
+
+
 def _write_bytes(tmp_path, name, data: bytes):
     path = tmp_path / name
     path.write_bytes(data)
@@ -761,8 +824,9 @@ class TestEnvironmentFuzz:
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert "NaN" not in out
-        # ``check`` reads neither the policy flags nor their variables.
-        read = _FLAG_OR_ENV if command == "eval" else ("seed",)
+        # ``check`` reads neither the policy flags nor their variables, and
+        # ``eval`` neither the seed flag nor its variable.
+        read = ("tol", "max_horizon") if command == "eval" else ("seed",)
         bad_flags = [name for name in read if parsed[name] is None]
         if bad_flags:
             assert code == 2 and out == ""
@@ -785,7 +849,7 @@ class TestEnvironmentFuzz:
             return
         assert out == _dumps(json.loads(out)) + "\n"
         report = json.loads(out)
-        assert report["seed"] == parsed["seed"]
+        assert report.get("seed") == (parsed["seed"] if command == "check" else None)
         if code == 2:
             assert all("policy fields" in rec["error"] for rec in report["results"])
 

@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iptree.engine import Policy, adversarial_selection, finitary_upper
+from iptree.engine import Policy, StopReason, adversarial_selection, finitary_upper
 from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.expr import compile_gamble, parse_gamble
-from iptree.gambles import hitting_time_variable, truncated_hitting_time
-from iptree.local import MassFunction
+from iptree.gambles import hitting_event_variable, hitting_time_variable, truncated_hitting_time
+from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree import oracle
 from iptree.oracle import (
     conditional_prob,
@@ -26,6 +26,8 @@ from iptree.suites import (
 )
 from iptree.tree import (
     Homogeneous,
+    ImpreciseTree,
+    Markov,
     PreciseTree,
     all_situations,
     enumerate_compatible,
@@ -233,6 +235,37 @@ class TestDomination:
         )
         assert report.passed
         assert abs(report.min_gap()) < 1e-6
+
+    def test_compares_against_the_solved_limit(self):
+        # Value iteration stops on the plateau 0.5: one root choice hits T
+        # in one step or never, the other walks to A, which hits T only
+        # eventually.  The tree that walks to A hits T almost surely.
+        space = StateSpace(("A", "B", "T"))
+        q = ImpreciseTree(space, Markov(
+            CredalSet(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])),
+            tuple(CredalSet(np.array([p])) for p in ([0.6, 0.0, 0.4], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])),
+        ))
+        v = hitting_event_variable(space, ["T"])
+        report = domination_check(q, v, (), [selection_tree(q, {(): 1})])
+        assert report.upper.value == 1.0 and report.upper.stop_reason is StopReason.SOLVED
+        assert report.samples[0].limit.value == pytest.approx(1.0, abs=1e-8)
+        assert report.passed
+
+    def test_precise_limit_iterates_are_precise_expectations(self):
+        rng = np.random.default_rng(44)
+        for trial in range(12):
+            k = int(rng.integers(2, 4))
+            q = random_tree(rng, k)
+            space = q.state_space
+            p = sample_compatible(q, int(rng.integers(0, 3)), 1, rng)[0] if trial % 2 else random_precise_tree(rng, k)
+            s = random_situation(rng, k, 3)
+            make = hitting_time_variable if trial % 3 else hitting_event_variable
+            v = make(space, [int(rng.integers(0, k))])
+            policy = Policy(tol=1e-12, max_horizon=int(rng.integers(1, 25)), start_index=int(rng.integers(0, 5)))
+            res = oracle._precise_limit(p, v, s, policy)
+            assert res.iterates[0][0] == policy.start_index
+            for m, val in res.iterates:
+                assert val == precise_expectation(p, v.generator(m), s), (trial, m)
 
     def test_incompatible_sample_rejected(self, coin_space, imprecise_coin):
         outside = PreciseTree(

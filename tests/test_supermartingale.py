@@ -24,7 +24,7 @@ from iptree.suites import (
     random_space,
     random_tree,
 )
-from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situations
+from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situations, local_model
 
 
 def expr_gamble(source, space):
@@ -169,7 +169,7 @@ def reference_verify(process, tree, tol=VERIFY_TOL):
     for m in range(process.depth):
         nxt = process.levels[m + 1]
         for prefix in np.ndindex(*(process.k,) * m):
-            leaf = tree.assignment.local(prefix)
+            leaf = local_model(tree, prefix)
             credal = leaf if isinstance(leaf, CredalSet) else CredalSet.singleton(leaf)
             required = extended_upper_expectation(credal, nxt[prefix])
             value = float(process.levels[m][prefix])

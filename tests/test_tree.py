@@ -8,6 +8,7 @@ from iptree.tree import (
     ImpreciseTree,
     Markov,
     PreciseTree,
+    Selection,
     Table,
     all_situations,
     as_situation,
@@ -18,6 +19,7 @@ from iptree.tree import (
     is_compatible,
     local_model,
     parse_situation,
+    situation_selection,
     situation_strings,
 )
 
@@ -190,6 +192,76 @@ class TestCompatibility:
             assert key not in seen
             seen.add(key)
         assert len(seen) == 8
+
+
+class TestSelection:
+    """One assignment type serves every compatible precise tree: mass
+    functions chosen at nodes of (level, base state, automaton state)."""
+
+    def test_named_situations_and_the_first_point_elsewhere(self, space, imprecise_coin):
+        low, high = (MassFunction(p) for p in imprecise_coin.assignment.model.points)
+        mid = MassFunction(np.array([0.5, 0.5]))
+        p = situation_selection(imprecise_coin, {(): mid, (1, 0): high})
+        assert local_model(p, ()) is mid and local_model(p, [1, 0]) is high
+        for s in ((0,), (1,), (0, 0), (1, 0, 0), (1, 0, 1, 1)):
+            assert local_model(p, s) == low
+        # Deeper than the longest key the view stops growing.
+        a = p.assignment
+        reached = {a.machine_init(())}
+        for _ in range(6):
+            reached |= {a.machine_step(t, y) for t in reached for y in range(2)}
+        assert len(reached) == 1 + 2 + 4 + 1
+
+    @pytest.mark.parametrize(
+        "choices, message",
+        [
+            ({(2,): MassFunction(np.array([0.5, 0.5]))}, "state index 2 out of range for 2 states"),
+            ({(): MassFunction(np.array([0.2, 0.3, 0.5]))}, "local model over 3 states attached to a tree with 2 states"),
+            ({(0,): credal([0.5, 0.5])}, "precise tree expects MassFunction leaves"),
+        ],
+        ids=["key", "choice-size", "choice-type"],
+    )
+    def test_keys_and_choices_are_checked(self, imprecise_coin, choices, message):
+        with pytest.raises(InvalidInputError, match=message):
+            situation_selection(imprecise_coin, choices)
+
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            (Homogeneous(credal([0.2, 0.3, 0.5])), "local model over 3 states attached to a tree with 2 states"),
+            (Markov(credal([0.5, 0.5]), (credal([0.5, 0.5]), MassFunction(np.array([0.5, 0.5])))),
+             "imprecise tree expects CredalSet leaves"),
+            (Markov(MassFunction(np.array([0.5, 0.5])), (credal([0.5, 0.5]),) * 2),
+             "precise tree expects MassFunction leaves"),
+            ("base", "unknown assignment type str"),
+        ],
+        ids=["size", "imprecise-mixed", "precise-mixed", "unknown"],
+    )
+    def test_base_is_checked_against_its_leaf_type(self, space, base, message):
+        with pytest.raises(InvalidInputError, match=message):
+            PreciseTree(space, Selection(base, np.zeros((1, 2), dtype=int), 0, {}))
+
+    @pytest.mark.parametrize(
+        "step, depth",
+        [
+            (np.array([[0, 2], [1, 0]]), 1),
+            (np.array([[0, -1]]), 1),
+            (np.array([[0.0, 0.0]]), 1),
+            (np.zeros((1, 3), dtype=int), 1),
+            (np.zeros((0, 2), dtype=int), 1),
+            (np.zeros((1, 2), dtype=int), -1),
+        ],
+        ids=["beyond", "negative", "float", "width", "empty", "depth"],
+    )
+    def test_automaton_is_checked(self, space, step, depth):
+        with pytest.raises(InvalidInputError, match="a selection needs a depth >= 0"):
+            PreciseTree(space, Selection(Homogeneous(credal([0.5, 0.5])), step, depth, {}))
+
+    def test_precise_base_and_no_credal_view(self, space, biased_coin):
+        p = PreciseTree(space, Selection(biased_coin.assignment, np.zeros((1, 2), dtype=int), 0, {}))
+        assert local_model(p, (0, 1)) is biased_coin.assignment.model
+        with pytest.raises(InvalidInputError, match="imprecise tree expects CredalSet leaves"):
+            ImpreciseTree(space, p.assignment)
 
 
 class TestSingletonView:
