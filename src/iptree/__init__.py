@@ -23,6 +23,7 @@ from .engine import (
     lower_probability,
     upper_probability,
     value_table,
+    value_tables,
 )
 from .errors import (
     ExprError,

@@ -19,9 +19,10 @@ reward plus the successor's value.  Values carry a trailing gamble axis, so gamb
 share an automaton (dense gambles of one depth, a gamble and its negation)
 go through one sweep, and every local expectation is the one ordered sum
 :func:`~iptree.extreal.weighted_sum`, whose bits do not depend on the batch.
-Upper expectations, the value at every situation and the attaining
-compatible precise tree, a :class:`~iptree.tree.Selection` that reads the
-gamble's automaton, are all read off that one sweep.
+Upper expectations (:func:`finitary_uppers`), the value at every situation
+(:func:`value_tables`, the one-gamble case :func:`value_table`) and the
+attaining compatible precise tree, a :class:`~iptree.tree.Selection` that
+reads the gamble's automaton, are all read off that one sweep.
 
 Payoffs that depend on the whole infinite path enter through
 :class:`~iptree.gambles.LimitVariable`, one automaton read to every depth:
@@ -306,18 +307,24 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     return PreciseTree(tree.state_space, Selection(tree.assignment, cols.step, cols.depth, picked))
 
 
+def value_tables(tree: Tree, gambles) -> list[list[np.ndarray]]:
+    """:func:`value_table` of each of several dense gambles of one depth,
+    from one sweep; each table is bit-identical to that gamble's alone."""
+    if not all(isinstance(f, FinitaryGamble) for f in gambles):
+        raise InvalidInputError("value_table expects a dense finitary gamble")
+    # Swept from the root, a dense gamble's product nodes at level m are the
+    # length-m prefixes, one each, in lexicographic order.
+    values = _sweep(tree, MachineStack.of(gambles), ())[2]
+    return [[vals[:, g].reshape((tree.k,) * m) for m, vals in enumerate(values)] for g in range(len(gambles))]
+
+
 def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
     """Conditional upper expectations at every situation up to the depth.
 
     ``result[m]`` has shape ``(k,)*m`` and holds the value given each
     length-m situation; ``result[depth]`` is the payoff table itself.
     """
-    if not isinstance(f, FinitaryGamble):
-        raise InvalidInputError("value_table expects a dense finitary gamble")
-    # Swept from the root, a dense gamble's product nodes at level m are the
-    # length-m prefixes, one each, in lexicographic order.
-    values = _sweep(tree, MachineStack.of([f]), ())[2]
-    return [vals[:, 0].reshape((tree.k,) * m) for m, vals in enumerate(values)]
+    return value_tables(tree, [f])[0]
 
 
 def _closure(tree: Tree, machine, s: Situation):
@@ -412,6 +419,8 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
     Iterates up to horizon ``len(s)`` are read off the conditioning
     situation, so two equal ones stop a side only from there on.
     """
+    if v.automaton.k != tree.k:
+        raise InvalidInputError("gamble and tree live on different state spaces")
     s = as_situation(s, tree.k)
     first = policy.start_index
     sides = [v if sign > 0 else -v for sign in signs]

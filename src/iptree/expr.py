@@ -374,11 +374,13 @@ def compile_gamble(
     if n > MAX_TABLE_DEPTH:  # a one-state table passes every cell cap
         raise ResourceLimitError(f"table of depth {n} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows")
 
-    shape = (k,) * n
-
-    def eval_num(node: Expr, env: dict[str, int]) -> np.ndarray:
+    # Each node's value broadcasts against the table: a number is a scalar
+    # and X[i]==A a mask of size k on axis i-1, so every cell gets the same
+    # scalar operations in the same order as on full tables, and only the
+    # root is expanded to all k**n cells.
+    def eval_num(node: Expr, env: dict[str, int]):
         if isinstance(node, Num):
-            return np.broadcast_to(np.float64(node.value), shape)
+            return np.float64(node.value)
         if isinstance(node, Add):
             return eval_num(node.left, env) + eval_num(node.right, env)
         if isinstance(node, Sub):
@@ -392,7 +394,7 @@ def compile_gamble(
         if isinstance(node, Ind):
             return eval_bool(node.condition, env).astype(float)
         if isinstance(node, SumOver):
-            total = np.zeros(shape)
+            total = np.float64(0.0)
             for i in range(node.lo, node.hi + 1):
                 total = total + eval_num(node.body, {**env, node.var: i})
             return total
@@ -403,8 +405,7 @@ def compile_gamble(
             pos = env[node.index] if isinstance(node.index, str) else node.index
             axis_shape = [1] * n
             axis_shape[pos - 1] = k
-            mask = (np.arange(k) == node.state).reshape(axis_shape)
-            return np.broadcast_to(mask, shape)
+            return (np.arange(k) == node.state).reshape(axis_shape)
         if isinstance(node, BoolAnd):
             return eval_bool(node.left, env) & eval_bool(node.right, env)
         if isinstance(node, BoolOr):
@@ -416,7 +417,7 @@ def compile_gamble(
     # A payoff past the float range overflows here, and inf - inf or
     # inf * 0 gives NaN; FinitaryGamble rejects both, so no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.array(eval_num(expr.root, {}), dtype=float).reshape(shape)
+        table = np.array(np.broadcast_to(eval_num(expr.root, {}), (k,) * n), dtype=float)
     return FinitaryGamble(k, table)
 
 

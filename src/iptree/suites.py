@@ -6,15 +6,28 @@ every failure with a witness.  The suites are the package's evidence that the
 recursion engine, the local models, and the brute-force oracle agree with
 each other and with the calculus they implement; the CLI ``check`` command
 and the acceptance tests both run them.
+
+The batteries anchored to a model (``check oracle`` and the process suite
+of ``check axioms``) run in three phases: draw every trial, with the same
+random calls in the same order as one trial at a time would; sweep each
+group of gambles that share a tree, a depth and a conditioning situation
+once, through :func:`~iptree.engine.finitary_uppers` (root value tables
+through :func:`~iptree.engine.value_tables`); then check the trials in
+order.  The engine's values do not depend on the batch, so the reports are
+those of one sweep per gamble.  Trials go through the phases in chunks that
+bound the memory a long battery holds.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import finitary_lower, finitary_upper, finitary_uppers, value_table
+from .engine import finitary_lower, finitary_upper, finitary_uppers, value_tables
 from .errors import InvalidInputError, ResourceLimitError
 from .expr import MAX_TABLE_DEPTH
 from .extreal import INF, xadd, xmul
@@ -40,6 +53,7 @@ from .tree import (
     PreciseTree,
     Situation,
     Table,
+    Tree,
     all_situations,
     local_model,
 )
@@ -279,6 +293,102 @@ def _one_step_gamble(k: int, n: int, h: np.ndarray) -> FinitaryGamble:
     return FinitaryGamble(k, np.ascontiguousarray(table))
 
 
+#: The batteries draw, sweep and check their trials in chunks of about this
+#: many drawn payoff cells (at least one trial each), so their memory does
+#: not grow with the number of trials.
+_CHUNK_CELLS = 1 << 14
+
+
+def _chunks(trials: int, draw, cells):
+    """``(trial number, draw())`` for every trial, in lists of about
+    :data:`_CHUNK_CELLS` cells as ``cells`` counts a trial's draws.  A list
+    is drawn only when it is asked for, so a battery that checks one before
+    asking for the next draws everything in trial order."""
+    chunk, total = [], 0
+    for t in range(trials):
+        chunk.append((t, draw()))
+        total += cells(chunk[-1][1])
+        if total >= _CHUNK_CELLS:
+            yield chunk
+            chunk, total = [], 0
+    if chunk:
+        yield chunk
+
+
+def _in_groups(sweep, requests) -> list:
+    """``sweep(tree, gambles, s)`` over ``(tree, gamble, s)`` requests, one
+    call per group of gambles that share a tree (the object), a depth and a
+    situation; each request's result, in request order.  The engine's
+    values do not depend on the batch, so each is bit-identical to the
+    request's own sweep."""
+    groups: dict = {}  # (tree id, depth, situation) -> request positions
+    for i, (tree, f, s) in enumerate(requests):
+        groups.setdefault((id(tree), f.depth, s), []).append(i)
+    results: list = [None] * len(requests)
+    for members in groups.values():
+        tree, _, s = requests[members[0]]
+        for i, result in zip(members, sweep(tree, [requests[i][1] for i in members], s)):
+            results[i] = result
+    return results
+
+
+class _ProcessTrial(NamedTuple):
+    tree: Tree
+    n: int
+    x: Situation
+    h: np.ndarray
+    f: FinitaryGamble
+    s: Situation
+    m: int
+    g: FinitaryGamble
+    g2: FinitaryGamble
+    lam: float
+    mu: float
+
+
+def _draw_process_trial(rng: np.random.Generator, max_depth: int, tree_factory) -> _ProcessTrial:
+    if tree_factory is None:
+        k = int(rng.integers(2, 4))
+        tree = random_tree(rng, k)
+    else:
+        tree = tree_factory(rng)
+        k = tree.k
+    # Every draw of the trial, in the order of the checks.
+    n = int(rng.integers(0, 3))
+    x = tuple(int(v) for v in rng.integers(0, k, size=n))
+    h = rng.uniform(-5, 5, size=k)
+    depth = int(rng.integers(1, max_depth + 1))
+    f = random_gamble(rng, k, depth)
+    s = random_situation(rng, k, depth)
+    m = int(rng.integers(0, depth))
+    g = f + FinitaryGamble(k, rng.uniform(0, 3, size=(k,) * depth))
+    g2 = random_gamble(rng, k, depth)
+    lam = float(rng.uniform(0, 3))
+    mu = float(rng.uniform(-4, 4))
+    return _ProcessTrial(tree, n, x, h, f, s, m, g, g2, lam, mu)
+
+
+def _process_uppers(chunk: list) -> list:
+    """Per trial of ``chunk``, the upper expectations its checks compare:
+    the one-step gamble given ``x``, the eight gambles of ``f``'s depth
+    given ``s``, and the iterated gamble given each length-``m`` situation.
+
+    The root value tables of ``f`` are swept per tree and depth, then every
+    upper expectation of the chunk per tree, depth and situation."""
+    tables = _in_groups(lambda tree, fs, _s: value_tables(tree, fs), [(tr.tree, tr.f, ()) for _, tr in chunk])
+    requests, counts = [], []
+    for (_, tr), table in zip(chunk, tables):
+        k, f = tr.tree.k, tr.f
+        derived = [f, restrict(f, tr.s), tr.g, -f, f + tr.g2, tr.g2, tr.lam * f, f + tr.mu]
+        iterated = FinitaryGamble(k, table[tr.m + 1])
+        asked = [(_one_step_gamble(k, tr.n, tr.h), tr.x)] + [(d, tr.s) for d in derived]
+        asked += [(iterated, x_m) for x_m in itertools.product(range(k), repeat=tr.m)]
+        requests += [(tr.tree, gamble, at) for gamble, at in asked]
+        counts.append(len(asked))
+    values = iter(_in_groups(finitary_uppers, requests))
+    return [(table, list(itertools.islice(values, c))) for table, c in zip(tables, counts)]
+
+
 def process_suite(seed: int, trials: int = 60, max_depth: int = 3, tree_factory=None) -> SuiteReport:
     """Global-model identities on random trees, gambles, and situations.
 
@@ -290,84 +400,59 @@ def process_suite(seed: int, trials: int = 60, max_depth: int = 3, tree_factory=
       additivity all hold given any situation.
 
     ``tree_factory(rng)`` pins the tree under test; by default a fresh random
-    tree is drawn per trial.
+    tree is drawn per trial.  The trials are drawn first, then swept, one
+    sweep per group of gambles sharing a tree, a depth and a conditioning
+    situation (:func:`_in_groups`), then checked in trial order.
     """
     rng = np.random.default_rng(seed)
     rec = _Recorder("global-process", trials)
-    for t in range(trials):
-        if tree_factory is None:
-            k = int(rng.integers(2, 4))
-            tree = random_tree(rng, k)
-        else:
-            tree = tree_factory(rng)
-            k = tree.k
-        space = tree.state_space
+    draw = partial(_draw_process_trial, rng, max_depth, tree_factory)
+    for chunk in _chunks(trials, draw, lambda tr: tr.f.table.size):
+        for (t, tr), (table, values) in zip(chunk, _process_uppers(chunk)):
+            f, s, x, m = tr.f, tr.s, tr.x, tr.m
+            u_one, uf, u_restricted, ug, u_neg, u_sum, ug2, u_scaled, u_shifted = values[:9]
 
-        # Every draw of the trial, in the order of the checks.
-        n = int(rng.integers(0, 3))
-        x = tuple(int(v) for v in rng.integers(0, k, size=n))
-        h = rng.uniform(-5, 5, size=k)
-        depth = int(rng.integers(1, max_depth + 1))
-        f = random_gamble(rng, k, depth)
-        s = random_situation(rng, k, depth)
-        m = int(rng.integers(0, depth))
-        g = f + FinitaryGamble(k, rng.uniform(0, 3, size=(k,) * depth))
-        g2 = random_gamble(rng, k, depth)
-        lam = float(rng.uniform(0, 3))
-        mu = float(rng.uniform(-4, 4))
-
-        # one-step reduction, exact
-        leaf = local_model(tree, x)
-        rec.check(
-            finitary_upper(tree, _one_step_gamble(k, n, h), x) == upper_expectation(leaf, h),
-            f"trial {t}: one-step value differs from the local model at {x}",
-        )
-
-        # The gambles of depth `depth` conditioned on s share one sweep.
-        uf, u_restricted, ug, u_neg, u_sum, ug2, u_scaled, u_shifted = finitary_uppers(
-            tree, [f, restrict(f, s), g, -f, f + g2, g2, lam * f, f + mu], s
-        )
-        rec.check(
-            uf == u_restricted,
-            f"trial {t}: value changed by zeroing payoffs off the situation {s}",
-        )
-
-        # The root sweep of f against sweeps of the iterated gamble
-        # conditioned on each length-m situation: the law ties the two paths.
-        table = value_table(tree, f)
-        iterated = FinitaryGamble(k, table[m + 1])
-        for x_m in all_situations(k, m):
-            if len(x_m) != m:
-                continue
-            lhs = float(table[m][x_m])
-            rhs = finitary_upper(tree, iterated, x_m)
+            # one-step reduction, exact
             rec.check(
-                abs(lhs - rhs) <= 1e-9,
-                f"trial {t}: iterated law broken at {x_m}: {lhs} vs {rhs}",
+                u_one == upper_expectation(local_model(tr.tree, x), tr.h),
+                f"trial {t}: one-step value differs from the local model at {x}",
+            )
+            rec.check(
+                uf == u_restricted,
+                f"trial {t}: value changed by zeroing payoffs off the situation {s}",
             )
 
-        rec.check(
-            uf <= ug + 1e-12,
-            f"trial {t}: domination not respected at {s}",
-        )
+            # The root sweep of f against sweeps of the iterated gamble
+            # conditioned on each length-m situation: the law ties the two paths.
+            for x_m, rhs in zip(itertools.product(range(tr.tree.k), repeat=m), values[9:]):
+                lhs = float(table[m][x_m])
+                rec.check(
+                    abs(lhs - rhs) <= 1e-9,
+                    f"trial {t}: iterated law broken at {x_m}: {lhs} vs {rhs}",
+                )
 
-        sub = f.table[s] if len(s) <= depth else f.table[s[:depth]]
-        rec.check(
-            float(np.min(sub)) - 1e-12 <= -u_neg <= uf <= float(np.max(sub)) + 1e-12,
-            f"trial {t}: conditional bounds broken at {s}",
-        )
-        rec.check(
-            u_sum <= uf + ug2 + 1e-9,
-            f"trial {t}: conditional sub-additivity broken at {s}",
-        )
-        rec.check(
-            abs(u_scaled - lam * uf) <= 1e-9,
-            f"trial {t}: conditional homogeneity broken at {s}",
-        )
-        rec.check(
-            abs(u_shifted - (uf + mu)) <= 1e-9,
-            f"trial {t}: constant additivity broken at {s}",
-        )
+            rec.check(
+                uf <= ug + 1e-12,
+                f"trial {t}: domination not respected at {s}",
+            )
+
+            sub = f.table[s] if len(s) <= f.depth else f.table[s[: f.depth]]
+            rec.check(
+                float(np.min(sub)) - 1e-12 <= -u_neg <= uf <= float(np.max(sub)) + 1e-12,
+                f"trial {t}: conditional bounds broken at {s}",
+            )
+            rec.check(
+                u_sum <= uf + ug2 + 1e-9,
+                f"trial {t}: conditional sub-additivity broken at {s}",
+            )
+            rec.check(
+                abs(u_scaled - tr.lam * uf) <= 1e-9,
+                f"trial {t}: conditional homogeneity broken at {s}",
+            )
+            rec.check(
+                abs(u_shifted - (uf + tr.mu)) <= 1e-9,
+                f"trial {t}: constant additivity broken at {s}",
+            )
     return rec.report()
 
 
@@ -571,6 +656,11 @@ def model_oracle_suite(
 ) -> SuiteReport:
     """Envelope-vs-recursion agreement on one concrete model.
 
+    The trials are drawn first; the recursion then sweeps each group of
+    gambles that share a depth and a conditioning situation once
+    (:func:`_in_groups`), and each trial's envelope is checked against its
+    value in trial order.  The envelope stays the oracle's own enumeration.
+
     Raises :class:`~iptree.errors.ResourceLimitError` before drawing anything
     when a gamble of ``depth`` would need more than ``DEFAULT_TABLE_CAP``
     cells, or more than :data:`~iptree.expr.MAX_TABLE_DEPTH` axes.
@@ -585,16 +675,19 @@ def model_oracle_suite(
         raise ResourceLimitError(f"gambles of depth {depth} exceed the {MAX_TABLE_DEPTH} axes NumPy allows")
     rng = np.random.default_rng(seed)
     rec = _Recorder("model-oracle", trials)
-    for t in range(trials):
-        d = int(rng.integers(1, depth + 1))
-        f = random_gamble(rng, tree.k, d)
-        s = random_situation(rng, tree.k, 1) if rng.uniform() < 0.3 else ()
-        enum = envelope_sup(tree, f, s, method="enumerate", cap=cap)
-        rec_val = finitary_upper(tree, f, s)
-        rec.check(
-            abs(enum.value - rec_val) <= tol,
-            f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} (depth={d}, s={s})",
-        )
+
+    def draw():
+        f = random_gamble(rng, tree.k, int(rng.integers(1, depth + 1)))
+        return f, random_situation(rng, tree.k, 1) if rng.uniform() < 0.3 else ()
+
+    for chunk in _chunks(trials, draw, lambda fs: fs[0].table.size):
+        uppers = _in_groups(finitary_uppers, [(tree, f, s) for _, (f, s) in chunk])
+        for (t, (f, s)), rec_val in zip(chunk, uppers):
+            enum = envelope_sup(tree, f, s, method="enumerate", cap=cap)
+            rec.check(
+                abs(enum.value - rec_val) <= tol,
+                f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} (depth={f.depth}, s={s})",
+            )
     return rec.report()
 
 

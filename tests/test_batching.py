@@ -7,15 +7,23 @@ give.
 """
 
 import ast
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import iptree
 import iptree.cli
+import iptree.engine
+from iptree import suites
 from iptree.engine import (
     Policy,
     adversarial_selection,
@@ -46,7 +54,14 @@ from iptree.local import (
     upper_expectation,
 )
 from iptree.oracle import precise_expectation
-from iptree.suites import process_suite, random_credal, random_gamble, random_situation, random_space
+from iptree.suites import (
+    model_oracle_suite,
+    process_suite,
+    random_credal,
+    random_gamble,
+    random_situation,
+    random_space,
+)
 from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situations
 
 
@@ -333,6 +348,121 @@ def test_process_suite_checks_the_conditioned_path():
     # The root sweep of f is right; the iterated gamble's sweep conditioned
     # on each length-m situation is not.
     assert any("iterated law broken" in msg for msg in report.failures)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+COIN = "demos/data/imprecise_coin.json"
+
+#: sha256 of the JSON reports of ``iptree check --model COIN <what> --seed
+#: <seed>`` as the batteries wrote them with one sweep per gamble.
+BATTERY_REPORTS = {
+    ("axioms", 0): "95e837c9f3febe554b5a6115183e23c9462992b3410c7a5b247c642546d6bff7",
+    ("axioms", 5): "a9f612fcdc8dc5b5bae84608c0faf22110c44c6515c1bc05403a5046e3b0b231",
+    ("oracle", 0): "22ca2f21c0a7599d89cd48a3f3fce2ad5482d12b0eb09e21e5a99c2cfcd53a26",
+    ("oracle", 5): "5cc6313f68f73ab70cd89254be859187dd1d84dc74bd8e63c1f127c43fb83a3b",
+}
+
+
+def check_report(what: str, *flags: str) -> str:
+    """``iptree check`` on the coin from the repository root, without
+    IPTREE_* settings; returns the report it prints."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("IPTREE_")}
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), contextlib.chdir(ROOT), contextlib.redirect_stdout(out):
+        assert iptree.cli.main(["check", "--model", COIN, what, *flags]) == 0
+    return out.getvalue()
+
+
+def oracle_draws(seed: int, trials: int, depth: int, k: int) -> list:
+    """The (gamble, situation) pairs ``model_oracle_suite`` draws."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(trials):
+        f = random_gamble(rng, k, int(rng.integers(1, depth + 1)))
+        draws.append((f, random_situation(rng, k, 1) if rng.uniform() < 0.3 else ()))
+    return draws
+
+
+def process_groups(seed: int, trials: int, k: int) -> int:
+    """The sweeps ``process_suite`` needs on a pinned tree: one root value
+    table per depth, and one upper expectation per (depth, situation) of its
+    one-step, derived and iterated gambles, counted from the same draws."""
+    rng = np.random.default_rng(seed)
+    depths, groups = set(), set()
+    for _ in range(trials):
+        n = int(rng.integers(0, 3))
+        x = tuple(int(v) for v in rng.integers(0, k, size=n))
+        rng.uniform(-5, 5, size=k)
+        depth = int(rng.integers(1, 4))
+        random_gamble(rng, k, depth)
+        s = random_situation(rng, k, depth)
+        m = int(rng.integers(0, depth))
+        rng.uniform(0, 3, size=(k,) * depth)
+        random_gamble(rng, k, depth)
+        rng.uniform(0, 3), rng.uniform(-4, 4)
+        depths.add(depth)
+        groups |= {(n + 1, x), (depth, s)} | {(m + 1, x_m) for x_m in itertools.product(range(k), repeat=m)}
+    return len(depths) + len(groups)
+
+
+class TestBatteries:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        real = iptree.engine._sweep
+        monkeypatch.setattr(iptree.engine, "_sweep", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        return calls
+
+    def test_oracle_battery_sweeps_each_group_once(self, sweeps):
+        check_report("oracle", "--trials", "40", "--depth", "3", "--seed", "5")
+        groups = {(f.depth, s) for f, s in oracle_draws(5, 40, 3, 2)}
+        assert len(sweeps) == len(groups) < 40
+
+    def test_axiom_battery_sweeps_each_group_once(self, sweeps):
+        check_report("axioms", "--trials", "15", "--seed", "5")
+        # The process suite of `check axioms` runs at seed + 1.
+        assert len(sweeps) == process_groups(6, 15, 2) < 71
+
+    @pytest.mark.parametrize("what, seed", sorted(BATTERY_REPORTS))
+    def test_reports_are_pinned(self, what, seed):
+        report = check_report(what, "--seed", str(seed))
+        assert hashlib.sha256(report.encode()).hexdigest() == BATTERY_REPORTS[what, seed]
+
+    def test_each_trial_is_checked_against_its_own_value(self, imprecise_coin, monkeypatch):
+        assert model_oracle_suite(imprecise_coin, 5, 40).passed
+        swapped = []
+        real = suites.finitary_uppers
+
+        def swapping(tree, gambles, s=()):
+            values = real(tree, gambles, s)
+            if len(gambles) > 1 and not swapped:
+                swapped.extend(gambles[:2])
+                values[0], values[1] = values[1], values[0]
+            return values
+
+        monkeypatch.setattr(suites, "finitary_uppers", swapping)
+        report = model_oracle_suite(imprecise_coin, 5, 40)
+        draws = oracle_draws(5, 40, 3, 2)
+        hit = [t for t, (f, _) in enumerate(draws) if any(np.array_equal(f.table, g.table) for g in swapped)]
+        assert len(hit) == 2
+        assert [msg.split(":")[0] for msg in report.failures] == [f"trial {t}" for t in hit]
+
+    def test_chunks_do_not_change_reports(self, imprecise_coin, monkeypatch):
+        space = random_space(3)
+        rng = np.random.default_rng(67)
+        broken = ImpreciseTree(space, _RootStartMarkov(random_credal(rng, 3), tuple(random_credal(rng, 3) for _ in range(3))))
+
+        def reports():
+            return [
+                process_suite(8, trials=30),
+                process_suite(8, trials=30, tree_factory=lambda _rng: broken),
+                model_oracle_suite(imprecise_coin, 8, 30, depth=4, tol=-1.0),  # every trial fails, naming its values
+            ]
+
+        whole = reports()
+        assert whole[1].failures and len(whole[2].failures) == 30
+        monkeypatch.setattr(suites, "_CHUNK_CELLS", 1)
+        assert reports() == whole
 
 
 def test_compile_once_per_expression_and_cap(tmp_path, monkeypatch, capsys):

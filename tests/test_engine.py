@@ -11,8 +11,10 @@ from iptree.engine import (
     limit_lower,
     limit_upper,
     lower_probability,
+    limit_bounds,
     upper_probability,
     value_table,
+    value_tables,
 )
 from iptree.errors import InvalidInputError, MonotonicityError
 from iptree.expr import compile_gamble, parse_gamble
@@ -32,7 +34,7 @@ from iptree.gambles import (
     pointwise_leq,
     truncated_hitting_time,
 )
-from iptree.local import CredalSet, upper_expectation
+from iptree.local import CredalSet, StateSpace, upper_expectation
 from iptree.oracle import precise_expectation
 from iptree.suites import (
     degenerate_tree,
@@ -174,6 +176,14 @@ class TestDegenerateTreeRegression:
 
 
 class TestLimitUpper:
+    @pytest.mark.parametrize("evaluate", [limit_upper, limit_lower, limit_bounds])
+    @pytest.mark.parametrize("at", [(), (0, 1)])
+    def test_variable_on_another_state_space_rejected(self, imprecise_coin, evaluate, at):
+        for labels in (("A", "B", "C"), ("A",)):
+            v = hitting_time_variable(StateSpace(labels), [labels[-1]])
+            with pytest.raises(InvalidInputError, match="gamble and tree live on different state spaces"):
+                evaluate(imprecise_coin, v, at)
+
     def test_fair_coin_hitting_time(self, coin_space, fair_coin):
         v = hitting_time_variable(coin_space, ["T"])
         res = limit_upper(fair_coin, v, (), Policy(tol=1e-12, max_horizon=60))
@@ -413,6 +423,28 @@ class TestProbabilities:
 
 
 class TestValueTable:
+    def test_batched_tables_equal_one_by_one_bitwise(self):
+        rng = np.random.default_rng(20)
+        for trial in range(40):
+            k = int(rng.integers(1, 4))
+            tree = random_tree(rng, k) if k > 1 else degenerate_tree(random_space(1), 0)
+            depth = int(rng.integers(0, 4))
+            gambles = [random_gamble(rng, k, depth) for _ in range(int(rng.integers(1, 5)))]
+            gambles += [-gambles[0], 0.0 * gambles[0]]
+            for g, table in zip(gambles, value_tables(tree, gambles)):
+                alone = value_table(tree, g)
+                assert len(table) == len(alone) == depth + 1
+                for m, (got, want) in enumerate(zip(table, alone)):
+                    assert got.shape == want.shape == (k,) * m
+                    assert got.tobytes() == want.tobytes(), (trial, m)
+
+    def test_batched_tables_need_dense_gambles_of_one_depth(self, imprecise_coin):
+        f, g = FinitaryGamble(2, np.zeros((2,))), FinitaryGamble(2, np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="share one automaton"):
+            value_tables(imprecise_coin, [f, g])
+        with pytest.raises(InvalidInputError, match="dense finitary gamble"):
+            value_tables(imprecise_coin, [f, truncated_hitting_time(imprecise_coin.state_space, ["T"], 1)])
+
     def test_levels_match_conditionals(self, coin_space, imprecise_coin):
         f = expr_gamble("ind(X[1]==H && X[2]==H)", coin_space)
         levels = value_table(imprecise_coin, f)

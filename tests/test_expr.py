@@ -1,12 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
-from iptree.errors import ExprError, ResourceLimitError
+from iptree.errors import ExprError, IptreeError, ResourceLimitError
 from iptree.expr import (
     Add,
     BoolAnd,
     BoolNot,
     BoolOr,
+    GambleExpr,
     Ind,
     MaxOf,
     MinOf,
@@ -19,6 +22,7 @@ from iptree.expr import (
     parse_gamble,
     unparse,
 )
+from iptree.gambles import DEFAULT_TABLE_CAP, FinitaryGamble
 from iptree.local import StateSpace
 
 
@@ -141,6 +145,124 @@ class TestCompile:
     def test_cap(self, space):
         with pytest.raises(ResourceLimitError):
             compiled("ind(X[13]==H)", space, cap=4096)
+
+
+def reference_gamble(expr, depth=None):
+    """The reference tabulator: every node's value as a full ``(k,)*n``
+    table, as ``compile_gamble`` computed it before it broadcast small
+    arrays instead."""
+    n = expr.depth if depth is None else depth
+    k = expr.space.size
+    shape = (k,) * n
+
+    def eval_num(node, env):
+        if isinstance(node, Num):
+            return np.broadcast_to(np.float64(node.value), shape)
+        if isinstance(node, Add):
+            return eval_num(node.left, env) + eval_num(node.right, env)
+        if isinstance(node, Sub):
+            return eval_num(node.left, env) - eval_num(node.right, env)
+        if isinstance(node, Mul):
+            return eval_num(node.left, env) * eval_num(node.right, env)
+        if isinstance(node, MinOf):
+            return np.minimum(eval_num(node.left, env), eval_num(node.right, env))
+        if isinstance(node, MaxOf):
+            return np.maximum(eval_num(node.left, env), eval_num(node.right, env))
+        if isinstance(node, Ind):
+            return eval_bool(node.condition, env).astype(float)
+        if isinstance(node, SumOver):
+            total = np.zeros(shape)
+            for i in range(node.lo, node.hi + 1):
+                total = total + eval_num(node.body, {**env, node.var: i})
+            return total
+        raise TypeError(f"unknown node {node!r}")
+
+    def eval_bool(node, env):
+        if isinstance(node, StateIs):
+            pos = env[node.index] if isinstance(node.index, str) else node.index
+            axis_shape = [1] * n
+            axis_shape[pos - 1] = k
+            mask = (np.arange(k) == node.state).reshape(axis_shape)
+            return np.broadcast_to(mask, shape)
+        if isinstance(node, BoolAnd):
+            return eval_bool(node.left, env) & eval_bool(node.right, env)
+        if isinstance(node, BoolOr):
+            return eval_bool(node.left, env) | eval_bool(node.right, env)
+        if isinstance(node, BoolNot):
+            return ~eval_bool(node.inner, env)
+        raise TypeError(f"unknown node {node!r}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.array(eval_num(expr.root, {}), dtype=float).reshape(shape)
+    return FinitaryGamble(k, table)
+
+
+#: Numbers the random expressions use: signed zeros, and values whose sums
+#: and products overflow to +-inf and then NaN.
+NUMBERS = (0.0, -0.0, 1.0, 0.5, 3.0, 0.1, 1e308)
+
+
+def random_expression(rng, k, n, budget):
+    """A random expression AST on ``k`` states reading positions up to
+    ``n`` (none when ``n`` is 0), with at most about ``budget`` nodes."""
+    variables = []
+
+    def position():
+        if variables and rng.uniform() < 0.5:
+            return variables[int(rng.integers(len(variables)))]
+        return int(rng.integers(1, n + 1))
+
+    def boolean(size):
+        kind = int(rng.integers(4)) if size > 1 else 0
+        if kind == 0:
+            return StateIs(position(), int(rng.integers(k)))
+        if kind == 3:
+            return BoolNot(boolean(size - 1))
+        return (BoolAnd, BoolOr)[kind - 1](boolean(size // 2), boolean(size // 2))
+
+    def number(size):
+        # 0: a number, 1: an indicator, 2-6: a binary operation, 7: a sum.
+        leaves = (0, 1) if n else (0,)
+        kind = int(rng.choice(leaves + (2, 3, 4, 5, 6) + (7,) * bool(n))) if size > 1 else int(rng.choice(leaves))
+        if kind == 0:
+            return Num(NUMBERS[int(rng.integers(len(NUMBERS)))])
+        if kind == 1:
+            return Ind(boolean(min(size, 4)))
+        if kind == 7:
+            var = f"v{len(variables)}"
+            lo = int(rng.integers(1, n + 1))
+            hi = int(rng.integers(lo, n + 1))
+            variables.append(var)
+            body = number(size - 1)
+            variables.remove(var)
+            return SumOver(var, lo, hi, body)
+        return (Add, Sub, Mul, MinOf, MaxOf)[kind - 2](number(size // 2), number(size // 2))
+
+    return GambleExpr(number(budget), StateSpace(("A", "B", "C", "D")[:k]), n)
+
+
+def test_tabulation_is_bitwise_the_reference():
+    """On random expressions within the cap, signed zeros and overflows
+    included, the table is the reference's bit for bit, or both fail alike."""
+    rng = np.random.default_rng(14)
+    tables = 0
+    for _ in range(600):
+        k = int(rng.integers(1, 5))
+        n = int(rng.integers(0, {1: 8, 2: 8, 3: 6, 4: 5}[k]))
+        expr = random_expression(rng, k, n, int(rng.integers(1, 24)))
+        lift = n + int(rng.integers(0, 2)) if k ** (n + 1) <= DEFAULT_TABLE_CAP else n
+        try:
+            want = reference_gamble(expr, lift)
+        except IptreeError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                compile_gamble(expr, lift)
+            continue
+        got = compile_gamble(expr, lift)
+        assert got.table.shape == want.table.shape == (k,) * lift
+        assert np.array_equal(got.table, want.table)
+        assert np.array_equal(np.signbit(got.table), np.signbit(want.table))
+        tables += 1
+    assert tables >= 500
 
 
 class TestRoundTrip:

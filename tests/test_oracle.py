@@ -227,6 +227,11 @@ class TestDomination:
         assert report.passed
         assert all(s.ok for s in report.samples)
 
+    def test_variable_on_another_state_space_rejected(self, imprecise_coin, fair_coin):
+        v = hitting_time_variable(StateSpace(("A", "B", "C")), ["C"])
+        with pytest.raises(InvalidInputError, match="gamble and tree live on different state spaces"):
+            domination_check(imprecise_coin, v, (), [fair_coin])
+
     def test_adversarial_sample_closes_gap(self, coin_space, imprecise_coin):
         v = hitting_time_variable(coin_space, ["T"])
         adv = adversarial_selection(imprecise_coin, v.generator(80))
