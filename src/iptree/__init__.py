@@ -55,11 +55,9 @@ from .gambles import (
 from .local import (
     AxiomReport,
     CredalSet,
-    CutLimitResult,
     MassFunction,
     StateSpace,
     check_coherence_axioms,
-    cut_limit_trace,
     cut_limit_upper,
     extended_upper_expectation,
     lower_expectation,

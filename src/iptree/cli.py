@@ -424,7 +424,9 @@ def _cmd_check(args) -> int:
         process, declared = load_certificate_file(args.target, tree.state_space)
         f = _named("--expr", lambda: compile_gamble(parse_gamble(args.expr, tree.state_space)))
         s = _named("--at", parse_situation, tree.state_space, args.at)
-        cert = certified_upper_bound(process, f, tree, s)
+        # The certificate rejects a gamble deeper than itself, else a situation past it.
+        source = "--expr" if f.depth > process.depth else "--at"
+        cert = _named(source, certified_upper_bound, process, f, tree, s)
         report["certificate"] = _certificate_json(cert, tree.state_space, declared)
         passed = cert.valid
     report["passed"] = passed

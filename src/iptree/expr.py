@@ -33,12 +33,8 @@ from typing import Union
 import numpy as np
 
 from .errors import ExprError, ResourceLimitError
-from .gambles import DEFAULT_TABLE_CAP, FinitaryGamble
+from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble
 from .local import StateSpace
-
-#: NumPy arrays have at most this many axes (32 before NumPy 2), so no
-#: dense table is deeper.
-MAX_TABLE_DEPTH = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 _TOKEN_RE = re.compile(
     r"""
@@ -360,19 +356,20 @@ def compile_gamble(
 
     ``depth`` may lift the gamble beyond its inferred depth (never below).
     The dense table of ``k**depth`` payoffs is subject to ``cap``, and its
-    depth to :data:`MAX_TABLE_DEPTH`.
+    depth to :data:`~iptree.gambles.MAX_TABLE_DEPTH`.
     """
     n = expr.depth if depth is None else depth
     if n < expr.depth:
         raise ExprError(
             f"depth override {n} is below the inferred depth {expr.depth}", 1, 1
         )
+    # Checked first: past it, k**n can have more digits than Python formats.
+    if n > MAX_TABLE_DEPTH:
+        raise ResourceLimitError(f"table of depth {n} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows")
     k = expr.space.size
     cells = k**n
     if cells > cap:
         raise ResourceLimitError(f"table would need {cells} cells, cap is {cap}")
-    if n > MAX_TABLE_DEPTH:  # a one-state table passes every cell cap
-        raise ResourceLimitError(f"table of depth {n} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows")
 
     # Each node's value broadcasts against the table: a number is a scalar
     # and X[i]==A a mask of size k on axis i-1, so every cell gets the same

@@ -44,6 +44,10 @@ from .tree import Situation, as_situation, trie_step
 #: Default cap on dense-table size (cells); 2**12 keeps depth <= 12 for k=2.
 DEFAULT_TABLE_CAP = 4096
 
+#: NumPy arrays have at most this many axes (32 before NumPy 2), so no
+#: dense table is deeper.
+MAX_TABLE_DEPTH = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -252,7 +256,13 @@ class MachineGamble:
     __rmul__ = __mul__
 
     def to_dense(self, cap: int = DEFAULT_TABLE_CAP) -> FinitaryGamble:
-        """Materialize the dense table (subject to the size cap)."""
+        """Materialize the dense table (subject to the size cap and to
+        :data:`MAX_TABLE_DEPTH`, which is checked first: past it,
+        ``k**depth`` can have more digits than Python formats)."""
+        if self.depth > MAX_TABLE_DEPTH:
+            raise ResourceLimitError(
+                f"table of depth {self.depth} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows"
+            )
         cells = self.k**self.depth
         if cells > cap:
             raise ResourceLimitError(

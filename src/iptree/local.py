@@ -11,7 +11,7 @@ Finite-valued gambles are the primary domain; vectors with +/-inf entries are
 supported through :func:`extended_upper_expectation`, which evaluates each
 extreme point under the extended-arithmetic conventions of :mod:`.extreal`,
 and through :func:`cut_limit_upper`, an independent evaluation of the same
-quantity as a double limit of clipped finite gambles.
+quantity as the exact double limit of clipped finite gambles.
 """
 
 from __future__ import annotations
@@ -248,20 +248,11 @@ def upper_cut(f, c: float) -> np.ndarray:
     return np.minimum(np.asarray(f, dtype=float), c)
 
 
-@dataclass(frozen=True)
-class CutLimitResult:
-    """Trace of a cut-limit evaluation: clip levels with their finite values."""
-
-    value: float
-    iterates: tuple[tuple[float, float], ...]  # (cut magnitude, clipped value)
-
-
-def cut_limit_upper(credal: CredalSet, f, schedule=None) -> float:
+def cut_limit_upper(credal: CredalSet, f) -> float:
     """Upper expectation of ``f`` as a double limit of clipped gambles.
 
     Evaluates ``lim_{c -> -inf} lim_{d -> +inf} upper(min(max(f, c), d))``.
-    Every clipped gamble is finite, so the inner evaluations go through
-    :func:`upper_expectation` untouched.  For a fixed clip level the value of
+    Every clipped gamble is finite.  For a fixed clip level the value of
     each extreme point is affine in the clip magnitude, and a maximum of
     finitely many monotone affine functions commutes with the limit, which is
     what makes the double limit exactly computable:
@@ -273,40 +264,16 @@ def cut_limit_upper(credal: CredalSet, f, schedule=None) -> float:
 
     Serves as an independent check of :func:`extended_upper_expectation`;
     the two must agree exactly on every input.
-
-    ``schedule`` is an increasing sequence of clip magnitudes used for the
-    reported finite evaluations (defaults to a doubling schedule past the
-    largest finite payoff).  Use :func:`cut_limit_trace` to inspect them.
     """
-    return cut_limit_trace(credal, f, schedule).value
-
-
-def cut_limit_trace(credal: CredalSet, f, schedule=None) -> CutLimitResult:
     arr = _check_gamble(credal, f, require_finite=False)
     finite = np.isfinite(arr)
-    base = float(np.abs(arr[finite]).max()) if finite.any() else 0.0
-    if schedule is None:
-        start = max(1.0, base + 1.0)
-        schedule = [start * (2.0**i) for i in range(4)]
-    schedule = [float(c) for c in schedule]
-    if any(c2 <= c1 for c1, c2 in zip(schedule, schedule[1:])) or not schedule:
-        raise InvalidInputError("cut schedule must be non-empty and strictly increasing")
-
-    iterates = tuple(
-        (c, upper_expectation(credal, np.clip(arr, -c, c))) for c in schedule
-    )
-
-    pos = arr == INF
-    neg = arr == -INF
-    pos_mass = credal.points[:, pos].sum(axis=1)
-    if (pos_mass > 0.0).any():
-        return CutLimitResult(INF, iterates)
+    if (credal.points[:, arr == INF].sum(axis=1) > 0.0).any():
+        return INF
     # No point can reach +inf; drop the points dragged to -inf by the outer cut.
-    survivors = credal.points[:, neg].sum(axis=1) == 0.0
+    survivors = credal.points[:, arr == -INF].sum(axis=1) == 0.0
     if not survivors.any():
-        return CutLimitResult(-INF, iterates)
-    vals = weighted_sum(credal.points[np.ix_(survivors, finite)], arr[finite])
-    return CutLimitResult(float(vals.max()), iterates)
+        return -INF
+    return float(weighted_sum(credal.points[np.ix_(survivors, finite)], arr[finite]).max())
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,11 @@ A query's ``kind`` is one of ``eval``, ``lower`` (these take an
 ``expression``), ``hit_prob`` and ``hit_time`` (these take ``targets``);
 ``condition`` and ``policy`` are optional; a query holds no other field.
 ``policy`` takes ``tol``, ``max_horizon``, ``divergence_threshold`` and
-``table_cap``.  The document holds ``schema``, ``queries`` and optionally
-``model``.  An unknown kind, or a field unknown at its place, fails at its
-path (``queries[0].seed``, ``queries[0].policy.trials``, ``bogus``).
+``table_cap``.  A query may lower the table cap but not raise it, so
+``table_cap`` is an integer in 1..``DEFAULT_TABLE_CAP``.  The document
+holds ``schema``, ``queries`` and optionally ``model``.  An unknown kind, or
+a field unknown at its place, fails at its path (``queries[0].seed``,
+``queries[0].policy.trials``, ``bogus``).
 
 Situation strings are read only by :func:`~iptree.tree.parse_situation`
 and written only by :mod:`iptree.tree`.  A certificate table is read in one
@@ -63,6 +65,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SchemaError
 from .extreal import INF
+from .gambles import DEFAULT_TABLE_CAP
 from .local import CredalSet, StateSpace
 from .supermartingale import TailConstantProcess
 from .tree import (
@@ -423,6 +426,8 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
                 raise SchemaError(f"{p}.policy.{key}", "expected a finite number")
             if _POLICY_FIELDS[key] is int and int(value) != value:
                 raise SchemaError(f"{p}.policy.{key}", "expected an integer")
+            if key == "table_cap" and not 1 <= value <= DEFAULT_TABLE_CAP:
+                raise SchemaError(f"{p}.policy.{key}", f"expected a cell cap in 1..{DEFAULT_TABLE_CAP}")
         norm["policy"] = dict(policy)
         out.append(norm)
     return model_ref, out

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
-from .engine import ApproxResult, Policy, StopReason, finitary_upper, limit_bounds
+from .engine import ApproxResult, Policy, StopReason, limit_bounds
 from .errors import InvalidInputError, ResourceLimitError
 from .gambles import FinitaryGamble, Gamble, LimitVariable, MachineGamble
 from .local import MassFunction
@@ -48,9 +48,6 @@ from .tree import (
 
 #: Agreement tolerance between the enumerated envelope and the recursion.
 ORACLE_TOL = 1e-9
-
-#: Per-selection values are reported in full up to this enumeration size.
-AUDIT_LIMIT = 64
 
 
 def conditional_prob(p: PreciseTree, z: Situation, x: Situation) -> float:
@@ -137,26 +134,12 @@ def precise_expectation(p: PreciseTree, f: Gamble, s: Situation = ()) -> float:
 
 @dataclass(frozen=True)
 class EnvelopeResult:
-    """Supremum of compatible-tree expectations, with its attaining selection."""
+    """Supremum of compatible-tree expectations over ``count`` selections,
+    with a selection that attains it."""
 
     value: float
-    method: str
     count: int
-    argmax: dict[Situation, int] | None
-    per_selection: tuple[float, ...] | None
-
-    def to_json(self, space=None) -> dict:
-        from .tree import format_situation
-
-        def key(sit):
-            return format_situation(space, sit) if space is not None else ",".join(map(str, sit))
-
-        out = {"value": self.value, "method": self.method, "count": self.count}
-        if self.argmax is not None:
-            out["argmax"] = {key(sit): int(e) for sit, e in sorted(self.argmax.items())}
-        if self.per_selection is not None:
-            out["per_selection"] = list(self.per_selection)
-        return out
+    argmax: dict[Situation, int]
 
 
 def _enumerate_values(
@@ -199,24 +182,22 @@ def envelope_sup(
     q: ImpreciseTree,
     f: Gamble,
     s: Situation = (),
-    method: Literal["enumerate", "recursion"] = "enumerate",
+    method: str = "enumerate",
     cap: int = DEFAULT_ENUM_CAP,
-    table_cap: int = 65536,
 ) -> EnvelopeResult:
     """Upper envelope of compatible-tree expectations of a finitary gamble.
 
-    ``method="enumerate"`` brute-forces every selection of one extreme point
-    per situation in the subtree below ``s`` (the only choices the payoff can
-    see) and reports the maximizing selection; it is the oracle.
-    ``method="recursion"`` delegates to the engine.   Both agree within
-    ``ORACLE_TOL`` on every input; the acceptance suite enforces it.
+    Brute-forces every selection of one extreme point per situation in the
+    subtree below ``s`` (the only choices the payoff can see) and reports a
+    maximizing selection.  This is the oracle: it shares no code with the
+    engine, and agrees with its recursion within ``ORACLE_TOL`` on every
+    input, which the acceptance suite enforces.  ``method`` names the
+    enumeration, the only method there is.
     """
     s = as_situation(s, q.k)
-    if method == "recursion":
-        return EnvelopeResult(finitary_upper(q, f, s), "recursion", 0, None, None)
     if method != "enumerate":
         raise InvalidInputError(f"unknown envelope method {method!r}")
-    dense = f.to_dense(cap=table_cap)
+    dense = f.to_dense()
     count = 1
     for t in all_situations(q.k, max(dense.depth - 1, 0)):
         if len(s) <= len(t) < dense.depth and t[: len(s)] == s:
@@ -224,13 +205,11 @@ def envelope_sup(
             if count > cap:  # stop here: the full count can have thousands of digits
                 raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
     if len(s) >= dense.depth:
-        value = float(dense.table[s[: dense.depth]])
-        return EnvelopeResult(value, "enumerate", 1, {}, (value,))
+        return EnvelopeResult(float(dense.table[s[: dense.depth]]), 1, {})
     sub = np.asarray(dense.table[s], dtype=float)
     values, decode = _enumerate_values(q, sub, s)
     best = int(np.argmax(values))
-    per_selection = tuple(float(v) for v in values) if values.size <= AUDIT_LIMIT else None
-    return EnvelopeResult(float(values[best]), "enumerate", values.size, decode(best), per_selection)
+    return EnvelopeResult(float(values[best]), values.size, decode(best))
 
 
 def selection_tree(q: ImpreciseTree, choices: dict[Situation, int]) -> PreciseTree:

@@ -29,9 +29,8 @@ import numpy as np
 
 from .engine import finitary_lower, finitary_upper, finitary_uppers, value_tables
 from .errors import InvalidInputError, ResourceLimitError
-from .expr import MAX_TABLE_DEPTH
 from .extreal import INF, xadd, xmul
-from .gambles import DEFAULT_TABLE_CAP, FinitaryGamble, restrict
+from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, restrict
 from .local import (
     CredalSet,
     MassFunction,
@@ -474,7 +473,7 @@ def oracle_suite(
         tree = random_tree(rng, k, max_points=max_points, table_depth=depth, selection_budget=budget)
         f = random_gamble(rng, k, depth)
         s = random_situation(rng, k, 1) if rng.uniform() < 0.3 else ()
-        enum = envelope_sup(tree, f, s, method="enumerate", cap=budget)
+        enum = envelope_sup(tree, f, s, cap=budget)
         rec_val = finitary_upper(tree, f, s)
         rec.check(
             abs(enum.value - rec_val) <= tol,
@@ -588,7 +587,7 @@ def envelope_axiom_suite(seed: int, trials: int = 40, tol: float = 1e-9) -> Suit
         tree = random_tree(rng, k, max_points=2, table_depth=depth, selection_budget=4096)
 
         def env(g: FinitaryGamble, sit: Situation) -> float:
-            return envelope_sup(tree, g, sit, method="enumerate", cap=DEFAULT_ENUM_CAP).value
+            return envelope_sup(tree, g, sit, cap=DEFAULT_ENUM_CAP).value
 
         n = int(rng.integers(0, 2))
         x = tuple(int(v) for v in rng.integers(0, k, size=n))
@@ -663,7 +662,7 @@ def model_oracle_suite(
 
     Raises :class:`~iptree.errors.ResourceLimitError` before drawing anything
     when a gamble of ``depth`` would need more than ``DEFAULT_TABLE_CAP``
-    cells, or more than :data:`~iptree.expr.MAX_TABLE_DEPTH` axes.
+    cells, or more than :data:`~iptree.gambles.MAX_TABLE_DEPTH` axes.
     """
     # Any k >= 2 passes the cap by the power of its bit length, so a huge
     # depth is rejected without computing k**depth.
@@ -683,7 +682,7 @@ def model_oracle_suite(
     for chunk in _chunks(trials, draw, lambda fs: fs[0].table.size):
         uppers = _in_groups(finitary_uppers, [(tree, f, s) for _, (f, s) in chunk])
         for (t, (f, s)), rec_val in zip(chunk, uppers):
-            enum = envelope_sup(tree, f, s, method="enumerate", cap=cap)
+            enum = envelope_sup(tree, f, s, cap=cap)
             rec.check(
                 abs(enum.value - rec_val) <= tol,
                 f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} (depth={f.depth}, s={s})",

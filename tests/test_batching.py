@@ -486,6 +486,20 @@ def test_compile_once_per_expression_and_cap(tmp_path, monkeypatch, capsys):
 BANNED = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
 
 
+def test_oracle_imports_no_engine_sweep():
+    # The oracle takes from the engine only the limit it checks samples
+    # against and that limit's types: no sweep and no private name.
+    src = Path(iptree.__file__).parent
+    imported = set()
+    for node in ast.walk(ast.parse((src / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("engine", "iptree.engine"):
+            imported |= {a.name for a in node.names}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):  # nor the module itself
+            assert not [a.name for a in node.names if a.name.split(".")[-1] == "engine"]
+    assert "limit_bounds" in imported
+    assert imported <= {"limit_bounds", "ApproxResult", "Policy", "StopReason"}
+
+
 def test_no_blas_products_outside_the_oracle():
     src = Path(iptree.__file__).parent
     for name in ("engine.py", "local.py", "supermartingale.py", "extreal.py"):

@@ -4,6 +4,7 @@ import math
 import os
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -604,6 +605,47 @@ class TestSizeCapErrors:
             cli._named("--expr", cli._compiled, {}, self.DEEP, space, 4096)
 
 
+class TestCertificateSizeErrors:
+    """A gamble deeper than the certificate fails at ``--expr``, a
+    conditioning situation past it at ``--at``, both with exit 2."""
+
+    CERT = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "cert_two_heads.json")
+
+    def check_cert(self, capsys, model_file, *extra):
+        code = main(["check", "--model", model_file, "cert", self.CERT, *extra])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        return err
+
+    def test_gamble_deeper_than_certificate(self, capsys, model_file):
+        err = self.check_cert(capsys, model_file, "--expr", "ind(X[3]==H)")
+        assert err == "error: --expr: certificate depth 2 is below the gamble depth 3\n"
+
+    def test_situation_past_certificate(self, capsys, model_file):
+        err = self.check_cert(capsys, model_file, "--expr", "ind(X[1]==H)", "--at", "H,H,H")
+        assert err == "error: --at: conditioning situation lies beyond the certificate depth\n"
+
+
+class TestQueryTableCap:
+    """A query may lower the table cap but not raise it: a ``table_cap``
+    outside 1..4096 fails at its JSON path when the document loads."""
+
+    @pytest.mark.parametrize("cap", [0, 4097, 35184372088832])
+    def test_out_of_range_cap_fails_at_its_path(self, capsys, tmp_path, model_file, cap):
+        path = tmp_path / "q.json"
+        query = {"kind": "eval", "expression": "ind(X[45]==H)", "policy": {"table_cap": cap}}
+        path.write_text(json.dumps({"schema": 1, "queries": [query]}))
+        code = main(["eval", "--model", model_file, "--query", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: queries[0].policy.table_cap: expected a cell cap in 1..4096\n"
+
+    def test_default_cap_is_accepted(self, capsys, tmp_path):
+        query = {"kind": "eval", "expression": "sum(i=1..12, ind(X[i]==H))", "policy": {"table_cap": 4096}}
+        code, _, (rec,) = _eval_queries(capsys, tmp_path, MODEL, [query])
+        assert code == 0 and rec["ok"]
+
+
 class TestDeepTables:
     """A one-state model passes every cell cap (1**n is 1), so a table
     deeper than NumPy's axes (64 since NumPy 2) fails as a size-cap error at
@@ -646,6 +688,18 @@ class TestDeepTables:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: --expr: {self.MESSAGE}\n"
+
+    def test_huge_depths_name_their_source(self, capsys, model_file, tmp_path):
+        # k**n of these has more digits than Python formats as a string.
+        huge = {"ind(X[100000]==H)": 100000, "sum(i=1..20000, ind(X[i]==H))": 20000}
+        for source, depth in huge.items():
+            message = f"table of depth {depth} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows"
+            code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
+            assert code == 2
+            assert json.loads(out)["results"][0]["error"] == f"--expr: {message}"
+            code, _, records = _eval_queries(capsys, tmp_path, MODEL, [{"kind": "lower", "expression": source}])
+            assert code == 2
+            assert [rec["error"] for rec in records] == [f"queries[0].expression: {message}"]
 
     def test_deepest_table_runs(self, capsys, one_file):
         code, out = run(capsys, "eval", "--model", one_file, "--expr", f"ind(X[{MAX_TABLE_DEPTH}]==A)")

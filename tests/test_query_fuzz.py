@@ -59,7 +59,7 @@ POLICY_VALUES = {
     "tol": ([1e-9, 1e-3, 0.5], [0, -1, 1e400, "1e-9", True]),
     "max_horizon": ([1, 3, 8, 4.0], [0, -2, 2.5, None]),
     "divergence_threshold": ([1e12, 5, 0.5], [0, -1, "big"]),
-    "table_cap": ([1, 4, 64], [0, -1, 2.5]),
+    "table_cap": ([1, 4, 64], [0, -1, 2.5, 4097, 2**45]),
 }
 
 
