@@ -99,7 +99,6 @@ from .tree import (
     Situation,
     Table,
     enumerate_compatible,
-    count_compatible,
     is_compatible,
     local_model,
     parse_situation,

@@ -95,6 +95,16 @@ def _int_at_least(low: int):
     return parse
 
 
+class _StoreOne(argparse.Action):
+    """Argparse's ``store``, except that ``--flag=--``, which argparse reads
+    as an empty list of values, fails like a missing value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.ArgumentParser:
     """The parser whose defaults are the given ``_env_defaults()`` values.
@@ -111,6 +121,7 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     # String defaults go through ``type`` like command-line values, so a bad
     # environment value exits 2 with argparse's message for its flag.
     def common(p):
+        p.register("action", None, _StoreOne)
         p.add_argument("--model", default=model, help="model JSON file")
         fmt_group = p.add_mutually_exclusive_group()
         fmt_group.add_argument(

@@ -11,12 +11,13 @@ number is the infimum of supermartingale certificates (see
 (see :mod:`.oracle`), which the test suite cross-checks.
 
 One kernel runs the recursion for every gamble.  It walks the product of
-the tree's finite-state view, the one way a tree is read, and the gamble's
-reward automaton (a dense gamble enters as the trie of its prefixes) forward
-to collect the reachable nodes level by level, then sweeps those product
-layers backwards: a node's value is the local upper expectation of the step
-reward plus the successor's value.  Values carry a trailing gamble axis, so gambles that
-share an automaton (dense gambles of one depth, a gamble and its negation)
+the tree's finite-state view (the ``step``, ``leaf`` and ``points`` arrays
+of :mod:`~iptree.tree`) and the gamble's reward automaton (a dense gamble
+enters as the trie of its prefixes) forward to collect the reachable nodes
+level by level, as integer codes, then sweeps those product layers
+backwards: a node's value is the local upper expectation of the step
+reward plus the successor's value.  Values carry a trailing gamble axis,
+so gambles that share an automaton (dense gambles of one depth, a gamble and its negation)
 go through one sweep, and every local expectation is the one ordered sum
 :func:`~iptree.extreal.weighted_sum`, whose bits do not depend on the batch.
 Upper expectations (:func:`finitary_uppers`), the value at every situation
@@ -68,8 +69,8 @@ from .gambles import (
     indicator_of_strings,
     pointwise_leq,
 )
-from .local import CredalSet, MassFunction
-from .tree import PreciseTree, Selection, Situation, Tree, as_situation
+from .local import MassFunction
+from .tree import PreciseTree, Selection, Situation, Tree, as_situation, first_seen
 
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
@@ -149,31 +150,6 @@ class ApproxResult:
         }
 
 
-def _points_of(leaf) -> np.ndarray:
-    if isinstance(leaf, CredalSet):
-        return leaf.points
-    if isinstance(leaf, MassFunction):
-        return leaf.weights[None, :]
-    raise InvalidInputError(f"not a local model: {leaf!r}")
-
-
-def _tree_moves(assignment, k: int, states: list, ids: dict, start: int) -> list:
-    """The successors' positions in ``states`` of ``states[start:]``, one
-    row of ``k`` per tree state; new tree states are appended to ``states``
-    and ``ids`` (tree state -> position)."""
-    rows = []
-    for t in states[start:]:
-        row = []
-        for y in range(k):
-            nxt = assignment.machine_step(t, y)
-            if nxt not in ids:
-                ids[nxt] = len(states)
-                states.append(nxt)
-            row.append(ids[nxt])
-        rows.append(row)
-    return rows
-
-
 def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth: int, trie=False):
     """Forward reachability of (tree state, automaton state) nodes from
     ``s``, whose automaton state is ``q0``, level by level up to ``depth``
@@ -181,47 +157,32 @@ def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth: 
     (:func:`~iptree.tree.trie_step`): its states name their prefixes, so
     every node of a level is new and none needs looking up.
 
-    Returns the tree states met above the last level, the nodes per level
-    (their tree states' positions in that list and their automaton states,
-    in order of discovery) and the (node, symbol) -> node tables into the
-    next level.  Only the tree's finite-state view is called per tree
-    state; the nodes move as arrays.
+    Returns the nodes per level (their tree states and automaton states, in
+    order of discovery) and the (node, symbol) -> node tables into the next
+    level.  The tree is read through its ``step`` array: a level costs a few
+    array operations over all its nodes.
     """
-    assignment, k, n_q = tree.assignment, tree.k, len(step)
-    states = [assignment.machine_init(s)]
-    ids = {states[0]: 0}  # tree state -> its position in `states`
-    succ = np.zeros((0, k), dtype=np.intp)  # successors of the expanded tree states
-    layers = [(np.zeros(1, dtype=np.intp), np.array([q0], dtype=np.intp))]
+    a, n_q, k = tree.assignment, len(step), tree.k
+    layers = [(np.array([a.machine_init(s)], dtype=np.intp), np.array([q0], dtype=np.intp))]
     transitions: list[np.ndarray] = []
     for _ in range(len(s), depth):
-        if len(succ) < len(states):  # tree states met on the last level
-            grown = _tree_moves(assignment, k, states, ids, len(succ))
-            succ = np.concatenate([succ, np.array(grown, dtype=np.intp).reshape(-1, k)])
         t, q = layers[-1]
-        codes = (succ[t] * n_q + step[q]).ravel()
+        codes = (a.step[t] * n_q + step[q]).ravel()
         if trie:  # distinct codes, kept in order of discovery
             transitions.append(np.arange(len(codes)).reshape(-1, k))
             layers.append(np.divmod(codes, n_q))
             continue
-        index: dict = {}  # node code -> its position in the next level
-        targets = [index.setdefault(c, len(index)) for c in codes.tolist()]
-        transitions.append(np.array(targets, dtype=np.intp).reshape(-1, k))
-        layers.append(np.divmod(np.array(list(index), dtype=np.intp), n_q))
-    return states[: len(succ)], layers, transitions
+        nodes, targets = first_seen(codes)
+        transitions.append(targets.reshape(-1, k))
+        layers.append(np.divmod(nodes, n_q))
+    return layers, transitions
 
 
-def _local_points(tree: Tree, states) -> np.ndarray:
-    """Extreme points of each tree state's local model, ``(states, most
-    points, k)``.  A model with fewer points repeats its first point in the
-    spare rows: a copy scores what the first point scores, so it never
-    raises the maximum, and the argmax (the lowest index among ties) never
-    picks it."""
-    leaves = [_points_of(tree.assignment.machine_leaf(t)) for t in states]
-    points = np.empty((len(leaves), max((len(p) for p in leaves), default=0), tree.k))
-    for i, p in enumerate(leaves):
-        points[i] = p[0]
-        points[i, : len(p)] = p
-    return points
+def _local_points(tree: Tree, t: np.ndarray) -> np.ndarray:
+    """Extreme points of the local model of each tree state in ``t``,
+    ``(states, P, k)``, padded as :mod:`~iptree.tree` pads them."""
+    a = tree.assignment
+    return a.points[a.leaf[t]]
 
 
 def _scores(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -234,27 +195,24 @@ def _scores(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
     """The backward recursion over the product layers below ``s``.
 
-    Returns the tree states and layers of :func:`_machine_layers`, every
-    node's values (nodes, G): per gamble, the upper expectation of the
+    Returns the layers of :func:`_machine_layers`, every node's values
+    (nodes, G): per gamble, the upper expectation of the
     rewards still to come plus the terminal payoff, and with ``picks`` the
     extreme point attaining each value above the deepest level (the lowest
     on ties).  A level costs a few array operations over all its nodes.
     """
     if cols.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
-    states, layers, transitions = _machine_layers(
-        tree, cols.step, s, cols.read(s)[1], cols.depth, cols.trie
-    )
-    points = _local_points(tree, states)
+    layers, transitions = _machine_layers(tree, cols.step, s, cols.read(s)[1], cols.depth, cols.trie)
     values = [cols.terminal[layers[-1][1]]]
     argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):
         t, q = layers[li]
-        scores = _scores(points[t], cols.reward[q] + values[0][transitions[li]])
+        scores = _scores(_local_points(tree, t), cols.reward[q] + values[0][transitions[li]])
         values.insert(0, scores.max(axis=1))
         if picks:
             argmax.insert(0, scores.argmax(axis=1))
-    return states, layers, values, argmax
+    return layers, values, argmax
 
 
 def finitary_uppers(tree: Tree, gambles, s: Situation = ()) -> list[float]:
@@ -265,7 +223,7 @@ def finitary_uppers(tree: Tree, gambles, s: Situation = ()) -> list[float]:
     """
     s = as_situation(s, tree.k)
     cols = MachineStack.of(gambles)
-    values = _sweep(tree, cols, s)[2]
+    values = _sweep(tree, cols, s)[1]
     return (cols.read(s)[0] + values[0][0]).tolist()
 
 
@@ -297,13 +255,13 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     """
     s = as_situation(s, tree.k)
     cols = MachineStack.of([f])
-    states, layers, _, argmax = _sweep(tree, cols, s, picks=True)
-    points = _local_points(tree, states)
-    picked = {
-        (len(s) + li, states[t], q): MassFunction(points[t, best])
-        for li, picks in enumerate(argmax)
-        for t, q, best in zip(*(a.tolist() for a in layers[li]), picks[:, 0].tolist())
-    }
+    layers, _, argmax = _sweep(tree, cols, s, picks=True)
+    picked = {}
+    for li, picks in enumerate(argmax):
+        t, q = layers[li]
+        chosen = _local_points(tree, t)[np.arange(len(t)), picks[:, 0]]
+        picked.update(((len(s) + li, node_t, node_q), MassFunction(p))
+                      for node_t, node_q, p in zip(t.tolist(), q.tolist(), chosen))
     return PreciseTree(tree.state_space, Selection(tree.assignment, cols.step, cols.depth, picked))
 
 
@@ -314,7 +272,7 @@ def value_tables(tree: Tree, gambles) -> list[list[np.ndarray]]:
         raise InvalidInputError("value_table expects a dense finitary gamble")
     # Swept from the root, a dense gamble's product nodes at level m are the
     # length-m prefixes, one each, in lexicographic order.
-    values = _sweep(tree, MachineStack.of(gambles), ())[2]
+    values = _sweep(tree, MachineStack.of(gambles), ())[1]
     return [[vals[:, g].reshape((tree.k,) * m) for m, vals in enumerate(values)] for g in range(len(gambles))]
 
 
@@ -333,34 +291,18 @@ def _closure(tree: Tree, machine, s: Situation):
     gamble or a stack of them).
 
     Both coordinates are level-free, so the nodes are finitely many; they
-    are numbered breadth first, the node ``s`` leads to first.  Returns the
+    are numbered breadth first (:func:`~iptree.tree.product_closure`), the
+    node ``s`` leads to first, and the tree keeps the last closure walked.  Returns the
     reward paid along all of ``s`` (summed in order), the (nodes, k)
     successor table, each node's automaton state and the extreme points of
     each node's local model, (nodes, points, k).
     """
-    step = machine.step.tolist()
     paid, q = 0.0, 0
     for y in s:
-        paid, q = paid + machine.reward[q, y], step[q][y]
-    assignment, k = tree.assignment, tree.k
-    states = [assignment.machine_init(s)]
-    ids = {states[0]: 0}  # tree state -> its position in `states`
-    moves: list = []  # successors of the expanded tree states
-    nodes = [(0, q)]
-    index = {nodes[0]: 0}  # node -> its position in `nodes`
-    trans = []
-    for t, q in nodes:  # walked while it grows
-        if t >= len(moves):
-            moves += _tree_moves(assignment, k, states, ids, len(moves))
-        row = []
-        for node in zip(moves[t], step[q]):
-            if node not in index:
-                index[node] = len(nodes)
-                nodes.append(node)
-            row.append(index[node])
-        trans.append(row)
-    t_of, q_of = np.array(nodes, dtype=np.intp).T
-    return paid, np.array(trans, dtype=np.intp), q_of, _local_points(tree, states)[t_of]
+        paid, q = paid + machine.reward[q, y], machine.step[q, y]
+    a = tree.assignment
+    trans, t_of, q_of = a.closure(machine.step, a.machine_init(s), int(q))
+    return paid, trans, q_of, _local_points(tree, t_of)
 
 
 def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):

@@ -101,17 +101,20 @@ class MassFunction:
         return hash(self.weights.tobytes())
 
 
-def _mass_blocks(arr: np.ndarray, sizes) -> list[np.ndarray]:
+def _mass_rows(arr: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a NaN-free ``(n, k)`` matrix as :class:`MassFunction`
-    stores them, split into consecutive blocks of ``sizes`` rows, each block
-    without its bitwise-duplicate rows (the first is kept): frozen views of
-    one new matrix.
+    stores them, in consecutive blocks of ``sizes`` rows, each block
+    without its bitwise-duplicate rows (the first is kept): one new frozen
+    matrix, and the blocks' sizes in it.
 
     Every row passes the checks of MassFunction, all at once: the first
     failing row raises what ``MassFunction(row)`` would.  Row sums of a
-    C-ordered matrix are bit-identical to the sums of its rows.
+    C-ordered matrix are bit-identical to the sums of its rows.  Duplicates
+    are found by sorting the rows' bits with their block numbers and
+    comparing neighbours.
     """
     arr = np.array(arr, dtype=float, order="C")
+    sizes = np.asarray(sizes, dtype=np.intp)
     negative = (arr < 0).any(axis=1)
     totals = arr.sum(axis=1)
     off = np.abs(totals - 1.0)
@@ -128,20 +131,20 @@ def _mass_blocks(arr: np.ndarray, sizes) -> list[np.ndarray]:
     if renorm.any():
         arr = np.where(renorm[:, None], arr / totals[:, None], arr)
     if len(arr) > len(sizes):  # some block has two rows or more
-        # A row's key is its block number and its bits.
+        # A row's key is its block number and its bits; a stable sort of the
+        # keys puts each row right after the first of its equals.
         keys = np.empty((len(arr), arr.shape[1] + 1), dtype=np.uint64)
         keys[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
         keys[:, 1:] = arr.view(np.uint64)
-        raw, width = keys.tobytes(), keys.itemsize * keys.shape[1]
-        rows = [raw[i : i + width] for i in range(0, len(raw), width)]
-        first = dict(zip(reversed(rows), range(len(rows) - 1, -1, -1)))  # key -> first row
-        if len(first) < len(rows):
-            keep = np.sort(np.fromiter(first.values(), dtype=np.intp))
-            arr = arr[keep]
-            sizes = np.bincount(keys[keep, 0].astype(np.intp), minlength=len(sizes))
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        order = np.argsort(keys, kind="stable")
+        dup = np.zeros(len(arr), dtype=bool)
+        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        if dup.any():
+            arr = arr[~dup]
+            sizes = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[~dup], minlength=len(sizes))
     arr.flags.writeable = False
-    ends = np.cumsum(sizes).tolist()
-    return [arr[start:end] for start, end in zip([0, *ends], ends)]
+    return arr, sizes
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ class CredalSet:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidInputError("credal set needs a non-empty (m, k) matrix of extreme points")
-        object.__setattr__(self, "points", _mass_blocks(arr, [len(arr)])[0])
+        object.__setattr__(self, "points", _mass_rows(arr, [len(arr)])[0])
 
     @classmethod
     def stacked(cls, rows: np.ndarray, sizes) -> list["CredalSet"]:
@@ -170,17 +173,21 @@ class CredalSet:
         the rows.  ``rows`` is an ``(n, k)`` matrix and every size is >= 1.
         """
         try:
-            blocks = _mass_blocks(check_no_nan(rows, "extreme point weight"), sizes)
+            rows, sizes = _mass_rows(check_no_nan(rows, "extreme point weight"), sizes)
         except InvalidInputError:
             for block in np.split(rows, np.cumsum(sizes)[:-1]):
                 cls(block)
             raise
-        out = []
-        for points in blocks:
-            credal = object.__new__(cls)
-            object.__setattr__(credal, "points", points)
-            out.append(credal)
-        return out
+        ends = np.cumsum(sizes).tolist()
+        return [cls.of_checked(rows[start:end]) for start, end in zip([0, *ends], ends)]
+
+    @classmethod
+    def of_checked(cls, points: np.ndarray) -> "CredalSet":
+        """The credal set of frozen extreme points that have passed its
+        checks (as :func:`_mass_rows` leaves them), not checked again."""
+        credal = object.__new__(cls)
+        object.__setattr__(credal, "points", points)
+        return credal
 
     @classmethod
     def singleton(cls, mass: MassFunction) -> "CredalSet":
@@ -265,7 +272,11 @@ def cut_limit_upper(credal: CredalSet, f) -> float:
     Serves as an independent check of :func:`extended_upper_expectation`;
     the two must agree exactly on every input.
     """
-    arr = _check_gamble(credal, f, require_finite=False)
+    return _cut_limit(credal, _check_gamble(credal, f, require_finite=False))
+
+
+def _cut_limit(credal: CredalSet, arr: np.ndarray) -> float:
+    """:func:`cut_limit_upper` of a NaN-free gamble of the right length."""
     finite = np.isfinite(arr)
     if (credal.points[:, arr == INF].sum(axis=1) > 0.0).any():
         return INF
@@ -319,6 +330,12 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
     :func:`upper_expectation` gives for that gamble alone.
     """
     gambles = [_check_gamble(credal, g, require_finite=True) for g in sample_gambles]
+    return _coherence_axioms(credal, gambles, tol)
+
+
+def _coherence_axioms(credal: CredalSet, gambles: list, tol: float = AXIOM_TOL) -> AxiomReport:
+    """:func:`check_coherence_axioms` of finite gambles of the right length,
+    as arrays."""
     if not gambles:
         raise InvalidInputError("need at least one sample gamble")
     n = len(gambles)

@@ -48,15 +48,22 @@ a field unknown at its place, fails at its path (``queries[0].seed``,
 ``queries[0].policy.trials``, ``bogus``).
 
 Situation strings are read only by :func:`~iptree.tree.parse_situation`
-and written only by :mod:`iptree.tree`.  A certificate table is read in one
-pass: a key among :func:`~iptree.tree.situation_strings` (when the labels
-round-trip: none empty, none with a comma) goes straight to its position,
-any other key through the parser, which names a bad one.
+and written only by :mod:`iptree.tree`, and a table of either kind is read
+in one pass when its labels round-trip (none empty, none with a comma): a
+key among :func:`~iptree.tree.situation_strings` goes straight to its
+position.  A certificate sends any other key through the parser, which
+names a bad one.  A model table goes to the arrays of
+:meth:`~iptree.tree.Table.of_rows` in one type scan, one array and one
+check of every extreme point, with no object per entry, when its keys are
+among those strings, name at least about half of them, and every entry
+passes; any other model table is read entry by entry, which raises for the
+first bad entry.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from pathlib import Path
@@ -64,9 +71,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
-from .extreal import INF
+from .extreal import INF, check_no_nan
 from .gambles import DEFAULT_TABLE_CAP
-from .local import CredalSet, StateSpace
+from .local import CredalSet, StateSpace, _mass_rows
 from .supermartingale import TailConstantProcess
 from .tree import (
     Homogeneous,
@@ -116,39 +123,48 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _stacked(raws: list, k: int):
-    """The credal sets of extreme-point lists ``raws`` checked in one stack
-    (see :meth:`CredalSet.stacked`) when each is a non-empty list of rows of
-    ``k`` numbers and all pass the checks; None otherwise, and the caller
-    reads them one by one, which raises for the first bad one."""
+def _float_rows(raws: list, k: int):
+    """The rows of extreme-point lists ``raws`` as one float matrix, and
+    each list's row count, when each is a non-empty list of rows of ``k``
+    numbers; None otherwise."""
     if set(map(type, raws)) - {list} or not all(raws):
         return None
-    rows = [row for raw in raws for row in raw]
+    rows = list(itertools.chain.from_iterable(raws))
     if set(map(type, rows)) != {list} or set(map(len, rows)) != {k}:
         return None
-    if {type(x) for row in rows for x in row} - {int, float}:
+    numbers = list(itertools.chain.from_iterable(rows))
+    if set(map(type, numbers)) - {int, float}:
         return None
     try:
-        return CredalSet.stacked(np.array(rows, dtype=float), list(map(len, raws)))
-    except (InvalidInputError, OverflowError):
+        return np.fromiter(numbers, dtype=float, count=len(numbers)).reshape(-1, k), list(map(len, raws))
+    except OverflowError:
+        return None
+
+
+def _table_rows(space: StateSpace, depth: int, entries_raw: dict):
+    """A table model's entries read in one pass, as
+    :meth:`~iptree.tree.Table.of_rows` takes them; None for a table this
+    pass does not take (see the module docstring)."""
+    k = space.size
+    if any(label == "" or "," in label for label in space.labels):
+        return None
+    count = 0  # situations of length <= depth, counted before any allocation
+    for m in range(depth + 1):
+        count += k**m
+        if count > 2 * len(entries_raw) + 1:
+            return None
+    positions = dict(zip(situation_strings(space, depth), range(count)))
+    at = list(map(positions.get, entries_raw))
+    got = None if None in at else _float_rows(list(entries_raw.values()), k)
+    try:
+        return None if got is None else (at, *_mass_rows(check_no_nan(got[0], "extreme point weight"), got[1]))
+    except InvalidInputError:
         return None
 
 
 def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) -> dict:
-    """A table model's entries, situation -> credal set, in document order.
-
-    A table whose keys are situations of length <= ``depth`` has its
-    entries read by :func:`_stacked`.  Any other table, or one it does not
-    take, is read entry by entry, which raises for the first bad entry.
-    """
-    try:
-        sits = [parse_situation(space, key) for key in entries_raw]
-    except (AttributeError, InvalidInputError):
-        sits = None
-    if sits is not None and max(map(len, sits), default=0) <= depth:
-        credal_sets = _stacked(list(entries_raw.values()), space.size)
-        if credal_sets is not None:
-            return dict(zip(sits, credal_sets))
+    """A table model's entries, situation -> credal set, read one by one in
+    document order, which raises for the first bad entry."""
     entries = {}
     for key, raw in entries_raw.items():
         p_entry = f"{path}.{key or '<root>'}"
@@ -167,16 +183,20 @@ def _markov_sets(space: StateSpace, model: dict) -> list:
     label order.
 
     A model whose ``by_state`` has exactly the state labels as keys has
-    ``root`` and its entries read in one :func:`_stacked` call.  Any other
+    ``root`` and its entries read by :func:`_float_rows` and checked in one
+    :meth:`CredalSet.stacked` call.  Any other
     model, or one it does not take, is read part by part, which raises for
     the first bad part: ``root``, then ``by_state`` in label order, then an
     unknown label.
     """
     by_state_raw = model.get("by_state")
     if isinstance(by_state_raw, dict) and by_state_raw.keys() == set(space.labels):
-        credal_sets = _stacked([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
-        if credal_sets is not None:
-            return credal_sets
+        got = _float_rows([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
+        try:
+            if got is not None:
+                return CredalSet.stacked(*got)
+        except InvalidInputError:
+            pass
     root = _points(_need(model, "root", "model"), "model.root")
     by_state_raw = _need(model, "by_state", "model")
     if not isinstance(by_state_raw, dict):
@@ -222,9 +242,10 @@ def load_model(doc: dict) -> ImpreciseTree:
         entries_raw = _need(model, "entries", "model")
         if not isinstance(entries_raw, dict):
             raise SchemaError("model.entries", "expected an object keyed by situation string")
-        entries = _table_entries(space, depth, entries_raw, "model.entries")
+        rows = _table_rows(space, depth, entries_raw)
+        entries = _table_entries(space, depth, entries_raw, "model.entries") if rows is None else None
         default = _points(_need(model, "default", "model"), "model.default")
-        assignment = Table(depth, entries, default)
+        assignment = Table(depth, entries, default) if rows is None else Table.of_rows(depth, default, *rows)
     else:
         raise SchemaError("model.kind", f"unknown model kind {kind!r}")
     try:

@@ -25,7 +25,8 @@ oracle's own: they share no code with the engine's sweeps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -135,11 +136,15 @@ def precise_expectation(p: PreciseTree, f: Gamble, s: Situation = ()) -> float:
 @dataclass(frozen=True)
 class EnvelopeResult:
     """Supremum of compatible-tree expectations over ``count`` selections,
-    with a selection that attains it."""
+    with a selection that attains it, decoded when ``argmax`` is first read."""
 
     value: float
     count: int
-    argmax: dict[Situation, int]
+    decode: Callable[[], dict[Situation, int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def argmax(self) -> dict[Situation, int]:
+        return self.decode()
 
 
 def _enumerate_values(
@@ -205,11 +210,11 @@ def envelope_sup(
             if count > cap:  # stop here: the full count can have thousands of digits
                 raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
     if len(s) >= dense.depth:
-        return EnvelopeResult(float(dense.table[s[: dense.depth]]), 1, {})
+        return EnvelopeResult(float(dense.table[s[: dense.depth]]), 1, dict)
     sub = np.asarray(dense.table[s], dtype=float)
     values, decode = _enumerate_values(q, sub, s)
     best = int(np.argmax(values))
-    return EnvelopeResult(float(values[best]), values.size, decode(best))
+    return EnvelopeResult(float(values[best]), values.size, lambda: decode(best))
 
 
 def selection_tree(q: ImpreciseTree, choices: dict[Situation, int]) -> PreciseTree:

@@ -16,7 +16,7 @@ Entries may be +inf (harmless above a bound); -inf is rejected because it
 breaks the bounded-below reading.
 
 Checking is level by level, with the recursion engine's machinery: the
-tree's finite-state view, walked along the prefix trie of the process, gives
+tree's ``step`` array, walked along the prefix trie of the process, gives
 every situation of a level its local model, and one elementwise sum over the
 level (:func:`~iptree.extreal.weighted_sum`) gives each situation the same
 local upper expectation :func:`~iptree.local.upper_expectation` computes.
@@ -158,8 +158,8 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     itself, so they verify automatically.
 
     The check runs level by level.  The situations of a level find their
-    local models through the tree's finite-state view, walked along the
-    prefix trie of the process; each gets the local upper expectation from
+    local models through the tree's ``step`` and ``leaf`` arrays, walked
+    along the prefix trie of the process; each gets the local upper expectation from
     one elementwise sum over the level, the
     :func:`~iptree.extreal.weighted_sum` that
     :func:`~iptree.local.upper_expectation` uses, and only situations with a
@@ -173,15 +173,14 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     checked = 0
     lo, hi = 0.0, 0.0
     if depth:
-        states, layers, _ = _machine_layers(tree, trie_step(k, depth)[0], (), 0, depth, trie=True)
-        points = _local_points(tree, states)
+        layers = _machine_layers(tree, trie_step(k, depth)[0], (), 0, depth, trie=True)[0]
     for m in range(depth):
         value = process.levels[m].reshape(-1)
         nxt = process.levels[m + 1].reshape(-1, k)
         infinite = np.flatnonzero(np.isinf(nxt).any(axis=1))
         finite = nxt.copy()
         finite[infinite] = 0.0
-        required = weighted_sum(points[layers[m][0]], finite[:, None, :]).max(axis=1)
+        required = weighted_sum(_local_points(tree, layers[m][0]), finite[:, None, :]).max(axis=1)
         for i in infinite.tolist():
             leaf = local_model(tree, _situation(i, k, m))
             credal = leaf if isinstance(leaf, CredalSet) else CredalSet.singleton(leaf)

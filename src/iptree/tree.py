@@ -12,11 +12,18 @@ forms cover the practical cases:
 * ``Table``: explicit per-situation models up to a declared depth, with a
   default model beyond.
 
-An assignment is read only through its *finite-state view* (``machine_init``
-/ ``machine_step`` / ``machine_leaf``): a deterministic automaton over
-situations whose state determines the local model.  :func:`local_model`
-reads one situation's model through it, and the recursion engine uses it to
-collapse long horizons without enumerating situations.
+Every assignment is read through its *finite-state view*, three frozen
+arrays compiled on the first read: ``step``, the ``(states, k)`` successor
+states (state 0 is the initial situation's); ``leaf``, the index of each
+state's local model; and ``points``, each model's extreme points,
+``(models, P, k)``, a model with fewer than ``P`` points repeating its first
+one (a copy never raises a maximum and never wins a tie), so a precise tree
+has ``P = 1``.  ``Homogeneous`` has one state and ``Markov`` k + 1.  A
+``Table``'s states are the prefixes of its keys, numbered as in
+:func:`trie_step` (all of that trie when every situation up to the depth has
+an entry), and one self-looping default state for every other situation.
+The engine walks the arrays; ``machine_init`` / ``machine_step`` /
+``machine_leaf`` read them one state at a time, as :func:`local_model` does.
 
 A precise tree is *compatible* with an imprecise one when each of its mass
 functions lies in the convex hull of the corresponding credal set's extreme
@@ -29,8 +36,10 @@ the combinatorial backbone of the measure-theoretic envelope oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
@@ -48,9 +57,6 @@ HULL_TOL = 1e-9
 DEFAULT_ENUM_CAP = 200_000
 
 Leaf = Union[CredalSet, MassFunction]
-
-_DEFAULT_STATE = "<default>"
-
 
 def as_situation(states, k: int) -> Situation:
     """Validate a sequence of state indices against a state space of size k."""
@@ -109,129 +115,318 @@ def trie_step(k: int, depth: int) -> tuple[np.ndarray, int]:
     return step, leaves
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``codes`` in order of first occurrence, and
+    each entry's position among them."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[first.argsort()] = np.arange(len(first))
+    return codes[np.sort(first)], rank[inverse]
+
+
+def product_closure(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int):
+    """The pairs (t, q) reachable from (t0, q0) when a symbol y moves them
+    to (t_step[t, y], q_step[q, y]), numbered breadth first: the pairs of
+    each block in turn, and each pair's successors in symbol order, a new
+    one taking the next number.
+
+    Returns the (pairs, k) successor numbers and each pair's t and q.  A
+    block of the walk costs a few array operations over all its pairs; the
+    numbers are looked up in an array over all ``len(t_step) * len(q_step)``
+    pairs.
+    """
+    n_q, k = q_step.shape
+    number = np.full(len(t_step) * n_q, -1, dtype=np.intp)  # per pair code t * n_q + q; -1 if unmet
+    block = np.array([t0 * n_q + q0], dtype=np.intp)
+    number[block] = 0
+    blocks, rows, count = [block], [], 1
+    while True:
+        t, q = np.divmod(block, n_q)
+        codes = (t_step[t] * n_q + q_step[q]).ravel()
+        ids = number[codes]
+        rows.append(ids.reshape(-1, k))
+        fresh = np.flatnonzero(ids < 0)
+        if not len(fresh):
+            break
+        new = codes[fresh]
+        number[new] = len(codes)  # then each new pair's first place among the successors
+        np.minimum.at(number, new, fresh)
+        block = new[number[new] == fresh]
+        number[block] = np.arange(count, count + len(block))
+        count += len(block)
+        ids[fresh] = number[new]
+        blocks.append(block)
+    t_of, q_of = np.divmod(np.concatenate(blocks), n_q)
+    return np.concatenate(rows), t_of, q_of
+
+
+def _points_of(leaf) -> np.ndarray:
+    if isinstance(leaf, CredalSet):
+        return leaf.points
+    if isinstance(leaf, MassFunction):
+        return leaf.weights[None, :]
+    raise InvalidInputError(f"not a local model: {leaf!r}")
+
+
+def _padded(rows: np.ndarray, sizes) -> np.ndarray:
+    """Consecutive blocks of ``rows``, ``sizes[i]`` rows each, as one
+    (blocks, largest size, k) array; a shorter block repeats its first row
+    in the spare places."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    j = np.arange(sizes.max())
+    return rows[starts[:, None] + np.where(j < sizes[:, None], j, 0)]
+
+
+def _stacked_points(models) -> np.ndarray:
+    blocks = [_points_of(m) for m in models]
+    return _padded(np.concatenate(blocks), list(map(len, blocks)))
+
+
+class _View:
+    """The finite-state view of an assignment: ``step``, ``leaf`` and
+    ``points`` (see the module docstring), which ``_compile`` builds on the
+    first read, and the readers of one state at a time."""
+
+    @cached_property
+    def _arrays(self) -> tuple:
+        return tuple(map(_frozen, self._compile()))
+
+    step = property(lambda self: self._arrays[0])
+    leaf = property(lambda self: self._arrays[1])
+    points = property(lambda self: self._arrays[2])
+
+    def closure(self, q_step: np.ndarray, t0: int, q0: int) -> tuple:
+        """:func:`product_closure` of ``step`` and ``q_step`` from (t0, q0),
+        frozen.  The last one walked with a frozen ``q_step`` is kept, since
+        an exact limit and its audit trail walk the same closure."""
+        last = self.__dict__.get("_closure")
+        if last is None or last[0] is not q_step or q_step.flags.writeable or last[1:3] != (t0, q0):
+            last = self.__dict__["_closure"] = (q_step, t0, q0, tuple(map(_frozen, product_closure(self.step, q_step, t0, q0))))
+        return last[3]
+
+    def machine_init(self, s: Situation) -> int:
+        state, step = 0, self.step
+        for y in s:
+            state = step[state, y]
+        return int(state)
+
+    def machine_step(self, state: int, symbol: int) -> int:
+        return int(self.step[state, symbol])
+
+    def machine_leaf(self, state: int) -> Leaf:
+        return self.models[self.leaf[state]]
+
+
 @dataclass(frozen=True)
-class Homogeneous:
-    """Same local model in every situation."""
+class Homogeneous(_View):
+    """Same local model in every situation: one state."""
 
     model: Leaf
 
-    def machine_init(self, s: Situation) -> Hashable:
-        return None
+    @property
+    def models(self) -> tuple:
+        return (self.model,)
 
-    def machine_step(self, state: Hashable, symbol: int) -> Hashable:
-        return None
-
-    def machine_leaf(self, state: Hashable) -> Leaf:
-        return self.model
+    def _compile(self):
+        k = _points_of(self.model).shape[1]
+        return np.zeros((1, k), dtype=np.intp), np.zeros(1, dtype=np.intp), _stacked_points(self.models)
 
 
 @dataclass(frozen=True)
-class Markov:
+class Markov(_View):
     """Local model determined by the last observed state.
 
-    ``root`` covers the initial situation, where no state has been observed.
+    ``root`` covers the initial situation, where no state has been observed:
+    state 0, while state ``1 + y`` follows the symbol y.
     """
 
     root: Leaf
     by_state: tuple[Leaf, ...]
 
-    def machine_init(self, s: Situation) -> Hashable:
-        return s[-1] if s else -1
+    @property
+    def models(self) -> tuple:
+        return (self.root, *self.by_state)
 
-    def machine_step(self, state: Hashable, symbol: int) -> Hashable:
-        return symbol
+    def _compile(self):
+        step = np.empty((len(self.models), len(self.by_state)), dtype=np.intp)
+        step[:] = np.arange(1, len(self.models))
+        return step, np.arange(len(self.models)), _stacked_points(self.models)
 
-    def machine_leaf(self, state: Hashable) -> Leaf:
-        return self.root if state == -1 else self.by_state[state]
+
+def _prefix_trie(k: int, positions: list) -> tuple[np.ndarray, np.ndarray]:
+    """The step array of the trie of the prefixes of the situations at
+    :func:`trie_step` ``positions`` (Python integers, any depth), in that
+    trie's order, with a last, self-looping state that every other
+    situation leads to; and the state of each position."""
+    kept = {0}
+    for p in positions:
+        while p not in kept:
+            kept.add(p)
+            p = (p - 1) // k
+    kept = sorted(kept)
+    ids = dict(zip(kept, range(len(kept))))
+    step = np.full((len(kept) + 1, k), len(kept), dtype=np.intp)
+    parents = [ids[(p - 1) // k] for p in kept[1:]]
+    step[parents, [(p - 1) % k for p in kept[1:]]] = np.arange(1, len(kept))
+    return step, np.array([ids[p] for p in positions], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class Table:
-    """Explicit models for situations of length <= depth; default beyond."""
+class Table(_View):
+    """Explicit models for situations of length <= depth; default beyond.
 
-    depth: int
-    entries: Mapping[Situation, Leaf]
-    default: Leaf
+    Model 0 is the default and model ``i`` the i-th entry.  :meth:`of_rows`
+    builds a table straight from checked extreme-point rows, as a model file
+    is read; such a table names its ``entries`` only when they are read.
+    """
 
-    def __post_init__(self):
-        if self.depth < 0:
+    def __init__(self, depth: int, entries: Mapping[Situation, Leaf], default: Leaf):
+        if depth < 0:
             raise InvalidInputError("table depth must be non-negative")
-        for key in self.entries:
-            if len(key) > self.depth:
+        for key in entries:
+            if len(key) > depth:
                 raise InvalidInputError(
-                    f"table entry for situation of length {len(key)} exceeds declared depth {self.depth}"
+                    f"table entry for situation of length {len(key)} exceeds declared depth {depth}"
                 )
-        object.__setattr__(self, "entries", dict(self.entries))
+        self.depth, self.default, self.entries = depth, default, dict(entries)
+        self._rows = None
 
-    def machine_init(self, s: Situation) -> Hashable:
-        return s if len(s) <= self.depth else _DEFAULT_STATE
+    @classmethod
+    def of_rows(cls, depth: int, default: CredalSet, positions: list, rows: np.ndarray, sizes) -> "Table":
+        """The table whose i-th entry is the situation at
+        :func:`trie_step` position ``positions[i]`` (length <= depth), with
+        the next ``sizes[i]`` of ``rows``, extreme points as
+        :class:`~iptree.local.CredalSet` stores them."""
+        table = object.__new__(cls)
+        table.depth, table.default = depth, default
+        table._positions, table._rows, table._sizes = positions, rows, sizes
+        return table
 
-    def machine_step(self, state: Hashable, symbol: int) -> Hashable:
-        if state == _DEFAULT_STATE or len(state) >= self.depth:
-            return _DEFAULT_STATE
-        return state + (symbol,)
+    @cached_property
+    def models(self) -> tuple:
+        if self._rows is None:
+            return (self.default, *self.entries.values())
+        ends = np.cumsum(self._sizes).tolist()
+        return (self.default, *(CredalSet.of_checked(self._rows[a:b]) for a, b in zip([0, *ends], ends)))
 
-    def machine_leaf(self, state: Hashable) -> Leaf:
-        if state == _DEFAULT_STATE:
-            return self.default
-        return self.entries.get(state, self.default)
+    @cached_property
+    def entries(self) -> dict:
+        situations = []
+        for p in self._positions:  # a trie_step position, back to its situation
+            s = ()
+            while p:
+                p, y = divmod(p - 1, self.default.k)
+                s = (y, *s)
+            situations.append(s)
+        return dict(zip(situations, self.models[1:]))
+
+    def _compile(self):
+        k = _points_of(self.default).shape[1]
+        if self._rows is None:
+            positions = [functools.reduce(lambda p, y: p * k + int(y) + 1, key, 0) for key in self.entries]
+            points = _stacked_points(self.models)
+        else:
+            positions = self._positions
+            points = _padded(np.concatenate([self.default.points, self._rows]), [self.default.n_points, *self._sizes])
+        step, states = _prefix_trie(k, positions)
+        leaf = np.zeros(len(step), dtype=np.intp)
+        leaf[states] = np.arange(1, len(states) + 1)
+        return step, leaf, points
 
 
 @dataclass(frozen=True, eq=False)
-class Selection:
+class Selection(_View):
     """Precise assignment carved out of another one, node by node.
 
-    A deterministic automaton (states ``range(len(step))``, start state 0)
-    reads the first ``depth`` states alongside ``base``: a situation's node
-    is (level, base state, automaton state), and past ``depth`` the level
-    and the automaton state stay put, so the view has finitely many states.
-    ``choices`` maps nodes to mass functions; any other node plays the first
-    extreme point of its base leaf.  :func:`~iptree.engine.adversarial_selection`
-    reads the gamble's automaton, :func:`situation_selection` a prefix trie.
+    A deterministic automaton (``automaton``: (states, k) integers, start
+    state 0) reads the first ``depth`` states alongside ``base``: a
+    situation's node (:meth:`node`) is (level, base state, automaton
+    state), and past ``depth`` the level and the automaton state stay put,
+    so the view has finitely many states.  ``choices`` maps nodes to mass
+    functions; any other node plays the first extreme point of its base
+    leaf.  :func:`~iptree.engine.adversarial_selection` reads the gamble's
+    automaton, :func:`situation_selection` a prefix trie.
+
+    The arrays are built on the first read, one breadth-first walk of the
+    nodes reachable from the root's: building a selection costs only its
+    choices.
     """
 
     base: "Assignment"
-    step: np.ndarray  # (states, k) integers
+    automaton: np.ndarray
     depth: int
     choices: Mapping[Hashable, MassFunction]
 
-    def machine_init(self, s: Situation) -> Hashable:
+    def node(self, s: Situation) -> tuple[int, int, int]:
         q = 0
         for y in s[: self.depth]:
-            q = self.step[q, y]
-        return (min(len(s), self.depth), self.base.machine_init(s), int(q))
+            q = self.automaton[q, y]
+        return min(len(s), self.depth), self.base.machine_init(s), int(q)
 
-    def machine_step(self, state: Hashable, symbol: int) -> Hashable:
-        level, t, q = state
-        if level == self.depth:
-            return (level, self.base.machine_step(t, symbol), q)
-        return (level + 1, self.base.machine_step(t, symbol), int(self.step[q, symbol]))
+    def _compile(self):
+        aut, depth, base = np.asarray(self.automaton, dtype=np.intp), self.depth, self.base
+        # The automaton's states met at each level, numbered level after
+        # level, as the states of one automaton whose last level stays put.
+        met = [np.zeros(1, dtype=np.intp)]
+        for _ in range(depth):
+            met.append(np.unique(aut[met[-1]]))
+        at = np.full((depth + 1, len(aut)), -1, dtype=np.intp)  # (level, q) -> that state
+        for level, qs in enumerate(met):
+            at[level, qs] = at.max() + 1 + np.arange(len(qs))
+        leveled = np.concatenate([at[level + 1][aut[qs]] for level, qs in enumerate(met[:-1])]
+                                 + [np.repeat(at[depth, met[-1], None], aut.shape[1], axis=1)])
+        step, t_of, q_of = product_closure(base.step, leveled, base.machine_init(()), 0)
+        leaf, n_base = base.leaf[t_of], len(base.points)
+        if self.choices:
+            level, t, q = np.array(list(self.choices), dtype=np.intp).reshape(-1, 3).T
+            codes, wanted = t_of * len(leveled) + q_of, t * len(leveled) + at[level, q]
+            order = codes.argsort()
+            found = order[np.minimum(codes[order].searchsorted(wanted), len(order) - 1)]
+            met = (codes[found] == wanted) & (at[level, q] >= 0)  # nodes never reached choose nothing
+            leaf[found[met]] = n_base + np.flatnonzero(met)
+        chosen = [m.weights[None, None, :] for m in self.choices.values()]
+        return step, leaf, np.concatenate([base.points[:, :1], *chosen]), t_of
 
-    def machine_leaf(self, state: Hashable) -> MassFunction:
-        got = self.choices.get(state)
-        if got is not None:
-            return got
-        leaf = self.base.machine_leaf(state[1])
+    @cached_property
+    def _chosen(self) -> tuple:
+        return tuple(self.choices.values())
+
+    def machine_leaf(self, state: int) -> MassFunction:
+        i = int(self.leaf[state]) - len(self.base.points)
+        if i >= 0:
+            return self._chosen[i]
+        leaf = self.base.machine_leaf(int(self._arrays[3][state]))
         return leaf if isinstance(leaf, MassFunction) else MassFunction(leaf.points[0])
 
 
 @dataclass(frozen=True)
-class _SingletonView:
+class _SingletonView(_View):
     """Credal view of a precise assignment: every leaf a one-point set."""
 
     base: "Assignment"
 
-    def machine_init(self, s: Situation) -> Hashable:
-        return self.base.machine_init(s)
+    def _compile(self):
+        return self.base._arrays[:3]
 
-    def machine_step(self, state: Hashable, symbol: int) -> Hashable:
-        return self.base.machine_step(state, symbol)
-
-    def machine_leaf(self, state: Hashable) -> CredalSet:
+    def machine_leaf(self, state: int) -> CredalSet:
         return CredalSet.singleton(self.base.machine_leaf(state))
 
 
 Assignment = Union[Homogeneous, Markov, Table, Selection, _SingletonView]
+
+
+def _root_leaf(a):
+    """A model that tells a precise assignment from an imprecise one, read
+    before ``a`` is checked and compiled."""
+    for kind, name in ((Homogeneous, "model"), (Markov, "root"), (Table, "default")):
+        if isinstance(a, kind):
+            return getattr(a, name)
+    return a.machine_leaf(0) if isinstance(a, Assignment) else None
 
 
 def _check_assignment(assignment, k: int, leaf_type: type, kind: str):
@@ -255,21 +450,17 @@ def _check_assignment(assignment, k: int, leaf_type: type, kind: str):
             check(leaf)
     elif isinstance(assignment, Table):
         check(assignment.default)
-        entries = assignment.entries
-        # One pass over every key's states and every leaf; only a table that
-        # fails it is checked entry by entry, so the first bad entry raises.
-        symbols = set(itertools.chain.from_iterable(entries))
-        leaves_ok = all(isinstance(leaf, leaf_type) and leaf.k == k for leaf in entries.values())
-        if not (leaves_ok and symbols <= set(range(k))):
-            for s, leaf in entries.items():
-                as_situation(s, k)
-                check(leaf)
+        if assignment._rows is not None:  # rows checked as the model file was read
+            return
+        for s, leaf in assignment.entries.items():  # the first bad entry raises, key before leaf
+            as_situation(s, k)
+            check(leaf)
     elif isinstance(assignment, Selection):
         if leaf_type is not MassFunction:
             raise InvalidInputError(f"{kind} tree expects {leaf_type.__name__} leaves")
         # A selection carved out of a precise tree has a precise base.
-        base, step = assignment.base, np.asarray(assignment.step)
-        precise = isinstance(base, Assignment) and isinstance(base.machine_leaf(base.machine_init(())), MassFunction)
+        base, step = assignment.base, np.asarray(assignment.automaton)
+        precise = isinstance(_root_leaf(base), MassFunction)
         _check_assignment(base, k, MassFunction if precise else CredalSet, "precise" if precise else "imprecise")
         if (step.dtype.kind not in "iu" or step.shape[1:] != (k,) or assignment.depth < 0
                 or not (step.size and 0 <= step.min() and step.max() < len(step))):
@@ -337,7 +528,7 @@ def situation_selection(tree: ImpreciseTree, choices: Mapping[Situation, MassFun
     depth = max(map(len, choices), default=-1) + 1
     step, sink = trie_step(tree.k, depth)
     sel = Selection(tree.assignment, np.minimum(step[: sink + 1], sink), depth, {})
-    nodes = [sel.machine_init(as_situation(s, tree.k)) for s in choices]
+    nodes = [sel.node(as_situation(s, tree.k)) for s in choices]
     return PreciseTree(tree.state_space, replace(sel, choices=dict(zip(nodes, choices.values()))))
 
 
@@ -398,14 +589,6 @@ def is_compatible(precise: PreciseTree, imprecise: ImpreciseTree, depth: int, to
         if not in_convex_hull(mass.weights, credal.points, tol):
             return False
     return True
-
-
-def count_compatible(tree: ImpreciseTree, depth: int) -> int:
-    """Number of extreme-point selections over situations of length < depth."""
-    count = 1
-    for s in all_situations(tree.k, depth - 1):
-        count *= local_model(tree, s).n_points
-    return count
 
 
 def enumerate_compatible(

@@ -330,10 +330,10 @@ class TestCoherenceColumns:
 @dataclass(frozen=True)
 class _RootStartMarkov(Markov):
     """A Markov assignment whose sweeps conditioned on a situation start
-    from the root's state instead of the situation's last state."""
+    from the root's state (state 0) instead of the situation's last state."""
 
     def machine_init(self, s):
-        return -1
+        return 0
 
 
 def test_process_suite_checks_the_conditioned_path():

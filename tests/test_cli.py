@@ -751,8 +751,12 @@ class TestCountsAndSeeds:
             (["axioms", "--trials", "-3"], "argument --trials: expected an integer >= 1, got -3"),
             (["oracle", "--trials", "0"], "argument --trials: expected an integer >= 1, got 0"),
             (["oracle", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+            # argparse reads ``--flag=--`` as no value, not as the text "--"
+            (["axioms", "--seed=--"], "argument --seed: expected one argument"),
+            (["cert", "c.json", "--expr=--"], "argument --expr: expected one argument"),
         ],
-        ids=["seed-negative", "depth-negative", "depth-zero", "trials-negative", "trials-zero", "trials-text"],
+        ids=["seed-negative", "depth-negative", "depth-zero", "trials-negative", "trials-zero", "trials-text",
+             "seed-dashes", "expr-dashes"],
     )
     def test_bad_flag_exits_2(self, capsys, model_file, argv, message):
         with pytest.raises(SystemExit) as exc:

@@ -566,6 +566,37 @@ class TestTrieLayers:
             s = random_situation(rng, k, int(rng.integers(0, f.depth + 1)))
             args = (tree, cols.step, s, cols.read(s)[1], cols.depth)
             fast, slow = engine._machine_layers(*args, trie=True), engine._machine_layers(*args)
-            assert fast[0] == slow[0]
-            for a, b in zip(fast[1:], slow[1:]):
+            for a, b in zip(fast, slow):
                 assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestArraysOnly:
+    def test_sweeps_make_no_per_state_calls(self, tmp_path, monkeypatch):
+        # The finitary sweep, the exact limit and ``check cert`` on a depth-5
+        # table read the compiled arrays: no state is stepped one at a time.
+        import json
+        from collections import Counter
+
+        from iptree.cli import main
+        from iptree.modelio import dump_certificate, dump_model
+        from iptree.supermartingale import canonical_supermartingale
+
+        calls = Counter()
+        for name in ("machine_step", "machine_leaf"):
+            def counted(self, *args, _name=name, _read=getattr(Table, name)):
+                calls[_name] += 1
+                return _read(self, *args)
+
+            monkeypatch.setattr(Table, name, counted)
+        rng = np.random.default_rng(16)
+        space = StateSpace(("A", "B", "C", "D"))
+        tree = ImpreciseTree(space, Table(5, {s: random_credal(rng, 4) for s in all_situations(4, 5)}, random_credal(rng, 4)))
+        f = expr_gamble("sum(i=1..5, ind(X[i]==A)) * ind(X[2]==B)", space)
+        finitary_upper(tree, f, (1,))
+        limit_bounds(tree, hitting_time_variable(space, ["D"]), (2,))
+        model, cert = tmp_path / "model.json", tmp_path / "cert.json"
+        model.write_text(json.dumps(dump_model(tree)))
+        cert.write_text(json.dumps(dump_certificate(canonical_supermartingale(tree, f), space)))
+        argv = ["check", "--model", str(model), "cert", str(cert), "--expr", "sum(i=1..5, ind(X[i]==A)) * ind(X[2]==B)"]
+        assert main(argv) == 0
+        assert calls == Counter()

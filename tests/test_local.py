@@ -232,6 +232,22 @@ class TestCutLimit:
 
 
 class TestAxiomChecker:
+    @pytest.mark.parametrize(
+        "gamble, message",
+        [
+            ([0.0, np.nan], "NaN is not a valid gamble payoff"),
+            ([1.0, 2.0, 3.0], "gamble has length 3, state space has size 2"),
+        ],
+    )
+    def test_public_checks_validate_their_gambles(self, gamble, message):
+        # The model battery hands its own finite draws over unchecked; the
+        # public entry points still check what they are given.
+        c = credal([0.4, 0.6], [0.6, 0.4])
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            check_coherence_axioms(c, [[1.0, 0.0], gamble])
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            cut_limit_upper(c, gamble)
+
     def test_singleton_credal_passes(self):
         rng = np.random.default_rng(5)
         gambles = [rng.uniform(-10, 10, 3) for _ in range(100)]

@@ -23,7 +23,7 @@ from iptree.errors import InvalidInputError, SchemaError
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.modelio import dump_certificate, load_certificate, load_model
 from iptree.supermartingale import TailConstantProcess
-from iptree.tree import parse_situation
+from iptree.tree import ImpreciseTree, Table, parse_situation
 
 COIN = StateSpace(("H", "T"))
 
@@ -720,3 +720,61 @@ def test_markov_points_are_those_of_per_state_credal_sets(seed):
         want = CredalSet(np.asarray(raw, dtype=float)).points
         assert (credal.points.shape, credal.points.tobytes()) == (want.shape, want.tobytes())
         assert not credal.points.flags.writeable
+
+
+# --- table models: one pass to the arrays ----------------------------------------
+
+def compiled(assignment):
+    return assignment.step.tolist(), assignment.leaf.tolist(), assignment.points.shape, assignment.points.tobytes()
+
+
+def entry_by_entry(doc):
+    """The table the reference reader's entries and default make."""
+    entries, default = ref_table_model(doc)
+    table = Table(doc["model"]["depth"], {s: CredalSet(p) for s, p in entries.items()}, CredalSet(default))
+    ImpreciseTree(StateSpace(tuple(doc["states"])), table)
+    return table
+
+
+class TestTableArrays:
+    """A table document with canonical keys is read in one pass, straight to
+    the arrays that the same entries read one by one compile to."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_and_missing_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        k, depth = int(rng.integers(2, 4)), int(rng.integers(0, 4))
+        keys = [",".join(s) for n in range(depth + 1) for s in itertools.product(LABELS[:k], repeat=n)]
+        if seed % 2 and len(keys) > 1:
+            keys.pop(int(rng.integers(0, len(keys))))  # a missing entry plays the default
+        rng.shuffle(keys)
+        entries = {}
+        for key in keys:
+            entries[key] = [random_row(rng, k) for _ in range(int(rng.integers(1, 4)))]
+            if rng.uniform() < 0.3:
+                entries[key].append(list(entries[key][0]))  # a bitwise duplicate
+        doc = table_model(entries, default=[random_row(rng, k)], depth=depth, states=LABELS[:k])
+        with mock.patch("iptree.modelio._table_entries", side_effect=AssertionError("read entry by entry")):
+            table = load_model(doc).assignment
+        assert compiled(table) == compiled(entry_by_entry(doc))
+        assert list(table.entries) == list(entry_by_entry(doc).entries)  # document order
+
+    def test_labels_the_strings_cannot_name(self):
+        # An empty label: "" is the root and ",b" names (0, 1), read by the
+        # parser one entry at a time, to the same arrays.
+        doc = table_model({",b": [[0.2, 0.8]], "": [[0.5, 0.5], [0.1, 0.9]], "b": [[0.3, 0.7]]},
+                          depth=2, states=("", "b"))
+        table = load_model(doc).assignment
+        assert table.entries.keys() == {(0, 1), (), (1,)}
+        assert compiled(table) == compiled(entry_by_entry(doc))
+
+    def test_no_entry_becomes_an_object(self):
+        rng = np.random.default_rng(3)
+        keys = [",".join(s) for n in range(6) for s in itertools.product(LABELS, repeat=n)]
+        doc = table_model({key: [random_row(rng, 3) for _ in range(3)] for key in keys},
+                          default=[random_row(rng, 3)], depth=5, states=LABELS)
+        with mock.patch.object(CredalSet, "__post_init__", side_effect=CredalSet.__post_init__, autospec=True) as built, \
+                mock.patch.object(CredalSet, "of_checked", side_effect=CredalSet.of_checked) as adopted:
+            table = load_model(doc).assignment
+            assert table.points.shape == (len(keys) + 1, 3, 3)
+        assert built.call_count == 1 and adopted.call_count == 0  # the default only

@@ -135,6 +135,21 @@ class TestEnvelope:
         # the maximizing selection plays the heads-heavy point where it matters
         assert env.argmax[()] == 1 and env.argmax[(0,)] == 1
 
+    def test_argmax_is_decoded_when_first_read(self, coin_space, imprecise_coin, monkeypatch):
+        decoded = []
+        enumerate_values = oracle._enumerate_values
+
+        def counted(*args):
+            values, decode = enumerate_values(*args)
+            return values, lambda idx: decoded.append(idx) or decode(idx)
+
+        monkeypatch.setattr(oracle, "_enumerate_values", counted)
+        env = envelope_sup(imprecise_coin, expr_gamble("ind(X[1]==H && X[2]==H)", coin_space))
+        assert env.value == pytest.approx(0.36, abs=1e-12) and not decoded
+        assert env.argmax[()] == 1 and env.argmax[(0,)] == 1
+        reads = len(decoded)  # every level's decoder, once
+        assert reads and env.argmax is env.argmax and len(decoded) == reads
+
     def test_upper_dominates_conjugate_lower(self, coin_space, imprecise_coin):
         f = expr_gamble("ind(X[1]==H) - 2 * ind(X[2]==T)", coin_space)
         up = envelope_sup(imprecise_coin, f).value

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from iptree.tree import (
     Table,
     all_situations,
     as_situation,
-    count_compatible,
     enumerate_compatible,
     format_situation,
     in_convex_hull,
@@ -26,6 +27,11 @@ from iptree.tree import (
 
 def credal(*rows):
     return CredalSet(np.array(rows, dtype=float))
+
+
+def selections(tree, depth):
+    """Extreme-point selections over the situations of length < depth."""
+    return math.prod(local_model(tree, s).n_points for s in all_situations(tree.k, depth - 1))
 
 
 @pytest.fixture
@@ -124,6 +130,57 @@ class TestLocalModel:
             ImpreciseTree(space, Markov(credal([0.5, 0.5]), (credal([0.5, 0.5]),)))
 
 
+class TestCompiledView:
+    """Every assignment is read through its compiled ``step``/``leaf``/
+    ``points`` arrays; the model of each situation must be the one the
+    source object names, read here from its own fields."""
+
+    @staticmethod
+    def source_model(a, s):
+        if isinstance(a, Homogeneous):
+            return a.model
+        if isinstance(a, Markov):
+            return a.by_state[s[-1]] if s else a.root
+        return a.entries.get(s, a.default) if len(s) <= a.depth else a.default
+
+    @staticmethod
+    def random_assignment(rng, k, kind, precise):
+        def leaf():
+            weights = rng.dirichlet(np.ones(k), size=1 if precise else int(rng.integers(1, 4)))
+            return MassFunction(weights[0]) if precise else CredalSet(weights)
+
+        if kind == "homogeneous":
+            return Homogeneous(leaf())
+        if kind == "markov":
+            return Markov(leaf(), tuple(leaf() for _ in range(k)))
+        depth = int(rng.integers(0, 4))
+        keys = [s for s in all_situations(k, depth) if rng.uniform() < 0.6]
+        rng.shuffle(keys)
+        return Table(depth, {tuple(s): leaf() for s in keys}, leaf())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_situation_reads_its_source_model(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        space = StateSpace(("a", "b", "c")[:k])
+        precise = seed % 2 == 1
+        a = self.random_assignment(rng, k, ("homogeneous", "markov", "table")[seed % 3], precise)
+        tree = (PreciseTree if precise else ImpreciseTree)(space, a)
+        depth = a.depth + 1 if isinstance(a, Table) else 3
+        for s in all_situations(k, depth):
+            assert local_model(tree, s) is self.source_model(a, s)
+        assert a.points.shape[1] == (1 if precise else max(m.n_points for m in a.models))
+        assert a.step.shape[1] == k and a.leaf.shape == (len(a.step),)
+
+    def test_a_tables_states_are_the_prefixes_of_its_keys(self, space):
+        c = credal([0.5, 0.5])
+        a = Table(9, {(1, 1, 0): c, (0,): c}, c)
+        ImpreciseTree(space, a)
+        # (), (0,), (1,), (1, 1), (1, 1, 0), then the default state
+        assert a.step.tolist() == [[1, 2], [5, 5], [5, 3], [4, 5], [5, 5], [5, 5]]
+        assert a.leaf.tolist() == [0, 2, 0, 0, 1, 0]
+
+
 class TestHullMembership:
     def test_extreme_points_are_members(self):
         v = np.array([[0.4, 0.6], [0.6, 0.4]])
@@ -164,13 +221,13 @@ class TestCompatibility:
         assert not is_compatible(out, imprecise_coin, 2)
 
     def test_counts(self, space, imprecise_coin):
-        assert count_compatible(imprecise_coin, 1) == 2
-        assert count_compatible(imprecise_coin, 2) == 8
+        assert selections(imprecise_coin, 1) == 2
+        assert selections(imprecise_coin, 2) == 8
         assert len(list(enumerate_compatible(imprecise_coin, 2))) == 8
 
     def test_singleton_model_gives_one_tree(self, space):
         tree = ImpreciseTree(space, Homogeneous(credal([0.5, 0.5])))
-        assert count_compatible(tree, 3) == 1
+        assert selections(tree, 3) == 1
         assert len(list(enumerate_compatible(tree, 3))) == 1
 
     def test_cap_exceeded_names_cap(self, imprecise_coin):
@@ -179,7 +236,7 @@ class TestCompatibility:
 
     def test_cap_trips_before_the_count_grows(self, imprecise_coin):
         # 2**(2**13 - 1) selections: the exact count has 2466 digits.
-        assert len(str(count_compatible(imprecise_coin, 13))) == 2466
+        assert len(str(selections(imprecise_coin, 13))) == 2466
         with pytest.raises(ResourceLimitError, match=r"the cap of 200000$"):
             next(enumerate_compatible(imprecise_coin, 13))
 
