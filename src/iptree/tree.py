@@ -123,7 +123,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of ``codes`` in order of first occurrence, and
     each entry's position among them."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.intp)
     rank[first.argsort()] = np.arange(len(first))
     return codes[np.sort(first)], rank[inverse]
