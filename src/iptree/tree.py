@@ -374,10 +374,13 @@ class Selection(_View):
         # level, as the states of one automaton whose last level stays put.
         met = [np.zeros(1, dtype=np.intp)]
         for _ in range(depth):
-            met.append(np.unique(aut[met[-1]]))
+            reached = np.zeros(len(aut), dtype=bool)
+            reached[aut[met[-1]]] = True
+            met.append(np.flatnonzero(reached))
         at = np.full((depth + 1, len(aut)), -1, dtype=np.intp)  # (level, q) -> that state
+        starts = np.cumsum([0] + [len(qs) for qs in met])
         for level, qs in enumerate(met):
-            at[level, qs] = at.max() + 1 + np.arange(len(qs))
+            at[level, qs] = np.arange(starts[level], starts[level + 1])
         leveled = np.concatenate([at[level + 1][aut[qs]] for level, qs in enumerate(met[:-1])]
                                  + [np.repeat(at[depth, met[-1], None], aut.shape[1], axis=1)])
         step, t_of, q_of = product_closure(base.step, leveled, base.machine_init(()), 0)
