@@ -352,9 +352,9 @@ class Selection(_View):
     leaf.  :func:`~iptree.engine.adversarial_selection` reads the gamble's
     automaton, :func:`situation_selection` a prefix trie.
 
-    The arrays are built on the first read, one breadth-first walk of the
-    nodes reachable from the root's: building a selection costs only its
-    choices.
+    The arrays are built on the first read, one walk of the nodes
+    reachable from the root's, level by level: building a selection costs
+    only its choices.
     """
 
     base: "Assignment"
@@ -369,31 +369,38 @@ class Selection(_View):
         return min(len(s), self.depth), self.base.machine_init(s), int(q)
 
     def _compile(self):
-        aut, depth, base = np.asarray(self.automaton, dtype=np.intp), self.depth, self.base
-        # The automaton's states met at each level, numbered level after
-        # level, as the states of one automaton whose last level stays put.
-        met = [np.zeros(1, dtype=np.intp)]
-        for _ in range(depth):
-            reached = np.zeros(len(aut), dtype=bool)
-            reached[aut[met[-1]]] = True
-            met.append(np.flatnonzero(reached))
-        at = np.full((depth + 1, len(aut)), -1, dtype=np.intp)  # (level, q) -> that state
-        starts = np.cumsum([0] + [len(qs) for qs in met])
-        for level, qs in enumerate(met):
-            at[level, qs] = np.arange(starts[level], starts[level + 1])
-        leveled = np.concatenate([at[level + 1][aut[qs]] for level, qs in enumerate(met[:-1])]
-                                 + [np.repeat(at[depth, met[-1], None], aut.shape[1], axis=1)])
-        step, t_of, q_of = product_closure(base.step, leveled, base.machine_init(()), 0)
+        aut, base = np.asarray(self.automaton, dtype=np.intp), self.base
+        n_q, k = aut.shape
+        # The nodes level by level as codes t * n_q + q, each level in order
+        # of discovery; at the depth a symbol moves only the base state, and
+        # the last level grows until no new node turns up.
+        codes = np.array([base.machine_init(()) * n_q], dtype=np.intp)
+        levels, rows = [codes], []
+        for _ in range(self.depth):
+            t, q = np.divmod(codes, n_q)
+            codes, targets = first_seen((base.step[t] * n_q + aut[q]).ravel())
+            rows.append(targets.reshape(-1, k) + sum(map(len, levels)))
+            levels.append(codes)
+        start, fresh = sum(map(len, levels[:-1])), codes
+        while len(fresh):
+            t, q = np.divmod(fresh, n_q)
+            met, position = first_seen(np.concatenate([codes, (base.step[t] * n_q + q[:, None]).ravel()]))
+            rows.append(position[len(codes):].reshape(-1, k) + start)
+            fresh, codes = met[len(codes):], met
+        levels[-1] = codes
+        t_of, q_of = np.divmod(np.concatenate(levels), n_q)
         leaf, n_base = base.leaf[t_of], len(base.points)
         if self.choices:
+            # A node's key: its code, then its level.
+            keys = np.concatenate(levels) * (self.depth + 1) + np.repeat(np.arange(len(levels)), list(map(len, levels)))
             level, t, q = np.array(list(self.choices), dtype=np.intp).reshape(-1, 3).T
-            codes, wanted = t_of * len(leveled) + q_of, t * len(leveled) + at[level, q]
-            order = codes.argsort()
-            found = order[np.minimum(codes[order].searchsorted(wanted), len(order) - 1)]
-            met = (codes[found] == wanted) & (at[level, q] >= 0)  # nodes never reached choose nothing
+            wanted = (t * n_q + q) * (self.depth + 1) + level
+            order = keys.argsort()
+            found = order[np.minimum(keys[order].searchsorted(wanted), len(order) - 1)]
+            met = keys[found] == wanted  # nodes never reached choose nothing
             leaf[found[met]] = n_base + np.flatnonzero(met)
         chosen = [m.weights[None, None, :] for m in self.choices.values()]
-        return step, leaf, np.concatenate([base.points[:, :1], *chosen]), t_of
+        return np.concatenate(rows), leaf, np.concatenate([base.points[:, :1], *chosen]), t_of
 
     @cached_property
     def _chosen(self) -> tuple:
