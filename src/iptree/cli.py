@@ -80,8 +80,14 @@ def _env_defaults() -> tuple:
     return tuple(os.environ.get(_ENV_PREFIX + name.upper(), fallback) for name, fallback in _ENV_DEFAULTS)
 
 
-def _int_at_least(low: int):
-    """Argparse type: an integer no smaller than ``low``."""
+#: Most trials a ``check`` battery runs: a battery's time grows with its
+#: trials, so a larger count is refused before any of them is drawn.
+_MAX_TRIALS = 10_000
+
+
+def _int_at_least(low: int, high: int | None = None):
+    """Argparse type: an integer no smaller than ``low`` (and no larger
+    than ``high``, if given)."""
 
     def parse(text: str) -> int:
         try:
@@ -90,6 +96,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {value}")
         return value
 
     return parse
@@ -152,7 +160,10 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     p_check.add_argument("target", nargs="?", help="certificate file (cert mode)")
     p_check.add_argument("--expr", help="gamble expression the certificate covers (cert mode)")
     p_check.add_argument("--at", default="", help="conditioning situation (cert mode)")
-    p_check.add_argument("--trials", type=_int_at_least(1), default=50, help="trials per randomized suite")
+    p_check.add_argument(
+        "--trials", type=_int_at_least(1, _MAX_TRIALS), default=50,
+        help=f"trials per randomized suite (at most {_MAX_TRIALS})",
+    )
     p_check.add_argument("--depth", type=_int_at_least(1), default=3, help="gamble depth for the oracle battery")
     return parser
 

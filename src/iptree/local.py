@@ -327,7 +327,10 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
     Every gamble the checks need (each sample, its negation, scalings and
     shift, its dominating partner, and each consecutive sum) is evaluated
     in one product over the extreme points; each value is the one
-    :func:`upper_expectation` gives for that gamble alone.
+    :func:`upper_expectation` gives for that gamble alone.  Each check is
+    then one array comparison over the samples (or the consecutive pairs),
+    and a violation, with its witness and slack, is built only where a
+    comparison fails.
     """
     gambles = [_check_gamble(credal, g, require_finite=True) for g in sample_gambles]
     return _coherence_axioms(credal, gambles, tol)
@@ -339,69 +342,58 @@ def _coherence_axioms(credal: CredalSet, gambles: list, tol: float = AXIOM_TOL) 
     if not gambles:
         raise InvalidInputError("need at least one sample gamble")
     n = len(gambles)
-    scales = (0.0, 0.5, 1.0, 2.0)
+    g = np.array(gambles)
+    scales = np.array([0.0, 0.5, 1.0, 2.0])
+    shifts = 1.0 + 0.25 * np.arange(n)
     # A sample near the float range overflows here; the check below rejects it.
     with np.errstate(over="ignore"):
-        derived = [-f for f in gambles]
-        derived += [lam * f for f in gambles for lam in scales]
-        derived += [f + (1.0 + 0.25 * i) for i, f in enumerate(gambles)]
-        derived += [f + np.abs(gambles[(i + 1) % n]) for i, f in enumerate(gambles)]
-        derived += [f + g for f, g in zip(gambles, gambles[1:])]
-    rows = np.array(gambles + derived)
+        rows = np.concatenate([
+            g,
+            -g,
+            (g[:, None, :] * scales[:, None]).reshape(4 * n, -1),
+            g + shifts[:, None],
+            g + np.abs(np.concatenate((g[1:], g[:1]))),
+            g[:-1] + g[1:],
+        ])
     if not np.isfinite(rows).all():
         raise InvalidInputError("this operation requires a finite-valued gamble")
-    values = weighted_sum(credal.points[:, None, :], rows[None, :, :]).max(axis=0).tolist()
-    upper, negated, scaled, shifted, partner, summed = (
-        values[:n],
-        values[n : 2 * n],
-        values[2 * n : 6 * n],
-        values[6 * n : 7 * n],
-        values[7 * n : 8 * n],
-        values[8 * n :],
-    )
-    violations: list[AxiomViolation] = []
-    checks = 0
+    values = weighted_sum(credal.points[:, None, :], rows[None, :, :]).max(axis=0)
+    upper, lower, fmax, fmin = values[:n], -values[n : 2 * n], g.max(axis=1), g.min(axis=1)
+    scaled_gap = np.abs(values[2 * n : 6 * n].reshape(n, 4) - scales * upper[:, None])
+    shift_gap = np.abs(values[6 * n : 7 * n] - (upper + shifts))
+    partner, summed = values[7 * n : 8 * n], values[8 * n :]
+    bound = upper[:-1] + upper[1:]
+    gap, lip = np.abs(upper[:-1] - upper[1:]), np.abs(g[:-1] - g[1:]).max(axis=1)
+    # Each check's outcome, one row per gamble (then per consecutive pair)
+    # and one column per check in report order.
+    per_gamble = np.column_stack([
+        upper <= fmax + tol,
+        (fmin - tol <= lower) & (lower <= upper + tol),
+        scaled_gap <= tol,
+        shift_gap <= tol,
+        upper <= partner + tol,
+    ])
+    per_pair = np.column_stack([summed <= bound + tol, gap <= lip + tol])
 
-    def note(cond: bool, axiom: str, detail: str, slack: float):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            violations.append(AxiomViolation(axiom, detail, slack))
+    # A violation's slack is the expression the scalar checks gave, of the
+    # same type: the upper-bound and bounds slacks subtract a NumPy maximum
+    # or minimum and print as NumPy floats.
+    def gamble_violation(i: int, j: int) -> AxiomViolation:
+        if j == 0:
+            return AxiomViolation("upper-bound", f"gamble #{i}", upper[i] - fmax[i])
+        if j == 1:
+            return AxiomViolation("bounds", f"gamble #{i}", max(fmin[i] - lower[i], float(lower[i] - upper[i])))
+        if j < 6:
+            return AxiomViolation("homogeneity", f"gamble #{i}, scale {scales[j - 2]}", float(scaled_gap[i, j - 2]))
+        if j == 6:
+            return AxiomViolation("constant-shift", f"gamble #{i}, shift {1.0 + 0.25 * i}", float(shift_gap[i]))
+        return AxiomViolation("monotonicity", f"gamble #{i} vs dominating partner", float(upper[i] - partner[i]))
 
-    for i, f in enumerate(gambles):
-        uf = upper[i]
-        lf = -negated[i]
-        note(uf <= f.max() + tol, "upper-bound", f"gamble #{i}", uf - f.max())
-        note(f.min() - tol <= lf <= uf + tol, "bounds", f"gamble #{i}", max(f.min() - lf, lf - uf))
-        for j, lam in enumerate(scales):
-            ulam = scaled[4 * i + j]
-            note(
-                abs(ulam - lam * uf) <= tol,
-                "homogeneity",
-                f"gamble #{i}, scale {lam}",
-                abs(ulam - lam * uf),
-            )
-        shift = 1.0 + 0.25 * i
-        note(
-            abs(shifted[i] - (uf + shift)) <= tol,
-            "constant-shift",
-            f"gamble #{i}, shift {shift}",
-            abs(shifted[i] - (uf + shift)),
-        )
-        note(
-            uf <= partner[i] + tol,
-            "monotonicity",
-            f"gamble #{i} vs dominating partner",
-            uf - partner[i],
-        )
+    def pair_violation(i: int, j: int) -> AxiomViolation:
+        if j == 0:
+            return AxiomViolation("sub-additivity", f"gambles #{i}, #{i + 1}", float(summed[i] - bound[i]))
+        return AxiomViolation("lipschitz", f"gambles #{i}, #{i + 1}", float(gap[i] - lip[i]))
 
-    for i in range(n - 1):
-        f, g = gambles[i], gambles[i + 1]
-        usum = summed[i]
-        bound = upper[i] + upper[i + 1]
-        note(usum <= bound + tol, "sub-additivity", f"gambles #{i}, #{i + 1}", usum - bound)
-        gap = abs(upper[i] - upper[i + 1])
-        lip = float(np.abs(f - g).max())
-        note(gap <= lip + tol, "lipschitz", f"gambles #{i}, #{i + 1}", gap - lip)
-
-    return AxiomReport(not violations, checks, tuple(violations))
+    violations = [gamble_violation(int(i), int(j)) for i, j in zip(*np.nonzero(~per_gamble))]
+    violations += [pair_violation(int(i), int(j)) for i, j in zip(*np.nonzero(~per_pair))]
+    return AxiomReport(not violations, per_gamble.size + per_pair.size, tuple(violations))

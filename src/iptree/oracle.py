@@ -18,8 +18,12 @@ the engine's limit, which is solved exactly for hitting variables.
 
 A tree is read through its finite-state view alone, and every compatible
 tree built here (:func:`selection_tree`, :func:`sample_compatible`) is a
-:class:`~iptree.tree.Selection`.  The forward passes below are the
-oracle's own: they share no code with the engine's sweeps.
+:class:`~iptree.tree.Selection`.  The envelope's enumeration walks the
+tree states below the conditioning situation: it reads that situation's
+state once (``machine_init``), gives each child the state of one
+``machine_step`` and takes each situation's extreme points from
+``machine_leaf``.  The forward passes below are the oracle's own: they
+share no code with the engine's sweeps.
 """
 
 from __future__ import annotations
@@ -157,11 +161,31 @@ def _enumerate_values(
     extreme-point choices.  Introspects nothing about the recursion engine:
     values are assembled bottom-up by plain weighted sums.
     """
+    assignment = q.assignment
+    return _selection_values(assignment, q.k, table, assignment.machine_init(t), t)
+
+
+def _selection_values(assignment, k: int, table: np.ndarray, state: int, t: Situation):
+    """:func:`_enumerate_values` below ``t``, whose tree state is ``state``;
+    each child situation gets ``machine_step(state, y)``.
+
+    The extreme points are the leaf's own, unpadded: a padded row would be
+    one more selection.  One step above the payoffs, each child's only value
+    is its payoff, so a selection's value is ``sum_y points[e, y] * table[y]``
+    added in symbol order to zeros, the chain the general step computes with
+    one-element children."""
     if table.ndim == 0:
         return np.asarray([float(table)]), lambda idx: {}
-    k = q.k
-    points = local_model(q, t).points
-    children = [_enumerate_values(q, table[y], t + (y,)) for y in range(k)]
+    points = assignment.machine_leaf(state).points
+    if table.ndim == 1:
+        acc = np.zeros(len(points))
+        for y in range(k):
+            acc = acc + points[:, y] * table[y]
+        return acc, lambda idx: {t: int(idx)}
+    children = [
+        _selection_values(assignment, k, table[y], assignment.machine_step(state, y), t + (y,))
+        for y in range(k)
+    ]
     child_vals = [c[0] for c in children]
     dims = (points.shape[0],) + tuple(v.size for v in child_vals)
     acc = np.zeros(dims)
@@ -183,6 +207,22 @@ def _enumerate_values(
     return acc.reshape(-1), decode
 
 
+def _check_selections(q: ImpreciseTree, s: Situation, levels: int, cap: int) -> None:
+    """Raise once the number of selections over the situations of the
+    ``levels`` levels from ``s`` down exceeds ``cap``.  The situations are
+    walked level by level from ``s``'s tree state, each level in
+    lexicographic order, the order of :func:`~iptree.tree.all_situations`."""
+    assignment, k = q.assignment, q.k
+    count, level = 1, [assignment.machine_init(s)]
+    for n in range(levels):
+        if n:
+            level = [assignment.machine_step(state, y) for state in level for y in range(k)]
+        for state in level:
+            count *= len(assignment.machine_leaf(state).points)
+            if count > cap:  # stop here: the full count can have thousands of digits
+                raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
+
+
 def envelope_sup(
     q: ImpreciseTree,
     f: Gamble,
@@ -194,8 +234,12 @@ def envelope_sup(
 
     Brute-forces every selection of one extreme point per situation in the
     subtree below ``s`` (the only choices the payoff can see) and reports a
-    maximizing selection.  This is the oracle: it shares no code with the
-    engine, and agrees with its recursion within ``ORACLE_TOL`` on every
+    maximizing selection.  The enumeration walks the tree states below
+    ``s``: ``s``'s state is read once, and each situation's children get
+    theirs by one ``machine_step``.  The selections are counted over those
+    situations first, level by level, and more than ``cap`` of them raise
+    before any is enumerated.  This is the oracle: it shares no code with
+    the engine, and agrees with its recursion within ``ORACLE_TOL`` on every
     input, which the acceptance suite enforces.  ``method`` names the
     enumeration, the only method there is.
     """
@@ -203,14 +247,9 @@ def envelope_sup(
     if method != "enumerate":
         raise InvalidInputError(f"unknown envelope method {method!r}")
     dense = f.to_dense()
-    count = 1
-    for t in all_situations(q.k, max(dense.depth - 1, 0)):
-        if len(s) <= len(t) < dense.depth and t[: len(s)] == s:
-            count *= local_model(q, t).n_points
-            if count > cap:  # stop here: the full count can have thousands of digits
-                raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
     if len(s) >= dense.depth:
         return EnvelopeResult(float(dense.table[s[: dense.depth]]), 1, dict)
+    _check_selections(q, s, dense.depth - len(s), cap)
     sub = np.asarray(dense.table[s], dtype=float)
     values, decode = _enumerate_values(q, sub, s)
     best = int(np.argmax(values))

@@ -754,15 +754,21 @@ class TestCountsAndSeeds:
             # argparse reads ``--flag=--`` as no value, not as the text "--"
             (["axioms", "--seed=--"], "argument --seed: expected one argument"),
             (["cert", "c.json", "--expr=--"], "argument --expr: expected one argument"),
+            (["oracle", "--trials", "10001"], "argument --trials: expected an integer <= 10000, got 10001"),
+            (["axioms", "--trials", "1000000000"], "argument --trials: expected an integer <= 10000, got 1000000000"),
         ],
         ids=["seed-negative", "depth-negative", "depth-zero", "trials-negative", "trials-zero", "trials-text",
-             "seed-dashes", "expr-dashes"],
+             "seed-dashes", "expr-dashes", "trials-past-limit", "trials-billion"],
     )
     def test_bad_flag_exits_2(self, capsys, model_file, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--model", model_file] + argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_trials_limit_is_inclusive(self):
+        parser = cli._build_parser(*cli._env_defaults())
+        assert parser.parse_args(["check", "oracle", "--trials", "10000"]).trials == 10000
 
     def test_negative_env_seed_exits_2(self, capsys, model_file, monkeypatch):
         monkeypatch.setenv("IPTREE_SEED", "-1")

@@ -1,4 +1,5 @@
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from iptree.engine import Policy, StopReason, adversarial_selection, finitary_upper
 from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.expr import compile_gamble, parse_gamble
-from iptree.gambles import hitting_event_variable, hitting_time_variable, truncated_hitting_time
+from iptree.gambles import MAX_TABLE_DEPTH, FinitaryGamble, hitting_event_variable, hitting_time_variable, truncated_hitting_time
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree import oracle
 from iptree.oracle import (
@@ -25,6 +26,7 @@ from iptree.suites import (
     random_tree,
 )
 from iptree.tree import (
+    DEFAULT_ENUM_CAP,
     Homogeneous,
     ImpreciseTree,
     Markov,
@@ -32,6 +34,7 @@ from iptree.tree import (
     all_situations,
     enumerate_compatible,
     is_compatible,
+    local_model,
 )
 
 
@@ -305,3 +308,97 @@ def test_oracle_uses_no_private_engine_name():
             assert not [a.name for a in node.names if a.name.startswith("_")]
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "engine":
             assert not node.attr.startswith("_")
+
+
+def reference_enumerate_values(q, table, t):
+    """The reference enumeration: one call per situation down to the
+    payoffs, each reading its extreme points through ``local_model``, as
+    ``envelope_sup`` computed them before it walked tree states."""
+    if table.ndim == 0:
+        return np.asarray([float(table)]), lambda idx: {}
+    k = q.k
+    points = local_model(q, t).points
+    children = [reference_enumerate_values(q, table[y], t + (y,)) for y in range(k)]
+    child_vals = [c[0] for c in children]
+    dims = (points.shape[0],) + tuple(v.size for v in child_vals)
+    acc = np.zeros(dims)
+    for y in range(k):
+        shape = [1] * (k + 1)
+        shape[0] = dims[0]
+        weight = points[:, y].reshape(shape)
+        shape = [1] * (k + 1)
+        shape[y + 1] = dims[y + 1]
+        acc = acc + weight * child_vals[y].reshape(shape)
+
+    def decode(idx):
+        combo = np.unravel_index(idx, dims)
+        choices = {t: int(combo[0])}
+        for y in range(k):
+            choices.update(children[y][1](int(combo[y + 1])))
+        return choices
+
+    return acc.reshape(-1), decode
+
+
+def reference_envelope(q, f, s, cap):
+    """``(value, count, argmax)`` of the reference enumeration, after the
+    reference count over every situation shorter than the depth."""
+    dense = f.to_dense()
+    count = 1
+    for t in all_situations(q.k, max(dense.depth - 1, 0)):
+        if len(s) <= len(t) < dense.depth and t[: len(s)] == s:
+            count *= local_model(q, t).n_points
+            if count > cap:
+                raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
+    if len(s) >= dense.depth:
+        return float(dense.table[s[: dense.depth]]), 1, {}
+    values, decode = reference_enumerate_values(q, np.asarray(dense.table[s], dtype=float), s)
+    best = int(np.argmax(values))
+    return float(values[best]), values.size, decode(best)
+
+
+def reference_cases():
+    """Random (tree, gamble, situation) cases: imprecise homogeneous,
+    Markov and table trees (table entries of 1-3 points, so sibling
+    subtrees differ in shape), precise trees viewed as imprecise ones,
+    depths 1-3 with k = 2, 3, 4 and situations of every length up to
+    depth + 1; then a one-state model at the deepest table NumPy allows."""
+    rng = np.random.default_rng(68)
+    for case in range(320):
+        k = (2, 3, 4)[case % 3]
+        depth = 1 + case // 3 % 3
+        if case % 4 == 3:
+            tree = random_precise_tree(rng, k, table_depth=depth).to_imprecise()
+        else:
+            tree = random_tree(rng, k, max_points=3, table_depth=depth, selection_budget=2048)
+        n = case // 9 % (depth + 2)
+        yield tree, random_gamble(rng, k, depth), tuple(int(y) for y in rng.integers(0, k, size=n))
+    one = ImpreciseTree(StateSpace(("A",)), Homogeneous(CredalSet(np.array([[1.0]]))))
+    for n in (0, 1, 63, 64, 65):
+        yield one, FinitaryGamble(1, rng.uniform(-5, 5, size=(1,) * MAX_TABLE_DEPTH)), (0,) * n
+
+
+class TestEnumerationReference:
+    def test_envelope_is_the_reference_bit_for_bit(self):
+        kinds = set()
+        for tree, f, s in reference_cases():
+            kinds.add(type(tree.assignment).__name__)
+            value, count, argmax = reference_envelope(tree, f, s, DEFAULT_ENUM_CAP)
+            env = envelope_sup(tree, f, s)
+            assert (repr(env.value), env.count) == (repr(value), count), (tree, s)
+            assert list(env.argmax.items()) == list(argmax.items())
+        assert kinds == {"Homogeneous", "Markov", "Table", "_SingletonView"}
+
+    def test_cap_trips_where_the_reference_trips(self):
+        for tree, f, s in itertools.islice(reference_cases(), 0, None, 4):
+            count = reference_envelope(tree, f, s, DEFAULT_ENUM_CAP)[1]
+            for cap in (count - 1, count, count + 1):
+                try:
+                    expected = repr(reference_envelope(tree, f, s, cap)[0])
+                except ResourceLimitError as exc:
+                    expected = str(exc)
+                try:
+                    got = repr(envelope_sup(tree, f, s, cap=cap).value)
+                except ResourceLimitError as exc:
+                    got = str(exc)
+                assert got == expected, (tree, s, cap)
