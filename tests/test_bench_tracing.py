@@ -3,7 +3,10 @@
 ``bench/tracing.py`` wraps iptree functions by module and name, and a traced
 benchmark run whose listed counts read 0 fails.  These tests load the tracer
 as it is and check that every function it names exists and that a hit query
-still reaches the limit loop and the pointwise audit it counts.
+still reaches the limit loop and the pointwise audit it counts.  The
+batteries must keep one traced ``envelope_sup`` call per oracle trial, whose
+results carry the trial's selection count, and report the checks the tracer
+adds up: batching trials into fewer calls fails here first.
 """
 
 import importlib
@@ -16,6 +19,7 @@ from unittest import mock
 import pytest
 
 import iptree.cli
+import iptree.suites
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -89,8 +93,6 @@ def table_model(tmp_path):
 
 
 def test_the_oracle_battery_makes_one_traced_envelope_per_trial(tracing, table_model, capsys):
-    import iptree.suites
-
     counts = []
     envelope_sup = iptree.suites.envelope_sup
 
