@@ -13,8 +13,8 @@ number is the infimum of supermartingale certificates (see
 One kernel runs the recursion for every gamble.  It walks the product of
 the tree's finite-state view (the ``step``, ``leaf`` and ``points`` arrays
 of :mod:`~iptree.tree`) and the gamble's reward automaton (a dense gamble
-enters as the trie of its prefixes) forward to collect the reachable nodes
-level by level, as integer codes, then sweeps those product layers
+enters as the trie of its prefixes) forward with
+:func:`~iptree.tree.product_levels`, then sweeps those product layers
 backwards: a node's value is the local upper expectation of the step
 reward plus the successor's value.  Values carry a trailing gamble axis,
 so gambles that share an automaton (dense gambles of one depth, a gamble and its negation)
@@ -70,7 +70,7 @@ from .gambles import (
     pointwise_leq,
 )
 from .local import MassFunction
-from .tree import PreciseTree, Selection, Situation, Tree, as_situation, first_seen
+from .tree import PreciseTree, Selection, Situation, Tree, as_situation, product_levels
 
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
@@ -150,34 +150,6 @@ class ApproxResult:
         }
 
 
-def _machine_layers(tree: Tree, step: np.ndarray, s: Situation, q0: int, depth: int, trie=False):
-    """Forward reachability of (tree state, automaton state) nodes from
-    ``s``, whose automaton state is ``q0``, level by level up to ``depth``
-    (a node once per level).  With ``trie``, the automaton is a prefix trie
-    (:func:`~iptree.tree.trie_step`): its states name their prefixes, so
-    every node of a level is new and none needs looking up.
-
-    Returns the nodes per level (their tree states and automaton states, in
-    order of discovery) and the (node, symbol) -> node tables into the next
-    level.  The tree is read through its ``step`` array: a level costs a few
-    array operations over all its nodes.
-    """
-    a, n_q, k = tree.assignment, len(step), tree.k
-    layers = [(np.array([a.machine_init(s)], dtype=np.intp), np.array([q0], dtype=np.intp))]
-    transitions: list[np.ndarray] = []
-    for _ in range(len(s), depth):
-        t, q = layers[-1]
-        codes = (a.step[t] * n_q + step[q]).ravel()
-        if trie:  # distinct codes, kept in order of discovery
-            transitions.append(np.arange(len(codes)).reshape(-1, k))
-            layers.append(np.divmod(codes, n_q))
-            continue
-        nodes, targets = first_seen(codes)
-        transitions.append(targets.reshape(-1, k))
-        layers.append(np.divmod(nodes, n_q))
-    return layers, transitions
-
-
 def _local_points(tree: Tree, t: np.ndarray) -> np.ndarray:
     """Extreme points of the local model of each tree state in ``t``,
     ``(states, P, k)``, padded as :mod:`~iptree.tree` pads them."""
@@ -195,7 +167,7 @@ def _scores(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
 def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
     """The backward recursion over the product layers below ``s``.
 
-    Returns the layers of :func:`_machine_layers`, every node's values
+    Returns the layers of :func:`~iptree.tree.product_levels`, every node's values
     (nodes, G): per gamble, the upper expectation of the
     rewards still to come plus the terminal payoff, and with ``picks`` the
     extreme point attaining each value above the deepest level (the lowest
@@ -203,7 +175,8 @@ def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
     """
     if cols.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
-    layers, transitions = _machine_layers(tree, cols.step, s, cols.read(s)[1], cols.depth, cols.trie)
+    a = tree.assignment
+    layers, transitions = product_levels(a.step, cols.step, a.machine_init(s), cols.read(s)[1], cols.depth - len(s), cols.trie)
     values = [cols.terminal[layers[-1][1]]]
     argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):

@@ -22,6 +22,10 @@ n-measurable for that n.
 
 Example: ``sum(i=1..3, ind(X[i]==H))`` counts heads among the first three
 states of a coin process.
+
+An expression nests at most :data:`MAX_NESTING` levels deep, which the
+parser checks before it recurses any further: the parser, the compiler and
+:func:`unparse` recurse once or a few times per level.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ import numpy as np
 from .errors import ExprError, ResourceLimitError
 from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble
 from .local import StateSpace
+
+#: At most this many parentheses, function calls, ``!`` and unary minus
+#: open around any token, and at most this many operators on any path down
+#: the syntax tree: a chain ``1+1+...+1`` of n terms is n - 1 levels deep.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -171,6 +180,8 @@ class _Parser:
         self.space = space
         self.bound: dict[str, tuple[int, int]] = {}  # sum var -> (lo, hi)
         self.max_index = 0
+        self.open = 0  # constructs open around the current token
+        self.heights: dict[int, int] = {}  # id of a node built here -> operators on its longest path
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -183,6 +194,23 @@ class _Parser:
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise ExprError(message, tok.line, tok.column)
+
+    def nested(self, parse, tok: Token):
+        """``parse()`` inside one more construct, opened at ``tok``."""
+        if self.open == MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+        self.open += 1
+        node = parse()
+        self.open -= 1
+        return node
+
+    def made(self, node, tok: Token):
+        """``node``, an operator at ``tok`` over operands built here."""
+        height = 1 + max(self.heights.get(id(part), 0) for part in vars(node).values())
+        if height > MAX_NESTING:
+            self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
+        self.heights[id(node)] = height
+        return node
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -200,16 +228,16 @@ class _Parser:
     def expression(self) -> Expr:
         node = self.term()
         while self.peek().text in ("+", "-"):
-            op = self.advance().text
+            op = self.advance()
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            node = self.made(Add(node, rhs) if op.text == "+" else Sub(node, rhs), op)
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self.peek().text == "*":
-            self.advance()
-            node = Mul(node, self.factor())
+            op = self.advance()
+            node = self.made(Mul(node, self.factor()), op)
         return node
 
     def factor(self) -> Expr:
@@ -219,30 +247,30 @@ class _Parser:
             return Num(float(tok.text))
         if tok.text == "(":
             self.advance()
-            node = self.expression()
+            node = self.nested(self.expression, tok)
             self.expect(")")
             return node
         if tok.text == "-":
             # Unary minus as 0 - factor keeps the grammar tiny.
             self.advance()
-            return Sub(Num(0.0), self.factor())
+            return self.made(Sub(Num(0.0), self.nested(self.factor, tok)), tok)
         if tok.kind == "name":
             if tok.text == "ind":
                 self.advance()
                 self.expect("(")
-                cond = self.bool_or()
+                cond = self.nested(self.bool_or, tok)
                 self.expect(")")
-                return Ind(cond)
+                return self.made(Ind(cond), tok)
             if tok.text in ("min", "max"):
                 self.advance()
                 self.expect("(")
-                a = self.expression()
+                a = self.nested(self.expression, tok)
                 self.expect(",")
-                b = self.expression()
+                b = self.nested(self.expression, tok)
                 self.expect(")")
-                return MinOf(a, b) if tok.text == "min" else MaxOf(a, b)
+                return self.made(MinOf(a, b) if tok.text == "min" else MaxOf(a, b), tok)
             if tok.text == "sum":
-                return self.sum_over()
+                return self.made(self.sum_over(), tok)
         self.fail(f"expected a factor, found {tok.text or 'end of input'!r}", tok)
 
     def sum_over(self) -> Expr:
@@ -265,7 +293,7 @@ class _Parser:
         self.expect(",")
         self.bound[var] = (lo, hi)
         self.max_index = max(self.max_index, hi)
-        body = self.expression()
+        body = self.nested(self.expression, var_tok)
         del self.bound[var]
         self.expect(")")
         return SumOver(var, lo, hi, body)
@@ -280,28 +308,28 @@ class _Parser:
     def bool_or(self) -> BoolExpr:
         node = self.bool_and()
         while self.peek().text == "||":
-            self.advance()
-            node = BoolOr(node, self.bool_and())
+            op = self.advance()
+            node = self.made(BoolOr(node, self.bool_and()), op)
         return node
 
     def bool_and(self) -> BoolExpr:
         node = self.bool_not()
         while self.peek().text == "&&":
-            self.advance()
-            node = BoolAnd(node, self.bool_not())
+            op = self.advance()
+            node = self.made(BoolAnd(node, self.bool_not()), op)
         return node
 
     def bool_not(self) -> BoolExpr:
         if self.peek().text == "!":
-            self.advance()
-            return BoolNot(self.bool_not())
+            tok = self.advance()
+            return self.made(BoolNot(self.nested(self.bool_not, tok)), tok)
         return self.bool_atom()
 
     def bool_atom(self) -> BoolExpr:
         tok = self.peek()
         if tok.text == "(":
             self.advance()
-            node = self.bool_or()
+            node = self.nested(self.bool_or, tok)
             self.expect(")")
             return node
         if tok.text != "X":
@@ -449,7 +477,7 @@ def unparse(expr: GambleExpr) -> str:
         if isinstance(node, BoolOr):
             return f"({boolean(node.left)} || {boolean(node.right)})"
         if isinstance(node, BoolNot):
-            return f"!({boolean(node.inner)})"
+            return f"!{boolean(node.inner)}"  # a test or a parenthesized && / ||: no level added
         raise TypeError(f"unknown node {node!r}")
 
     return num(expr.root)

@@ -166,22 +166,6 @@ class CredalSet:
         object.__setattr__(self, "points", _mass_rows(arr, [len(arr)])[0])
 
     @classmethod
-    def stacked(cls, rows: np.ndarray, sizes) -> list["CredalSet"]:
-        """The credal sets of consecutive blocks of ``rows``, ``sizes[i]``
-        rows each: what ``cls(block)`` gives for each block, errors included
-        (the first failing block raises), with the checks run once over all
-        the rows.  ``rows`` is an ``(n, k)`` matrix and every size is >= 1.
-        """
-        try:
-            rows, sizes = _mass_rows(check_no_nan(rows, "extreme point weight"), sizes)
-        except InvalidInputError:
-            for block in np.split(rows, np.cumsum(sizes)[:-1]):
-                cls(block)
-            raise
-        ends = np.cumsum(sizes).tolist()
-        return [cls.of_checked(rows[start:end]) for start, end in zip([0, *ends], ends)]
-
-    @classmethod
     def of_checked(cls, points: np.ndarray) -> "CredalSet":
         """The credal set of frozen extreme points that have passed its
         checks (as :func:`_mass_rows` leaves them), not checked again."""
@@ -191,7 +175,8 @@ class CredalSet:
 
     @classmethod
     def singleton(cls, mass: MassFunction) -> "CredalSet":
-        return cls(mass.weights[None, :])
+        """The one-point set of a mass function, whose weights passed the same checks."""
+        return cls.of_checked(mass.weights[None, :])
 
     @classmethod
     def vacuous(cls, k: int) -> "CredalSet":

@@ -48,16 +48,15 @@ a field unknown at its place, fails at its path (``queries[0].seed``,
 ``queries[0].policy.trials``, ``bogus``).
 
 Situation strings are read only by :func:`~iptree.tree.parse_situation`
-and written only by :mod:`iptree.tree`, and a table of either kind is read
-in one pass when its labels round-trip (none empty, none with a comma): a
-key among :func:`~iptree.tree.situation_strings` goes straight to its
-position.  A certificate sends any other key through the parser, which
-names a bad one.  A model table goes to the arrays of
-:meth:`~iptree.tree.Table.of_rows` in one type scan, one array and one
-check of every extreme point, with no object per entry, when its keys are
-among those strings, name at least about half of them, and every entry
-passes; any other model table is read entry by entry, which raises for the
-first bad entry.
+and written only by :mod:`iptree.tree`.  Certificates and model tables map
+a key to its position through the :func:`~iptree.tree.situation_strings`
+map, built when the labels round-trip (none empty, none with a comma) and
+the document is not much sparser than the situations, and through the
+parser for any other key.  Every valid model table goes to the arrays of
+:meth:`~iptree.tree.Table.of_rows` in one type scan, one array and one check
+of every extreme point, with no object per entry; a Markov model is checked
+the same way.  Only a document that pass rejects, an invalid one, is read
+entry by entry or part by part, which raises for the first bad one.
 """
 
 from __future__ import annotations
@@ -123,10 +122,11 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _float_rows(raws: list, k: int):
-    """The rows of extreme-point lists ``raws`` as one float matrix, and
-    each list's row count, when each is a non-empty list of rows of ``k``
-    numbers; None otherwise."""
+def _checked_rows(raws: list, k: int):
+    """The extreme-point lists ``raws`` as :func:`~iptree.local._mass_rows`
+    leaves them, one frozen matrix and each list's row count, when each is a
+    non-empty list of rows of ``k`` numbers that pass the checks of
+    :class:`~iptree.local.CredalSet`; None otherwise."""
     if set(map(type, raws)) - {list} or not all(raws):
         return None
     rows = list(itertools.chain.from_iterable(raws))
@@ -136,30 +136,50 @@ def _float_rows(raws: list, k: int):
     if set(map(type, numbers)) - {int, float}:
         return None
     try:
-        return np.fromiter(numbers, dtype=float, count=len(numbers)).reshape(-1, k), list(map(len, raws))
-    except OverflowError:
+        arr = np.fromiter(numbers, dtype=float, count=len(numbers)).reshape(-1, k)
+        return _mass_rows(check_no_nan(arr, "extreme point weight"), list(map(len, raws)))
+    except (OverflowError, InvalidInputError):
         return None
+
+
+def _string_positions(space: StateSpace, depth: int, n: int) -> dict:
+    """Each of :func:`~iptree.tree.situation_strings` to its position, when
+    they name situations one to one and number at most ``2 n + 1`` for a
+    document of ``n`` keys; empty otherwise."""
+    if any(label == "" or "," in label for label in space.labels):
+        return {}
+    count = 0  # situations of length <= depth, counted before any allocation
+    for m in range(depth + 1):
+        count += space.size**m
+        if count > 2 * n + 1:
+            return {}
+    return dict(zip(situation_strings(space, depth), range(count)))
+
+
+def _parsed_key(space: StateSpace, depth: int, key: str, path: str) -> tuple:
+    """The situation a key names, by the parser, and its
+    :func:`~iptree.tree.trie_step` position, a Python integer at any depth;
+    a bad key, or one longer than ``depth``, fails at ``path``."""
+    try:
+        sit = parse_situation(space, key)
+    except Exception as exc:
+        raise SchemaError(path, str(exc)) from None
+    if len(sit) > depth:
+        raise SchemaError(path, f"situation longer than the declared depth {depth}")
+    return sit, functools.reduce(lambda p, y: p * space.size + y + 1, sit, 0)
 
 
 def _table_rows(space: StateSpace, depth: int, entries_raw: dict):
     """A table model's entries read in one pass, as
-    :meth:`~iptree.tree.Table.of_rows` takes them; None for a table this
-    pass does not take (see the module docstring)."""
-    k = space.size
-    if any(label == "" or "," in label for label in space.labels):
-        return None
-    count = 0  # situations of length <= depth, counted before any allocation
-    for m in range(depth + 1):
-        count += k**m
-        if count > 2 * len(entries_raw) + 1:
-            return None
-    positions = dict(zip(situation_strings(space, depth), range(count)))
-    at = list(map(positions.get, entries_raw))
-    got = None if None in at else _float_rows(list(entries_raw.values()), k)
+    :meth:`~iptree.tree.Table.of_rows` takes them; None for an invalid
+    document (see the module docstring)."""
+    positions = _string_positions(space, depth, len(entries_raw))
     try:
-        return None if got is None else (at, *_mass_rows(check_no_nan(got[0], "extreme point weight"), got[1]))
-    except InvalidInputError:
+        at = [positions[key] if key in positions else _parsed_key(space, depth, key, "")[1] for key in entries_raw]
+    except SchemaError:
         return None
+    got = _checked_rows(list(entries_raw.values()), space.size)
+    return None if got is None else (at, *got)
 
 
 def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) -> dict:
@@ -168,12 +188,7 @@ def _table_entries(space: StateSpace, depth: int, entries_raw: dict, path: str) 
     entries = {}
     for key, raw in entries_raw.items():
         p_entry = f"{path}.{key or '<root>'}"
-        try:
-            sit = parse_situation(space, key)
-        except Exception as exc:
-            raise SchemaError(p_entry, str(exc)) from None
-        if len(sit) > depth:
-            raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
+        sit = _parsed_key(space, depth, key, p_entry)[0]  # the key before its points
         entries[sit] = _points(raw, p_entry)
     return entries
 
@@ -183,20 +198,16 @@ def _markov_sets(space: StateSpace, model: dict) -> list:
     label order.
 
     A model whose ``by_state`` has exactly the state labels as keys has
-    ``root`` and its entries read by :func:`_float_rows` and checked in one
-    :meth:`CredalSet.stacked` call.  Any other
-    model, or one it does not take, is read part by part, which raises for
-    the first bad part: ``root``, then ``by_state`` in label order, then an
-    unknown label.
+    ``root`` and its entries read and checked at once by
+    :func:`_checked_rows`.  Any other model, or one it does not take, is
+    read part by part, which raises for the first bad part: ``root``, then
+    ``by_state`` in label order, then an unknown label.
     """
     by_state_raw = model.get("by_state")
     if isinstance(by_state_raw, dict) and by_state_raw.keys() == set(space.labels):
-        got = _float_rows([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
-        try:
-            if got is not None:
-                return CredalSet.stacked(*got)
-        except InvalidInputError:
-            pass
+        got = _checked_rows([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
+        if got is not None:
+            return [CredalSet.of_checked(block) for block in np.split(got[0], np.cumsum(got[1])[:-1])]
     root = _points(_need(model, "root", "model"), "model.root")
     by_state_raw = _need(model, "by_state", "model")
     if not isinstance(by_state_raw, dict):
@@ -338,20 +349,13 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
     # end.  Every entry is a distinct situation, so once all are read the
     # count above guarantees that every situation has its value.
     values = [0.0] * count
-    labels_round_trip = not any(label == "" or "," in label for label in space.labels)
-    positions = dict(zip(situation_strings(space, depth), range(count))) if labels_round_trip else {}
+    positions = _string_positions(space, depth, len(table_raw))
     for key, raw in table_raw.items():
         i = positions.get(key)
         if i is None or type(raw) is not float:
             p_entry = f"table.{key or '<root>'}"
             if i is None:  # a bad key, or labels that only the parser reads
-                try:
-                    sit = parse_situation(space, key)
-                except Exception as exc:
-                    raise SchemaError(p_entry, str(exc)) from None
-                if len(sit) > depth:
-                    raise SchemaError(p_entry, f"situation longer than the declared depth {depth}")
-                i = functools.reduce(lambda i, y: i * k + y + 1, sit, 0)  # breadth-first position
+                i = _parsed_key(space, depth, key, p_entry)[1]
             raw = _value(raw, p_entry)
         values[i] = raw
     parts = np.split(np.array(values), np.cumsum(sizes)[:-1])

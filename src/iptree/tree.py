@@ -22,8 +22,11 @@ has ``P = 1``.  ``Homogeneous`` has one state and ``Markov`` k + 1.  A
 ``Table``'s states are the prefixes of its keys, numbered as in
 :func:`trie_step` (all of that trie when every situation up to the depth has
 an entry), and one self-looping default state for every other situation.
-The engine walks the arrays; ``machine_init`` / ``machine_step`` /
-``machine_leaf`` read them one state at a time, as :func:`local_model` does.
+``machine_init`` / ``machine_step`` / ``machine_leaf`` read the arrays one
+state at a time, as :func:`local_model` does.  The product of a view and an
+automaton is walked by :func:`product_levels`, level by level to a depth,
+and :func:`product_closure`, to its level-free closure: the engine's sweeps
+and limits, the certificate check and every :class:`Selection` use them.
 
 A precise tree is *compatible* with an imprecise one when each of its mass
 functions lies in the convex hull of the corresponding credal set's extreme
@@ -120,20 +123,41 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of ``codes`` in order of first occurrence, and
-    each entry's position among them."""
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[first.argsort()] = np.arange(len(first))
-    return codes[np.sort(first)], rank[inverse]
+def product_levels(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int, levels: int, trie=False):
+    """The pairs (t, q) reachable from (t0, q0) in ``levels`` steps, level by
+    level (a pair once per level), when a symbol y moves them to
+    (t_step[t, y], q_step[q, y]).  With ``trie``, ``q_step`` is a prefix trie
+    (:func:`trie_step`): its states name their prefixes, so every pair of a
+    level is new and none needs looking up.
+
+    Returns each level's pairs as its t and q arrays, in order of discovery,
+    and the (pairs, k) successor numbers into the next level.  A level costs
+    a few array operations over all its pairs.
+    """
+    n_q, k = q_step.shape
+    layers = [(np.array([t0], dtype=np.intp), np.array([q0], dtype=np.intp))]
+    transitions: list[np.ndarray] = []
+    for _ in range(levels):
+        t, q = layers[-1]
+        codes = (t_step[t] * n_q + q_step[q]).ravel()
+        if trie:  # distinct codes, kept in order of discovery
+            transitions.append(np.arange(len(codes)).reshape(-1, k))
+        else:  # the distinct codes in order of first occurrence
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            rank = np.empty(len(first), dtype=np.intp)
+            rank[first.argsort()] = np.arange(len(first))
+            codes = codes[np.sort(first)]
+            transitions.append(rank[inverse].reshape(-1, k))
+        layers.append(np.divmod(codes, n_q))
+    return layers, transitions
 
 
-def product_closure(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int):
-    """The pairs (t, q) reachable from (t0, q0) when a symbol y moves them
-    to (t_step[t, y], q_step[q, y]), numbered breadth first: the pairs of
-    each block in turn, and each pair's successors in symbol order, a new
-    one taking the next number.
+def product_closure(t_step: np.ndarray, q_step: np.ndarray, block: np.ndarray):
+    """The pairs (t, q) reachable from the distinct pair codes ``block``
+    (t * len(q_step) + q), when a symbol y moves them to (t_step[t, y],
+    q_step[q, y]), numbered breadth first: ``block`` first, in its order,
+    then each block's successors in symbol order, a new pair taking the
+    next number.
 
     Returns the (pairs, k) successor numbers and each pair's t and q.  A
     block of the walk costs a few array operations over all its pairs; the
@@ -141,10 +165,9 @@ def product_closure(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int):
     pairs.
     """
     n_q, k = q_step.shape
-    number = np.full(len(t_step) * n_q, -1, dtype=np.intp)  # per pair code t * n_q + q; -1 if unmet
-    block = np.array([t0 * n_q + q0], dtype=np.intp)
-    number[block] = 0
-    blocks, rows, count = [block], [], 1
+    number = np.full(len(t_step) * n_q, -1, dtype=np.intp)  # per pair code; -1 if unmet
+    number[block] = np.arange(len(block))
+    blocks, rows, count = [block], [], len(block)
     while True:
         t, q = np.divmod(block, n_q)
         codes = (t_step[t] * n_q + q_step[q]).ravel()
@@ -207,7 +230,8 @@ class _View:
         an exact limit and its audit trail walk the same closure."""
         last = self.__dict__.get("_closure")
         if last is None or last[0] is not q_step or q_step.flags.writeable or last[1:3] != (t0, q0):
-            last = self.__dict__["_closure"] = (q_step, t0, q0, tuple(map(_frozen, product_closure(self.step, q_step, t0, q0))))
+            block = np.array([t0 * len(q_step) + q0], dtype=np.intp)
+            last = self.__dict__["_closure"] = (q_step, t0, q0, tuple(map(_frozen, product_closure(self.step, q_step, block))))
         return last[3]
 
     def machine_init(self, s: Situation) -> int:
@@ -352,9 +376,9 @@ class Selection(_View):
     leaf.  :func:`~iptree.engine.adversarial_selection` reads the gamble's
     automaton, :func:`situation_selection` a prefix trie.
 
-    The arrays are built on the first read, one walk of the nodes
-    reachable from the root's, level by level: building a selection costs
-    only its choices.
+    The arrays are built on the first read, from :func:`product_levels` to
+    the depth and :func:`product_closure` of the last level: building a
+    selection costs only its choices.
     """
 
     base: "Assignment"
@@ -371,28 +395,25 @@ class Selection(_View):
     def _compile(self):
         aut, base = np.asarray(self.automaton, dtype=np.intp), self.base
         n_q, k = aut.shape
-        # The nodes level by level as codes t * n_q + q, each level in order
-        # of discovery; at the depth a symbol moves only the base state, and
-        # the last level grows until no new node turns up.
-        codes = np.array([base.machine_init(()) * n_q], dtype=np.intp)
-        levels, rows = [codes], []
-        for _ in range(self.depth):
-            t, q = np.divmod(codes, n_q)
-            codes, targets = first_seen((base.step[t] * n_q + aut[q]).ravel())
-            rows.append(targets.reshape(-1, k) + sum(map(len, levels)))
-            levels.append(codes)
-        start, fresh = sum(map(len, levels[:-1])), codes
-        while len(fresh):
-            t, q = np.divmod(fresh, n_q)
-            met, position = first_seen(np.concatenate([codes, (base.step[t] * n_q + q[:, None]).ravel()]))
-            rows.append(position[len(codes):].reshape(-1, k) + start)
-            fresh, codes = met[len(codes):], met
-        levels[-1] = codes
-        t_of, q_of = np.divmod(np.concatenate(levels), n_q)
+        layers, steps = product_levels(base.step, aut, base.machine_init(()), 0, self.depth)
+        sizes = [len(t) for t, _ in layers]
+        rows = [step + start for step, start in zip(steps, np.cumsum(sizes).tolist())]
+        # Past the depth a symbol moves only the base state: the last level
+        # grows to its closure, walked over the base states reachable from it
+        # and the automaton states it holds, numbered afresh to keep the
+        # closure's lookup array small.
+        (starts, t), (held, q) = (np.unique(x, return_inverse=True) for x in layers[-1])
+        reach_step, reach, _ = product_closure(base.step, np.zeros((1, k), dtype=np.intp), starts)
+        frozen = np.repeat(np.arange(len(held))[:, None], k, axis=1)
+        last, t_last, q_last = product_closure(reach_step, frozen, t * len(held) + q)
+        rows.append(last + sum(sizes[:-1]))
+        t_of = np.concatenate([*(t for t, _ in layers[:-1]), reach[t_last]])
+        q_of = np.concatenate([*(q for _, q in layers[:-1]), held[q_last]])
         leaf, n_base = base.leaf[t_of], len(base.points)
         if self.choices:
             # A node's key: its code, then its level.
-            keys = np.concatenate(levels) * (self.depth + 1) + np.repeat(np.arange(len(levels)), list(map(len, levels)))
+            level = np.repeat(np.arange(len(layers)), [*sizes[:-1], len(t_last)])
+            keys = (t_of * n_q + q_of) * (self.depth + 1) + level
             level, t, q = np.array(list(self.choices), dtype=np.intp).reshape(-1, 3).T
             wanted = (t * n_q + q) * (self.depth + 1) + level
             order = keys.argsort()

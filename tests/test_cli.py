@@ -16,7 +16,7 @@ from iptree import cli
 from iptree.cli import main
 from iptree.engine import Policy
 from iptree.errors import ResourceLimitError
-from iptree.expr import MAX_TABLE_DEPTH
+from iptree.expr import MAX_NESTING, MAX_TABLE_DEPTH
 from iptree.local import StateSpace
 from iptree.modelio import load_model
 
@@ -603,6 +603,37 @@ class TestSizeCapErrors:
         space = StateSpace(("H", "T"))
         with pytest.raises(ResourceLimitError, match=r"^--expr: table would need 8192 cells"):
             cli._named("--expr", cli._compiled, {}, self.DEEP, space, 4096)
+
+
+class TestDeepExpressions:
+    """An expression nested past MAX_NESTING levels fails with its position
+    and exit 2, from ``--expr``, a query file or ``check cert --expr``,
+    however deep; one at the limit runs."""
+
+    DEEP = {
+        "parens": ("(" * 400 + "1" + ")" * 400, MAX_NESTING + 1),
+        "chain": ("1" + "+1" * 1999, 2 * MAX_NESTING + 2),
+        "not": ("ind(" + "!" * 3000 + "X[1]==H)", MAX_NESTING + 4),
+        "parens_1e5": ("(" * 10**5 + "1" + ")" * 10**5, MAX_NESTING + 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DEEP))
+    def test_every_entry_point(self, capsys, tmp_path, model_file, kind):
+        source, column = self.DEEP[kind]
+        message = f"line 1, column {column}: expression nests deeper than {MAX_NESTING} levels"
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
+        assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [message]
+        code, _, records = _eval_queries(capsys, tmp_path, MODEL, [{"kind": "lower", "expression": source}])
+        assert code == 2 and [rec["error"] for rec in records] == [message]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"schema": 1, "depth": 0, "lower_bound": 1.0, "table": {"": 1.0}}))
+        code = main(["check", "--model", model_file, "cert", str(cert), "--expr", source])
+        assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+
+    def test_the_limit_runs(self, capsys, model_file):
+        source = "(" * MAX_NESTING + "1" + "+1" * (MAX_NESTING - 1) + ")" * MAX_NESTING
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
+        assert code == 0 and json.loads(out)["results"][0]["upper"] == MAX_NESTING
 
 
 class TestCertificateSizeErrors:

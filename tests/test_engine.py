@@ -553,8 +553,8 @@ class TestTrieLayers:
     def test_a_trie_needs_no_lookups(self):
         # A dense gamble's prefix trie: the layers taken as they come equal
         # the layers found by looking every node up.
-        import iptree.engine as engine
         from iptree.gambles import MachineStack
+        from iptree.tree import product_levels
 
         rng = np.random.default_rng(41)
         for trial in range(12):
@@ -564,8 +564,9 @@ class TestTrieLayers:
             cols = MachineStack.of([f, -f])
             assert cols.trie
             s = random_situation(rng, k, int(rng.integers(0, f.depth + 1)))
-            args = (tree, cols.step, s, cols.read(s)[1], cols.depth)
-            fast, slow = engine._machine_layers(*args, trie=True), engine._machine_layers(*args)
+            a = tree.assignment
+            args = (a.step, cols.step, a.machine_init(s), cols.read(s)[1], cols.depth - len(s))
+            fast, slow = product_levels(*args, trie=True), product_levels(*args)
             for a, b in zip(fast, slow):
                 assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 

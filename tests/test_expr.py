@@ -5,6 +5,7 @@ import pytest
 
 from iptree.errors import ExprError, IptreeError, ResourceLimitError
 from iptree.expr import (
+    MAX_NESTING,
     Add,
     BoolAnd,
     BoolNot,
@@ -129,6 +130,44 @@ class TestErrors:
     def test_empty_range(self, space):
         with pytest.raises(ExprError, match="empty sum range"):
             parse_gamble("sum(i=3..2, ind(X[i]==H))", space)
+
+
+def nested(kind, n):
+    """An expression ``n`` levels deep: parentheses, a ``+`` chain of n + 1
+    terms, ``!`` under ``ind`` (which opens a level), or ``min`` calls."""
+    return {
+        "parens": "(" * n + "1" + ")" * n,
+        "chain": "1" + "+1" * n,
+        "not": "ind(" + "!" * (n - 1) + "X[1]==H)",
+        "min": "min(" * n + "1" + ",1)" * n,
+    }[kind]
+
+
+#: Where the level past the limit starts, 1-based on the first line.
+PAST_LIMIT = {"parens": MAX_NESTING + 1, "chain": 2 * MAX_NESTING + 2, "not": MAX_NESTING + 4, "min": 4 * MAX_NESTING + 1}
+
+
+class TestNesting:
+    """An expression nests at most MAX_NESTING levels; one level more fails
+    with its position before the parser recurses, however deep it goes."""
+
+    @pytest.mark.parametrize("kind", sorted(PAST_LIMIT))
+    def test_the_limit_itself_compiles(self, space, kind):
+        expr = parse_gamble(nested(kind, MAX_NESTING), space)
+        compile_gamble(expr)
+        assert parse_gamble(unparse(expr), space).root == expr.root
+
+    @pytest.mark.parametrize("n", [MAX_NESTING + 1, 10**5])
+    @pytest.mark.parametrize("kind", sorted(PAST_LIMIT))
+    def test_one_level_more_fails_at_its_position(self, space, kind, n):
+        with pytest.raises(ExprError, match=f"nests deeper than {MAX_NESTING} levels") as err:
+            parse_gamble(nested(kind, n), space)
+        assert (err.value.line, err.value.column) == (1, PAST_LIMIT[kind])
+
+    def test_chains_inside_parentheses_add_up(self, space):
+        half = "(" + "+".join(["1"] * (MAX_NESTING // 2 + 1)) + ")"
+        with pytest.raises(ExprError, match="nests deeper"):
+            parse_gamble("+".join([half] * (MAX_NESTING // 2 + 2)), space)
 
 
 class TestCompile:

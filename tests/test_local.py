@@ -117,22 +117,20 @@ class TestCredalSet:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert not got.flags.writeable and arr.flags.writeable
 
-    def test_stacked_matches_one_by_one(self):
+    def test_singleton_keeps_the_checked_weights(self):
+        # A mass function's weights passed the checks a credal set makes: its
+        # one-point set holds them as they are, bit for bit what checking
+        # them again gives, renormalized masses included, and read-only.
         rng = np.random.default_rng(22)
-        for trial in range(300):
+        for trial in range(5000):
             k = int(rng.integers(1, 6))
-            sizes = [int(x) for x in rng.integers(1, 5, size=int(rng.integers(1, 8)))]
-            blocks = [noisy_rows(rng, k, m, defects=rng.random() < 0.1) for m in sizes]
-            if rng.random() < 0.1:
-                blocks[int(rng.integers(0, len(blocks)))][0, 0] = np.nan
-            got = outcome(lambda b: [c.points for c in CredalSet.stacked(np.vstack(b), sizes)], blocks)
-            want = outcome(lambda b: [CredalSet(x).points for x in b], blocks)
-            if isinstance(want, str):
-                assert got == want
-            else:
-                assert [(p.shape, p.tobytes()) for p in got] == [(p.shape, p.tobytes()) for p in want]
-                assert not any(p.flags.writeable for p in got)
-
+            row = rng.dirichlet(np.ones(k))
+            if trial % 2:
+                row *= 1.0 + rng.uniform(-5e-10, 5e-10)  # renormalized on construction
+            mass = MassFunction(row)
+            got, want = CredalSet.singleton(mass).points, CredalSet(mass.weights[None, :]).points
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            assert not got.flags.writeable
 
     def test_vacuous(self):
         v = CredalSet.vacuous(3)

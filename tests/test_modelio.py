@@ -18,12 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from iptree import modelio
 from iptree.cli import main
 from iptree.errors import InvalidInputError, SchemaError
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.modelio import dump_certificate, load_certificate, load_model
 from iptree.supermartingale import TailConstantProcess
-from iptree.tree import ImpreciseTree, Table, parse_situation
+from iptree.tree import ImpreciseTree, Table, format_situation, parse_situation
 
 COIN = StateSpace(("H", "T"))
 
@@ -562,7 +563,7 @@ def test_certificates_round_trip_through_the_parser(labels, k, depth, seed, shuf
         assert same_process(got[1][0], process)
 
 
-# --- Markov models: one stacked check, errors part by part ------------------------
+# --- Markov models: one check of every part, errors part by part -----------------
 
 def markov_model(model, states=("A", "B")):
     return {"schema": 1, "states": list(states), "model": {"kind": "markov", **model}}
@@ -713,9 +714,9 @@ def test_markov_points_are_those_of_per_state_credal_sets(seed):
     raws[0].append(list(raws[0][0]))
     raws[-1].append([1.0 / k * (1 + 4e-10)] * k)
     doc = markov_model({"root": raws[0], "by_state": dict(zip(space.labels, raws[1:]))}, states=space.labels)
-    with mock.patch.object(CredalSet, "stacked", side_effect=CredalSet.stacked) as stacked:
+    with mock.patch("iptree.modelio._points", side_effect=modelio._points) as part_by_part:
         a = load_model(doc).assignment
-    assert stacked.call_count == 1
+    assert part_by_part.call_count == 0
     for credal, raw in zip([a.root, *a.by_state], raws):
         want = CredalSet(np.asarray(raw, dtype=float)).points
         assert (credal.points.shape, credal.points.tobytes()) == (want.shape, want.tobytes())
@@ -760,13 +761,38 @@ class TestTableArrays:
         assert list(table.entries) == list(entry_by_entry(doc).entries)  # document order
 
     def test_labels_the_strings_cannot_name(self):
-        # An empty label: "" is the root and ",b" names (0, 1), read by the
-        # parser one entry at a time, to the same arrays.
+        # An empty label: "" is the root and ",b" names (0, 1), keys that
+        # only the parser reads, to the same arrays.
         doc = table_model({",b": [[0.2, 0.8]], "": [[0.5, 0.5], [0.1, 0.9]], "b": [[0.3, 0.7]]},
                           depth=2, states=("", "b"))
         table = load_model(doc).assignment
         assert table.entries.keys() == {(0, 1), (), (1,)}
         assert compiled(table) == compiled(entry_by_entry(doc))
+
+    @pytest.mark.parametrize("seed", range(36))
+    def test_every_valid_table_takes_the_one_pass(self, seed):
+        # Dense or sparse, shallow or 10**18 deep, over labels whose strings
+        # name situations one to one, or only through the parser.
+        rng = np.random.default_rng(seed)
+        labels = [("H", "T"), ("H", "T", "U"), ("", "b"), ("a,b", "c")][seed % 4]
+        space, k = StateSpace(labels), len(labels)
+        depth = [int(rng.integers(0, 4)), int(rng.integers(4, 8)), 10**18][seed // 4 % 3]
+        entries = {}
+        for _ in range(int(rng.integers(1, 16))):
+            sit = tuple(int(y) for y in rng.integers(0, k, size=int(rng.integers(0, min(depth, 6) + 1))))
+            key = format_situation(space, sit)
+            try:
+                named = parse_situation(space, key) == sit  # no key names (0,) or a "a,b" state
+            except InvalidInputError:
+                named = False
+            if named:
+                entries[key] = [random_row(rng, k) for _ in range(int(rng.integers(1, 4)))]
+        doc = table_model(entries, default=[random_row(rng, k)], depth=depth, states=labels)
+        with mock.patch("iptree.modelio._table_entries", side_effect=AssertionError("read entry by entry")):
+            table = load_model(doc).assignment
+        reference = entry_by_entry(doc)
+        assert compiled(table) == compiled(reference)
+        assert list(table.entries) == list(reference.entries)
 
     def test_no_entry_becomes_an_object(self):
         rng = np.random.default_rng(3)

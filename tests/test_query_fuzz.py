@@ -42,6 +42,9 @@ EXPRESSIONS = [
     "ind(X[1]==H) @ 2",
     "sum(i=1..12, ind(X[i]==H))",
     "(1",
+    # Nested past the limit: a long operator chain, deep parentheses.
+    " + ".join(["ind(X[1]==H)"] * 2000),
+    "(" * 400 + "1" + ")" * 400,
 ]
 LABELS = ["H", "T", "Z", "", "h", "H,T"]
 CONDITIONS = ["", "H", "T", "H,H", "T,H", "H,T,T", "Z", "H,,T", ",", "H,Z", " H"]

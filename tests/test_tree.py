@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,40 @@ class TestSelection:
     def test_automaton_is_checked(self, space, step, depth):
         with pytest.raises(InvalidInputError, match="a selection needs a depth >= 0"):
             PreciseTree(space, Selection(Homogeneous(credal([0.5, 0.5])), step, depth, {}))
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_every_situation_reads_its_choice_or_the_first_point(self, seed):
+        # Read from ``choices`` and the base's source models, not from the
+        # selection's compiled arrays, to depth + 2.
+        from iptree.engine import adversarial_selection
+        from iptree.gambles import FinitaryGamble, truncated_hitting_time
+
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        space = StateSpace(("a", "b", "c")[:k])
+        precise = seed % 4 == 3
+        base = TestCompiledView.random_assignment(rng, k, ("homogeneous", "markov", "table")[seed % 3], precise)
+        tree = (PreciseTree if precise else ImpreciseTree)(space, base)
+        if seed % 4 == 1:
+            situations = [s for s in all_situations(k, 2) if rng.uniform() < 0.5]
+            sel = situation_selection(tree, {s: MassFunction(local_model(tree, s).points[-1]) for s in situations})
+        elif seed % 4 == 2:  # any automaton, choices at any node, past the depth too
+            n_q, depth = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            a = Selection(base, rng.integers(0, n_q, size=(n_q, k)), depth, {})
+            nodes = {a.node(s) for s in all_situations(k, depth + 2) if rng.uniform() < 0.3}
+            sel = PreciseTree(space, replace(a, choices={n: MassFunction(rng.dirichlet(np.ones(k))) for n in nodes}))
+        else:
+            depth = int(rng.integers(0, 4))
+            f = FinitaryGamble(k, rng.uniform(-1, 1, size=(k,) * depth)) if seed % 2 else truncated_hitting_time(space, [0], depth + 1)
+            sel = adversarial_selection(tree, f, tuple(int(y) for y in rng.integers(0, k, size=int(rng.integers(0, 3)))))
+        a = sel.assignment
+        for s in all_situations(k, a.depth + 2):
+            got, chosen = local_model(sel, s), a.choices.get(a.node(s))
+            if chosen is not None:
+                assert got is chosen
+            else:
+                source = TestCompiledView.source_model(base, s)
+                assert got.weights.tobytes() == (source.weights if precise else source.points[0]).tobytes()
 
     def test_precise_base_and_no_credal_view(self, space, biased_coin):
         p = PreciseTree(space, Selection(biased_coin.assignment, np.zeros((1, 2), dtype=int), 0, {}))
