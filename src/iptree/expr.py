@@ -24,13 +24,16 @@ Example: ``sum(i=1..3, ind(X[i]==H))`` counts heads among the first three
 states of a coin process.
 
 An expression nests at most :data:`MAX_NESTING` levels deep, which the
-parser checks before it recurses any further: the parser, the compiler and
-:func:`unparse` recurse once or a few times per level.
+parser checks before it recurses any further.  The parser, the compiler and
+:func:`unparse` recurse once or a few times per level, and each raises
+Python's recursion limit by what that many levels take while it runs.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
@@ -43,7 +46,25 @@ from .local import StateSpace
 #: At most this many parentheses, function calls, ``!`` and unary minus
 #: open around any token, and at most this many operators on any path down
 #: the syntax tree: a chain ``1+1+...+1`` of n terms is n - 1 levels deep.
-MAX_NESTING = 100
+#: It is Python's default recursion limit, so an expression that a parser
+#: and evaluator of one frame per level could run under that limit passes.
+MAX_NESTING = 1000
+
+#: The most Python frames a level takes: a parenthesized condition passes
+#: through bool_atom, nested, bool_or, bool_and and bool_not.
+_FRAMES_PER_LEVEL = 5
+
+
+@contextmanager
+def _room_for_nesting():
+    """Python's recursion limit raised by what :data:`MAX_NESTING` levels
+    take, for the duration."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING + 50)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 _TOKEN_RE = re.compile(
     r"""
@@ -181,7 +202,6 @@ class _Parser:
         self.bound: dict[str, tuple[int, int]] = {}  # sum var -> (lo, hi)
         self.max_index = 0
         self.open = 0  # constructs open around the current token
-        self.heights: dict[int, int] = {}  # id of a node built here -> operators on its longest path
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -195,22 +215,24 @@ class _Parser:
         tok = tok or self.peek()
         raise ExprError(message, tok.line, tok.column)
 
+    # Each parse method returns its node and the node's height: the
+    # operators on its longest path down.
+
     def nested(self, parse, tok: Token):
         """``parse()`` inside one more construct, opened at ``tok``."""
         if self.open == MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
         self.open += 1
-        node = parse()
+        parsed = parse()
         self.open -= 1
-        return node
+        return parsed
 
-    def made(self, node, tok: Token):
-        """``node``, an operator at ``tok`` over operands built here."""
-        height = 1 + max(self.heights.get(id(part), 0) for part in vars(node).values())
+    def made(self, tok: Token, node, *heights: int):
+        """``node``, an operator at ``tok`` over operands of ``heights``."""
+        height = 1 + max(heights, default=0)
         if height > MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
-        self.heights[id(node)] = height
-        return node
+        return node, height
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -220,60 +242,62 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> Expr:
-        expr = self.expression()
+        expr, _ = self.expression()
         if self.peek().kind != "end":
             self.fail(f"unexpected trailing input {self.peek().text!r}")
         return expr
 
-    def expression(self) -> Expr:
-        node = self.term()
+    def expression(self) -> tuple[Expr, int]:
+        node, height = self.term()
         while self.peek().text in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
-            node = self.made(Add(node, rhs) if op.text == "+" else Sub(node, rhs), op)
-        return node
+            rhs, rhs_height = self.term()
+            node, height = self.made(op, Add(node, rhs) if op.text == "+" else Sub(node, rhs), height, rhs_height)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, height = self.factor()
         while self.peek().text == "*":
             op = self.advance()
-            node = self.made(Mul(node, self.factor()), op)
-        return node
+            rhs, rhs_height = self.factor()
+            node, height = self.made(op, Mul(node, rhs), height, rhs_height)
+        return node, height
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 0
         if tok.text == "(":
             self.advance()
-            node = self.nested(self.expression, tok)
+            parsed = self.nested(self.expression, tok)
             self.expect(")")
-            return node
+            return parsed
         if tok.text == "-":
             # Unary minus as 0 - factor keeps the grammar tiny.
             self.advance()
-            return self.made(Sub(Num(0.0), self.nested(self.factor, tok)), tok)
+            node, height = self.nested(self.factor, tok)
+            return self.made(tok, Sub(Num(0.0), node), height)
         if tok.kind == "name":
             if tok.text == "ind":
                 self.advance()
                 self.expect("(")
-                cond = self.nested(self.bool_or, tok)
+                cond, height = self.nested(self.bool_or, tok)
                 self.expect(")")
-                return self.made(Ind(cond), tok)
+                return self.made(tok, Ind(cond), height)
             if tok.text in ("min", "max"):
                 self.advance()
                 self.expect("(")
-                a = self.nested(self.expression, tok)
+                a, a_height = self.nested(self.expression, tok)
                 self.expect(",")
-                b = self.nested(self.expression, tok)
+                b, b_height = self.nested(self.expression, tok)
                 self.expect(")")
-                return self.made(MinOf(a, b) if tok.text == "min" else MaxOf(a, b), tok)
+                return self.made(tok, MinOf(a, b) if tok.text == "min" else MaxOf(a, b), a_height, b_height)
             if tok.text == "sum":
-                return self.made(self.sum_over(), tok)
+                return self.made(tok, *self.sum_over())
         self.fail(f"expected a factor, found {tok.text or 'end of input'!r}", tok)
 
-    def sum_over(self) -> Expr:
+    def sum_over(self) -> tuple[Expr, int]:
         self.expect("sum")
         self.expect("(")
         var_tok = self.peek()
@@ -293,10 +317,10 @@ class _Parser:
         self.expect(",")
         self.bound[var] = (lo, hi)
         self.max_index = max(self.max_index, hi)
-        body = self.nested(self.expression, var_tok)
+        body, height = self.nested(self.expression, var_tok)
         del self.bound[var]
         self.expect(")")
-        return SumOver(var, lo, hi, body)
+        return SumOver(var, lo, hi, body), height
 
     def int_literal(self) -> int:
         tok = self.peek()
@@ -305,33 +329,36 @@ class _Parser:
         self.advance()
         return int(tok.text)
 
-    def bool_or(self) -> BoolExpr:
-        node = self.bool_and()
+    def bool_or(self) -> tuple[BoolExpr, int]:
+        node, height = self.bool_and()
         while self.peek().text == "||":
             op = self.advance()
-            node = self.made(BoolOr(node, self.bool_and()), op)
-        return node
+            rhs, rhs_height = self.bool_and()
+            node, height = self.made(op, BoolOr(node, rhs), height, rhs_height)
+        return node, height
 
-    def bool_and(self) -> BoolExpr:
-        node = self.bool_not()
+    def bool_and(self) -> tuple[BoolExpr, int]:
+        node, height = self.bool_not()
         while self.peek().text == "&&":
             op = self.advance()
-            node = self.made(BoolAnd(node, self.bool_not()), op)
-        return node
+            rhs, rhs_height = self.bool_not()
+            node, height = self.made(op, BoolAnd(node, rhs), height, rhs_height)
+        return node, height
 
-    def bool_not(self) -> BoolExpr:
+    def bool_not(self) -> tuple[BoolExpr, int]:
         if self.peek().text == "!":
             tok = self.advance()
-            return self.made(BoolNot(self.nested(self.bool_not, tok)), tok)
+            node, height = self.nested(self.bool_not, tok)
+            return self.made(tok, BoolNot(node), height)
         return self.bool_atom()
 
-    def bool_atom(self) -> BoolExpr:
+    def bool_atom(self) -> tuple[BoolExpr, int]:
         tok = self.peek()
         if tok.text == "(":
             self.advance()
-            node = self.nested(self.bool_or, tok)
+            parsed = self.nested(self.bool_or, tok)
             self.expect(")")
-            return node
+            return parsed
         if tok.text != "X":
             self.fail(f"expected a state test, found {tok.text or 'end of input'!r}", tok)
         self.advance()
@@ -363,9 +390,10 @@ class _Parser:
                 f"unknown state label {label_tok.text!r}; states are {list(self.space.labels)}",
                 label_tok,
             )
-        return StateIs(index, self.space.index(label_tok.text))
+        return StateIs(index, self.space.index(label_tok.text)), 0
 
 
+@_room_for_nesting()
 def parse_gamble(source: str, space: StateSpace) -> GambleExpr:
     """Parse ``source`` into an expression over ``space``.
 
@@ -377,6 +405,7 @@ def parse_gamble(source: str, space: StateSpace) -> GambleExpr:
     return GambleExpr(root, space, parser.max_index)
 
 
+@_room_for_nesting()
 def compile_gamble(
     expr: GambleExpr, depth: int | None = None, cap: int = DEFAULT_TABLE_CAP
 ) -> FinitaryGamble:
@@ -446,6 +475,7 @@ def compile_gamble(
     return FinitaryGamble(k, table)
 
 
+@_room_for_nesting()
 def unparse(expr: GambleExpr) -> str:
     """Render an expression back to source the parser accepts."""
 

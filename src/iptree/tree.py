@@ -59,6 +59,10 @@ HULL_TOL = 1e-9
 #: Default cap on the number of compatible-tree selections to enumerate.
 DEFAULT_ENUM_CAP = 200_000
 
+#: The most pair codes :func:`product_closure` looks up in a dense array
+#: (8 bytes each); a larger product is looked up among the codes met.
+DENSE_PAIRS = 1 << 16
+
 Leaf = Union[CredalSet, MassFunction]
 
 def as_situation(states, k: int) -> Situation:
@@ -123,6 +127,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of ``codes`` in order of first occurrence, and
+    each entry's position among them."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[first.argsort()] = np.arange(len(first))
+    return codes[np.sort(first)], rank[inverse]
+
+
 def product_levels(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int, levels: int, trie=False):
     """The pairs (t, q) reachable from (t0, q0) in ``levels`` steps, level by
     level (a pair once per level), when a symbol y moves them to
@@ -140,14 +153,8 @@ def product_levels(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int, lev
     for _ in range(levels):
         t, q = layers[-1]
         codes = (t_step[t] * n_q + q_step[q]).ravel()
-        if trie:  # distinct codes, kept in order of discovery
-            transitions.append(np.arange(len(codes)).reshape(-1, k))
-        else:  # the distinct codes in order of first occurrence
-            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            rank = np.empty(len(first), dtype=np.intp)
-            rank[first.argsort()] = np.arange(len(first))
-            codes = codes[np.sort(first)]
-            transitions.append(rank[inverse].reshape(-1, k))
+        codes, position = (codes, np.arange(len(codes))) if trie else first_seen(codes)
+        transitions.append(position.reshape(-1, k))
         layers.append(np.divmod(codes, n_q))
     return layers, transitions
 
@@ -160,29 +167,42 @@ def product_closure(t_step: np.ndarray, q_step: np.ndarray, block: np.ndarray):
     next number.
 
     Returns the (pairs, k) successor numbers and each pair's t and q.  A
-    block of the walk costs a few array operations over all its pairs; the
+    block of the walk costs a few array operations over all its pairs.  The
     numbers are looked up in an array over all ``len(t_step) * len(q_step)``
-    pairs.
+    pairs while that has at most :data:`DENSE_PAIRS` entries, and otherwise
+    among the sorted codes met so far, so memory stays proportional to the
+    pairs met.
     """
     n_q, k = q_step.shape
-    number = np.full(len(t_step) * n_q, -1, dtype=np.intp)  # per pair code; -1 if unmet
-    number[block] = np.arange(len(block))
+    dense = len(t_step) * n_q <= DENSE_PAIRS
+    if dense:
+        number = np.full(len(t_step) * n_q, -1, dtype=np.intp)  # per pair code; -1 if unmet
+        number[block] = np.arange(len(block))
+    else:
+        met, number = np.sort(block), block.argsort()  # the codes met so far, and their numbers
     blocks, rows, count = [block], [], len(block)
-    while True:
+    while len(block):
         t, q = np.divmod(block, n_q)
         codes = (t_step[t] * n_q + q_step[q]).ravel()
-        ids = number[codes]
+        if dense:
+            ids = number[codes]
+            fresh = np.flatnonzero(ids < 0)
+            new = codes[fresh]
+            number[new] = len(codes)  # then each new pair's first place among the successors
+            np.minimum.at(number, new, fresh)
+            block = new[number[new] == fresh]
+            number[block] = np.arange(count, count + len(block))
+            ids[fresh] = number[new]
+        else:
+            at = np.minimum(met.searchsorted(codes), len(met) - 1)
+            ids, fresh = number[at], met[at] != codes
+            block, position = first_seen(codes[fresh])
+            ids[fresh] = count + position
+            order = block.argsort()
+            at = met.searchsorted(block[order])
+            met, number = np.insert(met, at, block[order]), np.insert(number, at, count + order)
         rows.append(ids.reshape(-1, k))
-        fresh = np.flatnonzero(ids < 0)
-        if not len(fresh):
-            break
-        new = codes[fresh]
-        number[new] = len(codes)  # then each new pair's first place among the successors
-        np.minimum.at(number, new, fresh)
-        block = new[number[new] == fresh]
-        number[block] = np.arange(count, count + len(block))
         count += len(block)
-        ids[fresh] = number[new]
         blocks.append(block)
     t_of, q_of = np.divmod(np.concatenate(blocks), n_q)
     return np.concatenate(rows), t_of, q_of
@@ -399,20 +419,17 @@ class Selection(_View):
         sizes = [len(t) for t, _ in layers]
         rows = [step + start for step, start in zip(steps, np.cumsum(sizes).tolist())]
         # Past the depth a symbol moves only the base state: the last level
-        # grows to its closure, walked over the base states reachable from it
-        # and the automaton states it holds, numbered afresh to keep the
-        # closure's lookup array small.
-        (starts, t), (held, q) = (np.unique(x, return_inverse=True) for x in layers[-1])
-        reach_step, reach, _ = product_closure(base.step, np.zeros((1, k), dtype=np.intp), starts)
-        frozen = np.repeat(np.arange(len(held))[:, None], k, axis=1)
-        last, t_last, q_last = product_closure(reach_step, frozen, t * len(held) + q)
+        # grows to its closure under a frozen automaton.
+        t, q = layers[-1]
+        frozen = np.repeat(np.arange(n_q)[:, None], k, axis=1)
+        last, t_last, q_last = product_closure(base.step, frozen, t * n_q + q)
         rows.append(last + sum(sizes[:-1]))
-        t_of = np.concatenate([*(t for t, _ in layers[:-1]), reach[t_last]])
-        q_of = np.concatenate([*(q for _, q in layers[:-1]), held[q_last]])
+        layers[-1], sizes[-1] = (t_last, q_last), len(t_last)
+        t_of, q_of = (np.concatenate(x) for x in zip(*layers))
         leaf, n_base = base.leaf[t_of], len(base.points)
         if self.choices:
             # A node's key: its code, then its level.
-            level = np.repeat(np.arange(len(layers)), [*sizes[:-1], len(t_last)])
+            level = np.repeat(np.arange(len(layers)), sizes)
             keys = (t_of * n_q + q_of) * (self.depth + 1) + level
             level, t, q = np.array(list(self.choices), dtype=np.intp).reshape(-1, 3).T
             wanted = (t * n_q + q) * (self.depth + 1) + level

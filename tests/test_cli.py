@@ -611,7 +611,7 @@ class TestDeepExpressions:
     however deep; one at the limit runs."""
 
     DEEP = {
-        "parens": ("(" * 400 + "1" + ")" * 400, MAX_NESTING + 1),
+        "parens": ("(" * 2000 + "1" + ")" * 2000, MAX_NESTING + 1),
         "chain": ("1" + "+1" * 1999, 2 * MAX_NESTING + 2),
         "not": ("ind(" + "!" * 3000 + "X[1]==H)", MAX_NESTING + 4),
         "parens_1e5": ("(" * 10**5 + "1" + ")" * 10**5, MAX_NESTING + 1),

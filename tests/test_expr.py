@@ -1,4 +1,6 @@
+import inspect
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -134,17 +136,25 @@ class TestErrors:
 
 def nested(kind, n):
     """An expression ``n`` levels deep: parentheses, a ``+`` chain of n + 1
-    terms, ``!`` under ``ind`` (which opens a level), or ``min`` calls."""
+    terms, ``!`` or parentheses under ``ind`` (which opens a level), or
+    ``min`` calls."""
     return {
         "parens": "(" * n + "1" + ")" * n,
         "chain": "1" + "+1" * n,
         "not": "ind(" + "!" * (n - 1) + "X[1]==H)",
+        "bool_parens": "ind(" + "(" * (n - 1) + "X[1]==H" + ")" * (n - 1) + ")",
         "min": "min(" * n + "1" + ",1)" * n,
     }[kind]
 
 
 #: Where the level past the limit starts, 1-based on the first line.
-PAST_LIMIT = {"parens": MAX_NESTING + 1, "chain": 2 * MAX_NESTING + 2, "not": MAX_NESTING + 4, "min": 4 * MAX_NESTING + 1}
+PAST_LIMIT = {
+    "parens": MAX_NESTING + 1,
+    "chain": 2 * MAX_NESTING + 2,
+    "not": MAX_NESTING + 4,
+    "bool_parens": MAX_NESTING + 4,
+    "min": 4 * MAX_NESTING + 1,
+}
 
 
 class TestNesting:
@@ -153,9 +163,22 @@ class TestNesting:
 
     @pytest.mark.parametrize("kind", sorted(PAST_LIMIT))
     def test_the_limit_itself_compiles(self, space, kind):
-        expr = parse_gamble(nested(kind, MAX_NESTING), space)
-        compile_gamble(expr)
-        assert parse_gamble(unparse(expr), space).root == expr.root
+        # With only a few frames left below the recursion limit: each call
+        # makes its own room.
+        def at_the_limit():
+            expr = parse_gamble(nested(kind, MAX_NESTING), space)
+            compile_gamble(expr)
+            source = unparse(expr)
+            assert unparse(parse_gamble(source, space)) == source
+
+        frames = len(inspect.stack(0))
+        deeper = lambda n: at_the_limit() if n == 0 else deeper(n - 1)
+        deeper(sys.getrecursionlimit() - frames - 40)
+
+    @pytest.mark.parametrize("terms", [2, 150, 900])
+    def test_chains_an_evaluator_of_one_frame_per_term_ran_still_run(self, space, terms):
+        f = compiled("+".join(["ind(X[1]==H)"] * terms), space)
+        assert f.payoff((0,)) == terms and f.payoff((1,)) == 0
 
     @pytest.mark.parametrize("n", [MAX_NESTING + 1, 10**5])
     @pytest.mark.parametrize("kind", sorted(PAST_LIMIT))

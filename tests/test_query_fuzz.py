@@ -42,8 +42,10 @@ EXPRESSIONS = [
     "ind(X[1]==H) @ 2",
     "sum(i=1..12, ind(X[i]==H))",
     "(1",
-    # Nested past the limit: a long operator chain, deep parentheses.
+    # Deep: a long operator chain and parentheses past the nesting limit,
+    # and parentheses within it.
     " + ".join(["ind(X[1]==H)"] * 2000),
+    "(" * 2000 + "1" + ")" * 2000,
     "(" * 400 + "1" + ")" * 400,
 ]
 LABELS = ["H", "T", "Z", "", "h", "H,T"]

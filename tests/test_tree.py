@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import iptree.tree as tree_module
 from iptree.errors import InvalidInputError, ResourceLimitError
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.tree import (
@@ -21,6 +22,7 @@ from iptree.tree import (
     is_compatible,
     local_model,
     parse_situation,
+    product_closure,
     situation_selection,
     situation_strings,
 )
@@ -349,11 +351,50 @@ class TestSelection:
                 source = TestCompiledView.source_model(base, s)
                 assert got.weights.tobytes() == (source.weights if precise else source.points[0]).tobytes()
 
+    def test_compiling_takes_memory_in_proportion_to_the_nodes(self):
+        # A dense gamble as deep as a full table: its 1024 last-level pairs
+        # each reach two base states, while a lookup over every reachable
+        # base state and every held automaton state would take 8 MB.
+        import tracemalloc
+
+        from iptree.engine import adversarial_selection
+        from iptree.gambles import FinitaryGamble
+
+        rng = np.random.default_rng(0)
+        k, depth = 4, 5
+        entries = {s: CredalSet(rng.dirichlet(np.ones(k), size=2)) for s in all_situations(k, depth)}
+        tree = ImpreciseTree(StateSpace(tuple("abcd")), Table(depth, entries, credal([0.25] * 4)))
+        tree.assignment._arrays
+        a = adversarial_selection(tree, FinitaryGamble(k, rng.uniform(size=(k,) * depth))).assignment
+        tracemalloc.start()
+        try:
+            a._arrays
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(a.step) == 1 + 4 + 16 + 64 + 256 + 2 * 1024
+        assert peak < 2e6
+
     def test_precise_base_and_no_credal_view(self, space, biased_coin):
         p = PreciseTree(space, Selection(biased_coin.assignment, np.zeros((1, 2), dtype=int), 0, {}))
         assert local_model(p, (0, 1)) is biased_coin.assignment.model
         with pytest.raises(InvalidInputError, match="imprecise tree expects CredalSet leaves"):
             ImpreciseTree(space, p.assignment)
+
+
+class TestProductClosure:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_both_lookups_number_alike(self, monkeypatch, seed):
+        # A lookup array over every pair, and a search among the pairs met.
+        rng = np.random.default_rng(seed)
+        n_t, n_q, k = (int(x) for x in rng.integers(1, 12, size=3))
+        t_step, q_step = rng.integers(0, n_t, size=(n_t, k)), rng.integers(0, n_q, size=(n_q, k))
+        block = rng.permutation(n_t * n_q)[: int(rng.integers(1, 6))]
+        dense = product_closure(t_step, q_step, block)
+        monkeypatch.setattr(tree_module, "DENSE_PAIRS", 0)
+        for a, b in zip(dense, product_closure(t_step, q_step, block)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(dense[1][: len(block)] * n_q + dense[2][: len(block)], block)
 
 
 class TestSingletonView:
