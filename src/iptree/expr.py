@@ -24,7 +24,9 @@ Example: ``sum(i=1..3, ind(X[i]==H))`` counts heads among the first three
 states of a coin process.
 
 An expression nests at most :data:`MAX_NESTING` levels deep, which the
-parser checks before it recurses any further.  The parser, the compiler and
+parser checks before it recurses any further; the tokenizer hands it one
+token at a time, so a source fails having read only the tokens up to the
+failure.  The parser, the compiler and
 :func:`unparse` recurse once or a few times per level, and each raises
 Python's recursion limit by what that many levels take while it runs.
 """
@@ -35,7 +37,7 @@ import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -87,8 +89,9 @@ class Token:
     column: int
 
 
-def _tokenize(source: str) -> list[Token]:
-    tokens = []
+def _tokenize(source: str) -> Iterator[Token]:
+    """The tokens of ``source``, read as the parser asks for them, then an
+    end token."""
     line, col = 1, 1
     for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
@@ -102,10 +105,9 @@ def _tokenize(source: str) -> list[Token]:
             continue
         if kind == "bad":
             raise ExprError(f"unexpected character {text!r}", line, col)
-        tokens.append(Token(kind, text, line, col))
+        yield Token(kind, text, line, col)
         col += len(text)
-    tokens.append(Token("end", "", line, col))
-    return tokens
+    yield Token("end", "", line, col)
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -195,20 +197,20 @@ class GambleExpr:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], space: StateSpace):
+    def __init__(self, tokens: Iterator[Token], space: StateSpace):
         self.tokens = tokens
-        self.pos = 0
+        self.tok = next(tokens)  # the current token
         self.space = space
         self.bound: dict[str, tuple[int, int]] = {}  # sum var -> (lo, hi)
         self.max_index = 0
         self.open = 0  # constructs open around the current token
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        return self.tok
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = next(self.tokens, tok)  # the end token stays current
         return tok
 
     def fail(self, message: str, tok: Token | None = None):

@@ -374,7 +374,7 @@ def restrict(f: FinitaryGamble, s: Situation) -> FinitaryGamble:
         )
     table = np.zeros_like(f.table)
     table[s] = f.table[s]
-    return FinitaryGamble(f.k, table)
+    return _derived(FinitaryGamble, k=f.k, table=_read_only(table))  # zeros and f's payoffs: valid
 
 
 def indicator_of_cylinder(space: StateSpace, s: Situation) -> FinitaryGamble:

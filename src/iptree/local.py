@@ -109,18 +109,18 @@ def _mass_rows(arr: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
 
     Every row passes the checks of MassFunction, all at once: the first
     failing row raises what ``MassFunction(row)`` would.  Row sums of a
-    C-ordered matrix are bit-identical to the sums of its rows.  Duplicates
-    are found by sorting the rows' bits with their block numbers and
-    comparing neighbours.
+    C-ordered matrix are bit-identical to the sums of its rows.  Rows that
+    differ in a hash of their block number and bits are distinct; only
+    when two hashes meet are duplicates looked for, by sorting the rows'
+    bits with their block numbers and comparing neighbours.
     """
     arr = np.array(arr, dtype=float, order="C")
     sizes = np.asarray(sizes, dtype=np.intp)
-    negative = (arr < 0).any(axis=1)
     totals = arr.sum(axis=1)
     off = np.abs(totals - 1.0)
-    bad = negative | (off > MASS_SUM_TOL)
-    if bad.any():
-        i = bad.argmax()
+    if (arr < 0).any() or (off > MASS_SUM_TOL).any():
+        negative = (arr < 0).any(axis=1)
+        i = (negative | (off > MASS_SUM_TOL)).argmax()
         if negative[i]:
             raise InvalidInputError("mass function weights must be non-negative")
         raise InvalidInputError(
@@ -131,18 +131,22 @@ def _mass_rows(arr: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     if renorm.any():
         arr = np.where(renorm[:, None], arr / totals[:, None], arr)
     if len(arr) > len(sizes):  # some block has two rows or more
-        # A row's key is its block number and its bits; a stable sort of the
-        # keys puts each row right after the first of its equals.
-        keys = np.empty((len(arr), arr.shape[1] + 1), dtype=np.uint64)
-        keys[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
-        keys[:, 1:] = arr.view(np.uint64)
-        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-        order = np.argsort(keys, kind="stable")
-        dup = np.zeros(len(arr), dtype=bool)
-        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        if dup.any():
+        block = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
+        bits = arr.view(np.uint64)
+        hashes = block
+        for column in bits.T:
+            hashes = hashes * np.uint64(0x9E3779B97F4A7C15) + column  # wraps around
+        hashes = np.sort(hashes)
+        if (hashes[1:] == hashes[:-1]).any():
+            # A row's key is its block number and its bits; a stable sort of
+            # the keys puts each row right after the first of its equals.
+            keys = np.column_stack([block, bits])
+            keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+            order = np.argsort(keys, kind="stable")
+            dup = np.zeros(len(arr), dtype=bool)
+            dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
             arr = arr[~dup]
-            sizes = np.bincount(np.repeat(np.arange(len(sizes)), sizes)[~dup], minlength=len(sizes))
+            sizes = np.bincount(block[~dup].astype(np.intp), minlength=len(sizes))
     arr.flags.writeable = False
     return arr, sizes
 

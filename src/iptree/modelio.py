@@ -57,6 +57,10 @@ parser for any other key.  Every valid model table goes to the arrays of
 of every extreme point, with no object per entry; a Markov model is checked
 the same way.  Only a document that pass rejects, an invalid one, is read
 entry by entry or part by part, which raises for the first bad one.
+
+Messages show a document's values by :func:`reprlib.repr`, which cuts them
+short past a few levels of nesting or a few dozen characters, so a value
+of any depth or length is reported at its path.
 """
 
 from __future__ import annotations
@@ -65,9 +69,11 @@ import functools
 import itertools
 import json
 import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import InvalidInputError, SchemaError
 from .extreal import INF, check_no_nan
@@ -98,7 +104,7 @@ def _need(doc: dict, key: str, path: str):
 def _check_schema(doc: dict):
     version = _need(doc, "schema", "")
     if version != SCHEMA_VERSION:
-        raise SchemaError("schema", f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}")
+        raise SchemaError("schema", f"unsupported schema version {reprlib.repr(version)}, expected {SCHEMA_VERSION}")
 
 
 def _points(raw, path: str) -> CredalSet:
@@ -258,7 +264,7 @@ def load_model(doc: dict) -> ImpreciseTree:
         default = _points(_need(model, "default", "model"), "model.default")
         assignment = Table(depth, entries, default) if rows is None else Table.of_rows(depth, default, *rows)
     else:
-        raise SchemaError("model.kind", f"unknown model kind {kind!r}")
+        raise SchemaError("model.kind", f"unknown model kind {reprlib.repr(kind)}")
     try:
         return ImpreciseTree(space, assignment)
     except Exception as exc:
@@ -292,20 +298,56 @@ def dump_model(tree: ImpreciseTree) -> dict:
     return {"schema": SCHEMA_VERSION, "states": list(space.labels), "model": model}
 
 
+#: Each byte to ``0`` if it is a digit, ``.`` if it is a point and a space
+#: otherwise, so that the integer part of a number is a run of ``0`` after a
+#: space and a fractional part a run after a point.
+_DIGIT_CLASSES = bytes(48 if 48 <= b <= 57 else 46 if b == 46 else 32 for b in range(256))
+
+#: A run of at least 19 digits after a byte that is no point: an integer
+#: that may not fit in 64 bits (10**18 has 19 digits), or digits in a
+#: string or an exponent.
+_LONG_INTEGER = b" " + b"0" * 19
+
+
 def _read_json(file_path: str | Path):
     """The JSON document in a file.
 
     A file that cannot be read, is not UTF-8 text or is not JSON raises a
-    :class:`SchemaError` naming the file.
+    :class:`SchemaError` naming the file.  The file is read once, and its
+    bytes decoded by ``orjson``, which gives the values :func:`json.loads`
+    gives, except on the documents that :func:`_json_loads` reads instead:
+    those ``orjson`` rejects (NaN and Infinity literals, numbers past the
+    float range, lone surrogates, a byte order mark, invalid UTF-8) and
+    those with a run of 19 or more digits outside a fraction, since
+    ``orjson`` reads an integer past 64 bits as a float.
     """
     try:
-        return json.loads(Path(file_path).read_text(encoding="utf-8"))
+        data = Path(file_path).read_bytes()
     except OSError as exc:
         raise SchemaError(str(file_path), f"cannot read the file: {exc.strerror or exc}") from None
+    digits = data.translate(_DIGIT_CLASSES)
+    if not (digits.startswith(_LONG_INTEGER[1:]) or _LONG_INTEGER in digits):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return _json_loads(data, str(file_path))
+
+
+def _json_loads(data: bytes, name: str):
+    """:func:`json.loads` of ``data`` as :meth:`pathlib.Path.read_text`
+    reads a file's bytes (UTF-8, any newline read as ``\\n``), or the
+    :class:`SchemaError` that :func:`_read_json` raises for file ``name``."""
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaError(str(file_path), f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise SchemaError(name, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
-        raise SchemaError(str(file_path), f"not valid JSON: {exc}") from None
+        raise SchemaError(name, f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(name, "not valid JSON: nests too deeply to read") from None
 
 
 def load_model_file(file_path: str | Path) -> ImpreciseTree:
@@ -322,7 +364,7 @@ def _value(raw, path: str) -> float:
             return float(raw)
         except OverflowError:
             raise SchemaError(path, "number too large for a float") from None
-    raise SchemaError(path, f"expected a number or '+inf', got {raw!r}")
+    raise SchemaError(path, f"expected a number or '+inf', got {reprlib.repr(raw)}")
 
 
 def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess, float]:
@@ -347,18 +389,21 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
             )
     # Each value goes to its situation's position in the levels laid end to
     # end.  Every entry is a distinct situation, so once all are read the
-    # count above guarantees that every situation has its value.
-    values = [0.0] * count
-    positions = _string_positions(space, depth, len(table_raw))
-    for key, raw in table_raw.items():
-        i = positions.get(key)
-        if i is None or type(raw) is not float:
-            p_entry = f"table.{key or '<root>'}"
-            if i is None:  # a bad key, or labels that only the parser reads
-                i = _parsed_key(space, depth, key, p_entry)[1]
-            raw = _value(raw, p_entry)
-        values[i] = raw
-    parts = np.split(np.array(values), np.cumsum(sizes)[:-1])
+    # count above guarantees that every situation has its value.  Only a
+    # table with a key that is not a situation string or a value that is no
+    # float is read entry by entry, which raises for the first bad one.
+    at = list(map(_string_positions(space, depth, len(table_raw)).get, table_raw))
+    values = list(table_raw.values())
+    if None in at or set(map(type, values)) - {float}:
+        for j, (key, raw) in enumerate(table_raw.items()):
+            if at[j] is None or type(raw) is not float:
+                p_entry = f"table.{key or '<root>'}"
+                if at[j] is None:  # a bad key, or labels that only the parser reads
+                    at[j] = _parsed_key(space, depth, key, p_entry)[1]
+                values[j] = _value(raw, p_entry)
+    laid = np.empty(count)
+    laid[at] = values
+    parts = np.split(laid, np.cumsum(sizes)[:-1])
     try:
         process = TailConstantProcess(k, tuple(part.reshape((k,) * m) for m, part in enumerate(parts)))
     except Exception as exc:
@@ -420,7 +465,7 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
         p = f"queries[{i}]"
         kind = _need(q, "kind", p)
         if kind not in _QUERY_KINDS:
-            raise SchemaError(f"{p}.kind", f"unknown kind {kind!r}; expected one of {_QUERY_KINDS}")
+            raise SchemaError(f"{p}.kind", f"unknown kind {reprlib.repr(kind)}; expected one of {_QUERY_KINDS}")
         own = "expression" if kind in ("eval", "lower") else "targets"
         _known_fields(q, ("kind", own, "condition", "policy"), p, "query")
         norm: dict = {"kind": kind}

@@ -30,7 +30,7 @@ import numpy as np
 from .engine import finitary_lower, finitary_upper, finitary_uppers, value_tables
 from .errors import InvalidInputError, ResourceLimitError
 from .extreal import INF, xadd, xmul
-from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, restrict
+from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, _derived, _read_only, restrict
 from .local import (
     CredalSet,
     MassFunction,
@@ -289,9 +289,15 @@ def extended_suite(seed: int, trials: int = 50, k_max: int = 3) -> SuiteReport:
     return rec.report()
 
 
+def _drawn(k: int, table) -> FinitaryGamble:
+    """The gamble of a finite payoff table of shape ``(k,) * n`` that a
+    battery drew or computed from its own gambles, as
+    ``FinitaryGamble(k, table)`` stores it but not checked again."""
+    return _derived(FinitaryGamble, k=k, table=_read_only(np.array(table, dtype=float)))
+
+
 def _one_step_gamble(k: int, n: int, h: np.ndarray) -> FinitaryGamble:
-    table = np.broadcast_to(np.asarray(h, dtype=float), (k,) * n + (k,))
-    return FinitaryGamble(k, np.ascontiguousarray(table))
+    return _drawn(k, np.broadcast_to(np.asarray(h, dtype=float), (k,) * n + (k,)))
 
 
 #: The batteries draw, sweep and check their trials in chunks of about this
@@ -359,11 +365,11 @@ def _draw_process_trial(rng: np.random.Generator, max_depth: int, tree_factory) 
     x = tuple(int(v) for v in rng.integers(0, k, size=n))
     h = rng.uniform(-5, 5, size=k)
     depth = int(rng.integers(1, max_depth + 1))
-    f = random_gamble(rng, k, depth)
+    f = _drawn(k, rng.uniform(-5, 5, size=(k,) * depth))
     s = random_situation(rng, k, depth)
     m = int(rng.integers(0, depth))
-    g = f + FinitaryGamble(k, rng.uniform(0, 3, size=(k,) * depth))
-    g2 = random_gamble(rng, k, depth)
+    g = _drawn(k, f.table + rng.uniform(0, 3, size=(k,) * depth))
+    g2 = _drawn(k, rng.uniform(-5, 5, size=(k,) * depth))
     lam = float(rng.uniform(0, 3))
     mu = float(rng.uniform(-4, 4))
     return _ProcessTrial(tree, n, x, h, f, s, m, g, g2, lam, mu)
@@ -380,8 +386,10 @@ def _process_uppers(chunk: list) -> list:
     requests, counts = [], []
     for (_, tr), table in zip(chunk, tables):
         k, f = tr.tree.k, tr.f
-        derived = [f, restrict(f, tr.s), tr.g, -f, f + tr.g2, tr.g2, tr.lam * f, f + tr.mu]
-        iterated = FinitaryGamble(k, table[tr.m + 1])
+        # f + g2, lam * f and f + mu as f's arithmetic builds them, unchecked.
+        derived = [f, restrict(f, tr.s), tr.g, -f, _drawn(k, f.table + tr.g2.table), tr.g2,
+                   _drawn(k, f.table * tr.lam), _drawn(k, f.table + tr.mu)]
+        iterated = _drawn(k, table[tr.m + 1])
         asked = [(_one_step_gamble(k, tr.n, tr.h), tr.x)] + [(d, tr.s) for d in derived]
         asked += [(iterated, x_m) for x_m in itertools.product(range(k), repeat=tr.m)]
         requests += [(tr.tree, gamble, at) for gamble, at in asked]

@@ -307,7 +307,17 @@ def _prefix_trie(k: int, positions: list) -> tuple[np.ndarray, np.ndarray]:
     """The step array of the trie of the prefixes of the situations at
     :func:`trie_step` ``positions`` (Python integers, any depth), in that
     trie's order, with a last, self-looping state that every other
-    situation leads to; and the state of each position."""
+    situation leads to; and the state of each position.
+
+    The positions are distinct.  When they are ``0 .. n - 1``, every
+    situation before the n-th of :func:`trie_step` order, the trie is that
+    order itself: position ``p`` is state ``p``, and its children are the
+    states ``k * p + 1 + y`` below ``n``.
+    """
+    n = len(positions)
+    if n and max(positions) == n - 1:
+        step = np.minimum(np.arange(1, k * n + k + 1, dtype=np.intp).reshape(n + 1, k), n)
+        return step, np.array(positions, dtype=np.intp)
     kept = {0}
     for p in positions:
         while p not in kept:

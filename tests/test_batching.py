@@ -336,6 +336,17 @@ class _RootStartMarkov(Markov):
         return 0
 
 
+def test_process_suite_checks_no_gamble_it_built(monkeypatch):
+    # Every gamble of the battery is drawn finite or computed from drawn
+    # ones, so none goes through FinitaryGamble's checks.
+    checked = mock.Mock(side_effect=AssertionError("a gamble was checked"))
+    monkeypatch.setattr(FinitaryGamble, "__post_init__", checked)
+    assert process_suite(3, trials=20).passed
+    space = StateSpace(("a", "b", "c"))
+    tree = ImpreciseTree(space, Homogeneous(CredalSet(np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]))))
+    assert process_suite(4, trials=20, tree_factory=lambda _rng: tree).passed
+
+
 def test_process_suite_checks_the_conditioned_path():
     rng = np.random.default_rng(66)
     space = random_space(2)

@@ -767,6 +767,56 @@ class TestUnreadableFiles:
         assert main(argv) == 2
         assert f"error: {bad}: {message}" in capsys.readouterr().err
 
+class TestDeepDocuments:
+    """A value nested 10**5 levels deep at a field of a model, a query file
+    or a certificate exits 2, with no traceback, at the field's JSON path;
+    with a NaN inside, which only the standard library's reader reads, the
+    error names the file."""
+
+    DOCUMENTS = {
+        "model": MODEL,
+        "query": {"schema": 1, "queries": [{"kind": "eval", "expression": "1", "policy": {"tol": 0.1}}]},
+        "certificate": {"schema": 1, "depth": 0, "lower_bound": 0.0, "table": {"": 1.0}},
+    }
+
+    @pytest.mark.parametrize(
+        "role, field, path",
+        [
+            ("model", ("schema",), "schema"),
+            ("model", ("states",), "states"),
+            ("model", ("model", "kind"), "model.kind"),
+            ("model", ("model", "extreme_points"), "model.extreme_points[0]"),
+            ("query", ("model",), "model"),
+            ("query", ("queries", 0, "kind"), "queries[0].kind"),
+            ("query", ("queries", 0, "expression"), "queries[0].expression"),
+            ("query", ("queries", 0, "policy", "tol"), "queries[0].policy.tol"),
+            ("certificate", ("depth",), "depth"),
+            ("certificate", ("lower_bound",), "lower_bound"),
+            ("certificate", ("table", ""), "table.<root>"),
+        ],
+    )
+    @pytest.mark.parametrize("inner", ["", "NaN"])
+    def test_exits_2_at_its_path(self, capsys, model_file, tmp_path, role, field, path, inner):
+        doc = json.loads(json.dumps(self.DOCUMENTS[role]))
+        *parents, last = field
+        parent = doc
+        for key in parents:
+            parent = parent[key]
+        parent[last] = "DEEP"
+        bad = tmp_path / "deep.json"
+        bad.write_text(json.dumps(doc).replace('"DEEP"', "[" * 10**5 + inner + "]" * 10**5))
+        argv = {
+            "model": ["eval", "--model", str(bad), "--expr", "1"],
+            "query": ["eval", "--model", model_file, "--query", str(bad)],
+            "certificate": ["check", "--model", model_file, "cert", str(bad), "--expr", "1"],
+        }[role]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err) < 300
+        where = f"{bad}: not valid JSON" if inner else f"{path}: "
+        assert err.startswith(f"error: {where}")
+
+
 class TestCountsAndSeeds:
     """Seeds must be non-negative, trial counts and oracle depths positive:
     rejected where they enter, with the flag name.  The batteries run only

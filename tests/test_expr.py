@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+import iptree.expr as expr_module
+
 from iptree.errors import ExprError, IptreeError, ResourceLimitError
 from iptree.expr import (
     MAX_NESTING,
@@ -186,6 +188,17 @@ class TestNesting:
         with pytest.raises(ExprError, match=f"nests deeper than {MAX_NESTING} levels") as err:
             parse_gamble(nested(kind, n), space)
         assert (err.value.line, err.value.column) == (1, PAST_LIMIT[kind])
+
+    def test_reads_only_the_tokens_before_the_failure(self, space, monkeypatch):
+        # The tokenizer hands over one token at a time: an over-nested source
+        # of 10**6 characters fails at column 1001 after about 1001 tokens.
+        read = []
+        tokenize = expr_module._tokenize
+        monkeypatch.setattr(expr_module, "_tokenize", lambda source: (read.append(tok) or tok for tok in tokenize(source)))
+        with pytest.raises(ExprError, match=f"nests deeper than {MAX_NESTING} levels") as err:
+            parse_gamble("(" * 10**6, space)
+        assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+        assert MAX_NESTING + 1 <= len(read) <= MAX_NESTING + 2
 
     def test_chains_inside_parentheses_add_up(self, space):
         half = "(" + "+".join(["1"] * (MAX_NESTING // 2 + 1)) + ")"

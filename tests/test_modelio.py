@@ -11,6 +11,8 @@ import io
 import itertools
 import json
 import math
+import struct
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -804,3 +806,162 @@ class TestTableArrays:
             table = load_model(doc).assignment
             assert table.points.shape == (len(keys) + 1, 3, 3)
         assert built.call_count == 1 and adopted.call_count == 0  # the default only
+
+
+# --- the JSON reader ----------------------------------------------------------------
+
+
+def stdlib_read(path):
+    """The reader's contract, by the standard library alone."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(path), f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(str(path), f"not valid JSON: {exc}") from None
+
+
+def same_json(a, b) -> bool:
+    """Equal values of equal types, floats to the bit (NaN too), keys in
+    the same order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return repr(a) == repr(b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same_json(a[key], b[key]) for key in a)
+    return a == b
+
+
+def read_both(path):
+    got, want = outcome(modelio._read_json, path), outcome(stdlib_read, path)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "error":
+        assert got[1] == want[1]
+    else:
+        assert same_json(got[1], want[1]), (got[1], want[1])
+
+
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+#: Number literals where the two decoders could part: the edges of 64-bit
+#: integers, negative zeros, long fractions and exponents, and numbers past
+#: the float range.
+NUMBER_LITERALS = [
+    str(n) for n in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64 - 1, 2**64, -(2**64), 10**30, -(10**30), 10**18)
+] + ["-0", "-0.0", "0.0", "1E+2", "-0.00020593675399990796", "1e0000000000000000001", "1e400", "-1e400", "1e-400",
+     "12345678901234567890.5", "NaN", "Infinity", "-Infinity"]
+
+#: JSON strings, escaped or not, some with lone surrogates: escaped, they are
+#: valid JSON that only the standard library decodes; raw, invalid UTF-8.
+JSON_STRINGS = st.builds(
+    json.dumps,
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    ensure_ascii=st.booleans(),
+)
+
+JSON_SCALARS = st.one_of(
+    st.integers().map(str),
+    st.integers(0, 2**64 - 1).map(float_of_bits).map(json.dumps),  # repr, NaN and Infinity
+    st.sampled_from(NUMBER_LITERALS + ["true", "false", "null"]),
+    JSON_STRINGS,
+)
+
+
+def json_containers(children):
+    keys = st.one_of(st.sampled_from(['"a"', '"b"']), JSON_STRINGS)  # duplicate keys too
+    return st.one_of(
+        st.lists(children, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(st.tuples(keys, children), max_size=4).map(
+            lambda pairs: "{" + ",\r\n ".join(f"{key}: {value}" for key, value in pairs) + "}"
+        ),
+    )
+
+
+class TestJsonReader:
+    """``modelio._read_json`` decodes with orjson, and falls back to the
+    standard library where the two read a text differently; either way the
+    document is the value, or the error, that ``json.loads`` of the file's
+    UTF-8 text gives."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.recursive(JSON_SCALARS, json_containers, max_leaves=12), st.booleans())
+    def test_reads_what_the_standard_library_reads(self, tmp_path, text, bom):
+        path = tmp_path / "doc.json"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8", "surrogatepass"))
+        read_both(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_floats_to_the_bit(self, tmp_path, bits):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"x": [float_of_bits(b) for b in bits]}))
+        read_both(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            *(literal.encode() for literal in NUMBER_LITERALS),
+            b'{"a": 1, "b": 2, "a": [3]}',
+            b'"\\ud800"',
+            b'["\\udc00x", 1]',
+            b'"\xed\xa0\x80"',
+            b"\xef\xbb\xbf{}",
+            b'"\xff"',
+            b"",
+            b"[1, 2",
+            b"[1] x",
+            b"[NaN,\r\n 1,\r 2]",
+            b"[NaN,\r\n 1,\r x]",
+            b"[1,\r\n 2,\r x]",
+            b'{"a": NaN, "b": "\r"}',
+        ],
+        ids=lambda data: repr(data[:24]),
+    )
+    def test_the_inputs_where_orjson_differs(self, tmp_path, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        read_both(path)
+
+    def test_reads_the_file_once(self, tmp_path):
+        # The standard library decodes the bytes already read, so a pipe
+        # works as well as a file.
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"a": [NaN,\r\n 18446744073709551616]}')
+        with mock.patch.object(Path, "read_text", side_effect=AssertionError("read twice")):
+            doc = modelio._read_json(path)
+        assert same_json(doc, stdlib_read(path))
+
+    def test_a_deep_document_is_read_or_names_the_file(self, tmp_path):
+        # orjson reads any depth; json.loads, which reads a NaN, stops at
+        # Python's recursion limit.
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"[" * 10**5 + b"]" * 10**5)
+        doc, depth = modelio._read_json(path), 1
+        while doc:
+            doc, depth = doc[0], depth + 1
+        assert depth == 10**5
+        path.write_bytes(b"[" * 10**5 + b"NaN" + b"]" * 10**5)
+        assert outcome(modelio._read_json, path) == ("error", f"{path}: not valid JSON: nests too deeply to read")
+
+    @pytest.mark.parametrize(
+        "literal, standard",
+        [
+            ("-0.00020593675399990796", False),  # a long fraction is read by orjson
+            ("1.2345678901234567890123", False),
+            ("1234567890123456789", True),  # 19 digits: maybe past 64 bits
+            ("-18446744073709551616", True),
+            ("1e0000000000000000001", True),  # a long exponent too
+            ("123456789012345678", False),
+        ],
+    )
+    def test_only_long_integers_take_the_standard_library(self, tmp_path, literal, standard):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"table": {{"": {literal}}}}}')
+        with mock.patch.object(modelio, "_json_loads", wraps=modelio._json_loads) as slow:
+            assert same_json(modelio._read_json(path), json.loads(path.read_text()))
+        assert slow.called == standard

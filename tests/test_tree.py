@@ -175,6 +175,26 @@ class TestCompiledView:
         assert a.points.shape[1] == (1 if precise else max(m.n_points for m in a.models))
         assert a.step.shape[1] == k and a.leaf.shape == (len(a.step),)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_a_table_of_the_first_situations_is_the_trie_order(self, seed):
+        # Entries for the first n situations, shortest first and
+        # lexicographic (every one up to the depth, or the last level cut
+        # short), in any order: the states are those situations and the
+        # default, and every situation reads its source model.
+        rng = np.random.default_rng(seed)
+        k, depth = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        first = list(all_situations(k, depth))
+        n = len(first) if seed % 2 else int(rng.integers(1, len(first) + 1))
+        keys = first[:n]
+        rng.shuffle(keys)
+        leaf = lambda: CredalSet(rng.dirichlet(np.ones(k), size=int(rng.integers(1, 4))))
+        a = Table(depth, {s: leaf() for s in keys}, leaf())
+        tree = ImpreciseTree(StateSpace(("a", "b", "c")[:k]), a)
+        for s in all_situations(k, depth + 1):
+            assert local_model(tree, s) is self.source_model(a, s)
+        assert len(a.step) == n + 1
+        assert a.step[n].tolist() == [n] * k  # the default state loops
+
     def test_a_tables_states_are_the_prefixes_of_its_keys(self, space):
         c = credal([0.5, 0.5])
         a = Table(9, {(1, 1, 0): c, (0,): c}, c)
