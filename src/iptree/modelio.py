@@ -151,7 +151,9 @@ def _checked_rows(raws: list, k: int):
 def _string_positions(space: StateSpace, depth: int, n: int) -> dict:
     """Each of :func:`~iptree.tree.situation_strings` to its position, when
     they name situations one to one and number at most ``2 n + 1`` for a
-    document of ``n`` keys; empty otherwise."""
+    document of ``n`` keys; empty otherwise.  The map is kept on ``space``
+    for each depth, so a model and a certificate that share a state space
+    build it once."""
     if any(label == "" or "," in label for label in space.labels):
         return {}
     count = 0  # situations of length <= depth, counted before any allocation
@@ -159,7 +161,10 @@ def _string_positions(space: StateSpace, depth: int, n: int) -> dict:
         count += space.size**m
         if count > 2 * n + 1:
             return {}
-    return dict(zip(situation_strings(space, depth), range(count)))
+    built = vars(space).setdefault("_string_positions", {})
+    if depth not in built:
+        built[depth] = dict(zip(situation_strings(space, depth), range(count)))
+    return built[depth]
 
 
 def _parsed_key(space: StateSpace, depth: int, key: str, path: str) -> tuple:
@@ -350,8 +355,17 @@ def _json_loads(data: bytes, name: str):
         raise SchemaError(name, "not valid JSON: nests too deeply to read") from None
 
 
+def _read_document(file_path: str | Path) -> dict:
+    """:func:`_read_json` of a model, query or certificate file, whose root
+    must be an object: any other root fails naming the file."""
+    doc = _read_json(file_path)
+    if not isinstance(doc, dict):
+        raise SchemaError(str(file_path), f"expected an object, got {type(doc).__name__}")
+    return doc
+
+
 def load_model_file(file_path: str | Path) -> ImpreciseTree:
-    return load_model(_read_json(file_path))
+    return load_model(_read_document(file_path))
 
 
 def _value(raw, path: str) -> float:
@@ -430,7 +444,7 @@ def dump_certificate(process: TailConstantProcess, space: StateSpace) -> dict:
 
 
 def load_certificate_file(file_path: str | Path, space: StateSpace) -> tuple[TailConstantProcess, float]:
-    return load_certificate(_read_json(file_path), space)
+    return load_certificate(_read_document(file_path), space)
 
 
 _QUERY_KINDS = ("eval", "lower", "hit_prob", "hit_time")
@@ -504,4 +518,4 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
 
 
 def load_queries_file(file_path: str | Path) -> tuple[str | None, list[dict]]:
-    return load_queries(_read_json(file_path))
+    return load_queries(_read_document(file_path))

@@ -22,13 +22,17 @@ tree built here (:func:`selection_tree`, :func:`sample_compatible`) is a
 tree states below the conditioning situation: it reads that situation's
 state once (``machine_init``), gives each child the state of one
 ``machine_step`` and takes each situation's extreme points from
-``machine_leaf``.  The forward passes below are the oracle's own: they
-share no code with the engine's sweeps.
+``machine_leaf``.  That walk depends on the tree state and the number of
+levels below it, not on the gamble, so it is laid out once per such pair
+in a plan (:class:`_Plan`) kept on the tree's assignment, and each call
+adds up its own payoffs through it.  The forward passes below are the
+oracle's own: they share no code with the engine's sweeps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -151,76 +155,92 @@ class EnvelopeResult:
         return self.decode()
 
 
-def _enumerate_values(
-    q: ImpreciseTree, table: np.ndarray, t: Situation
-) -> tuple[np.ndarray, Callable[[int], dict[Situation, int]]]:
-    """Expectations of a payoff subtable under every extreme-point selection.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """The layout of an enumeration below one tree state, one or more
+    levels deep: what every payoff table enumerated there shares.
 
-    ``table`` holds the payoffs for strings extending ``t``.  Returns a flat
-    value per selection and a decoder from flat index to per-situation
-    extreme-point choices.  Introspects nothing about the recursion engine:
-    values are assembled bottom-up by plain weighted sums.
-    """
-    assignment = q.assignment
-    return _selection_values(assignment, q.k, table, assignment.machine_init(t), t)
+    A selection is an extreme point of the state's own leaf, then one
+    selection per child, so the values form an array of shape ``dims``:
+    the leaf's unpadded points (a padded row would be one more selection),
+    then each child's ``count``.  ``weights[y]`` is the points' column y
+    shaped along the first axis and ``shapes[y]`` the shape that lays child
+    y's values along axis ``y + 1``.  One level above the payoffs there are
+    no children, and the weights are the plain columns."""
 
+    dims: tuple[int, ...]
+    weights: tuple[np.ndarray, ...]
+    children: tuple["_Plan", ...]
+    shapes: tuple[tuple[int, ...], ...]
 
-def _selection_values(assignment, k: int, table: np.ndarray, state: int, t: Situation):
-    """:func:`_enumerate_values` below ``t``, whose tree state is ``state``;
-    each child situation gets ``machine_step(state, y)``.
+    @property
+    def count(self) -> int:
+        return math.prod(self.dims)
 
-    The extreme points are the leaf's own, unpadded: a padded row would be
-    one more selection.  One step above the payoffs, each child's only value
-    is its payoff, so a selection's value is ``sum_y points[e, y] * table[y]``
-    added in symbol order to zeros, the chain the general step computes with
-    one-element children."""
-    if table.ndim == 0:
-        return np.asarray([float(table)]), lambda idx: {}
-    points = assignment.machine_leaf(state).points
-    if table.ndim == 1:
-        acc = np.zeros(len(points))
-        for y in range(k):
-            acc = acc + points[:, y] * table[y]
-        return acc, lambda idx: {t: int(idx)}
-    children = [
-        _selection_values(assignment, k, table[y], assignment.machine_step(state, y), t + (y,))
-        for y in range(k)
-    ]
-    child_vals = [c[0] for c in children]
-    dims = (points.shape[0],) + tuple(v.size for v in child_vals)
-    acc = np.zeros(dims)
-    for y in range(k):
-        shape = [1] * (k + 1)
-        shape[0] = dims[0]
-        weight = points[:, y].reshape(shape)
-        shape = [1] * (k + 1)
-        shape[y + 1] = dims[y + 1]
-        acc = acc + weight * child_vals[y].reshape(shape)
+    def values(self, table: np.ndarray) -> np.ndarray:
+        """Expectations of the payoff subtable ``table`` under every
+        selection, flat: zeros plus ``weights[y]`` times child y's values
+        (one level above the payoffs, ``table[y]``), in symbol order.
+        Introspects nothing about the recursion engine."""
+        acc = np.zeros(self.dims)
+        if not self.children:
+            for y, weight in enumerate(self.weights):
+                acc += weight * table[y]
+            return acc
+        for y, (weight, child, shape) in enumerate(zip(self.weights, self.children, self.shapes)):
+            acc += weight * child.values(table[y]).reshape(shape)
+        return acc.reshape(-1)
 
-    def decode(idx: int) -> dict[Situation, int]:
-        combo = np.unravel_index(idx, dims)
+    def decode(self, idx: int, t: Situation) -> dict[Situation, int]:
+        """The extreme-point choice per situation of flat selection ``idx``
+        below ``t``: ``t``'s own, then each child's, in symbol order."""
+        combo = np.unravel_index(idx, self.dims)
         choices = {t: int(combo[0])}
-        for y in range(k):
-            choices.update(children[y][1](int(combo[y + 1])))
+        for y, child in enumerate(self.children):
+            choices.update(child.decode(int(combo[y + 1]), t + (y,)))
         return choices
 
-    return acc.reshape(-1), decode
+
+def _plan(assignment, state: int, levels: int) -> _Plan:
+    """The :class:`_Plan` of ``levels`` levels below tree state ``state``,
+    kept in the view's ``plans`` with every sub-plan it builds; each child
+    gets the state of one ``machine_step`` and each leaf's points come from
+    ``machine_leaf``."""
+    plans = assignment.plans
+    plan = plans.get((state, levels))
+    if plan is None:
+        points = assignment.machine_leaf(state).points
+        n, k = points.shape
+        if levels == 1:
+            plan = _Plan((n,), tuple(points[:, y] for y in range(k)), (), ())
+        else:
+            children = tuple(_plan(assignment, assignment.machine_step(state, y), levels - 1) for y in range(k))
+            dims = (n, *(child.count for child in children))
+            shapes = tuple((1,) * (y + 1) + (dims[y + 1],) + (1,) * (k - 1 - y) for y in range(k))
+            weights = tuple(points[:, y].reshape((n,) + (1,) * k) for y in range(k))
+            plan = _Plan(dims, weights, children, shapes)
+        plans[(state, levels)] = plan
+    return plan
 
 
-def _check_selections(q: ImpreciseTree, s: Situation, levels: int, cap: int) -> None:
-    """Raise once the number of selections over the situations of the
-    ``levels`` levels from ``s`` down exceeds ``cap``.  The situations are
-    walked level by level from ``s``'s tree state, each level in
-    lexicographic order, the order of :func:`~iptree.tree.all_situations`."""
-    assignment, k = q.assignment, q.k
-    count, level = 1, [assignment.machine_init(s)]
+def _count_selections(assignment, k: int, state: int, levels: int, cap: int) -> int:
+    """The number of selections over the situations of the ``levels``
+    levels from tree state ``state`` down, or the first partial count past
+    ``cap``.  The situations are walked level by level, each level in
+    lexicographic order, the order of :func:`~iptree.tree.all_situations`;
+    once the key has a plan, its count is read instead."""
+    plan = assignment.plans.get((state, levels))
+    if plan is not None:
+        return plan.count
+    count, level = 1, [state]
     for n in range(levels):
         if n:
-            level = [assignment.machine_step(state, y) for state in level for y in range(k)]
-        for state in level:
-            count *= len(assignment.machine_leaf(state).points)
+            level = [assignment.machine_step(t, y) for t in level for y in range(k)]
+        for t in level:
+            count *= len(assignment.machine_leaf(t).points)
             if count > cap:  # stop here: the full count can have thousands of digits
-                raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
+                return count
+    return count
 
 
 def envelope_sup(
@@ -238,9 +258,15 @@ def envelope_sup(
     ``s``: ``s``'s state is read once, and each situation's children get
     theirs by one ``machine_step``.  The selections are counted over those
     situations first, level by level, and more than ``cap`` of them raise
-    before any is enumerated.  This is the oracle: it shares no code with
-    the engine, and agrees with its recursion within ``ORACLE_TOL`` on every
-    input, which the acceptance suite enforces.  ``method`` names the
+    before any is enumerated.
+
+    What every gamble enumerated ``n`` levels below one tree state shares,
+    the points, the broadcast shapes and the selection count, is laid out
+    once in a plan kept on the tree's assignment (its ``plans``) for as
+    long as the tree lives; each call still enumerates its own gamble, with
+    the same sums in the same order.  This is the oracle: it shares no code
+    with the engine, and agrees with its recursion within ``ORACLE_TOL`` on
+    every input, which the acceptance suite enforces.  ``method`` names the
     enumeration, the only method there is.
     """
     s = as_situation(s, q.k)
@@ -249,11 +275,14 @@ def envelope_sup(
     dense = f.to_dense()
     if len(s) >= dense.depth:
         return EnvelopeResult(float(dense.table[s[: dense.depth]]), 1, dict)
-    _check_selections(q, s, dense.depth - len(s), cap)
-    sub = np.asarray(dense.table[s], dtype=float)
-    values, decode = _enumerate_values(q, sub, s)
+    assignment, levels = q.assignment, dense.depth - len(s)
+    state = assignment.machine_init(s)
+    if _count_selections(assignment, q.k, state, levels, cap) > cap:
+        raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
+    plan = _plan(assignment, state, levels)
+    values = plan.values(np.asarray(dense.table[s], dtype=float))
     best = int(np.argmax(values))
-    return EnvelopeResult(float(values[best]), values.size, lambda: decode(best))
+    return EnvelopeResult(float(values[best]), values.size, lambda: plan.decode(best, s))
 
 
 def selection_tree(q: ImpreciseTree, choices: dict[Situation, int]) -> PreciseTree:

@@ -674,11 +674,12 @@ def model_oracle_suite(
     when a gamble of ``depth`` would need more than ``DEFAULT_TABLE_CAP``
     cells, or more than :data:`~iptree.gambles.MAX_TABLE_DEPTH` axes.
     """
+    k = tree.k
     # Any k >= 2 passes the cap by the power of its bit length, so a huge
     # depth is rejected without computing k**depth.
-    if tree.k ** min(depth, DEFAULT_TABLE_CAP.bit_length()) > DEFAULT_TABLE_CAP:
+    if k ** min(depth, DEFAULT_TABLE_CAP.bit_length()) > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(
-            f"gambles of depth {depth} would need {tree.k}**{depth} cells, cap is {DEFAULT_TABLE_CAP}"
+            f"gambles of depth {depth} would need {k}**{depth} cells, cap is {DEFAULT_TABLE_CAP}"
         )
     if depth > MAX_TABLE_DEPTH:  # a one-state model passes every cell cap
         raise ResourceLimitError(f"gambles of depth {depth} exceed the {MAX_TABLE_DEPTH} axes NumPy allows")
@@ -686,8 +687,8 @@ def model_oracle_suite(
     rec = _Recorder("model-oracle", trials)
 
     def draw():
-        f = random_gamble(rng, tree.k, int(rng.integers(1, depth + 1)))
-        return f, random_situation(rng, tree.k, 1) if rng.uniform() < 0.3 else ()
+        f = _drawn(k, rng.uniform(-5, 5, size=(k,) * int(rng.integers(1, depth + 1))))
+        return f, random_situation(rng, k, 1) if rng.uniform() < 0.3 else ()
 
     for chunk in _chunks(trials, draw, lambda fs: fs[0].table.size):
         uppers = _in_groups(finitary_uppers, [(tree, f, s) for _, (f, s) in chunk])

@@ -254,6 +254,13 @@ class _View:
             last = self.__dict__["_closure"] = (q_step, t0, q0, tuple(map(_frozen, product_closure(self.step, q_step, block))))
         return last[3]
 
+    @cached_property
+    def plans(self) -> dict:
+        """The enumeration plans of :func:`~iptree.oracle.envelope_sup`,
+        by (tree state, levels below it): laid out on first use and kept
+        as long as this view, empty on a new one."""
+        return {}
+
     def machine_init(self, s: Situation) -> int:
         state, step = 0, self.step
         for y in s:

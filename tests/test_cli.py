@@ -16,7 +16,7 @@ from iptree import cli
 from iptree.cli import main
 from iptree.engine import Policy
 from iptree.errors import ResourceLimitError
-from iptree.expr import MAX_NESTING, MAX_TABLE_DEPTH
+from iptree.expr import MAX_NESTING, MAX_TABLE_DEPTH, compile_gamble, parse_gamble
 from iptree.local import StateSpace
 from iptree.modelio import load_model
 
@@ -264,7 +264,7 @@ class TestCheck:
         def draw(*args):
             raise AssertionError("a gamble was drawn")
 
-        monkeypatch.setattr(suites, "random_gamble", draw)
+        monkeypatch.setattr(suites, "_drawn", draw)
         tree = load_model(MODEL)
         with pytest.raises(ResourceLimitError, match=r"^gambles of depth 1000000000 would need 2\*\*1000000000 cells"):
             suites.model_oracle_suite(tree, seed=0, trials=1, depth=10**9)
@@ -292,6 +292,29 @@ class TestCheck:
         report = json.loads(out)
         assert report["certificate"]["valid"] is True
         assert report["certificate"]["gap"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_cert_on_a_table_builds_the_situation_strings_once(self, capsys, tmp_path, monkeypatch):
+        # The model's table and the certificate share a state space and a
+        # depth, so they share one map of situation strings to positions.
+        from iptree import modelio
+        from iptree.supermartingale import canonical_supermartingale
+        from iptree.tree import all_situations, format_situation
+
+        space = StateSpace(("H", "T"))
+        entries = {format_situation(space, s): [[0.4, 0.6], [0.6, 0.4]] for s in all_situations(2, 2)}
+        table = {"kind": "table", "depth": 2, "entries": entries, "default": [[0.5, 0.5]]}
+        model = {"schema": 1, "states": ["H", "T"], "model": table}
+        model_path, cert_path = tmp_path / "table.json", tmp_path / "cert.json"
+        model_path.write_text(json.dumps(model))
+        tree = load_model(model)
+        f = compile_gamble(parse_gamble("ind(X[1]==H && X[2]==H)", tree.state_space))
+        cert_path.write_text(json.dumps(modelio.dump_certificate(canonical_supermartingale(tree, f), tree.state_space)))
+        built = []
+        strings = modelio.situation_strings
+        monkeypatch.setattr(modelio, "situation_strings", lambda *args: built.append(args[1]) or strings(*args))
+        code, out = run(capsys, "check", "--model", str(model_path), "cert", str(cert_path), "--expr", "ind(X[1]==H && X[2]==H)")
+        assert code == 0 and json.loads(out)["certificate"]["valid"] is True
+        assert built == [2]
 
     def test_cert_below_value_fails(self, capsys, model_file, tmp_path):
         cert = {
@@ -754,8 +777,9 @@ class TestUnreadableFiles:
         [
             (lambda tmp_path: str(tmp_path), "cannot read the file: Is a directory"),
             (lambda tmp_path: _write_bytes(tmp_path, "utf16.json", b"\xff\xfe"), "not UTF-8 text"),
+            (lambda tmp_path: _write_bytes(tmp_path, "list.json", b"[]"), "expected an object, got list"),
         ],
-        ids=["directory", "utf16-bytes"],
+        ids=["directory", "utf16-bytes", "list-root"],
     )
     def test_exits_2_naming_the_file(self, capsys, model_file, tmp_path, role, make, message):
         bad = make(tmp_path)
@@ -765,7 +789,8 @@ class TestUnreadableFiles:
             "certificate": ["check", "--model", model_file, "cert", bad, "--expr", "ind(X[1]==H)"],
         }[role]
         assert main(argv) == 2
-        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}") and "Traceback" not in err
 
 class TestDeepDocuments:
     """A value nested 10**5 levels deep at a field of a model, a query file

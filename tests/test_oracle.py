@@ -11,6 +11,7 @@ from iptree.expr import compile_gamble, parse_gamble
 from iptree.gambles import MAX_TABLE_DEPTH, FinitaryGamble, hitting_event_variable, hitting_time_variable, truncated_hitting_time
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree import oracle
+from iptree.modelio import dump_model, load_model
 from iptree.oracle import (
     conditional_prob,
     domination_check,
@@ -20,6 +21,7 @@ from iptree.oracle import (
     selection_tree,
 )
 from iptree.suites import (
+    model_oracle_suite,
     random_gamble,
     random_precise_tree,
     random_situation,
@@ -140,13 +142,13 @@ class TestEnvelope:
 
     def test_argmax_is_decoded_when_first_read(self, coin_space, imprecise_coin, monkeypatch):
         decoded = []
-        enumerate_values = oracle._enumerate_values
+        decode = oracle._Plan.decode
 
-        def counted(*args):
-            values, decode = enumerate_values(*args)
-            return values, lambda idx: decoded.append(idx) or decode(idx)
+        def counted(plan, idx, t):
+            decoded.append(idx)
+            return decode(plan, idx, t)
 
-        monkeypatch.setattr(oracle, "_enumerate_values", counted)
+        monkeypatch.setattr(oracle._Plan, "decode", counted)
         env = envelope_sup(imprecise_coin, expr_gamble("ind(X[1]==H && X[2]==H)", coin_space))
         assert env.value == pytest.approx(0.36, abs=1e-12) and not decoded
         assert env.argmax[()] == 1 and env.argmax[(0,)] == 1
@@ -402,3 +404,45 @@ class TestEnumerationReference:
                 except ResourceLimitError as exc:
                     got = str(exc)
                 assert got == expected, (tree, s, cap)
+
+    def test_one_tree_serves_calls_in_any_order(self):
+        # Plans are kept on the tree per (tree state, levels below it), so a
+        # call must match the reference whatever calls came before it: the
+        # same state at other depths, and a smaller cap on a stored plan.
+        rng = np.random.default_rng(70)
+        kinds = set()
+        for case in range(18):
+            k = (2, 3)[case % 2]
+            tree = random_tree(rng, k, max_points=3, table_depth=3, selection_budget=2048)
+            kinds.add(type(tree.assignment).__name__)
+            calls = []
+            for depth in (1, 2, 3):
+                for n in range(depth + 2):
+                    s = tuple(int(y) for y in rng.integers(0, k, size=n))
+                    f = random_gamble(rng, k, depth)
+                    count = reference_envelope(tree, f, s, DEFAULT_ENUM_CAP)[1]
+                    calls += [(f, s, cap) for cap in (DEFAULT_ENUM_CAP, count + 1, count, count - 1)]
+            calls = [calls[i] for i in rng.permutation(len(calls))]
+            f, s = calls[0][:2]
+            count = reference_envelope(tree, f, s, DEFAULT_ENUM_CAP)[1]
+            calls += [(f, s, count + 1), (f, s, count - 1)]
+            for f, s, cap in calls:
+                try:
+                    value, count, argmax = reference_envelope(tree, f, s, cap)
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError) as got:
+                        envelope_sup(tree, f, s, cap=cap)
+                    assert str(got.value) == str(exc)
+                    continue
+                env = envelope_sup(tree, f, s, cap=cap)
+                assert (repr(env.value), env.count) == (repr(value), count), (tree, s, cap)
+                assert list(env.argmax.items()) == list(argmax.items())
+        assert kinds == {"Homogeneous", "Markov", "Table"}
+
+    def test_plans_live_as_long_as_the_tree(self):
+        doc = dump_model(random_tree(np.random.default_rng(71), 2, table_depth=3, selection_budget=2048))
+        tree = load_model(doc)
+        assert tree.assignment.plans == {}
+        model_oracle_suite(tree, seed=3, trials=10)
+        assert tree.assignment.plans
+        assert load_model(doc).assignment.plans == {}
