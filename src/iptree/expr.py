@@ -23,6 +23,13 @@ n-measurable for that n.
 Example: ``sum(i=1..3, ind(X[i]==H))`` counts heads among the first three
 states of a coin process.
 
+The syntax tree has seven node kinds: :class:`Num`, :class:`BinOp`,
+:class:`Ind` and :class:`SumOver` for payoffs, :class:`StateIs`,
+:class:`BoolOp` and :class:`BoolNot` for conditions.  A binary node keeps
+its operator's source text, a key of :data:`ARITHMETIC` (``+ - * min max``)
+or of :data:`LOGIC` (``&& ||``), which map it to the NumPy ufunc the
+compiler applies; unary minus is ``0 - x``.
+
 An expression nests at most :data:`MAX_NESTING` levels deep, which the
 parser checks before it recurses any further; the tokenizer hands it one
 token at a time, so a source fails having read only the tokens up to the
@@ -53,8 +60,17 @@ from .local import StateSpace
 MAX_NESTING = 1000
 
 #: The most Python frames a level takes: a parenthesized condition passes
-#: through bool_atom, nested, bool_or, bool_and and bool_not.
-_FRAMES_PER_LEVEL = 5
+#: through bool_atom, nested, bool_or, chain, bool_and, chain and bool_not.
+_FRAMES_PER_LEVEL = 7
+
+#: The arithmetic operators by their source text, each with the ufunc that
+#: applies it to payoffs.  ``min`` and ``max`` are written as calls.
+ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "min": np.minimum, "max": np.maximum}
+_CALLS = ("min", "max")
+
+#: The logic operators by their source text, each with the ufunc that
+#: applies it to masks.
+LOGIC = {"&&": np.bitwise_and, "||": np.bitwise_or}
 
 
 @contextmanager
@@ -118,31 +134,8 @@ class Num:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class MinOf:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class MaxOf:
+class BinOp:
+    op: str  # a key of ARITHMETIC
     left: "Expr"
     right: "Expr"
 
@@ -167,13 +160,8 @@ class StateIs:
 
 
 @dataclass(frozen=True)
-class BoolAnd:
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class BoolOr:
+class BoolOp:
+    op: str  # a key of LOGIC
     left: "BoolExpr"
     right: "BoolExpr"
 
@@ -183,8 +171,8 @@ class BoolNot:
     inner: "BoolExpr"
 
 
-Expr = Union[Num, Add, Sub, Mul, MinOf, MaxOf, Ind, SumOver]
-BoolExpr = Union[StateIs, BoolAnd, BoolOr, BoolNot]
+Expr = Union[Num, BinOp, Ind, SumOver]
+BoolExpr = Union[StateIs, BoolOp, BoolNot]
 
 
 @dataclass(frozen=True)
@@ -249,21 +237,21 @@ class _Parser:
             self.fail(f"unexpected trailing input {self.peek().text!r}")
         return expr
 
-    def expression(self) -> tuple[Expr, int]:
-        node, height = self.term()
-        while self.peek().text in ("+", "-"):
+    def chain(self, operand, ops: tuple[str, ...], node_type):
+        """``operand()`` { op ``operand()`` } for op in ``ops``, as
+        ``node_type(op, left, right)`` nodes grouped to the left."""
+        node, height = operand()
+        while self.peek().text in ops:
             op = self.advance()
-            rhs, rhs_height = self.term()
-            node, height = self.made(op, Add(node, rhs) if op.text == "+" else Sub(node, rhs), height, rhs_height)
+            rhs, rhs_height = operand()
+            node, height = self.made(op, node_type(op.text, node, rhs), height, rhs_height)
         return node, height
 
+    def expression(self) -> tuple[Expr, int]:
+        return self.chain(self.term, ("+", "-"), BinOp)
+
     def term(self) -> tuple[Expr, int]:
-        node, height = self.factor()
-        while self.peek().text == "*":
-            op = self.advance()
-            rhs, rhs_height = self.factor()
-            node, height = self.made(op, Mul(node, rhs), height, rhs_height)
-        return node, height
+        return self.chain(self.factor, ("*",), BinOp)
 
     def factor(self) -> tuple[Expr, int]:
         tok = self.peek()
@@ -279,7 +267,7 @@ class _Parser:
             # Unary minus as 0 - factor keeps the grammar tiny.
             self.advance()
             node, height = self.nested(self.factor, tok)
-            return self.made(tok, Sub(Num(0.0), node), height)
+            return self.made(tok, BinOp("-", Num(0.0), node), height)
         if tok.kind == "name":
             if tok.text == "ind":
                 self.advance()
@@ -287,14 +275,14 @@ class _Parser:
                 cond, height = self.nested(self.bool_or, tok)
                 self.expect(")")
                 return self.made(tok, Ind(cond), height)
-            if tok.text in ("min", "max"):
+            if tok.text in _CALLS:
                 self.advance()
                 self.expect("(")
                 a, a_height = self.nested(self.expression, tok)
                 self.expect(",")
                 b, b_height = self.nested(self.expression, tok)
                 self.expect(")")
-                return self.made(tok, MinOf(a, b) if tok.text == "min" else MaxOf(a, b), a_height, b_height)
+                return self.made(tok, BinOp(tok.text, a, b), a_height, b_height)
             if tok.text == "sum":
                 return self.made(tok, *self.sum_over())
         self.fail(f"expected a factor, found {tok.text or 'end of input'!r}", tok)
@@ -332,20 +320,10 @@ class _Parser:
         return int(tok.text)
 
     def bool_or(self) -> tuple[BoolExpr, int]:
-        node, height = self.bool_and()
-        while self.peek().text == "||":
-            op = self.advance()
-            rhs, rhs_height = self.bool_and()
-            node, height = self.made(op, BoolOr(node, rhs), height, rhs_height)
-        return node, height
+        return self.chain(self.bool_and, ("||",), BoolOp)
 
     def bool_and(self) -> tuple[BoolExpr, int]:
-        node, height = self.bool_not()
-        while self.peek().text == "&&":
-            op = self.advance()
-            rhs, rhs_height = self.bool_not()
-            node, height = self.made(op, BoolAnd(node, rhs), height, rhs_height)
-        return node, height
+        return self.chain(self.bool_not, ("&&",), BoolOp)
 
     def bool_not(self) -> tuple[BoolExpr, int]:
         if self.peek().text == "!":
@@ -437,16 +415,8 @@ def compile_gamble(
     def eval_num(node: Expr, env: dict[str, int]):
         if isinstance(node, Num):
             return np.float64(node.value)
-        if isinstance(node, Add):
-            return eval_num(node.left, env) + eval_num(node.right, env)
-        if isinstance(node, Sub):
-            return eval_num(node.left, env) - eval_num(node.right, env)
-        if isinstance(node, Mul):
-            return eval_num(node.left, env) * eval_num(node.right, env)
-        if isinstance(node, MinOf):
-            return np.minimum(eval_num(node.left, env), eval_num(node.right, env))
-        if isinstance(node, MaxOf):
-            return np.maximum(eval_num(node.left, env), eval_num(node.right, env))
+        if isinstance(node, BinOp):
+            return ARITHMETIC[node.op](eval_num(node.left, env), eval_num(node.right, env))
         if isinstance(node, Ind):
             return eval_bool(node.condition, env).astype(float)
         if isinstance(node, SumOver):
@@ -462,10 +432,8 @@ def compile_gamble(
             axis_shape = [1] * n
             axis_shape[pos - 1] = k
             return (np.arange(k) == node.state).reshape(axis_shape)
-        if isinstance(node, BoolAnd):
-            return eval_bool(node.left, env) & eval_bool(node.right, env)
-        if isinstance(node, BoolOr):
-            return eval_bool(node.left, env) | eval_bool(node.right, env)
+        if isinstance(node, BoolOp):
+            return LOGIC[node.op](eval_bool(node.left, env), eval_bool(node.right, env))
         if isinstance(node, BoolNot):
             return ~eval_bool(node.inner, env)
         raise TypeError(f"unknown node {node!r}")
@@ -484,16 +452,9 @@ def unparse(expr: GambleExpr) -> str:
     def num(node: Expr) -> str:
         if isinstance(node, Num):
             return repr(node.value)
-        if isinstance(node, Add):
-            return f"({num(node.left)} + {num(node.right)})"
-        if isinstance(node, Sub):
-            return f"({num(node.left)} - {num(node.right)})"
-        if isinstance(node, Mul):
-            return f"({num(node.left)} * {num(node.right)})"
-        if isinstance(node, MinOf):
-            return f"min({num(node.left)}, {num(node.right)})"
-        if isinstance(node, MaxOf):
-            return f"max({num(node.left)}, {num(node.right)})"
+        if isinstance(node, BinOp):
+            left, right = num(node.left), num(node.right)
+            return f"{node.op}({left}, {right})" if node.op in _CALLS else f"({left} {node.op} {right})"
         if isinstance(node, Ind):
             return f"ind({boolean(node.condition)})"
         if isinstance(node, SumOver):
@@ -504,10 +465,8 @@ def unparse(expr: GambleExpr) -> str:
         if isinstance(node, StateIs):
             pos = node.index if isinstance(node.index, str) else str(node.index)
             return f"X[{pos}] == {expr.space.labels[node.state]}"
-        if isinstance(node, BoolAnd):
-            return f"({boolean(node.left)} && {boolean(node.right)})"
-        if isinstance(node, BoolOr):
-            return f"({boolean(node.left)} || {boolean(node.right)})"
+        if isinstance(node, BoolOp):
+            return f"({boolean(node.left)} {node.op} {boolean(node.right)})"
         if isinstance(node, BoolNot):
             return f"!{boolean(node.inner)}"  # a test or a parenthesized && / ||: no level added
         raise TypeError(f"unknown node {node!r}")

@@ -65,7 +65,6 @@ of any depth or length is reported at its path.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -88,6 +87,7 @@ from .tree import (
     format_situation,
     parse_situation,
     situation_strings,
+    trie_position,
 )
 
 SCHEMA_VERSION = 1
@@ -177,7 +177,7 @@ def _parsed_key(space: StateSpace, depth: int, key: str, path: str) -> tuple:
         raise SchemaError(path, str(exc)) from None
     if len(sit) > depth:
         raise SchemaError(path, f"situation longer than the declared depth {depth}")
-    return sit, functools.reduce(lambda p, y: p * space.size + y + 1, sit, 0)
+    return sit, trie_position(space.size, sit)
 
 
 def _table_rows(space: StateSpace, depth: int, entries_raw: dict):

@@ -4,8 +4,10 @@ Each suite draws random instances from a seeded generator, asserts a family
 of exact or toleranced identities, and returns a :class:`SuiteReport` listing
 every failure with a witness.  The suites are the package's evidence that the
 recursion engine, the local models, and the brute-force oracle agree with
-each other and with the calculus they implement; the CLI ``check`` command
-and the acceptance tests both run them.
+each other and with the calculus they implement.  The tests run them all;
+the CLI ``check`` command runs only the two anchored to a model,
+:func:`model_axiom_suites` (which runs :func:`process_suite` with the tree
+pinned) and :func:`model_oracle_suite`.
 
 The batteries anchored to a model (``check oracle`` and the process suite
 of ``check axioms``) run in three phases: draw every trial, with the same

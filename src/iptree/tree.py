@@ -122,6 +122,22 @@ def trie_step(k: int, depth: int) -> tuple[np.ndarray, int]:
     return step, leaves
 
 
+def trie_position(k: int, situation: Situation) -> int:
+    """The :func:`trie_step` state of ``situation``, a Python integer at
+    any depth."""
+    return functools.reduce(lambda p, y: p * k + int(y) + 1, situation, 0)
+
+
+def trie_situation(k: int, position: int) -> Situation:
+    """The situation at :func:`trie_step` state ``position``: the inverse
+    of :func:`trie_position`."""
+    situation = ()
+    while position:
+        position, y = divmod(position - 1, k)
+        situation = (y, *situation)
+    return situation
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -377,19 +393,13 @@ class Table(_View):
 
     @cached_property
     def entries(self) -> dict:
-        situations = []
-        for p in self._positions:  # a trie_step position, back to its situation
-            s = ()
-            while p:
-                p, y = divmod(p - 1, self.default.k)
-                s = (y, *s)
-            situations.append(s)
+        situations = [trie_situation(self.default.k, p) for p in self._positions]
         return dict(zip(situations, self.models[1:]))
 
     def _compile(self):
         k = _points_of(self.default).shape[1]
         if self._rows is None:
-            positions = [functools.reduce(lambda p, y: p * k + int(y) + 1, key, 0) for key in self.entries]
+            positions = [trie_position(k, key) for key in self.entries]
             points = _stacked_points(self.models)
         else:
             positions = self._positions

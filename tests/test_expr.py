@@ -1,3 +1,4 @@
+import ast
 import inspect
 import re
 import sys
@@ -9,19 +10,16 @@ import iptree.expr as expr_module
 
 from iptree.errors import ExprError, IptreeError, ResourceLimitError
 from iptree.expr import (
+    ARITHMETIC,
+    LOGIC,
     MAX_NESTING,
-    Add,
-    BoolAnd,
+    BinOp,
     BoolNot,
-    BoolOr,
+    BoolOp,
     GambleExpr,
     Ind,
-    MaxOf,
-    MinOf,
-    Mul,
     Num,
     StateIs,
-    Sub,
     SumOver,
     compile_gamble,
     parse_gamble,
@@ -47,8 +45,8 @@ def alpha_canonical(expr):
     def walk(node, env: dict[str, str], counter: list[int]):
         if isinstance(node, Num):
             return node
-        if isinstance(node, (Add, Sub, Mul, MinOf, MaxOf, BoolAnd, BoolOr)):
-            return type(node)(walk(node.left, env, counter), walk(node.right, env, counter))
+        if isinstance(node, (BinOp, BoolOp)):
+            return type(node)(node.op, walk(node.left, env, counter), walk(node.right, env, counter))
         if isinstance(node, Ind):
             return Ind(walk(node.condition, env, counter))
         if isinstance(node, SumOver):
@@ -233,16 +231,18 @@ def reference_gamble(expr, depth=None):
     def eval_num(node, env):
         if isinstance(node, Num):
             return np.broadcast_to(np.float64(node.value), shape)
-        if isinstance(node, Add):
-            return eval_num(node.left, env) + eval_num(node.right, env)
-        if isinstance(node, Sub):
-            return eval_num(node.left, env) - eval_num(node.right, env)
-        if isinstance(node, Mul):
-            return eval_num(node.left, env) * eval_num(node.right, env)
-        if isinstance(node, MinOf):
-            return np.minimum(eval_num(node.left, env), eval_num(node.right, env))
-        if isinstance(node, MaxOf):
-            return np.maximum(eval_num(node.left, env), eval_num(node.right, env))
+        if isinstance(node, BinOp):
+            left, right = eval_num(node.left, env), eval_num(node.right, env)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "min":
+                return np.minimum(left, right)
+            if node.op == "max":
+                return np.maximum(left, right)
         if isinstance(node, Ind):
             return eval_bool(node.condition, env).astype(float)
         if isinstance(node, SumOver):
@@ -259,10 +259,12 @@ def reference_gamble(expr, depth=None):
             axis_shape[pos - 1] = k
             mask = (np.arange(k) == node.state).reshape(axis_shape)
             return np.broadcast_to(mask, shape)
-        if isinstance(node, BoolAnd):
-            return eval_bool(node.left, env) & eval_bool(node.right, env)
-        if isinstance(node, BoolOr):
-            return eval_bool(node.left, env) | eval_bool(node.right, env)
+        if isinstance(node, BoolOp):
+            left, right = eval_bool(node.left, env), eval_bool(node.right, env)
+            if node.op == "&&":
+                return left & right
+            if node.op == "||":
+                return left | right
         if isinstance(node, BoolNot):
             return ~eval_bool(node.inner, env)
         raise TypeError(f"unknown node {node!r}")
@@ -270,6 +272,22 @@ def reference_gamble(expr, depth=None):
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.array(eval_num(expr.root, {}), dtype=float).reshape(shape)
     return FinitaryGamble(k, table)
+
+
+def test_reference_tabulator_shares_no_code_with_the_compiler():
+    # The reference stays an independent implementation: it spells out each
+    # operator's arithmetic and names none of the compiler's tables or
+    # functions, not even as a string a getattr could look up.
+    used = set()
+    for node in ast.walk(ast.parse(inspect.getsource(reference_gamble))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    assert {"minimum", "maximum"} <= used
+    assert not used & {"ARITHMETIC", "LOGIC", "compile_gamble", "expr_module"}
 
 
 #: Numbers the random expressions use: signed zeros, and values whose sums
@@ -293,7 +311,7 @@ def random_expression(rng, k, n, budget):
             return StateIs(position(), int(rng.integers(k)))
         if kind == 3:
             return BoolNot(boolean(size - 1))
-        return (BoolAnd, BoolOr)[kind - 1](boolean(size // 2), boolean(size // 2))
+        return BoolOp(("&&", "||")[kind - 1], boolean(size // 2), boolean(size // 2))
 
     def number(size):
         # 0: a number, 1: an indicator, 2-6: a binary operation, 7: a sum.
@@ -311,7 +329,7 @@ def random_expression(rng, k, n, budget):
             body = number(size - 1)
             variables.remove(var)
             return SumOver(var, lo, hi, body)
-        return (Add, Sub, Mul, MinOf, MaxOf)[kind - 2](number(size // 2), number(size // 2))
+        return BinOp(("+", "-", "*", "min", "max")[kind - 2], number(size // 2), number(size // 2))
 
     return GambleExpr(number(budget), StateSpace(("A", "B", "C", "D")[:k]), n)
 
@@ -340,6 +358,18 @@ def test_tabulation_is_bitwise_the_reference():
     assert tables >= 500
 
 
+#: Every operator's arithmetic, spelled out apart from ARITHMETIC and LOGIC.
+EXPLICIT = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "min": np.minimum,
+    "max": np.maximum,
+    "&&": lambda a, b: a & b,
+    "||": lambda a, b: a | b,
+}
+
+
 class TestRoundTrip:
     CASES = (
         "ind(X[1]==H)",
@@ -354,6 +384,22 @@ class TestRoundTrip:
         again = parse_gamble(unparse(expr), space)
         assert alpha_canonical(expr) == alpha_canonical(again)
         assert np.array_equal(compile_gamble(expr).table, compile_gamble(again).table)
+
+    @pytest.mark.parametrize("op", [*ARITHMETIC, *LOGIC])
+    def test_every_operator_reparses_and_tabulates(self, space, op):
+        # The operator tables, the parser's operator tokens and unparse
+        # agree: each operator comes back as itself and computes its own
+        # table, on operands that tell all the operators apart.
+        first, second = np.indices((2, 2))
+        if op in LOGIC:
+            root = Ind(BoolOp(op, StateIs(1, 0), StateIs(2, 1)))
+            want = EXPLICIT[op](first == 0, second == 1).astype(float)
+        else:
+            root = BinOp(op, SumOver("i", 1, 2, Ind(StateIs("i", 1))), Num(1.5))
+            want = EXPLICIT[op]((first + second).astype(float), 1.5)
+        again = parse_gamble(unparse(GambleExpr(root, space, 2)), space)
+        assert (again.root, again.depth) == (root, 2)
+        assert np.array_equal(compile_gamble(again).table, want)
 
     def test_alpha_equivalence_ignores_names(self, space):
         a = parse_gamble("sum(i=1..3, ind(X[i]==H))", space)

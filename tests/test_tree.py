@@ -25,6 +25,9 @@ from iptree.tree import (
     product_closure,
     situation_selection,
     situation_strings,
+    trie_position,
+    trie_situation,
+    trie_step,
 )
 
 
@@ -202,6 +205,19 @@ class TestCompiledView:
         # (), (0,), (1,), (1, 1), (1, 1, 0), then the default state
         assert a.step.tolist() == [[1, 2], [5, 5], [5, 3], [4, 5], [5, 5], [5, 5]]
         assert a.leaf.tolist() == [0, 2, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trie_positions_number_the_trie_step_states(self, k):
+        # Both directions agree with the trie they name: a situation's
+        # position is the state its path from the root reaches, and the
+        # positions run through the situations in order.
+        step, _ = trie_step(k, 3)
+        for p, s in enumerate(all_situations(k, 3)):
+            state = 0
+            for y in s:
+                state = step[state, y]
+            assert trie_position(k, s) == state == p
+            assert trie_situation(k, p) == s
 
 
 class TestHullMembership:
