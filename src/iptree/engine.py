@@ -13,7 +13,8 @@ number is the infimum of supermartingale certificates (see
 One kernel runs the recursion for every gamble.  It walks the product of
 the tree's finite-state view (the ``step``, ``leaf`` and ``points`` arrays
 of :mod:`~iptree.tree`) and the gamble's reward automaton (a dense gamble
-enters as the trie of its prefixes) forward with
+enters as the implicit trie of its prefixes, whose states are computed, not
+looked up) forward with
 :func:`~iptree.tree.product_levels`, then sweeps those product layers
 backwards: a node's value is the local upper expectation of the step
 reward plus the successor's value.  Values carry a trailing gamble axis,
@@ -70,7 +71,7 @@ from .gambles import (
     pointwise_leq,
 )
 from .local import MassFunction
-from .tree import PreciseTree, Selection, Situation, Tree, as_situation, product_levels
+from .tree import PreciseTree, Selection, Situation, Tree, as_situation, product_levels, trie_step
 
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
@@ -176,12 +177,16 @@ def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
     if cols.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
     a = tree.assignment
-    layers, transitions = product_levels(a.step, cols.step, a.machine_init(s), cols.read(s)[1], cols.depth - len(s), cols.trie)
-    values = [cols.terminal[layers[-1][1]]]
+    layers, transitions = product_levels(a.step, cols.step, a.machine_init(s), cols.read(s)[1], cols.depth - len(s))
+    values = [cols.payoffs(layers[-1][1])]
     argmax: list[np.ndarray] = []
     for li in range(len(transitions) - 1, -1, -1):
         t, q = layers[li]
-        scores = _scores(_local_points(tree, t), cols.reward[q] + values[0][transitions[li]])
+        nxt = values[0][transitions[li]]
+        # The trie's steps pay nothing; adding 0.0 drops negative zeros, as
+        # adding a zero reward does.
+        nxt = nxt + 0.0 if cols.trie else cols.reward[q] + nxt
+        scores = _scores(_local_points(tree, t), nxt)
         values.insert(0, scores.max(axis=1))
         if picks:
             argmax.insert(0, scores.argmax(axis=1))
@@ -229,13 +234,14 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     s = as_situation(s, tree.k)
     cols = MachineStack.of([f])
     layers, _, argmax = _sweep(tree, cols, s, picks=True)
+    step = trie_step(cols.k, cols.depth)[0] if cols.trie else cols.step
     picked = {}
     for li, picks in enumerate(argmax):
         t, q = layers[li]
         chosen = _local_points(tree, t)[np.arange(len(t)), picks[:, 0]]
         picked.update(((len(s) + li, node_t, node_q), MassFunction(p))
                       for node_t, node_q, p in zip(t.tolist(), q.tolist(), chosen))
-    return PreciseTree(tree.state_space, Selection(tree.assignment, cols.step, cols.depth, picked))
+    return PreciseTree(tree.state_space, Selection(tree.assignment, step, cols.depth, picked))
 
 
 def value_tables(tree: Tree, gambles) -> list[list[np.ndarray]]:

@@ -13,9 +13,11 @@ length-``n`` state string.  Two interchangeable representations exist:
   and hitting indicators are 2-state automata (not hit yet / hit).
 
 Both expose ``depth``, ``payoff(string)``, negation and constant shifts; the
-recursion engine accepts either, a dense table entering as the automaton of
-its prefix trie (:func:`as_machine`).  :func:`pointwise_leq` compares two
-gambles exactly without materializing tables, which is how monotone
+recursion engine accepts either, a dense table entering as the implicit
+trie of its prefixes (:class:`MachineStack`): a prefix's state number gives
+its children's, so only the table's cells are stored.
+:func:`pointwise_leq` compares two gambles exactly without materializing
+tables, reading the trie :func:`as_machine` builds; that is how monotone
 approximating sequences are audited.
 
 A :class:`LimitVariable` is one automaton read to every depth, a monotone
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceLimitError
 from .extreal import check_no_nan
 from .local import StateSpace
-from .tree import Situation, as_situation, trie_step
+from .tree import Situation, as_situation, trie_position, trie_step
 
 #: Default cap on dense-table size (cells); 2**12 keeps depth <= 12 for k=2.
 DEFAULT_TABLE_CAP = 4096
@@ -280,27 +282,21 @@ class MachineGamble:
 Gamble = Union[FinitaryGamble, MachineGamble]
 
 
-def _trie(k: int, depth: int, payoffs: np.ndarray):
-    """Step, reward and terminal arrays of the prefix trie of
-    depth-``depth`` strings (:func:`~iptree.tree.trie_step`) whose leaves pay
-    ``payoffs`` (one row per string, in lexicographic order, and any
-    trailing gamble axis) as terminal payoff; no step pays."""
-    step, leaves = trie_step(k, depth)
-    terminal = np.zeros((len(step),) + payoffs.shape[1:])
-    terminal[leaves:] = payoffs + 0.0  # adding 0.0 drops negative zeros
-    return step, np.zeros((len(step), k) + payoffs.shape[1:]), terminal
-
-
 def as_machine(f: Gamble) -> MachineGamble:
     """Automaton view of any gamble.
 
-    A dense gamble becomes the trie of its prefixes (:func:`_trie`).  The
-    trie has as many states as the table has cells and prefixes, so deep
-    gambles should be born as :class:`MachineGamble`.
+    A dense gamble becomes the trie of its prefixes
+    (:func:`~iptree.tree.trie_step`), whose leaves pay the table as terminal
+    payoff and whose steps pay nothing.  The trie has as many states as the
+    table has cells and prefixes, so deep gambles should be born as
+    :class:`MachineGamble`.
     """
     if isinstance(f, MachineGamble):
         return f
-    return MachineGamble(f.k, f.depth, *_trie(f.k, f.depth, f.table.reshape(-1)))
+    step, leaves = trie_step(f.k, f.depth)
+    terminal = np.zeros(len(step))
+    terminal[leaves:] = f.table.reshape(-1)
+    return MachineGamble(f.k, f.depth, step, np.zeros((len(step), f.k)), terminal)
 
 
 @dataclass(frozen=True)
@@ -309,16 +305,20 @@ class MachineStack:
 
     ``step`` is the shared ``(states, k)`` transition array, ``reward`` has
     shape ``(states, k, G)`` and ``terminal`` ``(states, G)``: column ``g``
-    holds gamble ``g``'s rewards and terminal payoffs.  ``trie`` says that
-    ``step`` is the prefix trie of :func:`~iptree.tree.trie_step`.
+    holds gamble ``g``'s rewards and terminal payoffs.
+
+    Dense gambles of one depth share the prefix trie of
+    :func:`~iptree.tree.trie_step`, which is never built: ``step`` and
+    ``reward`` are ``None`` (state ``q`` moves to ``k * q + 1 + y``, and no
+    step pays), and ``terminal`` holds only the leaves' payoffs,
+    ``(k**depth, G)``, in lexicographic order.
     """
 
     k: int
     depth: int
-    step: np.ndarray
-    reward: np.ndarray
+    step: np.ndarray | None
+    reward: np.ndarray | None
     terminal: np.ndarray
-    trie: bool = False
 
     @classmethod
     def of(cls, gambles) -> "MachineStack":
@@ -331,9 +331,8 @@ class MachineStack:
         if any(f.k != k for f in gambles):
             raise InvalidInputError("gambles live on different state spaces")
         if all(isinstance(f, FinitaryGamble) and f.depth == depth for f in gambles):
-            # One trie for all: as_machine's arrays with a gamble axis.
-            tables = np.stack([f.table.reshape(-1) for f in gambles], axis=1)
-            return cls(k, depth, *_trie(k, depth, tables), trie=True)
+            # Adding 0.0 drops negative zeros, as as_machine's trie does.
+            return cls(k, depth, None, None, np.stack([f.table.reshape(-1) for f in gambles], axis=1) + 0.0)
         machines = [as_machine(f) for f in gambles]
         step = machines[0].step
         if any(m.depth != depth or not (m.step is step or np.array_equal(m.step, step)) for m in machines):
@@ -341,11 +340,25 @@ class MachineStack:
         reward = np.stack([m.reward for m in machines], axis=-1)
         return cls(k, depth, step, reward, np.stack([m.terminal for m in machines], axis=-1))
 
+    @property
+    def trie(self) -> bool:
+        """Whether the automaton is the implicit prefix trie."""
+        return self.step is None
+
     def read(self, string: Situation) -> tuple[np.ndarray, int]:
         """Each gamble's reward over the first ``depth`` symbols of
         ``string`` (0.0 for none), as :meth:`MachineGamble.read` pays it,
         and the state they lead to."""
+        if self.trie:
+            return 0.0, trie_position(self.k, string[: self.depth])
         return _read(self, string)
+
+    def payoffs(self, q: np.ndarray) -> np.ndarray:
+        """The terminal payoffs, ``(len(q), G)``, of the states ``q``: for
+        the trie, leaves counted from the first leaf state."""
+        if self.trie:
+            return self.terminal[q - trie_position(self.k, (0,) * self.depth)]
+        return self.terminal[q]
 
 
 def _read(machine, string: Situation):

@@ -312,26 +312,31 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
     * Lipschitz bound:    |U(f) - U(g)| <= sup|f - g|
 
     Returns a report listing every violated check with a witness description.
-
-    Every gamble the checks need (each sample, its negation, scalings and
-    shift, its dominating partner, and each consecutive sum) is evaluated
-    in one product over the extreme points; each value is the one
-    :func:`upper_expectation` gives for that gamble alone.  Each check is
-    then one array comparison over the samples (or the consecutive pairs),
-    and a violation, with its witness and slack, is built only where a
-    comparison fails.
+    This is the one-trial case of :func:`_coherence_axioms`.
     """
     gambles = [_check_gamble(credal, g, require_finite=True) for g in sample_gambles]
-    return _coherence_axioms(credal, gambles, tol)
-
-
-def _coherence_axioms(credal: CredalSet, gambles: list, tol: float = AXIOM_TOL) -> AxiomReport:
-    """:func:`check_coherence_axioms` of finite gambles of the right length,
-    as arrays."""
     if not gambles:
         raise InvalidInputError("need at least one sample gamble")
-    n = len(gambles)
-    g = np.array(gambles)
+    return _coherence_axioms([credal.points], np.array(gambles)[None], tol)[0]
+
+
+def _coherence_axioms(points: list, gambles: np.ndarray, tol: float = AXIOM_TOL) -> list[AxiomReport]:
+    """The :func:`check_coherence_axioms` report of each of several trials:
+    trial ``r`` checks the finite gambles ``gambles[r]``, an ``(n, k)``
+    slice of the ``(trials, n, k)`` array with ``n >= 1``, against the
+    extreme points ``points[r]``, an ``(m, k)`` matrix.
+
+    Every gamble the checks need (each sample, its negation, scalings and
+    shift, its dominating partner, and each consecutive sum) of every trial
+    is evaluated in one product over the trials' extreme points; a trial
+    with fewer points than the most repeats its last one, which changes no
+    maximum, so each value is the one :func:`upper_expectation` gives for
+    that gamble alone.  Each check is then one array comparison over the
+    samples (or the consecutive pairs) of all trials, and a violation, with
+    its witness and slack, is built only where a comparison fails.
+    """
+    trials, n, _ = gambles.shape
+    g = gambles
     scales = np.array([0.0, 0.5, 1.0, 2.0])
     shifts = 1.0 + 0.25 * np.arange(n)
     # A sample near the float range overflows here; the check below rejects it.
@@ -339,50 +344,59 @@ def _coherence_axioms(credal: CredalSet, gambles: list, tol: float = AXIOM_TOL) 
         rows = np.concatenate([
             g,
             -g,
-            (g[:, None, :] * scales[:, None]).reshape(4 * n, -1),
+            (g[:, :, None, :] * scales[:, None]).reshape(trials, 4 * n, -1),
             g + shifts[:, None],
-            g + np.abs(np.concatenate((g[1:], g[:1]))),
-            g[:-1] + g[1:],
-        ])
+            g + np.abs(np.concatenate((g[:, 1:], g[:, :1]), axis=1)),
+            g[:, :-1] + g[:, 1:],
+        ], axis=1)
     if not np.isfinite(rows).all():
         raise InvalidInputError("this operation requires a finite-valued gamble")
-    values = weighted_sum(credal.points[:, None, :], rows[None, :, :]).max(axis=0)
-    upper, lower, fmax, fmin = values[:n], -values[n : 2 * n], g.max(axis=1), g.min(axis=1)
-    scaled_gap = np.abs(values[2 * n : 6 * n].reshape(n, 4) - scales * upper[:, None])
-    shift_gap = np.abs(values[6 * n : 7 * n] - (upper + shifts))
-    partner, summed = values[7 * n : 8 * n], values[8 * n :]
-    bound = upper[:-1] + upper[1:]
-    gap, lip = np.abs(upper[:-1] - upper[1:]), np.abs(g[:-1] - g[1:]).max(axis=1)
-    # Each check's outcome, one row per gamble (then per consecutive pair)
-    # and one column per check in report order.
-    per_gamble = np.column_stack([
+    most = np.arange(max(map(len, points)))
+    padded = np.stack([p[np.minimum(most, len(p) - 1)] for p in points])
+    values = weighted_sum(padded[:, :, None, :], rows[:, None, :, :]).max(axis=1)
+    upper, lower, fmax, fmin = values[:, :n], -values[:, n : 2 * n], g.max(axis=2), g.min(axis=2)
+    scaled_gap = np.abs(values[:, 2 * n : 6 * n].reshape(trials, n, 4) - scales * upper[:, :, None])
+    shift_gap = np.abs(values[:, 6 * n : 7 * n] - (upper + shifts))
+    partner, summed = values[:, 7 * n : 8 * n], values[:, 8 * n :]
+    bound = upper[:, :-1] + upper[:, 1:]
+    gap, lip = np.abs(upper[:, :-1] - upper[:, 1:]), np.abs(g[:, :-1] - g[:, 1:]).max(axis=2)
+    # Each check's outcome, per trial one row per gamble (then per
+    # consecutive pair) and one column per check in report order.
+    per_gamble = np.dstack([
         upper <= fmax + tol,
         (fmin - tol <= lower) & (lower <= upper + tol),
         scaled_gap <= tol,
         shift_gap <= tol,
         upper <= partner + tol,
     ])
-    per_pair = np.column_stack([summed <= bound + tol, gap <= lip + tol])
+    per_pair = np.dstack([summed <= bound + tol, gap <= lip + tol])
+    checks = per_gamble[0].size + per_pair[0].size
 
     # A violation's slack is the expression the scalar checks gave, of the
     # same type: the upper-bound and bounds slacks subtract a NumPy maximum
     # or minimum and print as NumPy floats.
-    def gamble_violation(i: int, j: int) -> AxiomViolation:
+    def gamble_violation(r: int, i: int, j: int) -> AxiomViolation:
         if j == 0:
-            return AxiomViolation("upper-bound", f"gamble #{i}", upper[i] - fmax[i])
+            return AxiomViolation("upper-bound", f"gamble #{i}", upper[r, i] - fmax[r, i])
         if j == 1:
-            return AxiomViolation("bounds", f"gamble #{i}", max(fmin[i] - lower[i], float(lower[i] - upper[i])))
+            return AxiomViolation("bounds", f"gamble #{i}", max(fmin[r, i] - lower[r, i], float(lower[r, i] - upper[r, i])))
         if j < 6:
-            return AxiomViolation("homogeneity", f"gamble #{i}, scale {scales[j - 2]}", float(scaled_gap[i, j - 2]))
+            return AxiomViolation("homogeneity", f"gamble #{i}, scale {scales[j - 2]}", float(scaled_gap[r, i, j - 2]))
         if j == 6:
-            return AxiomViolation("constant-shift", f"gamble #{i}, shift {1.0 + 0.25 * i}", float(shift_gap[i]))
-        return AxiomViolation("monotonicity", f"gamble #{i} vs dominating partner", float(upper[i] - partner[i]))
+            return AxiomViolation("constant-shift", f"gamble #{i}, shift {1.0 + 0.25 * i}", float(shift_gap[r, i]))
+        return AxiomViolation("monotonicity", f"gamble #{i} vs dominating partner", float(upper[r, i] - partner[r, i]))
 
-    def pair_violation(i: int, j: int) -> AxiomViolation:
+    def pair_violation(r: int, i: int, j: int) -> AxiomViolation:
         if j == 0:
-            return AxiomViolation("sub-additivity", f"gambles #{i}, #{i + 1}", float(summed[i] - bound[i]))
-        return AxiomViolation("lipschitz", f"gambles #{i}, #{i + 1}", float(gap[i] - lip[i]))
+            return AxiomViolation("sub-additivity", f"gambles #{i}, #{i + 1}", float(summed[r, i] - bound[r, i]))
+        return AxiomViolation("lipschitz", f"gambles #{i}, #{i + 1}", float(gap[r, i] - lip[r, i]))
 
-    violations = [gamble_violation(int(i), int(j)) for i, j in zip(*np.nonzero(~per_gamble))]
-    violations += [pair_violation(int(i), int(j)) for i, j in zip(*np.nonzero(~per_pair))]
-    return AxiomReport(not violations, per_gamble.size + per_pair.size, tuple(violations))
+    failed = ~(per_gamble.all(axis=(1, 2)) & per_pair.all(axis=(1, 2)))
+    reports = []
+    for r in range(trials):
+        violations = []
+        if failed[r]:
+            violations = [gamble_violation(r, int(i), int(j)) for i, j in zip(*np.nonzero(~per_gamble[r]))]
+            violations += [pair_violation(r, int(i), int(j)) for i, j in zip(*np.nonzero(~per_pair[r]))]
+        reports.append(AxiomReport(not violations, checks, tuple(violations)))
+    return reports

@@ -19,18 +19,20 @@ the engine's limit, which is solved exactly for hitting variables.
 A tree is read through its finite-state view alone, and every compatible
 tree built here (:func:`selection_tree`, :func:`sample_compatible`) is a
 :class:`~iptree.tree.Selection`.  The envelope's enumeration walks the
-tree states below the conditioning situation: it reads that situation's
-state once (``machine_init``), gives each child the state of one
-``machine_step`` and takes each situation's extreme points from
-``machine_leaf``.  That walk depends on the tree state and the number of
-levels below it, not on the gamble, so it is laid out once per such pair
-in a plan (:class:`_Plan`) kept on the tree's assignment, and each call
-adds up its own payoffs through it.  The forward passes below are the
+tree states below the conditioning situation: it reaches that situation's
+state from the root's, one ``machine_step`` per symbol (not through the
+engine's shortcut ``machine_init``, which it thereby checks), gives each
+child the state of one more ``machine_step`` and takes each situation's
+extreme points from ``machine_leaf``.  That walk depends on the tree state
+and the number of levels below it, not on the gamble, so it is laid out
+once per such pair in a plan (:class:`_Plan`) kept on the tree's
+assignment, and each call adds up its own payoffs through it.  The forward passes below are the
 oracle's own: they share no code with the engine's sweeps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -96,6 +98,12 @@ def _dense_precise(p: PreciseTree, f: FinitaryGamble, s: Situation) -> float:
     return float((dist * np.asarray(f.table[s], dtype=float)).sum())
 
 
+def _state_of(assignment, s: Situation) -> int:
+    """The tree state of situation ``s``: the root's state 0, then one
+    ``machine_step`` per symbol."""
+    return functools.reduce(assignment.machine_step, s, 0)
+
+
 def _machine_levels(p: PreciseTree, f: MachineGamble, s: Situation):
     """Expectations given ``s`` of ``f`` read to each depth past ``len(s)``
     in turn, one level of the forward pass per value; ``f``'s own depth must
@@ -106,7 +114,7 @@ def _machine_levels(p: PreciseTree, f: MachineGamble, s: Situation):
     # Probability of each reachable (tree state, gamble state) pair, pushed
     # forward one level at a time by the product rule, and the expected
     # reward of the steps taken so far.
-    dist = {(assignment.machine_init(s), q0): 1.0}
+    dist = {(_state_of(assignment, s), q0): 1.0}
     expected = 0.0
     while True:
         nxt: dict[tuple, float] = {}
@@ -255,10 +263,10 @@ def envelope_sup(
     Brute-forces every selection of one extreme point per situation in the
     subtree below ``s`` (the only choices the payoff can see) and reports a
     maximizing selection.  The enumeration walks the tree states below
-    ``s``: ``s``'s state is read once, and each situation's children get
-    theirs by one ``machine_step``.  The selections are counted over those
-    situations first, level by level, and more than ``cap`` of them raise
-    before any is enumerated.
+    ``s``: ``s``'s state is stepped to from the root's, and each
+    situation's children get theirs by one more ``machine_step``.  The
+    selections are counted over those situations first, level by level,
+    and more than ``cap`` of them raise before any is enumerated.
 
     What every gamble enumerated ``n`` levels below one tree state shares,
     the points, the broadcast shapes and the selection count, is laid out
@@ -276,7 +284,7 @@ def envelope_sup(
     if len(s) >= dense.depth:
         return EnvelopeResult(float(dense.table[s[: dense.depth]]), 1, dict)
     assignment, levels = q.assignment, dense.depth - len(s)
-    state = assignment.machine_init(s)
+    state = _state_of(assignment, s)
     if _count_selections(assignment, q.k, state, levels, cap) > cap:
         raise ResourceLimitError(f"enumerating compatible selections exceeds the cap of {cap}")
     plan = _plan(assignment, state, levels)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,10 +99,12 @@ class _Recorder:
         self.checks = 0
         self.failures: list[str] = []
 
-    def check(self, cond: bool, message: str):
+    def check(self, cond: bool, message: Callable[[], str]):
+        """Count a check; on failure, record the text ``message()`` builds,
+        which passing checks never format."""
         self.checks += 1
         if not cond:
-            self.failures.append(message)
+            self.failures.append(message())
 
     def report(self) -> SuiteReport:
         return SuiteReport(self.name, self.trials, self.checks, tuple(self.failures))
@@ -226,7 +228,7 @@ def coherence_suite(seed: int, trials: int = 50, gambles_per_trial: int = 10, k_
         for i, f in enumerate(gambles):
             rec.check(
                 lower_expectation(credal, f) == -upper_expectation(credal, -np.asarray(f)),
-                f"trial {t}: conjugacy broken on gamble #{i}",
+                lambda: f"trial {t}: conjugacy broken on gamble #{i}",
             )
     return rec.report()
 
@@ -250,30 +252,30 @@ def extended_suite(seed: int, trials: int = 50, k_max: int = 3) -> SuiteReport:
 
         rec.check(
             extended_upper_expectation(credal, f) == cut_limit_upper(credal, f),
-            f"trial {t}: extended value disagrees with cut limit on {f.tolist()}",
+            lambda: f"trial {t}: extended value disagrees with cut limit on {f.tolist()}",
         )
         c = float(rng.uniform(-4, 4))
         rec.check(
             abs(extended_upper_expectation(credal, np.full(k, c)) - c) <= 1e-9,
-            f"trial {t}: constant {c} not preserved",
+            lambda: f"trial {t}: constant {c} not preserved",
         )
         fg = np.array([xadd(a, b) for a, b in zip(f, g)])
         lhs = extended_upper_expectation(credal, fg)
         rhs = xadd(extended_upper_expectation(credal, f), extended_upper_expectation(credal, g))
         rec.check(lhs <= rhs + 1e-9 if np.isfinite(rhs) else lhs <= rhs,
-                  f"trial {t}: sub-additivity broken: {lhs} > {rhs}")
+                  lambda: f"trial {t}: sub-additivity broken: {lhs} > {rhs}")
         lam = float(rng.uniform(0.1, 3.0))
         scaled = np.array([xmul(lam, x) for x in f])
         lhs = extended_upper_expectation(credal, scaled)
         rhs = xmul(lam, extended_upper_expectation(credal, f))
         ok = lhs == rhs if not np.isfinite(rhs) else abs(lhs - rhs) <= 1e-9
-        rec.check(ok, f"trial {t}: homogeneity broken at scale {lam}: {lhs} vs {rhs}")
+        rec.check(ok, lambda: f"trial {t}: homogeneity broken at scale {lam}: {lhs} vs {rhs}")
         bump = rng.uniform(0, 3, size=k)
         dominated = np.array([xadd(a, b) for a, b in zip(f, bump)])
         rec.check(
             extended_upper_expectation(credal, f)
             <= extended_upper_expectation(credal, dominated) + 1e-9,
-            f"trial {t}: monotonicity broken",
+            lambda: f"trial {t}: monotonicity broken",
         )
         # Upper cuts: non-decreasing, and they reach the value (or certify
         # its divergence) once the cut passes every finite payoff.
@@ -282,12 +284,12 @@ def extended_suite(seed: int, trials: int = 50, k_max: int = 3) -> SuiteReport:
                 for c in (6.0, 12.0, 24.0)]
         rec.check(
             all(a <= b + 1e-12 for a, b in zip(cuts, cuts[1:])),
-            f"trial {t}: upper cuts not monotone",
+            lambda: f"trial {t}: upper cuts not monotone",
         )
         if target == INF:
-            rec.check(cuts[-1] > cuts[0], f"trial {t}: cuts fail to grow toward +inf")
+            rec.check(cuts[-1] > cuts[0], lambda: f"trial {t}: cuts fail to grow toward +inf")
         else:
-            rec.check(abs(cuts[-1] - target) <= 1e-9, f"trial {t}: cuts stop short of the value")
+            rec.check(abs(cuts[-1] - target) <= 1e-9, lambda: f"trial {t}: cuts stop short of the value")
     return rec.report()
 
 
@@ -426,11 +428,11 @@ def process_suite(seed: int, trials: int = 60, max_depth: int = 3, tree_factory=
             # one-step reduction, exact
             rec.check(
                 u_one == upper_expectation(local_model(tr.tree, x), tr.h),
-                f"trial {t}: one-step value differs from the local model at {x}",
+                lambda: f"trial {t}: one-step value differs from the local model at {x}",
             )
             rec.check(
                 uf == u_restricted,
-                f"trial {t}: value changed by zeroing payoffs off the situation {s}",
+                lambda: f"trial {t}: value changed by zeroing payoffs off the situation {s}",
             )
 
             # The root sweep of f against sweeps of the iterated gamble
@@ -439,30 +441,30 @@ def process_suite(seed: int, trials: int = 60, max_depth: int = 3, tree_factory=
                 lhs = float(table[m][x_m])
                 rec.check(
                     abs(lhs - rhs) <= 1e-9,
-                    f"trial {t}: iterated law broken at {x_m}: {lhs} vs {rhs}",
+                    lambda: f"trial {t}: iterated law broken at {x_m}: {lhs} vs {rhs}",
                 )
 
             rec.check(
                 uf <= ug + 1e-12,
-                f"trial {t}: domination not respected at {s}",
+                lambda: f"trial {t}: domination not respected at {s}",
             )
 
             sub = f.table[s] if len(s) <= f.depth else f.table[s[: f.depth]]
             rec.check(
                 float(np.min(sub)) - 1e-12 <= -u_neg <= uf <= float(np.max(sub)) + 1e-12,
-                f"trial {t}: conditional bounds broken at {s}",
+                lambda: f"trial {t}: conditional bounds broken at {s}",
             )
             rec.check(
                 u_sum <= uf + ug2 + 1e-9,
-                f"trial {t}: conditional sub-additivity broken at {s}",
+                lambda: f"trial {t}: conditional sub-additivity broken at {s}",
             )
             rec.check(
                 abs(u_scaled - tr.lam * uf) <= 1e-9,
-                f"trial {t}: conditional homogeneity broken at {s}",
+                lambda: f"trial {t}: conditional homogeneity broken at {s}",
             )
             rec.check(
                 abs(u_shifted - (uf + tr.mu)) <= 1e-9,
-                f"trial {t}: constant additivity broken at {s}",
+                lambda: f"trial {t}: constant additivity broken at {s}",
             )
     return rec.report()
 
@@ -489,7 +491,7 @@ def oracle_suite(
         rec_val = finitary_upper(tree, f, s)
         rec.check(
             abs(enum.value - rec_val) <= tol,
-            f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} "
+            lambda: f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} "
             f"(k={k}, depth={depth}, s={s}, {enum.count} selections)",
         )
     return rec.report()
@@ -509,8 +511,8 @@ def precise_collapse_suite(seed: int, trials: int = 50, max_depth: int = 4, tol:
         upper = finitary_upper(q, f, s)
         lower = finitary_lower(q, f, s)
         direct = precise_expectation(p, f, s)
-        rec.check(abs(upper - lower) <= tol, f"trial {t}: upper {upper!r} != lower {lower!r}")
-        rec.check(abs(upper - direct) <= tol, f"trial {t}: recursion {upper!r} != product-rule sum {direct!r}")
+        rec.check(abs(upper - lower) <= tol, lambda: f"trial {t}: upper {upper!r} != lower {lower!r}")
+        rec.check(abs(upper - direct) <= tol, lambda: f"trial {t}: recursion {upper!r} != product-rule sum {direct!r}")
     return rec.report()
 
 
@@ -531,14 +533,14 @@ def fatou_suite(seed: int, trials: int = 50, max_stable_index: int = 6, tol: flo
         values = [finitary_upper(tree, g, s) for g in seq]
         lhs = finitary_upper(tree, liminf_gamble, s)
         rhs = values[n_stable]
-        rec.check(lhs <= rhs + tol, f"trial {t}: Fatou broken: {lhs!r} > {rhs!r}")
+        rec.check(lhs <= rhs + tol, lambda: f"trial {t}: Fatou broken: {lhs!r} > {rhs!r}")
         # A genuinely oscillating variant: cycle through the first few
         # members; the liminf is their pointwise minimum.
         lifted = [g.lift(depth) for g in seq]
         point_min = FinitaryGamble(k, np.minimum.reduce([g.table for g in lifted]))
         rec.check(
             finitary_upper(tree, point_min, s) <= min(values) + tol,
-            f"trial {t}: Fatou broken on the oscillating variant",
+            lambda: f"trial {t}: Fatou broken on the oscillating variant",
         )
     return rec.report()
 
@@ -555,16 +557,16 @@ def certificate_suite(seed: int, trials: int = 50, tol: float = 1e-9) -> SuiteRe
         s = random_situation(rng, k, depth - 1)
         canonical = canonical_supermartingale(tree, f)
         report = verify(canonical, tree)
-        rec.check(report.passed, f"trial {t}: canonical process fails verification")
+        rec.check(report.passed, lambda: f"trial {t}: canonical process fails verification")
         rec.check(
             max(abs(report.min_margin), abs(report.max_margin)) <= 1e-10,
-            f"trial {t}: canonical process not tight "
+            lambda: f"trial {t}: canonical process not tight "
             f"(margins {report.min_margin:.2e}..{report.max_margin:.2e})",
         )
         value = finitary_upper(tree, f, s)
         rec.check(
             abs(canonical.value(s) - value) <= 1e-10,
-            f"trial {t}: canonical value {canonical.value(s)!r} != engine {value!r}",
+            lambda: f"trial {t}: canonical value {canonical.value(s)!r} != engine {value!r}",
         )
         kind = int(rng.integers(0, 3))
         if kind == 0:
@@ -576,10 +578,10 @@ def certificate_suite(seed: int, trials: int = 50, tol: float = 1e-9) -> SuiteRe
             g = random_gamble(rng, k, depth)
             perturbed = canonical_supermartingale(tree, g) + canonical_supermartingale(tree, f - g)
         cert = certified_upper_bound(perturbed, f, tree, s)
-        rec.check(cert.valid, f"trial {t}: perturbed certificate (kind {kind}) invalid")
+        rec.check(cert.valid, lambda: f"trial {t}: perturbed certificate (kind {kind}) invalid")
         rec.check(
             cert.bound >= value - tol,
-            f"trial {t}: perturbed bound {cert.bound!r} fell below the value {value!r}",
+            lambda: f"trial {t}: perturbed bound {cert.bound!r} fell below the value {value!r}",
         )
     return rec.report()
 
@@ -606,13 +608,13 @@ def envelope_axiom_suite(seed: int, trials: int = 40, tol: float = 1e-9) -> Suit
         h = rng.uniform(-5, 5, size=k)
         rec.check(
             abs(env(_one_step_gamble(k, n, h), x) - upper_expectation(local_model(tree, x), h)) <= tol,
-            f"trial {t}: envelope one-step reduction broken at {x}",
+            lambda: f"trial {t}: envelope one-step reduction broken at {x}",
         )
         f = random_gamble(rng, k, depth)
         s = random_situation(rng, k, depth)
         rec.check(
             abs(env(f, s) - env(restrict(f, s), s)) <= tol,
-            f"trial {t}: envelope conditioning broken at {s}",
+            lambda: f"trial {t}: envelope conditioning broken at {s}",
         )
         m = int(rng.integers(0, depth))
         iterated_table = np.empty((k,) * (m + 1))
@@ -623,11 +625,18 @@ def envelope_axiom_suite(seed: int, trials: int = 40, tol: float = 1e-9) -> Suit
             rhs = env(FinitaryGamble(k, iterated_table), tuple(x_m))
             rec.check(
                 abs(lhs - rhs) <= tol,
-                f"trial {t}: envelope iterated law broken at {tuple(x_m)}",
+                lambda: f"trial {t}: envelope iterated law broken at {tuple(x_m)}",
             )
         g = f + FinitaryGamble(k, rng.uniform(0, 2, size=(k,) * depth))
-        rec.check(env(f, s) <= env(g, s) + tol, f"trial {t}: envelope domination broken")
+        rec.check(env(f, s) <= env(g, s) + tol, lambda: f"trial {t}: envelope domination broken")
     return rec.report()
+
+
+class _LocalTrial(NamedTuple):
+    s: Situation
+    credal: CredalSet
+    gambles: np.ndarray  # (8, k)
+    f: np.ndarray  # extended
 
 
 def model_axiom_suites(tree: ImpreciseTree, seed: int, trials: int = 50) -> list[SuiteReport]:
@@ -635,23 +644,32 @@ def model_axiom_suites(tree: ImpreciseTree, seed: int, trials: int = 50) -> list
 
     Runs the local coherence axioms and the extended/cut-limit agreement on
     the tree's own local credal sets (sampled over situations), then the
-    global-model identity suite with the tree pinned.
+    global-model identity suite with the tree pinned.  The local trials are
+    drawn first, a chunk at a time (:func:`_chunks`), and the coherence
+    axioms of a whole chunk are checked in one pass
+    (:func:`~iptree.local._coherence_axioms`); the extended value and the
+    cut limit stay one call each per trial.
     """
     rng = np.random.default_rng(seed)
     rec = _Recorder("model-local-coherence", trials)
-    for t in range(trials):
+
+    def draw() -> _LocalTrial:
         s = random_situation(rng, tree.k, 4)
-        credal = local_model(tree, s)
-        gambles = [rng.uniform(-5, 5, size=tree.k) for _ in range(8)]
-        report = _coherence_axioms(credal, gambles)  # drawn finite and of the right length
-        rec.checks += report.checks_run
-        for v in report.violations:
-            rec.failures.append(f"trial {t} at {s}: {v.axiom} violated ({v.detail})")
-        f = random_extended(rng, tree.k)
-        rec.check(
-            extended_upper_expectation(credal, f) == _cut_limit(credal, f),
-            f"trial {t} at {s}: extended value disagrees with cut limit",
-        )
+        # Eight gambles of k draws each, as eight calls would draw them.
+        return _LocalTrial(s, local_model(tree, s), rng.uniform(-5, 5, size=(8, tree.k)), random_extended(rng, tree.k))
+
+    # A chunk's coherence pass holds each drawn cell once per extreme point.
+    for chunk in _chunks(trials, draw, lambda tr: tr.gambles.size * tr.credal.n_points):
+        # The gambles are drawn finite and of the right length.
+        points, gambles = [tr.credal.points for _, tr in chunk], np.stack([tr.gambles for _, tr in chunk])
+        for (t, tr), report in zip(chunk, _coherence_axioms(points, gambles)):
+            rec.checks += report.checks_run
+            for v in report.violations:
+                rec.failures.append(f"trial {t} at {tr.s}: {v.axiom} violated ({v.detail})")
+            rec.check(
+                extended_upper_expectation(tr.credal, tr.f) == _cut_limit(tr.credal, tr.f),
+                lambda: f"trial {t} at {tr.s}: extended value disagrees with cut limit",
+            )
     local_rep = rec.report()
     proc_rep = process_suite(seed + 1, trials, tree_factory=lambda _rng: tree)
     return [local_rep, proc_rep]
@@ -698,7 +716,7 @@ def model_oracle_suite(
             enum = envelope_sup(tree, f, s, cap=cap)
             rec.check(
                 abs(enum.value - rec_val) <= tol,
-                f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} (depth={f.depth}, s={s})",
+                lambda: f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} (depth={f.depth}, s={s})",
             )
     return rec.report()
 

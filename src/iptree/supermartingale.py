@@ -36,7 +36,7 @@ from .errors import InvalidInputError
 from .extreal import INF, check_no_nan, weighted_sum
 from .gambles import FinitaryGamble
 from .local import CredalSet, extended_upper_expectation
-from .tree import Situation, Tree, as_situation, local_model, product_levels, trie_step
+from .tree import Situation, Tree, as_situation, local_model, product_levels
 
 #: Verification slack: a situation counts as violating only beyond this.
 VERIFY_TOL = 1e-9
@@ -172,7 +172,7 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     violations = []
     checked = 0
     lo, hi = 0.0, 0.0
-    layers = product_levels(tree.assignment.step, trie_step(k, depth)[0], 0, 0, depth, trie=True)[0]
+    layers = product_levels(tree.assignment.step, None, 0, 0, depth)[0]  # along the unbuilt prefix trie
     for m in range(depth):
         value = process.levels[m].reshape(-1)
         nxt = process.levels[m + 1].reshape(-1, k)

@@ -152,26 +152,30 @@ def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes[np.sort(first)], rank[inverse]
 
 
-def product_levels(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int, levels: int, trie=False):
+def product_levels(t_step: np.ndarray, q_step: np.ndarray | None, t0: int, q0: int, levels: int):
     """The pairs (t, q) reachable from (t0, q0) in ``levels`` steps, level by
     level (a pair once per level), when a symbol y moves them to
-    (t_step[t, y], q_step[q, y]).  With ``trie``, ``q_step`` is a prefix trie
-    (:func:`trie_step`): its states name their prefixes, so every pair of a
-    level is new and none needs looking up.
+    (t_step[t, y], q_step[q, y]).  A ``q_step`` of ``None`` is the prefix
+    trie of :func:`trie_step`, unbuilt: q moves to ``k * q + 1 + y``.  Its
+    states name their prefixes, so every pair of a level is new and none
+    needs looking up.
 
     Returns each level's pairs as its t and q arrays, in order of discovery,
     and the (pairs, k) successor numbers into the next level.  A level costs
     a few array operations over all its pairs.
     """
-    n_q, k = q_step.shape
+    k = t_step.shape[1]
     layers = [(np.array([t0], dtype=np.intp), np.array([q0], dtype=np.intp))]
     transitions: list[np.ndarray] = []
     for _ in range(levels):
         t, q = layers[-1]
-        codes = (t_step[t] * n_q + q_step[q]).ravel()
-        codes, position = (codes, np.arange(len(codes))) if trie else first_seen(codes)
-        transitions.append(position.reshape(-1, k))
-        layers.append(np.divmod(codes, n_q))
+        if q_step is None:
+            transitions.append(np.arange(len(t) * k).reshape(-1, k))
+            layers.append((t_step[t].ravel(), (k * q[:, None] + np.arange(1, k + 1)).ravel()))
+        else:
+            codes, position = first_seen((t_step[t] * len(q_step) + q_step[q]).ravel())
+            transitions.append(position.reshape(-1, k))
+            layers.append(np.divmod(codes, len(q_step)))
     return layers, transitions
 
 

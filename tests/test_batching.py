@@ -49,12 +49,14 @@ from iptree.local import (
     AxiomViolation,
     CredalSet,
     StateSpace,
+    _coherence_axioms,
     check_coherence_axioms,
     lower_expectation,
     upper_expectation,
 )
 from iptree.oracle import precise_expectation
 from iptree.suites import (
+    model_axiom_suites,
     model_oracle_suite,
     process_suite,
     random_credal,
@@ -111,6 +113,17 @@ class TestSweepColumns:
             assert all(np.all(level < 0) for t in tables[:3] for level in t)
             # Payoffs carry no negative zeros, as in MachineGamble.
             assert np.signbit(gambles[-1].table).any() and not np.signbit(tables[-1][-1]).any()
+
+    def test_sweep_levels_drop_negative_zeros(self):
+        # Each product of the first level's sums underflows to -0.0, so
+        # those values are -0.0; the level above adds 0.0 to them, as a
+        # zero step reward does, and the root value is 0.0.
+        tree = ImpreciseTree(StateSpace(("a", "b", "c")), Homogeneous(CredalSet(np.array([[0.4, 0.3, 0.3]]))))
+        f = FinitaryGamble(3, np.full((3, 3), -5e-324))
+        first = value_table(tree, f)[1]
+        assert (first == 0.0).all() and np.signbit(first).all()
+        for value in (finitary_upper(tree, f), value_table(tree, f)[0]):
+            assert value == 0.0 and not np.signbit(value)
 
     def test_padded_points_never_win(self):
         # One situation has a single extreme point, the others three; every
@@ -319,6 +332,25 @@ class TestCoherenceColumns:
             assert report.checks_run == checks
             assert repr(report.violations) == repr(tuple(violations))
 
+    def test_a_chunk_pass_equals_one_trial_at_a_time(self):
+        rng = np.random.default_rng(68)
+        mixed = 0
+        for trial in range(120):
+            k, n = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+            credals = [random_credal(rng, k, max_points=4) for _ in range(int(rng.integers(1, 7)))]
+            scale = 10.0 ** rng.integers(-3, 3, size=(len(credals), 1, 1))
+            gambles = rng.uniform(-5, 5, size=(len(credals), n, k)) * scale
+            tol = float(rng.choice([1e-9, -1e-12, -1.0]))
+            reports = _coherence_axioms([c.points for c in credals], gambles, tol)
+            assert len(reports) == len(credals)
+            for credal, g, report in zip(credals, gambles, reports):
+                alone = check_coherence_axioms(credal, list(g), tol)
+                assert report.checks_run == alone.checks_run
+                assert repr(report.violations) == repr(alone.violations)
+                assert report.passed == alone.passed
+            mixed += len({c.n_points for c in credals}) > 1
+        assert mixed > 30
+
     def test_overflowing_derived_gamble_raises(self):
         credal = CredalSet(np.array([[0.5, 0.5]]))
         for gambles in ([[1e308, 0.0]], [[1.0, 0.0], [1.7e308, 1.0], [1.7e308, 0.0]]):
@@ -359,6 +391,20 @@ def test_process_suite_checks_the_conditioned_path():
     # The root sweep of f is right; the iterated gamble's sweep conditioned
     # on each length-m situation is not.
     assert any("iterated law broken" in msg for msg in report.failures)
+
+
+def test_oracle_suite_checks_the_conditioned_path():
+    # The envelope steps to the conditioning situation's tree state from the
+    # root, so it catches a sweep that starts from the wrong state.
+    rng = np.random.default_rng(66)
+    space = random_space(2)
+    root, by_state = random_credal(rng, 2), (random_credal(rng, 2), random_credal(rng, 2))
+    sound = model_oracle_suite(ImpreciseTree(space, Markov(root, by_state)), 7, 60)
+    assert sound.passed
+    report = model_oracle_suite(ImpreciseTree(space, _RootStartMarkov(root, by_state)), 7, 60)
+    assert report.checks == sound.checks and report.failures
+    # Only conditioned trials can fail: the root's state is the same.
+    assert all("s=()" not in msg for msg in report.failures)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -463,15 +509,26 @@ class TestBatteries:
         rng = np.random.default_rng(67)
         broken = ImpreciseTree(space, _RootStartMarkov(random_credal(rng, 3), tuple(random_credal(rng, 3) for _ in range(3))))
 
+        mixed = mixed_tree(rng, 3, 2)  # local models of 1 to 4 extreme points
+        coherence = suites._coherence_axioms
+
         def reports():
+            sound = model_axiom_suites(mixed, 8, 30)
+            # A tolerance below zero fails some coherence checks of every trial.
+            with mock.patch.object(suites, "_coherence_axioms", lambda points, gambles: coherence(points, gambles, -1e-12)):
+                forced = model_axiom_suites(mixed, 8, 30)
             return [
                 process_suite(8, trials=30),
                 process_suite(8, trials=30, tree_factory=lambda _rng: broken),
                 model_oracle_suite(imprecise_coin, 8, 30, depth=4, tol=-1.0),  # every trial fails, naming its values
+                *sound,
+                *forced,
             ]
 
         whole = reports()
         assert whole[1].failures and len(whole[2].failures) == 30
+        assert whole[3].passed and whole[4].passed
+        assert len({msg.split(" at ")[0] for msg in whole[5].failures}) == 30 and whole[6] == whole[4]
         monkeypatch.setattr(suites, "_CHUNK_CELLS", 1)
         assert reports() == whole
 

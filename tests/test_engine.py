@@ -551,10 +551,11 @@ class TestConcurrency:
 
 class TestTrieLayers:
     def test_a_trie_needs_no_lookups(self):
-        # A dense gamble's prefix trie: the layers taken as they come equal
-        # the layers found by looking every node up.
+        # A dense gamble's prefix trie, never built: the layers taken as
+        # they come equal the layers found by looking every node up in the
+        # materialised trie_step array.
         from iptree.gambles import MachineStack
-        from iptree.tree import product_levels
+        from iptree.tree import product_levels, trie_step
 
         rng = np.random.default_rng(41)
         for trial in range(12):
@@ -562,13 +563,14 @@ class TestTrieLayers:
             tree = _tree_of_kind(rng, k, ("homogeneous", "markov", "table")[trial % 3])
             f = random_gamble(rng, k, int(rng.integers(1, 5)))
             cols = MachineStack.of([f, -f])
-            assert cols.trie
+            assert cols.trie and cols.step is None
             s = random_situation(rng, k, int(rng.integers(0, f.depth + 1)))
             a = tree.assignment
-            args = (a.step, cols.step, a.machine_init(s), cols.read(s)[1], cols.depth - len(s))
-            fast, slow = product_levels(*args, trie=True), product_levels(*args)
-            for a, b in zip(fast, slow):
-                assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+            args = (a.machine_init(s), cols.read(s)[1], cols.depth - len(s))
+            fast = product_levels(a.step, None, *args)
+            slow = product_levels(a.step, trie_step(k, f.depth)[0], *args)
+            for got, want in zip(fast, slow):
+                assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestArraysOnly:
