@@ -17,7 +17,12 @@ Only ``eval`` takes ``--tol``, ``--max-horizon`` (the limit policy of its
 queries) and ``--timing``; no ``check`` battery reads them, and ``check``
 rejects them as unrecognized arguments.  Only ``check`` takes ``--seed``,
 the seed of its randomized batteries, and echoes it in its report; ``eval``
-runs nothing randomized and rejects it.
+runs nothing randomized and rejects it.  Each ``check`` battery exits 2 on
+the ``check`` arguments it does not read: ``axioms`` and ``oracle`` on a
+certificate file, ``--expr`` and ``--at``, ``axioms`` and ``cert`` on
+``--depth``, and ``cert`` on ``--trials``.  ``eval`` takes a query file or
+inline queries (``--expr``, ``--hit-time``, ``--hit-prob`` and their
+``--at``), not both; an inline flag counts as given even when it is empty.
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON, a failed query's error included).  A JSON report is
@@ -62,7 +67,6 @@ from .expr import compile_gamble, parse_gamble
 from .extreal import fmt
 from .gambles import DEFAULT_TABLE_CAP, hitting_event_variable, hitting_time_variable
 from .modelio import SCHEMA_VERSION, load_certificate_file, load_model_file, load_queries_file
-from .oracle import ORACLE_TOL
 from .supermartingale import certified_upper_bound
 from .suites import model_axiom_suites, model_oracle_suite
 from .tree import format_situation, parse_situation
@@ -83,6 +87,19 @@ def _env_defaults() -> tuple:
 #: Most trials a ``check`` battery runs: a battery's time grows with its
 #: trials, so a larger count is refused before any of them is drawn.
 _MAX_TRIALS = 10_000
+
+#: ``--trials`` and ``--depth`` where a battery reads them and they are not given.
+_DEFAULT_TRIALS, _DEFAULT_DEPTH = 50, 3
+
+#: The ``check`` arguments that only some batteries read: argument -> (its
+#: name in messages, the batteries that read it).
+_BATTERY_ARGS = {
+    "target": ("a certificate file", ("cert",)),
+    "expr": ("--expr", ("cert",)),
+    "at": ("--at", ("cert",)),
+    "trials": ("--trials", ("axioms", "oracle")),
+    "depth": ("--depth", ("oracle",)),
+}
 
 
 def _int_at_least(low: int, high: int | None = None):
@@ -149,7 +166,7 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     p_eval.add_argument("--timing", action="store_true", help="include wall-clock fields (breaks byte-identical reports)")
     p_eval.add_argument("--query", help="query JSON file")
     p_eval.add_argument("--expr", help="inline gamble expression")
-    p_eval.add_argument("--at", default="", help="conditioning situation, comma-joined labels")
+    p_eval.add_argument("--at", help="conditioning situation of inline queries, comma-joined labels")
     p_eval.add_argument("--hit-time", metavar="STATES", help="inline hitting-time query, comma-joined target labels")
     p_eval.add_argument("--hit-prob", metavar="STATES", help="inline hitting-probability query")
 
@@ -159,12 +176,14 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
     p_check.add_argument("--seed", type=_int_at_least(0), default=seed, help="seed for randomized suites")
     p_check.add_argument("target", nargs="?", help="certificate file (cert mode)")
     p_check.add_argument("--expr", help="gamble expression the certificate covers (cert mode)")
-    p_check.add_argument("--at", default="", help="conditioning situation (cert mode)")
+    p_check.add_argument("--at", help="conditioning situation (cert mode)")
     p_check.add_argument(
-        "--trials", type=_int_at_least(1, _MAX_TRIALS), default=50,
-        help=f"trials per randomized suite (at most {_MAX_TRIALS})",
+        "--trials", type=_int_at_least(1, _MAX_TRIALS),
+        help=f"trials per randomized suite (default {_DEFAULT_TRIALS}, at most {_MAX_TRIALS})",
     )
-    p_check.add_argument("--depth", type=_int_at_least(1), default=3, help="gamble depth for the oracle battery")
+    p_check.add_argument(
+        "--depth", type=_int_at_least(1), help=f"gamble depth for the oracle battery (default {_DEFAULT_DEPTH})"
+    )
     return parser
 
 
@@ -216,7 +235,7 @@ def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
     space = tree.state_space
     kind = query["kind"]
     policy = _policy_from(args, query.get("policy", {}), path)
-    if args.query:  # a query file's fields are named by their JSON paths
+    if args.query is not None:  # a query file's fields are named by their JSON paths
         sources = {name: f"{path}.{name}" for name in ("condition", "targets", "expression")}
     else:  # inline queries' by their flags
         sources = {"condition": "--at", "targets": "--" + kind.replace("_", "-"), "expression": "--expr"}
@@ -365,8 +384,8 @@ def _emit(report: dict, args) -> None:
 
 def _cmd_eval(args) -> int:
     queries: list[dict] = []
-    if args.query:
-        if args.expr or args.hit_time or args.hit_prob:
+    if args.query is not None:
+        if any(flag is not None for flag in (args.expr, args.at, args.hit_time, args.hit_prob)):
             print("error: --query and inline query flags are mutually exclusive", file=sys.stderr)
             return 2
         model_ref, queries = load_queries_file(args.query)
@@ -376,13 +395,14 @@ def _cmd_eval(args) -> int:
         print("error: --model is required (or set IPTREE_MODEL, or name a model in the query file)", file=sys.stderr)
         return 2
     tree = load_model_file(args.model)
-    if not args.query:
-        if args.expr:
-            queries.append({"kind": "eval", "expression": args.expr, "condition": args.at, "policy": {}})
-        if args.hit_time:
-            queries.append({"kind": "hit_time", "targets": args.hit_time.split(","), "condition": args.at, "policy": {}})
-        if args.hit_prob:
-            queries.append({"kind": "hit_prob", "targets": args.hit_prob.split(","), "condition": args.at, "policy": {}})
+    if args.query is None:
+        at = "" if args.at is None else args.at
+        if args.expr is not None:
+            queries.append({"kind": "eval", "expression": args.expr, "condition": at, "policy": {}})
+        if args.hit_time is not None:
+            queries.append({"kind": "hit_time", "targets": args.hit_time.split(","), "condition": at, "policy": {}})
+        if args.hit_prob is not None:
+            queries.append({"kind": "hit_prob", "targets": args.hit_prob.split(","), "condition": at, "policy": {}})
     report = {
         "schema": SCHEMA_VERSION,
         "command": "eval",
@@ -413,6 +433,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    unread = [
+        name for dest, (name, readers) in _BATTERY_ARGS.items()
+        if getattr(args, dest) is not None and args.what not in readers
+    ]
+    if unread:
+        print(f"error: check {args.what} does not read {', '.join(unread)}", file=sys.stderr)
+        return 2
     if not args.model:
         print("error: --model is required (or set IPTREE_MODEL)", file=sys.stderr)
         return 2
@@ -425,27 +452,26 @@ def _cmd_check(args) -> int:
         "seed": args.seed,
     }
     passed = True
+    trials = _DEFAULT_TRIALS if args.trials is None else args.trials
     if args.what == "axioms":
-        suites = model_axiom_suites(tree, seed=args.seed, trials=args.trials)
+        suites = model_axiom_suites(tree, seed=args.seed, trials=trials)
         report["suites"] = [r.to_json() for r in suites]
         passed = all(r.passed for r in suites)
     elif args.what == "oracle":
-        suite = _named(
-            "--depth",
-            lambda: model_oracle_suite(tree, seed=args.seed, trials=args.trials, depth=args.depth, tol=ORACLE_TOL),
-        )
+        depth = _DEFAULT_DEPTH if args.depth is None else args.depth
+        suite = _named("--depth", lambda: model_oracle_suite(tree, seed=args.seed, trials=trials, depth=depth))
         report["suites"] = [suite.to_json()]
         passed = suite.passed
     else:  # cert
-        if not args.target:
+        if args.target is None:
             print("error: check cert needs a certificate file", file=sys.stderr)
             return 2
-        if not args.expr:
+        if args.expr is None:
             print("error: check cert needs --expr for the covered gamble", file=sys.stderr)
             return 2
         process, declared = load_certificate_file(args.target, tree.state_space)
         f = _named("--expr", lambda: compile_gamble(parse_gamble(args.expr, tree.state_space)))
-        s = _named("--at", parse_situation, tree.state_space, args.at)
+        s = _named("--at", parse_situation, tree.state_space, "" if args.at is None else args.at)
         # The certificate rejects a gamble deeper than itself, else a situation past it.
         source = "--expr" if f.depth > process.depth else "--at"
         cert = _named(source, certified_upper_bound, process, f, tree, s)

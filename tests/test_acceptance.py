@@ -13,17 +13,9 @@ from iptree.engine import Policy, StopReason, adversarial_selection, finitary_up
 from iptree.gambles import hitting_event_variable, hitting_indicator, hitting_time_variable
 from iptree.local import CredalSet, StateSpace
 from iptree.oracle import domination_check, envelope_sup, sample_compatible
-from iptree.suites import (
-    certificate_suite,
-    coherence_suite,
-    degenerate_tree,
-    extended_suite,
-    fatou_suite,
-    oracle_suite,
-    precise_collapse_suite,
-    process_suite,
-)
+from iptree.suites import degenerate_tree, oracle_suite, process_suite
 from iptree.tree import Homogeneous, ImpreciseTree, local_model
+from property_suites import certificate_suite, coherence_suite, extended_suite, fatou_suite, precise_collapse_suite
 
 
 def _report(number: int, name: str, passed: bool, detail: str = ""):

@@ -224,6 +224,30 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["results"][0]["upper"] == pytest.approx(0.6)
 
+    @pytest.mark.parametrize(
+        "flag, error",
+        [
+            ("--expr", "line 1, column 1: expected a factor, found 'end of input'"),
+            ("--hit-time", "--hit-time: unknown state label ''; states are ['H', 'T']"),
+            ("--hit-prob", "--hit-prob: unknown state label ''; states are ['H', 'T']"),
+        ],
+        ids=["expr", "hit-time", "hit-prob"],
+    )
+    def test_an_empty_inline_query_is_run(self, capsys, model_file, flag, error):
+        code, out = run(capsys, "eval", "--model", model_file, flag, "")
+        assert code == 2
+        (rec,) = json.loads(out)["results"]
+        assert rec["query"]["condition"] == "" and rec["error"] == error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--at", "ZZZ"], ["--at", ""], ["--expr", ""], ["--hit-time", ""], ["--hit-prob", ""]],
+        ids=["at", "empty-at", "empty-expr", "empty-hit-time", "empty-hit-prob"],
+    )
+    def test_a_query_file_takes_no_inline_flag(self, capsys, model_file, query_file, argv):
+        assert main(["eval", "--model", model_file, "--query", query_file, *argv]) == 2
+        assert capsys.readouterr() == ("", "error: --query and inline query flags are mutually exclusive\n")
+
 
 class TestCheck:
     def test_axioms_pass(self, capsys, model_file):
@@ -338,6 +362,24 @@ class TestCheck:
             main(["check", "--model", model_file, "axioms", flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    CERT = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "cert_two_heads.json")
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["oracle", "--trials", "1", "--expr", "nope", "--at", "Q"], "--expr, --at"),
+            (["oracle", "--trials", "1", "--at", ""], "--at"),
+            (["axioms", "--trials", "1", "--depth", "7"], "--depth"),
+            (["axioms", "nothing.json", "--trials", "1"], "a certificate file"),
+            (["cert", CERT, "--expr", "ind(X[1]==H && X[2]==H)", "--trials", "1"], "--trials"),
+            (["cert", CERT, "--expr", "ind(X[1]==H && X[2]==H)", "--depth", "3"], "--depth"),
+        ],
+        ids=["oracle-expr-at", "oracle-empty-at", "axioms-depth", "axioms-file", "cert-trials", "cert-depth"],
+    )
+    def test_battery_rejects_arguments_it_does_not_read(self, capsys, model_file, argv, unread):
+        assert main(["check", "--model", model_file, *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: check {argv[0]} does not read {unread}\n")
 
     def test_policy_variables_do_not_reach_check(self, capsys, model_file, monkeypatch):
         monkeypatch.setenv("IPTREE_TOL", "tight")

@@ -20,13 +20,7 @@ from iptree.oracle import (
     sample_compatible,
     selection_tree,
 )
-from iptree.suites import (
-    model_oracle_suite,
-    random_gamble,
-    random_precise_tree,
-    random_situation,
-    random_tree,
-)
+from iptree.suites import model_oracle_suite, random_gamble, random_situation, random_tree
 from iptree.tree import (
     DEFAULT_ENUM_CAP,
     Homogeneous,
@@ -38,6 +32,7 @@ from iptree.tree import (
     is_compatible,
     local_model,
 )
+from property_suites import random_precise_tree
 
 
 def expr_gamble(source, space):
@@ -223,7 +218,7 @@ class TestEnvelope:
 
 class TestEnvelopeAxioms:
     def test_identities_hold_for_the_envelope_itself(self):
-        from iptree.suites import envelope_axiom_suite
+        from property_suites import envelope_axiom_suite
 
         report = envelope_axiom_suite(seed=51, trials=25)
         assert report.passed, report.failures[:3]

@@ -8,8 +8,9 @@ from iptree.engine import finitary_lower, finitary_upper
 from iptree.gambles import FinitaryGamble, restrict
 from iptree.local import CredalSet, upper_expectation
 from iptree.oracle import precise_expectation
-from iptree.suites import random_precise_tree, random_tree
+from iptree.suites import random_tree
 from iptree.tree import Homogeneous, ImpreciseTree, all_situations
+from property_suites import random_precise_tree
 
 
 @st.composite

@@ -17,14 +17,9 @@ from iptree.supermartingale import (
     certified_upper_bound,
     verify,
 )
-from iptree.suites import (
-    random_gamble,
-    random_precise_tree,
-    random_situation,
-    random_space,
-    random_tree,
-)
+from iptree.suites import random_gamble, random_situation, random_space, random_tree
 from iptree.tree import Homogeneous, ImpreciseTree, Markov, Table, all_situations, local_model
+from property_suites import random_precise_tree
 
 
 def expr_gamble(source, space):
