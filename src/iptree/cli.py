@@ -22,7 +22,8 @@ the ``check`` arguments it does not read: ``axioms`` and ``oracle`` on a
 certificate file, ``--expr`` and ``--at``, ``axioms`` and ``cert`` on
 ``--depth``, and ``cert`` on ``--trials``.  ``eval`` takes a query file or
 inline queries (``--expr``, ``--hit-time``, ``--hit-prob`` and their
-``--at``), not both; an inline flag counts as given even when it is empty.
+``--at``), not both; an inline flag counts as given even when it is empty,
+and ``--at`` without an inline query exits 2.
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON, a failed query's error included).  A JSON report is
@@ -42,7 +43,8 @@ when they have changed since the last call.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
 the flag, and so is an unknown label in a ``condition`` or ``targets``, an
-expression whose table would exceed its cap, and a ``check oracle``
+expression that fails to parse (before its line and column) or whose table
+would exceed its cap, and a ``check oracle``
 ``--depth`` whose gambles would exceed the table cap (checked before any
 gamble is drawn) or whose enumeration would exceed its cap.
 
@@ -62,7 +64,7 @@ import time
 from json.encoder import encode_basestring_ascii
 
 from .engine import Policy, finitary_lower, finitary_uppers, limit_bounds
-from .errors import InvalidInputError, IptreeError, ResourceLimitError
+from .errors import ExprError, InvalidInputError, IptreeError, ResourceLimitError
 from .expr import compile_gamble, parse_gamble
 from .extreal import fmt
 from .gambles import DEFAULT_TABLE_CAP, hitting_event_variable, hitting_time_variable
@@ -221,14 +223,17 @@ def _compiled(compiled: dict, source: str, space, cap: int):
 
 
 def _named(source: str, call, *call_args):
-    """``call(*call_args)``, an input or size-cap error it raises prefixed
-    with ``source``, the JSON path or flag of the input it read."""
+    """``call(*call_args)``, an input, size-cap or expression error it
+    raises prefixed with ``source``, the JSON path or flag of the input it
+    read."""
     try:
         return call(*call_args)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{source}: {exc}") from None
     except ResourceLimitError as exc:
         raise ResourceLimitError(f"{source}: {exc}") from None
+    except ExprError as exc:
+        raise ExprError(exc.message, exc.line, exc.column, source) from None
 
 
 def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
@@ -391,6 +396,9 @@ def _cmd_eval(args) -> int:
         model_ref, queries = load_queries_file(args.query)
         if not args.model and model_ref:
             args.model = model_ref
+    elif args.at is not None and all(flag is None for flag in (args.expr, args.hit_time, args.hit_prob)):
+        print("error: --at applies only to inline queries (--expr, --hit-time, --hit-prob), and none is given", file=sys.stderr)
+        return 2
     if not args.model:
         print("error: --model is required (or set IPTREE_MODEL, or name a model in the query file)", file=sys.stderr)
         return 2

@@ -33,11 +33,15 @@ class SchemaError(IptreeError, ValueError):
 class ExprError(IptreeError, ValueError):
     """A gamble expression failed to parse or refers to unknown names.
 
-    Carries the 1-based ``line`` and ``column`` of the offending token.
+    Carries the 1-based ``line`` and ``column`` of the offending token; the
+    text starts with ``source``, the flag or JSON path the expression was
+    read from, when one is given.
     """
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int, source: str | None = None):
+        where = f"line {line}, column {column}: {message}"
+        super().__init__(where if source is None else f"{source}: {where}")
+        self.message = message
         self.line = line
         self.column = column
 

@@ -30,25 +30,28 @@ its operator's source text, a key of :data:`ARITHMETIC` (``+ - * min max``)
 or of :data:`LOGIC` (``&& ||``), which map it to the NumPy ufunc the
 compiler applies; unary minus is ``0 - x``.
 
-An expression nests at most :data:`MAX_NESTING` levels deep, which the
-parser checks before it recurses any further; the tokenizer hands it one
-token at a time, so a source fails having read only the tokens up to the
-failure.  The parser, the compiler and
-:func:`unparse` recurse once or a few times per level, and each raises
-Python's recursion limit by what that many levels take while it runs.
+A number literal is a double and must be finite: ``1e400`` fails at its
+position.  An expression nests at most :data:`MAX_NESTING` levels deep,
+which the parser checks before it recurses any further; the tokenizer
+hands it one token at a time, a tuple from one regex match, so a source
+fails having read only the tokens up to the failure.  The parser, the
+compiler and :func:`unparse` recurse once or a few times per level, and
+each raises Python's recursion limit by what that many levels take while
+it runs.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import ExprError, ResourceLimitError
+from .errors import ExprError, InvalidInputError, ResourceLimitError
 from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble
 from .local import StateSpace
 
@@ -73,57 +76,58 @@ _CALLS = ("min", "max")
 LOGIC = {"&&": np.bitwise_and, "||": np.bitwise_or}
 
 
-@contextmanager
-def _room_for_nesting():
-    """Python's recursion limit raised by what :data:`MAX_NESTING` levels
-    take, for the duration."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING + 50)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
+def _room_for_nesting(function):
+    """``function`` run with Python's recursion limit raised by what
+    :data:`MAX_NESTING` levels take."""
 
+    @functools.wraps(function)
+    def run(*args, **kwargs):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + _FRAMES_PER_LEVEL * MAX_NESTING + 50)
+        try:
+            return function(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return run
+
+
+#: One token after any blanks, its kind the name of its group; ``end``
+#: matches at the end of the source.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>\.\.|==|&&|\|\||[-+*=(),!\[\]])
-  | (?P<ws>[ \t]+)
-  | (?P<newline>\n)
-  | (?P<bad>.)
+    [ \t]*
+    (?:
+      (?P<op>\.\.|==|&&|\|\||[-+*=(),!\[\]])
+    | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<newline>\n)
+    | (?P<end>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'number' | 'name' | 'op' | 'end'
-    text: str
-    line: int
-    column: int
+#: A token: its kind ('number', 'name', 'op' or 'end'), text, line and column.
+Token = tuple[str, str, int, int]
 
 
 def _tokenize(source: str) -> Iterator[Token]:
-    """The tokens of ``source``, read as the parser asks for them, then an
-    end token."""
-    line, col = 1, 1
+    """The tokens of ``source``, read as the parser asks for them, the last
+    an end token."""
+    line, line_start = 1, 0  # the current line and its offset in source
     for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        text = match.group()
-        if kind == "ws":
-            col += len(text)
-            continue
+        start = match.start(kind)
         if kind == "newline":
-            line += 1
-            col = 1
-            continue
-        if kind == "bad":
-            raise ExprError(f"unexpected character {text!r}", line, col)
-        yield Token(kind, text, line, col)
-        col += len(text)
-    yield Token("end", "", line, col)
+            line, line_start = line + 1, start + 1
+        elif kind == "bad":
+            raise ExprError(f"unexpected character {match[kind]!r}", line, start - line_start + 1)
+        else:
+            yield kind, match[kind], line, start - line_start + 1
+            if kind == "end":  # after trailing blanks, \Z would match once more
+                return
 
 
 # --- abstract syntax ---------------------------------------------------------
@@ -193,17 +197,14 @@ class _Parser:
         self.max_index = 0
         self.open = 0  # constructs open around the current token
 
-    def peek(self) -> Token:
-        return self.tok
-
     def advance(self) -> Token:
         tok = self.tok
         self.tok = next(self.tokens, tok)  # the end token stays current
         return tok
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ExprError(message, tok.line, tok.column)
+        _, _, line, column = tok or self.tok
+        raise ExprError(message, line, column)
 
     # Each parse method returns its node and the node's height: the
     # operators on its longest path down.
@@ -217,34 +218,33 @@ class _Parser:
         self.open -= 1
         return parsed
 
-    def made(self, tok: Token, node, *heights: int):
-        """``node``, an operator at ``tok`` over operands of ``heights``."""
-        height = 1 + max(heights, default=0)
-        if height > MAX_NESTING:
+    def made(self, tok: Token, node, height: int):
+        """``node``, an operator at ``tok`` over operands up to ``height`` high."""
+        if height >= MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
-        return node, height
+        return node, height + 1
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            got = tok.text or "end of input"
-            self.fail(f"expected {text!r}, found {got!r}")
-        return self.advance()
+    def expect(self, text: str) -> None:
+        """Pass the current token, which must read ``text``."""
+        tok = self.tok
+        if tok[1] != text:
+            self.fail(f"expected {text!r}, found {tok[1] or 'end of input'!r}")
+        self.tok = next(self.tokens, tok)
 
     def parse(self) -> Expr:
         expr, _ = self.expression()
-        if self.peek().kind != "end":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        if self.tok[0] != "end":
+            self.fail(f"unexpected trailing input {self.tok[1]!r}")
         return expr
 
     def chain(self, operand, ops: tuple[str, ...], node_type):
         """``operand()`` { op ``operand()`` } for op in ``ops``, as
         ``node_type(op, left, right)`` nodes grouped to the left."""
         node, height = operand()
-        while self.peek().text in ops:
+        while self.tok[1] in ops:
             op = self.advance()
             rhs, rhs_height = operand()
-            node, height = self.made(op, node_type(op.text, node, rhs), height, rhs_height)
+            node, height = self.made(op, node_type(op[1], node, rhs), max(height, rhs_height))
         return node, height
 
     def expression(self) -> tuple[Expr, int]:
@@ -254,46 +254,51 @@ class _Parser:
         return self.chain(self.factor, ("*",), BinOp)
 
     def factor(self) -> tuple[Expr, int]:
-        tok = self.peek()
-        if tok.kind == "number":
+        tok = self.tok
+        kind, text = tok[0], tok[1]
+        if kind == "number":
             self.advance()
-            return Num(float(tok.text)), 0
-        if tok.text == "(":
+            value = float(text)
+            if value == math.inf:
+                self.fail(f"number {text} is past the float range", tok)
+            return Num(value), 0
+        if text == "(":
             self.advance()
             parsed = self.nested(self.expression, tok)
             self.expect(")")
             return parsed
-        if tok.text == "-":
+        if text == "-":
             # Unary minus as 0 - factor keeps the grammar tiny.
             self.advance()
             node, height = self.nested(self.factor, tok)
             return self.made(tok, BinOp("-", Num(0.0), node), height)
-        if tok.kind == "name":
-            if tok.text == "ind":
+        if kind == "name":
+            if text == "ind":
                 self.advance()
                 self.expect("(")
                 cond, height = self.nested(self.bool_or, tok)
                 self.expect(")")
                 return self.made(tok, Ind(cond), height)
-            if tok.text in _CALLS:
+            if text in _CALLS:
                 self.advance()
                 self.expect("(")
                 a, a_height = self.nested(self.expression, tok)
                 self.expect(",")
                 b, b_height = self.nested(self.expression, tok)
                 self.expect(")")
-                return self.made(tok, BinOp(tok.text, a, b), a_height, b_height)
-            if tok.text == "sum":
+                return self.made(tok, BinOp(text, a, b), max(a_height, b_height))
+            if text == "sum":
                 return self.made(tok, *self.sum_over())
-        self.fail(f"expected a factor, found {tok.text or 'end of input'!r}", tok)
+        self.fail(f"expected a factor, found {text or 'end of input'!r}", tok)
 
     def sum_over(self) -> tuple[Expr, int]:
         self.expect("sum")
         self.expect("(")
-        var_tok = self.peek()
-        if var_tok.kind != "name":
+        var_tok = self.tok
+        if var_tok[0] != "name":
             self.fail("expected a sum variable name")
-        var = self.advance().text
+        self.advance()
+        var = var_tok[1]
         if var in self.bound:
             self.fail(f"sum variable {var!r} shadows an enclosing one", var_tok)
         self.expect("=")
@@ -313,11 +318,11 @@ class _Parser:
         return SumOver(var, lo, hi, body), height
 
     def int_literal(self) -> int:
-        tok = self.peek()
-        if tok.kind != "number" or not tok.text.isdigit():
+        kind, text, _, _ = self.tok
+        if kind != "number" or not text.isdigit():
             self.fail("expected an integer")
         self.advance()
-        return int(tok.text)
+        return int(text)
 
     def bool_or(self) -> tuple[BoolExpr, int]:
         return self.chain(self.bool_and, ("||",), BoolOp)
@@ -326,54 +331,53 @@ class _Parser:
         return self.chain(self.bool_not, ("&&",), BoolOp)
 
     def bool_not(self) -> tuple[BoolExpr, int]:
-        if self.peek().text == "!":
+        if self.tok[1] == "!":
             tok = self.advance()
             node, height = self.nested(self.bool_not, tok)
             return self.made(tok, BoolNot(node), height)
         return self.bool_atom()
 
     def bool_atom(self) -> tuple[BoolExpr, int]:
-        tok = self.peek()
-        if tok.text == "(":
+        tok = self.tok
+        if tok[1] == "(":
             self.advance()
             parsed = self.nested(self.bool_or, tok)
             self.expect(")")
             return parsed
-        if tok.text != "X":
-            self.fail(f"expected a state test, found {tok.text or 'end of input'!r}", tok)
+        if tok[1] != "X":
+            self.fail(f"expected a state test, found {tok[1] or 'end of input'!r}", tok)
         self.advance()
         self.expect("[")
-        idx_tok = self.peek()
-        if idx_tok.kind == "number":
+        idx_tok = self.tok
+        kind, text = idx_tok[0], idx_tok[1]
+        if kind == "number":
             self.advance()
-            if not idx_tok.text.isdigit():
+            if not text.isdigit():
                 self.fail("state position must be an integer", idx_tok)
-            index: Union[int, str] = int(idx_tok.text)
+            index: Union[int, str] = int(text)
             if index <= 0:
                 self.fail(f"state positions are 1-based, got {index}", idx_tok)
             self.max_index = max(self.max_index, index)
-        elif idx_tok.kind == "name":
+        elif kind == "name":
             self.advance()
-            if idx_tok.text not in self.bound:
-                self.fail(f"unbound index variable {idx_tok.text!r}", idx_tok)
-            index = idx_tok.text
+            if text not in self.bound:
+                self.fail(f"unbound index variable {text!r}", idx_tok)
+            index = text
         else:
             self.fail("expected a state position", idx_tok)
         self.expect("]")
         self.expect("==")
-        label_tok = self.peek()
-        if label_tok.kind != "name":
+        label_tok = self.tok
+        if label_tok[0] != "name":
             self.fail("expected a state label", label_tok)
         self.advance()
-        if label_tok.text not in self.space.labels:
-            self.fail(
-                f"unknown state label {label_tok.text!r}; states are {list(self.space.labels)}",
-                label_tok,
-            )
-        return StateIs(index, self.space.index(label_tok.text)), 0
+        try:
+            return StateIs(index, self.space.index(label_tok[1])), 0
+        except InvalidInputError as exc:
+            self.fail(str(exc), label_tok)
 
 
-@_room_for_nesting()
+@_room_for_nesting
 def parse_gamble(source: str, space: StateSpace) -> GambleExpr:
     """Parse ``source`` into an expression over ``space``.
 
@@ -385,7 +389,7 @@ def parse_gamble(source: str, space: StateSpace) -> GambleExpr:
     return GambleExpr(root, space, parser.max_index)
 
 
-@_room_for_nesting()
+@_room_for_nesting
 def compile_gamble(
     expr: GambleExpr, depth: int | None = None, cap: int = DEFAULT_TABLE_CAP
 ) -> FinitaryGamble:
@@ -409,29 +413,44 @@ def compile_gamble(
         raise ResourceLimitError(f"table would need {cells} cells, cap is {cap}")
 
     # Each node's value broadcasts against the table: a number is a scalar
-    # and X[i]==A a mask of size k on axis i-1, so every cell gets the same
-    # scalar operations in the same order as on full tables, and only the
-    # root is expanded to all k**n cells.
+    # and X[i]==A row A of the identity on axis i-1, with only the later
+    # axes after it, so every cell gets the same scalar operations in the
+    # same order as on full tables, and only the root is expanded to all
+    # k**n cells.  Each X[i]==A is built once, as a mask and as 0/1
+    # payoffs; ``env`` binds the open sum variables.
+    identity = np.identity(k, dtype=bool)
+    masks: dict[tuple[int, int], np.ndarray] = {}
+    payoffs: dict[tuple[int, int], np.ndarray] = {}
+
     def eval_num(node: Expr, env: dict[str, int]):
         if isinstance(node, Num):
-            return np.float64(node.value)
+            return node.value
         if isinstance(node, BinOp):
             return ARITHMETIC[node.op](eval_num(node.left, env), eval_num(node.right, env))
         if isinstance(node, Ind):
-            return eval_bool(node.condition, env).astype(float)
+            test = node.condition
+            if not isinstance(test, StateIs):
+                return eval_bool(test, env).astype(float)
+            key = (env[test.index] if isinstance(test.index, str) else test.index, test.state)
+            if key not in payoffs:
+                payoffs[key] = eval_bool(test, env).astype(float)
+            return payoffs[key]
         if isinstance(node, SumOver):
             total = np.float64(0.0)
-            for i in range(node.lo, node.hi + 1):
-                total = total + eval_num(node.body, {**env, node.var: i})
+            for env[node.var] in range(node.lo, node.hi + 1):
+                total = total + eval_num(node.body, env)
+            del env[node.var]
             return total
         raise TypeError(f"unknown node {node!r}")
 
     def eval_bool(node: BoolExpr, env: dict[str, int]) -> np.ndarray:
         if isinstance(node, StateIs):
-            pos = env[node.index] if isinstance(node.index, str) else node.index
-            axis_shape = [1] * n
-            axis_shape[pos - 1] = k
-            return (np.arange(k) == node.state).reshape(axis_shape)
+            key = (env[node.index] if isinstance(node.index, str) else node.index, node.state)
+            if key not in masks:
+                if not 0 < key[0] <= n:
+                    raise InvalidInputError(f"state position {key[0]} is outside 1..{n}")
+                masks[key] = identity[node.state].reshape((k,) + (1,) * (n - key[0]))
+            return masks[key]
         if isinstance(node, BoolOp):
             return LOGIC[node.op](eval_bool(node.left, env), eval_bool(node.right, env))
         if isinstance(node, BoolNot):
@@ -441,11 +460,12 @@ def compile_gamble(
     # A payoff past the float range overflows here, and inf - inf or
     # inf * 0 gives NaN; FinitaryGamble rejects both, so no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.array(np.broadcast_to(eval_num(expr.root, {}), (k,) * n), dtype=float)
+        table = np.empty((k,) * n)
+        table[...] = eval_num(expr.root, {})
     return FinitaryGamble(k, table)
 
 
-@_room_for_nesting()
+@_room_for_nesting
 def unparse(expr: GambleExpr) -> str:
     """Render an expression back to source the parser accepts."""
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from iptree import cli
 from iptree.cli import main
 from iptree.engine import Policy
-from iptree.errors import ResourceLimitError
+from iptree.errors import ExprError, ResourceLimitError
 from iptree.expr import MAX_NESTING, MAX_TABLE_DEPTH, compile_gamble, parse_gamble
 from iptree.local import StateSpace
 from iptree.modelio import load_model
@@ -182,7 +182,7 @@ class TestEval:
         assert code == 2
         assert out.splitlines()[-2:] == [
             "[0] eval  'ind(X[1]==Z)'",
-            "    error: line 1, column 11: unknown state label 'Z'; states are ['H', 'T']",
+            "    error: --expr: line 1, column 11: unknown state label 'Z'; states are ['H', 'T']",
         ]
 
     @pytest.mark.parametrize(
@@ -227,7 +227,7 @@ class TestEval:
     @pytest.mark.parametrize(
         "flag, error",
         [
-            ("--expr", "line 1, column 1: expected a factor, found 'end of input'"),
+            ("--expr", "--expr: line 1, column 1: expected a factor, found 'end of input'"),
             ("--hit-time", "--hit-time: unknown state label ''; states are ['H', 'T']"),
             ("--hit-prob", "--hit-prob: unknown state label ''; states are ['H', 'T']"),
         ],
@@ -247,6 +247,45 @@ class TestEval:
     def test_a_query_file_takes_no_inline_flag(self, capsys, model_file, query_file, argv):
         assert main(["eval", "--model", model_file, "--query", query_file, *argv]) == 2
         assert capsys.readouterr() == ("", "error: --query and inline query flags are mutually exclusive\n")
+
+    @pytest.mark.parametrize("at", ["ZZZ", "H", ""])
+    def test_at_without_an_inline_query_exits_2(self, capsys, model_file, at):
+        assert main(["eval", "--model", model_file, "--at", at]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --at applies only to inline queries")
+
+
+class TestExpressionErrors:
+    """An expression error names its flag or JSON path before its position,
+    from every entry point, and stays an ExprError with its line and column."""
+
+    SHADOWED = "sum(i=1..3, ind(X[i]==H)) + sum(i=1..2, sum(i=1..2, 1))"
+    CASES = [
+        (SHADOWED, "line 1, column 45: sum variable 'i' shadows an enclosing one"),
+        ("ind(", "line 1, column 5: expected a state test, found 'end of input'"),
+        ("1 +\n 2 $", "line 2, column 4: unexpected character '$'"),
+        ("1e400 - 1e400", "line 1, column 1: number 1e400 is past the float range"),
+        ("1 + 2e999", "line 1, column 5: number 2e999 is past the float range"),
+    ]
+
+    @pytest.mark.parametrize("source, message", CASES)
+    def test_every_entry_point(self, capsys, tmp_path, model_file, source, message):
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
+        assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [f"--expr: {message}"]
+        queries = [{"kind": "eval", "expression": "1"}, {"kind": "lower", "expression": source}]
+        code, _, records = _eval_queries(capsys, tmp_path, MODEL, queries)
+        assert code == 2 and [rec.get("error") for rec in records] == [None, f"queries[1].expression: {message}"]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"schema": 1, "depth": 0, "lower_bound": 1.0, "table": {"": 1.0}}))
+        code = main(["check", "--model", model_file, "cert", str(cert), "--expr", source])
+        assert code == 2 and capsys.readouterr().err == f"error: --expr: {message}\n"
+
+    def test_the_named_error_keeps_its_type_and_position(self):
+        space = StateSpace(("H", "T"))
+        with pytest.raises(ExprError) as err:
+            cli._named("queries[0].expression", parse_gamble, "1 +\n ind(X[0]==H)", space)
+        assert (err.value.line, err.value.column, err.value.message) == (2, 8, "state positions are 1-based, got 0")
+        assert str(err.value) == "queries[0].expression: line 2, column 8: state positions are 1-based, got 0"
 
 
 class TestCheck:
@@ -687,13 +726,13 @@ class TestDeepExpressions:
         source, column = self.DEEP[kind]
         message = f"line 1, column {column}: expression nests deeper than {MAX_NESTING} levels"
         code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
-        assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [message]
+        assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [f"--expr: {message}"]
         code, _, records = _eval_queries(capsys, tmp_path, MODEL, [{"kind": "lower", "expression": source}])
-        assert code == 2 and [rec["error"] for rec in records] == [message]
+        assert code == 2 and [rec["error"] for rec in records] == [f"queries[0].expression: {message}"]
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"schema": 1, "depth": 0, "lower_bound": 1.0, "table": {"": 1.0}}))
         code = main(["check", "--model", model_file, "cert", str(cert), "--expr", source])
-        assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+        assert code == 2 and capsys.readouterr().err == f"error: --expr: {message}\n"
 
     def test_the_limit_runs(self, capsys, model_file):
         source = "(" * MAX_NESTING + "1" + "+1" * (MAX_NESTING - 1) + ")" * MAX_NESTING

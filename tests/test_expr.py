@@ -2,13 +2,15 @@ import ast
 import inspect
 import re
 import sys
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import pytest
 
 import iptree.expr as expr_module
 
-from iptree.errors import ExprError, IptreeError, ResourceLimitError
+from iptree.errors import ExprError, InvalidInputError, IptreeError, ResourceLimitError
 from iptree.expr import (
     ARITHMETIC,
     LOGIC,
@@ -133,6 +135,18 @@ class TestErrors:
         with pytest.raises(ExprError, match="empty sum range"):
             parse_gamble("sum(i=3..2, ind(X[i]==H))", space)
 
+    @pytest.mark.parametrize(
+        "source, column, number",
+        [("1e400", 1, "1e400"), ("1e400 - 1e400", 1, "1e400"), ("2 * (1 +\t1" + "0" * 400 + ")", 10, "1" + "0" * 400)],
+    )
+    def test_a_number_past_the_float_range_fails_at_its_position(self, space, source, column, number):
+        with pytest.raises(ExprError) as err:
+            parse_gamble(source, space)
+        assert (err.value.message, err.value.line, err.value.column) == (f"number {number} is past the float range", 1, column)
+
+    def test_the_largest_double_is_a_number(self, space):
+        assert compiled("1.7976931348623157e308", space).table[()] == sys.float_info.max
+
 
 def nested(kind, n):
     """An expression ``n`` levels deep: parentheses, a ``+`` chain of n + 1
@@ -218,6 +232,11 @@ class TestCompile:
     def test_cap(self, space):
         with pytest.raises(ResourceLimitError):
             compiled("ind(X[13]==H)", space, cap=4096)
+
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_a_built_tree_reading_past_its_depth_is_rejected(self, space, position):
+        with pytest.raises(InvalidInputError, match=f"state position {position} is outside 1..2"):
+            compile_gamble(GambleExpr(Ind(StateIs(position, 0)), space, 2))
 
 
 def reference_gamble(expr, depth=None):
@@ -407,3 +426,143 @@ class TestRoundTrip:
         c = parse_gamble("sum(k=1..4, ind(X[k]==H))", space)
         assert alpha_canonical(a) == alpha_canonical(b)
         assert alpha_canonical(a) != alpha_canonical(c)
+
+
+# --- the tokenizer against its earlier form -----------------------------------
+
+# The tokenizer as it was when it took one regex match per blank run and per
+# token and built a frozen dataclass for each, kept verbatim as the reference
+# for the one that takes one match per token.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>\.\.|==|&&|\|\||[-+*=(),!\[\]])
+  | (?P<ws>[ \t]+)
+  | (?P<newline>\n)
+  | (?P<bad>.)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # 'number' | 'name' | 'op' | 'end'
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(source: str) -> Iterator[Token]:
+    """The tokens of ``source``, read as the parser asks for them, then an
+    end token."""
+    line, col = 1, 1
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "ws":
+            col += len(text)
+            continue
+        if kind == "newline":
+            line += 1
+            col = 1
+            continue
+        if kind == "bad":
+            raise ExprError(f"unexpected character {text!r}", line, col)
+        yield Token(kind, text, line, col)
+        col += len(text)
+    yield Token("end", "", line, col)
+
+
+def token_stream(tokens):
+    """The (kind, text, line, column) of each token up to the first error,
+    and that error's (message, line, column), or None."""
+    read = []
+    try:
+        for tok in tokens:
+            read.append((tok.kind, tok.text, tok.line, tok.column) if isinstance(tok, Token) else tok)
+    except ExprError as exc:
+        return read, (str(exc), exc.line, exc.column)
+    return read, None
+
+
+#: What random sources put between tokens: nothing, blanks and newlines.
+GAPS = ("", "", " ", "  ", "\t", "\n", " \n\t", "\n\n ")
+
+
+def corrupted(rng, source: str) -> list[str]:
+    """``source`` with one stray '.', 'é' or '#' inserted, and with one
+    character deleted or doubled, each at a random place."""
+    out = []
+    for stray in (".", "é", "#"):
+        at = int(rng.integers(len(source) + 1))
+        out.append(source[:at] + stray + source[at:])
+    at = int(rng.integers(len(source)))
+    out.append(source[:at] + source[at + 1:])
+    out.append(source[:at] + source[at] + source[at:])
+    return out
+
+
+def test_tokens_are_the_reference_tokens():
+    """On unparsed random expressions with random blanks and newlines
+    between tokens, and on single-character corruptions of them, every
+    token up to the first error and the error itself are the reference's;
+    the blanks and newlines leave the syntax tree as it was."""
+    rng = np.random.default_rng(24)
+    sources = failures = 0
+    for _ in range(2000):
+        k = int(rng.integers(1, 5))
+        expr = random_expression(rng, k, int(rng.integers(1, 7)), int(rng.integers(1, 16)))
+        source = unparse(expr)
+        texts = [t.text for t in _tokenize(source)]
+        spaced = "".join(text + GAPS[int(rng.integers(len(GAPS)))] for text in texts)
+        assert parse_gamble(spaced, expr.space) == parse_gamble(source, expr.space)
+        for variant in (spaced, *corrupted(rng, spaced)):
+            want = token_stream(_tokenize(variant))
+            assert token_stream(expr_module._tokenize(variant)) == want, variant
+            sources += 1
+            failures += want[1] is not None
+    assert sources == 12000 and 4000 < failures < 8000, failures
+
+
+# --- the recursion limit each entry point raises ------------------------------
+
+
+def deepest_stack(call, *args) -> int:
+    """The most Python frames that ``call(*args)`` has open at once."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+def test_frames_per_level_is_what_the_deepest_level_takes(space):
+    # Each kind of nesting, one level deeper, deepens the parser, the
+    # compiler or unparse by some frames; the constant that each raises
+    # the recursion limit by is the most of these, so no larger than needed.
+    def frames(kind, levels):
+        expr = parse_gamble(nested(kind, levels), space)
+        return (
+            deepest_stack(parse_gamble, nested(kind, levels), space),
+            deepest_stack(compile_gamble, expr),
+            deepest_stack(unparse, expr),
+        )
+
+    per_level = {
+        kind: max(deeper - shallower for shallower, deeper in zip(frames(kind, 20), frames(kind, 21)))
+        for kind in PAST_LIMIT
+    }
+    assert expr_module._FRAMES_PER_LEVEL == max(per_level.values()), per_level
