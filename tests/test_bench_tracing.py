@@ -6,13 +6,18 @@ as it is and check that every function it names exists and that a hit query
 still reaches the limit loop and the pointwise audit it counts.  The
 batteries must keep one traced ``envelope_sup`` call per oracle trial, whose
 results carry the trial's selection count, and report the checks the tracer
-adds up: batching trials into fewer calls fails here first.
+adds up: batching trials into fewer calls fails here first.  A whole
+seed-1 hitting_limits pass, generated by ``bench/workloads.py`` as it is,
+keeps the per-pass counts of the limit path that the benchmark reports.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +26,18 @@ import pytest
 import iptree.cli
 import iptree.suites
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
+
+#: Per-pass counts of a traced seed-1 hitting_limits pass: 68 solved hit
+#: queries, each auditing a trail of 5 horizons (the last one capped by its
+#: window) with 4 pointwise pairs.
+HITTING_LIMITS_COUNTS = {
+    "engine.limit_upper.calls": 68,
+    "engine.limit_upper.iterates": 340,
+    "engine.limit_upper.capped": 68,
+    "gambles.pointwise_leq.calls": 272,
+}
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +132,37 @@ def test_the_axiom_batteries_count_their_reports_checks(tracing, table_model, ca
     code, report, traced = _traced_check(tracing, capsys, table_model, ["axioms", "--trials", "3"])
     assert code == 0 and [suite["trials"] for suite in report["suites"]] == [3, 3]
     assert traced["suites.checks"] == sum(suite["checks"] for suite in report["suites"]) > 0
+
+
+def _bench_module(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_traced_hitting_limits_pass_keeps_its_counts(tracing, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # the workloads import bench/reference.py
+    for name in [k for k in os.environ if k.startswith("IPTREE_")]:
+        monkeypatch.delenv(name)  # as bench/run.py removes them
+    run, workloads = (_bench_module(name, monkeypatch) for name in ("run", "workloads"))
+    requests = workloads.generate("hitting_limits", 1, tmp_path)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        codes, reports = [], []
+        for request in requests:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(iptree.cli.main(request.argv))
+            reports.append(json.loads(out.getvalue()))
+    finally:
+        restore()
+    assert codes == [request.expect_exit for request in requests]
+    assert [request.check(report) for request, report in zip(requests, reports)] == [[]] * len(requests)
+    assert {name: tracer.counts[name] for name in HITTING_LIMITS_COUNTS} == HITTING_LIMITS_COUNTS
+    # The pass also runs a dense eval, a certificate and both batteries, so
+    # every count the benchmark reads off the tracer is in use.
+    listed = [name for name in run.COUNTS if name != "cli.report_bytes"]
+    assert [name for name in listed if not tracer.counts[name]] == []
