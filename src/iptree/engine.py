@@ -155,7 +155,7 @@ def _local_points(tree: Tree, t: np.ndarray) -> np.ndarray:
     """Extreme points of the local model of each tree state in ``t``,
     ``(states, P, k)``, padded as :mod:`~iptree.tree` pads them."""
     a = tree.assignment
-    return a.points[a.leaf[t]]
+    return a.points.take(a.leaf[t], axis=0)
 
 
 def _scores(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -264,29 +264,37 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
     return value_tables(tree, [f])[0]
 
 
-def _closure(tree: Tree, machine, s: Situation):
+def _closure(tree: Tree, step: np.ndarray, q: int, s: Situation):
     """The finite closure of (tree state, automaton state) nodes reachable
-    from the node ``s`` leads to, for an automaton read to every depth (a
-    gamble or a stack of them).
+    from the node (the tree state ``s`` leads to, ``q``) under the automaton
+    steps ``step``, which are level-free, so the nodes are finitely many.
 
-    Both coordinates are level-free, so the nodes are finitely many; they
-    are numbered breadth first (:func:`~iptree.tree.product_closure`), the
-    node ``s`` leads to first, and the tree keeps the last closure walked.  Returns the
-    reward paid along all of ``s`` (summed in order), the (nodes, k)
-    successor table, each node's automaton state and the extreme points of
-    each node's local model, (nodes, points, k).
+    They are numbered breadth first (:func:`~iptree.tree.product_closure`),
+    that node first, and the tree keeps the last closure walked.  Returns
+    the (nodes, k) successor table, each node's automaton state and the
+    extreme points of each node's local model, (nodes, points, k).
     """
-    paid, q = 0.0, 0
-    for y in s:
-        paid, q = paid + machine.reward[q, y], machine.step[q, y]
     a = tree.assignment
-    trans, t_of, q_of = a.closure(machine.step, a.machine_init(s), int(q))
-    return paid, trans, q_of, _local_points(tree, t_of)
+    trans, t_of, q_of = a.closure(step, a.machine_init(s), q)
+    return trans, q_of, _local_points(tree, t_of)
 
 
-def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
-    """Conditional upper expectations given ``s`` of the automata read to
-    depth m, for m = first, first + 1, ..., one array of G values each.
+def _symbol_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...``, added left to right: with the symbol
+    on the leading axis, the sum :func:`~iptree.extreal.weighted_sum` forms
+    from the same products, bit for bit, with one multiplication for all
+    symbols."""
+    total = terms[0]
+    for j in range(1, len(terms)):
+        total = total + terms[j]
+    return total
+
+
+def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np.ndarray, s: Situation, first: int):
+    """Conditional upper expectations given ``s`` of the automata with the
+    shared ``step`` and the ``reward`` (states, k, G) and ``terminal``
+    (states, G) columns, read to depth m, for m = first, first + 1, ...,
+    one array of G values each.
 
     Along ``s`` the payoff is settled: iterate m <= len(s) is the reward of
     the first m steps of ``s`` plus the terminal payoff.  Beyond, iterate m
@@ -294,38 +302,43 @@ def _limit_values(tree: Tree, cols: MachineStack, s: Situation, first: int):
     (tree state, automaton state) that ``s`` leads to, where ``V_0`` is the
     terminal payoff and ``V_{r+1}`` is the local upper expectation of the
     step reward plus ``V_r`` at the successor: each further iterate is one
-    Bellman step over the :func:`_closure`.
+    Bellman step over the :func:`_closure`, its arrays laid out symbol
+    first once, so a step is one gather, one product and one ordered sum.
     """
-    accs, qs = [np.zeros(cols.terminal.shape[1])], [0]
+    accs, qs = [np.zeros(terminal.shape[1])], [0]
     for y in s:
-        accs.append(accs[-1] + cols.reward[qs[-1], y])
-        qs.append(int(cols.step[qs[-1], y]))
+        accs.append(accs[-1] + reward[qs[-1], y])
+        qs.append(int(step[qs[-1], y]))
     for m in range(first, len(s) + 1):
-        yield accs[m] + cols.terminal[qs[m]]
-    paid, trans, q_of, points = _closure(tree, cols, s)
-    reward, values = cols.reward[q_of], cols.terminal[q_of]
+        yield accs[m] + terminal[qs[m]]
+    trans, q_of, points = _closure(tree, step, qs[-1], s)
+    paid, succ = accs[-1], np.ascontiguousarray(trans.T)  # (k, nodes)
+    weights = np.ascontiguousarray(points.transpose(2, 0, 1)[:, :, None, :])  # (k, nodes, 1, points)
+    rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(1, 0, 2))  # (k, nodes, G)
+    values = terminal.take(q_of, axis=0)  # (nodes, G)
     for r in itertools.count(len(s) + 1):
-        values = _scores(points, reward + values[trans]).max(axis=1)
+        values = _symbol_sum(weights * (rewards + values.take(succ, axis=0))[..., None]).max(axis=-1)
         if r >= first:  # iterates before `first` are not reported
             yield paid + values[0]
 
 
-def _stop(v: LimitVariable, iterates: list, m: int, settled: int, policy: Policy) -> Optional[ApproxResult]:
-    """Audit a side's newest iterate for monotonicity; its result if it
-    stops there, stabilized (past horizon ``settled``) or certified diverging."""
+def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy) -> Optional[ApproxResult]:
+    """Audit a side's newest iterate for monotonicity, ``approach`` being
+    its direction (1.0 non-decreasing, -1.0 non-increasing); its result if
+    it stops there, stabilized (past horizon ``settled``) or certified
+    diverging."""
     val = iterates[-1][1]
-    sign = 1.0 if v.direction is Direction.NON_DECREASING else -1.0  # the direction of approach
     if len(iterates) > 1:
         prev_val = iterates[-2][1]
-        if sign * (val - prev_val) < -_VALUE_MONOTONE_SLACK:
+        if approach * (val - prev_val) < -_VALUE_MONOTONE_SLACK:
             raise MonotonicityError(
                 f"iterate values move against the declared direction at index {m}",
                 f"{prev_val!r} -> {val!r}",
             )
         if abs(val - prev_val) < policy.tol and m - 1 >= settled:
             return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
-    if sign * val > policy.divergence_threshold:
-        return ApproxResult(sign * INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
+    if approach * val > policy.divergence_threshold:
+        return ApproxResult(approach * INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
     return None
 
 
@@ -333,9 +346,10 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
     """The limits of ``v`` (sign 1) and ``-v`` (sign -1), for each sign in
     ``signs``, from one pass of :func:`_limit_values`; each side keeps its
     own iterates and stop reason.  The sides' payoff ranges and
-    approximations are each other's negations, so one ``extremes()``
-    advance and one ``pointwise_leq`` per pair audit them all, phrased for
-    the first side still iterating.  As if the sides ran one after the
+    approximations are each other's negations, so one advance of ``v``'s
+    payoff bound on the side it approaches from and one ``pointwise_leq``
+    per pair audit them all, phrased for the first side still iterating
+    (``-v`` is built only if it leads).  As if the sides ran one after the
     other, a later side's error waits until every earlier side has stopped.
     Iterates up to horizon ``len(s)`` are read off the conditioning
     situation, so two equal ones stop a side only from there on.
@@ -344,26 +358,30 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
         raise InvalidInputError("gamble and tree live on different state spaces")
     s = as_situation(s, tree.k)
     first = policy.start_index
-    sides = [v if sign > 0 else -v for sign in signs]
-    values = _limit_values(tree, MachineStack.of([w.automaton for w in sides]), s, first)
-    extremes = itertools.islice(v.automaton.extremes(), first, None)
+    a, up = v.automaton, v.direction is Direction.NON_DECREASING
+    # Each side's columns as -v holds them: 0.0 - x, without negative zeros.
+    flip = np.array(signs, dtype=float)
+    values = _limit_values(tree, a.step, a.reward[..., None] * flip + 0.0, a.terminal[:, None] * flip + 0.0, s, first)
+    payoffs = itertools.islice(a.extreme_payoffs(least=up), first, None)
+    approach = [1.0 if up == (sign > 0) else -1.0 for sign in signs]
+    sides: dict = {}  # position -> that side's variable, built when it first leads
     approximations: dict = {}  # (side, horizon) -> that side's approximation, built once
-    iterates: list[list] = [[] for _ in sides]
-    results: list = [None] * len(sides)  # per side: its result, or the error it waits to raise
-    for m, (lo, hi) in zip(range(first, first + policy.max_horizon), extremes):
+    iterates: list[list] = [[] for _ in signs]
+    results: list = [None] * len(signs)  # per side: its result, or the error it waits to raise
+    for m, x in zip(range(first, first + policy.max_horizon), payoffs):
         lead = results.index(None)
-        w, up = sides[lead], sides[lead].direction is Direction.NON_DECREASING
-        lo, hi = float(lo[0]), float(hi[0])
-        if signs[lead] < 0:
-            lo, hi = 0.0 - hi, 0.0 - lo
-        if (lo < w.bound - 1e-12) if up else (hi > w.bound + 1e-12):
-            beyond = f"{lo}, below the declared lower" if up else f"{hi}, above the declared upper"
+        if lead not in sides:
+            sides[lead] = v if signs[lead] > 0 else -v
+        w, rising = sides[lead], approach[lead] > 0
+        x = float(x[0]) if signs[lead] > 0 else 0.0 - float(x[0])
+        if (x < w.bound - 1e-12) if rising else (x > w.bound + 1e-12):
+            beyond = f"{x}, below the declared lower" if rising else f"{x}, above the declared upper"
             raise InvalidInputError(f"approximation {m} attains {beyond} bound {w.bound}")
         if first < m <= first + policy.monotone_audit:
             for h in (m - 1, m):
                 if (lead, h) not in approximations:
                     approximations[lead, h] = w.generator(h)
-            lo_g, hi_g = (m - 1, m) if up else (m, m - 1)
+            lo_g, hi_g = (m - 1, m) if rising else (m, m - 1)
             ok, witness = pointwise_leq(approximations[lead, lo_g], approximations[lead, hi_g])
             if not ok:
                 raise MonotonicityError(
@@ -373,7 +391,7 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
             if results[i] is None:
                 iterates[i].append((m, val))
                 try:
-                    results[i] = _stop(sides[i], iterates[i], m, len(s), policy)
+                    results[i] = _stop(approach[i], iterates[i], m, len(s), policy)
                 except MonotonicityError as exc:
                     if i == lead:
                         raise
@@ -452,13 +470,14 @@ def _hitting_kind(v: LimitVariable) -> Optional[bool]:
     absorbing and pays nothing, and whose state 0 pays 1 on every step or
     on the step into state 1."""
     a = v.automaton
-    if v.direction is not Direction.NON_DECREASING or len(a.terminal) != 2 or a.terminal.any():
+    if v.direction is not Direction.NON_DECREASING or len(a.terminal) != 2 or any(a.terminal.tolist()):
         return None
-    if not ((a.step[1] == 1).all() and (a.step[0] <= 1).all() and not a.reward[1].any()):
+    (step0, step1), (reward0, reward1) = a.step.tolist(), a.reward.tolist()
+    if any(q != 1 for q in step1) or any(q > 1 for q in step0) or any(reward1):
         return None
-    if (a.reward[0] == 1.0).all():
+    if all(x == 1.0 for x in reward0):
         return True
-    return False if np.array_equal(a.reward[0], a.step[0]) else None
+    return False if reward0 == step0 else None
 
 
 def _attractor(pos: np.ndarray, trans: np.ndarray, goal: np.ndarray, allowed: np.ndarray):
@@ -468,6 +487,8 @@ def _attractor(pos: np.ndarray, trans: np.ndarray, goal: np.ndarray, allowed: np
     to it with positive probability.  ``pos`` marks the (nodes, points, k)
     positive masses."""
     inside, choice = goal.copy(), np.zeros(len(goal), dtype=np.intp)
+    if not inside.any():  # nothing reaches an empty goal
+        return inside, choice
     while True:
         toward = allowed & (pos & inside[trans][:, None, :]).any(axis=2)
         new = toward.any(axis=1) & ~inside
@@ -477,40 +498,48 @@ def _attractor(pos: np.ndarray, trans: np.ndarray, goal: np.ndarray, allowed: np
         inside |= new
 
 
-def _staying(pos: np.ndarray, trans: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """(nodes, points): whether the point surely keeps the path in ``inside``."""
-    return (~pos | inside[trans][:, None, :]).all(axis=2)
+def _staying(zero: np.ndarray, trans: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """(nodes, points): whether the point surely keeps the path in
+    ``inside``; ``zero`` marks the (nodes, points, k) zero masses."""
+    return (zero | inside[trans][:, None, :]).all(axis=2)
 
 
-def _trap(pos: np.ndarray, trans: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _trap(zero: np.ndarray, trans: np.ndarray, live: np.ndarray) -> np.ndarray:
     """The largest set of ``live`` nodes in each of which some extreme point
     surely keeps the path inside the set."""
     trap = live
-    while True:
-        kept = trap & _staying(pos, trans, trap).any(axis=1)
+    while trap.any():
+        kept = trap & _staying(zero, trans, trap).any(axis=1)
         if (kept == trap).all():
-            return trap
+            break
         trap = kept
+    return trap
 
 
-def _exits(p: np.ndarray, col: np.ndarray) -> np.ndarray:
+def _exits(step: np.ndarray, out: np.ndarray, inward: np.ndarray, col: np.ndarray) -> np.ndarray:
     """Which unknown nodes leave the unknown set with positive probability
-    under the chosen points ``p`` (unknown nodes, k); ``col`` is each
-    successor's position among the unknown nodes, -1 outside."""
-    step, out = p > 0, col < 0
-    exits = (step & out).any(axis=1)
-    while True:
-        more = exits | (step & ~out & exits[col]).any(axis=1)
+    when ``step`` (k, unknown nodes) marks the positive masses of their
+    chosen points; ``col`` is each successor's position among the unknown
+    nodes (``inward``), -1 (``out``) outside."""
+    exits, within = (step & out).any(axis=0), step & inward
+    while not exits.all():
+        more = exits | (within & exits[col]).any(axis=0)
         if (more == exits).all():
-            return exits
+            break
         exits = more
+    return exits
 
 
-def _policy_values(points, trans, reward, unknown, fixed, allowed, choice, sign):
-    """Values at every node: ``fixed`` outside ``unknown``, and on it the
-    expected reward to come under the best (per node ``sign`` 1: largest,
-    -1: least) stationary choice of ``allowed`` extreme points, by policy
-    iteration.
+def _policy_values(points, trans, reward, sides):
+    """Values at every node of the closure, for each of the two ``sides``:
+    the largest, then the least value, each side given by its ``unknown``
+    nodes, ``fixed`` values, ``allowed`` (nodes, points) extreme points and
+    fallback ``choice`` of a point per node.  A side's values are ``fixed``
+    outside ``unknown``, and on it the expected reward to come under the
+    best (largest, or least) stationary choice of ``allowed`` extreme
+    points, by one policy iteration for both sides: the least side's nodes
+    follow the largest side's, numbered from ``len(trans)``, and maximize
+    the negated values.  Returns both sides' values, laid end to end.
 
     The first choice is greedy for the guess 1 at every unknown node.  A
     node then switches its point only when that gains more than
@@ -525,27 +554,34 @@ def _policy_values(points, trans, reward, unknown, fixed, allowed, choice, sign)
     solutions (de Alfaro 1997; Baier & Katoen 2008, section 10.6).  For a
     least value the solution is unique: on the unknown nodes every allowed
     choice leaves them almost surely, or pays a step each time it stays.
+
+    The unknown nodes' arrays are gathered once, from the closure's, and
+    laid out symbol first, so each round's expectations are one product
+    and one ordered sum (:func:`_symbol_sum`).
     """
-    idx = np.flatnonzero(unknown)
-    values = fixed.copy()
+    unknown, values, allowed, choice = (np.concatenate(parts) for parts in zip(*sides))
+    idx = unknown.nonzero()[0]
     n = len(idx)
     if not n:
         return values
-    at = np.full(len(trans), -1)
+    at = np.full(len(values), -1)
     at[idx] = np.arange(n)
-    pts, nxt, rew, allowed, choice = points[idx], trans[idx], reward[idx], allowed[idx], choice[idx]
-    sign = sign[idx, None]
+    least, node = np.divmod(idx, len(trans))  # each unknown node's side (1: least) and closure node
+    pts = points.take(node, axis=0).transpose(2, 0, 1)  # (k, n, points)
+    nxt, rew = (trans.take(node, axis=0) + len(trans) * least[:, None]).T, reward.take(node, axis=0).T  # (k, n)
+    blocked, choice, sign = ~allowed.take(idx, axis=0), choice[idx], np.where(least, -1.0, 1.0)[:, None]
     col, rows = at[nxt], np.arange(n)
-    stay = col == rows[:, None]  # steps back to the same node
-    moves = (col >= 0) & ~stay  # steps to other unknown nodes
-    entry = (np.repeat(rows, trans.shape[1])[moves.ravel()], col[moves])
-    known = np.where(np.isinf(fixed), 0.0, fixed)  # no allowed point reaches an infinite value
+    out, stay = col < 0, col == rows  # steps out of the unknown nodes, and back to the same node
+    inward, leave = ~out, ~stay
+    moves = (inward & leave).T  # steps to other unknown nodes, node by node as the system lists them
+    entry = (np.repeat(rows, len(col))[moves.ravel()], col.T[moves])
+    known = np.where(np.isinf(values), 0.0, values)  # no allowed point reaches an infinite value
     known[idx] = 0.0
-    base = weighted_sum(pts, (rew + known[nxt])[:, None, :])  # reward and known values, per point
+    base = _symbol_sum(pts * (rew + known[nxt])[:, :, None])  # reward and known values, per point
     known[idx] = 1.0
     for rounds in range(_MAX_ROUNDS):
-        gained = sign * weighted_sum(pts, (rew + known[nxt])[:, None, :])
-        gained[~allowed] = -INF
+        gained = sign * _symbol_sum(pts * (rew + known[nxt])[:, :, None])
+        gained[blocked] = -INF
         best = gained.argmax(axis=1)
         if rounds:
             now = gained[rows, choice]
@@ -553,18 +589,18 @@ def _policy_values(points, trans, reward, unknown, fixed, allowed, choice, sign)
             if not switch.any():
                 return values
             best = np.where(switch, best, choice)
-        stuck = ~_exits(pts[rows, best], col)
+        stuck = ~_exits(pts[:, rows, best] > 0, out, inward, col)
         best[stuck] = choice[stuck]
         if rounds and (best == choice).all():
             return values
         choice = best
         # I - P, its diagonal the mass that leaves the node: 1 - P[i, i]
         # would round a mass below eps away and make the system singular.
-        p = pts[rows, choice]
-        outflow = weighted_sum(p, ~stay)
+        p = pts[:, rows, choice]  # (k, n)
+        outflow, off = _symbol_sum(p * leave), p.T[moves]
         if n <= _DENSE_SOLVE:
             matrix = np.diag(outflow)
-            np.subtract.at(matrix, entry, p[moves])
+            np.subtract.at(matrix, entry, off)
             values[idx] = known[idx] = np.linalg.solve(matrix, base[rows, choice])
         else:
             from scipy.sparse import csc_matrix
@@ -572,7 +608,7 @@ def _policy_values(points, trans, reward, unknown, fixed, allowed, choice, sign)
 
             matrix = csc_matrix(
                 (
-                    np.concatenate([outflow, -p[moves]]),
+                    np.concatenate([outflow, -off]),
                     (np.concatenate([rows, entry[0]]), np.concatenate([rows, entry[1]])),
                 ),
                 (n, n),
@@ -598,11 +634,11 @@ def _hitting_values(trans, q_of, points, reward, time: bool):
     rest, for both sides at once; where a first choice would never leave
     the unknown nodes, it falls back to points that move toward a hit.
     """
-    done, live = q_of == 1, q_of == 0
-    pos = points > 0
+    live, pos = q_of == 0, points > 0
+    zero = ~pos
     every = np.ones(points.shape[:2], dtype=bool)
     first = np.zeros(len(trans), dtype=np.intp)
-    trap = _trap(pos, trans, live)
+    trap = _trap(zero, trans, live)
     doomed = _attractor(pos, trans, trap, every)[0]  # some choice may never hit
     if not time:
         surely = np.where(live & ~doomed, 1.0, 0.0)
@@ -613,22 +649,14 @@ def _hitting_values(trans, q_of, points, reward, time: bool):
         upper = (live & ~doomed, np.where(doomed, INF, 0.0), every, first)
         hits, allowed, choice = np.ones(len(trans), dtype=bool), every, first
         while doomed.any():  # shrink to where some choice hits almost surely
-            allowed = _staying(pos, trans, hits)
+            allowed = _staying(zero, trans, hits)
             reached, choice = _attractor(pos, trans, ~doomed, allowed)
             if (reached == hits).all():
                 break
             hits = reached
         lower = (live & hits, np.where(hits, 0.0, INF), allowed, choice)
-    # One policy iteration for both sides: the lower side's nodes follow the
-    # upper side's, and maximize the negated values.
-    n = len(trans)
-    both = [np.concatenate(parts) for parts in zip(upper, lower)]
-    sign = np.repeat([1.0, -1.0], n)
-    values = _policy_values(
-        np.concatenate([points, points]), np.concatenate([trans, trans + n]),
-        np.concatenate([reward, reward]), *both, sign,
-    )
-    return values[:n], values[n:]
+    values = _policy_values(points, trans, reward, (upper, lower))
+    return values[: len(trans)], values[len(trans) :]
 
 
 def limit_bounds(
@@ -658,8 +686,11 @@ def limit_bounds(
         return replace(upper, lower=None), upper.lower
     window = replace(policy, max_horizon=min(policy.max_horizon, policy.monotone_audit + 1))
     trail = limit_upper(tree, v, s, window, with_lower=True)
-    paid, trans, q_of, points = _closure(tree, v.automaton, s)
-    solved = _hitting_values(trans, q_of, points, v.automaton.reward[q_of], time)
+    a, paid, q = v.automaton, 0.0, 0
+    for y in s:
+        paid, q = paid + a.reward[q, y], a.step[q, y]
+    trans, q_of, points = _closure(tree, a.step, int(q), s)
+    solved = _hitting_values(trans, q_of, points, a.reward.take(q_of, axis=0), time)
     results = []
     for res, values in zip((trail, trail.lower), solved):
         value = float(paid + values[0])

@@ -61,8 +61,7 @@ def _derived(cls, **fields):
     given, without running ``__post_init__``: for values derived from a
     checked instance and already in the form its constructor stores."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # past the frozen __setattr__, as the constructor sets them
     return obj
 
 
@@ -169,7 +168,7 @@ class MachineGamble:
     negative zeros.  Automata derived from a checked one (its negation, and
     the truncations of :meth:`LimitVariable.generator`) share its frozen
     arrays, or hold frozen arrays computed from them, and are not checked
-    again.
+    again; nor are hitting automata, built from checked targets.
     """
 
     k: int
@@ -215,22 +214,22 @@ class MachineGamble:
         paid, q = self.read(string)
         return float(paid + self.terminal[q])
 
-    def extremes(self):
-        """Per start state, the least and the largest payoff of the strings
-        of length r, for r = 0, 1, 2, ...
+    def extreme_payoffs(self, least: bool):
+        """Per start state, the least (or, with ``least`` false, the
+        largest) payoff of the strings of length r, for r = 0, 1, 2, ...
 
-        One min/max step over the arrays per length.  Every string is
+        One min (max) step over the arrays per length.  Every string is
         possible, so each bound is attained, up to rounding: the sums are
         formed from the last step backwards.
         """
-        lo = hi = self.terminal
+        pick = np.minimum if least else np.maximum
+        x = self.terminal
         while True:
-            yield lo, hi
-            lo = (self.reward + lo[self.step]).min(axis=1)
-            hi = (self.reward + hi[self.step]).max(axis=1)
+            yield x
+            x = pick.reduce(self.reward + x[self.step], axis=1)
 
     def bounds(self) -> tuple[float, float]:
-        lo, hi = next(itertools.islice(self.extremes(), self.depth, None))
+        lo, hi = (next(itertools.islice(self.extreme_payoffs(least), self.depth, None)) for least in (True, False))
         return float(lo[0]), float(hi[0])
 
     def __neg__(self) -> "MachineGamble":
@@ -421,17 +420,35 @@ def _target_indices(space: StateSpace, targets) -> frozenset[int]:
     return idx
 
 
+def _hitting_arrays(space: StateSpace, idx: frozenset) -> tuple:
+    """The frozen step array of the hitting automata of the target indices
+    ``idx``, the rewards of the hitting time and of the hitting indicator,
+    and the zero terminal payoffs, as the automaton constructor stores them.
+
+    State 0 = not hit yet, 1 = hit.  min(tau, m) counts the steps i <= m
+    taken while not yet hit, and the hitting indicator pays once, on the
+    step that enters a target.  The arrays are kept on ``space`` per target
+    set, so the hitting time and the hitting indicator of one target set
+    share one ``step`` array, and with it the product closure a tree keeps
+    (:meth:`~iptree.tree._View.closure`)."""
+    built = vars(space).setdefault("_hitting_arrays", {})
+    if idx not in built:
+        hit = np.array([y in idx for y in range(space.size)])
+        step = np.ones((2, space.size), dtype=np.intp)
+        step[0] = hit
+        time, event = np.zeros((2, space.size)), np.zeros((2, space.size))
+        time[0], event[0] = 1.0, hit
+        built[idx] = tuple(map(_read_only, (step, time, event, np.zeros(2))))
+    return built[idx]
+
+
 def _hitting_automaton(space: StateSpace, targets, depth: int, time: bool) -> MachineGamble:
-    # State 0 = not hit yet, 1 = hit.  min(tau, m) counts the steps i <= m
-    # taken while not yet hit, and the hitting indicator pays once, on the
-    # step that enters a target.
-    idx = _target_indices(space, targets)
-    hit = np.array([y in idx for y in range(space.size)])
-    step = np.ones((2, space.size), dtype=np.intp)
-    step[0] = hit
-    reward = np.zeros((2, space.size))
-    reward[0] = 1.0 if time else hit
-    return MachineGamble(space.size, depth, step, reward, np.zeros(2))
+    # Valid by construction once the targets are: not checked again.
+    step, time_reward, event_reward, terminal = _hitting_arrays(space, _target_indices(space, targets))
+    return _derived(
+        MachineGamble, k=space.size, depth=depth, step=step,
+        reward=time_reward if time else event_reward, terminal=terminal,
+    )
 
 
 def truncated_hitting_time(space: StateSpace, targets, horizon: int) -> MachineGamble:
@@ -548,18 +565,18 @@ def pointwise_leq(f: Gamble, g: Gamble) -> tuple[bool, str | None]:
     # Track a shortest witness prefix per reachable (qf, paid by f, qg, paid by g).
     layer: dict[tuple, Situation] = {(0, 0.0, 0, 0.0): ()}
     for level in range(1, max(f.depth, g.depth) + 1):
+        f_reads, g_reads = level <= mf.depth, level <= mg.depth
         nxt: dict[tuple, Situation] = {}
         for (qf, af, qg, ag), prefix in layer.items():
+            if f_reads:
+                f_steps, f_pays = sf[qf], rf[qf]
+            if g_reads:
+                g_steps, g_pays = sg[qg], rg[qg]
             for y in range(f.k):
-                if level <= mf.depth:
-                    qf2, af2 = sf[qf][y], af + rf[qf][y]
-                else:
-                    qf2, af2 = qf, af
-                if level <= mg.depth:
-                    qg2, ag2 = sg[qg][y], ag + rg[qg][y]
-                else:
-                    qg2, ag2 = qg, ag
-                node = (qf2, af2, qg2, ag2)
+                node = (
+                    f_steps[y] if f_reads else qf, af + f_pays[y] if f_reads else af,
+                    g_steps[y] if g_reads else qg, ag + g_pays[y] if g_reads else ag,
+                )
                 if node not in nxt:
                     nxt[node] = prefix + (y,)
         layer = nxt

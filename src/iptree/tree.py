@@ -203,16 +203,18 @@ def product_closure(t_step: np.ndarray, q_step: np.ndarray, block: np.ndarray):
     blocks, rows, count = [block], [], len(block)
     while len(block):
         t, q = np.divmod(block, n_q)
-        codes = (t_step[t] * n_q + q_step[q]).ravel()
+        codes = (t_step.take(t, axis=0) * n_q + q_step.take(q, axis=0)).ravel()
         if dense:
             ids = number[codes]
-            fresh = np.flatnonzero(ids < 0)
-            new = codes[fresh]
-            number[new] = len(codes)  # then each new pair's first place among the successors
-            np.minimum.at(number, new, fresh)
-            block = new[number[new] == fresh]
-            number[block] = np.arange(count, count + len(block))
-            ids[fresh] = number[new]
+            fresh = (ids < 0).nonzero()[0]
+            block = fresh  # empty: the walk is complete
+            if len(fresh):
+                new = codes[fresh]
+                number[new] = len(codes)  # then each new pair's first place among the successors
+                np.minimum.at(number, new, fresh)
+                block = new[number[new] == fresh]
+                number[block] = np.arange(count, count + len(block))
+                ids[fresh] = number[new]
         else:
             at = np.minimum(met.searchsorted(codes), len(met) - 1)
             ids, fresh = number[at], met[at] != codes
@@ -221,11 +223,11 @@ def product_closure(t_step: np.ndarray, q_step: np.ndarray, block: np.ndarray):
             order = block.argsort()
             at = met.searchsorted(block[order])
             met, number = np.insert(met, at, block[order]), np.insert(number, at, count + order)
-        rows.append(ids.reshape(-1, k))
+        rows.append(ids)
         count += len(block)
         blocks.append(block)
     t_of, q_of = np.divmod(np.concatenate(blocks), n_q)
-    return np.concatenate(rows), t_of, q_of
+    return np.concatenate(rows).reshape(-1, k), t_of, q_of
 
 
 def _points_of(leaf) -> np.ndarray:
@@ -267,7 +269,9 @@ class _View:
     def closure(self, q_step: np.ndarray, t0: int, q0: int) -> tuple:
         """:func:`product_closure` of ``step`` and ``q_step`` from (t0, q0),
         frozen.  The last one walked with a frozen ``q_step`` is kept, since
-        an exact limit and its audit trail walk the same closure."""
+        an exact limit and its audit trail walk the same closure, and so do
+        the hitting time and the hitting indicator of one target set, whose
+        automata share one frozen ``step``."""
         last = self.__dict__.get("_closure")
         if last is None or last[0] is not q_step or q_step.flags.writeable or last[1:3] != (t0, q0):
             block = np.array([t0 * len(q_step) + q0], dtype=np.intp)

@@ -169,3 +169,33 @@ def test_hit_reports_are_pinned(name, at, tmp_path):
     for argv in _argvs(labels, at):
         digest.update(eval_report(MODELS[name], tmp_path, *argv).encode())
     assert digest.hexdigest() == HIT_REPORTS[name, at]
+
+
+def _walked(model: dict, tmp_path, monkeypatch, *flags: str):
+    """The report of ``iptree eval`` with ``flags`` and how many product
+    closures it walked."""
+    walks = []
+    real = iptree.tree.product_closure
+    monkeypatch.setattr(iptree.tree, "product_closure", lambda *args: walks.append(1) or real(*args))
+    report = json.loads(eval_report(model, tmp_path, *flags))
+    monkeypatch.setattr(iptree.tree, "product_closure", real)
+    return report, len(walks)
+
+
+@pytest.mark.parametrize("name, at", [("coin", "H"), ("coin", None), ("markov3", "A"), ("table2d3", "A,B")])
+def test_queries_on_one_target_set_share_one_closure(name, at, tmp_path, monkeypatch):
+    model, target = MODELS[name], MODELS[name]["states"][-1]
+    where = [] if at is None else ["--at", at]
+    report, walks = _walked(model, tmp_path, monkeypatch, "--hit-time", target, "--hit-prob", target, *where)
+    assert walks == 1
+    alone = [_walked(model, tmp_path, monkeypatch, flag, target, *where) for flag in ("--hit-time", "--hit-prob")]
+    assert [walks for _, walks in alone] == [1, 1]
+    assert report["results"] == [solo["results"][0] for solo, _ in alone]
+
+
+def test_different_target_sets_walk_their_own_closures(tmp_path, monkeypatch):
+    model = MODELS["markov3"]
+    report, walks = _walked(model, tmp_path, monkeypatch, "--hit-time", "A", "--hit-prob", "B", "--at", "C")
+    assert walks == 2
+    alone = [_walked(model, tmp_path, monkeypatch, flag, target, "--at", "C") for flag, target in (("--hit-time", "A"), ("--hit-prob", "B"))]
+    assert report["results"] == [solo["results"][0] for solo, _ in alone]
