@@ -27,8 +27,9 @@ and ``--at`` without an inline query exits 2.
 
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON, a failed query's error included).  A JSON report is
-byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``; it is
-written in one pass by ``_json_text``.
+byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``: it is
+written by ``orjson`` when its bytes are ``json.dumps``'s, and otherwise in
+one pass by ``_json_text`` (see ``_report_text``).
 All numerics are finite numbers or the strings ``"+inf"`` / ``"-inf"``; NaN
 is never emitted.  Identical inputs (and ``check``'s ``--seed``) produce
 byte-identical reports; ``--timing`` adds wall-clock fields and is
@@ -62,6 +63,8 @@ import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
+
+import orjson
 
 from .engine import Policy, finitary_lower, finitary_uppers, limit_bounds
 from .errors import ExprError, InvalidInputError, IptreeError, ResourceLimitError
@@ -380,11 +383,65 @@ def _json_text(value, indent: str = "") -> str:
     return _json_dumps(value, indent)
 
 
+#: ``orjson.dumps`` options for ``json.dumps(indent=2, sort_keys=True)``'s
+#: layout.  Subclasses of built-in types, dataclasses and datetimes go to no
+#: ``default``, so they raise ``TypeError`` instead of being written.
+_ORJSON_OPTIONS = (
+    orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_SUBCLASS
+    | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
+#: ``bytes.translate`` arguments that keep of orjson's text the bytes its
+#: number tokens are made of, with ``1`` for every digit but ``0``, the
+#: letters of ``null``, and a newline for a newline or a colon.  In the kept
+#: text a number is preceded by a newline (a list item, or a value after its
+#: key's colon) or starts the text, and is followed by a newline or ends it.
+_NUMBER_BYTES = bytes(49 if 49 <= b <= 57 else 10 if b == 58 else b for b in range(256))
+_NOT_NUMBER_BYTES = bytes(b for b in range(256) if b not in b"0123456789.e-\n:nul")
+
+#: Where orjson's kept text can differ from ``json.dumps``'s: a positive
+#: exponent (``1e16``, where ``json`` writes ``1e+16``), a one-digit negative
+#: exponent (``1e-7`` for ``1e-07``), a number below 1e-4 written without an
+#: exponent (``0.00001`` for ``1e-05``), and ``null``, which orjson writes
+#: for NaN and the infinities that ``json`` rejects.  Both writers give the
+#: shortest digits, so the digit before an exponent is never ``0``, and
+#: neither is the first digit of an orjson exponent.  A string may hold one
+#: of these too; its report is then written by ``_json_text``.
+_NOT_JSON_DUMPS = (b"1e1", b"e-1\n", b"\n0.0000", b"-0.0000", b"null")
+
+
+def _report_text(report) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``,
+    byte for byte and raising what it raises, except that a member of an
+    ``enum.Enum`` that ``json.dumps`` rejects is written as its value and a
+    ``uuid.UUID`` as its string.
+
+    The text is ``orjson``'s when its bytes provably are ``json.dumps``'s:
+    ASCII without DEL (which ``json`` escapes), and none of
+    ``_NOT_JSON_DUMPS`` among the bytes of its numbers.  Any other report,
+    and one orjson cannot write, is written by ``_json_text``.
+    """
+    try:
+        data = orjson.dumps(report, option=_ORJSON_OPTIONS)
+    except TypeError:
+        return _json_text(report)
+    numbers = data.translate(_NUMBER_BYTES, _NOT_NUMBER_BYTES)
+    if (
+        not data.isascii()
+        or b"\x7f" in data
+        or any(map(numbers.__contains__, _NOT_JSON_DUMPS))
+        or numbers.startswith(b"0.0000")
+        or numbers.endswith(b"e-1")
+    ):
+        return _json_text(report)
+    return data.decode("ascii")
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "pretty":
         sys.stdout.write(_render_pretty(report))
     else:
-        sys.stdout.write(_json_text(report) + "\n")
+        sys.stdout.write(_report_text(report) + "\n")
 
 
 def _cmd_eval(args) -> int:

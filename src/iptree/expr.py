@@ -52,7 +52,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import ExprError, InvalidInputError, ResourceLimitError
-from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble
+from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, _derived, _read_only
 from .local import StateSpace
 
 #: At most this many parentheses, function calls, ``!`` and unary minus
@@ -462,7 +462,9 @@ def compile_gamble(
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.empty((k,) * n)
         table[...] = eval_num(expr.root, {})
-    return FinitaryGamble(k, table)
+    if np.isfinite(table).all():  # the fresh table is the gamble's own, not copied
+        return _derived(FinitaryGamble, k=k, table=_read_only(table))
+    return FinitaryGamble(k, table)  # raises its NaN or infinity message
 
 
 @_room_for_nesting

@@ -52,11 +52,12 @@ and written only by :mod:`iptree.tree`.  Certificates and model tables map
 a key to its position through the :func:`~iptree.tree.situation_strings`
 map, built when the labels round-trip (none empty, none with a comma) and
 the document is not much sparser than the situations, and through the
-parser for any other key.  Every valid model table goes to the arrays of
-:meth:`~iptree.tree.Table.of_rows` in one type scan, one array and one check
-of every extreme point, with no object per entry; a Markov model is checked
-the same way.  Only a document that pass rejects, an invalid one, is read
-entry by entry or part by part, which raises for the first bad one.
+parser for any other key.  Every valid model table, its default with its
+entries, goes to the arrays of :meth:`~iptree.tree.Table.of_rows` in one
+type scan, one array and one check of every extreme point, with no object
+per entry; a Markov model is checked the same way.  Only a document that
+pass rejects, an invalid one, is read entry by entry or part by part, which
+raises for the first bad one.
 
 Messages show a document's values by :func:`reprlib.repr`, which cuts them
 short past a few levels of nesting or a few dozen characters, so a value
@@ -180,8 +181,8 @@ def _parsed_key(space: StateSpace, depth: int, key: str, path: str) -> tuple:
     return sit, trie_position(space.size, sit)
 
 
-def _table_rows(space: StateSpace, depth: int, entries_raw: dict):
-    """A table model's entries read in one pass, as
+def _table_rows(space: StateSpace, depth: int, entries_raw: dict, default_raw):
+    """A table model's default and entries read in one pass, as
     :meth:`~iptree.tree.Table.of_rows` takes them; None for an invalid
     document (see the module docstring)."""
     positions = _string_positions(space, depth, len(entries_raw))
@@ -189,7 +190,7 @@ def _table_rows(space: StateSpace, depth: int, entries_raw: dict):
         at = [positions[key] if key in positions else _parsed_key(space, depth, key, "")[1] for key in entries_raw]
     except SchemaError:
         return None
-    got = _checked_rows(list(entries_raw.values()), space.size)
+    got = _checked_rows([default_raw, *entries_raw.values()], space.size)
     return None if got is None else (at, *got)
 
 
@@ -218,7 +219,8 @@ def _markov_sets(space: StateSpace, model: dict) -> list:
     if isinstance(by_state_raw, dict) and by_state_raw.keys() == set(space.labels):
         got = _checked_rows([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
         if got is not None:
-            return [CredalSet.of_checked(block) for block in np.split(got[0], np.cumsum(got[1])[:-1])]
+            ends = np.cumsum(got[1]).tolist()
+            return [CredalSet.of_checked(got[0][a:b]) for a, b in zip([0, *ends], ends)]
     root = _points(_need(model, "root", "model"), "model.root")
     by_state_raw = _need(model, "by_state", "model")
     if not isinstance(by_state_raw, dict):
@@ -264,10 +266,13 @@ def load_model(doc: dict) -> ImpreciseTree:
         entries_raw = _need(model, "entries", "model")
         if not isinstance(entries_raw, dict):
             raise SchemaError("model.entries", "expected an object keyed by situation string")
-        rows = _table_rows(space, depth, entries_raw)
-        entries = _table_entries(space, depth, entries_raw, "model.entries") if rows is None else None
-        default = _points(_need(model, "default", "model"), "model.default")
-        assignment = Table(depth, entries, default) if rows is None else Table.of_rows(depth, default, *rows)
+        rows = _table_rows(space, depth, entries_raw, model.get("default"))
+        if rows is None:  # entries first, then the default
+            entries = _table_entries(space, depth, entries_raw, "model.entries")
+            default = _points(_need(model, "default", "model"), "model.default")
+            assignment = Table(depth, entries, default)
+        else:
+            assignment = Table.of_rows(depth, *rows)
     else:
         raise SchemaError("model.kind", f"unknown model kind {reprlib.repr(kind)}")
     try:

@@ -243,6 +243,8 @@ def _padded(rows: np.ndarray, sizes) -> np.ndarray:
     (blocks, largest size, k) array; a shorter block repeats its first row
     in the spare places."""
     sizes = np.asarray(sizes, dtype=np.intp)
+    if (sizes == sizes[0]).all():
+        return rows.reshape(len(sizes), sizes[0], rows.shape[1])
     starts = np.cumsum(sizes) - sizes
     j = np.arange(sizes.max())
     return rows[starts[:, None] + np.where(j < sizes[:, None], j, 0)]
@@ -382,13 +384,13 @@ class Table(_View):
         self._rows = None
 
     @classmethod
-    def of_rows(cls, depth: int, default: CredalSet, positions: list, rows: np.ndarray, sizes) -> "Table":
-        """The table whose i-th entry is the situation at
-        :func:`trie_step` position ``positions[i]`` (length <= depth), with
-        the next ``sizes[i]`` of ``rows``, extreme points as
-        :class:`~iptree.local.CredalSet` stores them."""
+    def of_rows(cls, depth: int, positions: list, rows: np.ndarray, sizes) -> "Table":
+        """The table whose default has the first ``sizes[0]`` of ``rows``
+        and whose i-th entry is the situation at :func:`trie_step` position
+        ``positions[i]`` (length <= depth), with the next ``sizes[i + 1]``:
+        extreme points as :class:`~iptree.local.CredalSet` stores them."""
         table = object.__new__(cls)
-        table.depth, table.default = depth, default
+        table.depth, table.default = depth, CredalSet.of_checked(rows[: sizes[0]])
         table._positions, table._rows, table._sizes = positions, rows, sizes
         return table
 
@@ -397,7 +399,7 @@ class Table(_View):
         if self._rows is None:
             return (self.default, *self.entries.values())
         ends = np.cumsum(self._sizes).tolist()
-        return (self.default, *(CredalSet.of_checked(self._rows[a:b]) for a, b in zip([0, *ends], ends)))
+        return (self.default, *(CredalSet.of_checked(self._rows[a:b]) for a, b in zip(ends, ends[1:])))
 
     @cached_property
     def entries(self) -> dict:
@@ -411,7 +413,7 @@ class Table(_View):
             points = _stacked_points(self.models)
         else:
             positions = self._positions
-            points = _padded(np.concatenate([self.default.points, self._rows]), [self.default.n_points, *self._sizes])
+            points = _padded(self._rows, self._sizes)
         step, states = _prefix_trie(k, positions)
         leaf = np.zeros(len(step), dtype=np.intp)
         leaf[states] = np.arange(1, len(states) + 1)

@@ -1,7 +1,12 @@
+import enum
 import io
 import json
 import math
 import os
+import random
+import struct
+import sys
+import uuid
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -1134,14 +1139,23 @@ _PLACEMENTS = [
 ]
 
 
+def _outcome(write, value):
+    """The text ``write(value)`` returns, or the type and message of what it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestReportWriter:
-    """The JSON report writer is ``json.dumps(indent=2, sort_keys=True,
+    """The JSON report writer, ``_report_text`` and its one-pass fallback
+    ``_json_text``, is ``json.dumps(indent=2, sort_keys=True,
     allow_nan=False)``, byte for byte, and fails where and how it fails."""
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
     def test_same_text_as_json_dumps(self, value):
-        assert cli._json_text(value) == _dumps(value)
+        assert cli._report_text(value) == cli._json_text(value) == _dumps(value)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1153,6 +1167,107 @@ class TestReportWriter:
         document = place(value, bad)
         with pytest.raises((TypeError, ValueError)) as expected:
             _dumps(document)
-        with pytest.raises(type(expected.value)) as got:
-            cli._json_text(document)
-        assert str(got.value) == str(expected.value)
+        for write in (cli._report_text, cli._json_text):
+            with pytest.raises(type(expected.value)) as got:
+                write(document)
+            assert str(got.value) == str(expected.value)
+
+    @staticmethod
+    def placed(value):
+        return [value, [value], [1, value, "x"], {"a": value}, {"b": [value], "a": {"c": value}}]
+
+    def test_floats_of_every_binade(self):
+        # Both float writers give the shortest round-trip digits; orjson
+        # lays out exponents and small numbers otherwise.
+        rng = random.Random(20)
+        values = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, sys.float_info.min]
+        for exponent in range(-1074, 1024):
+            for _ in range(3):
+                if exponent >= -1022:  # normal: an 11-bit exponent field over 52 random fraction bits
+                    bits = (exponent + 1023) << 52 | rng.getrandbits(52)
+                else:  # subnormal: the leading fraction bit sets the binade
+                    bits = 1 << (exponent + 1074) | rng.getrandbits(exponent + 1074)
+                x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+                assert math.frexp(x)[1] == exponent + 1  # 2**exponent <= x < 2**(exponent + 1)
+                values += [x, -x]
+        values += [10.0**e for e in range(-323, 309)] + [1.5 * 10.0**e for e in range(-323, 308)]
+        for value in values:
+            for document in self.placed(value):
+                assert cli._report_text(document) == _dumps(document), document
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\x7f", "a\x7fb", "".join(map(chr, range(32))), "tab\tand\nline", "quote \" and \\", "\u00e9", "\u65e5\u672c",
+         "\U0001f600", "\u2028", "\ud800", "a\udfffb", "\udc80\ud800"],
+        ids=["del", "inner-del", "controls", "escapes", "quote", "latin", "cjk", "astral", "line-separator",
+             "lone-high", "lone-low", "reversed-pair"],
+    )
+    def test_strings(self, text):
+        for document in [*self.placed(text), {text: 1}, {text: [text], "z": 0}]:
+            assert _outcome(cli._report_text, document) == _outcome(_dumps, document)
+
+    @pytest.mark.parametrize("number", [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1, 10**30, -(10**30), 10**400])
+    def test_integers_past_64_bits(self, number):
+        for document in self.placed(number):
+            assert cli._report_text(document) == _dumps(document)
+
+    def test_enum_and_uuid_members_are_written(self):
+        # orjson writes these where json.dumps rejects them; no report holds one.
+        class Color(enum.Enum):
+            RED = 1.5
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        member = uuid.UUID(int=7)
+        for value, text in [(Color.RED, "1.5"), (member, f'"{member}"'), ([Color.RED], "[\n  1.5\n]")]:
+            with pytest.raises(TypeError):
+                _dumps(value)
+            assert cli._report_text(value) == text
+        assert cli._report_text({"level": Level.HIGH}) == _dumps({"level": Level.HIGH})
+
+    def test_a_report_is_written_by_orjson(self):
+        report = {
+            "schema": 1, "ok": True, "converged": False, "value": 0.1, "tol": 1e-12, "small": -1.5e-10, "big": 2.5e15,
+            "iterates": [[1, 0.0], [2, -0.5], [3, 123456789.125], [4, 0.00012]], "kind": "hit_prob", "label": "e1",
+            "upper": "+inf", "nested": {"empty": [], "none": {}}, "path": "seed1/table2d3-model.json",
+        }
+        with mock.patch.object(cli, "_json_text", side_effect=AssertionError("written by the fallback")):
+            assert cli._report_text(report) == _dumps(report)
+
+    @pytest.mark.parametrize(
+        "value", [1e16, 1e-7, 1e-5, -1.5e-5, 0.000099, 2.5e22, 1e-9, math.nan, math.inf, None, "\x7f", "\u00e9"]
+    )
+    def test_what_orjson_writes_otherwise_takes_the_fallback(self, value):
+        document = {"a": [value]}
+        with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as fallback:
+            assert _outcome(cli._report_text, document) == _outcome(_dumps, document)
+        assert fallback.call_args_list[0].args[0] is document
+
+
+def _check_report(tmp_path, capsys, model: dict, *argv) -> str:
+    """The report of ``iptree`` run on ``model`` with ``argv``, held to be
+    ``json.dumps`` of its own contents."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    main([argv[0], "--model", str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert out == _dumps(json.loads(out)) + "\n"
+    return out
+
+
+class TestReportFallback:
+    """Reports that orjson does not write as ``json.dumps`` does, through ``main``."""
+
+    def test_a_non_ascii_label(self, tmp_path, capsys):
+        model = {"schema": 1, "states": ["\u00e9", "T"], "model": MODEL["model"]}
+        out = _check_report(tmp_path, capsys, model, "eval", "--hit-prob", "\u00e9", "--at", "T")
+        assert '"\\u00e9"' in out
+
+    def test_a_certificate_margin_below_1e_4(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"schema": 1, "depth": 1, "lower_bound": 0.0, "table": {"": 0.60005, "H": 1.0, "T": 0.0}}))
+        out = _check_report(tmp_path, capsys, MODEL, "check", "cert", str(cert), "--expr", "ind(X[1]==H)")
+        report = json.loads(out)["certificate"]
+        assert 1e-5 < report["verification"]["max_margin"] < 1e-4 and report["valid"] is True
+        assert "e-05" in out

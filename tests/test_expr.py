@@ -233,6 +233,25 @@ class TestCompile:
         with pytest.raises(ResourceLimitError):
             compiled("ind(X[13]==H)", space, cap=4096)
 
+    @pytest.mark.parametrize(
+        "source", ["0", "-2.5", "ind(X[1]==H)", "sum(i=1..3, ind(X[i]==T)) * 0.1 - ind(X[2]==H)", "1e308 + 1e308 * -0.5"]
+    )
+    def test_the_table_is_the_checked_constructors(self, space, source):
+        f = compiled(source, space)
+        want = FinitaryGamble(f.k, f.table).table
+        assert not f.table.flags.writeable
+        assert f.table.dtype == want.dtype and f.table.shape == want.shape
+        assert f.table.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [("1e308 * 10", "finitary gamble payoffs must be finite"), ("1e308 * 10 - 1e308 * 10", "NaN is not a valid payoff")],
+    )
+    def test_a_payoff_that_is_no_finite_number_is_rejected(self, space, source, message):
+        with pytest.raises(InvalidInputError) as exc:
+            compiled(source, space)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("position", [0, 3])
     def test_a_built_tree_reading_past_its_depth_is_rejected(self, space, position):
         with pytest.raises(InvalidInputError, match=f"state position {position} is outside 1..2"):

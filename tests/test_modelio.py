@@ -115,6 +115,50 @@ class TestTableModelErrors:
         doc = table_model({"T": [[0.5, 0.5]]}, default=([0.5, math.nan],))
         assert schema_error(load_model, doc) == "model.default: NaN is not a valid extreme point weight"
 
+    @pytest.mark.parametrize(
+        "default, expected",
+        [
+            (None, "model.default: missing required field"),
+            ([], "model.default: expected a non-empty list of extreme points"),
+            (0.5, "model.default: expected a non-empty list of extreme points"),
+            ([[0.5, 0.5], [None, 1.0]], "model.default[1]: expected a list of numbers"),
+            ([[True, 0.0]], "model.default[0]: expected a list of numbers"),
+            ([0.5, 0.5], "model.default[0]: expected a list of numbers"),
+            ([[0.5, math.nan]], "model.default: NaN is not a valid extreme point weight"),
+            ([[-0.5, 1.5]], "model.default: mass function weights must be non-negative"),
+            ([[0.5, 0.6]], "model.default: mass function weights sum to 1.1, not 1 (tolerance 1e-09)"),
+            ([[0.5, 0.5], [1.0]], "model.default: " + numpy_message([[0.5, 0.5], [1.0]])),
+            ([[]], "model.default: credal set needs a non-empty (m, k) matrix of extreme points"),
+            ([[0.2, 0.3, 0.5]], "model: local model over 3 states attached to a tree with 2 states"),
+            ([[10**400, 0]], "model.default: int too large to convert to float"),
+        ],
+        ids=["missing", "empty-list", "not-a-list", "none", "bool", "row-not-a-list", "nan", "negative", "sum",
+             "ragged", "empty-row", "width", "huge-int"],
+    )
+    def test_bad_default_after_good_entries(self, default, expected):
+        # The default is read with the entries; a bad one still fails at its own path.
+        doc = table_model({"": [[0.5, 0.5]], "H": [[0.4, 0.6], [0.6, 0.4]], "T": [[1.0, 0]]})
+        if default is None:
+            del doc["model"]["default"]
+        else:
+            doc["model"]["default"] = default
+        assert schema_error(load_model, doc) == expected
+
+    @pytest.mark.parametrize(
+        "entries, expected",
+        [
+            ({"H": [[0.5, 0.5]], "T": []}, "model.entries.T: expected a non-empty list of extreme points"),
+            ({"T": [[0.5, math.nan]]}, "model.entries.T: NaN is not a valid extreme point weight"),
+            ({"": [[0.5, 0.5]], "H": [[0.2, 0.3, 0.5]]}, "model: local model over 3 states attached to a tree with 2 states"),
+            ({"H": [[0.3, 0.7]], "T": [[0.5, 0.5], [0.5]]}, "model.entries.T: " + numpy_message([[0.5, 0.5], [0.5]])),
+            ({"X": [[0.5, 0.5]]}, "model.entries.X: unknown state label 'X'; states are ['H', 'T']"),
+            ({"H": [[0.5, 0.5]], "T": [[0.7, 0.7]]}, "model.entries.T: mass function weights sum to 1.4, not 1 (tolerance 1e-09)"),
+        ],
+        ids=["empty-list", "nan", "width", "ragged", "unknown-label", "sum"],
+    )
+    def test_bad_entry_with_a_good_default(self, entries, expected):
+        assert schema_error(load_model, table_model(entries, default=([0.4, 0.6], [0.6, 0.4]))) == expected
+
     @pytest.mark.parametrize("depth", [True, False, -1, 1.0, "1"])
     def test_depth_must_be_a_non_negative_integer(self, depth):
         doc = table_model({"H": [[0.5, 0.5]]}, depth=depth)
@@ -805,7 +849,7 @@ class TestTableArrays:
                 mock.patch.object(CredalSet, "of_checked", side_effect=CredalSet.of_checked) as adopted:
             table = load_model(doc).assignment
             assert table.points.shape == (len(keys) + 1, 3, 3)
-        assert built.call_count == 1 and adopted.call_count == 0  # the default only
+        assert built.call_count == 0 and adopted.call_count == 1  # the default only, from the one pass
 
 
 # --- the JSON reader ----------------------------------------------------------------
