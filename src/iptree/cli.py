@@ -40,7 +40,14 @@ Flags can be supplied through ``IPTREE_``-prefixed environment variables
 and for ``eval`` ``IPTREE_TOL`` and ``IPTREE_MAX_HORIZON``); explicit flags
 win, and an environment value is checked like the flag it stands for.
 ``main`` reads these variables on every call, and builds a new parser only
-when they have changed since the last call.
+when they have changed since the last call.  A plain command line (every
+flag spelled in full and given once, each value a separate word not
+starting with ``-``, ``check``'s positionals side by side) is read straight
+from that parser's own action table; every other one, ``-h`` and every
+usage error among them, is read by argparse with its own messages (see
+``_read_plain``).  So an expression that starts with ``-`` and holds no
+space is given as ``--expr=-...``: as a separate word, argparse takes it
+for a flag.
 Per-query ``policy`` objects in a query file override the flags; a policy
 value the engine rejects is reported with its source, the query's field or
 the flag, and so is an unknown label in a ``condition`` or ``targets``, an
@@ -190,6 +197,139 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
         "--depth", type=_int_at_least(1), help=f"gamble depth for the oracle battery (default {_DEFAULT_DEPTH})"
     )
     return parser
+
+
+#: ``const`` of a flag that takes the next word as its value.
+_ONE_WORD = object()
+
+#: What a value reads as when its type or choices reject it.
+_REJECTED = object()
+
+
+def _typed(convert, choices, text: str):
+    """``text`` through an action's ``type`` and ``choices``, as argparse
+    reads it, or ``_REJECTED`` where argparse would exit."""
+    try:
+        value = convert(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return _REJECTED
+    return value if choices is None or value in choices else _REJECTED
+
+
+def _plain_reading(parser: argparse.ArgumentParser, dest: str, name: str):
+    """How :func:`_read_plain` reads a subcommand's words: ``(flags,
+    positionals, required, defaults)``, taken from ``parser``'s actions, or
+    None if an action or a default is one it does not read.
+
+    ``flags`` maps a flag to ``(key, dest, const, type, choices)``, where
+    flags that exclude one another (a mutually exclusive group) share one
+    ``key`` and a flag that takes a value has ``const`` ``_ONE_WORD``.
+    ``positionals`` lists ``(dest, type, choices)``, the ``required`` ones
+    first.  ``defaults`` are the values before any word is read: ``dest``
+    set to the subcommand's ``name``, and each action's default, a string
+    one already passed through the action's ``type`` as argparse passes it.
+    """
+    if parser.prefix_chars != "-" or parser.fromfile_prefix_chars is not None:
+        return None
+    groups = {action: group for group in parser._mutually_exclusive_groups for action in group._group_actions}
+    flags, positionals, required = {}, [], 0
+    defaults = {dest: name}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        convert = parser._registry_get("type", action.type, action.type)
+        if isinstance(action, argparse._StoreConstAction) and action.option_strings and not action.required:
+            const = action.const
+        elif type(action) not in (argparse._StoreAction, _StoreOne):
+            return None
+        elif action.option_strings and action.nargs is None and not action.required:
+            const = _ONE_WORD
+        elif not action.option_strings and action.nargs in (None, argparse.OPTIONAL):
+            if action.nargs is None and len(positionals) > required:
+                return None
+            required += action.nargs is None
+            positionals.append((action.dest, convert, action.choices))
+        else:
+            return None
+        for option in action.option_strings:
+            flags[option] = (groups.get(action, action.dest), action.dest, const, convert, action.choices)
+        if action.dest not in defaults and action.default is not argparse.SUPPRESS:
+            value = action.default
+            if isinstance(value, str):
+                value = _typed(convert, None if action.option_strings else action.choices, value)
+                if value is _REJECTED:
+                    return None
+            defaults[action.dest] = value
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return flags, positionals, required, defaults
+
+
+@functools.lru_cache(maxsize=1)
+def _plain_table(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its :func:`_plain_reading`, for those it covers.
+    The top level may hold only ``-h`` and the subcommands, and must read
+    words as they are."""
+    *others, commands = parser._actions
+    if (
+        not isinstance(commands, argparse._SubParsersAction)
+        or not all(isinstance(action, argparse._HelpAction) for action in others)
+        or parser._defaults
+        or parser.fromfile_prefix_chars is not None
+    ):
+        return {}
+    table = {name: _plain_reading(sub, commands.dest, name) for name, sub in commands.choices.items()}
+    return {name: reading for name, reading in table.items() if reading is not None}
+
+
+def _read_plain(parser: argparse.ArgumentParser, argv: list):
+    """``parser.parse_args(argv)`` for a plain command line, else None.
+
+    A plain line is a subcommand and then words in which every flag is
+    spelled in full and given once, each value is the next word and does
+    not start with ``-``, and the positionals stand side by side.  The
+    namespace is read from the parser's own actions (:func:`_plain_table`);
+    any other line, and any on which argparse would exit, is left to
+    ``parse_args`` and its messages.
+    """
+    if not argv or any(type(word) is not str for word in argv):
+        return None
+    reading = _plain_table(parser).get(argv[0])
+    if reading is None:
+        return None
+    flags, positionals, required, defaults = reading
+    values = dict(defaults)
+    seen, run, closed = set(), [], False
+    words = iter(argv[1:])
+    for word in words:
+        flag = flags.get(word)
+        if flag is None:
+            if closed or word.startswith("-"):
+                return None
+            run.append(word)
+            continue
+        key, dest, value, convert, choices = flag
+        if key in seen:
+            return None
+        seen.add(key)
+        closed = bool(run)
+        if value is _ONE_WORD:
+            value = next(words, "-")  # a missing value is no plain one either
+            if value.startswith("-"):
+                return None
+            value = _typed(convert, choices, value)
+            if value is _REJECTED:
+                return None
+        values[dest] = value
+    if not required <= len(run) <= len(positionals):
+        return None
+    for (dest, convert, choices), word in zip(positionals, run):
+        value = values[dest] = _typed(convert, choices, word)
+        if value is _REJECTED:
+            return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(values)
+    return namespace
 
 
 #: Where a policy field comes from when a query does not set it.
@@ -549,7 +689,10 @@ def _cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser(*_env_defaults())
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(parser, argv)
+    if args is None:
+        args = parser.parse_args(argv)
     if args.format not in ("json", "pretty"):
         parser.error(f"IPTREE_FORMAT: invalid choice: {args.format!r} (choose from 'json', 'pretty')")
     try:

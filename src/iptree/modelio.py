@@ -69,6 +69,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import reprlib
 from pathlib import Path
 
@@ -322,8 +323,9 @@ _LONG_INTEGER = b" " + b"0" * 19
 def _read_json(file_path: str | Path):
     """The JSON document in a file.
 
-    A file that cannot be read, is not UTF-8 text or is not JSON raises a
-    :class:`SchemaError` naming the file.  The file is read once, and its
+    A file that cannot be read (a path with a NUL character among them), is
+    not UTF-8 text or is not JSON raises a :class:`SchemaError` naming the
+    file.  The file is read once, and its
     bytes decoded by ``orjson``, which gives the values :func:`json.loads`
     gives, except on the documents that :func:`_json_loads` reads instead:
     those ``orjson`` rejects (NaN and Infinity literals, numbers past the
@@ -332,9 +334,12 @@ def _read_json(file_path: str | Path):
     ``orjson`` reads an integer past 64 bits as a float.
     """
     try:
-        data = Path(file_path).read_bytes()
+        with open(os.fspath(file_path), "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise SchemaError(str(file_path), f"cannot read the file: {exc.strerror or exc}") from None
+    except ValueError as exc:  # a NUL character in the path
+        raise SchemaError(str(file_path), f"cannot read the file: {exc}") from None
     digits = data.translate(_DIGIT_CLASSES)
     if not (digits.startswith(_LONG_INTEGER[1:]) or _LONG_INTEGER in digits):
         try:

@@ -1271,3 +1271,34 @@ class TestReportFallback:
         report = json.loads(out)["certificate"]
         assert 1e-5 < report["verification"]["max_margin"] < 1e-4 and report["valid"] is True
         assert "e-05" in out
+
+
+class TestFilePaths:
+    """A path that cannot be opened exits 2 naming it, from each of the four
+    places a path comes from: ``--model``, ``--query``, a query file's
+    ``model`` and ``check cert``'s certificate.  A NUL character is one such
+    path, which ``open`` rejects with ``ValueError``, not ``OSError``."""
+
+    @pytest.mark.parametrize("source", ["model", "query", "query-file-model", "certificate"])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda tmp_path: str(tmp_path / "co\x00in.json"), "cannot read the file: embedded null byte"),
+            (lambda tmp_path: str(tmp_path / "missing.json"), "cannot read the file: No such file or directory"),
+            (lambda tmp_path: str(tmp_path), "cannot read the file: Is a directory"),
+        ],
+        ids=["nul", "missing", "directory"],
+    )
+    def test_exits_2_naming_the_path(self, capsys, model_file, tmp_path, source, make, message):
+        bad = make(tmp_path)
+        queries = tmp_path / "q.json"
+        queries.write_text(json.dumps({"schema": 1, "model": bad, "queries": [{"kind": "eval", "expression": "1"}]}))
+        argv = {
+            "model": ["eval", "--model", bad, "--expr", "1"],
+            "query": ["eval", "--model", model_file, "--query", bad],
+            "query-file-model": ["eval", "--query", str(queries)],
+            "certificate": ["check", "--model", model_file, "cert", bad, "--expr", "1"],
+        }[source]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {bad}: {message}\n")
