@@ -52,7 +52,15 @@ and written only by :mod:`iptree.tree`.  Certificates and model tables map
 a key to its position through the :func:`~iptree.tree.situation_strings`
 map, built when the labels round-trip (none empty, none with a comma) and
 the document is not much sparser than the situations, and through the
-parser for any other key.  Every valid model table, its default with its
+parser for any other key.  The map is read-only and kept process-wide per
+labels and depth, a few of bounded size (see :func:`_string_positions`), so
+a model, its certificate and the next document over the same labels build
+it once.  A certificate is laid out in one pass: its values go to one
+read-only array whose levels are views of it, and one reduction over that
+array finds a NaN or -inf, which the checked constructor of
+:class:`~iptree.supermartingale.TailConstantProcess` then reports level by
+level.  Only a certificate with a key the map lacks or a value that is no
+float is read entry by entry.  Every valid model table, its default with its
 entries, goes to the arrays of :meth:`~iptree.tree.Table.of_rows` in one
 type scan, one array and one check of every extreme point, with no object
 per entry; a Markov model is checked the same way.  Only a document that
@@ -71,6 +79,7 @@ import json
 import math
 import os
 import reprlib
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -150,23 +159,64 @@ def _checked_rows(raws: list, k: int):
         return None
 
 
+#: The situation-string maps that :func:`_string_positions` keeps, keyed by
+#: labels and depth, least recently used first, and the lock that every
+#: step on them takes.
+_POSITIONS: dict = {}
+_POSITIONS_LOCK = threading.Lock()
+
+#: At most this many maps are kept...
+_KEPT_MAPS = 8
+
+#: ...each past depth 0 and with at most this many situations, which
+#: covers every certificate at the depth of a gamble under the table cap...
+_KEPT_SITUATIONS = 2 * DEFAULT_TABLE_CAP + 1
+
+#: ...and at most this many characters in its strings.
+_KEPT_CHARACTERS = 2**18
+
+
+class _ReadOnlyMap(dict):
+    """A dict whose mutating methods raise, so that a kept map stays as built."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a situation-string map is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
 def _string_positions(space: StateSpace, depth: int, n: int) -> dict:
     """Each of :func:`~iptree.tree.situation_strings` to its position, when
-    they name situations one to one and number at most ``2 n + 1`` for a
-    document of ``n`` keys; empty otherwise.  The map is kept on ``space``
-    for each depth, so a model and a certificate that share a state space
-    build it once."""
-    if any(label == "" or "," in label for label in space.labels):
+    they name situations one to one; empty otherwise.
+
+    A map is built only for a document of ``n`` keys that they number at
+    most ``2 n + 1``, and is read-only.  It is kept process-wide for its
+    labels (in their order) and depth, so the model, its certificate and the
+    next document over the same labels build it once; a one-shot run builds
+    each map once.  At most ``_KEPT_MAPS`` maps are kept, the least recently
+    used dropped first, and only those past depth 0 with at most
+    ``_KEPT_SITUATIONS`` situations and ``_KEPT_CHARACTERS`` characters."""
+    labels = space.labels
+    if any(label == "" or "," in label for label in labels):
         return {}
+    key = (labels, depth)
+    with _POSITIONS_LOCK:
+        positions = _POSITIONS.pop(key, None)
+        if positions is not None:
+            _POSITIONS[key] = positions  # now the most recently used
+            return positions
     count = 0  # situations of length <= depth, counted before any allocation
     for m in range(depth + 1):
         count += space.size**m
         if count > 2 * n + 1:
             return {}
-    built = vars(space).setdefault("_string_positions", {})
-    if depth not in built:
-        built[depth] = dict(zip(situation_strings(space, depth), range(count)))
-    return built[depth]
+    positions = _ReadOnlyMap(zip(situation_strings(space, depth), range(count)))
+    if depth and count <= _KEPT_SITUATIONS and sum(map(len, positions)) <= _KEPT_CHARACTERS:
+        with _POSITIONS_LOCK:
+            _POSITIONS[key] = positions
+            while len(_POSITIONS) > _KEPT_MAPS:
+                del _POSITIONS[next(iter(_POSITIONS))]
+    return positions
 
 
 def _parsed_key(space: StateSpace, depth: int, key: str, path: str) -> tuple:
@@ -186,11 +236,12 @@ def _table_rows(space: StateSpace, depth: int, entries_raw: dict, default_raw):
     """A table model's default and entries read in one pass, as
     :meth:`~iptree.tree.Table.of_rows` takes them; None for an invalid
     document (see the module docstring)."""
-    positions = _string_positions(space, depth, len(entries_raw))
-    try:
-        at = [positions[key] if key in positions else _parsed_key(space, depth, key, "")[1] for key in entries_raw]
-    except SchemaError:
-        return None
+    at = list(map(_string_positions(space, depth, len(entries_raw)).get, entries_raw))
+    if None in at:  # a key the map lacks, by the parser
+        try:
+            at = [_parsed_key(space, depth, key, "")[1] if j is None else j for key, j in zip(entries_raw, at)]
+        except SchemaError:
+            return None
     got = _checked_rows([default_raw, *entries_raw.values()], space.size)
     return None if got is None else (at, *got)
 
@@ -320,12 +371,19 @@ _DIGIT_CLASSES = bytes(48 if 48 <= b <= 57 else 46 if b == 46 else 32 for b in r
 _LONG_INTEGER = b" " + b"0" * 19
 
 
+def _file_name(file_path: str | Path) -> str:
+    """A file's path as a message names it: each character that is not
+    printable (a control character, a line break, a lone surrogate) escaped
+    as :func:`repr` writes it, so that the message stays one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(file_path))
+
+
 def _read_json(file_path: str | Path):
     """The JSON document in a file.
 
     A file that cannot be read (a path with a NUL character among them), is
     not UTF-8 text or is not JSON raises a :class:`SchemaError` naming the
-    file.  The file is read once, and its
+    file by :func:`_file_name`.  The file is read once, and its
     bytes decoded by ``orjson``, which gives the values :func:`json.loads`
     gives, except on the documents that :func:`_json_loads` reads instead:
     those ``orjson`` rejects (NaN and Infinity literals, numbers past the
@@ -337,16 +395,16 @@ def _read_json(file_path: str | Path):
         with open(os.fspath(file_path), "rb") as file:
             data = file.read()
     except OSError as exc:
-        raise SchemaError(str(file_path), f"cannot read the file: {exc.strerror or exc}") from None
+        raise SchemaError(_file_name(file_path), f"cannot read the file: {exc.strerror or exc}") from None
     except ValueError as exc:  # a NUL character in the path
-        raise SchemaError(str(file_path), f"cannot read the file: {exc}") from None
+        raise SchemaError(_file_name(file_path), f"cannot read the file: {exc}") from None
     digits = data.translate(_DIGIT_CLASSES)
     if not (digits.startswith(_LONG_INTEGER[1:]) or _LONG_INTEGER in digits):
         try:
             return orjson.loads(data)
         except orjson.JSONDecodeError:
             pass
-    return _json_loads(data, str(file_path))
+    return _json_loads(data, _file_name(file_path))
 
 
 def _json_loads(data: bytes, name: str):
@@ -370,7 +428,7 @@ def _read_document(file_path: str | Path) -> dict:
     must be an object: any other root fails naming the file."""
     doc = _read_json(file_path)
     if not isinstance(doc, dict):
-        raise SchemaError(str(file_path), f"expected an object, got {type(doc).__name__}")
+        raise SchemaError(_file_name(file_path), f"expected an object, got {type(doc).__name__}")
     return doc
 
 
@@ -401,24 +459,26 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
     table_raw = _need(doc, "table", "")
     if not isinstance(table_raw, dict):
         raise SchemaError("table", "expected an object keyed by situation string")
-    k = space.size
+    k, n = space.size, len(table_raw)
     sizes, count = [], 0  # situations per length and in all, before any allocation
     for m in range(depth + 1):
         sizes.append(k**m)
         count += sizes[-1]
-        if count > len(table_raw):
-            raise SchemaError(
-                "depth",
-                f"the table has {len(table_raw)} entries, fewer than the situations of length <= {depth}",
-            )
+        if count > n:
+            raise SchemaError("depth", f"the table has {n} entries, fewer than the situations of length <= {depth}")
     # Each value goes to its situation's position in the levels laid end to
     # end.  Every entry is a distinct situation, so once all are read the
     # count above guarantees that every situation has its value.  Only a
     # table with a key that is not a situation string or a value that is no
     # float is read entry by entry, which raises for the first bad one.
-    at = list(map(_string_positions(space, depth, len(table_raw)).get, table_raw))
-    values = list(table_raw.values())
-    if None in at or set(map(type, values)) - {float}:
+    positions = _string_positions(space, depth, n)
+    try:
+        if set(map(type, table_raw.values())) - {float}:
+            raise TypeError
+        at = np.fromiter(map(positions.get, table_raw), dtype=np.intp, count=n)  # a miss is a TypeError
+        values = np.fromiter(table_raw.values(), dtype=float, count=n)
+    except TypeError:
+        at, values = list(map(positions.get, table_raw)), list(table_raw.values())
         for j, (key, raw) in enumerate(table_raw.items()):
             if at[j] is None or type(raw) is not float:
                 p_entry = f"table.{key or '<root>'}"
@@ -427,15 +487,19 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
                 values[j] = _value(raw, p_entry)
     laid = np.empty(count)
     laid[at] = values
-    parts = np.split(laid, np.cumsum(sizes)[:-1])
-    try:
-        process = TailConstantProcess(k, tuple(part.reshape((k,) * m) for m, part in enumerate(parts)))
-    except Exception as exc:
-        raise SchemaError("table", str(exc)) from None
-    finite_floor = process.lower_bound()
-    if finite_floor < declared - 1e-12:
+    laid.flags.writeable = False
+    ends = itertools.accumulate(sizes)
+    levels = tuple(laid[end - size : end].reshape((k,) * m) for m, (size, end) in enumerate(zip(sizes, ends)))
+    lowest = laid.min()  # NaN if any value is
+    if not lowest > -INF:  # the checked constructor raises for the first level with a NaN or -inf
+        try:
+            TailConstantProcess(k, levels)
+        except Exception as exc:
+            raise SchemaError("table", str(exc)) from None
+    process = TailConstantProcess.of_checked(k, levels)
+    if lowest < declared - 1e-12:  # the least finite value, or +inf
         raise SchemaError(
-            "table", f"table attains {finite_floor}, below the declared lower bound {declared}"
+            "table", f"table attains {process.lower_bound()}, below the declared lower bound {declared}"
         )
     return process, declared
 

@@ -73,6 +73,15 @@ class TailConstantProcess:
             frozen.append(arr)
         object.__setattr__(self, "levels", tuple(frozen))
 
+    @classmethod
+    def of_checked(cls, k: int, levels: tuple[np.ndarray, ...]) -> "TailConstantProcess":
+        """The process of read-only levels that have passed its checks, not
+        checked or copied again."""
+        process = object.__new__(cls)
+        object.__setattr__(process, "k", k)
+        object.__setattr__(process, "levels", levels)
+        return process
+
     @property
     def depth(self) -> int:
         return len(self.levels) - 1

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from iptree import modelio
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.tree import Homogeneous, ImpreciseTree, PreciseTree
+
+
+@pytest.fixture(autouse=True)
+def no_kept_string_maps():
+    """Every test starts with no situation-string map kept, so that test
+    order cannot hide a bug that only a cold cache shows."""
+    modelio._POSITIONS.clear()
 
 
 @pytest.fixture

@@ -362,8 +362,9 @@ class TestCheck:
         assert report["certificate"]["gap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_cert_on_a_table_builds_the_situation_strings_once(self, capsys, tmp_path, monkeypatch):
-        # The model's table and the certificate share a state space and a
-        # depth, so they share one map of situation strings to positions.
+        # The model's table and the certificate share labels and a depth, so
+        # they share one map of situation strings to positions, which the
+        # next request over the same labels reuses.
         from iptree import modelio
         from iptree.supermartingale import canonical_supermartingale
         from iptree.tree import all_situations, format_situation
@@ -380,9 +381,12 @@ class TestCheck:
         built = []
         strings = modelio.situation_strings
         monkeypatch.setattr(modelio, "situation_strings", lambda *args: built.append(args[1]) or strings(*args))
-        code, out = run(capsys, "check", "--model", str(model_path), "cert", str(cert_path), "--expr", "ind(X[1]==H && X[2]==H)")
-        assert code == 0 and json.loads(out)["certificate"]["valid"] is True
-        assert built == [2]
+        modelio._POSITIONS.clear()  # loading the model above kept its map
+        for want in ([2], []):  # from a cold cache, then from a warm one
+            built.clear()
+            code, out = run(capsys, "check", "--model", str(model_path), "cert", str(cert_path), "--expr", "ind(X[1]==H && X[2]==H)")
+            assert code == 0 and json.loads(out)["certificate"]["valid"] is True
+            assert built == want
 
     def test_cert_below_value_fails(self, capsys, model_file, tmp_path):
         cert = {
@@ -1277,7 +1281,8 @@ class TestFilePaths:
     """A path that cannot be opened exits 2 naming it, from each of the four
     places a path comes from: ``--model``, ``--query``, a query file's
     ``model`` and ``check cert``'s certificate.  A NUL character is one such
-    path, which ``open`` rejects with ``ValueError``, not ``OSError``."""
+    path, which ``open`` rejects with ``ValueError``, not ``OSError``; the
+    message shows it escaped."""
 
     @pytest.mark.parametrize("source", ["model", "query", "query-file-model", "certificate"])
     @pytest.mark.parametrize(
@@ -1301,4 +1306,58 @@ class TestFilePaths:
         }[source]
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        assert (out, err) == ("", f"error: {bad}: {message}\n")
+        shown = bad.replace("\x00", "\\x00")  # escaped, as repr writes it
+        assert (out, err) == ("", f"error: {shown}: {message}\n")
+
+
+class TestPathsInMessages:
+    """A path in an error message has each character that is not printable
+    escaped as ``repr`` writes it, so the message stays one line; a
+    printable path is written as it is."""
+
+    @pytest.mark.parametrize(
+        "name, shown",
+        [
+            ("a\nb.json", "a\\nb.json"),
+            ("a\rb\tc.json", "a\\rb\\tc.json"),
+            ("a\x01b\x7f.json", "a\\x01b\\x7f.json"),
+            ("a\x85b\u2028c.json", "a\\x85b\\u2028c.json"),
+            ("a\udc80.json", "a\\udc80.json"),
+            ("a\x00b.json", "a\\x00b.json"),
+        ],
+        ids=["newline", "return-tab", "control-del", "unicode-breaks", "lone-surrogate", "nul"],
+    )
+    @pytest.mark.parametrize("source", ["model", "query", "certificate"])
+    def test_a_missing_file_is_named_on_one_line(self, capsys, model_file, tmp_path, name, shown, source):
+        bad = str(tmp_path / name)
+        argv = {
+            "model": ["eval", "--model", bad, "--expr", "1"],
+            "query": ["eval", "--model", model_file, "--query", bad],
+            "certificate": ["check", "--model", model_file, "cert", bad, "--expr", "1"],
+        }[source]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        strerror = "embedded null byte" if "\x00" in name else "No such file or directory"
+        assert (out, err) == ("", f"error: {tmp_path}/{shown}: cannot read the file: {strerror}\n")
+        assert err[:-1].isprintable()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"[1]", "expected an object, got list"),
+            (b"{", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            (b"\xff{}", "not UTF-8 text: invalid start byte at byte 0"),
+        ],
+        ids=["not-an-object", "not-json", "not-utf8"],
+    )
+    def test_a_bad_file_is_named_on_one_line(self, capsys, tmp_path, content, message):
+        path = tmp_path / "odd\nname\x1b.json"
+        path.write_bytes(content)
+        assert main(["eval", "--model", str(path), "--expr", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}/odd\\nname\\x1b.json: {message}\n")
+
+    @pytest.mark.parametrize("name", ["plain.json", "sp ace.json", "back\\slash.json", "caf\u00e9 \u6f22.json", "quote'\".json"])
+    def test_a_printable_path_is_written_as_it_is(self, capsys, tmp_path, name):
+        bad = str(tmp_path / name)
+        assert main(["eval", "--model", bad, "--expr", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: cannot read the file: No such file or directory\n")

@@ -609,6 +609,191 @@ def test_certificates_round_trip_through_the_parser(labels, k, depth, seed, shuf
         assert same_process(got[1][0], process)
 
 
+# --- the one-pass certificate loader and the kept situation-string maps ----------
+
+def random_laid_certificate(rng, k, order):
+    """A total table with ``"+inf"``, ``inf`` and ``-0.0`` entries, keyed in
+    trie, sorted or shuffled order, with NaN and -inf floats at up to three
+    random situations of any level."""
+    labels = LABELS[:k]
+    depth = int(rng.integers(0, 5))
+    keys = [",".join(s) for n in range(depth + 1) for s in itertools.product(labels, repeat=n)]
+    if order == "sorted":
+        keys.sort()
+    elif order == "shuffled":
+        rng.shuffle(keys)
+    table = {}
+    for key in keys:
+        u = rng.uniform()
+        table[key] = "+inf" if u < 0.05 else math.inf if u < 0.1 else -0.0 if u < 0.15 else float(rng.uniform(-2, 2))
+    for _ in range(int(rng.integers(0, 4)) if rng.uniform() < 0.5 else 0):
+        table[keys[int(rng.integers(0, len(keys)))]] = [math.nan, -math.inf][int(rng.integers(0, 2))]
+    finite = [v for v in table.values() if v not in ("+inf", math.inf) and not math.isnan(v)]
+    lower_bound = min(finite, default=0.0) + (0.5 if rng.uniform() < 0.1 else 0.0)
+    return certificate(table, depth=depth, lower_bound=lower_bound)
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["trie", "sorted", "shuffled"]))
+def test_the_one_pass_matches_the_reference_on_cold_and_warm_maps(tmp_path, seed, order):
+    # NaN and -Infinity literals take the json fallback of the file reader.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    space = StateSpace(LABELS[:k])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(random_laid_certificate(rng, k, order)))
+    want = outcome(ref_certificate, json.loads(path.read_text()), space)
+    modelio._POSITIONS.clear()
+    for _ in ("cold", "warm"):
+        got = outcome(modelio.load_certificate_file, path, StateSpace(space.labels))
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+            continue
+        (process, declared), (values, ref_declared) = got[1], want[1]
+        assert bits(declared) == bits(ref_declared)
+        assert [level.shape for level in process.levels] == [(k,) * m for m in range(len(process.levels))]
+        assert sum(level.size for level in process.levels) == len(values)
+        for sit, x in values.items():
+            assert bits(process.levels[len(sit)][sit]) == bits(x)
+        for level in process.levels:
+            assert not level.flags.writeable
+            with pytest.raises(ValueError):
+                level.flags.writeable = True
+    assert len(modelio._POSITIONS) <= 1
+
+
+def kept_maps():
+    return {labels_depth: dict(positions) for labels_depth, positions in modelio._POSITIONS.items()}
+
+
+class TestKeptStringMaps:
+    """One map of situation strings to positions is kept per labels and
+    depth, a bounded number of them, each of bounded size, none mutable."""
+
+    def test_labels_in_another_order_never_share_a_map(self):
+        keys = [",".join(s) for n in range(3) for s in itertools.product("AB", repeat=n)]
+        doc = certificate({key: float(i) for i, key in enumerate(keys)}, depth=2)
+        for labels in [("A", "B"), ("B", "A"), ("A", "B")]:
+            space = StateSpace(labels)
+            process, _ = load_certificate(doc, space)
+            for i, key in enumerate(keys):
+                assert process.value(parse_situation(space, key)) == i
+        assert set(modelio._POSITIONS) == {(("A", "B"), 2), (("B", "A"), 2)}
+        assert modelio._POSITIONS[("A", "B"), 2]["A"] == 1 and modelio._POSITIONS[("B", "A"), 2]["A"] == 2
+
+    def test_the_model_and_its_certificate_share_a_map(self, monkeypatch):
+        space = StateSpace(("H", "T"))
+        entries = {format_situation(space, s): [[0.5, 0.5]] for s in itertools.product(range(2), repeat=2)}
+        built = []
+        strings = modelio.situation_strings
+        monkeypatch.setattr(modelio, "situation_strings", lambda *args: built.append(args[1:]) or strings(*args))
+        load_model(table_model(entries, depth=2))
+        keys = ["", "H", "T", *entries]
+        load_certificate(certificate(dict.fromkeys(keys, 1.0), depth=2), StateSpace(("H", "T")))
+        assert built == [(2,)]
+
+    @pytest.mark.parametrize(
+        "labels, depth, kept",
+        [
+            (("H", "T"), 12, True),  # 8191 situations
+            (("H", "T"), 13, False),  # 16383
+            (tuple(map(str, range(modelio._KEPT_SITUATIONS - 1))), 1, True),  # exactly the cap
+            (tuple(map(str, range(modelio._KEPT_SITUATIONS))), 1, False),
+            (("H" * 73, "T" * 73), 8, False),  # 511 strings of 264854 characters in all
+            (("H" * 72, "T" * 72), 8, True),  # 261268, under 2**18
+            (("H", "T"), 0, False),  # the root's one string is not kept
+        ],
+    )
+    def test_a_map_past_a_size_bound_is_not_kept(self, labels, depth, kept):
+        space = StateSpace(labels)
+        count = sum(len(labels) ** m for m in range(depth + 1))
+        positions = modelio._string_positions(space, depth, count)
+        assert positions == dict(zip(modelio.situation_strings(space, depth), range(count)))
+        if depth == 8:
+            assert (sum(map(len, positions)) <= modelio._KEPT_CHARACTERS) is kept
+        assert (positions is modelio._POSITIONS.get((labels, depth))) is kept
+        assert len(modelio._POSITIONS) == int(kept)
+        assert (modelio._string_positions(space, depth, count) is positions) is kept
+
+    def test_a_sparse_document_builds_no_map_but_reads_a_kept_one(self):
+        space = StateSpace(("H", "T"))
+        assert modelio._string_positions(space, 3, 6) == {} and not modelio._POSITIONS  # 15 > 2 * 6 + 1
+        dense = modelio._string_positions(space, 3, 15)
+        assert modelio._string_positions(space, 3, 6) is dense
+
+    def test_the_count_bound_holds_least_recently_used_first(self):
+        spaces = [StateSpace((f"a{i}", f"b{i}")) for i in range(3 * modelio._KEPT_MAPS)]
+        for i, space in enumerate(spaces):
+            modelio._string_positions(space, 2, 7)
+            modelio._string_positions(spaces[0], 2, 7)  # kept by use
+            assert len(modelio._POSITIONS) == min(i + 1, modelio._KEPT_MAPS)
+        kept = [labels for labels, _ in modelio._POSITIONS]
+        assert kept == [space.labels for space in spaces[-modelio._KEPT_MAPS + 1:]] + [spaces[0].labels]
+
+    def test_threads_share_the_maps_safely(self):
+        # More threads than cores, switching often, over more label sets
+        # than are kept: every load is right, and the count bound holds.
+        import sys
+        import threading
+
+        keys = [",".join(s) for n in range(3) for s in itertools.product("ab", repeat=n)]
+        doc = certificate({key: float(i) for i, key in enumerate(keys)}, depth=2)
+        label_sets = [(f"a{i}", f"b{i}") for i in range(2 * modelio._KEPT_MAPS)]
+        docs = [certificate({key.replace("a", f"a{i}").replace("b", f"b{i}"): x for key, x in doc["table"].items()},
+                            depth=2) for i in range(len(label_sets))]
+        wrong = []
+
+        def work(offset):
+            for j in range(150):
+                i = (offset + j) % len(label_sets)
+                try:
+                    process, _ = load_certificate(docs[i], StateSpace(label_sets[i]))
+                except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                    wrong.append(exc)
+                    continue
+                if np.concatenate([level.ravel() for level in process.levels]).tolist() != list(range(len(keys))):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(3 * t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and len(modelio._POSITIONS) <= modelio._KEPT_MAPS
+
+    def test_no_caller_can_mutate_a_kept_map(self):
+        space = StateSpace(("H", "T"))
+        positions = modelio._string_positions(space, 2, 7)
+        before = kept_maps()
+        for mutate in [
+            lambda m: m.__setitem__("X", 9),
+            lambda m: m.__delitem__("H"),
+            lambda m: m.clear(),
+            lambda m: m.pop("H"),
+            lambda m: m.pop("X", None),
+            lambda m: m.popitem(),
+            lambda m: m.setdefault("X", 9),
+            lambda m: m.update({"H": 9}),
+            lambda m: m.__ior__({"H": 9}),
+        ]:
+            with pytest.raises(TypeError):
+                mutate(positions)
+        load_certificate(certificate({"": 0.0, "H": 1.0, "T": 2.0, "H,H": 3.0, "H,T": 4.0, "T,H": 5.0, "T,T": 6.0},
+                                     depth=2), space)
+        assert kept_maps() == before == {(("H", "T"), 2): {"": 0, "H": 1, "T": 2, "H,H": 3, "H,T": 4, "T,H": 5, "T,T": 6}}
+
+
 # --- Markov models: one check of every part, errors part by part -----------------
 
 def markov_model(model, states=("A", "B")):
