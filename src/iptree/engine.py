@@ -10,17 +10,27 @@ number is the infimum of supermartingale certificates (see
 :mod:`.supermartingale`) and the upper envelope over compatible precise trees
 (see :mod:`.oracle`), which the test suite cross-checks.
 
-One kernel runs the recursion for every gamble.  It walks the product of
+One sweep runs the recursion for every gamble.  It walks the nodes below
+the situation forward, level by level, then sweeps them backwards: a
+node's value is the local upper expectation of the step reward plus the
+successor's value.  A gamble's reward automaton is walked in product with
 the tree's finite-state view (the ``step``, ``leaf`` and ``points`` arrays
-of :mod:`~iptree.tree`) and the gamble's reward automaton (a dense gamble
-enters as the implicit trie of its prefixes, whose states are computed, not
-looked up) forward with
-:func:`~iptree.tree.product_levels`, then sweeps those product layers
-backwards: a node's value is the local upper expectation of the step
-reward plus the successor's value.  Values carry a trailing gamble axis,
-so gambles that share an automaton (dense gambles of one depth, a gamble and its negation)
-go through one sweep, and every local expectation is the one ordered sum
-:func:`~iptree.extreal.weighted_sum`, whose bits do not depend on the batch.
+of :mod:`~iptree.tree`) by :func:`~iptree.tree.product_levels`.  A dense
+gamble's nodes are the prefixes of its strings, a trie that is never built:
+:func:`~iptree.tree.prefix_levels` walks only their tree states, node i's
+children being nodes ``i * k`` to ``i * k + k - 1``, and the deepest
+level's values are one slice of the payoffs.  Values carry a gamble axis,
+so gambles that share an automaton (dense gambles of one depth, a gamble
+and its negation) go through one sweep.
+
+Every Bellman step here, in the sweeps, the limits and the policy solve
+(and in :func:`~iptree.supermartingale.verify`), is one kernel,
+:func:`_expectations`, with the nodes on the last axis: the extreme points
+``(k, P, nodes)``, from the view's ``points_last``, times the next values
+``(k, G, nodes)`` in one broadcast multiply, then the symbols added left to
+right.  Those are the products and sums of
+:func:`~iptree.extreal.weighted_sum`, in its order, so the bits do not
+depend on the batch, and the inner loops run over the nodes.
 Upper expectations (:func:`finitary_uppers`), the value at every situation
 (:func:`value_tables`, the one-gamble case :func:`value_table`) and the
 attaining compatible precise tree, a :class:`~iptree.tree.Selection` that
@@ -54,7 +64,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError, IptreeError, MonotonicityError
-from .extreal import INF, fmt, weighted_sum
+from .extreal import INF, fmt
 from .gambles import (
     Cylinder,
     Direction,
@@ -71,7 +81,7 @@ from .gambles import (
     pointwise_leq,
 )
 from .local import MassFunction
-from .tree import PreciseTree, Selection, Situation, Tree, as_situation, product_levels, trie_step
+from .tree import PreciseTree, Selection, Situation, Tree, as_situation, prefix_levels, product_levels, trie_position, trie_step
 
 #: Slack allowed when auditing that iterate values follow the declared
 #: monotone direction (pure float noise; anything larger is a generator bug).
@@ -151,46 +161,77 @@ class ApproxResult:
         }
 
 
-def _local_points(tree: Tree, t: np.ndarray) -> np.ndarray:
-    """Extreme points of the local model of each tree state in ``t``,
-    ``(states, P, k)``, padded as :mod:`~iptree.tree` pads them."""
+def _node_points(tree: Tree, t: np.ndarray) -> np.ndarray:
+    """Extreme points of the local model of each tree state in ``t``, nodes
+    last, ``(k, P, len(t))``, padded as :mod:`~iptree.tree` pads them; a
+    view with one model gives its ``(k, P, 1)`` points, which broadcast."""
     a = tree.assignment
-    return a.points.take(a.leaf[t], axis=0)
+    last = a.points_last
+    return last if last.shape[2] == 1 else last.take(a.leaf[t], axis=2)
 
 
-def _scores(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Every extreme point's expectation of every gamble's next values:
-    ``points`` (nodes, P, k), ``nxt`` (nodes, k, G) the step reward plus the
-    value after each symbol; returns (nodes, P, G)."""
-    return weighted_sum(points[:, :, None, :], nxt.swapaxes(1, 2)[:, None])
+def _expectations(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """The kernel of every Bellman step: each extreme point's expectation
+    of each column of next values, with the nodes on the last axis.
+
+    ``points`` is (k, P, nodes) (or (k, P, 1), broadcast) and ``nxt``
+    (k, G, nodes), the step reward plus the value after each symbol; the
+    result is (P, G, nodes), and its maximum over the points is each node's
+    local upper expectation.  One broadcast multiply into a
+    (k, P, G, nodes) temporary, then the symbols added left to right: the
+    products and sums of :func:`~iptree.extreal.weighted_sum`, in its
+    order, so every bit is that sum's whatever the batch, while the inner
+    loops run along the node axis.
+    """
+    terms = points[:, :, None, :] * nxt[:, None, :, :]
+    total = terms[0]
+    for y in range(1, len(terms)):
+        total += terms[y]  # into the temporary's first slice, which nothing else reads
+    return total
 
 
 def _sweep(tree: Tree, cols: MachineStack, s: Situation, picks: bool = False):
-    """The backward recursion over the product layers below ``s``.
+    """The backward recursion over the nodes below ``s``.
 
-    Returns the layers of :func:`~iptree.tree.product_levels`, every node's values
-    (nodes, G): per gamble, the upper expectation of the
+    A dense gamble's nodes are the prefix-trie nodes of
+    :func:`~iptree.tree.prefix_levels` (only their tree states are walked:
+    node i's children are ``i * k`` to ``i * k + k - 1``), and its deepest
+    level's values are one slice of its payoffs; an automaton's nodes are
+    the product layers of :func:`~iptree.tree.product_levels`.  Returns each
+    level's tree states, its automaton states (``None`` on the trie), every
+    node's values (G, nodes): per gamble, the upper expectation of the
     rewards still to come plus the terminal payoff, and with ``picks`` the
     extreme point attaining each value above the deepest level (the lowest
     on ties).  A level costs a few array operations over all its nodes.
     """
     if cols.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
-    a = tree.assignment
-    layers, transitions = product_levels(a.step, cols.step, a.machine_init(s), cols.read(s)[1], cols.depth - len(s))
-    values = [cols.payoffs(layers[-1][1])]
+    a, k = tree.assignment, cols.k
+    t0, q0, levels = a.machine_init(s), cols.read(s)[1], cols.depth - len(s)
+    if cols.trie:
+        ts, qs = prefix_levels(a.step, t0, levels), None
+        # The leaves below s, in lexicographic order: one run of the payoffs.
+        width = k ** max(levels, 0)
+        row = (q0 - trie_position(k, (0,) * min(len(s), cols.depth))) * width
+        values = [cols.terminal[row : row + width].T]
+    else:
+        layers, transitions = product_levels(a.step, cols.step, t0, q0, levels)
+        ts, qs = [t for t, _ in layers], [q for _, q in layers]
+        rewards = cols.reward.transpose(2, 1, 0)  # (G, k, states)
+        values = [cols.payoffs(qs[-1]).T]
     argmax: list[np.ndarray] = []
-    for li in range(len(transitions) - 1, -1, -1):
-        t, q = layers[li]
-        nxt = values[0][transitions[li]]
-        # The trie's steps pay nothing; adding 0.0 drops negative zeros, as
-        # adding a zero reward does.
-        nxt = nxt + 0.0 if cols.trie else cols.reward[q] + nxt
-        scores = _scores(_local_points(tree, t), nxt)
-        values.insert(0, scores.max(axis=1))
+    for li in range(len(ts) - 2, -1, -1):
+        if qs is None:
+            # The trie's steps pay nothing; adding 0.0 drops negative zeros,
+            # as adding a zero reward does.
+            nxt = values[0].reshape(len(values[0]), -1, k).transpose(2, 0, 1) + 0.0
+        else:
+            nxt = (rewards.take(qs[li], axis=2) + values[0].take(transitions[li].T, axis=1)).swapaxes(0, 1)
+        scores = _expectations(_node_points(tree, ts[li]), nxt)
+        values.insert(0, scores.max(axis=0))
         if picks:
-            argmax.insert(0, scores.argmax(axis=1))
-    return layers, values, argmax
+            argmax.insert(0, scores.argmax(axis=0))
+    return ts, qs, values, argmax
 
 
 def finitary_uppers(tree: Tree, gambles, s: Situation = ()) -> list[float]:
@@ -201,8 +242,8 @@ def finitary_uppers(tree: Tree, gambles, s: Situation = ()) -> list[float]:
     """
     s = as_situation(s, tree.k)
     cols = MachineStack.of(gambles)
-    values = _sweep(tree, cols, s)[1]
-    return (cols.read(s)[0] + values[0][0]).tolist()
+    values = _sweep(tree, cols, s)[2]
+    return (cols.read(s)[0] + values[0][:, 0]).tolist()
 
 
 def finitary_upper(tree: Tree, f: Gamble, s: Situation = ()) -> float:
@@ -233,15 +274,18 @@ def adversarial_selection(tree: Tree, f: Gamble, s: Situation = ()) -> PreciseTr
     """
     s = as_situation(s, tree.k)
     cols = MachineStack.of([f])
-    layers, _, argmax = _sweep(tree, cols, s, picks=True)
-    step = trie_step(cols.k, cols.depth)[0] if cols.trie else cols.step
+    ts, qs, _, argmax = _sweep(tree, cols, s, picks=True)
+    if cols.trie:  # the prefixes' trie_step states: q's children are k * q + 1 + y
+        qs = [np.array([cols.read(s)[1]])]
+        for _ in argmax[1:]:
+            qs.append((cols.k * qs[-1][:, None] + np.arange(1, cols.k + 1)).ravel())
+    a, step = tree.assignment, trie_step(cols.k, cols.depth)[0] if cols.trie else cols.step
     picked = {}
-    for li, picks in enumerate(argmax):
-        t, q = layers[li]
-        chosen = _local_points(tree, t)[np.arange(len(t)), picks[:, 0]]
+    for li, (t, q, picks) in enumerate(zip(ts, qs, argmax)):
+        chosen = a.points[a.leaf[t], picks[0]]
         picked.update(((len(s) + li, node_t, node_q), MassFunction(p))
                       for node_t, node_q, p in zip(t.tolist(), q.tolist(), chosen))
-    return PreciseTree(tree.state_space, Selection(tree.assignment, step, cols.depth, picked))
+    return PreciseTree(tree.state_space, Selection(a, step, cols.depth, picked))
 
 
 def value_tables(tree: Tree, gambles) -> list[list[np.ndarray]]:
@@ -249,10 +293,10 @@ def value_tables(tree: Tree, gambles) -> list[list[np.ndarray]]:
     from one sweep; each table is bit-identical to that gamble's alone."""
     if not all(isinstance(f, FinitaryGamble) for f in gambles):
         raise InvalidInputError("value_table expects a dense finitary gamble")
-    # Swept from the root, a dense gamble's product nodes at level m are the
+    # Swept from the root, a dense gamble's nodes at level m are the
     # length-m prefixes, one each, in lexicographic order.
-    values = _sweep(tree, MachineStack.of(gambles), ())[1]
-    return [[vals[:, g].reshape((tree.k,) * m) for m, vals in enumerate(values)] for g in range(len(gambles))]
+    values = _sweep(tree, MachineStack.of(gambles), ())[2]
+    return [[vals[g].reshape((tree.k,) * m) for m, vals in enumerate(values)] for g in range(len(gambles))]
 
 
 def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
@@ -272,22 +316,12 @@ def _closure(tree: Tree, step: np.ndarray, q: int, s: Situation):
     They are numbered breadth first (:func:`~iptree.tree.product_closure`),
     that node first, and the tree keeps the last closure walked.  Returns
     the (nodes, k) successor table, each node's automaton state and the
-    extreme points of each node's local model, (nodes, points, k).
+    extreme points of each node's local model, (k, points, nodes), gathered
+    for every node.
     """
     a = tree.assignment
     trans, t_of, q_of = a.closure(step, a.machine_init(s), q)
-    return trans, q_of, _local_points(tree, t_of)
-
-
-def _symbol_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms[0] + terms[1] + ...``, added left to right: with the symbol
-    on the leading axis, the sum :func:`~iptree.extreal.weighted_sum` forms
-    from the same products, bit for bit, with one multiplication for all
-    symbols."""
-    total = terms[0]
-    for j in range(1, len(terms)):
-        total = total + terms[j]
-    return total
+    return trans, q_of, a.points_last.take(a.leaf[t_of], axis=2)
 
 
 def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np.ndarray, s: Situation, first: int):
@@ -303,7 +337,8 @@ def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np
     terminal payoff and ``V_{r+1}`` is the local upper expectation of the
     step reward plus ``V_r`` at the successor: each further iterate is one
     Bellman step over the :func:`_closure`, its arrays laid out symbol
-    first once, so a step is one gather, one product and one ordered sum.
+    first and node last once, so a step is one gather and one
+    :func:`_expectations`.
     """
     accs, qs = [np.zeros(terminal.shape[1])], [0]
     for y in s:
@@ -313,13 +348,12 @@ def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np
         yield accs[m] + terminal[qs[m]]
     trans, q_of, points = _closure(tree, step, qs[-1], s)
     paid, succ = accs[-1], np.ascontiguousarray(trans.T)  # (k, nodes)
-    weights = np.ascontiguousarray(points.transpose(2, 0, 1)[:, :, None, :])  # (k, nodes, 1, points)
-    rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(1, 0, 2))  # (k, nodes, G)
-    values = terminal.take(q_of, axis=0)  # (nodes, G)
+    rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(2, 1, 0))  # (G, k, nodes)
+    values = np.ascontiguousarray(terminal.take(q_of, axis=0).T)  # (G, nodes)
     for r in itertools.count(len(s) + 1):
-        values = _symbol_sum(weights * (rewards + values.take(succ, axis=0))[..., None]).max(axis=-1)
+        values = _expectations(points, (rewards + values.take(succ, axis=1)).swapaxes(0, 1)).max(axis=0)
         if r >= first:  # iterates before `first` are not reported
-            yield paid + values[0]
+            yield paid + values[:, 0]
 
 
 def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy) -> Optional[ApproxResult]:
@@ -480,36 +514,36 @@ def _hitting_kind(v: LimitVariable) -> Optional[bool]:
     return False if reward0 == step0 else None
 
 
-def _attractor(pos: np.ndarray, trans: np.ndarray, goal: np.ndarray, allowed: np.ndarray):
-    """Nodes from which some choice among the ``allowed`` (nodes, points)
+def _attractor(pos: np.ndarray, succ: np.ndarray, goal: np.ndarray, allowed: np.ndarray):
+    """Nodes from which some choice among the ``allowed`` (points, nodes)
     extreme points reaches ``goal`` with positive probability, and for each
     such node outside ``goal`` the first point that moves one rank closer
-    to it with positive probability.  ``pos`` marks the (nodes, points, k)
-    positive masses."""
+    to it with positive probability.  ``pos`` marks the (k, points, nodes)
+    positive masses and ``succ`` is the (k, nodes) successor table."""
     inside, choice = goal.copy(), np.zeros(len(goal), dtype=np.intp)
     if not inside.any():  # nothing reaches an empty goal
         return inside, choice
     while True:
-        toward = allowed & (pos & inside[trans][:, None, :]).any(axis=2)
-        new = toward.any(axis=1) & ~inside
+        toward = allowed & (pos & inside[succ][:, None, :]).any(axis=0)
+        new = toward.any(axis=0) & ~inside
         if not new.any():
             return inside, choice
-        choice[new] = toward[new].argmax(axis=1)
+        choice[new] = toward[:, new].argmax(axis=0)
         inside |= new
 
 
-def _staying(zero: np.ndarray, trans: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """(nodes, points): whether the point surely keeps the path in
-    ``inside``; ``zero`` marks the (nodes, points, k) zero masses."""
-    return (zero | inside[trans][:, None, :]).all(axis=2)
+def _staying(zero: np.ndarray, succ: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """(points, nodes): whether the point surely keeps the path in
+    ``inside``; ``zero`` marks the (k, points, nodes) zero masses."""
+    return (zero | inside[succ][:, None, :]).all(axis=0)
 
 
-def _trap(zero: np.ndarray, trans: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _trap(zero: np.ndarray, succ: np.ndarray, live: np.ndarray) -> np.ndarray:
     """The largest set of ``live`` nodes in each of which some extreme point
     surely keeps the path inside the set."""
     trap = live
     while trap.any():
-        kept = trap & _staying(zero, trans, trap).any(axis=1)
+        kept = trap & _staying(zero, succ, trap).any(axis=0)
         if (kept == trap).all():
             break
         trap = kept
@@ -533,7 +567,7 @@ def _exits(step: np.ndarray, out: np.ndarray, inward: np.ndarray, col: np.ndarra
 def _policy_values(points, trans, reward, sides):
     """Values at every node of the closure, for each of the two ``sides``:
     the largest, then the least value, each side given by its ``unknown``
-    nodes, ``fixed`` values, ``allowed`` (nodes, points) extreme points and
+    nodes, ``fixed`` values, ``allowed`` (points, nodes) extreme points and
     fallback ``choice`` of a point per node.  A side's values are ``fixed``
     outside ``unknown``, and on it the expected reward to come under the
     best (largest, or least) stationary choice of ``allowed`` extreme
@@ -555,11 +589,11 @@ def _policy_values(points, trans, reward, sides):
     least value the solution is unique: on the unknown nodes every allowed
     choice leaves them almost surely, or pays a step each time it stays.
 
-    The unknown nodes' arrays are gathered once, from the closure's, and
-    laid out symbol first, so each round's expectations are one product
-    and one ordered sum (:func:`_symbol_sum`).
+    The unknown nodes' arrays are gathered once, from the closure's
+    (k, points, nodes) ``points``, symbol first and node last, so each
+    round's expectations are one :func:`_expectations`.
     """
-    unknown, values, allowed, choice = (np.concatenate(parts) for parts in zip(*sides))
+    unknown, values, allowed, choice = (np.concatenate(parts, axis=-1) for parts in zip(*sides))
     idx = unknown.nonzero()[0]
     n = len(idx)
     if not n:
@@ -567,9 +601,9 @@ def _policy_values(points, trans, reward, sides):
     at = np.full(len(values), -1)
     at[idx] = np.arange(n)
     least, node = np.divmod(idx, len(trans))  # each unknown node's side (1: least) and closure node
-    pts = points.take(node, axis=0).transpose(2, 0, 1)  # (k, n, points)
+    pts = points.take(node, axis=2)  # (k, points, n)
     nxt, rew = (trans.take(node, axis=0) + len(trans) * least[:, None]).T, reward.take(node, axis=0).T  # (k, n)
-    blocked, choice, sign = ~allowed.take(idx, axis=0), choice[idx], np.where(least, -1.0, 1.0)[:, None]
+    blocked, choice, sign = ~allowed.take(idx, axis=1), choice[idx], np.where(least, -1.0, 1.0)
     col, rows = at[nxt], np.arange(n)
     out, stay = col < 0, col == rows  # steps out of the unknown nodes, and back to the same node
     inward, leave = ~out, ~stay
@@ -577,31 +611,31 @@ def _policy_values(points, trans, reward, sides):
     entry = (np.repeat(rows, len(col))[moves.ravel()], col.T[moves])
     known = np.where(np.isinf(values), 0.0, values)  # no allowed point reaches an infinite value
     known[idx] = 0.0
-    base = _symbol_sum(pts * (rew + known[nxt])[:, :, None])  # reward and known values, per point
+    base = _expectations(pts, (rew + known[nxt])[:, None])[:, 0]  # reward and known values, (points, n)
     known[idx] = 1.0
     for rounds in range(_MAX_ROUNDS):
-        gained = sign * _symbol_sum(pts * (rew + known[nxt])[:, :, None])
+        gained = sign * _expectations(pts, (rew + known[nxt])[:, None])[:, 0]
         gained[blocked] = -INF
-        best = gained.argmax(axis=1)
+        best = gained.argmax(axis=0)
         if rounds:
-            now = gained[rows, choice]
-            switch = gained[rows, best] > now + _SWITCH_GAIN * np.maximum(1.0, np.abs(now))
+            now = gained[choice, rows]
+            switch = gained[best, rows] > now + _SWITCH_GAIN * np.maximum(1.0, np.abs(now))
             if not switch.any():
                 return values
             best = np.where(switch, best, choice)
-        stuck = ~_exits(pts[:, rows, best] > 0, out, inward, col)
+        stuck = ~_exits(pts[:, best, rows] > 0, out, inward, col)
         best[stuck] = choice[stuck]
         if rounds and (best == choice).all():
             return values
         choice = best
         # I - P, its diagonal the mass that leaves the node: 1 - P[i, i]
         # would round a mass below eps away and make the system singular.
-        p = pts[:, rows, choice]  # (k, n)
-        outflow, off = _symbol_sum(p * leave), p.T[moves]
+        p = pts[:, choice, rows]  # (k, n)
+        outflow, off = _expectations(p[:, None], leave[:, None])[0, 0], p.T[moves]
         if n <= _DENSE_SOLVE:
             matrix = np.diag(outflow)
             np.subtract.at(matrix, entry, off)
-            values[idx] = known[idx] = np.linalg.solve(matrix, base[rows, choice])
+            values[idx] = known[idx] = np.linalg.solve(matrix, base[choice, rows])
         else:
             from scipy.sparse import csc_matrix
             from scipy.sparse.linalg import spsolve
@@ -613,7 +647,7 @@ def _policy_values(points, trans, reward, sides):
                 ),
                 (n, n),
             )
-            values[idx] = known[idx] = spsolve(matrix, base[rows, choice])
+            values[idx] = known[idx] = spsolve(matrix, base[choice, rows])
     raise IptreeError(f"policy iteration did not settle in {_MAX_ROUNDS} rounds")
 
 
@@ -634,23 +668,23 @@ def _hitting_values(trans, q_of, points, reward, time: bool):
     rest, for both sides at once; where a first choice would never leave
     the unknown nodes, it falls back to points that move toward a hit.
     """
-    live, pos = q_of == 0, points > 0
+    live, pos, succ = q_of == 0, points > 0, trans.T
     zero = ~pos
-    every = np.ones(points.shape[:2], dtype=bool)
+    every = np.ones(points.shape[1:], dtype=bool)
     first = np.zeros(len(trans), dtype=np.intp)
-    trap = _trap(zero, trans, live)
-    doomed = _attractor(pos, trans, trap, every)[0]  # some choice may never hit
+    trap = _trap(zero, succ, live)
+    doomed = _attractor(pos, succ, trap, every)[0]  # some choice may never hit
     if not time:
         surely = np.where(live & ~doomed, 1.0, 0.0)
-        reach, choice = _attractor(pos, trans, ~doomed, every)
+        reach, choice = _attractor(pos, succ, ~doomed, every)
         upper = (doomed & reach, surely, every, choice)
         lower = (doomed & ~trap, surely, every, first)
     else:
         upper = (live & ~doomed, np.where(doomed, INF, 0.0), every, first)
         hits, allowed, choice = np.ones(len(trans), dtype=bool), every, first
         while doomed.any():  # shrink to where some choice hits almost surely
-            allowed = _staying(zero, trans, hits)
-            reached, choice = _attractor(pos, trans, ~doomed, allowed)
+            allowed = _staying(zero, succ, hits)
+            reached, choice = _attractor(pos, succ, ~doomed, allowed)
             if (reached == hits).all():
                 break
             hits = reached

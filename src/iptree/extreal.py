@@ -9,7 +9,9 @@ places:
 
 NaN is never a legal value anywhere in this package.  The module also holds
 :func:`weighted_sum`, the one ordered sum that every local expectation in
-the package is computed with.
+the package is computed with: :mod:`.local` and :func:`xdot` call it, and
+the engine's kernel (:func:`~iptree.engine._expectations`) forms the same
+products and additions in the same order, with the nodes on the last axis.
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ def xmul(scale: float, value: float) -> float:
 def weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``sum_j weights[..., j] * values[..., j]``, added left to right.
 
-    Every local expectation in the package is this one sum: the engine's
-    sweeps and limits, :mod:`.local`, certificate checks and :func:`xdot`.
+    Every local expectation in the package is this one sum.  :mod:`.local`
+    and :func:`xdot` call it; the engine's sweeps, limits and policy solve
+    and the certificate check form the same products and additions in the
+    same order through :func:`~iptree.engine._expectations`, whose symbol
+    axis comes first and node axis last, so that its inner loops are long.
     Each entry is the same chain of elementwise products and additions
     whatever the leading axes hold, so a value does not depend on how many
     nodes or gambles were evaluated with it (a BLAS product's rounding

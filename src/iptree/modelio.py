@@ -436,6 +436,10 @@ def load_model_file(file_path: str | Path) -> ImpreciseTree:
     return load_model(_read_document(file_path))
 
 
+#: The one string a certificate value may be, and the value it stands for.
+_PLUS_INF = {"+inf": INF}
+
+
 def _value(raw, path: str) -> float:
     if raw == "+inf":
         return INF
@@ -469,14 +473,21 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
     # Each value goes to its situation's position in the levels laid end to
     # end.  Every entry is a distinct situation, so once all are read the
     # count above guarantees that every situation has its value.  Only a
-    # table with a key that is not a situation string or a value that is no
-    # float is read entry by entry, which raises for the first bad one.
+    # table with a key that is not a situation string or a value that is
+    # neither a float nor exactly "+inf" (as dump_certificate writes an
+    # infinite value) is read entry by entry, which raises for the first bad
+    # one.
     positions = _string_positions(space, depth, n)
     try:
-        if set(map(type, table_raw.values())) - {float}:
+        raw = table_raw.values()
+        kinds = set(map(type, raw))
+        if str in kinds:
+            raw = list(map(_PLUS_INF.get, raw, raw))  # an unhashable value is a TypeError
+            kinds = set(map(type, raw))
+        if kinds - {float}:
             raise TypeError
         at = np.fromiter(map(positions.get, table_raw), dtype=np.intp, count=n)  # a miss is a TypeError
-        values = np.fromiter(table_raw.values(), dtype=float, count=n)
+        values = np.fromiter(raw, dtype=float, count=n)
     except TypeError:
         at, values = list(map(positions.get, table_raw)), list(table_raw.values())
         for j, (key, raw) in enumerate(table_raw.items()):

@@ -16,9 +16,10 @@ Entries may be +inf (harmless above a bound); -inf is rejected because it
 breaks the bounded-below reading.
 
 Checking is level by level, with the recursion engine's machinery: the
-tree's ``step`` array, walked along the prefix trie of the process, gives
-every situation of a level its local model, and one elementwise sum over the
-level (:func:`~iptree.extreal.weighted_sum`) gives each situation the same
+tree's ``step`` array, walked along the prefix trie of the process
+(:func:`~iptree.tree.prefix_levels`), gives every situation of a level its
+local model, and one call of the engine's Bellman-step kernel over the
+level, with the situations on the last axis, gives each situation the same
 local upper expectation :func:`~iptree.local.upper_expectation` computes.
 Only situations whose next values include +inf are evaluated one by one, in
 extended arithmetic.
@@ -31,12 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _local_points, finitary_upper, value_table
+from .engine import _expectations, _node_points, finitary_upper, value_table
 from .errors import InvalidInputError
-from .extreal import INF, check_no_nan, weighted_sum
+from .extreal import INF, check_no_nan
 from .gambles import FinitaryGamble
 from .local import CredalSet, extended_upper_expectation
-from .tree import Situation, Tree, as_situation, local_model, product_levels
+from .tree import Situation, Tree, as_situation, local_model, prefix_levels
 
 #: Verification slack: a situation counts as violating only beyond this.
 VERIFY_TOL = 1e-9
@@ -168,11 +169,15 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
 
     The check runs level by level.  The situations of a level find their
     local models through the tree's ``step`` and ``leaf`` arrays, walked
-    along the prefix trie of the process; each gets the local upper expectation from
-    one elementwise sum over the level, the
+    along the prefix trie of the process by
+    :func:`~iptree.tree.prefix_levels`, so that situation i's children are
+    situations ``i * k`` to ``i * k + k - 1`` of the next level, as the
+    levels lay them out.  Each gets its local upper expectation from one
+    :func:`~iptree.engine._expectations` over the level, with the
+    situations on the last axis: the products and sums of the
     :func:`~iptree.extreal.weighted_sum` that
-    :func:`~iptree.local.upper_expectation` uses, and only situations with a
-    +inf next value go through
+    :func:`~iptree.local.upper_expectation` uses, in its order.  Only
+    situations with a +inf next value go through
     :func:`~iptree.local.extended_upper_expectation` one by one.
     """
     if tree.k != process.k:
@@ -181,18 +186,18 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
     violations = []
     checked = 0
     lo, hi = 0.0, 0.0
-    layers = product_levels(tree.assignment.step, None, 0, 0, depth)[0]  # along the unbuilt prefix trie
+    states = prefix_levels(tree.assignment.step, 0, depth)
     for m in range(depth):
         value = process.levels[m].reshape(-1)
-        nxt = process.levels[m + 1].reshape(-1, k)
-        infinite = np.flatnonzero(np.isinf(nxt).any(axis=1))
+        nxt = process.levels[m + 1].reshape(-1, k).T  # (k, situations)
+        infinite = np.flatnonzero(np.isinf(nxt).any(axis=0))
         finite = nxt.copy()
-        finite[infinite] = 0.0
-        required = weighted_sum(_local_points(tree, layers[m][0]), finite[:, None, :]).max(axis=1)
+        finite[:, infinite] = 0.0
+        required = _expectations(_node_points(tree, states[m]), finite[:, None, :]).max(axis=0)[0]
         for i in infinite.tolist():
             leaf = local_model(tree, _situation(i, k, m))
             credal = leaf if isinstance(leaf, CredalSet) else CredalSet.singleton(leaf)
-            required[i] = extended_upper_expectation(credal, nxt[i])
+            required[i] = extended_upper_expectation(credal, nxt[:, i])
         checked += len(value)
         with np.errstate(invalid="ignore"):  # inf - inf: no margin
             margin = value - required

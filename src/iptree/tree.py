@@ -22,11 +22,15 @@ has ``P = 1``.  ``Homogeneous`` has one state and ``Markov`` k + 1.  A
 ``Table``'s states are the prefixes of its keys, numbered as in
 :func:`trie_step` (all of that trie when every situation up to the depth has
 an entry), and one self-looping default state for every other situation.
+A view also keeps ``points_last``, the same points with the model axis
+last, ``(k, P, models)``: the layout of the engine's Bellman steps.
 ``machine_init`` / ``machine_step`` / ``machine_leaf`` read the arrays one
 state at a time, as :func:`local_model` does.  The product of a view and an
 automaton is walked by :func:`product_levels`, level by level to a depth,
 and :func:`product_closure`, to its level-free closure: the engine's sweeps
-and limits, the certificate check and every :class:`Selection` use them.
+and limits and every :class:`Selection` use them.  The prefix trie of
+dense gambles and certificates is walked by :func:`prefix_levels`, which
+needs only the view's states.
 
 A precise tree is *compatible* with an imprecise one when each of its mass
 functions lies in the convex hull of the corresponding credal set's extreme
@@ -152,30 +156,38 @@ def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes[np.sort(first)], rank[inverse]
 
 
-def product_levels(t_step: np.ndarray, q_step: np.ndarray | None, t0: int, q0: int, levels: int):
+def prefix_levels(t_step: np.ndarray, t0: int, levels: int) -> list[np.ndarray]:
+    """The tree states of the prefix-trie nodes below tree state ``t0``,
+    level by level for ``levels`` levels (none when ``levels`` <= 0), when
+    a symbol y moves a state t to ``t_step[t, y]``.
+
+    Level m + 1 is ``t_step[level m].ravel()``: node i's children are nodes
+    ``i * k`` to ``i * k + k - 1``, in symbol order, so level m lists the
+    length-m continuations in lexicographic order, as a dense gamble's
+    payoffs are laid out, and nothing needs looking up.
+    """
+    states = [np.array([t0], dtype=np.intp)]
+    for _ in range(levels):
+        states.append(t_step[states[-1]].ravel())
+    return states
+
+
+def product_levels(t_step: np.ndarray, q_step: np.ndarray, t0: int, q0: int, levels: int):
     """The pairs (t, q) reachable from (t0, q0) in ``levels`` steps, level by
     level (a pair once per level), when a symbol y moves them to
-    (t_step[t, y], q_step[q, y]).  A ``q_step`` of ``None`` is the prefix
-    trie of :func:`trie_step`, unbuilt: q moves to ``k * q + 1 + y``.  Its
-    states name their prefixes, so every pair of a level is new and none
-    needs looking up.
+    (t_step[t, y], q_step[q, y]).
 
     Returns each level's pairs as its t and q arrays, in order of discovery,
     and the (pairs, k) successor numbers into the next level.  A level costs
     a few array operations over all its pairs.
     """
-    k = t_step.shape[1]
     layers = [(np.array([t0], dtype=np.intp), np.array([q0], dtype=np.intp))]
     transitions: list[np.ndarray] = []
     for _ in range(levels):
         t, q = layers[-1]
-        if q_step is None:
-            transitions.append(np.arange(len(t) * k).reshape(-1, k))
-            layers.append((t_step[t].ravel(), (k * q[:, None] + np.arange(1, k + 1)).ravel()))
-        else:
-            codes, position = first_seen((t_step[t] * len(q_step) + q_step[q]).ravel())
-            transitions.append(position.reshape(-1, k))
-            layers.append(np.divmod(codes, len(q_step)))
+        codes, position = first_seen((t_step[t] * len(q_step) + q_step[q]).ravel())
+        transitions.append(position.reshape(-1, t_step.shape[1]))
+        layers.append(np.divmod(codes, len(q_step)))
     return layers, transitions
 
 
@@ -267,6 +279,13 @@ class _View:
     step = property(lambda self: self._arrays[0])
     leaf = property(lambda self: self._arrays[1])
     points = property(lambda self: self._arrays[2])
+
+    @cached_property
+    def points_last(self) -> np.ndarray:
+        """``points`` with the model axis last, ``(k, P, models)``: the
+        layout of the engine's Bellman steps, which read the models of many
+        nodes at once, one symbol and point at a time."""
+        return _frozen(np.ascontiguousarray(self.points.transpose(2, 1, 0)))
 
     def closure(self, q_step: np.ndarray, t0: int, q0: int) -> tuple:
         """:func:`product_closure` of ``step`` and ``q_step`` from (t0, q0),

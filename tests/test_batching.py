@@ -1,6 +1,7 @@
 """Batching invariance: a value does not depend on what it was evaluated with.
 
-Every local expectation is the one ordered sum ``extreal.weighted_sum``, so
+Every local expectation is the one ordered sum of ``extreal.weighted_sum``
+(in the engine's node-last layout, ``engine._expectations``), so
 a sweep over G gambles, a limit pass over both sides and a coherence check
 over all its derived gambles give, bit for bit, what G one-by-one calls
 give.
@@ -564,6 +565,8 @@ def test_oracle_imports_no_engine_sweep():
             imported |= {a.name for a in node.names}
         if isinstance(node, (ast.Import, ast.ImportFrom)):  # nor the module itself
             assert not [a.name for a in node.names if a.name.split(".")[-1] == "engine"]
+        # Nor the Bellman-step kernel, nor the tree views' node-last points.
+        assert getattr(node, "attr", getattr(node, "id", None)) not in ("_expectations", "_node_points", "points_last")
     assert "limit_bounds" in imported
     assert imported <= {"limit_bounds", "ApproxResult", "Policy", "StopReason"}
 
@@ -575,6 +578,19 @@ def test_no_blas_products_outside_the_oracle():
             assert not isinstance(node, (ast.MatMult,)), name
             assert not (isinstance(node, ast.Attribute) and node.attr in BANNED), (name, node.attr)
             assert not (isinstance(node, ast.Name) and node.id in BANNED), (name, node.id)
+    # The engine and the certificate check take every local expectation
+    # from the one kernel, engine._expectations, not from weighted_sum.
+    for name in ("engine.py", "supermartingale.py"):
+        names = {n.id for n in ast.walk(ast.parse((src / name).read_text())) if isinstance(n, ast.Name)}
+        assert "weighted_sum" not in names, name
+    steps = {"engine.py": {"_sweep", "_limit_values", "_policy_values"}, "supermartingale.py": {"verify"}}
+    for name, functions in steps.items():
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                functions.discard(node.name)
+                called = {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                assert "_expectations" in called, (name, node.name)
+        assert not functions, (name, functions)
     # The oracle stays an independent implementation: its own arithmetic.
     for node in ast.walk(ast.parse((src / "oracle.py").read_text())):
         if isinstance(node, ast.ImportFrom):

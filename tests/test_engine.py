@@ -551,11 +551,13 @@ class TestConcurrency:
 
 class TestTrieLayers:
     def test_a_trie_needs_no_lookups(self):
-        # A dense gamble's prefix trie, never built: the layers taken as
-        # they come equal the layers found by looking every node up in the
-        # materialised trie_step array.
+        # A dense gamble's prefix trie, never built: the tree states walked
+        # level by level equal the layers found by looking every node up in
+        # the materialised trie_step array, whose node i has the children
+        # i * k .. i * k + k - 1 and whose deepest level is one run of
+        # consecutive leaves, the payoff slice the sweep reads.
         from iptree.gambles import MachineStack
-        from iptree.tree import product_levels, trie_step
+        from iptree.tree import prefix_levels, product_levels, trie_step
 
         rng = np.random.default_rng(41)
         for trial in range(12):
@@ -564,13 +566,16 @@ class TestTrieLayers:
             f = random_gamble(rng, k, int(rng.integers(1, 5)))
             cols = MachineStack.of([f, -f])
             assert cols.trie and cols.step is None
-            s = random_situation(rng, k, int(rng.integers(0, f.depth + 1)))
+            s = random_situation(rng, k, int(rng.integers(0, f.depth + 2)))
             a = tree.assignment
             args = (a.machine_init(s), cols.read(s)[1], cols.depth - len(s))
-            fast = product_levels(a.step, None, *args)
-            slow = product_levels(a.step, trie_step(k, f.depth)[0], *args)
-            for got, want in zip(fast, slow):
-                assert len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+            states = prefix_levels(a.step, args[0], args[2])
+            layers, transitions = product_levels(a.step, trie_step(k, f.depth)[0], *args)
+            assert len(states) == len(layers)
+            assert all(np.array_equal(t, want) for t, (want, _) in zip(states, layers))
+            assert all(np.array_equal(step, np.arange(step.size).reshape(-1, k)) for step in transitions)
+            leaves = layers[-1][1]
+            assert np.array_equal(leaves, leaves[0] + np.arange(k ** max(args[2], 0)))
 
 
 class TestArraysOnly:

@@ -667,6 +667,48 @@ def test_the_one_pass_matches_the_reference_on_cold_and_warm_maps(tmp_path, seed
     assert len(modelio._POSITIONS) <= 1
 
 
+#: Strings that are not exactly "+inf", and values that are no number.
+NOT_PLUS_INF = ("+Inf", "inf", "Infinity", " +inf", "+inf ", "-inf", "1.5", "", [], True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_plus_inf_strings_take_the_one_pass(seed, odd):
+    # "+inf" at random positions and levels, as dump_certificate writes an
+    # infinite value; with ``odd``, also one value that is not exactly
+    # "+inf" or no number, which only the entry-by-entry reader reports.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    space = StateSpace(LABELS[:k])
+    depth = int(rng.integers(0, 5))
+    keys = [",".join(s) for n in range(depth + 1) for s in itertools.product(space.labels, repeat=n)]
+    rng.shuffle(keys)
+    table = {key: float(rng.uniform(-2, 2)) for key in keys}
+    for key in rng.choice(keys, size=int(rng.integers(1, len(keys) + 1)), replace=False).tolist():
+        table[key] = "+inf"
+    if odd:
+        table[keys[int(rng.integers(0, len(keys)))]] = NOT_PLUS_INF[int(rng.integers(0, len(NOT_PLUS_INF)))]
+    doc = certificate(table, depth=depth, lower_bound=-2.0)
+    want = outcome(ref_certificate, doc, space)
+    one_pass = all(type(x) is float or x == "+inf" for x in table.values())
+    modelio._POSITIONS.clear()
+    for _ in ("cold", "warm"):
+        with mock.patch.object(modelio, "_value", wraps=modelio._value) as read:
+            got = outcome(load_certificate, doc, StateSpace(space.labels))
+        assert (read.call_count == 1) == one_pass  # the lower bound, and no table entry
+        assert got[0] == want[0], (got, want)
+        if got[0] == "error":
+            assert got[1] == want[1]
+            continue
+        (process, declared), (values, ref_declared) = got[1], want[1]
+        assert bits(declared) == bits(ref_declared)
+        assert [level.shape for level in process.levels] == [(k,) * m for m in range(depth + 1)]
+        assert sum(level.size for level in process.levels) == len(values)
+        for sit, x in values.items():
+            assert bits(process.levels[len(sit)][sit]) == bits(x)
+        assert not any(level.flags.writeable for level in process.levels)
+
+
 def kept_maps():
     return {labels_depth: dict(positions) for labels_depth, positions in modelio._POSITIONS.items()}
 
