@@ -13,11 +13,10 @@ Two subcommands:
   supermartingale certificate file against an expression).  The batteries
   run only here, not as ``eval`` queries.
 
-Only ``eval`` takes ``--tol``, ``--max-horizon`` (the limit policy of its
-queries) and ``--timing``; no ``check`` battery reads them, and ``check``
-rejects them as unrecognized arguments.  Only ``check`` takes ``--seed``,
-the seed of its randomized batteries, and echoes it in its report; ``eval``
-runs nothing randomized and rejects it.  Each ``check`` battery exits 2 on
+Only ``eval`` takes ``--timing``; no ``check`` battery reads it, and
+``check`` rejects it as an unrecognized argument.  Only ``check`` takes
+``--seed``, the seed of its randomized batteries, and echoes it in its
+report; ``eval`` runs nothing randomized and rejects it.  Each ``check`` battery exits 2 on
 the ``check`` arguments it does not read: ``axioms`` and ``oracle`` on a
 certificate file, ``--expr`` and ``--at``, ``axioms`` and ``cert`` on
 ``--depth``, and ``cert`` on ``--trials``.  ``eval`` takes a query file or
@@ -28,17 +27,18 @@ and ``--at`` without an inline query exits 2.
 Reports are JSON by default (``--pretty`` renders a table derived from the
 same JSON, a failed query's error included).  A JSON report is
 byte-identical to ``json.dumps(report, indent=2, sort_keys=True)``: it is
-written by ``orjson`` when its bytes are ``json.dumps``'s, and otherwise in
-one pass by ``_json_text`` (see ``_report_text``).
+written by ``orjson`` when its bytes are ``json.dumps``'s once each
+one-digit negative exponent gets its second digit, and otherwise by
+``json.dumps`` itself (see ``_report_text``).
 All numerics are finite numbers or the strings ``"+inf"`` / ``"-inf"``; NaN
 is never emitted.  Identical inputs (and ``check``'s ``--seed``) produce
 byte-identical reports; ``--timing`` adds wall-clock fields and is
 therefore off by default.
 
 Flags can be supplied through ``IPTREE_``-prefixed environment variables
-(``IPTREE_MODEL`` and ``IPTREE_FORMAT``, for ``check`` ``IPTREE_SEED``,
-and for ``eval`` ``IPTREE_TOL`` and ``IPTREE_MAX_HORIZON``); explicit flags
-win, and an environment value is checked like the flag it stands for.
+(``IPTREE_MODEL`` and ``IPTREE_FORMAT``, and for ``check`` ``IPTREE_SEED``);
+explicit flags win, and an environment value is checked like the flag it
+stands for.
 ``main`` reads these variables on every call, and builds a new parser only
 when they have changed since the last call.  A plain command line (every
 flag spelled in full and given once, each value a separate word not
@@ -48,9 +48,11 @@ usage error among them, is read by argparse with its own messages (see
 ``_read_plain``).  So an expression that starts with ``-`` and holds no
 space is given as ``--expr=-...``: as a separate word, argparse takes it
 for a flag.
-Per-query ``policy`` objects in a query file override the flags; a policy
-value the engine rejects is reported with its source, the query's field or
-the flag, and so is an unknown label in a ``condition`` or ``targets``, an
+Hitting queries are solved exactly, so no tolerance or horizon steers
+them: a query file's ``policy`` is checked when the file is read
+(:func:`~iptree.modelio.load_queries`), and of its fields only ``table_cap``
+is read.  An unknown label in a ``condition`` or ``targets`` is reported
+with its source, the query's JSON path or the flag, and so is an
 expression that fails to parse (before its line and column) or whose table
 would exceed its cap, and a ``check oracle``
 ``--depth`` whose gambles would exceed the table cap (checked before any
@@ -65,15 +67,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
+import re
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 import orjson
 
-from .engine import Policy, finitary_lower, finitary_uppers, limit_bounds
+from .engine import finitary_lower, finitary_uppers, limit_bounds
 from .errors import ExprError, InvalidInputError, IptreeError, ResourceLimitError
 from .expr import compile_gamble, parse_gamble
 from .extreal import fmt
@@ -86,9 +87,7 @@ from .tree import format_situation, parse_situation
 _ENV_PREFIX = "IPTREE_"
 
 #: The flags an ``IPTREE_*`` variable can supply, with their defaults.
-_ENV_DEFAULTS = (
-    ("model", None), ("seed", 0), ("tol", Policy.tol), ("max_horizon", Policy.max_horizon), ("format", "json"),
-)
+_ENV_DEFAULTS = (("model", None), ("seed", 0), ("format", "json"))
 
 
 def _env_defaults() -> tuple:
@@ -143,7 +142,7 @@ class _StoreOne(argparse.Action):
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.ArgumentParser:
+def _build_parser(model, seed, report_format) -> argparse.ArgumentParser:
     """The parser whose defaults are the given ``_env_defaults()`` values.
 
     Parsing leaves a parser unchanged, so one is kept for as long as the
@@ -173,8 +172,6 @@ def _build_parser(model, seed, tol, max_horizon, report_format) -> argparse.Argu
 
     p_eval = sub.add_parser("eval", help="evaluate queries against a model")
     common(p_eval)
-    p_eval.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
-    p_eval.add_argument("--max-horizon", type=int, default=max_horizon, help="iteration cap for limit queries")
     p_eval.add_argument("--timing", action="store_true", help="include wall-clock fields (breaks byte-identical reports)")
     p_eval.add_argument("--query", help="query JSON file")
     p_eval.add_argument("--expr", help="inline gamble expression")
@@ -332,31 +329,6 @@ def _read_plain(parser: argparse.ArgumentParser, argv: list):
     return namespace
 
 
-#: Where a policy field comes from when a query does not set it.
-_POLICY_FLAGS = {"tol": "--tol/IPTREE_TOL", "max_horizon": "--max-horizon/IPTREE_MAX_HORIZON"}
-
-
-def _policy_from(args, overrides: dict, path: str) -> Policy:
-    """The policy of the query at JSON path ``path``: its ``policy``
-    ``overrides``, else the flags.  A rejected value is named with its
-    source, the query's field or the flag."""
-    fields = {
-        "tol": float(overrides.get("tol", args.tol)),
-        "max_horizon": int(overrides.get("max_horizon", args.max_horizon)),
-        "divergence_threshold": float(overrides.get("divergence_threshold", Policy.divergence_threshold)),
-    }
-    try:
-        return Policy(**fields)
-    except InvalidInputError:
-        for name, value in fields.items():
-            try:
-                Policy(**{name: value})
-            except InvalidInputError as exc:
-                source = f"{path}.policy.{name}" if name in overrides else _POLICY_FLAGS[name]
-                raise InvalidInputError(f"{source}: {exc}, got {value!r}") from None
-        raise
-
-
 def _compiled(compiled: dict, source: str, space, cap: int):
     """The gamble of an expression, compiled once per (source, cap) in a run."""
     key = (source, cap)
@@ -382,7 +354,6 @@ def _named(source: str, call, *call_args):
 def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
     space = tree.state_space
     kind = query["kind"]
-    policy = _policy_from(args, query.get("policy", {}), path)
     if args.query is not None:  # a query file's fields are named by their JSON paths
         sources = {name: f"{path}.{name}" for name in ("condition", "targets", "expression")}
     else:  # inline queries' by their flags
@@ -401,7 +372,7 @@ def _run_query(tree, query: dict, args, compiled: dict, path: str) -> dict:
     else:
         make = hitting_time_variable if kind == "hit_time" else hitting_event_variable
         v = _named(sources["targets"], make, space, query["targets"])
-        upper, lower = limit_bounds(tree, v, s, policy)
+        upper, lower = limit_bounds(tree, v, s)
         record["upper"] = upper.to_json()
         record["lower"] = lower.to_json()
         record["converged"] = upper.converged and lower.converged
@@ -473,56 +444,6 @@ def _render_pretty(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_dumps(value, indent: str = "") -> str:
-    """``json.dumps`` of a report value, its lines indented by ``indent``."""
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + indent)
-
-
-def _json_float(value: float) -> str:
-    return float.__repr__(value) if math.isfinite(value) else _json_dumps(value)
-
-
-#: JSON text of a scalar, by exact type; subclasses (NumPy scalars among them)
-#: are left to ``json.dumps``.
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _json_float,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``,
-    byte for byte and raising what it raises, for a value nested at ``indent``.
-
-    Built-in containers and scalars are written in one recursive pass; any
-    other value, or a dict with a key that is not a ``str``, is handed to
-    ``json.dumps`` and its lines are indented to fit.
-    """
-    kind = type(value)
-    scalar = _SCALAR_JSON.get(kind)
-    if scalar is not None:
-        return scalar(value)
-    if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = (encode_basestring_ascii(key) + ": " + _json_text(value[key], inner) for key in sorted(value))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        try:
-            items = [_SCALAR_JSON[type(item)](item) for item in value]
-        except KeyError:
-            items = [_json_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    return _json_dumps(value, indent)
-
-
 #: ``orjson.dumps`` options for ``json.dumps(indent=2, sort_keys=True)``'s
 #: layout.  Subclasses of built-in types, dataclasses and datetimes go to no
 #: ``default``, so they raise ``TypeError`` instead of being written.
@@ -539,15 +460,20 @@ _ORJSON_OPTIONS = (
 _NUMBER_BYTES = bytes(49 if 49 <= b <= 57 else 10 if b == 58 else b for b in range(256))
 _NOT_NUMBER_BYTES = bytes(b for b in range(256) if b not in b"0123456789.e-\n:nul")
 
-#: Where orjson's kept text can differ from ``json.dumps``'s: a positive
-#: exponent (``1e16``, where ``json`` writes ``1e+16``), a one-digit negative
-#: exponent (``1e-7`` for ``1e-07``), a number below 1e-4 written without an
-#: exponent (``0.00001`` for ``1e-05``), and ``null``, which orjson writes
-#: for NaN and the infinities that ``json`` rejects.  Both writers give the
-#: shortest digits, so the digit before an exponent is never ``0``, and
-#: neither is the first digit of an orjson exponent.  A string may hold one
-#: of these too; its report is then written by ``_json_text``.
-_NOT_JSON_DUMPS = (b"1e1", b"e-1\n", b"\n0.0000", b"-0.0000", b"null")
+#: Where orjson's kept text can differ from ``json.dumps``'s, but for
+#: ``_SHORT_EXPONENT``: a positive exponent (``1e16``, where ``json`` writes
+#: ``1e+16``), a number below 1e-4 written without an exponent (``0.00001``
+#: for ``1e-05``), and ``null``, which orjson writes for NaN and the
+#: infinities that ``json`` rejects.  Both writers give the shortest digits,
+#: so the digit before an exponent is never ``0``.  A string may hold one of
+#: these too; its report is then written by ``json.dumps``.
+_NOT_JSON_DUMPS = (b"1e1", b"\n0.0000", b"-0.0000", b"null")
+
+#: A one-digit negative exponent, which orjson writes with one digit
+#: (``1e-7``) and ``json`` with two (``1e-07``).  Only a number's exponent
+#: ends a line of orjson's text, or the text, with it: a string ends with
+#: its quote, and no ``-`` follows the ``e`` of ``true`` or ``false``.
+_SHORT_EXPONENT = re.compile(rb"e-([1-9])(?=,?\n|\Z)")
 
 
 def _report_text(report) -> str:
@@ -556,25 +482,26 @@ def _report_text(report) -> str:
     ``enum.Enum`` that ``json.dumps`` rejects is written as its value and a
     ``uuid.UUID`` as its string.
 
-    The text is ``orjson``'s when its bytes provably are ``json.dumps``'s:
-    ASCII without DEL (which ``json`` escapes), and none of
-    ``_NOT_JSON_DUMPS`` among the bytes of its numbers.  Any other report,
-    and one orjson cannot write, is written by ``_json_text``.
+    The text is ``orjson``'s, each ``_SHORT_EXPONENT`` given its second
+    digit, when its bytes then provably are ``json.dumps``'s: ASCII without
+    DEL (which ``json`` escapes), and none of ``_NOT_JSON_DUMPS`` among the
+    bytes of its numbers.  Any other report, and one orjson cannot write, is
+    written by ``json.dumps``.
     """
     try:
         data = orjson.dumps(report, option=_ORJSON_OPTIONS)
     except TypeError:
-        return _json_text(report)
-    numbers = data.translate(_NUMBER_BYTES, _NOT_NUMBER_BYTES)
-    if (
-        not data.isascii()
-        or b"\x7f" in data
-        or any(map(numbers.__contains__, _NOT_JSON_DUMPS))
-        or numbers.startswith(b"0.0000")
-        or numbers.endswith(b"e-1")
-    ):
-        return _json_text(report)
-    return data.decode("ascii")
+        pass
+    else:
+        numbers = data.translate(_NUMBER_BYTES, _NOT_NUMBER_BYTES)
+        if (
+            data.isascii()
+            and b"\x7f" not in data
+            and not any(map(numbers.__contains__, _NOT_JSON_DUMPS))
+            and not numbers.startswith(b"0.0000")
+        ):
+            return _SHORT_EXPONENT.sub(rb"e-0\1", data).decode("ascii")
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(report: dict, args) -> None:

@@ -34,18 +34,20 @@ numbers or the string ``"+inf"``.
 Query document::
 
     {"schema": 1, "model": "coin.json",
-     "queries": [{"kind": "eval", "expression": "ind(X[1]==H)", "condition": "H"},
-                 {"kind": "hit_time", "targets": ["T"], "policy": {"max_horizon": 60}}]}
+     "queries": [{"kind": "eval", "expression": "ind(X[1]==H)", "condition": "H",
+                  "policy": {"table_cap": 64}},
+                 {"kind": "hit_time", "targets": ["T"]}]}
 
 A query's ``kind`` is one of ``eval``, ``lower`` (these take an
 ``expression``), ``hit_prob`` and ``hit_time`` (these take ``targets``);
 ``condition`` and ``policy`` are optional; a query holds no other field.
-``policy`` takes ``tol``, ``max_horizon``, ``divergence_threshold`` and
-``table_cap``.  A query may lower the table cap but not raise it, so
-``table_cap`` is an integer in 1..``DEFAULT_TABLE_CAP``.  The document
-holds ``schema``, ``queries`` and optionally ``model``.  An unknown kind, or
-a field unknown at its place, fails at its path (``queries[0].seed``,
-``queries[0].policy.trials``, ``bogus``).
+``policy`` takes ``table_cap``: a query may lower the table cap but not
+raise it, so it is an integer in 1..``DEFAULT_TABLE_CAP``.  ``policy`` also
+accepts ``tol``, ``max_horizon`` (an integer) and ``divergence_threshold``,
+each a positive finite number, and nothing reads them: hitting queries are
+solved exactly.  The document holds ``schema``, ``queries`` and optionally
+``model``.  An unknown kind, or a field unknown at its place, fails at its
+path (``queries[0].seed``, ``queries[0].policy.trials``, ``bogus``).
 
 Situation strings are read only by :func:`~iptree.tree.parse_situation`
 and written only by :mod:`iptree.tree`.  Certificates and model tables map
@@ -597,6 +599,9 @@ def load_queries(doc: dict) -> tuple[str | None, list[dict]]:
                 raise SchemaError(f"{p}.policy.{key}", "expected an integer")
             if key == "table_cap" and not 1 <= value <= DEFAULT_TABLE_CAP:
                 raise SchemaError(f"{p}.policy.{key}", f"expected a cell cap in 1..{DEFAULT_TABLE_CAP}")
+            if value <= 0:  # as the engine's Policy would reject it
+                shown = _POLICY_FIELDS[key](value)
+                raise SchemaError(f"{p}.policy.{key}", f"expected a positive number, got {shown!r}")
         norm["policy"] = dict(policy)
         out.append(norm)
     return model_ref, out

@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,18 +106,25 @@ class TestEval:
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_flag_exits_2(self, capsys, model_file, tol):
-        code, out = run(capsys, "eval", "--model", model_file, "--hit-time", "T", "--tol", tol)
-        assert code == 2
-        rec = json.loads(out)["results"][0]
-        assert not rec["ok"]
-        assert "finite" in rec["error"]
+        # Hitting queries are solved exactly, so eval takes no tolerance at all.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--model", model_file, "--hit-time", "T", "--tol", tol])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"iptree: error: unrecognized arguments: --tol {tol}\n")
+
+    def test_policy_variables_are_not_read(self, capsys, model_file, monkeypatch):
+        argv = ("eval", "--model", model_file, "--hit-time", "T", "--hit-prob", "T")
+        code, want = run(capsys, *argv)
+        assert code == 0
+        monkeypatch.setenv("IPTREE_TOL", "tight")
+        monkeypatch.setenv("IPTREE_MAX_HORIZON", "0")
+        assert run(capsys, *argv) == (0, want)
 
     @pytest.mark.parametrize(
         "name, value, message",
         [
             ("IPTREE_SEED", "abc", "argument --seed: invalid int value: 'abc'"),
-            ("IPTREE_TOL", "tight", "argument --tol: invalid float value: 'tight'"),
-            ("IPTREE_MAX_HORIZON", "1.5", "argument --max-horizon: invalid int value: '1.5'"),
             ("IPTREE_FORMAT", "yaml", "IPTREE_FORMAT: invalid choice: 'yaml'"),
         ],
     )
@@ -148,7 +156,7 @@ class TestEval:
         assert "unrecognized arguments: --seed 6" in capsys.readouterr().err
 
     def test_inline_hit_prob(self, capsys, model_file):
-        code, out = run(capsys, "eval", "--model", model_file, "--hit-prob", "T", "--max-horizon", "60")
+        code, out = run(capsys, "eval", "--model", model_file, "--hit-prob", "T")
         assert code == 0
         rec = json.loads(out)["results"][0]
         assert rec["upper"]["value"] == pytest.approx(1.0, abs=1e-6)
@@ -406,10 +414,17 @@ class TestCheck:
 
     @pytest.mark.parametrize("flag", ["--tol=0", "--max-horizon=5", "--timing"])
     def test_eval_only_flags_are_unrecognized(self, capsys, model_file, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", "--model", model_file, "axioms", flag])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        # ``check`` takes no ``--timing``; the limit-policy flags are gone
+        # from ``eval`` too, given with ``=`` or as two words.
+        cases = [(["check", "--model", model_file, "axioms"], [flag])]
+        if flag != "--timing":
+            eval_argv = ["eval", "--model", model_file, "--hit-time", "T"]
+            cases += [(eval_argv, [flag]), (eval_argv, flag.split("="))]
+        for argv, extra in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
     CERT = str(Path(__file__).resolve().parents[1] / "demos" / "data" / "cert_two_heads.json")
 
@@ -571,6 +586,16 @@ class TestSolvedHitQueries:
         assert time["upper"]["value"] == "+inf" and time["lower"]["value"] == pytest.approx(3.0)
         assert {rec[side]["stop_reason"] for rec in (time, prob) for side in ("upper", "lower")} == {"solved"}
 
+    def test_limit_policy_fields_are_ignored(self, capsys, tmp_path):
+        # Solved exactly, a hit query reads no tolerance, horizon or threshold.
+        limits = {"tol": 1e-12, "max_horizon": 80, "divergence_threshold": 5}
+        queries = self.hits(["T"]) + self.hits(["T"], "H")
+        _, plain, records = _eval_queries(capsys, tmp_path, MODEL, [{**q, "policy": {}} for q in queries])
+        _, _, with_limits = _eval_queries(capsys, tmp_path, MODEL, [{**q, "policy": limits} for q in queries])
+        assert [rec.pop("query")["policy"] for rec in with_limits] == [limits] * len(queries)
+        assert [rec.pop("query")["policy"] for rec in records] == [{}] * len(queries)
+        assert with_limits == records and '"tol": 1e-09' in plain
+
     def test_iterates_are_the_audited_window(self, capsys, tmp_path):
         audit = Policy().monotone_audit
         code, _, records = _eval_queries(capsys, tmp_path, MODEL, self.hits(["T"]))
@@ -581,34 +606,18 @@ class TestSolvedHitQueries:
 
 
 class TestPolicyErrors:
-    """A policy value that the flags or the query schema let through, but
-    the engine rejects, is reported with its source."""
-
-    @pytest.mark.parametrize(
-        "argv, env, source",
-        [
-            (["--tol=0"], {}, "--tol/IPTREE_TOL"),
-            (["--max-horizon=0"], {}, "--max-horizon/IPTREE_MAX_HORIZON"),
-            ([], {"IPTREE_TOL": "-1"}, "--tol/IPTREE_TOL"),
-            ([], {"IPTREE_MAX_HORIZON": "-2"}, "--max-horizon/IPTREE_MAX_HORIZON"),
-        ],
-    )
-    def test_flag_or_environment(self, capsys, model_file, monkeypatch, argv, env, source):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        code, out = run(capsys, "eval", "--model", model_file, "--hit-time", "T", *argv)
-        assert code == 2
-        (rec,) = json.loads(out)["results"]
-        assert rec["error"].startswith(f"{source}: policy fields must be positive and finite")
+    """No limit field of a query's ``policy`` is read, but a value the
+    engine's ``Policy`` would reject still exits 2 at its JSON path when the
+    query file is read, before any query runs."""
 
     @pytest.mark.parametrize(
         "field, value, shown", [("tol", 0, "0.0"), ("max_horizon", 0, "0"), ("divergence_threshold", -1, "-1.0")]
     )
-    def test_query_file_field(self, capsys, tmp_path, field, value, shown):
+    def test_query_file_field(self, capsys, model_file, tmp_path, field, value, shown):
         queries = [{"kind": "eval", "expression": "1"}, {"kind": "hit_prob", "targets": ["T"], "policy": {field: value}}]
-        code, _, records = _eval_queries(capsys, tmp_path, MODEL, queries)
-        assert code == 2 and records[0]["ok"]
-        assert records[1]["error"] == f"queries[1].policy.{field}: policy fields must be positive and finite, got {shown}"
+        (tmp_path / "q.json").write_text(json.dumps({"schema": 1, "queries": queries}))
+        assert main(["eval", "--model", model_file, "--query", str(tmp_path / "q.json")]) == 2
+        assert capsys.readouterr() == ("", f"error: queries[1].policy.{field}: expected a positive number, got {shown}\n")
 
 
 class TestLabelErrors:
@@ -1028,6 +1037,8 @@ _TOLS = st.one_of(
     st.floats(1e-12, 1.0).map(repr),
 )
 _HORIZONS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["1.5", "x", ""]))
+#: ``--seed`` and its variable, read by ``check`` alone, and the limit-policy
+#: flags and variables that no command reads any more.
 _FLAG_OR_ENV = {"seed": _SEEDS, "tol": _TOLS, "max_horizon": _HORIZONS}
 
 
@@ -1073,24 +1084,18 @@ class TestEnvironmentFuzz:
         out, err = out.getvalue(), err.getvalue()
 
         # What the flag gives, else the environment, else the default.
-        text = {name: flags[name] if flags[name] is not None else env[name] for name in _FLAG_OR_ENV}
-        parsed = {
-            "seed": _parsed(_seed, text["seed"], 0),
-            "tol": _parsed(float, text["tol"], 1e-9),
-            "max_horizon": _parsed(int, text["max_horizon"], 100),
-        }
+        seed = _parsed(_seed, flags["seed"] if flags["seed"] is not None else env["seed"], 0)
         report_format = format_flag[2:] if format_flag else format_env if format_env is not None else "json"
 
         assert code in (0, 1, 2)
         assert "Traceback" not in err
         assert "NaN" not in out
-        # ``check`` reads neither the policy flags nor their variables, and
-        # ``eval`` neither the seed flag nor its variable.
-        read = ("tol", "max_horizon") if command == "eval" else ("seed",)
-        bad_flags = [name for name in read if parsed[name] is None]
-        if bad_flags:
+        # No command reads the policy flags or their variables, and ``eval``
+        # reads neither the seed flag nor its variable.
+        read = () if command == "eval" else ("seed",)
+        if read and seed is None:
             assert code == 2 and out == ""
-            assert any(f"argument --{name.replace('_', '-')}: " in err for name in bad_flags), err
+            assert "argument --seed: " in err, err
             return
         unread = [name for name in _FLAG_OR_ENV if name not in read and flags[name] is not None]
         if unread:
@@ -1102,16 +1107,16 @@ class TestEnvironmentFuzz:
             assert code == 2 and out == ""
             assert f"IPTREE_FORMAT: invalid choice: {report_format!r}" in err
             return
-        policy_ok = command == "check" or 0 < parsed["tol"] < math.inf and parsed["max_horizon"] >= 1
-        assert code == (0 if policy_ok else 2)
+        assert code == 0
         if report_format == "pretty":
             assert out.startswith(f"iptree {command} report")
             return
         assert out == _dumps(json.loads(out)) + "\n"
         report = json.loads(out)
-        assert report.get("seed") == (parsed["seed"] if command == "check" else None)
-        if code == 2:
-            assert all("policy fields" in rec["error"] for rec in report["results"])
+        assert report.get("seed") == (seed if command == "check" else None)
+        if command == "eval":  # whatever IPTREE_TOL and IPTREE_MAX_HORIZON say
+            hit = report["results"][1]
+            assert hit["upper"]["tol"] == hit["lower"]["tol"] == Policy.tol
 
 
 _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e308]))
@@ -1152,14 +1157,15 @@ def _outcome(write, value):
 
 
 class TestReportWriter:
-    """The JSON report writer, ``_report_text`` and its one-pass fallback
-    ``_json_text``, is ``json.dumps(indent=2, sort_keys=True,
-    allow_nan=False)``, byte for byte, and fails where and how it fails."""
+    """The JSON report writer, ``_report_text``, is ``json.dumps(indent=2,
+    sort_keys=True, allow_nan=False)``, byte for byte, and fails where and
+    how it fails: orjson's text where it provably is those bytes, else
+    ``json.dumps``'s own."""
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
     def test_same_text_as_json_dumps(self, value):
-        assert cli._report_text(value) == cli._json_text(value) == _dumps(value)
+        assert cli._report_text(value) == _dumps(value)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1171,10 +1177,9 @@ class TestReportWriter:
         document = place(value, bad)
         with pytest.raises((TypeError, ValueError)) as expected:
             _dumps(document)
-        for write in (cli._report_text, cli._json_text):
-            with pytest.raises(type(expected.value)) as got:
-                write(document)
-            assert str(got.value) == str(expected.value)
+        with pytest.raises(type(expected.value)) as got:
+            cli._report_text(document)
+        assert str(got.value) == str(expected.value)
 
     @staticmethod
     def placed(value):
@@ -1235,18 +1240,26 @@ class TestReportWriter:
             "schema": 1, "ok": True, "converged": False, "value": 0.1, "tol": 1e-12, "small": -1.5e-10, "big": 2.5e15,
             "iterates": [[1, 0.0], [2, -0.5], [3, 123456789.125], [4, 0.00012]], "kind": "hit_prob", "label": "e1",
             "upper": "+inf", "nested": {"empty": [], "none": {}}, "path": "seed1/table2d3-model.json",
+            # One-digit negative exponents, and strings that look like them.
+            "trail_tol": 1e-9, "short": [-2.5e-7, 3e-8], "note": "tol 1e-9", "e-7": "1e-7,",
         }
-        with mock.patch.object(cli, "_json_text", side_effect=AssertionError("written by the fallback")):
-            assert cli._report_text(report) == _dumps(report)
+        want = _dumps(report)
+        with mock.patch.object(cli.json, "dumps", side_effect=AssertionError("written by the fallback")):
+            assert cli._report_text(report) == want
 
     @pytest.mark.parametrize(
         "value", [1e16, 1e-7, 1e-5, -1.5e-5, 0.000099, 2.5e22, 1e-9, math.nan, math.inf, None, "\x7f", "\u00e9"]
     )
     def test_what_orjson_writes_otherwise_takes_the_fallback(self, value):
+        # A one-digit negative exponent is given its second digit instead.
         document = {"a": [value]}
-        with mock.patch.object(cli, "_json_text", wraps=cli._json_text) as fallback:
-            assert _outcome(cli._report_text, document) == _outcome(_dumps, document)
-        assert fallback.call_args_list[0].args[0] is document
+        want = _outcome(_dumps, document)
+        with mock.patch.object(cli.json, "dumps", wraps=json.dumps) as fallback:
+            assert _outcome(cli._report_text, document) == want
+        if value in (1e-7, 1e-9):
+            assert not fallback.called and orjson.dumps(document, option=cli._ORJSON_OPTIONS).decode() != want
+        else:
+            assert fallback.call_args_list[0].args[0] is document
 
 
 def _check_report(tmp_path, capsys, model: dict, *argv) -> str:

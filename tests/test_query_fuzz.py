@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from iptree.cli import main
+from iptree.engine import Policy
 from iptree.errors import SchemaError
 from iptree.modelio import load_queries
 
@@ -59,7 +60,8 @@ OWN_FIELD = {"eval": "expression", "lower": "expression", "hit_prob": "targets",
 #: query fields once).
 UNKNOWN_FIELDS = ["seed", "certificate", "bogus", "Kind"]
 
-#: Per policy field: values within the run-time bounds, then invalid ones.
+#: Per policy field: valid values, then values the loader rejects.  Only
+#: ``table_cap`` is read; the three limit fields are checked and ignored.
 POLICY_VALUES = {
     "tol": ([1e-9, 1e-3, 0.5], [0, -1, 1e400, "1e-9", True]),
     "max_horizon": ([1, 3, 8, 4.0], [0, -2, 2.5, None]),
@@ -208,9 +210,11 @@ def test_query_documents_hold_the_contract(files, data):
             assert isinstance(rec["error"], str), rec
             assert rec["error"].startswith(f"queries[{i}]."), rec
     for i, rec in enumerate(records):
-        if names_unknown_label(rec["query"]):  # fails at its JSON path (or at a policy field's before)
+        if names_unknown_label(rec["query"]):  # fails at its JSON path
             assert not rec["ok"] and rec["error"].startswith(f"queries[{i}]."), rec
     for rec in records:
+        if rec["ok"] and rec["query"]["kind"] in ("hit_prob", "hit_time"):  # the query's policy steers nothing
+            assert rec["upper"]["tol"] == rec["lower"]["tol"] == Policy.tol, rec
         for key in ("upper", "lower"):
             value = rec.get(key)
             if isinstance(value, dict):

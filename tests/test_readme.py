@@ -1,10 +1,13 @@
-"""The JSON examples in README.md load through the package's loaders, so a
-schema change cannot leave the documentation behind."""
+"""The JSON examples in README.md load through the package's loaders, and
+the flags and environment variables it names are the command line's, so a
+schema or CLI change cannot leave the documentation behind."""
 
+import argparse
 import json
 import re
 from pathlib import Path
 
+from iptree import cli
 from iptree.modelio import load_certificate, load_model, load_queries
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,3 +28,36 @@ def test_readme_examples_load():
     assert [q["kind"] for q in loaded] == [q["kind"] for q in queries["queries"]]
     process, declared = load_certificate(certificate, tree.state_space)
     assert (process.depth, declared) == (certificate["depth"], certificate["lower_bound"])
+
+
+def cli_commands() -> list:
+    """``(subcommand, line)`` for each ``iptree`` command in the bash blocks
+    of README.md's command-line section, its continuation lines joined and
+    its comment cut."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command-line interface\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```$", section, re.DOTALL | re.MULTILINE):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("#", 1)[0]
+            words = line.split()
+            if words[:1] == ["iptree"]:
+                commands.append((words[1], line))
+            elif words:  # an option line under the command above
+                commands[-1] = (commands[-1][0], commands[-1][1] + " " + line)
+    return commands
+
+
+def test_readme_flags_are_the_parsers():
+    parser = cli._build_parser(*(fallback for _, fallback in cli._ENV_DEFAULTS))
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = cli_commands()
+    assert {name for name, _ in commands} == set(subcommands.choices)
+    for name, line in commands:
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", line))
+        assert flags and flags <= set(subcommands.choices[name]._option_string_actions), (line, flags)
+
+
+def test_readme_environment_variables_are_read():
+    names = set(re.findall(r"\bIPTREE_[A-Z_]+", README.read_text(encoding="utf-8")))
+    assert names and names <= {cli._ENV_PREFIX + name.upper() for name, _ in cli._ENV_DEFAULTS}
