@@ -100,29 +100,28 @@ _MAX_ROUNDS = 1000
 #: larger ones as sparse systems with SciPy, imported on first use.
 _DENSE_SOLVE = 256
 
+#: Horizons in the audit trail of a solved hitting variable, from ``start_index``.
+_TRAIL = 5
+
 
 @dataclass(frozen=True)
 class Policy:
     """Convergence policy for limit evaluations.
 
-    ``monotone_audit`` consecutive approximation pairs are compared pointwise
-    (exactly, via the automaton product); iterate values are audited for
-    monotonicity throughout.  Divergence is declared only when the iterates
-    are monotone and exceed ``divergence_threshold`` in the direction of
-    approximation; no finite computation can truly certify an infinite limit,
-    so the flag is a documented heuristic.
+    Divergence is declared only when the iterates are monotone and exceed
+    ``divergence_threshold`` in the direction of approximation; no finite
+    computation can truly certify an infinite limit, so the flag is a
+    documented heuristic.
     """
 
     tol: float = 1e-9
     max_horizon: int = 100
     divergence_threshold: float = 1e12
-    monotone_audit: int = 4
     start_index: int = 1
 
     def __post_init__(self):
         finite = 0 < self.tol < INF and 0 < self.divergence_threshold < INF
-        counts = self.max_horizon >= 1 and self.monotone_audit >= 0 and self.start_index >= 0
-        if not finite or not counts:
+        if not finite or self.max_horizon < 1 or self.start_index < 0:
             raise InvalidInputError("policy fields must be positive and finite")
 
 
@@ -376,58 +375,63 @@ def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy)
     return None
 
 
+def _prove_monotone(w: LimitVariable) -> None:
+    """Prove that the approximations of ``w`` move in its declared
+    direction at every depth, or raise :class:`MonotonicityError` with a
+    witness.  Approximations j and j + 1 differ by the step from the state
+    reached after j symbols, so :func:`~iptree.gambles.pointwise_leq` on
+    the pairs j = 0 .. J checks every step from every reachable state, J
+    being the first depth at which the states reached within J steps stop
+    growing.  Exact up to the rounding of the payoff sums."""
+    succ, rising = w.automaton.step.tolist(), w.direction is Direction.NON_DECREASING
+    reached, new, depth = {0}, {0}, 0
+    while new := {q for p in new for q in succ[p]} - reached:
+        reached |= new
+        depth += 1
+    approximations = [w.generator(j) for j in range(depth + 2)]
+    for j, (f, g) in enumerate(zip(approximations, approximations[1:])):
+        ok, witness = pointwise_leq(f, g) if rising else pointwise_leq(g, f)
+        if not ok:
+            raise MonotonicityError(f"approximations {j} and {j + 1} violate the declared direction", witness)
+
+
 def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -> list:
     """The limits of ``v`` (sign 1) and ``-v`` (sign -1), for each sign in
     ``signs``, from one pass of :func:`_limit_values`; each side keeps its
-    own iterates and stop reason.  The sides' payoff ranges and
-    approximations are each other's negations, so one advance of ``v``'s
-    payoff bound on the side it approaches from and one ``pointwise_leq``
-    per pair audit them all, phrased for the first side still iterating
-    (``-v`` is built only if it leads).  As if the sides ran one after the
-    other, a later side's error waits until every earlier side has stopped.
-    Iterates up to horizon ``len(s)`` are read off the conditioning
-    situation, so two equal ones stop a side only from there on.
+    own iterates and stop reason.  The sides' approximations are each
+    other's negations, so one :func:`_prove_monotone` and one bound check,
+    both phrased for the first side, hold for all, before the first
+    iterate: proven monotone, the approximations are least (largest, if
+    non-increasing) at horizon ``start_index``.  As if the sides ran one
+    after the other, a later side's value error waits until every earlier
+    side has stopped.  Iterates up to horizon ``len(s)`` are read off the
+    conditioning situation, so two equal ones stop a side only from there on.
     """
     if v.automaton.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
     s = as_situation(s, tree.k)
-    first = policy.start_index
-    a, up = v.automaton, v.direction is Direction.NON_DECREASING
+    first, up = policy.start_index, v.direction is Direction.NON_DECREASING
+    w = v if signs[0] > 0 else -v
+    _prove_monotone(w)
+    rising = w.direction is Direction.NON_DECREASING
+    x = float(next(itertools.islice(w.automaton.extreme_payoffs(least=rising), first, None))[0])
+    if (x < w.bound - 1e-12) if rising else (x > w.bound + 1e-12):
+        beyond = f"{x}, below the declared lower" if rising else f"{x}, above the declared upper"
+        raise InvalidInputError(f"approximation {first} attains {beyond} bound {w.bound}")
     # Each side's columns as -v holds them: 0.0 - x, without negative zeros.
-    flip = np.array(signs, dtype=float)
+    a, flip = v.automaton, np.array(signs, dtype=float)
     values = _limit_values(tree, a.step, a.reward[..., None] * flip + 0.0, a.terminal[:, None] * flip + 0.0, s, first)
-    payoffs = itertools.islice(a.extreme_payoffs(least=up), first, None)
     approach = [1.0 if up == (sign > 0) else -1.0 for sign in signs]
-    sides: dict = {}  # position -> that side's variable, built when it first leads
-    approximations: dict = {}  # (side, horizon) -> that side's approximation, built once
     iterates: list[list] = [[] for _ in signs]
     results: list = [None] * len(signs)  # per side: its result, or the error it waits to raise
-    for m, x in zip(range(first, first + policy.max_horizon), payoffs):
-        lead = results.index(None)
-        if lead not in sides:
-            sides[lead] = v if signs[lead] > 0 else -v
-        w, rising = sides[lead], approach[lead] > 0
-        x = float(x[0]) if signs[lead] > 0 else 0.0 - float(x[0])
-        if (x < w.bound - 1e-12) if rising else (x > w.bound + 1e-12):
-            beyond = f"{x}, below the declared lower" if rising else f"{x}, above the declared upper"
-            raise InvalidInputError(f"approximation {m} attains {beyond} bound {w.bound}")
-        if first < m <= first + policy.monotone_audit:
-            for h in (m - 1, m):
-                if (lead, h) not in approximations:
-                    approximations[lead, h] = w.generator(h)
-            lo_g, hi_g = (m - 1, m) if rising else (m, m - 1)
-            ok, witness = pointwise_leq(approximations[lead, lo_g], approximations[lead, hi_g])
-            if not ok:
-                raise MonotonicityError(
-                    f"approximations {m - 1} and {m} violate the declared direction", witness
-                )
-        for i, val in enumerate(next(values).tolist()):
+    for m, vals in zip(range(first, first + policy.max_horizon), values):
+        for i, val in enumerate(vals.tolist()):
             if results[i] is None:
                 iterates[i].append((m, val))
                 try:
                     results[i] = _stop(approach[i], iterates[i], m, len(s), policy)
                 except MonotonicityError as exc:
-                    if i == lead:
+                    if None not in results[:i]:
                         raise
                     results[i] = exc
         if None not in results:
@@ -436,8 +440,7 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
         if isinstance(res, MonotonicityError):
             raise res
         if res is None:
-            last, stop = iterates[i][-1][1], StopReason.HORIZON_CAP
-            results[i] = ApproxResult(last, tuple(iterates[i]), False, stop, policy.tol)
+            results[i] = ApproxResult(iterates[i][-1][1], tuple(iterates[i]), False, StopReason.HORIZON_CAP, policy.tol)
     return results
 
 
@@ -467,11 +470,10 @@ def limit_upper(
 
     The value vector over the reachable (tree state, automaton state) nodes
     is kept between iterates, so each costs one Bellman step and a limit of
-    H iterates costs O(H) sweeps of a fixed node set.  Every approximation
-    is audited against the declared bound (its exact payoff range, advanced
-    by one min/max step per iterate), the first ``policy.monotone_audit``
-    pairs pointwise, and the values for monotonicity.  With ``with_lower``
-    the result's ``lower`` is :func:`limit_lower`'s, from the same pass.
+    H iterates costs O(H) sweeps of a fixed node set.  The approximations
+    are first proven monotone at every depth (:func:`_prove_monotone`) and
+    checked against the declared bound, the values audited throughout.
+    With ``with_lower`` the ``lower`` is :func:`limit_lower`'s, same pass.
 
     For hitting times and hitting probabilities :func:`limit_bounds` is the
     exact path; value iteration is its audit trail, and can stop on a
@@ -480,9 +482,7 @@ def limit_upper(
     if not with_lower:
         return _limits(tree, v, s, policy, (1,))[0]
     upper, lower = _limits(tree, v, s, policy, (1, -1))
-    return ApproxResult(
-        upper.value, upper.iterates, upper.converged, upper.stop_reason, upper.tol, lower=_negated(lower)
-    )
+    return replace(upper, lower=_negated(lower))
 
 
 def limit_lower(
@@ -706,8 +706,8 @@ def limit_bounds(
     computes with a graph pass and policy iteration: +inf and 0 come out
     exactly, and the rest up to the rounding of a few linear solves.  Both
     results then have ``stop_reason`` solved and ``converged`` true, and
-    their iterates are an audit trail: :func:`limit_upper` over horizons
-    ``start_index`` to ``start_index + monotone_audit`` (at most
+    their iterates are an audit trail: :func:`limit_upper` over the
+    :data:`_TRAIL` horizons from ``start_index`` on (at most
     ``max_horizon`` of them), with every audit it makes.  The solved value
     must not lie below any trail iterate.  Any other variable gets the
     value iteration of :func:`limit_upper` and :func:`limit_lower` under
@@ -718,7 +718,7 @@ def limit_bounds(
     if time is None:
         upper = limit_upper(tree, v, s, policy, with_lower=True)
         return replace(upper, lower=None), upper.lower
-    window = replace(policy, max_horizon=min(policy.max_horizon, policy.monotone_audit + 1))
+    window = replace(policy, max_horizon=min(policy.max_horizon, _TRAIL))
     trail = limit_upper(tree, v, s, window, with_lower=True)
     a, paid, q = v.automaton, 0.0, 0
     for y in s:

@@ -17,8 +17,9 @@ recursion engine accepts either, a dense table entering as the implicit
 trie of its prefixes (:class:`MachineStack`): a prefix's state number gives
 its children's, so only the table's cells are stored.
 :func:`pointwise_leq` compares two gambles exactly without materializing
-tables, reading the trie :func:`as_machine` builds; that is how monotone
-approximating sequences are audited.
+tables, reading the trie :func:`as_machine` builds; that is how the engine
+proves a limit's approximations monotone, over its automaton's reachable
+depth, before the first iterate.
 
 A :class:`LimitVariable` is one automaton read to every depth, a monotone
 sequence of finitary gambles, together with the direction of approximation
@@ -45,6 +46,10 @@ from .tree import Situation, as_situation, trie_position, trie_step
 
 #: Default cap on dense-table size (cells); 2**12 keeps depth <= 12 for k=2.
 DEFAULT_TABLE_CAP = 4096
+
+#: Cap on one layer of :func:`pointwise_leq`'s walk, in (state, partial sum)
+#: pairs: automata whose partial sums all differ double it with every symbol.
+COMPARE_CAP = 1 << 16
 
 #: NumPy arrays have at most this many axes (32 before NumPy 2), so no
 #: dense table is deeper.
@@ -481,8 +486,8 @@ class LimitVariable:
     The m-th approximation, ``generator(m)``, is ``automaton`` read to depth
     m (its own ``depth`` is ignored).  Non-decreasing sequences must be
     uniformly bounded below by ``bound``; non-increasing ones uniformly
-    bounded above by it.  Monotonicity is the caller's promise; consumers
-    audit it up to a horizon and fail loudly on violations.
+    bounded above by it.  The engine proves monotonicity before it
+    iterates and fails loudly on a violation.
 
     The approximations and the negation share the automaton's validated,
     frozen arrays (a negation holds their negated copies) instead of
@@ -556,7 +561,9 @@ def pointwise_leq(f: Gamble, g: Gamble) -> tuple[bool, str | None]:
     them.  The cost grows with the automaton sizes and the number of
     distinct partial sums: polynomially in the depth for hitting gambles
     (integer sums) and dense tables (no rewards), but as fast as the dense
-    table for automata whose partial sums all differ.
+    table for automata whose partial sums all differ.  So a layer whose
+    next one could hold more than :data:`COMPARE_CAP` pairs raises
+    :class:`~iptree.errors.ResourceLimitError` before it is walked.
     """
     if f.k != g.k:
         raise InvalidInputError("gambles live on different state spaces")
@@ -565,6 +572,11 @@ def pointwise_leq(f: Gamble, g: Gamble) -> tuple[bool, str | None]:
     # Track a shortest witness prefix per reachable (qf, paid by f, qg, paid by g).
     layer: dict[tuple, Situation] = {(0, 0.0, 0, 0.0): ()}
     for level in range(1, max(f.depth, g.depth) + 1):
+        if len(layer) * f.k > COMPARE_CAP:
+            raise ResourceLimitError(
+                f"comparing automata of {len(sf)} and {len(sg)} states: {len(layer)} (state, partial sum) "
+                f"pairs at depth {level - 1}, times {f.k} symbols, pass the cap of {COMPARE_CAP}"
+            )
         f_reads, g_reads = level <= mf.depth, level <= mg.depth
         nxt: dict[tuple, Situation] = {}
         for (qf, af, qg, ag), prefix in layer.items():

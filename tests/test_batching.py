@@ -205,12 +205,25 @@ class TestLimitPair:
         auto = MachineGamble(2, 0, np.zeros((1, 2), dtype=int), np.array([[reward_h, reward_t]]), np.zeros(1))
         return LimitVariable(auto, direction, bound=-1e9)
 
-    def test_a_later_side_error_waits_for_the_earlier_side(self, imprecise_coin):
+    @staticmethod
+    def unproven(monkeypatch):
+        """Let every pair pass the monotonicity proof, so that the value
+        audit and the bound check behind it are reached."""
+        monkeypatch.setattr(iptree.engine, "pointwise_leq", lambda f, g: (True, None))
+
+    def test_a_later_side_error_waits_for_the_earlier_side(self, imprecise_coin, monkeypatch):
         # Upper values rise by 0.2 a step, lower ones fall by 0.2: only the
         # lower side breaks the declared direction, and the pass raises its
         # error, as limit_lower alone does.
         v = self.steps(1.0, -1.0)
-        policy = Policy(max_horizon=10, monotone_audit=0)
+        policy = Policy(max_horizon=10)
+        # The proof comes first and fails pair (0, 1), phrased for v, the first side.
+        with pytest.raises(MonotonicityError) as proven:
+            limit_upper(imprecise_coin, v, (), policy, with_lower=True)
+        assert proven.value.args == (
+            "approximations 0 and 1 violate the declared direction (witness: string (1,): 0.0 > -1.0)",
+        )
+        self.unproven(monkeypatch)
         assert limit_upper(imprecise_coin, v, (), policy).stop_reason.value == "horizon_cap"
         with pytest.raises(MonotonicityError) as alone:
             limit_lower(imprecise_coin, v, (), policy)
@@ -219,15 +232,19 @@ class TestLimitPair:
         assert str(paired.value) == str(alone.value)
         assert paired.value.args == alone.value.args
 
-    def test_the_upper_side_error_wins(self, imprecise_coin):
+    def test_the_upper_side_error_wins(self, imprecise_coin, monkeypatch):
         v = self.steps(-1.0, -1.0)  # both sides fall
-        policy = Policy(max_horizon=10, monotone_audit=0)
+        policy = Policy(max_horizon=10)
+        bad = LimitVariable(v.automaton, Direction.NON_DECREASING, bound=1.0)
+        for variable in (v, bad):  # the proof comes before the bound check
+            with pytest.raises(MonotonicityError, match=r"approximations 0 and 1 .* \(0,\): 0\.0 > -1\.0"):
+                limit_upper(imprecise_coin, variable, (), policy, with_lower=True)
+        self.unproven(monkeypatch)
         with pytest.raises(MonotonicityError) as alone:
             limit_upper(imprecise_coin, v, (), policy)
         with pytest.raises(MonotonicityError) as paired:
             limit_upper(imprecise_coin, v, (), policy, with_lower=True)
         assert paired.value.args == alone.value.args
-        bad = LimitVariable(v.automaton, Direction.NON_DECREASING, bound=1.0)
         with pytest.raises(InvalidInputError) as alone:
             limit_upper(imprecise_coin, bad, (), policy)
         with pytest.raises(InvalidInputError) as paired:
@@ -236,14 +253,17 @@ class TestLimitPair:
             "approximation 1 attains -1.0, below the declared lower bound 1.0"
         )
 
-    def test_an_earlier_lower_error_loses_to_a_later_upper_one(self, imprecise_coin):
+    def test_an_earlier_lower_error_loses_to_a_later_upper_one(self, imprecise_coin, monkeypatch):
         # Two steps pay +1 on H and -1 on T, later steps -1: upper values go
         # 0.2, 0.4, -0.6 and fail at index 3; lower values go -0.2, -0.4 and
         # fail at index 2.  Run one after the other, the upper side raises.
         step = np.array([[1, 1], [2, 2], [2, 2]])
         reward = np.array([[1.0, -1.0], [1.0, -1.0], [-1.0, -1.0]])
         v = LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(3)), Direction.NON_DECREASING, -1e9)
-        policy = Policy(max_horizon=10, monotone_audit=0)
+        policy = Policy(max_horizon=10)
+        with pytest.raises(MonotonicityError, match=r"approximations 0 and 1 .* \(1,\): 0\.0 > -1\.0"):
+            limit_upper(imprecise_coin, v, (), policy, with_lower=True)
+        self.unproven(monkeypatch)
         with pytest.raises(MonotonicityError, match="at index 2"):
             limit_lower(imprecise_coin, v, (), policy)
         with pytest.raises(MonotonicityError) as alone:
@@ -254,12 +274,12 @@ class TestLimitPair:
         assert paired.value.args == alone.value.args
 
     def test_lower_side_bound_audit(self, imprecise_coin):
-        # Payoffs of -1 to 1 against a declared bound of 0: each side's
-        # audit phrases the violation for its own variable.
-        v = LimitVariable(self.steps(1.0, -1.0).automaton, Direction.NON_DECREASING, bound=0.0)
+        # Monotone payoffs of 0.5 to 1 against a declared bound of 2: each
+        # side's audit phrases the violation for its own variable.
+        v = LimitVariable(self.steps(1.0, 0.5).automaton, Direction.NON_DECREASING, bound=2.0)
         messages = {
-            "approximation 1 attains 1.0, above the declared upper bound -0.0",
-            "approximation 1 attains -1.0, below the declared lower bound 0.0",
+            "approximation 1 attains -0.5, above the declared upper bound -2.0",
+            "approximation 1 attains 0.5, below the declared lower bound 2.0",
         }
         for variable in (v, -v):
             with pytest.raises(InvalidInputError) as alone:
@@ -276,16 +296,16 @@ class TestLimitPair:
         real = engine.pointwise_leq
         monkeypatch.setattr(engine, "pointwise_leq", lambda f, g: calls.append(1) or real(f, g))
         v = hitting_time_variable(imprecise_coin.state_space, ["T"])
-        limit_upper(imprecise_coin, v, (), Policy(max_horizon=30, monotone_audit=4), with_lower=True)
-        assert len(calls) == 4
+        limit_upper(imprecise_coin, v, (), Policy(max_horizon=30), with_lower=True)
+        assert len(calls) == 2
 
     def test_each_audited_approximation_is_built_once(self, imprecise_coin, monkeypatch):
         built = []
         real = LimitVariable.generator
         monkeypatch.setattr(LimitVariable, "generator", lambda self, m: built.append(m) or real(self, m))
         v = hitting_time_variable(imprecise_coin.state_space, ["T"])
-        limit_upper(imprecise_coin, v, (), Policy(max_horizon=30, monotone_audit=4), with_lower=True)
-        assert built == [1, 2, 3, 4, 5]
+        limit_upper(imprecise_coin, v, (), Policy(max_horizon=30), with_lower=True)
+        assert built == [0, 1, 2]
 
 
 class TestCoherenceColumns:

@@ -3,10 +3,11 @@
 ``bench/tracing.py`` wraps iptree functions by module and name, and a traced
 benchmark run whose listed counts read 0 fails.  These tests load the tracer
 as it is and check that every function it names exists and that a hit query
-still reaches the limit loop and the pointwise audit it counts.  The
-batteries must keep one traced ``envelope_sup`` call per oracle trial, whose
-results carry the trial's selection count, and report the checks the tracer
-adds up: batching trials into fewer calls fails here first.  A whole
+still reaches the limit loop and the pointwise comparisons of the
+monotonicity proof, both of which it counts.  The batteries must keep one
+traced ``envelope_sup`` call per oracle trial, whose results carry the
+trial's selection count, and report the checks the tracer adds up:
+batching trials into fewer calls fails here first.  A whole
 seed-1 hitting_limits pass, generated by ``bench/workloads.py`` as it is,
 keeps the per-pass counts of the limit path that the benchmark reports.
 """
@@ -31,12 +32,12 @@ TRACING = BENCH / "tracing.py"
 
 #: Per-pass counts of a traced seed-1 hitting_limits pass: 68 solved hit
 #: queries, each auditing a trail of 5 horizons (the last one capped by its
-#: window) with 4 pointwise pairs.
+#: window) after proving its automaton monotone with 2 pointwise pairs.
 HITTING_LIMITS_COUNTS = {
     "engine.limit_upper.calls": 68,
     "engine.limit_upper.iterates": 340,
     "engine.limit_upper.capped": 68,
-    "gambles.pointwise_leq.calls": 272,
+    "gambles.pointwise_leq.calls": 136,
 }
 
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from iptree import cli
 from iptree.cli import main
+from iptree import engine
 from iptree.engine import Policy
 from iptree.errors import ExprError, ResourceLimitError
 from iptree.expr import MAX_NESTING, MAX_TABLE_DEPTH, compile_gamble, parse_gamble
@@ -165,24 +166,13 @@ class TestEval:
         _, out = run(capsys, "eval", "--model", model_file, "--expr", "1", "--timing")
         assert "wall_time_ms" in json.loads(out)
 
-    def test_no_nan_and_infinities_as_strings(self, capsys, model_file, tmp_path):
-        q = tmp_path / "div.json"
-        q.write_text(
-            json.dumps(
-                {
-                    "schema": 1,
-                    "queries": [
-                        {
-                            "kind": "hit_time",
-                            "targets": ["T"],
-                            "policy": {"max_horizon": 3, "tol": 1e-15},
-                        }
-                    ],
-                }
-            )
-        )
-        code, out = run(capsys, "eval", "--model", model_file, "--query", str(q))
+    def test_no_nan_and_infinities_as_strings(self, capsys, tmp_path):
+        # H may repeat for ever: the upper hitting time of T given H is infinite.
+        model = _homogeneous("HT", [1.0, 0.0], [0.5, 0.5])
+        query = {"kind": "hit_time", "targets": ["T"], "condition": "H"}
+        code, out, _ = _eval_queries(capsys, tmp_path, model, [query])
         assert code == 0
+        assert '"+inf"' in out
         assert "NaN" not in out and "Infinity" not in out
 
     def test_pretty_output(self, capsys, model_file):
@@ -597,12 +587,11 @@ class TestSolvedHitQueries:
         assert with_limits == records and '"tol": 1e-09' in plain
 
     def test_iterates_are_the_audited_window(self, capsys, tmp_path):
-        audit = Policy().monotone_audit
         code, _, records = _eval_queries(capsys, tmp_path, MODEL, self.hits(["T"]))
         assert code == 0
         for rec in records:
             for side in ("upper", "lower"):
-                assert [m for m, _ in rec[side]["iterates"]] == list(range(1, 2 + audit))
+                assert [m for m, _ in rec[side]["iterates"]] == list(range(1, 1 + engine._TRAIL))
 
 
 class TestPolicyErrors:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from iptree.engine import (
     value_table,
     value_tables,
 )
-from iptree.errors import InvalidInputError, MonotonicityError
+from iptree.errors import InvalidInputError, MonotonicityError, ResourceLimitError
 from iptree.expr import compile_gamble, parse_gamble
 from iptree.extreal import INF
 from iptree.gambles import (
@@ -230,20 +232,26 @@ class TestLimitUpper:
 
     def test_bound_violation_beyond_the_audit_window_raises(self, imprecise_coin):
         # States 0..5 count the first six steps and pay 1 each; state 6 pays
-        # +1 on H and -1 on T.  The payoffs at depth m <= 6 are all m, so the
-        # audited pairs (1, 2) .. (4, 5) hold, and the values keep rising
-        # (the coin may favour H), but the all-T path pays 12 - m: below the
-        # bound 0 first at m = 13.
+        # +1 on H and -1 on T.  The payoffs at depth m <= 6 are all m, and
+        # the values keep rising (the coin may favour H), but the all-T path
+        # pays 12 - m: below the bound 0 first at m = 13.  The proof finds
+        # the first step down, from state 6, before any iterate.
         step = np.array([[1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [6, 6], [6, 6]])
         reward = np.array([[1.0, 1.0]] * 6 + [[1.0, -1.0]])
         late = LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(7)), Direction.NON_DECREASING, 0.0)
         assert late.generator(12).bounds()[0] == 0.0
         assert late.generator(13).bounds()[0] == -1.0
-        with pytest.raises(InvalidInputError, match="approximation 13 attains -1.0"):
+        with pytest.raises(MonotonicityError) as err:
             limit_upper(imprecise_coin, late, (), Policy(tol=1e-12, max_horizon=30))
+        assert err.value.args == (
+            "approximations 6 and 7 violate the declared direction"
+            " (witness: string (0, 0, 0, 0, 0, 0, 1): 6.0 > 5.0)",
+        )
 
-    @pytest.mark.parametrize("audit", [0, 2, 4])
-    def test_pointwise_audit_covers_the_first_pairs(self, coin_space, imprecise_coin, monkeypatch, audit):
+    @pytest.mark.parametrize("start", [0, 2, 4])
+    def test_pointwise_audit_covers_the_first_pairs(self, coin_space, imprecise_coin, monkeypatch, start):
+        # The proof compares the pairs (j, j + 1) up to the depth at which
+        # the reachable states stop growing, whatever the first horizon.
         import iptree.engine as engine
 
         compared = []
@@ -253,18 +261,102 @@ class TestLimitUpper:
             return pointwise_leq(f, g)
 
         monkeypatch.setattr(engine, "pointwise_leq", counting)
-        v = hitting_time_variable(coin_space, ["T"])
-        res = limit_upper(imprecise_coin, v, (), Policy(tol=1e-12, max_horizon=80, monotone_audit=audit))
-        assert len(res.iterates) > audit + 1
-        assert compared == [(m, m + 1) for m in range(1, audit + 1)]
-        compared.clear()
-        limit_lower(imprecise_coin, v, (), Policy(tol=1e-12, max_horizon=80, monotone_audit=audit))
-        assert compared == [(m + 1, m) for m in range(1, audit + 1)]
+        policy = Policy(tol=1e-12, max_horizon=80, start_index=start)
+        counter = LimitVariable(MachineGamble(2, 0, [[1, 1], [2, 2], [3, 3], [3, 3]], np.ones((4, 2)), np.zeros(4)),
+                                Direction.NON_DECREASING, 0.0)
+        for v, depth in ((hitting_event_variable(coin_space, ["T"]), 1), (counter, 3)):
+            res = limit_upper(imprecise_coin, v, (), policy)
+            assert res.iterates[0][0] == start
+            assert compared == [(m, m + 1) for m in range(depth + 1)]
+            compared.clear()
+            limit_upper(imprecise_coin, v, (), policy, with_lower=True)  # one proof, phrased for v
+            assert compared == [(m, m + 1) for m in range(depth + 1)]
+            compared.clear()
+            limit_lower(imprecise_coin, v, (), policy)
+            assert compared == [(m + 1, m) for m in range(depth + 1)]
+            compared.clear()
 
-    def test_negative_monotone_audit_rejected(self):
-        # -1 would silently switch the pointwise audit off.
-        with pytest.raises(InvalidInputError):
-            Policy(monotone_audit=-1)
+
+class TestMonotonicityProof:
+    """The approximations are proven monotone at every depth, over the
+    automaton's reachable depth, before the first iterate."""
+
+    @staticmethod
+    def counter(n: int = 12) -> LimitVariable:
+        """States 0..n-1 count the steps; each pays 1, but a T in state n-2
+        pays -0.5 and the saturated state n-1 pays 0: every path with T at
+        step n-1 drops there."""
+        step = [[min(q + 1, n - 1)] * 2 for q in range(n)]
+        reward = np.array([[1.0, 1.0]] * (n - 2) + [[1.0, -0.5], [0.0, 0.0]])
+        return LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(n)), Direction.NON_DECREASING, 0.0)
+
+    @pytest.mark.parametrize("evaluate", [limit_upper, limit_lower, limit_bounds])
+    def test_the_counter_raises(self, imprecise_coin, evaluate):
+        # Without the proof, value iteration stabilizes at 10.4 above and
+        # 10.1 below: the drop is smaller than the rise the coin allows.
+        with pytest.raises(MonotonicityError) as err:
+            evaluate(imprecise_coin, self.counter(), (), Policy(max_horizon=100))
+        message = str(err.value)
+        assert message.startswith("approximations 10 and 11 violate the declared direction")
+        assert "string (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1):" in message
+
+    def test_a_violation_first_reached_at_depth_10_raises(self, imprecise_coin):
+        # State q counts the T's in a row, up to 10, and every step pays 1,
+        # but an H after ten T's pays -2: only the path T^10 H drops.
+        step = [[0, min(q + 1, 10)] for q in range(11)]
+        reward = np.ones((11, 2))
+        reward[10, 0] = -2.0
+        v = LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(11)), Direction.NON_DECREASING, 0.0)
+        for evaluate in (limit_upper, limit_lower):
+            with pytest.raises(MonotonicityError) as err:
+                evaluate(imprecise_coin, v, (), Policy(max_horizon=5))
+            assert str(err.value).startswith("approximations 10 and 11 violate the declared direction")
+            assert "string (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0):" in str(err.value)
+
+    def test_distinct_partial_sums_hit_the_cap_quickly(self, imprecise_coin):
+        # A 30-state chain paying 1 on H and 1 + sqrt(2) / 2**q on T in state
+        # q: every string's partial sum differs, so the comparison doubles
+        # with every symbol and stops at the cap, not after minutes.
+        n = 30
+        step = [[min(q + 1, n - 1)] * 2 for q in range(n)]
+        reward = np.array([[1.0, 1.0 + np.sqrt(2.0) * 2.0**-q] for q in range(n)])
+        v = LimitVariable(MachineGamble(2, 0, step, reward, np.zeros(n)), Direction.NON_DECREASING, 0.0)
+        began = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"automata of {n} and {n} states: 65536 .* cap of 65536"):
+            limit_upper(imprecise_coin, v)
+        assert time.perf_counter() - began < 1.0
+
+    def test_raises_exactly_on_a_decreasing_pair(self):
+        # Random automata with integer rewards, and integer terminal payoffs
+        # half the time: the proof is exact, so it raises exactly when brute
+        # force over every string up to depth states + 1 finds a pair that
+        # moves the wrong way.
+        rng = np.random.default_rng(71)
+        outcomes = set()
+        for trial in range(300):
+            k, n = int(rng.integers(2, 4)), int(rng.integers(1, 7))
+            tree = _tree_of_kind(rng, k, ("homogeneous", "markov", "table")[trial % 3])
+            auto = MachineGamble(k, 0, rng.integers(0, n, size=(n, k)),
+                                 rng.integers(-1, 3, size=(n, k)), rng.integers(-1, 3, size=n) * rng.integers(0, 2))
+            up = bool(rng.integers(0, 2))
+            direction = Direction.NON_DECREASING if up else Direction.NON_INCREASING
+            v = LimitVariable(auto, direction, -1e9 if up else 1e9)
+            tables = [v.generator(m).to_dense().lift(n + 1).table for m in range(n + 2)]
+            steps = [(b - a) * (1 if up else -1) for a, b in zip(tables, tables[1:])]
+            decreasing = min(step.min() for step in steps) < 0
+            policy = Policy(tol=1e-12, max_horizon=8)
+            for evaluate, finitary in ((limit_upper, finitary_upper), (limit_lower, finitary_lower)):
+                try:
+                    res = evaluate(tree, v, (), policy)
+                except MonotonicityError as err:
+                    assert decreasing and str(err).startswith("approximations ")
+                    outcomes.add("raised")
+                    continue
+                assert not decreasing
+                outcomes.add("passed")
+                for m, val in res.iterates:
+                    assert val == pytest.approx(finitary(tree, v.generator(m)), rel=1e-12, abs=1e-12)
+        assert outcomes == {"raised", "passed"}
 
 
 def _tree_of_kind(rng, k, kind):

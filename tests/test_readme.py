@@ -1,13 +1,15 @@
-"""The JSON examples in README.md load through the package's loaders, and
-the flags and environment variables it names are the command line's, so a
-schema or CLI change cannot leave the documentation behind."""
+"""The JSON examples in README.md load through the package's loaders, the
+flags and environment variables it names are the command line's, and the
+limits' audit trail and comparison cap it states are the engine's, so a
+schema, CLI or engine change cannot leave the documentation behind."""
 
 import argparse
 import json
 import re
 from pathlib import Path
 
-from iptree import cli
+from iptree import cli, engine
+from iptree.gambles import COMPARE_CAP
 from iptree.modelio import load_certificate, load_model, load_queries
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,3 +63,11 @@ def test_readme_flags_are_the_parsers():
 def test_readme_environment_variables_are_read():
     names = set(re.findall(r"\bIPTREE_[A-Z_]+", README.read_text(encoding="utf-8")))
     assert names and names <= {cli._ENV_PREFIX + name.upper() for name, _ in cli._ENV_DEFAULTS}
+
+
+def test_readme_trail_and_cap_are_the_engines():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    first = engine.Policy().start_index
+    stated = set(re.findall(r"horizons (\d+) to (\d+)", text))
+    assert stated == {(str(first), str(first + engine._TRAIL - 1))}
+    assert f"exceed {COMPARE_CAP} pairs" in text

@@ -224,14 +224,14 @@ class TestCrossCheck:
 class TestAuditTrail:
     def test_trail_is_the_audited_window(self, coin_space, imprecise_coin):
         v = hitting_time_variable(coin_space, ["T"])
-        for audit, cap, start in ((4, 100, 1), (2, 100, 1), (4, 3, 1), (3, 100, 2)):
-            policy = Policy(tol=1e-12, max_horizon=cap, monotone_audit=audit, start_index=start)
+        for cap, start in ((100, 1), (3, 1), (100, 2), (5, 3)):
+            policy = Policy(tol=1e-12, max_horizon=cap, start_index=start)
             upper, lower = limit_bounds(imprecise_coin, v, (), policy)
-            window = replace(policy, max_horizon=min(cap, audit + 1))
+            window = replace(policy, max_horizon=min(cap, engine._TRAIL))
             for res, ref in zip((upper, lower), (limit_upper(imprecise_coin, v, (), window),
                                                  limit_lower(imprecise_coin, v, (), window))):
                 assert res.iterates == ref.iterates
-                assert [m for m, _ in res.iterates] == list(range(start, start + min(cap, audit + 1)))
+                assert [m for m, _ in res.iterates] == list(range(start, start + min(cap, engine._TRAIL)))
 
     def test_a_solve_below_an_iterate_raises(self, coin_space, imprecise_coin, monkeypatch):
         real = engine._hitting_values
