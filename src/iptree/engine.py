@@ -92,6 +92,11 @@ _VALUE_MONOTONE_SLACK = 1e-9
 #: rounding never switch.
 _SWITCH_GAIN = 1e-12
 
+#: Value iteration declares divergence once monotone iterates pass this in
+#: their direction of approach; no finite computation can truly certify an
+#: infinite limit, so the flag is a documented heuristic.
+_DIVERGENCE_THRESHOLD = 1e12
+
 #: Policy iteration rounds before giving up; each strictly improves the
 #: values, so a finite closure needs finitely many.
 _MAX_ROUNDS = 1000
@@ -100,28 +105,22 @@ _MAX_ROUNDS = 1000
 #: larger ones as sparse systems with SciPy, imported on first use.
 _DENSE_SOLVE = 256
 
-#: Horizons in the audit trail of a solved hitting variable, from ``start_index``.
+#: Horizons in the audit trail of a solved hitting variable: 1 .. _TRAIL.
 _TRAIL = 5
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Convergence policy for limit evaluations.
-
-    Divergence is declared only when the iterates are monotone and exceed
-    ``divergence_threshold`` in the direction of approximation; no finite
-    computation can truly certify an infinite limit, so the flag is a
-    documented heuristic.
+    """Convergence policy for value iteration, which reports horizons 1,
+    2, ...: it stops once two successive iterates past the conditioning
+    situation agree within ``tol``, and at the latest at ``max_horizon``.
     """
 
     tol: float = 1e-9
     max_horizon: int = 100
-    divergence_threshold: float = 1e12
-    start_index: int = 1
 
     def __post_init__(self):
-        finite = 0 < self.tol < INF and 0 < self.divergence_threshold < INF
-        if not finite or self.max_horizon < 1 or self.start_index < 0:
+        if not 0 < self.tol < INF or self.max_horizon < 1:
             raise InvalidInputError("policy fields must be positive and finite")
 
 
@@ -323,11 +322,11 @@ def _closure(tree: Tree, step: np.ndarray, q: int, s: Situation):
     return trans, q_of, a.points_last.take(a.leaf[t_of], axis=2)
 
 
-def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np.ndarray, s: Situation, first: int):
+def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np.ndarray, s: Situation):
     """Conditional upper expectations given ``s`` of the automata with the
     shared ``step`` and the ``reward`` (states, k, G) and ``terminal``
-    (states, G) columns, read to depth m, for m = first, first + 1, ...,
-    one array of G values each.
+    (states, G) columns, read to depth m, for m = 1, 2, ..., one array of G
+    values each.
 
     Along ``s`` the payoff is settled: iterate m <= len(s) is the reward of
     the first m steps of ``s`` plus the terminal payoff.  Beyond, iterate m
@@ -343,16 +342,15 @@ def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np
     for y in s:
         accs.append(accs[-1] + reward[qs[-1], y])
         qs.append(int(step[qs[-1], y]))
-    for m in range(first, len(s) + 1):
+    for m in range(1, len(s) + 1):
         yield accs[m] + terminal[qs[m]]
     trans, q_of, points = _closure(tree, step, qs[-1], s)
     paid, succ = accs[-1], np.ascontiguousarray(trans.T)  # (k, nodes)
     rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(2, 1, 0))  # (G, k, nodes)
     values = np.ascontiguousarray(terminal.take(q_of, axis=0).T)  # (G, nodes)
-    for r in itertools.count(len(s) + 1):
+    while True:
         values = _expectations(points, (rewards + values.take(succ, axis=1)).swapaxes(0, 1)).max(axis=0)
-        if r >= first:  # iterates before `first` are not reported
-            yield paid + values[:, 0]
+        yield paid + values[:, 0]
 
 
 def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy) -> Optional[ApproxResult]:
@@ -370,7 +368,7 @@ def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy)
             )
         if abs(val - prev_val) < policy.tol and m - 1 >= settled:
             return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
-    if approach * val > policy.divergence_threshold:
+    if approach * val > _DIVERGENCE_THRESHOLD:
         return ApproxResult(approach * INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
     return None
 
@@ -402,29 +400,29 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
     other's negations, so one :func:`_prove_monotone` and one bound check,
     both phrased for the first side, hold for all, before the first
     iterate: proven monotone, the approximations are least (largest, if
-    non-increasing) at horizon ``start_index``.  As if the sides ran one
-    after the other, a later side's value error waits until every earlier
-    side has stopped.  Iterates up to horizon ``len(s)`` are read off the
+    non-increasing) at horizon 1, the first reported.  As if the sides ran
+    one after the other, a later side's value error waits until every
+    earlier side has stopped.  Iterates up to horizon ``len(s)`` are read off the
     conditioning situation, so two equal ones stop a side only from there on.
     """
     if v.automaton.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
     s = as_situation(s, tree.k)
-    first, up = policy.start_index, v.direction is Direction.NON_DECREASING
+    up = v.direction is Direction.NON_DECREASING
     w = v if signs[0] > 0 else -v
     _prove_monotone(w)
     rising = w.direction is Direction.NON_DECREASING
-    x = float(next(itertools.islice(w.automaton.extreme_payoffs(least=rising), first, None))[0])
+    x = float(next(itertools.islice(w.automaton.extreme_payoffs(least=rising), 1, None))[0])
     if (x < w.bound - 1e-12) if rising else (x > w.bound + 1e-12):
         beyond = f"{x}, below the declared lower" if rising else f"{x}, above the declared upper"
-        raise InvalidInputError(f"approximation {first} attains {beyond} bound {w.bound}")
+        raise InvalidInputError(f"approximation 1 attains {beyond} bound {w.bound}")
     # Each side's columns as -v holds them: 0.0 - x, without negative zeros.
     a, flip = v.automaton, np.array(signs, dtype=float)
-    values = _limit_values(tree, a.step, a.reward[..., None] * flip + 0.0, a.terminal[:, None] * flip + 0.0, s, first)
+    values = _limit_values(tree, a.step, a.reward[..., None] * flip + 0.0, a.terminal[:, None] * flip + 0.0, s)
     approach = [1.0 if up == (sign > 0) else -1.0 for sign in signs]
     iterates: list[list] = [[] for _ in signs]
     results: list = [None] * len(signs)  # per side: its result, or the error it waits to raise
-    for m, vals in zip(range(first, first + policy.max_horizon), values):
+    for m, vals in zip(range(1, 1 + policy.max_horizon), values):
         for i, val in enumerate(vals.tolist()):
             if results[i] is None:
                 iterates[i].append((m, val))
@@ -464,8 +462,8 @@ def limit_upper(
     successive finitary upper expectations.  Stops when two successive
     iterates past the conditioning situation ``s`` agree within
     ``policy.tol`` (stabilized), when the iterates grow monotonically past
-    the divergence threshold (certified-diverging, value +/-inf), or at the
-    horizon cap, in which case the last iterate is reported without
+    :data:`_DIVERGENCE_THRESHOLD` (certified-diverging, value +/-inf), or
+    at the horizon cap, in which case the last iterate is reported without
     extrapolation.
 
     The value vector over the reachable (tree state, automaton state) nodes
@@ -707,11 +705,10 @@ def limit_bounds(
     exactly, and the rest up to the rounding of a few linear solves.  Both
     results then have ``stop_reason`` solved and ``converged`` true, and
     their iterates are an audit trail: :func:`limit_upper` over the
-    :data:`_TRAIL` horizons from ``start_index`` on (at most
-    ``max_horizon`` of them), with every audit it makes.  The solved value
-    must not lie below any trail iterate.  Any other variable gets the
-    value iteration of :func:`limit_upper` and :func:`limit_lower` under
-    ``policy``.
+    horizons 1 .. :data:`_TRAIL` (at most ``max_horizon`` of them), with
+    every audit it makes.  The solved value must not lie below any trail
+    iterate.  Any other variable gets the value iteration of
+    :func:`limit_upper` and :func:`limit_lower` under ``policy``.
     """
     s = as_situation(s, tree.k)
     time = _hitting_kind(v)

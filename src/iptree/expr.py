@@ -31,13 +31,14 @@ or of :data:`LOGIC` (``&& ||``), which map it to the NumPy ufunc the
 compiler applies; unary minus is ``0 - x``.
 
 A number literal is a double and must be finite: ``1e400`` fails at its
-position.  An expression nests at most :data:`MAX_NESTING` levels deep,
-which the parser checks before it recurses any further; the tokenizer
-hands it one token at a time, a tuple from one regex match, so a source
-fails having read only the tokens up to the failure.  The parser, the
-compiler and :func:`unparse` recurse once or a few times per level, and
-each raises Python's recursion limit by what that many levels take while
-it runs.
+position.  The sums' bodies run at most :data:`_SUM_EVALUATIONS` times
+in all, which the parser checks as each ``sum`` opens.  An expression
+nests at most :data:`MAX_NESTING` levels deep, which the parser checks
+before it recurses any further; the tokenizer hands it one token at a
+time, a tuple from one regex match, so a source fails having read only the
+tokens up to the failure.  The parser, the compiler and :func:`unparse`
+recurse once or a few times per level, and each raises Python's recursion
+limit by what that many levels take while it runs.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ from .local import StateSpace
 #: It is Python's default recursion limit, so an expression that a parser
 #: and evaluator of one frame per level could run under that limit passes.
 MAX_NESTING = 1000
+
+#: At most this many evaluations of ``sum`` bodies in one expression; a
+#: body runs once per value of its own range and of every enclosing one.
+_SUM_EVALUATIONS = 100_000
 
 #: The most Python frames a level takes: a parenthesized condition passes
 #: through bool_atom, nested, bool_or, chain, bool_and, chain and bool_not.
@@ -196,6 +201,8 @@ class _Parser:
         self.bound: dict[str, tuple[int, int]] = {}  # sum var -> (lo, hi)
         self.max_index = 0
         self.open = 0  # constructs open around the current token
+        self.repeats = 1  # evaluations of the current token: the product of the open sums' ranges
+        self.evaluations = 0  # of the sum bodies opened so far
 
     def advance(self) -> Token:
         tok = self.tok
@@ -288,10 +295,10 @@ class _Parser:
                 self.expect(")")
                 return self.made(tok, BinOp(text, a, b), max(a_height, b_height))
             if text == "sum":
-                return self.made(tok, *self.sum_over())
+                return self.made(tok, *self.sum_over(tok))
         self.fail(f"expected a factor, found {text or 'end of input'!r}", tok)
 
-    def sum_over(self) -> tuple[Expr, int]:
+    def sum_over(self, sum_tok: Token) -> tuple[Expr, int]:
         self.expect("sum")
         self.expect("(")
         var_tok = self.tok
@@ -310,10 +317,16 @@ class _Parser:
         if hi < lo:
             self.fail(f"empty sum range {lo}..{hi}", var_tok)
         self.expect(",")
+        repeats = self.repeats
+        self.repeats *= hi - lo + 1
+        self.evaluations += self.repeats
+        if self.evaluations > _SUM_EVALUATIONS:
+            self.fail(f"sums would evaluate their bodies {self.evaluations} times, more than {_SUM_EVALUATIONS}", sum_tok)
         self.bound[var] = (lo, hi)
         self.max_index = max(self.max_index, hi)
         body, height = self.nested(self.expression, var_tok)
         del self.bound[var]
+        self.repeats = repeats
         self.expect(")")
         return SumOver(var, lo, hi, body), height
 

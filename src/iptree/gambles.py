@@ -485,9 +485,11 @@ class LimitVariable:
 
     The m-th approximation, ``generator(m)``, is ``automaton`` read to depth
     m (its own ``depth`` is ignored).  Non-decreasing sequences must be
-    uniformly bounded below by ``bound``; non-increasing ones uniformly
-    bounded above by it.  The engine proves monotonicity before it
-    iterates and fails loudly on a violation.
+    bounded below by ``bound`` at every approximation m >= 1; non-increasing
+    ones bounded above by it.  Approximation 0 is only the start of the
+    monotonicity proof: a hitting time's pays 0, below its bound 1.  The
+    engine proves monotonicity before it iterates, from horizon 1, and fails
+    loudly on a violation.
 
     The approximations and the negation share the automaton's validated,
     frozen arrays (a negation holds their negated copies) instead of

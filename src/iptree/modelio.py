@@ -43,9 +43,8 @@ A query's ``kind`` is one of ``eval``, ``lower`` (these take an
 ``condition`` and ``policy`` are optional; a query holds no other field.
 ``policy`` takes ``table_cap``: a query may lower the table cap but not
 raise it, so it is an integer in 1..``DEFAULT_TABLE_CAP``.  ``policy`` also
-accepts ``tol``, ``max_horizon`` (an integer) and ``divergence_threshold``,
-each a positive finite number, and nothing reads them: hitting queries are
-solved exactly.  The document holds ``schema``, ``queries`` and optionally
+accepts ``tol`` and ``max_horizon`` (an integer), each a positive finite
+number, and nothing reads them: hitting queries are solved exactly.  The document holds ``schema``, ``queries`` and optionally
 ``model``.  An unknown kind, or a field unknown at its place, fails at its
 path (``queries[0].seed``, ``queries[0].policy.trials``, ``bogus``).
 
@@ -536,7 +535,7 @@ def load_certificate_file(file_path: str | Path, space: StateSpace) -> tuple[Tai
 
 _QUERY_KINDS = ("eval", "lower", "hit_prob", "hit_time")
 _DOCUMENT_FIELDS = ("schema", "model", "queries")
-_POLICY_FIELDS = {"tol": float, "max_horizon": int, "divergence_threshold": float, "table_cap": int}
+_POLICY_FIELDS = {"tol": float, "max_horizon": int, "table_cap": int}
 
 
 def _known_fields(doc: dict, known, path: str, what: str):

@@ -346,9 +346,9 @@ class DominationReport:
 def _precise_limit(
     p: PreciseTree, v: LimitVariable, s: Situation, policy: Policy
 ) -> ApproxResult:
-    """The expectations of ``v``'s approximations from ``start_index`` on,
-    until two agree within ``tol``: read off ``s`` up to its length, then
-    one level of a single forward pass per iterate.  Each is bitwise
+    """The expectations of ``v``'s approximations from horizon 1 on, until
+    two past ``s`` agree within ``tol``: read off ``s`` up to its length,
+    then one level of a single forward pass per iterate.  Each is bitwise
     :func:`precise_expectation` of its approximation."""
     values = itertools.chain(
         (v.generator(m).payoff(s) for m in range(len(s) + 1)),
@@ -356,10 +356,9 @@ def _precise_limit(
     )
     iterates = []
     prev = None
-    first = policy.start_index
-    for m, val in itertools.islice(enumerate(values), first, first + policy.max_horizon):
+    for m, val in itertools.islice(enumerate(values), 1, 1 + policy.max_horizon):
         iterates.append((m, val))
-        if prev is not None and abs(val - prev) < policy.tol:
+        if prev is not None and abs(val - prev) < policy.tol and m - 1 >= len(s):
             return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
         prev = val
     return ApproxResult(prev, tuple(iterates), False, StopReason.HORIZON_CAP, policy.tol)
@@ -371,15 +370,13 @@ def domination_check(
     s: Situation = (),
     samples: list[PreciseTree] | None = None,
     policy: Policy = Policy(),
-    tol: float = ORACLE_TOL,
-    compat_depth: int = 4,
 ) -> DominationReport:
     """Verify that sampled compatible trees never beat the engine's value.
 
-    Every sample must pass :func:`~iptree.tree.is_compatible` (to
-    ``compat_depth``); its expectation limit along the approximating sequence
-    (monotone for precise trees, so the limit exists) must stay below the
-    engine's upper limit plus ``tol``.  That limit is the upper result of
+    Every sample must pass :func:`~iptree.tree.is_compatible` (to depth 4);
+    its expectation limit along the approximating sequence (monotone for
+    precise trees, so the limit exists) must stay below the engine's upper
+    limit plus :data:`ORACLE_TOL`.  That limit is the upper result of
     :func:`~iptree.engine.limit_bounds`: solved exactly for hitting times
     and hitting probabilities, where value iteration can stop on a plateau.
     """
@@ -387,12 +384,12 @@ def domination_check(
     if samples is None or not samples:
         raise InvalidInputError("domination_check needs at least one sampled tree")
     for i, p in enumerate(samples):
-        if not is_compatible(p, q, compat_depth):
+        if not is_compatible(p, q, 4):
             raise InvalidInputError(f"sample #{i} is not compatible with the imprecise tree")
     upper = limit_bounds(q, v, s, policy)[0]
     verdicts = []
     for p in samples:
         res = _precise_limit(p, v, s, policy)
         gap = upper.value - res.value
-        verdicts.append(SampleVerdict(res, gap >= -tol, gap))
+        verdicts.append(SampleVerdict(res, gap >= -ORACLE_TOL, gap))
     return DominationReport(upper, tuple(verdicts), all(x.ok for x in verdicts))

@@ -149,9 +149,9 @@ def test_criterion_8_domination(coin_space, imprecise_coin):
     tau = hitting_time_variable(coin_space, ["T"])
     policy = Policy(tol=1e-13, max_horizon=90)
     samples = sample_compatible(imprecise_coin, 4, 20, rng)
-    sampled = domination_check(imprecise_coin, tau, (), samples, policy, tol=1e-9)
+    sampled = domination_check(imprecise_coin, tau, (), samples, policy)
     adv = adversarial_selection(imprecise_coin, tau.generator(80))
-    closing = domination_check(imprecise_coin, tau, (), [adv], policy, tol=1e-9)
+    closing = domination_check(imprecise_coin, tau, (), [adv], policy)
     gap = abs(closing.min_gap())
     # cross-check against the exhaustive argmax at an enumerable horizon
     env = envelope_sup(imprecise_coin, tau.generator(3).to_dense(), ())

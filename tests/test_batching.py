@@ -190,8 +190,7 @@ class TestLimitPair:
             make = (hitting_time_variable, hitting_event_variable)[trial // 3 % 2]
             v = make(tree.state_space, [0])
             s = tuple(int(x) for x in rng.integers(1, k, size=int(rng.integers(0, 3))))
-            policy = Policy(tol=float(rng.choice([1e-4, 1e-8, 1e-12])), max_horizon=40,
-                            start_index=int(rng.integers(0, 3)) if make is hitting_event_variable else 1)
+            policy = Policy(tol=float(rng.choice([1e-4, 1e-8, 1e-12])), max_horizon=40)
             both = limit_upper(tree, v, s, policy, with_lower=True)
             upper, lower = limit_upper(tree, v, s, policy), limit_lower(tree, v, s, policy)
             assert repr(both.lower) == repr(lower) and both.lower.lower is None

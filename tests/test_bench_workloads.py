@@ -3,11 +3,13 @@
 ``bench/workloads.py`` builds its requests with the package itself (models,
 certificates, reference answers), and ``bench/run.py`` gates every report.
 These tests load both as they are, generate each workload's pass at seed 1
-and run the first request of every shape through the gate.  They read the
-bench files and change none.
+and run the first request of every shape through the gate, and check that
+the query policy fields the loader accepts but ignores are exactly the ones
+the benchmark writes.  They read the bench files and change none.
 """
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import iptree.cli
+from iptree import modelio
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -41,3 +44,18 @@ def test_first_request_of_every_shape_passes_the_gate(workload, tmp_path, monkey
         runner.run(i)
     assert runner.attempted == len({shape for shape, *_ in workloads.WORKLOADS[workload]})
     assert runner.failures == []
+
+
+def test_the_ignored_policy_fields_are_the_ones_the_benchmark_writes(tmp_path, monkeypatch):
+    # A query's policy accepts tol and max_horizon and reads neither, only
+    # because the benchmark's query files still write them: a benchmark that
+    # stops must also stop accepting them.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = _load("workloads", monkeypatch)
+    written = set()
+    for workload in ("hitting_limits", "dense_certify"):
+        workloads.generate(workload, 1, tmp_path / workload)
+        for path in (tmp_path / workload).glob("*-query.json"):
+            for query in json.loads(path.read_text())["queries"]:
+                written |= set(query.get("policy", {}))
+    assert written - {"table_cap"} == set(modelio._POLICY_FIELDS) - {"table_cap"}

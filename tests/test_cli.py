@@ -6,6 +6,7 @@ import os
 import random
 import struct
 import sys
+import time
 import uuid
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -577,8 +578,8 @@ class TestSolvedHitQueries:
         assert {rec[side]["stop_reason"] for rec in (time, prob) for side in ("upper", "lower")} == {"solved"}
 
     def test_limit_policy_fields_are_ignored(self, capsys, tmp_path):
-        # Solved exactly, a hit query reads no tolerance, horizon or threshold.
-        limits = {"tol": 1e-12, "max_horizon": 80, "divergence_threshold": 5}
+        # Solved exactly, a hit query reads no tolerance or horizon.
+        limits = {"tol": 1e-12, "max_horizon": 80}
         queries = self.hits(["T"]) + self.hits(["T"], "H")
         _, plain, records = _eval_queries(capsys, tmp_path, MODEL, [{**q, "policy": {}} for q in queries])
         _, _, with_limits = _eval_queries(capsys, tmp_path, MODEL, [{**q, "policy": limits} for q in queries])
@@ -599,14 +600,20 @@ class TestPolicyErrors:
     engine's ``Policy`` would reject still exits 2 at its JSON path when the
     query file is read, before any query runs."""
 
-    @pytest.mark.parametrize(
-        "field, value, shown", [("tol", 0, "0.0"), ("max_horizon", 0, "0"), ("divergence_threshold", -1, "-1.0")]
-    )
+    @pytest.mark.parametrize("field, value, shown", [("tol", 0, "0.0"), ("max_horizon", 0, "0")])
     def test_query_file_field(self, capsys, model_file, tmp_path, field, value, shown):
         queries = [{"kind": "eval", "expression": "1"}, {"kind": "hit_prob", "targets": ["T"], "policy": {field: value}}]
         (tmp_path / "q.json").write_text(json.dumps({"schema": 1, "queries": queries}))
         assert main(["eval", "--model", model_file, "--query", str(tmp_path / "q.json")]) == 2
         assert capsys.readouterr() == ("", f"error: queries[1].policy.{field}: expected a positive number, got {shown}\n")
+
+    def test_divergence_threshold_is_unknown(self, capsys, model_file, tmp_path):
+        # Divergence is declared past a fixed threshold, which no query sets.
+        queries = [{"kind": "hit_time", "targets": ["T"], "policy": {"divergence_threshold": 5}}]
+        (tmp_path / "q.json").write_text(json.dumps({"schema": 1, "queries": queries}))
+        assert main(["eval", "--model", model_file, "--query", str(tmp_path / "q.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: queries[0].policy.divergence_threshold: unknown policy field;")
 
 
 class TestLabelErrors:
@@ -745,6 +752,19 @@ class TestDeepExpressions:
         source = "(" * MAX_NESTING + "1" + "+1" * (MAX_NESTING - 1) + ")" * MAX_NESTING
         code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
         assert code == 0 and json.loads(out)["results"][0]["upper"] == MAX_NESTING
+
+
+class TestSumEvaluationCap:
+    def test_nested_sums_fail_before_compiling(self, capsys, model_file):
+        # 20 nested sums over 1..2 would evaluate their bodies 2**21 - 2
+        # times; the 16th takes the count to 2**17 - 2, past the cap.
+        source = "".join(f"sum(v{i}=1..2, " for i in range(20)) + "1" + ")" * 20
+        start = time.perf_counter()
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
+        assert time.perf_counter() - start < 1.0
+        column = source.index("sum(v15") + 1
+        message = f"--expr: line 1, column {column}: sums would evaluate their bodies 131070 times, more than 100000"
+        assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [message]
 
 
 class TestCertificateSizeErrors:

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -207,9 +208,9 @@ class TestLimitUpper:
         assert values == sorted(values)
 
     def test_divergence_certified(self, imprecise_coin):
-        v = LimitVariable(steady(1e5), Direction.NON_DECREASING, bound=0.0)
-        res = limit_upper(imprecise_coin, v, (), Policy(tol=1e-15, max_horizon=99, divergence_threshold=1e6))
-        assert res.iterates[-1] == (11, pytest.approx(1.1e6))
+        v = LimitVariable(steady(1e11), Direction.NON_DECREASING, bound=0.0)
+        res = limit_upper(imprecise_coin, v, (), Policy(tol=1e-15, max_horizon=99))
+        assert res.iterates[-1] == (11, pytest.approx(1.1e12))
         assert res.value == INF
         assert res.stop_reason is StopReason.DIVERGING
         assert not res.converged
@@ -248,10 +249,11 @@ class TestLimitUpper:
             " (witness: string (0, 0, 0, 0, 0, 0, 1): 6.0 > 5.0)",
         )
 
-    @pytest.mark.parametrize("start", [0, 2, 4])
-    def test_pointwise_audit_covers_the_first_pairs(self, coin_space, imprecise_coin, monkeypatch, start):
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_pointwise_audit_covers_the_first_pairs(self, coin_space, imprecise_coin, monkeypatch, length):
         # The proof compares the pairs (j, j + 1) up to the depth at which
-        # the reachable states stop growing, whatever the first horizon.
+        # the reachable states stop growing, whatever the conditioning
+        # situation; the iterates start at horizon 1 all the same.
         import iptree.engine as engine
 
         compared = []
@@ -261,18 +263,18 @@ class TestLimitUpper:
             return pointwise_leq(f, g)
 
         monkeypatch.setattr(engine, "pointwise_leq", counting)
-        policy = Policy(tol=1e-12, max_horizon=80, start_index=start)
+        policy, s = Policy(tol=1e-12, max_horizon=80), (0,) * length
         counter = LimitVariable(MachineGamble(2, 0, [[1, 1], [2, 2], [3, 3], [3, 3]], np.ones((4, 2)), np.zeros(4)),
                                 Direction.NON_DECREASING, 0.0)
         for v, depth in ((hitting_event_variable(coin_space, ["T"]), 1), (counter, 3)):
-            res = limit_upper(imprecise_coin, v, (), policy)
-            assert res.iterates[0][0] == start
+            res = limit_upper(imprecise_coin, v, s, policy)
+            assert res.iterates[0][0] == 1
             assert compared == [(m, m + 1) for m in range(depth + 1)]
             compared.clear()
-            limit_upper(imprecise_coin, v, (), policy, with_lower=True)  # one proof, phrased for v
+            limit_upper(imprecise_coin, v, s, policy, with_lower=True)  # one proof, phrased for v
             assert compared == [(m, m + 1) for m in range(depth + 1)]
             compared.clear()
-            limit_lower(imprecise_coin, v, (), policy)
+            limit_lower(imprecise_coin, v, s, policy)
             assert compared == [(m + 1, m) for m in range(depth + 1)]
             compared.clear()
 
@@ -405,18 +407,18 @@ class TestStationaryLimits:
         assert len(seen) == 3 * 3 * 2
 
     @pytest.mark.parametrize("s", [(), (0, 0), (0, 0, 0, 0, 0, 0, 0)])
-    def test_start_index_matches_generic_loop(self, s):
+    def test_iterates_match_generic_loop(self, s):
         # The generic loop: a full backward recursion on every horizon's gamble.
         rng = np.random.default_rng(32)
         trees = [_tree_of_kind(rng, 3, kind) for kind in ("homogeneous", "markov", "table")]
-        policy = Policy(tol=1e-10, max_horizon=40, start_index=5)
+        policy = Policy(tol=1e-10, max_horizon=40)
         for tree in trees:
             for make in (hitting_time_variable, hitting_event_variable):
                 v = make(tree.state_space, [2])
                 for run, sweep in ((limit_upper, finitary_upper), (limit_lower, finitary_lower)):
                     res = run(tree, v, s, policy)
                     horizons = [m for m, _ in res.iterates]
-                    assert horizons == list(range(5, 5 + len(horizons)))
+                    assert horizons == list(range(1, 1 + len(horizons)))
                     for m, val in res.iterates:
                         want = sweep(tree, v.generator(m), s)
                         assert val == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -431,11 +433,16 @@ class TestStationaryLimits:
                         assert res.stop_reason is StopReason.HORIZON_CAP
                         assert len(values) == 40 and min(steps) >= policy.tol
 
-    def test_negative_start_index_rejected(self):
-        # Horizons are non-negative; a negative one would index the
-        # conditioning situation from its end.
-        with pytest.raises(InvalidInputError):
-            Policy(start_index=-1)
+    def test_only_tol_and_max_horizon_are_settable(self):
+        # Iterates start at horizon 1 and divergence is declared past a
+        # fixed threshold: neither is a policy field.
+        assert [f.name for f in dataclasses.fields(Policy)] == ["tol", "max_horizon"]
+        for field in ("start_index", "divergence_threshold"):
+            with pytest.raises(TypeError):
+                Policy(**{field: 1})
+        for bad in ({"tol": 0.0}, {"tol": INF}, {"max_horizon": 0}):
+            with pytest.raises(InvalidInputError):
+                Policy(**bad)
 
     def test_slow_chain_reaches_the_exact_value(self, coin_space, monkeypatch):
         # Target mass in [0.01, 0.03]: the upper expected hitting time is 100,

@@ -218,6 +218,31 @@ class TestNesting:
             parse_gamble("+".join([half] * (MAX_NESTING // 2 + 2)), space)
 
 
+class TestSumEvaluations:
+    """The parser counts the evaluations of sum bodies as each sum opens,
+    the product of its own and its enclosing ranges, and fails at the sum
+    that takes the count past the cap."""
+
+    SOURCE = "sum(i=1..10, ind(X[i]==H)) + sum(j=1..3, sum(l=1..4, ind(X[j]==H && X[l]==T)))"
+
+    @pytest.mark.parametrize("cap", [25, 10**5])
+    def test_ranges_add_and_nested_ones_multiply(self, space, monkeypatch, cap):
+        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", cap)  # 10 + 3 + 3 * 4
+        f = compiled(self.SOURCE, space)
+        assert f.payoff((0,) * 10) == 10 and f.payoff((0, 0, 0, 1) + (0,) * 6) == 9 + 3
+
+    def test_the_sum_past_the_cap_fails_at_its_position(self, space, monkeypatch):
+        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", 24)
+        with pytest.raises(ExprError, match="sums would evaluate their bodies 25 times, more than 24") as err:
+            parse_gamble(self.SOURCE, space)
+        assert (err.value.line, err.value.column) == (1, self.SOURCE.index("sum(l") + 1)
+
+    def test_a_huge_range_fails_before_its_body(self, space):
+        with pytest.raises(ExprError, match=f"bodies {10**30} times") as err:
+            parse_gamble(f"1 + sum(i=1..{10**30}, X)", space)
+        assert (err.value.line, err.value.column) == (1, 5)
+
+
 class TestCompile:
     def test_lift_by_override_constant_on_new_axes(self, space):
         f = compiled("ind(X[1]==H)", space, depth=3)

@@ -137,22 +137,21 @@ def ref_closure(tree, step, q, s):
     return trans, q_of, ref_points(tree, t_of)
 
 
-def ref_limit_values(tree, step, reward, terminal, s, first):
+def ref_limit_values(tree, step, reward, terminal, s):
     accs, qs = [np.zeros(terminal.shape[1])], [0]
     for y in s:
         accs.append(accs[-1] + reward[qs[-1], y])
         qs.append(int(step[qs[-1], y]))
-    for m in range(first, len(s) + 1):
+    for m in range(1, len(s) + 1):
         yield accs[m] + terminal[qs[m]]
     trans, q_of, points = ref_closure(tree, step, qs[-1], s)
     paid, succ = accs[-1], np.ascontiguousarray(trans.T)
     weights = np.ascontiguousarray(points.transpose(2, 0, 1)[:, :, None, :])
     rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(1, 0, 2))
     values = terminal.take(q_of, axis=0)
-    for r in itertools.count(len(s) + 1):
+    while True:
         values = ref_symbol_sum(weights * (rewards + values.take(succ, axis=0))[..., None]).max(axis=-1)
-        if r >= first:
-            yield paid + values[0]
+        yield paid + values[0]
 
 
 def ref_attractor(pos, trans, goal, allowed):
@@ -358,9 +357,8 @@ def test_limit_iterates_match_the_per_node_layout():
         tree = tree_of_kind(rng, k, kind)
         step, reward, terminal = limit_arrays(rng, k, width)
         s = tuple(int(y) for y in rng.integers(0, k, size=int(rng.integers(0, 4))))
-        first = int(rng.integers(0, 3))
-        got = itertools.islice(engine._limit_values(tree, step, reward, terminal, s, first), 12)
-        want = itertools.islice(ref_limit_values(tree, step, reward, terminal, s, first), 12)
+        got = itertools.islice(engine._limit_values(tree, step, reward, terminal, s), 12)
+        want = itertools.islice(ref_limit_values(tree, step, reward, terminal, s), 12)
         for x, y in zip(got, want, strict=True):
             assert same(x, y), trial
         sizes.add(len(tree.assignment.closure(step, tree.assignment.machine_init(s), 0)[0]) > 20)

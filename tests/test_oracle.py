@@ -1,5 +1,6 @@
 import ast
 import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,12 @@ class TestDomination:
         assert report.passed
         assert all(s.ok for s in report.samples)
 
+    def test_tolerance_and_compatibility_depth_are_fixed(self, coin_space, imprecise_coin, fair_coin):
+        v = hitting_time_variable(coin_space, ["T"])
+        for knob in ({"tol": 1e-9}, {"compat_depth": 4}):
+            with pytest.raises(TypeError):
+                domination_check(imprecise_coin, v, (), [fair_coin], **knob)
+
     def test_variable_on_another_state_space_rejected(self, imprecise_coin, fair_coin):
         v = hitting_time_variable(StateSpace(("A", "B", "C")), ["C"])
         with pytest.raises(InvalidInputError, match="gamble and tree live on different state spaces"):
@@ -283,11 +290,34 @@ class TestDomination:
             s = random_situation(rng, k, 3)
             make = hitting_time_variable if trial % 3 else hitting_event_variable
             v = make(space, [int(rng.integers(0, k))])
-            policy = Policy(tol=1e-12, max_horizon=int(rng.integers(1, 25)), start_index=int(rng.integers(0, 5)))
+            policy = Policy(tol=1e-12, max_horizon=int(rng.integers(1, 25)))
             res = oracle._precise_limit(p, v, s, policy)
-            assert res.iterates[0][0] == policy.start_index
+            assert res.iterates[0][0] == 1
             for m, val in res.iterates:
                 assert val == precise_expectation(p, v.generator(m), s), (trial, m)
+
+    @pytest.mark.parametrize("length", [2, 5])
+    def test_precise_limit_does_not_stop_along_the_situation(self, coin_space, fair_coin, length):
+        # Iterates up to horizon len(s) are read off s: along heads, a hit
+        # of T pays 0 at each, and two of them agreeing is no plateau.
+        v, s = hitting_event_variable(coin_space, ["T"]), (0,) * length
+        res = oracle._precise_limit(fair_coin, v, s, Policy())
+        assert res.iterates[:length] == tuple((m, 0.0) for m in range(1, length + 1))
+        assert res.stop_reason is StopReason.STABILIZED
+        assert res.value == pytest.approx(1.0, abs=1e-8)
+
+    def test_domination_given_a_long_situation_can_fail(self, coin_space, imprecise_coin, fair_coin, monkeypatch):
+        v, s = hitting_event_variable(coin_space, ["T"]), (0, 0)
+        report = domination_check(imprecise_coin, v, s, [fair_coin])
+        assert report.passed and report.samples[0].limit.value == pytest.approx(1.0, abs=1e-8)
+        real = oracle.limit_bounds
+
+        def low(*args):
+            upper, lower = real(*args)
+            return replace(upper, value=0.5), lower
+
+        monkeypatch.setattr(oracle, "limit_bounds", low)
+        assert not domination_check(imprecise_coin, v, s, [fair_coin]).passed
 
     def test_incompatible_sample_rejected(self, coin_space, imprecise_coin):
         outside = PreciseTree(

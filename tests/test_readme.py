@@ -1,14 +1,16 @@
 """The JSON examples in README.md load through the package's loaders, the
-flags and environment variables it names are the command line's, and the
-limits' audit trail and comparison cap it states are the engine's, so a
-schema, CLI or engine change cannot leave the documentation behind."""
+flags and environment variables it names are the command line's, the
+policy fields it names are the loader's and the engine's, and the limits'
+audit trail and comparison cap it states are the engine's, so a schema,
+CLI or engine change cannot leave the documentation behind."""
 
 import argparse
+import dataclasses
 import json
 import re
 from pathlib import Path
 
-from iptree import cli, engine
+from iptree import cli, engine, modelio
 from iptree.gambles import COMPARE_CAP
 from iptree.modelio import load_certificate, load_model, load_queries
 
@@ -67,7 +69,22 @@ def test_readme_environment_variables_are_read():
 
 def test_readme_trail_and_cap_are_the_engines():
     text = " ".join(README.read_text(encoding="utf-8").split())
-    first = engine.Policy().start_index
     stated = set(re.findall(r"horizons (\d+) to (\d+)", text))
-    assert stated == {(str(first), str(first + engine._TRAIL - 1))}
+    assert stated == {("1", str(engine._TRAIL))}
     assert f"exceed {COMPARE_CAP} pairs" in text
+
+
+def test_readme_policy_fields_are_the_loaders_and_the_engines():
+    text = README.read_text(encoding="utf-8")
+    (row,) = re.findall(r"^\| `policy` \|(.*)$", text, re.MULTILINE)
+    assert set(re.findall(r"`(\w+)`", row)) == set(modelio._POLICY_FIELDS)
+    # A Policy field appears as a keyword of Policy(...) or as a name in
+    # backquotes; every snake_case name the README quotes must still be
+    # one of the package's, so a retired field cannot linger in the text.
+    fields = {f.name for f in dataclasses.fields(engine.Policy)}
+    for call in re.findall(r"\bPolicy\(([^)]*)\)", text):
+        assert set(re.findall(r"(\w+)=", call)) <= fields, call
+    source = " ".join(path.read_text(encoding="utf-8") for path in Path(engine.__file__).parent.glob("*.py"))
+    words = set(re.findall(r"\w+", source))
+    quoted = set(re.findall(r"`([a-z]+(?:_[a-z]+)+)`", text))
+    assert quoted - words == set()

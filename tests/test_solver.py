@@ -9,6 +9,8 @@ import iptree.engine as engine
 from iptree.engine import (
     Policy,
     StopReason,
+    finitary_lower,
+    finitary_upper,
     limit_bounds,
     limit_lower,
     limit_upper,
@@ -147,9 +149,8 @@ class TestGraphPass:
 
 class TestCrossCheck:
     def test_agrees_with_long_value_iteration(self):
-        # Iterates along the conditioning situation are settled and equal,
-        # so value iteration starts at its last one, where it cannot stop
-        # early.
+        # Iterates along the conditioning situation are settled and equal;
+        # value iteration does not stop on them.
         rng = np.random.default_rng(2019)
         compared = set()
         for trial in range(36):
@@ -157,7 +158,7 @@ class TestCrossCheck:
             tree = random_tree(rng, k, kind)
             targets = [int(rng.integers(k))]
             s = tuple(int(x) for x in rng.integers(0, k, size=trial // 3 % 3))
-            reference = Policy(tol=1e-13, max_horizon=20000, start_index=max(1, len(s)))
+            reference = Policy(tol=1e-13, max_horizon=20000)
             for make in KINDS:
                 v = make(tree.state_space, targets)
                 for res, run in zip(limit_bounds(tree, v, s), (limit_upper, limit_lower)):
@@ -188,8 +189,8 @@ class TestCrossCheck:
                 v = make(space, targets)
                 upper, lower = limit_bounds(tree, v)
                 assert lower.value <= upper.value + 1e-9 * max(1.0, abs(upper.value))
-                for res, run in ((upper, limit_upper), (lower, limit_lower)):
-                    horizon = run(tree, v, (), Policy(start_index=200, max_horizon=1)).value
+                for res, sweep in ((upper, finitary_upper), (lower, finitary_lower)):
+                    horizon = sweep(tree, v.generator(200))
                     assert res.value >= horizon - 1e-9 * max(1.0, horizon)
                     if make is hitting_event_variable:
                         assert res.value <= 1.0 + 1e-9
@@ -224,14 +225,14 @@ class TestCrossCheck:
 class TestAuditTrail:
     def test_trail_is_the_audited_window(self, coin_space, imprecise_coin):
         v = hitting_time_variable(coin_space, ["T"])
-        for cap, start in ((100, 1), (3, 1), (100, 2), (5, 3)):
-            policy = Policy(tol=1e-12, max_horizon=cap, start_index=start)
+        for cap in (100, 3, 5):
+            policy = Policy(tol=1e-12, max_horizon=cap)
             upper, lower = limit_bounds(imprecise_coin, v, (), policy)
             window = replace(policy, max_horizon=min(cap, engine._TRAIL))
             for res, ref in zip((upper, lower), (limit_upper(imprecise_coin, v, (), window),
                                                  limit_lower(imprecise_coin, v, (), window))):
                 assert res.iterates == ref.iterates
-                assert [m for m, _ in res.iterates] == list(range(start, start + min(cap, engine._TRAIL)))
+                assert [m for m, _ in res.iterates] == list(range(1, 1 + min(cap, engine._TRAIL)))
 
     def test_a_solve_below_an_iterate_raises(self, coin_space, imprecise_coin, monkeypatch):
         real = engine._hitting_values
