@@ -452,28 +452,30 @@ _ORJSON_OPTIONS = (
     | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
 )
 
-#: ``bytes.translate`` arguments that keep of orjson's text the bytes its
-#: number tokens are made of, with ``1`` for every digit but ``0``, the
-#: letters of ``null``, and a newline for a newline or a colon.  In the kept
-#: text a number is preceded by a newline (a list item, or a value after its
-#: key's colon) or starts the text, and is followed by a newline or ends it.
-_NUMBER_BYTES = bytes(49 if 49 <= b <= 57 else 10 if b == 58 else b for b in range(256))
-_NOT_NUMBER_BYTES = bytes(b for b in range(256) if b not in b"0123456789.e-\n:nul")
+#: The parts of float tokens that orjson lays out otherwise than
+#: ``json.dumps``, which writes ``repr`` of the float: a positive exponent
+#: (``1e16`` for ``1e+16``), a one-digit negative one (``1e-7`` for
+#: ``1e-07``) and a number below 1e-4 written without one (``0.00001`` for
+#: ``1e-05``).  Both writers give the shortest digits, so mending the layout
+#: gives ``json.dumps``'s bytes.  Only a number ends a line of orjson's
+#: text, or the text, with a digit: a string ends with its quote, and a key
+#: is followed by a colon.  Each pattern starts with a literal byte, which
+#: keeps its scan fast.
+_EXPONENT = re.compile(rb"(e(?:\d+|-\d))(?=,?\n|\Z)")
+_SMALL = re.compile(rb"0\.0000\d*(?=,?\n|\Z)")
 
-#: Where orjson's kept text can differ from ``json.dumps``'s, but for
-#: ``_SHORT_EXPONENT``: a positive exponent (``1e16``, where ``json`` writes
-#: ``1e+16``), a number below 1e-4 written without an exponent (``0.00001``
-#: for ``1e-05``), and ``null``, which orjson writes for NaN and the
-#: infinities that ``json`` rejects.  Both writers give the shortest digits,
-#: so the digit before an exponent is never ``0``.  A string may hold one of
-#: these too; its report is then written by ``json.dumps``.
-_NOT_JSON_DUMPS = (b"1e1", b"\n0.0000", b"-0.0000", b"null")
+#: A ``null`` token, which orjson writes for ``None`` and for NaN and the
+#: infinities, which ``json`` rejects.
+_NULL = re.compile(rb"null(?=,?\n|\Z)")
 
-#: A one-digit negative exponent, which orjson writes with one digit
-#: (``1e-7``) and ``json`` with two (``1e-07``).  Only a number's exponent
-#: ends a line of orjson's text, or the text, with it: a string ends with
-#: its quote, and no ``-`` follows the ``e`` of ``true`` or ``false``.
-_SHORT_EXPONENT = re.compile(rb"e-([1-9])(?=,?\n|\Z)")
+
+def _small(token: re.Match) -> bytes:
+    """A ``_SMALL`` token as ``json.dumps`` writes it, or as it is where it
+    is the tail of a larger number."""
+    start = token.start()
+    if start and token.string[start - 1] in b"0123456789.":  # the tail of 10.00005
+        return token[0]
+    return repr(float(token[0])).encode("ascii")
 
 
 def _report_text(report) -> str:
@@ -482,25 +484,22 @@ def _report_text(report) -> str:
     ``enum.Enum`` that ``json.dumps`` rejects is written as its value and a
     ``uuid.UUID`` as its string.
 
-    The text is ``orjson``'s, each ``_SHORT_EXPONENT`` given its second
-    digit, when its bytes then provably are ``json.dumps``'s: ASCII without
-    DEL (which ``json`` escapes), and none of ``_NOT_JSON_DUMPS`` among the
-    bytes of its numbers.  Any other report, and one orjson cannot write, is
-    written by ``json.dumps``.
+    The text is ``orjson``'s, its float tokens mended to ``json.dumps``'s
+    layout (``_EXPONENT``, ``_SMALL``).  A report orjson cannot write, one
+    whose text is not ASCII or holds DEL (which ``json`` escapes), and one
+    with a ``null`` (``json`` writes ``None`` so, and rejects NaN and the
+    infinities) is written by ``json.dumps``.
     """
     try:
         data = orjson.dumps(report, option=_ORJSON_OPTIONS)
     except TypeError:
         pass
     else:
-        numbers = data.translate(_NUMBER_BYTES, _NOT_NUMBER_BYTES)
-        if (
-            data.isascii()
-            and b"\x7f" not in data
-            and not any(map(numbers.__contains__, _NOT_JSON_DUMPS))
-            and not numbers.startswith(b"0.0000")
-        ):
-            return _SHORT_EXPONENT.sub(rb"e-0\1", data).decode("ascii")
+        if data.isascii() and b"\x7f" not in data and not (b"null" in data and _NULL.search(data)):
+            parts = _EXPONENT.split(data)  # the text, then each exponent and the text after it
+            parts[1::2] = [b"e-0" + e[2:] if e[1] == 45 else b"e+" + e[1:] for e in parts[1::2]]  # 45: "-"
+            data = b"".join(parts)
+            return (_SMALL.sub(_small, data) if b"0.0000" in data else data).decode("ascii")
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 

@@ -56,6 +56,7 @@ Its linear systems are solved with NumPy; only a closure of more than
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -306,57 +307,56 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
     return value_tables(tree, [f])[0]
 
 
-def _closure(tree: Tree, step: np.ndarray, q: int, s: Situation):
+def _closure(tree: Tree, step: np.ndarray, q: int, s: Situation) -> tuple:
     """The finite closure of (tree state, automaton state) nodes reachable
     from the node (the tree state ``s`` leads to, ``q``) under the automaton
     steps ``step``, which are level-free, so the nodes are finitely many.
 
     They are numbered breadth first (:func:`~iptree.tree.product_closure`),
-    that node first, and the tree keeps the last closure walked.  Returns
-    the (nodes, k) successor table, each node's automaton state and the
-    extreme points of each node's local model, (k, points, nodes), gathered
-    for every node.
+    that node first.  Returns the layout that the tree's view keeps with
+    the last closure walked: the (nodes, k) successor table, each node's
+    tree state and automaton state, the successors symbol first, (k,
+    nodes), and each node's extreme points, (k, points, nodes).  The audit
+    trail, the solve and a second query on the same automaton steps and
+    node all read that one layout.
     """
     a = tree.assignment
-    trans, t_of, q_of = a.closure(step, a.machine_init(s), q)
-    return trans, q_of, a.points_last.take(a.leaf[t_of], axis=2)
+    return a.closure(step, a.machine_init(s), q)
 
 
 def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np.ndarray, s: Situation):
     """Conditional upper expectations given ``s`` of the automata with the
     shared ``step`` and the ``reward`` (states, k, G) and ``terminal``
-    (states, G) columns, read to depth m, for m = 1, 2, ..., one array of G
+    (states, G) columns, read to depth m, for m = 1, 2, ..., one list of G
     values each.
 
     Along ``s`` the payoff is settled: iterate m <= len(s) is the reward of
-    the first m steps of ``s`` plus the terminal payoff.  Beyond, iterate m
-    is the reward of all of ``s`` plus ``V_{m - len(s)}`` at the node
-    (tree state, automaton state) that ``s`` leads to, where ``V_0`` is the
-    terminal payoff and ``V_{r+1}`` is the local upper expectation of the
-    step reward plus ``V_r`` at the successor: each further iterate is one
-    Bellman step over the :func:`_closure`, its arrays laid out symbol
-    first and node last once, so a step is one gather and one
-    :func:`_expectations`.
+    the first m steps of ``s`` plus the terminal payoff, summed in Python
+    floats, one symbol at a time.  Beyond, iterate m is the reward of all of
+    ``s`` plus ``V_{m - len(s)}`` at the node (tree state, automaton state)
+    that ``s`` leads to, where ``V_0`` is the terminal payoff and
+    ``V_{r+1}`` is the local upper expectation of the step reward plus
+    ``V_r`` at the successor: each further iterate is one Bellman step over
+    the :func:`_closure`, its rewards and values laid out node last once,
+    so a step is one gather and one :func:`_expectations`.
     """
-    accs, qs = [np.zeros(terminal.shape[1])], [0]
+    paid, q = [0.0] * terminal.shape[1], 0
     for y in s:
-        accs.append(accs[-1] + reward[qs[-1], y])
-        qs.append(int(step[qs[-1], y]))
-    for m in range(1, len(s) + 1):
-        yield accs[m] + terminal[qs[m]]
-    trans, q_of, points = _closure(tree, step, qs[-1], s)
-    paid, succ = accs[-1], np.ascontiguousarray(trans.T)  # (k, nodes)
+        paid = [x + r for x, r in zip(paid, reward[q, y].tolist())]
+        q = int(step[q, y])
+        yield [x + t for x, t in zip(paid, terminal[q].tolist())]
+    _, _, q_of, succ, points = _closure(tree, step, q, s)
     rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(2, 1, 0))  # (G, k, nodes)
     values = np.ascontiguousarray(terminal.take(q_of, axis=0).T)  # (G, nodes)
     while True:
         values = _expectations(points, (rewards + values.take(succ, axis=1)).swapaxes(0, 1)).max(axis=0)
-        yield paid + values[:, 0]
+        yield [x + v for x, v in zip(paid, values[:, 0].tolist())]
 
 
-def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy) -> Optional[ApproxResult]:
+def _stop(approach: float, iterates: list, m: int, settled: int, tol: float) -> Optional[StopReason]:
     """Audit a side's newest iterate for monotonicity, ``approach`` being
-    its direction (1.0 non-decreasing, -1.0 non-increasing); its result if
-    it stops there, stabilized (past horizon ``settled``) or certified
+    its direction (1.0 non-decreasing, -1.0 non-increasing); why it stops
+    there, if it does: stabilized (past horizon ``settled``) or certified
     diverging."""
     val = iterates[-1][1]
     if len(iterates) > 1:
@@ -366,10 +366,10 @@ def _stop(approach: float, iterates: list, m: int, settled: int, policy: Policy)
                 f"iterate values move against the declared direction at index {m}",
                 f"{prev_val!r} -> {val!r}",
             )
-        if abs(val - prev_val) < policy.tol and m - 1 >= settled:
-            return ApproxResult(val, tuple(iterates), True, StopReason.STABILIZED, policy.tol)
+        if abs(val - prev_val) < tol and m - 1 >= settled:
+            return StopReason.STABILIZED
     if approach * val > _DIVERGENCE_THRESHOLD:
-        return ApproxResult(approach * INF, tuple(iterates), False, StopReason.DIVERGING, policy.tol)
+        return StopReason.DIVERGING
     return None
 
 
@@ -394,16 +394,19 @@ def _prove_monotone(w: LimitVariable) -> None:
 
 
 def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -> list:
-    """The limits of ``v`` (sign 1) and ``-v`` (sign -1), for each sign in
-    ``signs``, from one pass of :func:`_limit_values`; each side keeps its
-    own iterates and stop reason.  The sides' approximations are each
-    other's negations, so one :func:`_prove_monotone` and one bound check,
-    both phrased for the first side, hold for all, before the first
-    iterate: proven monotone, the approximations are least (largest, if
-    non-increasing) at horizon 1, the first reported.  As if the sides ran
-    one after the other, a later side's value error waits until every
-    earlier side has stopped.  Iterates up to horizon ``len(s)`` are read off the
-    conditioning situation, so two equal ones stop a side only from there on.
+    """The upper limit of ``v`` (sign 1) and its lower limit (sign -1), for
+    each sign in ``signs``, from one pass of :func:`_limit_values`: per
+    side the :class:`ApproxResult` fields up to ``tol``, its own value,
+    iterates, convergence and stop reason.  A lower side iterates and is
+    audited as ``-v``, then negated, ``0.0 - x``.  The sides'
+    approximations are each other's negations, so one
+    :func:`_prove_monotone` and one bound check, both phrased for the first
+    side, hold for all, before the first iterate: proven monotone, the
+    approximations are least (largest, if non-increasing) at horizon 1, the
+    first reported.  As if the sides ran one after the other, a later
+    side's value error waits until every earlier side has stopped.
+    Iterates up to horizon ``len(s)`` are read off the conditioning
+    situation, so two equal ones stop a side only from there on.
     """
     if v.automaton.k != tree.k:
         raise InvalidInputError("gamble and tree live on different state spaces")
@@ -421,30 +424,30 @@ def _limits(tree: Tree, v: LimitVariable, s: Situation, policy: Policy, signs) -
     values = _limit_values(tree, a.step, a.reward[..., None] * flip + 0.0, a.terminal[:, None] * flip + 0.0, s)
     approach = [1.0 if up == (sign > 0) else -1.0 for sign in signs]
     iterates: list[list] = [[] for _ in signs]
-    results: list = [None] * len(signs)  # per side: its result, or the error it waits to raise
+    reasons: list = [None] * len(signs)  # per side: why it stopped, or the error it waits to raise
+    settled, tol = len(s), policy.tol
     for m, vals in zip(range(1, 1 + policy.max_horizon), values):
-        for i, val in enumerate(vals.tolist()):
-            if results[i] is None:
+        for i, val in enumerate(vals):
+            if reasons[i] is None:
                 iterates[i].append((m, val))
                 try:
-                    results[i] = _stop(approach[i], iterates[i], m, len(s), policy)
+                    reasons[i] = _stop(approach[i], iterates[i], m, settled, tol)
                 except MonotonicityError as exc:
-                    if None not in results[:i]:
+                    if None not in reasons[:i]:
                         raise
-                    results[i] = exc
-        if None not in results:
+                    reasons[i] = exc
+        if None not in reasons:
             break
-    for i, res in enumerate(results):
-        if isinstance(res, MonotonicityError):
-            raise res
-        if res is None:
-            results[i] = ApproxResult(iterates[i][-1][1], tuple(iterates[i]), False, StopReason.HORIZON_CAP, policy.tol)
-    return results
-
-
-def _negated(res: ApproxResult) -> ApproxResult:
-    iterates = tuple((m, 0.0 - x) for m, x in res.iterates)
-    return ApproxResult(0.0 - res.value, iterates, res.converged, res.stop_reason, res.tol)
+    sides = []
+    for sign, its, why, toward in zip(signs, iterates, reasons, approach):
+        if isinstance(why, MonotonicityError):
+            raise why
+        why = why or StopReason.HORIZON_CAP
+        value = toward * INF if why is StopReason.DIVERGING else its[-1][1]
+        if sign < 0:
+            value, its = 0.0 - value, [(m, 0.0 - val) for m, val in its]
+        sides.append((value, tuple(its), why is StopReason.STABILIZED, why))
+    return sides
 
 
 def limit_upper(
@@ -477,10 +480,8 @@ def limit_upper(
     exact path; value iteration is its audit trail, and can stop on a
     plateau where a target stays out of reach for a step.
     """
-    if not with_lower:
-        return _limits(tree, v, s, policy, (1,))[0]
-    upper, lower = _limits(tree, v, s, policy, (1, -1))
-    return replace(upper, lower=_negated(lower))
+    sides = _limits(tree, v, s, policy, (1, -1) if with_lower else (1,))
+    return ApproxResult(*sides[0], policy.tol, ApproxResult(*sides[1], policy.tol) if with_lower else None)
 
 
 def limit_lower(
@@ -491,7 +492,7 @@ def limit_lower(
     As for :func:`limit_upper`, hitting variables get their exact limits
     from :func:`limit_bounds`; value iteration can stop on a plateau.
     """
-    return _negated(_limits(tree, v, s, policy, (-1,))[0])
+    return ApproxResult(*_limits(tree, v, s, policy, (-1,))[0], policy.tol)
 
 
 def _hitting_kind(v: LimitVariable) -> Optional[bool]:
@@ -562,23 +563,27 @@ def _exits(step: np.ndarray, out: np.ndarray, inward: np.ndarray, col: np.ndarra
     return exits
 
 
-def _policy_values(points, trans, reward, sides):
-    """Values at every node of the closure, for each of the two ``sides``:
-    the largest, then the least value, each side given by its ``unknown``
-    nodes, ``fixed`` values, ``allowed`` (points, nodes) extreme points and
-    fallback ``choice`` of a point per node.  A side's values are ``fixed``
-    outside ``unknown``, and on it the expected reward to come under the
-    best (largest, or least) stationary choice of ``allowed`` extreme
-    points, by one policy iteration for both sides: the least side's nodes
-    follow the largest side's, numbered from ``len(trans)``, and maximize
-    the negated values.  Returns both sides' values, laid end to end.
+def _policy_values(succ, points, reward, unknown, values, allowed, choice):
+    """Values at every node of the closure, for two sides laid end to end:
+    the largest value at entry i and the least at entry ``nodes + i`` of
+    each array.  The sides are given by their ``unknown`` nodes, fixed
+    ``values``, ``allowed`` (points, 2 * nodes) extreme points and fallback
+    ``choice`` of a point per node.  A side's values are ``values`` outside
+    ``unknown``, and on it the expected reward to come under the best
+    (largest, or least) stationary choice of ``allowed`` extreme points, by
+    one policy iteration for both sides: the least side's nodes follow the
+    largest side's and maximize the negated values.  Returns both sides'
+    values, laid end to end.
 
     The first choice is greedy for the guess 1 at every unknown node.  A
     node then switches its point only when that gains more than
     :data:`_SWITCH_GAIN` relative to its value.  A choice that would keep a
     node among the unknown ones for good falls back to its entry in
     ``choice``, under which every unknown node leaves them with positive
-    probability; allowed points put no mass on infinite ``fixed`` values.
+    probability; ``choice`` is None where every point of every unknown node
+    leaves them in one step with positive probability, as on a closure
+    without a trap, so that no choice needs one.  Allowed points put no
+    mass on infinite fixed values.
     So each policy's linear system is nonsingular, and the iteration stops
     at a policy whose values solve the Bellman equation.  For a largest
     value that solution is the least one, the limit, because no policy does
@@ -587,33 +592,38 @@ def _policy_values(points, trans, reward, sides):
     least value the solution is unique: on the unknown nodes every allowed
     choice leaves them almost surely, or pays a step each time it stays.
 
-    The unknown nodes' arrays are gathered once, from the closure's
-    (k, points, nodes) ``points``, symbol first and node last, so each
+    The unknown nodes' arrays are gathered once from the closure's layout,
+    the (k, nodes) successors ``succ``, the (k, points, nodes) ``points``
+    and the (nodes, k) ``reward``, symbol first and node last, so each
     round's expectations are one :func:`_expectations`.
     """
-    unknown, values, allowed, choice = (np.concatenate(parts, axis=-1) for parts in zip(*sides))
     idx = unknown.nonzero()[0]
     n = len(idx)
     if not n:
         return values
+    size = succ.shape[1]
     at = np.full(len(values), -1)
-    at[idx] = np.arange(n)
-    least, node = np.divmod(idx, len(trans))  # each unknown node's side (1: least) and closure node
+    at[idx] = rows = np.arange(n)
+    least, node = np.divmod(idx, size)  # each unknown node's side (1: least) and closure node
     pts = points.take(node, axis=2)  # (k, points, n)
-    nxt, rew = (trans.take(node, axis=0) + len(trans) * least[:, None]).T, reward.take(node, axis=0).T  # (k, n)
-    blocked, choice, sign = ~allowed.take(idx, axis=1), choice[idx], np.where(least, -1.0, 1.0)
-    col, rows = at[nxt], np.arange(n)
+    nxt, rew = succ.take(node, axis=1) + size * least, reward.take(node, axis=0).T  # (k, n)
+    blocked = None if allowed.all() else ~allowed.take(idx, axis=1)
+    direct = choice is None  # every point leaves the unknown nodes: no choice can be stuck
+    choice, sign = None if direct else choice[idx], np.where(least, -1.0, 1.0)
+    col = at[nxt]
     out, stay = col < 0, col == rows  # steps out of the unknown nodes, and back to the same node
     inward, leave = ~out, ~stay
-    moves = (inward & leave).T  # steps to other unknown nodes, node by node as the system lists them
-    entry = (np.repeat(rows, len(col))[moves.ravel()], col.T[moves])
+    # Steps to other unknown nodes, node by node as the system lists them.
+    row, sym = (inward & leave).T.nonzero()
+    entry = (row, col[sym, row])
     known = np.where(np.isinf(values), 0.0, values)  # no allowed point reaches an infinite value
     known[idx] = 0.0
     base = _expectations(pts, (rew + known[nxt])[:, None])[:, 0]  # reward and known values, (points, n)
     known[idx] = 1.0
     for rounds in range(_MAX_ROUNDS):
         gained = sign * _expectations(pts, (rew + known[nxt])[:, None])[:, 0]
-        gained[blocked] = -INF
+        if blocked is not None:
+            gained[blocked] = -INF
         best = gained.argmax(axis=0)
         if rounds:
             now = gained[choice, rows]
@@ -621,15 +631,18 @@ def _policy_values(points, trans, reward, sides):
             if not switch.any():
                 return values
             best = np.where(switch, best, choice)
-        stuck = ~_exits(pts[:, best, rows] > 0, out, inward, col)
-        best[stuck] = choice[stuck]
+        p = pts[:, best, rows]  # (k, n)
+        if not direct:
+            stuck = ~_exits(p > 0, out, inward, col)
+            if stuck.any():
+                best[stuck] = choice[stuck]
+                p = pts[:, best, rows]
         if rounds and (best == choice).all():
             return values
         choice = best
         # I - P, its diagonal the mass that leaves the node: 1 - P[i, i]
         # would round a mass below eps away and make the system singular.
-        p = pts[:, choice, rows]  # (k, n)
-        outflow, off = _expectations(p[:, None], leave[:, None])[0, 0], p.T[moves]
+        outflow, off = _expectations(p[:, None], leave[:, None])[0, 0], p[sym, row]
         if n <= _DENSE_SOLVE:
             matrix = np.diag(outflow)
             np.subtract.at(matrix, entry, off)
@@ -649,28 +662,44 @@ def _policy_values(points, trans, reward, sides):
     raise IptreeError(f"policy iteration did not settle in {_MAX_ROUNDS} rounds")
 
 
-def _hitting_values(trans, q_of, points, reward, time: bool):
+def _hitting_values(layout: tuple, reward: np.ndarray, time: bool):
     """Upper and lower limits of a hitting variable (:func:`_hitting_kind`)
-    at every node of its closure: the least non-negative solutions of
-    ``h = T(reward + h∘step)`` with ``T`` the local upper, resp. lower,
-    expectation (Krak, T'Joens & De Bock 2019).
+    at every node of its closure, whose :func:`_closure` ``layout`` it
+    reads, ``reward`` being the automaton's: the least non-negative
+    solutions of ``h = T(reward + h∘step)`` with ``T`` the local upper,
+    resp. lower, expectation (Krak, T'Joens & De Bock 2019).
 
     A graph pass settles what needs no numbers, exactly.  A *trap* is a set
-    of not-hit nodes in each of which some extreme point surely stays.
-    From a node that cannot reach a trap every choice of points hits almost
-    surely: the hitting probability is 1 there.  Where a trap can be
-    reached the largest hitting time is +inf; the least hitting probability
-    is 0 in a trap, and the largest is 0 where nothing hits at all.  The
-    least hitting time is finite only where some choice hits almost surely,
+    of not-hit nodes in each of which some extreme point surely stays.  It
+    starts with one test: if no not-hit node has an extreme point that
+    surely stays among the not-hit nodes, there is no trap, and every
+    choice of points hits almost surely from everywhere.  Then a hitting
+    probability is 1 at every not-hit node, on both sides, and a hitting
+    time goes straight to policy iteration, its unknown nodes the not-hit
+    ones on both sides, every point allowed.  Otherwise: from a node that
+    cannot reach a trap every choice of points hits almost surely, and the
+    hitting probability is 1 there.  Where a trap can be reached the
+    largest hitting time is +inf; the least hitting probability is 0 in a
+    trap, and the largest is 0 where nothing hits at all.  The least
+    hitting time is finite only where some choice hits almost surely,
     keeping to points that stay where it is.  Policy iteration solves the
     rest, for both sides at once; where a first choice would never leave
     the unknown nodes, it falls back to points that move toward a hit.
     """
-    live, pos, succ = q_of == 0, points > 0, trans.T
-    zero = ~pos
+    _, _, q_of, succ, points = layout
+    size, live, zero = len(q_of), q_of == 0, points == 0
+    kept = live & _staying(zero, succ, live).any(axis=0)
+    if not kept.any():  # no trap
+        if not time:
+            surely = np.where(live, 1.0, 0.0)
+            return surely, surely
+        ends = (np.concatenate([live, live]), np.zeros(2 * size), np.ones((points.shape[1], 2 * size), dtype=bool))
+        values = _policy_values(succ, points, reward.take(q_of, axis=0), *ends, None)
+        return values[:size], values[size:]
+    pos = ~zero
     every = np.ones(points.shape[1:], dtype=bool)
-    first = np.zeros(len(trans), dtype=np.intp)
-    trap = _trap(zero, succ, live)
+    first = np.zeros(size, dtype=np.intp)
+    trap = _trap(zero, succ, kept)
     doomed = _attractor(pos, succ, trap, every)[0]  # some choice may never hit
     if not time:
         surely = np.where(live & ~doomed, 1.0, 0.0)
@@ -679,7 +708,7 @@ def _hitting_values(trans, q_of, points, reward, time: bool):
         lower = (doomed & ~trap, surely, every, first)
     else:
         upper = (live & ~doomed, np.where(doomed, INF, 0.0), every, first)
-        hits, allowed, choice = np.ones(len(trans), dtype=bool), every, first
+        hits, allowed, choice = np.ones(size, dtype=bool), every, first
         while doomed.any():  # shrink to where some choice hits almost surely
             allowed = _staying(zero, succ, hits)
             reached, choice = _attractor(pos, succ, ~doomed, allowed)
@@ -687,8 +716,16 @@ def _hitting_values(trans, q_of, points, reward, time: bool):
                 break
             hits = reached
         lower = (live & hits, np.where(hits, 0.0, INF), allowed, choice)
-    values = _policy_values(points, trans, reward, (upper, lower))
-    return values[: len(trans)], values[len(trans) :]
+    ends = (np.concatenate(parts, axis=-1) for parts in zip(upper, lower))
+    values = _policy_values(succ, points, reward.take(q_of, axis=0), *ends)
+    return values[:size], values[size:]
+
+
+@functools.lru_cache(maxsize=8)
+def _window(policy: Policy) -> Policy:
+    """The audit trail's policy: ``policy`` with at most :data:`_TRAIL`
+    horizons."""
+    return replace(policy, max_horizon=min(policy.max_horizon, _TRAIL))
 
 
 def limit_bounds(
@@ -702,29 +739,32 @@ def limit_bounds(
     non-negative fixed point of the Bellman operator on the closure of
     (tree state, automaton state) nodes, which :func:`_hitting_values`
     computes with a graph pass and policy iteration: +inf and 0 come out
-    exactly, and the rest up to the rounding of a few linear solves.  Both
-    results then have ``stop_reason`` solved and ``converged`` true, and
-    their iterates are an audit trail: :func:`limit_upper` over the
-    horizons 1 .. :data:`_TRAIL` (at most ``max_horizon`` of them), with
-    every audit it makes.  The solved value must not lie below any trail
-    iterate.  Any other variable gets the value iteration of
-    :func:`limit_upper` and :func:`limit_lower` under ``policy``.
+    exactly, and the rest up to the rounding of a few linear solves.  A
+    closure without a trap, where every choice of points hits almost
+    surely, skips the graph pass, and its hitting probability needs no
+    solve.  Both results then have ``stop_reason`` solved and ``converged``
+    true, and their iterates are an audit trail: :func:`limit_upper` over
+    the horizons 1 .. :data:`_TRAIL` (at most ``max_horizon`` of them), with
+    every audit it makes.  The trail and the solve read the one closure
+    layout that the tree's view keeps (:func:`_closure`).  The solved value
+    must not lie below any trail iterate.  Any other variable gets the value
+    iteration of :func:`limit_upper` and :func:`limit_lower` under
+    ``policy``.
     """
     s = as_situation(s, tree.k)
     time = _hitting_kind(v)
     if time is None:
         upper = limit_upper(tree, v, s, policy, with_lower=True)
         return replace(upper, lower=None), upper.lower
-    window = replace(policy, max_horizon=min(policy.max_horizon, _TRAIL))
-    trail = limit_upper(tree, v, s, window, with_lower=True)
+    trail = limit_upper(tree, v, s, _window(policy), with_lower=True)
     a, paid, q = v.automaton, 0.0, 0
+    reward, step = a.reward.tolist(), a.step.tolist()
     for y in s:
-        paid, q = paid + a.reward[q, y], a.step[q, y]
-    trans, q_of, points = _closure(tree, a.step, int(q), s)
-    solved = _hitting_values(trans, q_of, points, a.reward.take(q_of, axis=0), time)
+        paid, q = paid + reward[q][y], step[q][y]
+    solved = _hitting_values(_closure(tree, a.step, q, s), a.reward, time)
     results = []
     for res, values in zip((trail, trail.lower), solved):
-        value = float(paid + values[0])
+        value = paid + values[0].item()
         for m, x in res.iterates:  # the iterates rise to the limit
             if value < x - _VALUE_MONOTONE_SLACK * max(1.0, abs(x)):
                 raise MonotonicityError(f"solved value {value!r} lies below iterate {m}", repr(x))

@@ -31,12 +31,13 @@ or of :data:`LOGIC` (``&& ||``), which map it to the NumPy ufunc the
 compiler applies; unary minus is ``0 - x``.
 
 A number literal is a double and must be finite: ``1e400`` fails at its
-position.  The sums' bodies run at most :data:`_SUM_EVALUATIONS` times
-in all, which the parser checks as each ``sum`` opens.  An expression
-nests at most :data:`MAX_NESTING` levels deep, which the parser checks
-before it recurses any further; the tokenizer hands it one token at a
-time, a tuple from one regex match, so a source fails having read only the
-tokens up to the failure.  The parser, the compiler and :func:`unparse`
+position.  The nodes of the sums' bodies are evaluated at most
+:data:`_SUM_EVALUATIONS` times in all, which the parser checks as each
+``sum`` opens and again as it closes.  An expression nests at most
+:data:`MAX_NESTING` levels deep, which the parser checks before it
+recurses any further; the tokenizer hands it one token at a time, a tuple
+from one regex match, so a source fails having read only the tokens up to
+the failure.  The parser, the compiler and :func:`unparse`
 recurse once or a few times per level, and each raises Python's recursion
 limit by what that many levels take while it runs.
 """
@@ -63,8 +64,9 @@ from .local import StateSpace
 #: and evaluator of one frame per level could run under that limit passes.
 MAX_NESTING = 1000
 
-#: At most this many evaluations of ``sum`` bodies in one expression; a
-#: body runs once per value of its own range and of every enclosing one.
+#: At most this many evaluations of the nodes of ``sum`` bodies in one
+#: expression; a body's node is evaluated once per value of its own sum's
+#: range and of every enclosing one.
 _SUM_EVALUATIONS = 100_000
 
 #: The most Python frames a level takes: a parenthesized condition passes
@@ -202,7 +204,9 @@ class _Parser:
         self.max_index = 0
         self.open = 0  # constructs open around the current token
         self.repeats = 1  # evaluations of the current token: the product of the open sums' ranges
-        self.evaluations = 0  # of the sum bodies opened so far
+        # Evaluations of the nodes made in sum bodies so far, and of one node
+        # for each sum still open: a lower bound of the expression's count.
+        self.evaluations = 0
 
     def advance(self) -> Token:
         tok = self.tok
@@ -229,7 +233,21 @@ class _Parser:
         """``node``, an operator at ``tok`` over operands up to ``height`` high."""
         if height >= MAX_NESTING:
             self.fail(f"expression nests deeper than {MAX_NESTING} levels", tok)
-        return node, height + 1
+        return self.counted(node), height + 1
+
+    def counted(self, node):
+        """``node``, a new node, counted in :attr:`evaluations` once per
+        value of the open sums' ranges if a sum body holds it."""
+        if self.bound:
+            self.evaluations += self.repeats
+        return node
+
+    def check_evaluations(self, sum_tok: Token) -> None:
+        if self.evaluations > _SUM_EVALUATIONS:
+            self.fail(
+                f"sums would evaluate the nodes of their bodies {self.evaluations} times, more than {_SUM_EVALUATIONS}",
+                sum_tok,
+            )
 
     def expect(self, text: str) -> None:
         """Pass the current token, which must read ``text``."""
@@ -268,7 +286,7 @@ class _Parser:
             value = float(text)
             if value == math.inf:
                 self.fail(f"number {text} is past the float range", tok)
-            return Num(value), 0
+            return self.counted(Num(value)), 0
         if text == "(":
             self.advance()
             parsed = self.nested(self.expression, tok)
@@ -317,15 +335,18 @@ class _Parser:
         if hi < lo:
             self.fail(f"empty sum range {lo}..{hi}", var_tok)
         self.expect(",")
+        # The body has a node at least: one is counted before it is parsed,
+        # so a huge range fails here, and taken off once its nodes are.
         repeats = self.repeats
         self.repeats *= hi - lo + 1
         self.evaluations += self.repeats
-        if self.evaluations > _SUM_EVALUATIONS:
-            self.fail(f"sums would evaluate their bodies {self.evaluations} times, more than {_SUM_EVALUATIONS}", sum_tok)
+        self.check_evaluations(sum_tok)
         self.bound[var] = (lo, hi)
         self.max_index = max(self.max_index, hi)
         body, height = self.nested(self.expression, var_tok)
         del self.bound[var]
+        self.evaluations -= self.repeats
+        self.check_evaluations(sum_tok)
         self.repeats = repeats
         self.expect(")")
         return SumOver(var, lo, hi, body), height
@@ -385,7 +406,7 @@ class _Parser:
             self.fail("expected a state label", label_tok)
         self.advance()
         try:
-            return StateIs(index, self.space.index(label_tok[1])), 0
+            return self.counted(StateIs(index, self.space.index(label_tok[1]))), 0
         except InvalidInputError as exc:
             self.fail(str(exc), label_tok)
 

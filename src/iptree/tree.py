@@ -289,14 +289,21 @@ class _View:
 
     def closure(self, q_step: np.ndarray, t0: int, q0: int) -> tuple:
         """:func:`product_closure` of ``step`` and ``q_step`` from (t0, q0),
-        frozen.  The last one walked with a frozen ``q_step`` is kept, since
-        an exact limit and its audit trail walk the same closure, and so do
-        the hitting time and the hitting indicator of one target set, whose
-        automata share one frozen ``step``."""
+        frozen, and its layout for the engine's Bellman steps: the (nodes,
+        k) successor table, each node's tree state and automaton state, the
+        same successors symbol first, ``(k, nodes)``, and each node's
+        extreme points from ``points_last``, ``(k, P, nodes)``.
+
+        The last one walked with a frozen ``q_step`` is kept, layout
+        included, since an exact limit and its audit trail read the same
+        closure, and so do the hitting time and the hitting indicator of
+        one target set, whose automata share one frozen ``step``."""
         last = self.__dict__.get("_closure")
         if last is None or last[0] is not q_step or q_step.flags.writeable or last[1:3] != (t0, q0):
             block = np.array([t0 * len(q_step) + q0], dtype=np.intp)
-            last = self.__dict__["_closure"] = (q_step, t0, q0, tuple(map(_frozen, product_closure(self.step, q_step, block))))
+            trans, t_of, q_of = product_closure(self.step, q_step, block)
+            layout = (trans, t_of, q_of, np.ascontiguousarray(trans.T), self.points_last.take(self.leaf[t_of], axis=2))
+            last = self.__dict__["_closure"] = (q_step, t0, q0, tuple(map(_frozen, layout)))
         return last[3]
 
     @cached_property

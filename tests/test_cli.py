@@ -763,7 +763,19 @@ class TestSumEvaluationCap:
         code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
         assert time.perf_counter() - start < 1.0
         column = source.index("sum(v15") + 1
-        message = f"--expr: line 1, column {column}: sums would evaluate their bodies 131070 times, more than 100000"
+        message = f"--expr: line 1, column {column}: sums would evaluate the nodes of their bodies 131070 times, more than 100000"
+        assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [message]
+
+    def test_a_large_body_fails_before_compiling(self, capsys, model_file):
+        # 4 nested sums evaluate a 100-term body 10**4 times: its 299 nodes
+        # weigh on the cap, which the 11110 body evaluations alone stay under.
+        body = " + ".join(["ind(X[1]==H)"] * 100)
+        source = "".join(f"sum({v}=1..10, " for v in "abcd") + body + "))))"
+        start = time.perf_counter()
+        code, out = run(capsys, "eval", "--model", model_file, "--expr", source)
+        assert time.perf_counter() - start < 0.2
+        column = source.index("sum(d") + 1
+        message = f"--expr: line 1, column {column}: sums would evaluate the nodes of their bodies 2991110 times, more than 100000"
         assert code == 2 and [rec["error"] for rec in json.loads(out)["results"]] == [message]
 
 
@@ -1257,15 +1269,42 @@ class TestReportWriter:
             assert cli._report_text(report) == want
 
     @pytest.mark.parametrize(
+        "value",
+        [1e16, 1e-7, 1e-5, -1.5e-5, 0.000099, 2.5e22, 1e-9, 9.448e-05, -2.5e-05, 1e-07, 1.5e16, 1e300, 0.0001,
+         -1e-300, 5e-324, 1.7976931348623157e308, 1e-4 * (1 - 2**-52), 10.00005, -100.00001, 1e15],
+    )
+    def test_float_tokens_are_mended(self, value):
+        # Exponents and numbers below 1e-4 that orjson lays out otherwise
+        # are written as json.dumps writes them, without the fallback.
+        for document in [*self.placed(value), {"a": [value, -value, 1, "1e16"]}, value]:
+            want = _dumps(document)
+            with mock.patch.object(cli.json, "dumps", side_effect=AssertionError("written by the fallback")):
+                assert cli._report_text(document) == want, document
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e16", "0.00001", "-0.00009448", "1e-7", "x 1e16", "1e16,", "a\n1e16", "10.00005", "e-5", "null", "nan",
+         "2.5e22\n", ": 1e16", "0.0000"],
+    )
+    def test_look_alike_strings_are_left_alone(self, text):
+        # A string ends with its quote, so no token inside one is mended.
+        for document in [*self.placed(text), {text: [text, 1e16, 9.448e-05]}, {"k": text, text: 1}]:
+            want = _dumps(document)
+            with mock.patch.object(cli.json, "dumps", side_effect=AssertionError("written by the fallback")):
+                assert cli._report_text(document) == want, document
+
+    @pytest.mark.parametrize(
         "value", [1e16, 1e-7, 1e-5, -1.5e-5, 0.000099, 2.5e22, 1e-9, math.nan, math.inf, None, "\x7f", "\u00e9"]
     )
     def test_what_orjson_writes_otherwise_takes_the_fallback(self, value):
-        # A one-digit negative exponent is given its second digit instead.
+        # A float that orjson lays out otherwise is mended in place. Only what
+        # cannot be mended takes the fallback: a null (None, or a float json
+        # rejects) and a byte json escapes.
         document = {"a": [value]}
         want = _outcome(_dumps, document)
         with mock.patch.object(cli.json, "dumps", wraps=json.dumps) as fallback:
             assert _outcome(cli._report_text, document) == want
-        if value in (1e-7, 1e-9):
+        if isinstance(value, float) and math.isfinite(value):
             assert not fallback.called and orjson.dumps(document, option=cli._ORJSON_OPTIONS).decode() != want
         else:
             assert fallback.call_args_list[0].args[0] is document

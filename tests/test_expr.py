@@ -219,21 +219,31 @@ class TestNesting:
 
 
 class TestSumEvaluations:
-    """The parser counts the evaluations of sum bodies as each sum opens,
-    the product of its own and its enclosing ranges, and fails at the sum
-    that takes the count past the cap."""
+    """The parser counts the evaluations of the nodes of sum bodies, each
+    node once per value of its own and its enclosing sums' ranges, and
+    fails at the sum that takes the count past the cap: as each sum opens,
+    counting one node for its body, and as it closes, counting them all."""
 
     SOURCE = "sum(i=1..10, ind(X[i]==H)) + sum(j=1..3, sum(l=1..4, ind(X[j]==H && X[l]==T)))"
 
-    @pytest.mark.parametrize("cap", [25, 10**5])
+    @pytest.mark.parametrize("cap", [71, 10**5])
     def test_ranges_add_and_nested_ones_multiply(self, space, monkeypatch, cap):
-        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", cap)  # 10 + 3 + 3 * 4
+        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", cap)  # 2 * 10 + 1 * 3 + 4 * 3 * 4
         f = compiled(self.SOURCE, space)
         assert f.payoff((0,) * 10) == 10 and f.payoff((0, 0, 0, 1) + (0,) * 6) == 9 + 3
 
     def test_the_sum_past_the_cap_fails_at_its_position(self, space, monkeypatch):
-        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", 24)
-        with pytest.raises(ExprError, match="sums would evaluate their bodies 25 times, more than 24") as err:
+        # When sum(l opens: 2 * 10 for the first sum, one node each for the
+        # bodies of sum(j and sum(l, 3 + 3 * 4.
+        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", 34)
+        with pytest.raises(ExprError, match="nodes of their bodies 35 times, more than 34") as err:
+            parse_gamble(self.SOURCE, space)
+        assert (err.value.line, err.value.column) == (1, self.SOURCE.index("sum(l") + 1)
+
+    def test_a_large_body_fails_as_its_sum_closes(self, space, monkeypatch):
+        # sum(l opens at 35 and closes at 71: its body's 4 nodes, 12 times.
+        monkeypatch.setattr(expr_module, "_SUM_EVALUATIONS", 70)
+        with pytest.raises(ExprError, match="nodes of their bodies 71 times, more than 70") as err:
             parse_gamble(self.SOURCE, space)
         assert (err.value.line, err.value.column) == (1, self.SOURCE.index("sum(l") + 1)
 

@@ -10,8 +10,9 @@ hit path must keep every report bitwise.
 The hitting automata of one request's queries on the same targets share
 one frozen ``step`` array, so the product closure walked for the first is
 the closure the second reads: ``tree.product_closure`` runs once per target
-set and conditioning situation, and each record equals the same query run
-in a request of its own.
+set and conditioning situation, the node points are gathered with it into
+one layout that the audit trail, the solve and the second query all read,
+and each record equals the same query run in a request of its own.
 """
 
 import contextlib
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 import iptree.cli
+import iptree.engine
 import iptree.tree
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -172,30 +174,39 @@ def test_hit_reports_are_pinned(name, at, tmp_path):
 
 
 def _walked(model: dict, tmp_path, monkeypatch, *flags: str):
-    """The report of ``iptree eval`` with ``flags`` and how many product
-    closures it walked."""
-    walks = []
-    real = iptree.tree.product_closure
+    """The report of ``iptree eval`` with ``flags``, how many product
+    closures it walked, and how many node-point arrays the engine's closure
+    reads returned: each gathered once, beside its closure."""
+    walks, points = [], []
+    real, read = iptree.tree.product_closure, iptree.engine._closure
+
+    def layout(*args):
+        found = read(*args)
+        points.append(found[4])
+        return found
+
     monkeypatch.setattr(iptree.tree, "product_closure", lambda *args: walks.append(1) or real(*args))
+    monkeypatch.setattr(iptree.engine, "_closure", layout)
     report = json.loads(eval_report(model, tmp_path, *flags))
     monkeypatch.setattr(iptree.tree, "product_closure", real)
-    return report, len(walks)
+    monkeypatch.setattr(iptree.engine, "_closure", read)
+    return report, len(walks), len({id(p) for p in points})
 
 
 @pytest.mark.parametrize("name, at", [("coin", "H"), ("coin", None), ("markov3", "A"), ("table2d3", "A,B")])
 def test_queries_on_one_target_set_share_one_closure(name, at, tmp_path, monkeypatch):
     model, target = MODELS[name], MODELS[name]["states"][-1]
     where = [] if at is None else ["--at", at]
-    report, walks = _walked(model, tmp_path, monkeypatch, "--hit-time", target, "--hit-prob", target, *where)
-    assert walks == 1
+    report, walks, gathers = _walked(model, tmp_path, monkeypatch, "--hit-time", target, "--hit-prob", target, *where)
+    assert (walks, gathers) == (1, 1)
     alone = [_walked(model, tmp_path, monkeypatch, flag, target, *where) for flag in ("--hit-time", "--hit-prob")]
-    assert [walks for _, walks in alone] == [1, 1]
-    assert report["results"] == [solo["results"][0] for solo, _ in alone]
+    assert [counts for _, *counts in alone] == [[1, 1], [1, 1]]
+    assert report["results"] == [solo["results"][0] for solo, *_ in alone]
 
 
 def test_different_target_sets_walk_their_own_closures(tmp_path, monkeypatch):
     model = MODELS["markov3"]
-    report, walks = _walked(model, tmp_path, monkeypatch, "--hit-time", "A", "--hit-prob", "B", "--at", "C")
-    assert walks == 2
+    report, walks, gathers = _walked(model, tmp_path, monkeypatch, "--hit-time", "A", "--hit-prob", "B", "--at", "C")
+    assert (walks, gathers) == (2, 2)
     alone = [_walked(model, tmp_path, monkeypatch, flag, target, "--at", "C") for flag, target in (("--hit-time", "A"), ("--hit-prob", "B"))]
-    assert report["results"] == [solo["results"][0] for solo, _ in alone]
+    assert report["results"] == [solo["results"][0] for solo, *_ in alone]

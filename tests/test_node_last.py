@@ -133,7 +133,7 @@ def ref_symbol_sum(terms):
 
 def ref_closure(tree, step, q, s):
     a = tree.assignment
-    trans, t_of, q_of = a.closure(step, a.machine_init(s), q)
+    trans, t_of, q_of = a.closure(step, a.machine_init(s), q)[:3]
     return trans, q_of, ref_points(tree, t_of)
 
 
@@ -365,9 +365,13 @@ def test_limit_iterates_match_the_per_node_layout():
     assert sizes == {True, False}
 
 
-def test_policy_values_match_the_per_node_layout():
+def test_policy_values_match_the_per_node_layout(monkeypatch):
+    # Each solve reports whether it ran the graph pass: a closure without
+    # a trap takes the trap-free exit and never calls engine._trap.
+    traps, real_trap = [], engine._trap
+    monkeypatch.setattr(engine, "_trap", lambda *args: traps.append(1) or real_trap(*args))
     rng = np.random.default_rng(3004)
-    solved = set()
+    solved, paths = set(), set()
     for trial in range(320):
         kind, time = KINDS[trial % 4], trial // 4 % 2 == 0
         k = int(rng.integers(2, 5 if kind != "selection" else 4))
@@ -382,15 +386,26 @@ def test_policy_values_match_the_per_node_layout():
         trans, q_of, points = ref_closure(tree, a.step, q, s)
         reward = a.reward.take(q_of, axis=0)
         sides = ref_sides(trans, q_of, points, time)
-        node_last = engine._closure(tree, a.step, q, s)[2]
-        assert same(node_last, np.ascontiguousarray(points.transpose(2, 1, 0)))
-        # The policy solve alone, on the reference's sides, allowed points transposed.
+        layout = engine._closure(tree, a.step, q, s)
+        assert same(layout[3], np.ascontiguousarray(trans.T))
+        assert same(layout[4], np.ascontiguousarray(points.transpose(2, 1, 0)))
+        # The policy solve alone, on the reference's sides laid end to end,
+        # allowed points transposed.
         args = [tuple(part.copy() for part in side) for side in sides]
         want = ref_policy_values(points, trans, reward, args)
-        moved = [(u, f.copy(), allowed.T, c.copy()) for u, f, allowed, c in sides]
-        assert same(engine._policy_values(node_last, trans, reward, moved), want), trial
-        # And the whole solve, graph pass included.
-        got = engine._hitting_values(trans, q_of, node_last, reward, time)
+        ends = [np.concatenate(parts, axis=-1) for parts in zip(*((u, f, allowed.T, c) for u, f, allowed, c in sides))]
+        assert same(engine._policy_values(layout[3], layout[4], reward, *ends), want), trial
+        # And the whole solve, graph pass included or skipped.
+        traps.clear()
+        got = engine._hitting_values(layout, a.reward, time)
         assert same(np.concatenate(got), want), trial
+        # The exit is taken where no not-hit node has a point that surely
+        # stays among the not-hit ones, so there is no trap.
+        live = q_of == 0
+        trap_free = not (live & ref_staying(~(points > 0), trans, live).any(axis=1)).any()
+        assert not traps if trap_free else traps, trial
+        assert not (trap_free and ref_trap(~(points > 0), trans, live).any()), trial
         solved.add((time, bool(np.concatenate([side[0] for side in sides]).any())))
+        paths.add((kind, trap_free))
     assert solved == set(itertools.product((True, False), repeat=2))
+    assert paths == set(itertools.product(KINDS, (True, False)))

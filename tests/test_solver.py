@@ -146,6 +146,27 @@ class TestGraphPass:
         coin = homogeneous(coin_space, [0.4, 0.6], [0.6, 0.4])
         assert [r.value for r in limit_bounds(coin, hitting_event_variable(coin_space, ["T"]))] == [1.0, 1.0]
 
+    def test_a_trap_free_closure_skips_the_graph_pass(self, coin_space, imprecise_coin, monkeypatch):
+        # Every point of the coin puts mass on T, so no not-hit node can stay
+        # clear of it: neither side looks for a trap or an attractor.
+        calls = []
+        for name in ("_trap", "_attractor"):
+            real = getattr(engine, name)
+            monkeypatch.setattr(engine, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        wants = {
+            hitting_time_variable: {(): (2.5, 5.0 / 3.0), (0,): (3.5, 8.0 / 3.0), (1,): (1.0, 1.0)},
+            hitting_event_variable: {(): (1.0, 1.0), (0,): (1.0, 1.0), (1,): (1.0, 1.0)},
+        }
+        for make, by_situation in wants.items():
+            for s, want in by_situation.items():
+                upper, lower = limit_bounds(imprecise_coin, make(coin_space, ["T"]), s)
+                assert (upper.value, lower.value) == pytest.approx(want, rel=1e-12), (make, s)
+        assert calls == []
+        # A point that never leaves H is a trap: the graph pass runs.
+        sticky = homogeneous(coin_space, [1.0, 0.0], [0.5, 0.5])
+        assert [r.value for r in limit_bounds(sticky, hitting_time_variable(coin_space, ["T"]))] == [INF, 2.0]
+        assert calls[0] == "_trap"
+
 
 class TestCrossCheck:
     def test_agrees_with_long_value_iteration(self):
