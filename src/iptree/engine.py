@@ -50,6 +50,10 @@ truncation: its limit is the least non-negative solution of the Bellman
 equation, which :func:`limit_bounds` computes exactly, by a graph pass for
 the infinite and zero values and policy iteration for the rest, keeping a
 short run of audited iterates as the trail it checks the solution against.
+A closure in which every choice of points hits almost surely, because no
+not-hit node has a point that surely stays among the not-hit nodes, skips
+the graph pass.  The trail and the solve read one closure layout, which
+the tree's view keeps with the closure (:func:`_closure`).
 Its linear systems are solved with NumPy; only a closure of more than
 ``_DENSE_SOLVE`` unknown nodes imports SciPy, for a sparse solve.
 """
