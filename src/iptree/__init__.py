@@ -61,7 +61,6 @@ from .local import (
     cut_limit_upper,
     extended_upper_expectation,
     lower_expectation,
-    upper_cut,
     upper_expectation,
 )
 from .modelio import (

@@ -53,7 +53,7 @@ short run of audited iterates as the trail it checks the solution against.
 A closure in which every choice of points hits almost surely, because no
 not-hit node has a point that surely stays among the not-hit nodes, skips
 the graph pass.  The trail and the solve read one closure layout, which
-the tree's view keeps with the closure (:func:`_closure`).
+the tree's view keeps with the closure (:meth:`~iptree.tree._View.closure`).
 Its linear systems are solved with NumPy; only a closure of more than
 ``_DENSE_SOLVE`` unknown nodes imports SciPy, for a sparse solve.
 """
@@ -311,23 +311,6 @@ def value_table(tree: Tree, f: FinitaryGamble) -> list[np.ndarray]:
     return value_tables(tree, [f])[0]
 
 
-def _closure(tree: Tree, step: np.ndarray, q: int, s: Situation) -> tuple:
-    """The finite closure of (tree state, automaton state) nodes reachable
-    from the node (the tree state ``s`` leads to, ``q``) under the automaton
-    steps ``step``, which are level-free, so the nodes are finitely many.
-
-    They are numbered breadth first (:func:`~iptree.tree.product_closure`),
-    that node first.  Returns the layout that the tree's view keeps with
-    the last closure walked: the (nodes, k) successor table, each node's
-    tree state and automaton state, the successors symbol first, (k,
-    nodes), and each node's extreme points, (k, points, nodes).  The audit
-    trail, the solve and a second query on the same automaton steps and
-    node all read that one layout.
-    """
-    a = tree.assignment
-    return a.closure(step, a.machine_init(s), q)
-
-
 def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np.ndarray, s: Situation):
     """Conditional upper expectations given ``s`` of the automata with the
     shared ``step`` and the ``reward`` (states, k, G) and ``terminal``
@@ -341,15 +324,17 @@ def _limit_values(tree: Tree, step: np.ndarray, reward: np.ndarray, terminal: np
     that ``s`` leads to, where ``V_0`` is the terminal payoff and
     ``V_{r+1}`` is the local upper expectation of the step reward plus
     ``V_r`` at the successor: each further iterate is one Bellman step over
-    the :func:`_closure`, its rewards and values laid out node last once,
-    so a step is one gather and one :func:`_expectations`.
+    that node's closure, in the layout :meth:`~iptree.tree._View.closure`
+    keeps, its rewards and values laid out node last once, so a step is one
+    gather and one :func:`_expectations`.
     """
     paid, q = [0.0] * terminal.shape[1], 0
     for y in s:
         paid = [x + r for x, r in zip(paid, reward[q, y].tolist())]
         q = int(step[q, y])
         yield [x + t for x, t in zip(paid, terminal[q].tolist())]
-    _, _, q_of, succ, points = _closure(tree, step, q, s)
+    a = tree.assignment
+    _, _, q_of, succ, points = a.closure(step, a.machine_init(s), q)
     rewards = np.ascontiguousarray(reward.take(q_of, axis=0).transpose(2, 1, 0))  # (G, k, nodes)
     values = np.ascontiguousarray(terminal.take(q_of, axis=0).T)  # (G, nodes)
     while True:
@@ -668,10 +653,10 @@ def _policy_values(succ, points, reward, unknown, values, allowed, choice):
 
 def _hitting_values(layout: tuple, reward: np.ndarray, time: bool):
     """Upper and lower limits of a hitting variable (:func:`_hitting_kind`)
-    at every node of its closure, whose :func:`_closure` ``layout`` it
-    reads, ``reward`` being the automaton's: the least non-negative
-    solutions of ``h = T(reward + h∘step)`` with ``T`` the local upper,
-    resp. lower, expectation (Krak, T'Joens & De Bock 2019).
+    at every node of its closure, whose :meth:`~iptree.tree._View.closure`
+    ``layout`` it reads, ``reward`` being the automaton's: the least
+    non-negative solutions of ``h = T(reward + h∘step)`` with ``T`` the
+    local upper, resp. lower, expectation (Krak, T'Joens & De Bock 2019).
 
     A graph pass settles what needs no numbers, exactly.  A *trap* is a set
     of not-hit nodes in each of which some extreme point surely stays.  It
@@ -750,10 +735,10 @@ def limit_bounds(
     true, and their iterates are an audit trail: :func:`limit_upper` over
     the horizons 1 .. :data:`_TRAIL` (at most ``max_horizon`` of them), with
     every audit it makes.  The trail and the solve read the one closure
-    layout that the tree's view keeps (:func:`_closure`).  The solved value
-    must not lie below any trail iterate.  Any other variable gets the value
-    iteration of :func:`limit_upper` and :func:`limit_lower` under
-    ``policy``.
+    layout that the tree's view keeps (:meth:`~iptree.tree._View.closure`).
+    The solved value must not lie below any trail iterate.  Any other
+    variable gets the value iteration of :func:`limit_upper` and
+    :func:`limit_lower` under ``policy``.
     """
     s = as_situation(s, tree.k)
     time = _hitting_kind(v)
@@ -765,7 +750,8 @@ def limit_bounds(
     reward, step = a.reward.tolist(), a.step.tolist()
     for y in s:
         paid, q = paid + reward[q][y], step[q][y]
-    solved = _hitting_values(_closure(tree, a.step, q, s), a.reward, time)
+    view = tree.assignment
+    solved = _hitting_values(view.closure(a.step, view.machine_init(s), q), a.reward, time)
     results = []
     for res, values in zip((trail, trail.lower), solved):
         value = paid + values[0].item()

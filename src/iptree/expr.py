@@ -54,7 +54,8 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import ExprError, InvalidInputError, ResourceLimitError
-from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, _derived, _read_only
+from .extreal import _derived, _frozen
+from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble
 from .local import StateSpace
 
 #: At most this many parentheses, function calls, ``!`` and unary minus
@@ -424,20 +425,15 @@ def parse_gamble(source: str, space: StateSpace) -> GambleExpr:
 
 
 @_room_for_nesting
-def compile_gamble(
-    expr: GambleExpr, depth: int | None = None, cap: int = DEFAULT_TABLE_CAP
-) -> FinitaryGamble:
-    """Tabulate an expression into a dense finitary gamble.
+def compile_gamble(expr: GambleExpr, *, cap: int = DEFAULT_TABLE_CAP) -> FinitaryGamble:
+    """Tabulate an expression into a dense finitary gamble of its inferred
+    depth (:meth:`FinitaryGamble.lift` views it deeper).
 
-    ``depth`` may lift the gamble beyond its inferred depth (never below).
-    The dense table of ``k**depth`` payoffs is subject to ``cap``, and its
-    depth to :data:`~iptree.gambles.MAX_TABLE_DEPTH`.
+    The dense table of ``k**depth`` payoffs is subject to ``cap`` (by
+    default :data:`~iptree.gambles.DEFAULT_TABLE_CAP`), and its depth to
+    :data:`~iptree.gambles.MAX_TABLE_DEPTH`.
     """
-    n = expr.depth if depth is None else depth
-    if n < expr.depth:
-        raise ExprError(
-            f"depth override {n} is below the inferred depth {expr.depth}", 1, 1
-        )
+    n = expr.depth
     # Checked first: past it, k**n can have more digits than Python formats.
     if n > MAX_TABLE_DEPTH:
         raise ResourceLimitError(f"table of depth {n} exceeds the {MAX_TABLE_DEPTH} axes NumPy allows")
@@ -497,7 +493,7 @@ def compile_gamble(
         table = np.empty((k,) * n)
         table[...] = eval_num(expr.root, {})
     if np.isfinite(table).all():  # the fresh table is the gamble's own, not copied
-        return _derived(FinitaryGamble, k=k, table=_read_only(table))
+        return _derived(FinitaryGamble, k=k, table=_frozen(table))
     return FinitaryGamble(k, table)  # raises its NaN or infinity message
 
 

@@ -12,6 +12,11 @@ NaN is never a legal value anywhere in this package.  The module also holds
 the package is computed with: :mod:`.local` and :func:`xdot` call it, and
 the engine's kernel (:func:`~iptree.engine._expectations`) forms the same
 products and additions in the same order, with the nodes on the last axis.
+
+Two helpers carry the package's "validate once" rule for every value type:
+:func:`_frozen` makes an array read-only, as each value stores its arrays,
+and :func:`_derived` adopts a value derived from a checked one without
+checking it again.
 """
 
 from __future__ import annotations
@@ -33,27 +38,19 @@ def check_no_nan(values, what: str = "value") -> np.ndarray:
     return arr
 
 
-def xadd(a: float, b: float) -> float:
-    """Add two extended reals; any +inf operand dominates."""
-    if a == INF or b == INF:
-        return INF
-    if a == -INF or b == -INF:
-        return -INF
-    return a + b
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
 
 
-def xmul(scale: float, value: float) -> float:
-    """Multiply a finite non-negative scale by an extended real.
-
-    ``0 * (+/-inf) == 0``; a positive scale preserves infinities.
-    """
-    if scale < 0.0:
-        raise InvalidInputError("xmul expects a non-negative scale")
-    if scale == 0.0:
-        return 0.0
-    if value == INF or value == -INF:
-        return value
-    return scale * value
+def _derived(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` as given, without running
+    its checks: for values derived from a checked instance and already in
+    the form its constructor stores."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # past a frozen __setattr__, as the constructor sets them
+    return obj
 
 
 def weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
-from .extreal import check_no_nan
+from .extreal import _derived, _frozen, check_no_nan
 from .local import StateSpace
 from .tree import Situation, as_situation, trie_position, trie_step
 
@@ -54,20 +54,6 @@ COMPARE_CAP = 1 << 16
 #: NumPy arrays have at most this many axes (32 before NumPy 2), so no
 #: dense table is deeper.
 MAX_TABLE_DEPTH = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-def _derived(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, without running ``__post_init__``: for values derived from a
-    checked instance and already in the form its constructor stores."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)  # past the frozen __setattr__, as the constructor sets them
-    return obj
 
 
 @dataclass(frozen=True)
@@ -91,18 +77,11 @@ class FinitaryGamble:
             )
         if not np.isfinite(arr).all():
             raise InvalidInputError("finitary gamble payoffs must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", _frozen(arr.copy()))
 
     @classmethod
     def constant(cls, k: int, value: float) -> "FinitaryGamble":
         return cls(k, np.asarray(float(value)))
-
-    @classmethod
-    def from_values(cls, k: int, depth: int, values) -> "FinitaryGamble":
-        arr = np.asarray(values, dtype=float).reshape((k,) * depth)
-        return cls(k, arr)
 
     @property
     def depth(self) -> int:
@@ -130,7 +109,7 @@ class FinitaryGamble:
         # The table FinitaryGamble(k, -table) would store, unchecked: the
         # negation of a valid table is valid (``out`` keeps a 0-d table an array).
         table = np.negative(self.table, out=np.empty_like(self.table))
-        return _derived(FinitaryGamble, k=self.k, table=_read_only(table))
+        return _derived(FinitaryGamble, k=self.k, table=_frozen(table))
 
     def __add__(self, other) -> "FinitaryGamble":
         if isinstance(other, (int, float)):
@@ -202,8 +181,7 @@ class MachineGamble:
             check_no_nan(terminal, "payoff")
             raise InvalidInputError("finitary gamble payoffs must be finite")
         for name, arr in (("step", step), ("reward", reward), ("terminal", terminal)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
     def read(self, string: Situation) -> tuple[float, int]:
         """The reward paid over the first ``depth`` symbols of ``string``
@@ -241,7 +219,7 @@ class MachineGamble:
         # 0.0 - x is what the constructor stores for -x: no negative zeros.
         return _derived(
             MachineGamble, k=self.k, depth=self.depth, step=self.step,
-            reward=_read_only(0.0 - self.reward), terminal=_read_only(0.0 - self.terminal),
+            reward=_frozen(0.0 - self.reward), terminal=_frozen(0.0 - self.terminal),
         )
 
     def __add__(self, other):
@@ -391,7 +369,7 @@ def restrict(f: FinitaryGamble, s: Situation) -> FinitaryGamble:
         )
     table = np.zeros_like(f.table)
     table[s] = f.table[s]
-    return _derived(FinitaryGamble, k=f.k, table=_read_only(table))  # zeros and f's payoffs: valid
+    return _derived(FinitaryGamble, k=f.k, table=_frozen(table))  # zeros and f's payoffs: valid
 
 
 def indicator_of_cylinder(space: StateSpace, s: Situation) -> FinitaryGamble:
@@ -443,7 +421,7 @@ def _hitting_arrays(space: StateSpace, idx: frozenset) -> tuple:
         step[0] = hit
         time, event = np.zeros((2, space.size)), np.zeros((2, space.size))
         time[0], event[0] = 1.0, hit
-        built[idx] = tuple(map(_read_only, (step, time, event, np.zeros(2))))
+        built[idx] = tuple(map(_frozen, (step, time, event, np.zeros(2))))
     return built[idx]
 
 

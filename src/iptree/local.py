@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .extreal import INF, check_no_nan, weighted_sum, xdot
+from .extreal import INF, _derived, _frozen, check_no_nan, weighted_sum, xdot
 
 #: |sum(weights) - 1| beyond this is rejected instead of renormalized.
 MASS_SUM_TOL = 1e-9
 
-#: Default tolerance for the coherence-axiom checker.
+#: Tolerance of the coherence-axiom checker.
 AXIOM_TOL = 1e-9
 
 
@@ -56,12 +56,6 @@ class StateSpace:
             ) from None
 
 
-def _frozen_array(values, what: str) -> np.ndarray:
-    arr = check_no_nan(values, what).copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class MassFunction:
     """Probability mass function on the state space.
@@ -88,7 +82,7 @@ class MassFunction:
         # ulp away from 1 is not idempotent and would break round-trips.
         if abs(total - 1.0) > 1e-12:
             arr = arr / total
-        object.__setattr__(self, "weights", _frozen_array(arr, "probability weight"))
+        object.__setattr__(self, "weights", _frozen(arr.copy()))
 
     @property
     def k(self) -> int:
@@ -147,8 +141,7 @@ def _mass_rows(arr: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
             dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
             arr = arr[~dup]
             sizes = np.bincount(block[~dup].astype(np.intp), minlength=len(sizes))
-    arr.flags.writeable = False
-    return arr, sizes
+    return _frozen(arr), sizes
 
 
 @dataclass(frozen=True)
@@ -170,22 +163,9 @@ class CredalSet:
         object.__setattr__(self, "points", _mass_rows(arr, [len(arr)])[0])
 
     @classmethod
-    def of_checked(cls, points: np.ndarray) -> "CredalSet":
-        """The credal set of frozen extreme points that have passed its
-        checks (as :func:`_mass_rows` leaves them), not checked again."""
-        credal = object.__new__(cls)
-        object.__setattr__(credal, "points", points)
-        return credal
-
-    @classmethod
     def singleton(cls, mass: MassFunction) -> "CredalSet":
         """The one-point set of a mass function, whose weights passed the same checks."""
-        return cls.of_checked(mass.weights[None, :])
-
-    @classmethod
-    def vacuous(cls, k: int) -> "CredalSet":
-        """All degenerate mass functions: the least informative model."""
-        return cls(np.eye(k))
+        return _derived(cls, points=mass.weights[None, :])
 
     @property
     def k(self) -> int:
@@ -237,11 +217,6 @@ def extended_upper_expectation(credal: CredalSet, f) -> float:
     if np.isfinite(arr).all():
         return upper_expectation(credal, arr)
     return max(xdot(p, arr) for p in credal.points)
-
-
-def upper_cut(f, c: float) -> np.ndarray:
-    """Pointwise ``min(f, c)``."""
-    return np.minimum(np.asarray(f, dtype=float), c)
 
 
 def cut_limit_upper(credal: CredalSet, f) -> float:
@@ -297,7 +272,7 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM_TOL) -> AxiomReport:
+def check_coherence_axioms(credal: CredalSet, sample_gambles) -> AxiomReport:
     """Assert the coherence axioms of the upper expectation on sample gambles.
 
     Checked properties, writing ``U`` for the upper expectation and ``L`` for
@@ -311,16 +286,17 @@ def check_coherence_axioms(credal: CredalSet, sample_gambles, tol: float = AXIOM
     * constant shift:     U(f + m) == U(f) + m
     * Lipschitz bound:    |U(f) - U(g)| <= sup|f - g|
 
+    Each comparison allows a slack of :data:`AXIOM_TOL`, read at call time.
     Returns a report listing every violated check with a witness description.
     This is the one-trial case of :func:`_coherence_axioms`.
     """
     gambles = [_check_gamble(credal, g, require_finite=True) for g in sample_gambles]
     if not gambles:
         raise InvalidInputError("need at least one sample gamble")
-    return _coherence_axioms([credal.points], np.array(gambles)[None], tol)[0]
+    return _coherence_axioms([credal.points], np.array(gambles)[None])[0]
 
 
-def _coherence_axioms(points: list, gambles: np.ndarray, tol: float = AXIOM_TOL) -> list[AxiomReport]:
+def _coherence_axioms(points: list, gambles: np.ndarray) -> list[AxiomReport]:
     """The :func:`check_coherence_axioms` report of each of several trials:
     trial ``r`` checks the finite gambles ``gambles[r]``, an ``(n, k)``
     slice of the ``(trials, n, k)`` array with ``n >= 1``, against the
@@ -333,8 +309,10 @@ def _coherence_axioms(points: list, gambles: np.ndarray, tol: float = AXIOM_TOL)
     maximum, so each value is the one :func:`upper_expectation` gives for
     that gamble alone.  Each check is then one array comparison over the
     samples (or the consecutive pairs) of all trials, and a violation, with
-    its witness and slack, is built only where a comparison fails.
+    its witness and slack, is built only where a comparison fails.  The
+    slack is :data:`AXIOM_TOL`, read at call time.
     """
+    tol = AXIOM_TOL
     trials, n, _ = gambles.shape
     g = gambles
     scales = np.array([0.0, 0.5, 1.0, 2.0])

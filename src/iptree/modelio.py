@@ -87,7 +87,7 @@ import numpy as np
 import orjson
 
 from .errors import InvalidInputError, SchemaError
-from .extreal import INF, check_no_nan
+from .extreal import INF, _derived, _frozen, check_no_nan
 from .gambles import DEFAULT_TABLE_CAP
 from .local import CredalSet, StateSpace, _mass_rows
 from .supermartingale import TailConstantProcess
@@ -273,7 +273,7 @@ def _markov_sets(space: StateSpace, model: dict) -> list:
         got = _checked_rows([model.get("root"), *map(by_state_raw.get, space.labels)], space.size)
         if got is not None:
             ends = np.cumsum(got[1]).tolist()
-            return [CredalSet.of_checked(got[0][a:b]) for a, b in zip([0, *ends], ends)]
+            return [_derived(CredalSet, points=got[0][a:b]) for a, b in zip([0, *ends], ends)]
     root = _points(_need(model, "root", "model"), "model.root")
     by_state_raw = _need(model, "by_state", "model")
     if not isinstance(by_state_raw, dict):
@@ -499,7 +499,7 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
                 values[j] = _value(raw, p_entry)
     laid = np.empty(count)
     laid[at] = values
-    laid.flags.writeable = False
+    _frozen(laid)
     ends = itertools.accumulate(sizes)
     levels = tuple(laid[end - size : end].reshape((k,) * m) for m, (size, end) in enumerate(zip(sizes, ends)))
     lowest = laid.min()  # NaN if any value is
@@ -508,7 +508,7 @@ def load_certificate(doc: dict, space: StateSpace) -> tuple[TailConstantProcess,
             TailConstantProcess(k, levels)
         except Exception as exc:
             raise SchemaError("table", str(exc)) from None
-    process = TailConstantProcess.of_checked(k, levels)
+    process = _derived(TailConstantProcess, k=k, levels=levels)
     if lowest < declared - 1e-12:  # the least finite value, or +inf
         raise SchemaError(
             "table", f"table attains {process.lower_bound()}, below the declared lower bound {declared}"

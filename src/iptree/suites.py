@@ -32,8 +32,8 @@ import numpy as np
 
 from .engine import finitary_upper, finitary_uppers, value_tables
 from .errors import InvalidInputError, ResourceLimitError
-from .extreal import INF
-from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, _derived, _read_only, restrict
+from .extreal import INF, _derived, _frozen
+from .gambles import DEFAULT_TABLE_CAP, MAX_TABLE_DEPTH, FinitaryGamble, restrict
 from .local import (
     CredalSet,
     StateSpace,
@@ -162,10 +162,8 @@ def random_tree(
     return ImpreciseTree(space, Table(table_depth, entries, CredalSet(np.eye(k)[:1])))
 
 
-def random_gamble(
-    rng: np.random.Generator, k: int, depth: int, lo: float = -5.0, hi: float = 5.0
-) -> FinitaryGamble:
-    return FinitaryGamble(k, rng.uniform(lo, hi, size=(k,) * depth))
+def random_gamble(rng: np.random.Generator, k: int, depth: int) -> FinitaryGamble:
+    return FinitaryGamble(k, rng.uniform(-5, 5, size=(k,) * depth))
 
 
 def random_situation(rng: np.random.Generator, k: int, max_len: int) -> Situation:
@@ -173,13 +171,13 @@ def random_situation(rng: np.random.Generator, k: int, max_len: int) -> Situatio
     return tuple(int(x) for x in rng.integers(0, k, size=n))
 
 
-def random_extended(rng: np.random.Generator, k: int, p_inf: float = 0.3) -> np.ndarray:
+def random_extended(rng: np.random.Generator, k: int) -> np.ndarray:
     vals = rng.uniform(-5, 5, size=k)
     for i in range(k):
         u = rng.uniform()
-        if u < p_inf / 2:
+        if u < 0.15:
             vals[i] = INF
-        elif u < p_inf:
+        elif u < 0.3:
             vals[i] = -INF
     return vals
 
@@ -190,7 +188,7 @@ def _drawn(k: int, table) -> FinitaryGamble:
     """The gamble of a finite payoff table of shape ``(k,) * n`` that a
     battery drew or computed from its own gambles, as
     ``FinitaryGamble(k, table)`` stores it but not checked again."""
-    return _derived(FinitaryGamble, k=k, table=_read_only(np.array(table, dtype=float)))
+    return _derived(FinitaryGamble, k=k, table=_frozen(np.array(table, dtype=float)))
 
 
 def _one_step_gamble(k: int, n: int, h: np.ndarray) -> FinitaryGamble:
@@ -437,14 +435,9 @@ def model_axiom_suites(tree: ImpreciseTree, seed: int, trials: int = 50) -> list
     return [local_rep, proc_rep]
 
 
-def model_oracle_suite(
-    tree: ImpreciseTree,
-    seed: int,
-    trials: int = 50,
-    depth: int = 3,
-    tol: float = ORACLE_TOL,
-) -> SuiteReport:
-    """Envelope-vs-recursion agreement on one concrete model.
+def model_oracle_suite(tree: ImpreciseTree, seed: int, trials: int = 50, depth: int = 3) -> SuiteReport:
+    """Envelope-vs-recursion agreement on one concrete model, each within
+    :data:`~iptree.oracle.ORACLE_TOL`, read at call time.
 
     The trials are drawn first; the recursion then sweeps each group of
     gambles that share a depth and a conditioning situation once
@@ -476,7 +469,7 @@ def model_oracle_suite(
         for (t, (f, s)), rec_val in zip(chunk, uppers):
             enum = envelope_sup(tree, f, s)
             rec.check(
-                abs(enum.value - rec_val) <= tol,
+                abs(enum.value - rec_val) <= ORACLE_TOL,
                 lambda: f"trial {t}: envelope {enum.value!r} vs recursion {rec_val!r} (depth={f.depth}, s={s})",
             )
     return rec.report()

@@ -34,7 +34,7 @@ import numpy as np
 
 from .engine import _expectations, _node_points, finitary_upper, value_table
 from .errors import InvalidInputError
-from .extreal import INF, check_no_nan
+from .extreal import INF, _frozen, check_no_nan
 from .gambles import FinitaryGamble
 from .local import CredalSet, extended_upper_expectation
 from .tree import Situation, Tree, as_situation, local_model, prefix_levels
@@ -69,19 +69,8 @@ class TailConstantProcess:
                 )
             if (arr == -INF).any():
                 raise InvalidInputError("process values must be bounded below; -inf rejected")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
+            frozen.append(_frozen(arr.copy()))
         object.__setattr__(self, "levels", tuple(frozen))
-
-    @classmethod
-    def of_checked(cls, k: int, levels: tuple[np.ndarray, ...]) -> "TailConstantProcess":
-        """The process of read-only levels that have passed its checks, not
-        checked or copied again."""
-        process = object.__new__(cls)
-        object.__setattr__(process, "k", k)
-        object.__setattr__(process, "levels", levels)
-        return process
 
     @property
     def depth(self) -> int:
@@ -158,14 +147,14 @@ def _situation(i: int, k: int, m: int) -> Situation:
     return tuple(int(y) for y in np.unravel_index(i, (k,) * m))
 
 
-def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) -> VerificationReport:
+def verify(process: TailConstantProcess, tree: Tree) -> VerificationReport:
     """Check the supermartingale inequality at every situation above the tail.
 
     At each situation of length < depth the local upper expectation of the
     next-level values (extended arithmetic, since +inf entries are allowed)
-    must not exceed the value at the situation, up to ``tol``.  Levels at and
-    beyond the tail are constant, and a constant's upper expectation is
-    itself, so they verify automatically.
+    must not exceed the value at the situation, up to :data:`VERIFY_TOL`,
+    read at call time.  Levels at and beyond the tail are constant, and a
+    constant's upper expectation is itself, so they verify automatically.
 
     The check runs level by level.  The situations of a level find their
     local models through the tree's ``step`` and ``leaf`` arrays, walked
@@ -205,7 +194,7 @@ def verify(process: TailConstantProcess, tree: Tree, tol: float = VERIFY_TOL) ->
         if known.size:
             lo = min(lo, float(known.min()))
             hi = max(hi, float(known.max()))
-        for i in np.flatnonzero(margin < -tol).tolist():
+        for i in np.flatnonzero(margin < -VERIFY_TOL).tolist():
             violations.append(Violation(_situation(i, k, m), float(value[i]), float(required[i])))
     return VerificationReport(not violations, checked, lo, hi, tuple(violations))
 
@@ -239,20 +228,16 @@ class Certificate:
         return self.bound - self.engine_value
 
 
-def certified_upper_bound(
-    process: TailConstantProcess,
-    f: FinitaryGamble,
-    tree: Tree,
-    s: Situation = (),
-    tol: float = VERIFY_TOL,
-) -> Certificate:
+def certified_upper_bound(process: TailConstantProcess, f: FinitaryGamble, tree: Tree, s: Situation = ()) -> Certificate:
     """Validate ``process`` as an upper-expectation certificate for ``f``.
 
     The certificate is valid when the process verifies as a supermartingale
     and its deepest level dominates the (lifted) payoffs on every string
     extending ``s``; its value at ``s`` is then a sound upper bound on the
     conditional upper expectation, which is also reported for comparison.
-    Domination failures are returned as witness strings.
+    Domination failures are returned as witness strings.  Both the
+    supermartingale check and the domination allow a slack of
+    :data:`VERIFY_TOL`, read at call time.
     """
     s = as_situation(s, tree.k)
     if process.depth < f.depth:
@@ -261,9 +246,9 @@ def certified_upper_bound(
         )
     if len(s) > process.depth:
         raise InvalidInputError("conditioning situation lies beyond the certificate depth")
-    report = verify(process, tree, tol)
+    report = verify(process, tree)
     lifted = f.lift(process.depth).table
-    below = process.levels[process.depth][s + (...,)] < lifted[s + (...,)] - tol
+    below = process.levels[process.depth][s + (...,)] < lifted[s + (...,)] - VERIFY_TOL
     witnesses = [s + tuple(rel) for rel in np.argwhere(below).tolist()]
     valid = report.passed and not witnesses
     return Certificate(

@@ -51,13 +51,14 @@ from typing import Hashable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, IptreeError, ResourceLimitError
+from .extreal import _derived, _frozen
 from .local import CredalSet, MassFunction, StateSpace
 
 #: A situation: indices of the states observed so far.  () is the root.
 Situation = tuple[int, ...]
 
-#: Membership tolerance for the convex-hull feasibility check.
+#: Membership tolerance of the convex-hull check, :func:`in_convex_hull`.
 HULL_TOL = 1e-9
 
 #: Default cap on the number of compatible-tree selections to enumerate.
@@ -140,11 +141,6 @@ def trie_situation(k: int, position: int) -> Situation:
         position, y = divmod(position - 1, k)
         situation = (y, *situation)
     return situation
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,17 +411,15 @@ class Table(_View):
         and whose i-th entry is the situation at :func:`trie_step` position
         ``positions[i]`` (length <= depth), with the next ``sizes[i + 1]``:
         extreme points as :class:`~iptree.local.CredalSet` stores them."""
-        table = object.__new__(cls)
-        table.depth, table.default = depth, CredalSet.of_checked(rows[: sizes[0]])
-        table._positions, table._rows, table._sizes = positions, rows, sizes
-        return table
+        default = _derived(CredalSet, points=rows[: sizes[0]])
+        return _derived(cls, depth=depth, default=default, _positions=positions, _rows=rows, _sizes=sizes)
 
     @cached_property
     def models(self) -> tuple:
         if self._rows is None:
             return (self.default, *self.entries.values())
         ends = np.cumsum(self._sizes).tolist()
-        return (self.default, *(CredalSet.of_checked(self._rows[a:b]) for a, b in zip(ends, ends[1:])))
+        return (self.default, *(_derived(CredalSet, points=self._rows[a:b]) for a, b in zip(ends, ends[1:])))
 
     @cached_property
     def entries(self) -> dict:
@@ -649,12 +643,14 @@ def all_situations(k: int, max_len: int) -> Iterator[Situation]:
         yield from itertools.product(range(k), repeat=n)
 
 
-def in_convex_hull(point, vertices, tol: float = HULL_TOL) -> bool:
-    """Whether ``point`` lies within ``tol`` (sup-norm) of ``hull(vertices)``.
+def in_convex_hull(point, vertices) -> bool:
+    """Whether ``point`` lies within :data:`HULL_TOL` (sup-norm, read at
+    call time) of ``hull(vertices)``.
 
     Solved as a small LP: minimize t subject to ``|vertices^T w - point| <= t``,
-    ``sum w = 1``, ``w >= 0``; membership is ``optimum <= tol``.  SciPy's
-    HiGHS solver is imported on the first call.
+    ``sum w = 1``, ``w >= 0``; membership is ``optimum <= HULL_TOL``.  SciPy's
+    HiGHS solver is imported on the first call; a solve that fails raises
+    :class:`~iptree.errors.IptreeError`.
     """
     from scipy.optimize import linprog
 
@@ -664,7 +660,7 @@ def in_convex_hull(point, vertices, tol: float = HULL_TOL) -> bool:
     if point.shape != (k,):
         raise InvalidInputError("point/vertex dimension mismatch")
     if m == 1:
-        return bool(np.abs(vertices[0] - point).max() <= tol)
+        return bool(np.abs(vertices[0] - point).max() <= HULL_TOL)
     c = np.zeros(m + 1)
     c[-1] = 1.0
     a_ub = np.zeros((2 * k, m + 1))
@@ -680,15 +676,16 @@ def in_convex_hull(point, vertices, tol: float = HULL_TOL) -> bool:
         bounds=[(0, None)] * (m + 1), method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"hull-membership LP failed: {res.message}")
-    return bool(res.fun <= tol)
+        raise IptreeError(f"hull-membership LP failed: {res.message}")
+    return bool(res.fun <= HULL_TOL)
 
 
-def is_compatible(precise: PreciseTree, imprecise: ImpreciseTree, depth: int, tol: float = HULL_TOL) -> bool:
+def is_compatible(precise: PreciseTree, imprecise: ImpreciseTree, depth: int) -> bool:
     """Whether the precise tree selects a member of every local credal set.
 
     Checks the situations of length < ``depth``: the local models governing
-    the first ``depth`` transitions of the process.
+    the first ``depth`` transitions of the process, each membership up to
+    :data:`HULL_TOL` (:func:`in_convex_hull`).
     """
     if precise.state_space != imprecise.state_space:
         raise InvalidInputError("trees must share a state space")
@@ -697,7 +694,7 @@ def is_compatible(precise: PreciseTree, imprecise: ImpreciseTree, depth: int, to
     for s in all_situations(precise.k, depth - 1):
         mass = local_model(precise, s)
         credal = local_model(imprecise, s)
-        if not in_convex_hull(mass.weights, credal.points, tol):
+        if not in_convex_hull(mass.weights, credal.points):
             return False
     return True
 

@@ -105,7 +105,7 @@ class TestSweepColumns:
             tree = mixed_tree(rng, k, trial % 3)
             depth = int(rng.integers(1, 4))
             # All-negative payoffs: a padded zero point would win the max.
-            gambles = [random_gamble(rng, k, depth, lo=-5.0, hi=-0.5) for _ in range(3)]
+            gambles = [FinitaryGamble(k, rng.uniform(-5.0, -0.5, size=(k,) * depth)) for _ in range(3)]
             gambles += [random_gamble(rng, k, depth), -gambles[0], 0.0 * gambles[1]]
             s = random_situation(rng, k, depth + 1)
             values = finitary_uppers(tree, gambles, s)
@@ -347,7 +347,8 @@ class TestCoherenceColumns:
             gambles = [rng.uniform(-5, 5, size=k) * 10.0 ** rng.integers(-3, 3) for _ in range(int(rng.integers(1, 9)))]
             # A negative tolerance fails checks, so the slacks are compared too.
             tol = float(rng.choice([1e-9, -1e-12, -1.0]))
-            report = check_coherence_axioms(credal, gambles, tol)
+            with mock.patch.object(iptree.local, "AXIOM_TOL", tol):
+                report = check_coherence_axioms(credal, gambles)
             checks, violations = self.reference(credal, gambles, tol)
             assert report.checks_run == checks
             assert repr(report.violations) == repr(tuple(violations))
@@ -361,10 +362,11 @@ class TestCoherenceColumns:
             scale = 10.0 ** rng.integers(-3, 3, size=(len(credals), 1, 1))
             gambles = rng.uniform(-5, 5, size=(len(credals), n, k)) * scale
             tol = float(rng.choice([1e-9, -1e-12, -1.0]))
-            reports = _coherence_axioms([c.points for c in credals], gambles, tol)
+            with mock.patch.object(iptree.local, "AXIOM_TOL", tol):
+                reports = _coherence_axioms([c.points for c in credals], gambles)
+                alones = [check_coherence_axioms(credal, list(g)) for credal, g in zip(credals, gambles)]
             assert len(reports) == len(credals)
-            for credal, g, report in zip(credals, gambles, reports):
-                alone = check_coherence_axioms(credal, list(g), tol)
+            for report, alone in zip(reports, alones):
                 assert report.checks_run == alone.checks_run
                 assert repr(report.violations) == repr(alone.violations)
                 assert report.passed == alone.passed
@@ -530,17 +532,18 @@ class TestBatteries:
         broken = ImpreciseTree(space, _RootStartMarkov(random_credal(rng, 3), tuple(random_credal(rng, 3) for _ in range(3))))
 
         mixed = mixed_tree(rng, 3, 2)  # local models of 1 to 4 extreme points
-        coherence = suites._coherence_axioms
 
         def reports():
             sound = model_axiom_suites(mixed, 8, 30)
             # A tolerance below zero fails some coherence checks of every trial.
-            with mock.patch.object(suites, "_coherence_axioms", lambda points, gambles: coherence(points, gambles, -1e-12)):
+            with mock.patch.object(iptree.local, "AXIOM_TOL", -1e-12):
                 forced = model_axiom_suites(mixed, 8, 30)
+            with mock.patch.object(suites, "ORACLE_TOL", -1.0):
+                failing = model_oracle_suite(imprecise_coin, 8, 30, depth=4)  # every trial fails, naming its values
             return [
                 process_suite(8, trials=30),
                 process_suite(8, trials=30, tree_factory=lambda _rng: broken),
-                model_oracle_suite(imprecise_coin, 8, 30, depth=4, tol=-1.0),  # every trial fails, naming its values
+                failing,
                 *sound,
                 *forced,
             ]

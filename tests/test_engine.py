@@ -594,7 +594,7 @@ class TestFatouOscillating:
         rng = np.random.default_rng(15)
         for _ in range(20):
             tree = random_tree(rng, 2)
-            gambles = [random_gamble(rng, 2, 2, lo=-3, hi=3) for _ in range(4)]
+            gambles = [FinitaryGamble(2, rng.uniform(-3, 3, size=(2, 2))) for _ in range(4)]
             point_min = FinitaryGamble(2, np.minimum.reduce([g.table for g in gambles]))
             lhs = finitary_upper(tree, point_min)
             rhs = min(finitary_upper(tree, g) for g in gambles)

@@ -255,14 +255,10 @@ class TestSumEvaluations:
 
 class TestCompile:
     def test_lift_by_override_constant_on_new_axes(self, space):
-        f = compiled("ind(X[1]==H)", space, depth=3)
+        f = compiled("ind(X[1]==H)", space).lift(3)
         assert f.depth == 3
         for string in np.ndindex(2, 2, 2):
             assert f.payoff(string) == (1.0 if string[0] == 0 else 0.0)
-
-    def test_override_below_inferred_depth_rejected(self, space):
-        with pytest.raises(ExprError):
-            compiled("ind(X[2]==H)", space, depth=1)
 
     def test_cap(self, space):
         with pytest.raises(ResourceLimitError):
@@ -421,9 +417,9 @@ def test_tabulation_is_bitwise_the_reference():
             want = reference_gamble(expr, lift)
         except IptreeError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                compile_gamble(expr, lift)
+                compile_gamble(expr).lift(lift)
             continue
-        got = compile_gamble(expr, lift)
+        got = compile_gamble(expr).lift(lift)
         assert got.table.shape == want.table.shape == (k,) * lift
         assert np.array_equal(got.table, want.table)
         assert np.array_equal(np.signbit(got.table), np.signbit(want.table))

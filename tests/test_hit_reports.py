@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 import iptree.cli
-import iptree.engine
 import iptree.tree
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -175,21 +174,21 @@ def test_hit_reports_are_pinned(name, at, tmp_path):
 
 def _walked(model: dict, tmp_path, monkeypatch, *flags: str):
     """The report of ``iptree eval`` with ``flags``, how many product
-    closures it walked, and how many node-point arrays the engine's closure
-    reads returned: each gathered once, beside its closure."""
+    closures it walked, and how many node-point arrays the closure reads of
+    the tree's view returned: each gathered once, beside its closure."""
     walks, points = [], []
-    real, read = iptree.tree.product_closure, iptree.engine._closure
+    real, read = iptree.tree.product_closure, iptree.tree._View.closure
 
-    def layout(*args):
-        found = read(*args)
+    def layout(view, *args):
+        found = read(view, *args)
         points.append(found[4])
         return found
 
     monkeypatch.setattr(iptree.tree, "product_closure", lambda *args: walks.append(1) or real(*args))
-    monkeypatch.setattr(iptree.engine, "_closure", layout)
+    monkeypatch.setattr(iptree.tree._View, "closure", layout)
     report = json.loads(eval_report(model, tmp_path, *flags))
     monkeypatch.setattr(iptree.tree, "product_closure", real)
-    monkeypatch.setattr(iptree.engine, "_closure", read)
+    monkeypatch.setattr(iptree.tree._View, "closure", read)
     return report, len(walks), len({id(p) for p in points})
 
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from iptree import modelio
 from iptree.cli import main
 from iptree.errors import InvalidInputError, SchemaError
+from iptree.extreal import _derived
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.modelio import dump_certificate, load_certificate, load_model
 from iptree.supermartingale import TailConstantProcess
@@ -1073,10 +1074,11 @@ class TestTableArrays:
         doc = table_model({key: [random_row(rng, 3) for _ in range(3)] for key in keys},
                           default=[random_row(rng, 3)], depth=5, states=LABELS)
         with mock.patch.object(CredalSet, "__post_init__", side_effect=CredalSet.__post_init__, autospec=True) as built, \
-                mock.patch.object(CredalSet, "of_checked", side_effect=CredalSet.of_checked) as adopted:
+                mock.patch("iptree.tree._derived", side_effect=_derived) as derived:
             table = load_model(doc).assignment
             assert table.points.shape == (len(keys) + 1, 3, 3)
-        assert built.call_count == 0 and adopted.call_count == 1  # the default only, from the one pass
+        adopted = [call for call in derived.call_args_list if call.args[0] is CredalSet]
+        assert built.call_count == 0 and len(adopted) == 1  # the default only, from the one pass
 
 
 # --- the JSON reader ----------------------------------------------------------------

@@ -386,7 +386,7 @@ def test_policy_values_match_the_per_node_layout(monkeypatch):
         trans, q_of, points = ref_closure(tree, a.step, q, s)
         reward = a.reward.take(q_of, axis=0)
         sides = ref_sides(trans, q_of, points, time)
-        layout = engine._closure(tree, a.step, q, s)
+        layout = tree.assignment.closure(a.step, tree.assignment.machine_init(s), q)
         assert same(layout[3], np.ascontiguousarray(trans.T))
         assert same(layout[4], np.ascontiguousarray(points.transpose(2, 1, 0)))
         # The policy solve alone, on the reference's sides laid end to end,

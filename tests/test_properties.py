@@ -34,7 +34,7 @@ def gambles(draw, k=2, max_depth=3):
             max_size=k**depth,
         )
     )
-    return FinitaryGamble.from_values(k, depth, flat)
+    return FinitaryGamble(k, np.reshape(flat, (k,) * depth))
 
 
 @st.composite

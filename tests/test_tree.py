@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import iptree.tree as tree_module
-from iptree.errors import InvalidInputError, ResourceLimitError
+from iptree.errors import InvalidInputError, IptreeError, ResourceLimitError
 from iptree.local import CredalSet, MassFunction, StateSpace
 from iptree.tree import (
     Homogeneous,
@@ -240,6 +242,12 @@ class TestHullMembership:
         assert not in_convex_hull(
             np.array([0.3, 0.3, 0.4]), np.array([[1.0, 0, 0], [0, 1.0, 0]])
         )
+
+    def test_a_failed_solve_is_the_packages_error(self):
+        failed = SimpleNamespace(success=False, message="solver gave up")
+        with mock.patch("scipy.optimize.linprog", return_value=failed):
+            with pytest.raises(IptreeError, match="^hull-membership LP failed: solver gave up$"):
+                in_convex_hull(np.array([0.5, 0.5]), np.array([[0.4, 0.6], [0.6, 0.4]]))
 
 
 class TestCompatibility:
